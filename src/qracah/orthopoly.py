@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
-from .errors import OutOfRange
+from .errors import DenominatorPole, OutOfRange
 from .qseries import PhiSpec, TailBound, certified_sum, qbinom, qpoch, qpoch_inf_ratio, rphis
 from .scalar import QBase, as_exponent
 
@@ -300,6 +300,24 @@ def asc_orth_x(ap: ASCParams, n: int, n2: int):
     return acc
 
 
+def _poles_named(table):
+    """Make a coefficient table raise DenominatorPole, not ZeroDivisionError,
+    at parameters where one of its denominator factors vanishes."""
+
+    @wraps(table)
+    def checked(qb, *args, **kwargs):
+        try:
+            return table(qb, *args, **kwargs)
+        except ZeroDivisionError as exc:
+            point = ", ".join([*map(str, args), *(f"{k}={v}" for k, v in kwargs.items())])
+            raise DenominatorPole(
+                f"{table.__name__}({point}): a denominator factor vanishes"
+            ) from exc
+
+    return checked
+
+
+@_poles_named
 def asc_diff_coeffs(qb: QBase, k, y: int, t):
     """Three-term transfer coefficients (c_-1, c_0, c_1) for the diagonal
     symbol q**(2n+k).  The boundary coefficient c_-1 vanishes at y=0 (and is
@@ -331,6 +349,7 @@ def asc_d_coeffs(qb: QBase, k, y: int, t, v):
     return dm1, d0, d1
 
 
+@_poles_named
 def asc_dyn_coeffs(qb: QBase, k, y: int, t, direction: int):
     """Parameter-shifting transfer coefficients for the infinite family,
     in increasing eps order; the n=0 row pins the common factor q**k.
@@ -378,16 +397,3 @@ def asc_shift_coeff(qb: QBase, k, y: int, t, eps: int, delta: int):
         return asc_dyn_coeffs(qb, k, y, t, -2)[eps]
     raise OutOfRange(f"delta = {delta} is not one of -2, 0, +2")
 
-
-def asc_weight_trunc(qb: QBase, s, k, tol: float, tb: TailBound = TailBound()) -> int:
-    """Smallest X such that the x-side weight mass beyond X is below tol.
-
-    The weight decays like q**(2x(x+s)), faster than geometric, so the tail
-    beyond X is bounded by W(X+1) / (1 - q**2).
-    """
-    q2 = float(abs(qb.qpow(2)))
-    for X in range(tb.max_terms):
-        w_next = float(abs(asc_W(qb, s, k, X + 1, tb)))
-        if w_next / (1 - q2) < tol:
-            return X
-    raise OutOfRange(f"no truncation point below {tol} found within {tb.max_terms}")

@@ -26,9 +26,15 @@ DEFAULT_MAX_TERMS = 20000
 class TailBound:
     """Truncation policy for infinite sums and products.
 
-    The guarantee: if summation stops, the absolute truncation error is at
-    most ``tolerance`` provided the post-truncation term ratios stay below
-    ``ratio_cap`` (empirically enforced on the observed ratios).
+    The bound ``tolerance`` gives depends on the consumer:
+
+    * sums (:func:`certified_sum`): if summation stops, the *absolute*
+      truncation error is at most ``tolerance`` provided the
+      post-truncation term ratios stay below ``ratio_cap`` (empirically
+      enforced on the observed ratios);
+    * products (:func:`qpoch_inf`, :func:`qpoch_inf_ratio`): ``tolerance``
+      bounds the tail of the log-product, hence the *relative* error of the
+      product, not the absolute one.
     """
 
     tolerance: float = 1e-12
@@ -62,8 +68,10 @@ def qpoch_inf(a, base, tb: TailBound = TailBound()):
     """The infinite product (a; base)_inf, truncated with a certificate.
 
     Factors are accumulated until |a*base**m| < tolerance*(1-|base|); the
-    tail of the log-product is then bounded by ``tolerance``.  Requires
-    |base| < 1.
+    tail of the log-product is then bounded by ``tolerance`` (to first
+    order), so the *relative* error of the result is at most about
+    ``tolerance``; the absolute error scales with |(a; base)_inf|.
+    Requires |base| < 1.
     """
     bmag = abs(float(abs(base)))
     if bmag >= 1:
@@ -85,7 +93,11 @@ def qpoch_inf_ratio(a_top, a_bot, base, tb: TailBound = TailBound()):
     """(a_top; base)_inf / (a_bot; base)_inf as a single truncated product.
 
     Sharing one truncation point makes the ratio converge faster than the
-    two factors separately.
+    two factors separately.  Truncation stops once both |a_top*base**m| and
+    |a_bot*base**m| are below tolerance*(1-|base|), so each log-product
+    tail is bounded by ``tolerance`` (to first order) and the *relative*
+    error of the ratio is at most about 2*tolerance; the absolute error
+    scales with the ratio itself.
     """
     bmag = abs(float(abs(base)))
     if bmag >= 1:

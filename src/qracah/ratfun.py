@@ -290,7 +290,9 @@ def pr_closed(pp: PrParams, x: int, y: int):
 def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
     """Residual of the infinite biorthogonality relation; requires
     |Re(v) + 1| < 2 + s + t so both family members converge.  The outer sum
-    is truncated where the x-side weight mass drops below the tolerance."""
+    is truncated by :func:`certified_sum` under ``pp.tb``: it stops once
+    three consecutive terms fall below tolerance*(1-ratio_cap) with term
+    ratios below ``ratio_cap``."""
     qb = pp.qb
     v = pp.v
     re_v = v.real if isinstance(v, complex) else float(as_exponent(v))

@@ -16,6 +16,12 @@ non-compact pair carries the scale (q - 1/q)/(q + 1/q) on its off-diagonal
 part; this normalization is forced jointly by the stated eigenvalues (brace
 symbols), the rewrite K**-2 Y0 = Ytilde1, and the polynomial-in-K**2
 expansion, and is machine-verified in the tests.
+
+Operators are :class:`OpMatrix` values stored as sparse rows.  Every
+generator has at most one nonzero entry per row, and a coproduct image on M
+sites keeps O(M) entries per row, so products, sums, Kronecker products and
+applications cost in proportion to the stored entries; no dense d x d
+matrix is built or multiplied.
 """
 
 from __future__ import annotations
@@ -32,91 +38,114 @@ _HALF = Fraction(1, 2)
 
 
 class OpMatrix:
-    """A dense square matrix over backend scalars (immutable by convention)."""
+    """A square matrix over backend scalars, stored as sparse rows.
 
-    __slots__ = ("rows", "dim")
+    Row ``i`` is a ``{column: value}`` dict of the nonzero entries in
+    increasing column order, so sums accumulate in the order a dense row
+    would give them and floating-point results do not depend on the storage.
+    ``zero`` is the backend's zero, returned for entries that are not stored.
+    Every operation visits stored entries only.  Immutable by convention.
+    """
+
+    __slots__ = ("rows", "dim", "zero")
 
     def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        self.dim = len(self.rows)
-        if any(len(r) != self.dim for r in self.rows):
+        rows = [list(r) for r in rows]
+        self.dim = len(rows)
+        if any(len(r) != self.dim for r in rows):
             raise DimensionMismatch("matrix must be square")
+        self.rows = [{j: a for j, a in enumerate(r) if a} for r in rows]
+        self.zero = type(rows[0][0])(0) if rows else 0
+
+    @classmethod
+    def _sparse(cls, rows, zero) -> "OpMatrix":
+        m = cls.__new__(cls)
+        m.rows, m.dim, m.zero = rows, len(rows), zero
+        return m
 
     @classmethod
     def identity(cls, dim: int, qb: QBase) -> "OpMatrix":
-        one, zero = qb.one(), qb.zero()
-        return cls([[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        one = qb.one()
+        return cls._sparse([{i: one} for i in range(dim)], qb.zero())
 
     @classmethod
     def zeros(cls, dim: int, qb: QBase) -> "OpMatrix":
-        zero = qb.zero()
-        return cls([[zero] * dim for _ in range(dim)])
+        return cls._sparse([{} for _ in range(dim)], qb.zero())
 
     def __getitem__(self, idx):
-        return self.rows[idx]
+        row = self.rows[idx]
+        return [row.get(j, self.zero) for j in range(self.dim)]
 
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        n = self.dim
-        ocols = list(zip(*other.rows))
-        return OpMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ocols] for row in self.rows]
-        )
+        orows = other.rows
+        out = []
+        for row in self.rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in orows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(_pruned(acc))
+        return OpMatrix._sparse(out, self.zero)
 
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        return OpMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        out = []
+        for r1, r2 in zip(self.rows, other.rows):
+            acc = dict(r1)
+            for j, b in r2.items():
+                acc[j] = acc[j] + b if j in acc else b
+            out.append(_pruned(acc))
+        return OpMatrix._sparse(out, self.zero)
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "OpMatrix":
-        return OpMatrix([[scalar * a for a in row] for row in self.rows])
+        return OpMatrix._sparse(
+            [{j: v for j, a in row.items() if (v := scalar * a)} for row in self.rows],
+            self.zero,
+        )
 
     def __eq__(self, other):
         return isinstance(other, OpMatrix) and self.rows == other.rows
 
     def kron(self, other: "OpMatrix") -> "OpMatrix":
         """Kronecker product; the left factor indexes the slow axis."""
-        na, nb = self.dim, other.dim
-        return OpMatrix(
+        nb = other.dim
+        return OpMatrix._sparse(
             [
-                [self.rows[i][k] * other.rows[j][l] for k in range(na) for l in range(nb)]
-                for i in range(na)
-                for j in range(nb)
-            ]
+                {k * nb + l: v for k, a in ra.items() for l, b in rb.items() if (v := a * b)}
+                for ra in self.rows
+                for rb in other.rows
+            ],
+            self.zero,
         )
 
     def apply(self, vec: Sequence) -> list:
         if len(vec) != self.dim:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.dim}")
-        return [sum(a * v for a, v in zip(row, vec)) for row in self.rows]
-
-    def max_abs(self, rows: Optional[int] = None) -> float:
-        """Largest entry magnitude over the first ``rows`` rows (all if None)."""
-        r = self.dim if rows is None else rows
-        return max(
-            (float(abs(a)) for row in self.rows[:r] for a in row),
-            default=0.0,
-        )
+        return [
+            sum(a * vec[j] for j, a in row.items()) if row else self.zero
+            for row in self.rows
+        ]
 
     def abs_sum(self, rows: Optional[int] = None):
-        """Sum of entry magnitudes over the first ``rows`` rows, in the
-        native scalar type (exact in the exact backend, so it is zero iff
-        every entry is exactly zero)."""
-        r = self.dim if rows is None else rows
-        acc = None
-        for row in self.rows[:r]:
-            for a in row:
-                acc = abs(a) if acc is None else acc + abs(a)
-        return 0 if acc is None else acc
+        """Sum of entry magnitudes over the first ``rows`` rows (all if None),
+        in the type ``abs`` gives the native scalar (exact in the exact
+        backend, so it is zero iff every entry is exactly zero)."""
+        acc = abs(self.zero)
+        for row in self.rows[:rows]:
+            for a in row.values():
+                acc += abs(a)
+        return acc
 
-    def is_zero(self, rows: Optional[int] = None, tol: float = 0.0) -> bool:
-        return self.max_abs(rows) <= tol
+
+def _pruned(acc: dict) -> dict:
+    """A sparse row from accumulated entries: zeros dropped, columns sorted."""
+    return {j: acc[j] for j in sorted(acc) if acc[j]}
 
 
 def kron_all(mats: Sequence[OpMatrix]) -> OpMatrix:
@@ -174,11 +203,7 @@ def gens(rs: RepSpec) -> Tuple[OpMatrix, OpMatrix, OpMatrix, OpMatrix]:
     """The generator matrices (K, Kinv, E, F) of the representation."""
     qb = rs.qb
     dim = rs.dim
-    zero = qb.zero()
-    K = [[zero] * dim for _ in range(dim)]
-    Ki = [[zero] * dim for _ in range(dim)]
-    E = [[zero] * dim for _ in range(dim)]
-    F = [[zero] * dim for _ in range(dim)]
+    K, Ki, E, F = ([{} for _ in range(dim)] for _ in range(4))
     if rs.kind == "su2":
         half_size = rs.N * _HALF
         for n in range(dim):
@@ -198,7 +223,8 @@ def gens(rs: RepSpec) -> Tuple[OpMatrix, OpMatrix, OpMatrix, OpMatrix]:
                 E[n][n - 1] = qb.bracket(n)
             if n + 1 < dim:
                 F[n][n + 1] = -qb.bracket(n + k)
-    return OpMatrix(K), OpMatrix(Ki), OpMatrix(E), OpMatrix(F)
+    zero = qb.zero()
+    return tuple(OpMatrix._sparse(rows, zero) for rows in (K, Ki, E, F))
 
 
 def _twist_from(qb: QBase, E: OpMatrix, F: OpMatrix, K: OpMatrix, Ki: OpMatrix,
@@ -258,12 +284,12 @@ def star_residual(rs: RepSpec, A: OpMatrix, Astar: OpMatrix) -> OpMatrix:
     for the weighted inner product of the representation space."""
     qb = rs.qb
     w = [rs.weight(n) for n in range(rs.dim)]
-    return OpMatrix(
-        [
-            [w[n] * A[n][m] - w[m] * qb.conj(Astar[m][n]) for m in range(rs.dim)]
-            for n in range(rs.dim)
-        ]
-    )
+    out = [{m: w[n] * a for m, a in row.items()} for n, row in enumerate(A.rows)]
+    for m, row in enumerate(Astar.rows):
+        for n, b in row.items():
+            t = w[m] * qb.conj(b)
+            out[n][m] = out[n][m] - t if m in out[n] else -t
+    return OpMatrix._sparse([_pruned(r) for r in out], A.zero)
 
 
 def twist_rewrite_residual(rs: RepSpec, u, v, s, t) -> OpMatrix:

@@ -30,7 +30,7 @@ from qracah import (
     qpow,
 )
 from qracah import uqsl2
-from qracah.errors import OutOfRange
+from qracah.errors import DenominatorPole, OutOfRange
 
 QB = QBase(F(1, 2))  # q = 1/4
 
@@ -299,6 +299,16 @@ def test_asc_dyn_boundary_vanishing():
     assert cm22 == 0 and cm12 == 0
     cm22, _, _ = asc_dyn_coeffs(QB, 1, 1, 1, 2)
     assert cm22 == 0
+
+
+def test_asc_coeffs_pole_is_named():
+    # 1 - q**(-4y-2t-2k) and 1 - q**(4y+2t+2k-2) vanish at these points;
+    # both backends report the pole instead of dividing by zero
+    for qb in (QB, QBase(F(2, 3)), QBase(F(2, 3), "float")):
+        with pytest.raises(DenominatorPole):
+            asc_diff_coeffs(qb, 1, 0, -1)
+        with pytest.raises(DenominatorPole):
+            asc_dyn_coeffs(qb, 1, 0, 0, -2)
 
 
 def test_cross_check_orthogonality_from_summation():

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qracah import QBase, qbracket, qbrace, qpow
 from qracah.errors import DimensionMismatch, OutOfRange
@@ -36,6 +38,75 @@ def test_opmatrix_basics():
     b = OpMatrix([[0, 1], [1, 0]])
     k = eye.kron(b)
     assert k.dim == 6 and k[0][1] == 1 and k[2][3] == 1 and k[0][3] == 0
+
+
+# entries are mostly zero, like the generators and their coproduct images
+_ENTRY = st.one_of(st.just(F(0)), st.just(F(0)),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _square(n):
+    return st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    return (draw(_square(n)), draw(_square(n)), draw(_square(m)),
+            draw(st.lists(_ENTRY, min_size=n, max_size=n)), draw(_ENTRY),
+            draw(st.integers(0, n)))
+
+
+def _assert_dense(m, ref):
+    assert [m[i] for i in range(m.dim)] == ref
+    # only nonzero entries are stored, in increasing column order
+    assert all(list(row) == sorted(row) and all(row.values()) for row in m.rows)
+
+
+@given(_operands())
+@settings(max_examples=150, deadline=None)
+def test_opmatrix_matches_dense_reference(ops):
+    a, b, c, vec, scalar, rows = ops
+    n, m = len(a), len(c)
+    A, B, C = OpMatrix(a), OpMatrix(b), OpMatrix(c)
+    _assert_dense(A, a)
+    _assert_dense(A @ B, [
+        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+    ])
+    _assert_dense(A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
+    _assert_dense(A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])
+    _assert_dense(scalar * A, [[scalar * x for x in r] for r in a])
+    _assert_dense(A.kron(C), [
+        [a[i][k] * c[j][l] for k in range(n) for l in range(m)]
+        for i in range(n) for j in range(m)
+    ])
+    assert A.apply(vec) == [sum(x * v for x, v in zip(r, vec)) for r in a]
+    assert A.abs_sum(rows) == sum(abs(x) for r in a[:rows] for x in r)
+    assert A - A == OpMatrix.zeros(n, QB)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "complex"])
+def test_empty_rows_give_backend_zero(mode):
+    qb = QBase(F(1, 2), mode)
+    zero = qb.zero()
+    # E maps nothing into row 0
+    K, Ki, E, Fm = gens(RepSpec.su2(2, qb))
+    for op in (E, OpMatrix.zeros(3, qb)):
+        out = op.apply([qb.one()] * 3)
+        assert out[0] == zero and type(out[0]) is type(zero)
+        total = op.abs_sum(1)
+        assert total == 0 and type(total) is type(abs(zero))
+    assert type(OpMatrix.zeros(3, qb).abs_sum()) is type(abs(zero))
+
+
+def test_coproduct_storage_is_linear_in_dim():
+    # a dense 81x81 image would store 6561 entries; each row of this one
+    # holds a few E/F/Kinv**2 terms
+    sites = [RepSpec.su11(1, 8, QB), RepSpec.su11(1, 8, QB)]
+    op = coproduct_op(sites, "ytilde", "L", 2, u=0, s=1)
+    assert op.dim == 81
+    assert sum(len(row) for row in op.rows) <= 9 * 81
 
 
 def test_gens_su2_small():

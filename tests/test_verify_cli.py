@@ -137,6 +137,14 @@ def test_cli_eval_pole_exit_code():
     assert "DenominatorPole" in out.stderr
 
 
+def test_cli_coefficients_pole_exit_code():
+    # the t-lowering denominator 1 - q**(4y+2t+2k-2) vanishes at k=1, y=t=0
+    out = _cli("eval", "--fn", "coefficients", "--p", "2/3", "--k", "1", "--y", "0",
+               "--t", "0", "--v", "0")
+    assert out.returncode == 2
+    assert out.stderr.startswith("DenominatorPole")
+
+
 def test_cli_eval_multivariate():
     out = _cli("eval", "--fn", "rr_multi", "--p", "1/2", "--N", "2,2", "--s", "1",
                "--t", "0", "--v", "0", "--x", "1,0", "--y", "0,2")
