@@ -14,6 +14,16 @@ is machine-verified against the defining identities by the test suite; the
 exact normalizations are pinned by the n = 0 row, where every polynomial
 equals 1, so each coefficient row must sum to the diagonal symbol at n = 0
 (q**-N for the finite family, q**k for the infinite one).
+
+The n-side weights are read from explicit tables, built once per key and
+kept for the life of the process: ``kraw_w`` from one row per (qb, N) over a
+single prefix list of (q**2; q**2)_m, ``asc_w`` from one list per (qb, k)
+that grows to the largest n asked for by carrying its two Pochhammer
+products forward one factor at a time.  Each entry comes out of the same
+operation sequence as the direct ``qpoch``/``qbinom`` formula in its
+docstring, so it is bit-identical to it, and of the same type, in every
+backend; ``QBase`` equality includes the backend, so exact and floating
+bases never share an entry.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
+from threading import Lock
 
 from .errors import DenominatorPole, OutOfRange
 from .qseries import PhiSpec, TailBound, certified_sum, qbinom, qpoch, qpoch_inf_ratio, rphis
@@ -77,11 +88,49 @@ def kraw(kp: KrawParams, n: int, x: int):
     return _kraw_cached(kp.qb, as_exponent(kp.u), as_exponent(kp.s), kp.N, n, x)
 
 
+class _KrawWeights:
+    """The row w(0..N) of one (qb, N): one prefix list P[m] = (q2; q2)_m,
+    built by the loop of ``qpoch``, and each weight
+    q**(n(n-N)) * (P[N] / (P[n] * P[N-n])) computed on first request, so a
+    floating overflow at one n stays that entry's error, as it is for the
+    direct formula."""
+
+    __slots__ = ("qb", "N", "poch", "row")
+
+    def __init__(self, qb: QBase, N: int):
+        self.qb, self.N = qb, N
+        q2 = qb.qpow(2)
+        f = q2 * 0 + q2 * 0 + 1
+        poch = [f]
+        for _ in range(N):
+            poch.append(poch[-1] * (1 - q2 * f))
+            f *= q2
+        self.poch = poch
+        self.row = [None] * (N + 1)
+
+    def __getitem__(self, n: int):
+        w = self.row[n]
+        if w is None:
+            N, P = self.N, self.poch
+            w = self.row[n] = self.qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
+        return w
+
+
+_KRAW_W_TABLES: dict = {}
+
+
 def kraw_w(qb: QBase, N: int, n: int):
-    """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under q <-> 1/q."""
+    """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under q <-> 1/q.
+
+    Read from the (qb, N) weight table; each entry equals the direct
+    ``qb.qpow(n * (n - N)) * qbinom(N, n, qb.qpow(2))`` bit for bit.
+    """
     if not 0 <= n <= N:
         raise OutOfRange(f"n = {n} outside 0..{N}")
-    return qb.qpow(n * (n - N)) * qbinom(N, n, qb.qpow(2))
+    table = _KRAW_W_TABLES.get((qb, N))
+    if table is None:
+        table = _KRAW_W_TABLES[qb, N] = _KrawWeights(qb, N)
+    return table[n]
 
 
 def kraw_W(qb: QBase, s, N: int, x: int, inverse_base: bool = True):
@@ -241,13 +290,64 @@ def asc(ap: ASCParams, n: int, x: int):
     return _asc_cached(ap.qb, as_exponent(ap.u), as_exponent(ap.s), as_exponent(ap.k), n, x)
 
 
+class _AscWeights:
+    """The weights w_k(0), w_k(1), ... of one (qb, k), extended to the largest
+    n requested.  The numerator (q**2k; q**2)_m and denominator (q**2; q**2)_m
+    and their powers of q**2 are carried forward one factor at a time, by the
+    loop of ``qpoch``; the running state is committed only once the new
+    weight q**(-m(k-1)) * top / bot exists, so an error leaves it intact.
+    Extension holds a lock: two threads reading the same state would append
+    the same entry twice."""
+
+    __slots__ = ("qb", "k", "a", "q2", "state", "row", "lock")
+
+    def __init__(self, qb: QBase, k):
+        self.qb, self.k = qb, k
+        self.q2 = q2 = qb.qpow(2)
+        self.a = a = qb.qpow(2 * k)
+        top = a * 0 + q2 * 0 + 1
+        bot = q2 * 0 + q2 * 0 + 1
+        self.state = (top, top, bot, bot)
+        self.row = []
+        self.lock = Lock()
+
+    def __getitem__(self, n: int):
+        row = self.row
+        if n >= len(row):
+            with self.lock:
+                while len(row) <= n:
+                    m = len(row)
+                    top, ftop, bot, fbot = self.state
+                    if m:
+                        top *= 1 - self.a * ftop
+                        ftop *= self.q2
+                        bot *= 1 - self.q2 * fbot
+                        fbot *= self.q2
+                    row.append(self.qb.qpow(-m * (self.k - 1)) * top / bot)
+                    self.state = (top, ftop, bot, fbot)
+        return row[n]
+
+
+_ASC_W_TABLES: dict = {}
+
+
 def asc_w(qb: QBase, k, n: int):
-    """n-side weight q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n."""
+    """n-side weight q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n.
+
+    Read from the (qb, k) weight table; each entry equals the direct
+    ``qb.qpow(-n * (k - 1)) * qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)``
+    bit for bit.
+    """
     if n < 0:
         raise OutOfRange(f"n = {n} must be nonnegative")
     k = as_exponent(k)
-    q2 = qb.qpow(2)
-    return qb.qpow(-n * (k - 1)) * qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)
+    # type(k) in the key: an exact base must still reject a float k equal
+    # to a tabled Fraction
+    key = (qb, type(k), k)
+    table = _ASC_W_TABLES.get(key)
+    if table is None:
+        table = _ASC_W_TABLES[key] = _AscWeights(qb, k)
+    return table[n]
 
 
 def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):

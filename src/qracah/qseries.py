@@ -1,13 +1,25 @@
 """q-shifted factorials, q-binomials and basic hypergeometric series.
 
 Terminating series are evaluated exactly in the exact backend.  Truncated
-infinite objects (``qpoch_inf`` and non-terminating series) carry an error
-certificate controlled by a :class:`TailBound`: summation stops only once
-the current term is below ``tolerance * (1 - ratio_cap)`` and the observed
-term ratios have stayed below ``ratio_cap``, so the neglected tail is
-bounded by ``tolerance``.  If the certificate cannot be met within
-``max_terms``, :class:`~qracah.errors.NonConvergent` is raised rather than
-returning an unreliable value.
+infinite objects carry an error certificate controlled by a
+:class:`TailBound`, and the certificates differ in strength:
+
+* non-terminating :func:`rphis` has a *proved* bound: it stops at term J only
+  when R, a bound on every later term ratio derived from the parameters
+  (see ``_ratio_bound``), satisfies R < 1 and ``|t_J| R / (1 - R) <=
+  tolerance``, so the neglected tail is at most ``tolerance``;
+* :func:`certified_sum` (``pr_inner``, ``pr_biorth_residual``,
+  ``asc_orth_*``, the infinite ``summation_rhs``, the multivariate shell
+  sums) only sees its terms, so it stops once the current term is
+  below ``tolerance * (1 - ratio_cap)`` and the *observed* term ratios have
+  stayed below ``ratio_cap``; that bounds the tail only if later ratios
+  stay below the cap too;
+* ``qpoch_inf`` / ``qpoch_inf_ratio`` bound the relative error of the
+  product to first order.
+
+If a certificate cannot be met within ``max_terms``,
+:class:`~qracah.errors.NonConvergent` is raised rather than returning an
+unreliable value.
 """
 
 from __future__ import annotations
@@ -28,10 +40,13 @@ class TailBound:
 
     The bound ``tolerance`` gives depends on the consumer:
 
+    * non-terminating series (:func:`rphis`): a *proved* bound on the
+      *absolute* truncation error, from a bound on every later term ratio
+      derived from the series parameters; ``ratio_cap`` is not used;
     * sums (:func:`certified_sum`): if summation stops, the *absolute*
       truncation error is at most ``tolerance`` provided the
-      post-truncation term ratios stay below ``ratio_cap`` (empirically
-      enforced on the observed ratios);
+      post-truncation term ratios stay below ``ratio_cap``; this is only
+      checked on the observed ratios, so it is not a proof;
     * products (:func:`qpoch_inf`, :func:`qpoch_inf_ratio`): ``tolerance``
       bounds the tail of the log-product, hence the *relative* error of the
       product, not the absolute one.
@@ -159,9 +174,10 @@ def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
     """Evaluate a basic hypergeometric series.
 
     Terminating series (a numerator parameter of the form base**-m) are
-    summed exactly; otherwise the sum is truncated under the TailBound
-    certificate.  A denominator Pochhammer vanishing at a reached index
-    raises DenominatorPole before any division happens.
+    summed exactly; otherwise the sum is truncated once the proved tail
+    bound of the module docstring is below ``tb.tolerance``.  A denominator
+    Pochhammer vanishing at a reached index raises DenominatorPole before
+    any division happens.
     """
     nums = list(spec.numerators)
     dens = list(spec.denominators)
@@ -189,10 +205,14 @@ def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
                     )
             f *= base
 
+    if n_terms is None:
+        z_mag, base_mag = _magnitude(z), _magnitude(base)
+        num_mags = [_magnitude(a) for a in nums]
+        den_mags = [_magnitude(b) for b in dens]
+
     one = base * 0 + z * 0 + 1
     total = one * 0
     term = one
-    magnitudes = []
     f = one
     for j in range(limit):
         total += term
@@ -211,10 +231,38 @@ def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
         term = term * numf * z / denf
         f *= base
         if n_terms is None:
-            magnitudes.append(float(abs(term)))
-            if _tail_certified(magnitudes, tb):
+            # term is t_(j+1) and f = base**(j+1): bound every later ratio
+            ratio = _ratio_bound(z_mag, base_mag, num_mags, den_mags, _magnitude(f))
+            if ratio < 1 and _magnitude(term) * ratio / (1 - ratio) <= tb.tolerance:
                 return total + term
     raise NonConvergent(f"series did not terminate or certify within {limit} terms")
+
+
+def _magnitude(x) -> float:
+    # |x| as a float; inf when it leaves the floating-point range
+    try:
+        return float(abs(x))
+    except OverflowError:
+        return math.inf
+
+
+def _ratio_bound(z_mag, base_mag, num_mags, den_mags, F):
+    """A bound R on |t_(j+1) / t_j| for every j >= J, where F = |base|**J.
+
+    The ratio is z * prod(1 - a_i f) / ((1 - base f) * prod(1 - b_i f)) with
+    f = base**j, |f| <= F, so R = |z| prod(1 + |a_i| F) / ((1 - |base| F) *
+    prod(1 - |b_i| F)); inf while some denominator factor is not positive,
+    which is always the case for |base| >= 1.
+    """
+    dens = [1 - base_mag * F, *(1 - m * F for m in den_mags)]
+    if min(dens) <= 0:
+        return math.inf
+    out = z_mag
+    for m in num_mags:
+        out *= 1 + m * F
+    for d in dens:
+        out /= d
+    return out
 
 
 def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:

@@ -1,5 +1,7 @@
 """The two polynomial families: values, weights, orthogonality, coefficients."""
 
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -26,11 +28,13 @@ from qracah import (
     kraw_orth_x,
     kraw_w,
     qbracket,
+    qbinom,
     qbrace,
+    qpoch,
     qpow,
 )
 from qracah import uqsl2
-from qracah.errors import DenominatorPole, OutOfRange
+from qracah.errors import DenominatorPole, ExactnessError, OutOfRange
 
 QB = QBase(F(1, 2))  # q = 1/4
 
@@ -197,6 +201,113 @@ def test_asc_w():
     # k = 1 telescopes to the constant weight 1
     for n in range(6):
         assert asc_w(QB, 1, n) == 1
+
+
+# -- weight tables: every entry must equal the direct Pochhammer formula bit
+# for bit, with the same scalar type, whatever order entries are asked in
+
+
+def _asc_w_direct(qb, k, n):
+    k = k if isinstance(k, (float, complex)) else F(k)
+    q2 = qb.qpow(2)
+    return qb.qpow(-n * (k - 1)) * qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)
+
+
+def _kraw_w_direct(qb, N, n):
+    return qb.qpow(n * (n - N)) * qbinom(N, n, qb.qpow(2))
+
+
+def _same(a, b):
+    return type(a) is type(b) and a == b
+
+
+# (base, out-of-order n requests); floating bases with p > 1 overflow
+# (q**2; q**2)_n past n ~ 25, so they stop at 20
+WEIGHT_TABLE_CASES = [
+    (QBase(F(1, 2)), (30, 3, 60, 0, 59)),
+    (QBase(F(3, 2)), (30, 3, 60, 0, 59)),
+    (QBase(0.5, "float"), (30, 3, 60, 0, 59)),
+    (QBase(1.5, "float"), (12, 3, 20, 0, 19)),
+    (QBase(F(2, 3), "complex"), (30, 3, 60, 0, 59)),
+    (QBase(F(3, 2), "complex"), (12, 3, 20, 0, 19)),
+]
+
+
+@pytest.mark.parametrize("qb, order", WEIGHT_TABLE_CASES, ids=repr)
+def test_asc_w_table_matches_direct_formula(qb, order):
+    for k in (F(1, 2), 1, 2, 3):
+        for n in order:
+            assert _same(asc_w(qb, k, n), _asc_w_direct(qb, k, n)), (k, n)
+
+
+@pytest.mark.parametrize("qb, order", WEIGHT_TABLE_CASES, ids=repr)
+def test_kraw_w_table_matches_direct_formula(qb, order):
+    for N in range(14):
+        for n in (N, 0, N // 2, *range(N + 1)):
+            assert _same(kraw_w(qb, N, n), _kraw_w_direct(qb, N, n)), (N, n)
+
+
+def test_weight_tables_keep_exact_and_float_bases_apart():
+    # QBase(1/2) and QBase(0.5, "float") are different keys: interleaved
+    # requests get Fractions from one and floats from the other
+    exact, flt = QBase(F(1, 2)), QBase(0.5, "float")
+    for n in (40, 2, 41, 0):
+        for qb in (flt, exact):
+            assert _same(asc_w(qb, 2, n), _asc_w_direct(qb, 2, n))
+    for N in (13, 5):
+        for n in range(N + 1):
+            for qb in (exact, flt):
+                assert _same(kraw_w(qb, N, n), _kraw_w_direct(qb, N, n))
+
+
+def test_weight_tables_survive_an_overflow():
+    # q**(-2n) overflows a float from n = 39 at p = 1/100; the failed request
+    # must raise as the direct formula does and leave the table consistent
+    qb = QBase(0.01, "float")
+    with pytest.raises(OverflowError):
+        _asc_w_direct(qb, 3, 50)
+    with pytest.raises(OverflowError):
+        asc_w(qb, 3, 50)
+    for n in (10, 38, 0):
+        assert _same(asc_w(qb, 3, n), _asc_w_direct(qb, 3, n))
+    with pytest.raises(OverflowError):
+        asc_w(qb, 3, 45)
+
+
+def test_weight_tables_range_checks():
+    with pytest.raises(OutOfRange):
+        asc_w(QB, 1, -1)
+    for n in (-1, 5):
+        with pytest.raises(OutOfRange):
+            kraw_w(QB, 4, n)
+    # a float k equal to a tabled Fraction k is still refused by an exact base
+    assert asc_w(QB, 1, 3) == 1
+    with pytest.raises(ExactnessError):
+        asc_w(QB, 1.0, 3)
+
+
+def test_asc_w_table_extension_is_thread_safe():
+    # threads extending one fresh table at once must not append an entry twice
+    qb, k = QBase(F(5, 7)), F(3, 2)
+    orders = [list(range(0, 61, step)) + [60 - step] for step in (1, 1, 2, 2, 3, 5, 7, 11)]
+    results = {}
+
+    def request(i):
+        results[i] = [asc_w(qb, k, n) for n in orders[i]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for i, order in enumerate(orders):
+        assert results[i] == [_asc_w_direct(qb, k, n) for n in order]
 
 
 def test_asc_W_positive():

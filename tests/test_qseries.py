@@ -129,6 +129,23 @@ def test_rphis_nonterminating_certified():
         rphis(PhiSpec([0.3], [0.2], qb, 0.5, max_terms=4))
 
 
+def test_rphis_tail_bound_sees_a_late_near_pole():
+    # the denominator parameter b is just below base**-6, so the first terms
+    # are tiny with small ratios and the factor 1 - b*base**6 ~ 1e-40 only
+    # enters at term 7; a rule that watches observed ratios stops before it
+    # and misses a third of the sum
+    b, base, z = 2**6 * (1 - F(1, 10**40)), F(1, 2), F(1, 10**5)
+    val = rphis(PhiSpec((), (b,), base, z), TailBound(1e-12))
+    # exact 200-term partial sum; the terms past 200 are below 1e-300
+    ref, term, f = F(0), F(1), F(1)
+    for _ in range(200):
+        ref += term
+        term = term * z / ((1 - base * f) * (1 - b * f))
+        f *= base
+    assert abs(float(ref) - 1.5584946749152) < 1e-12
+    assert abs(val - ref) <= 1e-12
+
+
 @given(
     anum=st.integers(-5, 5),
     aden=st.integers(2, 7),
