@@ -204,13 +204,12 @@ def fn_weights(args, qb, point):
     out = {}
     if getattr(args, "N", None) is not None:
         N = _int(args, "N")
-        s = _num(args, "s", qb.mode)
         if args.n is not None or "n" in point:
             n = _coord(point, args, "n")
             out["w"] = orthopoly.kraw_w(qb, N, n)
         if args.x is not None or "x" in point:
             x = _coord(point, args, "x")
-            out["W_invbase"] = orthopoly.kraw_W(qb, s, N, x)
+            out["W_invbase"] = orthopoly.kraw_W(qb, _num(args, "s", qb.mode), N, x)
     elif getattr(args, "k", None) is not None:
         k = _num(args, "k", qb.mode)
         s = _num(args, "s", qb.mode, Fraction(0))

@@ -15,27 +15,38 @@ exact normalizations are pinned by the n = 0 row, where every polynomial
 equals 1, so each coefficient row must sum to the diagonal symbol at n = 0
 (q**-N for the finite family, q**k for the infinite one).
 
-The n-side weights are read from explicit tables, built once per key and
-kept for the life of the process: ``kraw_w`` from one row per (qb, N) over a
-single prefix list of (q**2; q**2)_m, ``asc_w`` from one list per (qb, k)
-that grows to the largest n asked for by carrying its two Pochhammer
+The n-side weights are read from explicit tables, built once per key (the
+table objects are themselves ``tables.tabled``) and kept for the life of
+the process: ``kraw_w`` from one row per (qb, N) over a single prefix list
+of (q**2; q**2)_m, ``asc_w`` from one list per (qb, k) that grows to the largest n asked for by carrying its two Pochhammer
 products forward one factor at a time.  Each entry comes out of the same
 operation sequence as the direct ``qpoch``/``qbinom`` formula in its
 docstring, so it is bit-identical to it, and of the same type, in every
 backend; ``QBase`` equality includes the backend, so exact and floating
 bases never share an entry.
+
+The other pure values -- polynomial values (``_kraw_cached``/``_asc_cached``,
+keyed on u as well), the x-side weights ``kraw_W``/``asc_W`` and the
+``*_diff_coeffs``/``*_dyn_coeffs`` tables -- are ``tables.tabled``: the first
+call at a key stores the value for the life of the process, later calls
+return that same object, so every value is bit-identical to the undecorated
+function's.  Keys carry the type of each scalar argument, so a float
+exponent never reads the entry of an equal ``Fraction``; calls that raise
+store nothing.  Values still come from the series and closed forms, never
+from the recurrences that the verify suites check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from threading import Lock
 
 from .errors import DenominatorPole, OutOfRange
 from .qseries import PhiSpec, TailBound, certified_sum, qbinom, qpoch, qpoch_inf_ratio, rphis
 from .scalar import QBase, as_exponent
+from .tables import tabled
 
 _HALF = Fraction(1, 2)
 
@@ -66,7 +77,7 @@ class ASCParams:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 18)
+@tabled
 def _kraw_cached(qb, u, s, N, n, x):
     pref = (-1) ** n * qb.qpow(n * (s - u - N * _HALF + _HALF))
     ser = rphis(
@@ -116,7 +127,9 @@ class _KrawWeights:
         return w
 
 
-_KRAW_W_TABLES: dict = {}
+@tabled
+def _kraw_weights(qb: QBase, N: int) -> _KrawWeights:
+    return _KrawWeights(qb, N)
 
 
 def kraw_w(qb: QBase, N: int, n: int):
@@ -127,12 +140,10 @@ def kraw_w(qb: QBase, N: int, n: int):
     """
     if not 0 <= n <= N:
         raise OutOfRange(f"n = {n} outside 0..{N}")
-    table = _KRAW_W_TABLES.get((qb, N))
-    if table is None:
-        table = _KRAW_W_TABLES[qb, N] = _KrawWeights(qb, N)
-    return table[n]
+    return _kraw_weights(qb, N)[n]
 
 
+@tabled
 def kraw_W(qb: QBase, s, N: int, x: int, inverse_base: bool = True):
     """x-side weight.  All usage sites evaluate it in base 1/q, which is the
     default; pass inverse_base=False for the literal base-q expression."""
@@ -171,6 +182,7 @@ def kraw_orth_n(kp: KrawParams, x: int, x2: int):
     return acc
 
 
+@tabled
 def kraw_diff_coeffs(qb: QBase, N: int, y: int, t):
     """Three-term transfer coefficients (a_-1, a_0, a_1) for the diagonal
     symbol q**(2n-N): q**(2n-N) k(n,y) = sum_eps a_eps k(n, y+eps).
@@ -211,6 +223,7 @@ def kraw_b_coeffs(qb: QBase, N: int, y: int, t, v):
     return bm1, b0, b1
 
 
+@tabled
 def kraw_dyn_coeffs(qb: QBase, N: int, y: int, t, direction: int):
     """Parameter-shifting transfer coefficients for the finite family.
 
@@ -268,7 +281,7 @@ def kraw_shift_coeff(qb: QBase, N: int, y: int, t, eps: int, delta: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 18)
+@tabled
 def _asc_cached(qb, u, s, k, n, x):
     pref = qb.qpow(n * (s - u + k * _HALF + _HALF))
     ser = rphis(
@@ -328,7 +341,9 @@ class _AscWeights:
         return row[n]
 
 
-_ASC_W_TABLES: dict = {}
+@tabled
+def _asc_weights(qb: QBase, k) -> _AscWeights:
+    return _AscWeights(qb, k)
 
 
 def asc_w(qb: QBase, k, n: int):
@@ -340,16 +355,10 @@ def asc_w(qb: QBase, k, n: int):
     """
     if n < 0:
         raise OutOfRange(f"n = {n} must be nonnegative")
-    k = as_exponent(k)
-    # type(k) in the key: an exact base must still reject a float k equal
-    # to a tabled Fraction
-    key = (qb, type(k), k)
-    table = _ASC_W_TABLES.get(key)
-    if table is None:
-        table = _ASC_W_TABLES[key] = _AscWeights(qb, k)
-    return table[n]
+    return _asc_weights(qb, as_exponent(k))[n]
 
 
+@tabled
 def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):
     """x-side weight; positive for s > -1, k > 0, decays like q**(2x(x+s)).
 
@@ -417,6 +426,7 @@ def _poles_named(table):
     return checked
 
 
+@tabled
 @_poles_named
 def asc_diff_coeffs(qb: QBase, k, y: int, t):
     """Three-term transfer coefficients (c_-1, c_0, c_1) for the diagonal
@@ -449,6 +459,7 @@ def asc_d_coeffs(qb: QBase, k, y: int, t, v):
     return dm1, d0, d1
 
 
+@tabled
 @_poles_named
 def asc_dyn_coeffs(qb: QBase, k, y: int, t, direction: int):
     """Parameter-shifting transfer coefficients for the infinite family,

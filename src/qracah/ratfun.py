@@ -15,6 +15,10 @@ Both pairings are evaluated bilinearly (no conjugation inside the sum): for
 real parameters this is literally the weighted inner product, and it is the
 analytic continuation in v that makes closed form and biorthogonality hold
 verbatim for complex v with partner -conj(v) - 2 and an outer conjugation.
+
+``rr_inner`` and ``pr_inner`` are ``tables.tabled``: each (parameters, x, y)
+is summed once per process and the biorthogonality and recurrence residuals
+reuse that very value, so results are bit-identical to an untabled sum.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .orthopoly import (
 )
 from .qseries import PhiSpec, TailBound, certified_sum, qpoch, qpoch_inf_ratio, rphis
 from .scalar import QBase, as_exponent
+from .tables import tabled
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,7 @@ class PrParams:
     tb: TailBound = TailBound()
 
 
+@tabled
 def rr_inner(rp: RrParams, x: int, y: int):
     """Reference evaluation: sum_n k_{1,s}(n,x) k_{v,t}(n,y) w(n)."""
     if not (0 <= x <= rp.N and 0 <= y <= rp.N):
@@ -194,8 +200,9 @@ def rr_gevp_residual(rp: RrParams, x: int, y: int, path: str = "inner"):
     am1, a0, a1 = kraw_diff_coeffs(qb, rp.N, y, rp.t)
     bm1, b0, b1 = kraw_b_coeffs(qb, rp.N, y, rp.t, rp.v)
     evaluate = rr_inner if path == "inner" else rr_closed
-    lhs = a0 * evaluate(rp, x, y)
-    rhs = (b0 + qb.bracket(rp.s)) * evaluate(rp, x, y)
+    val = evaluate(rp, x, y)
+    lhs = a0 * val
+    rhs = (b0 + qb.bracket(rp.s)) * val
     if y > 0:
         val = evaluate(rp, x, y - 1)
         lhs += am1 * val
@@ -218,6 +225,7 @@ def _pr_convergent(pp: PrParams) -> bool:
     return re_v < float(s) + float(t) + 1
 
 
+@tabled
 def pr_inner(pp: PrParams, x: int, y: int):
     """Certified evaluation of sum_n phi_{1,s}(n,x) phi_{v,t}(n,y) w_k(n);
     the terms decay like q**(n(s+t+1-v)), so Re(v) < 1+s+t is required."""
@@ -329,8 +337,9 @@ def pr_gevp_residual(pp: PrParams, x: int, y: int):
     ev = qb.brace(2 * x + as_exponent(pp.k) + as_exponent(pp.s))
     cm1, c0, c1 = asc_diff_coeffs(qb, pp.k, y, pp.t)
     dm1, d0, d1 = asc_d_coeffs(qb, pp.k, y, pp.t, pp.v)
-    lhs = c0 * pr_inner(pp, x, y)
-    rhs = (d0 + qb.brace(pp.s)) * pr_inner(pp, x, y)
+    val = pr_inner(pp, x, y)
+    lhs = c0 * val
+    rhs = (d0 + qb.brace(pp.s)) * val
     if y > 0:
         val = pr_inner(pp, x, y - 1)
         lhs += cm1 * val

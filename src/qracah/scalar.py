@@ -124,7 +124,7 @@ class QBase:
     p**m; the floating backends evaluate powers with math/cmath.
     """
 
-    __slots__ = ("p", "mode", "_q", "_pf")
+    __slots__ = ("p", "mode", "_q", "_pf", "_hash")
 
     def __init__(self, p, mode: str = "exact"):
         if mode not in MODES:
@@ -138,6 +138,8 @@ class QBase:
             raise ValueError("p must be positive and different from 1")
         self._pf = pf
         self._q = self.p * self.p if mode == "exact" else pf * pf
+        # every table key holds a base: hash it once, not on each lookup
+        self._hash = hash((self.p, mode))
 
     # -- scalar constructors -------------------------------------------------
 
@@ -214,7 +216,7 @@ class QBase:
         return isinstance(other, QBase) and self.p == other.p and self.mode == other.mode
 
     def __hash__(self):
-        return hash((self.p, self.mode))
+        return self._hash
 
     def __repr__(self):
         return f"QBase(p={self.p}, mode={self.mode!r})"

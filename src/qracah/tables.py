@@ -1,0 +1,67 @@
+"""Process-lifetime tables of pure values.
+
+``tabled`` keeps a pure function's results in a module-level dict, one per
+function, for the life of the process; ``table_sizes`` reports how many
+entries each table holds.  A hit returns the very object the first call
+computed, so a tabled value is bit-identical to, and of the same type as,
+the undecorated function's (``fn.__wrapped__``).
+
+A key is one flat tuple: the arguments, with each dataclass argument
+replaced by its fields, then the type of every one of those values, then
+the names of any keyword arguments.  The types keep apart arguments that
+compare equal across backends -- ``1.0 == Fraction(1) == True`` -- so an
+exact base still rejects a float exponent whose ``Fraction`` twin is
+tabled.  A call that raises stores nothing and raises again next time.
+"""
+
+from __future__ import annotations
+
+from functools import wraps
+from operator import attrgetter
+
+_TABLES: dict = {}
+# class -> getter of its dataclass fields as a tuple, or None
+_FIELDS: dict = {}
+_MISSING = object()
+
+
+def _fields_getter(cls):
+    names = tuple(getattr(cls, "__dataclass_fields__", ()))
+    if not names:
+        return None
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+def _key(args, kwargs):
+    flat = []
+    for value in ((*args, *kwargs.values()) if kwargs else args):
+        cls = type(value)
+        get = _FIELDS.get(cls, _MISSING)
+        if get is _MISSING:
+            get = _FIELDS[cls] = _fields_getter(cls)
+        if get is None:
+            flat.append(value)
+        else:
+            flat.extend(get(value))
+    return (*flat, *map(type, flat), *kwargs)
+
+
+def tabled(fn):
+    """Table the results of the pure function ``fn`` for the process's life."""
+    values = _TABLES[f"{fn.__module__}.{fn.__qualname__}"] = {}
+
+    @wraps(fn)
+    def lookup(*args, **kwargs):
+        key = _key(args, kwargs)
+        value = values.get(key, _MISSING)
+        if value is _MISSING:
+            value = values[key] = fn(*args, **kwargs)
+        return value
+
+    return lookup
+
+
+def table_sizes() -> dict:
+    """Entry count of every table, by the tabled function's qualified name."""
+    return {name: len(values) for name, values in _TABLES.items()}

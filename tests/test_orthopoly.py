@@ -286,6 +286,19 @@ def test_weight_tables_range_checks():
         asc_w(QB, 1.0, 3)
 
 
+def test_exact_base_rejects_float_exponents_cold_and_warm():
+    # 1.0 == Fraction(1): a float exponent must not read the value tabled
+    # for the equal Fraction; cold, then after the Fraction call, it raises
+    qb = QBase(F(5, 9))
+    for _ in range(2):
+        with pytest.raises(ExactnessError):
+            kraw(KrawParams(0, 1.0, 4, qb), 2, 1)
+        with pytest.raises(ExactnessError):
+            asc(ASCParams(0, 0, 2.0, qb), 2, 1)
+        kraw(KrawParams(0, 1, 4, qb), 2, 1)
+        asc(ASCParams(0, 0, 2, qb), 2, 1)
+
+
 def test_asc_w_table_extension_is_thread_safe():
     # threads extending one fresh table at once must not append an entry twice
     qb, k = QBase(F(5, 7)), F(3, 2)

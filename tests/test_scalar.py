@@ -35,6 +35,17 @@ def test_qbase_validation():
         QBase(0.5)  # float p not allowed in exact mode
 
 
+def test_qbase_hash_and_equality():
+    a, b = QBase(F(1, 2)), QBase(F(2, 4))
+    assert a == b and hash(a) == hash(b)
+    assert QBase(0.5, "float") == QBase(F(1, 2), "float")
+    assert hash(QBase(0.5, "float")) == hash(QBase(F(1, 2), "float"))
+    # the same p in different backends: unequal bases, never one table entry
+    for mode in ("float", "complex"):
+        assert QBase(F(1, 2)) != QBase(F(1, 2), mode)
+    assert len({QBase(F(1, 2)), QBase(F(1, 2), "float"), QBase(0.5, "float")}) == 2
+
+
 def test_qpow_examples():
     qb = QBase(F(1, 2))
     assert qpow(qb, 0) == 1

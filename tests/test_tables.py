@@ -1,0 +1,158 @@
+"""Process-lifetime tables of the pure value layer."""
+
+from dataclasses import dataclass
+from fractions import Fraction as F
+
+import pytest
+
+from qracah import (
+    PrParams,
+    QBase,
+    RrParams,
+    TailBound,
+    asc_W,
+    asc_diff_coeffs,
+    asc_dyn_coeffs,
+    kraw_W,
+    kraw_diff_coeffs,
+    kraw_dyn_coeffs,
+    pr_inner,
+    rr_inner,
+)
+from qracah import orthopoly
+from qracah.errors import DenominatorPole, OutOfRange
+from qracah.tables import table_sizes, tabled
+
+TB = TailBound(1e-12)
+
+# every backend, with q < 1 and q > 1
+BASES = [
+    QBase(F(1, 2)),
+    QBase(F(3, 2)),
+    QBase(0.5, "float"),
+    QBase(1.5, "float"),
+    QBase(F(2, 3), "complex"),
+    QBase(F(3, 2), "complex"),
+]
+
+
+def _exponent(qb, x):
+    # exact bases need Fraction exponents; the floating ones also get floats
+    return F(x) if qb.is_exact else float(x)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def _calls(qb):
+    """(tabled function, args, kwargs) over small grids of one base."""
+    h = _exponent(qb, F(1, 2))
+    one = _exponent(qb, 1)
+    calls = []
+    for n in range(4):
+        for x in range(4):
+            calls.append((orthopoly._kraw_cached, (qb, 0, h, 3, n, x), {}))
+            calls.append((orthopoly._asc_cached, (qb, one, h, one, n, x), {}))
+    for y in range(4):
+        calls.append((kraw_W, (qb, h, 3, y), {}))
+        calls.append((kraw_W, (qb, 1, 3, y), {"inverse_base": False}))
+        calls.append((asc_W, (qb, h, one, y, TB), {}))
+        calls.append((kraw_diff_coeffs, (qb, 3, y, h), {}))
+        calls.append((asc_diff_coeffs, (qb, one, y, h), {}))
+        for direction in (2, -2):
+            calls.append((kraw_dyn_coeffs, (qb, 3, y, one, direction), {}))
+            calls.append((asc_dyn_coeffs, (qb, one, y, h, direction), {}))
+    rp = RrParams(1, F(1, 2), -1, 2, qb)
+    pp = PrParams(1, 1, 0, 1, qb, TB)
+    for x in range(3):
+        for y in range(3):
+            calls.append((rr_inner, (rp, x, y), {}))
+    for x, y in ((0, 0), (1, 1), (2, 0)):
+        calls.append((pr_inner, (pp, x, y), {}))
+    return calls
+
+
+@pytest.mark.parametrize("qb", BASES, ids=repr)
+def test_tabled_values_are_the_undecorated_values(qb):
+    # a cold call, then a table hit: both give the undecorated function's
+    # value with its type, or its exception type; at q > 1 the infinite
+    # sums of asc_W and pr_inner raise, and raise again
+    for fn, args, kwargs in _calls(qb):
+        direct = _outcome(fn.__wrapped__, *args, **kwargs)
+        for _ in range(2):
+            got = _outcome(fn, *args, **kwargs)
+            if isinstance(direct, type):
+                assert got is direct, (fn.__name__, args)
+            else:
+                assert _same(got, direct), (fn.__name__, args)
+
+
+def _size(fn):
+    return table_sizes()[f"{fn.__module__}.{fn.__qualname__}"]
+
+
+def test_raising_calls_are_not_tabled():
+    qb = QBase(F(2, 3))
+    before = _size(asc_diff_coeffs)
+    for _ in range(2):
+        # 1 - q**(-4y-2t-2k) vanishes at k=1, y=0, t=-1
+        with pytest.raises(DenominatorPole):
+            asc_diff_coeffs(qb, 1, 0, -1)
+    assert _size(asc_diff_coeffs) == before
+    before = _size(kraw_diff_coeffs)
+    for _ in range(2):
+        with pytest.raises(OutOfRange):
+            kraw_diff_coeffs(qb, 4, 5, 0)
+    assert _size(kraw_diff_coeffs) == before
+
+
+def test_size_grows_by_one_per_new_key():
+    qb = QBase(F(7, 11))  # a base no other test uses
+    before = _size(kraw_diff_coeffs)
+    steps = [
+        ((qb, 4, 1, F(1)), {}, 1),
+        ((qb, 4, 1, F(1)), {}, 0),
+        ((QBase(F(7, 11)), 4, 1, F(1)), {}, 0),  # an equal base
+        ((qb, 4, 1, 1), {}, 1),  # int t: a new type, a new key
+        ((qb, 4, 2, F(1)), {}, 1),
+        ((qb, 4, 2), {"t": F(1)}, 1),  # keyword arguments are keyed by name
+        ((qb, 4, 2), {"t": F(1)}, 0),
+    ]
+    for args, kwargs, grows in steps:
+        kraw_diff_coeffs(*args, **kwargs)
+        after = _size(kraw_diff_coeffs)
+        assert after == before + grows, (args, kwargs)
+        before = after
+
+
+@dataclass(frozen=True)
+class _Pack:
+    a: object
+    b: object
+
+
+@tabled
+def _echo(*args, **kwargs):
+    return args, kwargs
+
+
+def test_keys_are_typed_and_flatten_dataclass_fields():
+    before = _size(_echo)
+    # equal values of different types never share an entry
+    for value in (1, 1.0, F(1), True, 1 + 0j):
+        assert _echo(value)[0][0] is value
+    # equal packs whose fields differ in type never share one either
+    for pack in (_Pack(1, 2), _Pack(1.0, 2), _Pack(1, F(2))):
+        assert _echo(pack)[0][0] is pack
+    assert _echo(_Pack(1, 2)) is _echo(_Pack(1, 2))
+    assert _size(_echo) == before + 8

@@ -145,6 +145,17 @@ def test_cli_coefficients_pole_exit_code():
     assert out.stderr.startswith("DenominatorPole")
 
 
+def test_cli_weights_n_side_needs_no_s():
+    # kraw_w does not depend on s, so --s is read only when --x is asked
+    without = _cli("eval", "--fn", "weights", "--p", "3/2", "--N", "13", "--n", "6")
+    with_s = _cli("eval", "--fn", "weights", "--p", "3/2", "--N", "13", "--n", "6",
+                  "--s", "0")
+    assert without.returncode == 0 and with_s.returncode == 0
+    assert without.stdout.startswith("w=") and without.stdout == with_s.stdout
+    x_side = _cli("eval", "--fn", "weights", "--p", "3/2", "--N", "13", "--x", "2")
+    assert x_side.returncode == 2 and "--s is required" in x_side.stderr
+
+
 def test_cli_eval_multivariate():
     out = _cli("eval", "--fn", "rr_multi", "--p", "1/2", "--N", "2,2", "--s", "1",
                "--t", "0", "--v", "0", "--x", "1,0", "--y", "0,2")
