@@ -17,7 +17,7 @@ from .errors import (
     OutOfRange,
     QRacahError,
 )
-from .scalar import HalfInt, QBase, qbracket, qbrace, qpow
+from .scalar import QBase, qbracket, qbrace, qpow
 from .qseries import (
     PhiSpec,
     TailBound,

@@ -49,24 +49,44 @@ def height(base, ys: Sequence[int], sizes: Sequence, j: int, su11: bool = False)
     return heights(base, ys[:j], sizes[:j], su11)[j]
 
 
-def nested_kraw(qb: QBase, v, t, Ns: Sequence[int], ys: Sequence[int], ns: Sequence[int]):
-    """Product over sites of the finite family at (n_j, y_j) with the height
-    after the previous sites as base point."""
-    h = heights(t, ys, Ns)
+def _nested(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], ns: Sequence[int],
+            su11: bool, tb: TailBound = TailBound()):
+    """Product over sites of the finite family (the infinite one with su11)
+    at (n_j, y_j), with the height after the previous sites as base point."""
+    h = heights(t, ys, sizes, su11)
     out = qb.one()
-    for j, N in enumerate(Ns):
-        out *= orthopoly.kraw(KrawParams(v, h[j], N, qb), ns[j], ys[j])
+    for j, size in enumerate(sizes):
+        if su11:
+            out *= orthopoly.asc(ASCParams(v, h[j], size, qb, tb), ns[j], ys[j])
+        else:
+            out *= orthopoly.kraw(KrawParams(v, h[j], size, qb), ns[j], ys[j])
     return out
+
+
+def nested_kraw(qb: QBase, v, t, Ns: Sequence[int], ys: Sequence[int], ns: Sequence[int]):
+    """Product over sites of the finite family with running heights."""
+    return _nested(qb, v, t, Ns, ys, ns, False)
 
 
 def nested_asc(qb: QBase, v, t, ks: Sequence, ys: Sequence[int], ns: Sequence[int],
                tb: TailBound = TailBound()):
     """Product over sites of the infinite family with running heights."""
-    h = heights(t, ys, ks, su11=True)
-    out = qb.one()
-    for j, k in enumerate(ks):
-        out *= orthopoly.asc(ASCParams(v, h[j], k, qb, tb), ns[j], ys[j])
-    return out
+    return _nested(qb, v, t, ks, ys, ns, True, tb)
+
+
+def _chain(qb: QBase, sizes: Sequence, su11: bool, trunc: Optional[int]):
+    """The site representations and the row-major index grid of a chain:
+    finite sites span 0..N, infinite ones the truncated window 0..trunc."""
+    if su11:
+        sites = [uqsl2.RepSpec.su11(k, trunc, qb) for k in sizes]
+        return sites, list(iproduct(*[range(trunc + 1) for _ in sizes]))
+    sites = [uqsl2.RepSpec.su2(N, qb) for N in sizes]
+    return sites, list(iproduct(*[range(N + 1) for N in sizes]))
+
+
+def _interior(ns: Sequence[int], su11: bool, trunc: Optional[int]) -> bool:
+    # a truncated window's last rows are fed from outside it
+    return not su11 or all(n < trunc for n in ns)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +164,8 @@ def coeff_A(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t,
     """Product over the last j sites of finite-family shift coefficients;
     site i uses the shift table selected by twice the prefix sum of eps
     before i, evaluated at the unshifted height."""
-    return _coeff_product(
-        lambda qb_, N, y, tt, e, d: orthopoly.kraw_shift_coeff(qb_, N, y, tt, e, d),
-        j, tuple(eps), tuple(ys), t, tuple(Ns), qb, False)
+    return _coeff_product(orthopoly.kraw_shift_coeff,
+                          j, tuple(eps), tuple(ys), t, tuple(Ns), qb, False)
 
 
 def coeff_B(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
@@ -154,43 +173,36 @@ def coeff_B(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
     """The twisted-action companion of coeff_A, by cases on sum(eps):
     -1 and +1 attach [h_M +- (v - 1)]-type brackets, the zero vector
     subtracts the height-bracket term."""
-    M = len(Ns)
-    A = coeff_A(qb, j, eps, ys, t, Ns)
-    h = heights(t, ys, Ns)
-    v_ = as_exponent(v)
-    S = sum(eps)
-    if S == -1:
-        return A * qb.bracket(h[M] + v_ - 1)
-    if S == 1:
-        return A * qb.bracket(h[M] - v_ + 1)
-    if all(e == 0 for e in eps):
-        return A * qb.bracket(h[M]) * qb.brace(v_) - qb.bracket(h[M - j]) * qb.brace(v_)
-    return A * qb.bracket(h[M]) * qb.brace(v_)
+    return _twisted_coeff(qb, j, eps, ys, t, v, Ns, False)
 
 
 def coeff_C(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t,
             ks: Sequence):
     """Infinite-family analogue of coeff_A with heights running upward."""
-    return _coeff_product(
-        lambda qb_, k, y, tt, e, d: orthopoly.asc_shift_coeff(qb_, k, y, tt, e, d),
-        j, tuple(eps), tuple(ys), t, tuple(ks), qb, True)
+    return _coeff_product(orthopoly.asc_shift_coeff,
+                          j, tuple(eps), tuple(ys), t, tuple(ks), qb, True)
 
 
 def coeff_D(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
             ks: Sequence):
     """Infinite-family analogue of coeff_B with brace symbols throughout."""
-    M = len(ks)
-    C = coeff_C(qb, j, eps, ys, t, ks)
-    h = heights(t, ys, ks, su11=True)
+    return _twisted_coeff(qb, j, eps, ys, t, v, ks, True)
+
+
+def _twisted_coeff(qb, j, eps, ys, t, v, sizes, su11):
+    M = len(sizes)
+    A = (coeff_C if su11 else coeff_A)(qb, j, eps, ys, t, sizes)
+    h = heights(t, ys, sizes, su11)
+    sym = qb.brace if su11 else qb.bracket
     v_ = as_exponent(v)
     S = sum(eps)
     if S == -1:
-        return C * qb.brace(h[M] + v_ - 1)
+        return A * sym(h[M] + v_ - 1)
     if S == 1:
-        return C * qb.brace(h[M] - v_ + 1)
+        return A * sym(h[M] - v_ + 1)
     if all(e == 0 for e in eps):
-        return C * qb.brace(h[M]) * qb.brace(v_) - qb.brace(h[M - j]) * qb.brace(v_)
-    return C * qb.brace(h[M]) * qb.brace(v_)
+        return A * sym(h[M]) * qb.brace(v_) - sym(h[M - j]) * qb.brace(v_)
+    return A * sym(h[M]) * qb.brace(v_)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +210,17 @@ def coeff_D(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
 # ---------------------------------------------------------------------------
 
 
-def _shifted_terms(qb, j, ys, t, v, sizes, coeff_fn, su11):
-    """Map ys+eps -> accumulated coefficient, skipping out-of-range shifts
-    after asserting their coefficient vanishes exactly."""
+def _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted):
+    """Map ys+eps -> accumulated coefficient (coeff_B/coeff_D if twisted,
+    else coeff_A/coeff_C), skipping out-of-range shifts after asserting
+    their coefficient vanishes exactly."""
     M = len(sizes)
     terms = {}
     for eps in epsilon_set(M, j):
-        c = coeff_fn(eps)
+        if twisted:
+            c = (coeff_D if su11 else coeff_B)(qb, j, eps, ys, t, v, sizes)
+        else:
+            c = (coeff_C if su11 else coeff_A)(qb, j, eps, ys, t, sizes)
         shifted = tuple(y + e for y, e in zip(ys, eps))
         in_range = all(
             0 <= yy and (su11 or yy <= sizes[i]) for i, yy in enumerate(shifted)
@@ -227,22 +243,7 @@ def transfer_check_k2(qb: QBase, j: int, ys: Sequence[int], t, v,
     transfer: the tensor operator (built from the representation module)
     applied to the nested vector, versus the coeff_A-weighted sum of
     shifted nested vectors.  Exact zero."""
-    M = len(Ns)
-    sites = [uqsl2.RepSpec.su2(N, qb) for N in Ns]
-    op = uqsl2.coproduct_op(sites, "k2", "R", j)
-    grid = list(iproduct(*[range(N + 1) for N in Ns]))
-    vec = [nested_kraw(qb, v, t, Ns, ys, ns) for ns in grid]
-    out = op.apply(vec)
-    terms = _shifted_terms(qb, j, tuple(ys), t, v, tuple(Ns),
-                           lambda eps: coeff_A(qb, j, eps, ys, t, Ns), False)
-    acc = qb.zero()
-    for ii, ns in enumerate(grid):
-        rhs = sum(
-            (c * nested_kraw(qb, v, t, Ns, ysf, ns) for ysf, c in terms.items()),
-            qb.zero(),
-        )
-        acc += abs(out[ii] - rhs)
-    return acc
+    return _transfer_residual(qb, j, ys, t, v, None, Ns, False, None)
 
 
 def transfer_check_x(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
@@ -250,23 +251,7 @@ def transfer_check_x(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
     """Total absolute residual of the twisted-element transfer: the right-aligned
     coproduct of the compact twisted element at parameter sigma, versus
     [sigma]_q times the vector plus the coeff_B-weighted shifted sum."""
-    M = len(Ns)
-    sites = [uqsl2.RepSpec.su2(N, qb) for N in Ns]
-    op = uqsl2.coproduct_op(sites, "x", "R", j, u=0, s=sigma)
-    grid = list(iproduct(*[range(N + 1) for N in Ns]))
-    vec = [nested_kraw(qb, v, t, Ns, ys, ns) for ns in grid]
-    out = op.apply(vec)
-    terms = _shifted_terms(qb, j, tuple(ys), t, v, tuple(Ns),
-                           lambda eps: coeff_B(qb, j, eps, ys, t, v, Ns), False)
-    lam = qb.bracket(as_exponent(sigma))
-    acc = qb.zero()
-    for ii, ns in enumerate(grid):
-        rhs = lam * vec[ii] + sum(
-            (c * nested_kraw(qb, v, t, Ns, ysf, ns) for ysf, c in terms.items()),
-            qb.zero(),
-        )
-        acc += abs(out[ii] - rhs)
-    return acc
+    return _transfer_residual(qb, j, ys, t, v, sigma, Ns, False, None)
 
 
 def transfer_check_k2_asc(qb: QBase, j: int, ys: Sequence[int], t, v,
@@ -274,11 +259,7 @@ def transfer_check_k2_asc(qb: QBase, j: int, ys: Sequence[int], t, v,
                           tb: TailBound = TailBound()):
     """Interior total absolute residual of the diagonal-symbol transfer on a
     truncated tensor space for the infinite family."""
-    sites = [uqsl2.RepSpec.su11(k, trunc, qb) for k in ks]
-    op = uqsl2.coproduct_op(sites, "k2", "R", j)
-    return _asc_transfer_residual(
-        qb, op, j, ys, t, v, ks, trunc, tb, None,
-        lambda eps: coeff_C(qb, j, eps, ys, t, ks))
+    return _transfer_residual(qb, j, ys, t, v, None, ks, True, trunc, tb)
 
 
 def transfer_check_y(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
@@ -286,27 +267,30 @@ def transfer_check_y(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
                      tb: TailBound = TailBound()):
     """Interior total absolute residual of the non-compact twisted-element
     transfer, with {sigma}_q on the diagonal and coeff_D weights."""
-    sites = [uqsl2.RepSpec.su11(k, trunc, qb) for k in ks]
-    op = uqsl2.coproduct_op(sites, "y", "R", j, u=0, s=sigma)
-    lam = qb.brace(as_exponent(sigma))
-    return _asc_transfer_residual(
-        qb, op, j, ys, t, v, ks, trunc, tb, lam,
-        lambda eps: coeff_D(qb, j, eps, ys, t, v, ks))
+    return _transfer_residual(qb, j, ys, t, v, sigma, ks, True, trunc, tb)
 
 
-def _asc_transfer_residual(qb, op, j, ys, t, v, ks, trunc, tb, lam, coeff_fn):
-    M = len(ks)
-    grid = list(iproduct(*[range(trunc + 1) for _ in ks]))
-    vec = [nested_asc(qb, v, t, ks, ys, ns, tb) for ns in grid]
+def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc, tb=TailBound()):
+    """The diagonal-symbol transfer (sigma None) or the twisted-element one,
+    summed over every row of a finite chain and the interior rows of a
+    truncated one."""
+    ys, sizes = tuple(ys), tuple(sizes)
+    sites, grid = _chain(qb, sizes, su11, trunc)
+    if sigma is None:
+        op, lam = uqsl2.coproduct_op(sites, "k2", "R", j), None
+    else:
+        op = uqsl2.coproduct_op(sites, "y" if su11 else "x", "R", j, u=0, s=sigma)
+        lam = (qb.brace if su11 else qb.bracket)(as_exponent(sigma))
+    vec = [_nested(qb, v, t, sizes, ys, ns, su11, tb) for ns in grid]
     out = op.apply(vec)
-    terms = _shifted_terms(qb, j, tuple(ys), t, v, tuple(ks), coeff_fn, True)
+    terms = _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted=sigma is not None)
     shifted_vecs = {
-        ysf: [nested_asc(qb, v, t, ks, ysf, ns, tb) for ns in grid]
+        ysf: [_nested(qb, v, t, sizes, ysf, ns, su11, tb) for ns in grid]
         for ysf in terms
     }
     acc = qb.zero()
     for ii, ns in enumerate(grid):
-        if any(n >= trunc for n in ns):  # rows fed from outside the window
+        if not _interior(ns, su11, trunc):
             continue
         rhs = sum((c * shifted_vecs[ysf][ii] for ysf, c in terms.items()), qb.zero())
         if lam is not None:
@@ -472,20 +456,7 @@ def multi_gevp_residual(qb: QBase, j: int, xs: Sequence[int], ys: Sequence[int],
     [h_M(xs,s)]_q sum_eps A R(xs, ys+eps)
       - [h_{M-j}(xs,s)]_q R(xs, ys) - sum_eps B R(xs, ys+eps);
     exact zero for the finite chain."""
-    M = len(Ns)
-    hx = heights(s, xs, Ns)
-    termsA = _shifted_terms(qb, j, tuple(ys), t, v, tuple(Ns),
-                            lambda eps: coeff_A(qb, j, eps, ys, t, Ns), False)
-    termsB = _shifted_terms(qb, j, tuple(ys), t, v, tuple(Ns),
-                            lambda eps: coeff_B(qb, j, eps, ys, t, v, Ns), False)
-    vals = {
-        ysf: rr_multi(qb, s, t, v, Ns, xs, ysf)
-        for ysf in set(termsA) | set(termsB) | {tuple(ys)}
-    }
-    lhs = qb.bracket(hx[M]) * sum((c * vals[ysf] for ysf, c in termsA.items()), qb.zero())
-    rhs = qb.bracket(hx[M - j]) * vals[tuple(ys)]
-    rhs += sum((c * vals[ysf] for ysf, c in termsB.items()), qb.zero())
-    return lhs - rhs
+    return _multi_gevp(qb, j, xs, ys, s, t, v, Ns, False)
 
 
 def multi_gevp_residual_asc(qb: QBase, j: int, xs: Sequence[int], ys: Sequence[int],
@@ -493,19 +464,24 @@ def multi_gevp_residual_asc(qb: QBase, j: int, xs: Sequence[int], ys: Sequence[i
                             tb: TailBound = TailBound()):
     """Infinite-family analogue with brace symbols and C/D coefficients;
     certified float contract."""
-    M = len(ks)
-    hx = heights(s, xs, ks, su11=True)
-    termsC = _shifted_terms(qb, j, tuple(ys), t, v, tuple(ks),
-                            lambda eps: coeff_C(qb, j, eps, ys, t, ks), True)
-    termsD = _shifted_terms(qb, j, tuple(ys), t, v, tuple(ks),
-                            lambda eps: coeff_D(qb, j, eps, ys, t, v, ks), True)
+    return _multi_gevp(qb, j, xs, ys, s, t, v, ks, True, tb)
+
+
+def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
+    M = len(sizes)
+    ys, sizes = tuple(ys), tuple(sizes)
+    hx = heights(s, xs, sizes, su11)
+    termsA = _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted=False)
+    termsB = _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted=True)
     vals = {
-        ysf: pr_multi(qb, s, t, v, ks, xs, ysf, tb)
-        for ysf in set(termsC) | set(termsD) | {tuple(ys)}
+        ysf: (pr_multi(qb, s, t, v, sizes, xs, ysf, tb) if su11
+              else rr_multi(qb, s, t, v, sizes, xs, ysf))
+        for ysf in set(termsA) | set(termsB) | {ys}
     }
-    lhs = qb.brace(hx[M]) * sum((c * vals[ysf] for ysf, c in termsC.items()), qb.zero())
-    rhs = qb.brace(hx[M - j]) * vals[tuple(ys)]
-    rhs += sum((c * vals[ysf] for ysf, c in termsD.items()), qb.zero())
+    sym = qb.brace if su11 else qb.bracket
+    lhs = sym(hx[M]) * sum((c * vals[ysf] for ysf, c in termsA.items()), qb.zero())
+    rhs = sym(hx[M - j]) * vals[ys]
+    rhs += sum((c * vals[ysf] for ysf, c in termsB.items()), qb.zero())
     return lhs - rhs
 
 
@@ -528,22 +504,13 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base_param,
     breaks the nesting).
     """
     M = len(sizes)
-    if su11:
-        if trunc is None:
-            raise OutOfRange("su11 nested eigencheck needs a truncation")
-        sites = [uqsl2.RepSpec.su11(k, trunc, qb) for k in sizes]
-        h = heights(base_param, ys, sizes, su11=True)
-        vec_grid = list(iproduct(*[range(trunc + 1) for _ in sizes]))
-        vec = [nested_asc(qb, v, base_param, sizes, ys, ns, tb) for ns in vec_grid]
-        element = "ytilde"
-        symbol = qb.brace
-    else:
-        sites = [uqsl2.RepSpec.su2(N, qb) for N in sizes]
-        h = heights(base_param, ys, sizes)
-        vec_grid = list(iproduct(*[range(N + 1) for N in sizes]))
-        vec = [nested_kraw(qb, v, base_param, sizes, ys, ns) for ns in vec_grid]
-        element = "xtilde"
-        symbol = qb.bracket
+    if su11 and trunc is None:
+        raise OutOfRange("su11 nested eigencheck needs a truncation")
+    sites, grid = _chain(qb, sizes, su11, trunc)
+    h = heights(base_param, ys, sizes, su11)
+    vec = [_nested(qb, v, base_param, sizes, ys, ns, su11, tb) for ns in grid]
+    element = "ytilde" if su11 else "xtilde"
+    symbol = qb.brace if su11 else qb.bracket
     if side == "L":
         op = uqsl2.coproduct_op(sites, element, "L", j, u=v, s=base_param)
         lam = symbol(h[j])
@@ -554,8 +521,7 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base_param,
         raise OutOfRange(f"side must be 'L' or 'R', got {side!r}")
     out = op.apply(vec)
     acc = qb.zero()
-    for ii, ns in enumerate(vec_grid):
-        if su11 and any(n >= trunc for n in ns):
-            continue
-        acc += abs(out[ii] - lam * vec[ii])
+    for ii, ns in enumerate(grid):
+        if _interior(ns, su11, trunc):
+            acc += abs(out[ii] - lam * vec[ii])
     return acc

@@ -261,19 +261,22 @@ def kraw_shift_coeff(qb: QBase, N: int, y: int, t, eps: int, delta: int):
     """Unified lookup a_(eps, delta): delta=0 for the static triple, +-2 for
     the parameter-shifting tables.  Only the nine legal (eps, delta) pairs
     exist; anything else raises OutOfRange."""
-    if delta == 0:
-        if eps not in (-1, 0, 1):
-            raise OutOfRange(f"eps = {eps} illegal for delta = 0")
-        return kraw_diff_coeffs(qb, N, y, t)[eps + 1]
-    if delta == 2:
-        if eps not in (-2, -1, 0):
-            raise OutOfRange(f"eps = {eps} illegal for delta = +2")
-        return kraw_dyn_coeffs(qb, N, y, t, 2)[eps + 2]
-    if delta == -2:
-        if eps not in (0, 1, 2):
-            raise OutOfRange(f"eps = {eps} illegal for delta = -2")
-        return kraw_dyn_coeffs(qb, N, y, t, -2)[eps]
-    raise OutOfRange(f"delta = {delta} is not one of -2, 0, +2")
+    return _shift_coeff(kraw_diff_coeffs, kraw_dyn_coeffs, qb, N, y, t, eps, delta)
+
+
+# the legal eps of each delta, in the order of its coefficient triple
+_SHIFT_EPS = {0: (-1, 0, 1), 2: (-2, -1, 0), -2: (0, 1, 2)}
+
+
+def _shift_coeff(diff_coeffs, dyn_coeffs, qb, size, y, t, eps, delta):
+    legal = _SHIFT_EPS.get(delta)
+    if legal is None:
+        raise OutOfRange(f"delta = {delta} is not one of -2, 0, +2")
+    if eps not in legal:
+        sign = "+" if delta > 0 else ""
+        raise OutOfRange(f"eps = {eps} illegal for delta = {sign}{delta}")
+    row = dyn_coeffs(qb, size, y, t, delta) if delta else diff_coeffs(qb, size, y, t)
+    return row[legal.index(eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +497,4 @@ def asc_dyn_coeffs(qb: QBase, k, y: int, t, direction: int):
 
 def asc_shift_coeff(qb: QBase, k, y: int, t, eps: int, delta: int):
     """Unified lookup c_(eps, delta), mirroring kraw_shift_coeff."""
-    if delta == 0:
-        if eps not in (-1, 0, 1):
-            raise OutOfRange(f"eps = {eps} illegal for delta = 0")
-        return asc_diff_coeffs(qb, k, y, t)[eps + 1]
-    if delta == 2:
-        if eps not in (-2, -1, 0):
-            raise OutOfRange(f"eps = {eps} illegal for delta = +2")
-        return asc_dyn_coeffs(qb, k, y, t, 2)[eps + 2]
-    if delta == -2:
-        if eps not in (0, 1, 2):
-            raise OutOfRange(f"eps = {eps} illegal for delta = -2")
-        return asc_dyn_coeffs(qb, k, y, t, -2)[eps]
-    raise OutOfRange(f"delta = {delta} is not one of -2, 0, +2")
-
+    return _shift_coeff(asc_diff_coeffs, asc_dyn_coeffs, qb, k, y, t, eps, delta)

@@ -195,20 +195,32 @@ def rr_gevp_residual(rp: RrParams, x: int, y: int, path: str = "inner"):
     Boundary terms are dropped exactly where their coefficient vanishes.
     path="inner" (total) or "closed" (raises at validity-rejected points).
     """
-    qb = rp.qb
-    ev = qb.bracket(2 * x - rp.N + as_exponent(rp.s))
-    am1, a0, a1 = kraw_diff_coeffs(qb, rp.N, y, rp.t)
-    bm1, b0, b1 = kraw_b_coeffs(qb, rp.N, y, rp.t, rp.v)
-    evaluate = rr_inner if path == "inner" else rr_closed
-    val = evaluate(rp, x, y)
+    return _gevp_residual(rp, x, y, False, rr_inner if path == "inner" else rr_closed)
+
+
+def _gevp_residual(p, x, y, su11, evaluate):
+    """The three-term identity of either family: brackets, the a/b tables
+    and y <= N for the finite one; braces, the c/d tables and no upper
+    boundary in y for the infinite one."""
+    qb = p.qb
+    if su11:
+        sym = qb.brace
+        ev = sym(2 * x + as_exponent(p.k) + as_exponent(p.s))
+        a, b = asc_diff_coeffs(qb, p.k, y, p.t), asc_d_coeffs(qb, p.k, y, p.t, p.v)
+    else:
+        sym = qb.bracket
+        ev = sym(2 * x - p.N + as_exponent(p.s))
+        a, b = kraw_diff_coeffs(qb, p.N, y, p.t), kraw_b_coeffs(qb, p.N, y, p.t, p.v)
+    (am1, a0, a1), (bm1, b0, b1) = a, b
+    val = evaluate(p, x, y)
     lhs = a0 * val
-    rhs = (b0 + qb.bracket(rp.s)) * val
+    rhs = (b0 + sym(p.s)) * val
     if y > 0:
-        val = evaluate(rp, x, y - 1)
+        val = evaluate(p, x, y - 1)
         lhs += am1 * val
         rhs += bm1 * val
-    if y < rp.N:
-        val = evaluate(rp, x, y + 1)
+    if su11 or y < p.N:
+        val = evaluate(p, x, y + 1)
         lhs += a1 * val
         rhs += b1 * val
     return ev * lhs - rhs
@@ -219,10 +231,14 @@ def rr_gevp_residual(rp: RrParams, x: int, y: int, path: str = "inner"):
 # ---------------------------------------------------------------------------
 
 
+def _re(x) -> float:
+    # the complex backend parses every parameter as complex: compare real parts
+    x = as_exponent(x)
+    return x.real if isinstance(x, complex) else float(x)
+
+
 def _pr_convergent(pp: PrParams) -> bool:
-    s, t, v = (as_exponent(pp.s), as_exponent(pp.t), as_exponent(pp.v))
-    re_v = v.real if isinstance(v, complex) else float(v)
-    return re_v < float(s) + float(t) + 1
+    return _re(pp.v) < _re(pp.s) + _re(pp.t) + 1
 
 
 @tabled
@@ -303,8 +319,7 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
     ratios below ``ratio_cap``."""
     qb = pp.qb
     v = pp.v
-    re_v = v.real if isinstance(v, complex) else float(as_exponent(v))
-    if not abs(re_v + 1) < 2 + float(as_exponent(pp.s)) + float(as_exponent(pp.t)):
+    if not abs(_re(v) + 1) < 2 + _re(pp.s) + _re(pp.t):
         raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
     vpart = -_conj_param(qb, v) - 2
     partner = PrParams(pp.s, pp.t, vpart, pp.k, qb, pp.tb)
@@ -333,18 +348,4 @@ def pr_gevp_residual(pp: PrParams, x: int, y: int):
     """Residual of the three-term identity for the infinite family, with
     {2x+k+s}_q on the left; float-precision contract (the closed form's
     infinite Pochhammer ratio prevents exact cancellation)."""
-    qb = pp.qb
-    ev = qb.brace(2 * x + as_exponent(pp.k) + as_exponent(pp.s))
-    cm1, c0, c1 = asc_diff_coeffs(qb, pp.k, y, pp.t)
-    dm1, d0, d1 = asc_d_coeffs(qb, pp.k, y, pp.t, pp.v)
-    val = pr_inner(pp, x, y)
-    lhs = c0 * val
-    rhs = (d0 + qb.brace(pp.s)) * val
-    if y > 0:
-        val = pr_inner(pp, x, y - 1)
-        lhs += cm1 * val
-        rhs += dm1 * val
-    val = pr_inner(pp, x, y + 1)
-    lhs += c1 * val
-    rhs += d1 * val
-    return ev * lhs - rhs
+    return _gevp_residual(pp, x, y, True, pr_inner)

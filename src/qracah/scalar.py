@@ -24,93 +24,12 @@ from .errors import ExactnessError
 MODES = ("exact", "float", "complex")
 
 
-class HalfInt:
-    """An element of (1/2)Z, stored as twice its value.
-
-    Closed under addition, subtraction, negation and multiplication by
-    integers; integer-valued iff ``twice`` is even.
-    """
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value):
-        if isinstance(value, HalfInt):
-            self.twice = value.twice
-        else:
-            fr = Fraction(value)
-            if fr.denominator > 2:
-                raise ExactnessError(f"{value!r} is not a half-integer")
-            self.twice = fr.numerator * (2 // fr.denominator)
-
-    @classmethod
-    def from_twice(cls, twice: int) -> "HalfInt":
-        h = cls.__new__(cls)
-        h.twice = int(twice)
-        return h
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt.from_twice(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice + 2 * other)
-        return self.as_fraction() + other
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HalfInt.from_twice(-self.twice)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, (HalfInt, int)) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice * other)
-        return self.as_fraction() * other
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        return self.as_fraction() == other
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __lt__(self, other):
-        return self.as_fraction() < (other.as_fraction() if isinstance(other, HalfInt) else other)
-
-    def __le__(self, other):
-        return self.as_fraction() <= (other.as_fraction() if isinstance(other, HalfInt) else other)
-
-    def __float__(self):
-        return self.twice / 2.0
-
-    def __repr__(self):
-        if self.twice % 2 == 0:
-            return f"HalfInt({self.twice // 2})"
-        return f"HalfInt({self.twice}/2)"
-
-
 def as_exponent(x):
     """Normalize a parameter for use in an exponent of q.
 
-    HalfInt, int and Fraction become Fraction; float/complex pass through
-    (allowed only in the floating backends).
+    int and Fraction become Fraction; float/complex pass through (allowed
+    only in the floating backends).
     """
-    if isinstance(x, HalfInt):
-        return x.as_fraction()
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     return x

@@ -1,14 +1,20 @@
 """Named verification suites over deterministic parameter grids.
 
 Each suite expands to a list of :class:`Task` records (one identity at one
-parameter point).  Tasks carry a contract:
+parameter point).  A suite is a generator registered with ``@suite(id)``:
+given the run configuration and one p, it yields ``(fn, check, params)``
+for each point of its grid, as plain nested loops.  ``build_tasks`` is the
+one expander: it runs the generator for every p of the run (only the
+first for suites registered ``first_p``), appends the tail-bound fields
+``tb_tol``/``tb_max_terms`` to the params of certified suites, then the
+point's ``p``.  Tasks carry a contract:
 
 * ``exact``     -- the residual must be identically zero when run in the
   exact backend (the default); under a floating backend the tolerance
   applies instead;
 * ``certified`` -- the check involves certified truncation of infinite
-  sums/products, always runs in the float backend, and passes when the
-  residual is within tolerance.
+  sums/products, always runs its scalars in the exact backend, and passes
+  when the residual is within tolerance.
 
 Task execution is a pure function of the task, so suites can run in a
 process pool; results stream in deterministic task order either way.
@@ -48,7 +54,6 @@ class RunConfig:
     mode: str = "exact"
     p: Optional[Fraction] = None
     tolerance: Optional[float] = None
-    n_max: Optional[int] = None
     trunc: Optional[int] = None
     jobs: int = 1
     max_terms: Optional[int] = None
@@ -156,28 +161,41 @@ def chk_kraw_transfer(mode, params):
 
 
 def chk_kraw_dyn(mode, params):
+    return _chk_dyn(mode, params, su11=False)
+
+
+def chk_asc_dyn(mode, params):
+    return _chk_dyn(mode, params, su11=True)
+
+
+def _chk_dyn(mode, params, su11):
+    # the parameter-shifting five-point transfer, checked for every n of the
+    # finite family or of the infinite family's truncated window
     qb = _qb(params, mode)
-    N, y, t, v = params["N"], params["y"], params["t"], params["v"]
-    kp = orthopoly.KrawParams(v, t, N, qb)
+    y, t, v = params["y"], params["t"], params["v"]
+    if su11:
+        size, n_top, diag = params["k"], params["trunc"], as_exponent(params["k"])
+        family, pack, dyn_coeffs = orthopoly.asc, orthopoly.ASCParams, orthopoly.asc_dyn_coeffs
+    else:
+        size = n_top = params["N"]
+        family, pack, dyn_coeffs = orthopoly.kraw, orthopoly.KrawParams, orthopoly.kraw_dyn_coeffs
+        diag = -size
+    params_t = pack(v, t, size, qb)
     acc = qb.zero()
     for direction in (2, -2):
-        coeffs = orthopoly.kraw_dyn_coeffs(qb, N, y, t, direction)
+        coeffs = dyn_coeffs(qb, size, y, t, direction)
         offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
-        shifted = orthopoly.KrawParams(v, _shift(t, direction), N, qb)
-        for n in range(N + 1):
-            lhs = qb.qpow(2 * n - N) * orthopoly.kraw(kp, n, y)
+        shifted = pack(v, as_exponent(t) + direction, size, qb)
+        for n in range(n_top + 1):
+            lhs = qb.qpow(2 * n + diag) * family(params_t, n, y)
             rhs = qb.zero()
             for c, e in zip(coeffs, offsets):
-                if 0 <= y + e <= N:
-                    rhs += c * orthopoly.kraw(shifted, n, y + e)
+                if 0 <= y + e and (su11 or y + e <= size):
+                    rhs += c * family(shifted, n, y + e)
                 elif c != 0:
                     raise QRacahError("nonzero coefficient at out-of-range shift")
             acc += abs(lhs - rhs)
     return acc
-
-
-def _shift(t, delta):
-    return as_exponent(t) + delta
 
 
 def chk_asc_transfer(mode, params):
@@ -206,27 +224,6 @@ def chk_asc_transfer(mode, params):
         rhs_k2 += c1 * val
         rhs_y += d1 * val
         acc += abs(lhs_k2 - rhs_k2) + abs(out[n] - rhs_y)
-    return acc
-
-
-def chk_asc_dyn(mode, params):
-    qb = _qb(params, mode)
-    k, y, t, v, T = params["k"], params["y"], params["t"], params["v"], params["trunc"]
-    ap = orthopoly.ASCParams(v, t, k, qb)
-    acc = qb.zero()
-    for direction in (2, -2):
-        coeffs = orthopoly.asc_dyn_coeffs(qb, k, y, t, direction)
-        offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
-        shifted = orthopoly.ASCParams(v, _shift(t, direction), k, qb)
-        for n in range(T + 1):
-            lhs = qb.qpow(2 * n + as_exponent(k)) * orthopoly.asc(ap, n, y)
-            rhs = qb.zero()
-            for c, e in zip(coeffs, offsets):
-                if y + e >= 0:
-                    rhs += c * orthopoly.asc(shifted, n, y + e)
-                elif c != 0:
-                    raise QRacahError("nonzero coefficient at out-of-range shift")
-            acc += abs(lhs - rhs)
     return acc
 
 
@@ -346,404 +343,245 @@ CHECKS = {
 
 
 # ---------------------------------------------------------------------------
-# suite builders
+# suites
 # ---------------------------------------------------------------------------
+
+SUITES = {}
+
+
+def suite(suite_id: str, first_p: bool = False, certified: bool = False):
+    """Register the decorated ``(cfg, p)`` point generator as ``suite_id``."""
+
+    def register(points):
+        SUITES[suite_id] = (points, first_p, certified)
+        return points
+
+    return register
+
 
 _STV = ((0, 0, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (0, 1, -2))
 _UVST = ((0, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 2), (2, 1, 0, 2))
 
 
-def _point(p, **kw):
-    kw["p"] = p
-    return kw
+def _stv_points(n_top, p=None):
+    """(N, s, t, v, x, y) over N <= n_top, _STV and the square 0..N; with a
+    p, only the points off the pole locus of the finite closed forms."""
+    for N, (s, t, v) in iproduct(range(n_top + 1), _STV):
+        for x, y in iproduct(range(N + 1), repeat=2):
+            if p is None or ratfun.rr_valid(ratfun.RrParams(s, t, v, N, QBase(p)), x, y):
+                yield N, s, t, v, x, y
 
 
-def suite_lemma21(cfg: RunConfig) -> List[Task]:
-    n_max = min(cfg.n_max or 4, 4)
-    tasks = []
-    for p in cfg.ps():
-        for N in range(n_max + 1):
-            for s, t, v in _STV:
-                for x in range(N + 1):
-                    for y in range(N + 1):
-                        # the product side shares the closed forms' pole locus
-                        if not ratfun.rr_valid(
-                            ratfun.RrParams(s, t, v, N, QBase(p)), x, y
-                        ):
-                            continue
-                        tasks.append(Task(
-                            "lemma2.1", f"sum_identity[N={N},s={s},t={t},v={v},x={x},y={y}]",
-                            "summation", _point(p, N=N, s=s, t=t, v=v, x=x, y=y)))
-    return tasks
+def _rep_points(fn, cfg):
+    for N in range(5):
+        yield fn, f"su2[N={N}]", dict(N=N)
+    for k in (1, 2):
+        yield fn, f"su11[k={k}]", dict(k=k, trunc=cfg.trunc or 10)
 
 
-def suite_relations(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps():
-        for N in range(min(cfg.n_max or 4, 6) + 1):
-            tasks.append(Task("relations", f"su2[N={N}]", "relations", _point(p, N=N)))
-        for k in (1, 2):
-            tasks.append(Task(
-                "relations", f"su11[k={k}]", "relations",
-                _point(p, k=k, trunc=cfg.trunc or 10)))
-    return tasks
+@suite("lemma2.1")
+def _lemma21(cfg, p):
+    # the product side shares the closed forms' pole locus
+    for N, s, t, v, x, y in _stv_points(4, p):
+        yield ("summation", f"sum_identity[N={N},s={s},t={t},v={v},x={x},y={y}]",
+               dict(N=N, s=s, t=t, v=v, x=x, y=y))
 
 
-def suite_star(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps():
-        for N in range(min(cfg.n_max or 4, 6) + 1):
-            tasks.append(Task("star", f"su2[N={N}]", "star", _point(p, N=N)))
-        for k in (1, 2):
-            tasks.append(Task(
-                "star", f"su11[k={k}]", "star", _point(p, k=k, trunc=cfg.trunc or 10)))
-    return tasks
+@suite("relations")
+def _relations(cfg, p):
+    return _rep_points("relations", cfg)
 
 
-def suite_lemma31(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps():
-        for N in range(min(cfg.n_max or 5, 5) + 1):
-            for u, v, s, t in _UVST:
-                tasks.append(Task(
-                    "lemma3.1", f"su2[N={N},u={u},v={v},s={s},t={t}]",
-                    "twist_rewrite", _point(p, N=N, u=u, v=v, s=s, t=t)))
-        tasks.append(Task("lemma3.1", "gevp_rewrite_su2[N=4,s=2]",
-                          "gevp_rewrite", _point(p, N=4, s=2)))
-    return tasks
+@suite("star")
+def _star(cfg, p):
+    return _rep_points("star", cfg)
 
 
-def suite_cor41(cfg: RunConfig) -> List[Task]:
-    tasks = []
+@suite("lemma3.1")
+def _lemma31(cfg, p):
+    for N, (u, v, s, t) in iproduct(range(6), _UVST):
+        yield ("twist_rewrite", f"su2[N={N},u={u},v={v},s={s},t={t}]",
+               dict(N=N, u=u, v=v, s=s, t=t))
+    yield "gevp_rewrite", "gevp_rewrite_su2[N=4,s=2]", dict(N=4, s=2)
+
+
+@suite("ev3.x")
+def _ev3(cfg, p):
+    for N, u, s in iproduct(range(5), (0, 1), (0, 1, 2)):
+        for x in range(N + 1):
+            yield "eigen", f"su2[N={N},u={u},s={s},x={x}]", dict(N=N, u=u, s=s, x=x)
+
+
+@suite("prop3.3")
+def _prop33(cfg, p):
+    for N, s, t, v, x, y in _stv_points(4, p):
+        yield ("prop33", f"closed_vs_inner[N={N},s={s},t={t},v={v},x={x},y={y}]",
+               dict(N=N, s=s, t=t, v=v, x=x, y=y))
+
+
+@suite("prop3.4", first_p=True)
+def _prop34(cfg, p):
+    for N, (s, t), v, relation in iproduct(
+            range(4), ((0, 0), (1, 2), (2, 1)), (-2, -1, 0, 1), ("x", "y")):
+        for i, j in iproduct(range(N + 1), repeat=2):
+            yield ("rr_biorth", f"biorth_{relation}[N={N},s={s},t={t},v={v},{i},{j}]",
+                   dict(N=N, s=s, t=t, v=v, relation=relation, i=i, j=j))
+
+
+@suite("lemma3.5")
+def _lemma35(cfg, p):
+    for N, (s, t, v) in iproduct(range(4), _STV):
+        for y in range(N + 1):
+            yield ("kraw_transfer", f"transfer[N={N},s={s},t={t},v={v},y={y}]",
+                   dict(N=N, s=s, t=t, v=v, y=y))
+
+
+@suite("cor3.6")
+def _cor36(cfg, p):
+    for N, s, t, v, x, y in _stv_points(3):
+        yield ("rr_gevp", f"gevp[N={N},s={s},t={t},v={v},x={x},y={y}]",
+               dict(N=N, s=s, t=t, v=v, x=x, y=y))
+
+
+@suite("prop3.7", first_p=True)
+def _prop37(cfg, p):
+    for sizes in ([1], [2], [1, 1], [2, 2], [1, 1, 1]):
+        for j, (v, base) in iproduct(range(1, len(sizes) + 1), ((0, 1), (1, 0))):
+            for ys, side in iproduct(iproduct(*[range(N + 1) for N in sizes]), ("L", "R")):
+                yield ("nested_eigen",
+                       f"nested_ev_{side}[Ns={sizes},j={j},v={v},t={base},ys={list(ys)}]",
+                       dict(side=side, j=j, v=v, base=base, sizes=tuple(sizes), ys=ys))
+
+
+@suite("lemma3.8")
+def _lemma38(cfg, p):
+    for N, t, v in iproduct(range(1, 4), (0, 1, 2), (0, 1)):
+        for y in range(N + 1):
+            yield "kraw_dyn", f"dyn[N={N},t={t},v={v},y={y}]", dict(N=N, t=t, v=v, y=y)
+
+
+@suite("lemma3.9", first_p=True)
+def _lemma39(cfg, p):
+    for sizes in ([2], [2, 2], [1, 1, 1]):
+        for j, (t, v, sigma) in iproduct(range(1, len(sizes) + 1), ((0, 1, 1), (1, 0, 2))):
+            for ys in iproduct(*[range(N + 1) for N in sizes]):
+                yield ("multi_transfer", f"transfer[Ns={sizes},j={j},t={t},v={v},ys={list(ys)}]",
+                       dict(j=j, ys=ys, t=t, v=v, sigma=sigma, Ns=tuple(sizes)))
+
+
+@suite("cor3.10", first_p=True)
+def _cor310(cfg, p):
+    for sizes in ([2, 2], [1, 1, 1]):
+        grid = list(iproduct(*[range(N + 1) for N in sizes]))
+        for j, (s, t, v) in iproduct(range(1, len(sizes) + 1), ((1, 0, 1), (0, 1, 0))):
+            for xs, ys in iproduct(grid, repeat=2):
+                yield ("multi_gevp",
+                       f"gevp[Ns={sizes},j={j},s={s},t={t},v={v},xs={list(xs)},ys={list(ys)}]",
+                       dict(j=j, xs=xs, ys=ys, s=s, t=t, v=v, Ns=tuple(sizes)))
+
+
+@suite("cor4.1")
+def _cor41(cfg, p):
     trunc = cfg.trunc or 10
-    for p in cfg.ps():
-        for k in (1, 2):
-            for u, v, s, t in _UVST:
-                tasks.append(Task(
-                    "cor4.1", f"su11[k={k},u={u},v={v},s={s},t={t}]",
-                    "twist_rewrite", _point(p, k=k, trunc=trunc, u=u, v=v, s=s, t=t)))
-            tasks.append(Task("cor4.1", f"gevp_rewrite_su11[k={k},s=1]",
-                              "gevp_rewrite", _point(p, k=k, trunc=trunc, s=1)))
-    return tasks
+    for k in (1, 2):
+        for u, v, s, t in _UVST:
+            yield ("twist_rewrite", f"su11[k={k},u={u},v={v},s={s},t={t}]",
+                   dict(k=k, trunc=trunc, u=u, v=v, s=s, t=t))
+        yield "gevp_rewrite", f"gevp_rewrite_su11[k={k},s=1]", dict(k=k, trunc=trunc, s=1)
 
 
-def suite_ev3(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps():
-        for N in range(min(cfg.n_max or 4, 4) + 1):
-            for u in (0, 1):
-                for s in (0, 1, 2):
-                    for x in range(N + 1):
-                        tasks.append(Task(
-                            "ev3.x", f"su2[N={N},u={u},s={s},x={x}]",
-                            "eigen", _point(p, N=N, u=u, s=s, x=x)))
-    return tasks
+@suite("ev4.x")
+def _ev4(cfg, p):
+    for k, u, s, x in iproduct((1, 2), (0, 1), (0, 1), (0, 1, 2)):
+        yield ("eigen", f"su11[k={k},u={u},s={s},x={x}]",
+               dict(k=k, trunc=cfg.trunc or 12, u=u, s=s, x=x))
 
 
-def suite_ev4(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    trunc = cfg.trunc or 12
-    for p in cfg.ps():
-        for k in (1, 2):
-            for u in (0, 1):
-                for s in (0, 1):
-                    for x in (0, 1, 2):
-                        tasks.append(Task(
-                            "ev4.x", f"su11[k={k},u={u},s={s},x={x}]",
-                            "eigen", _point(p, k=k, trunc=trunc, u=u, s=s, x=x)))
-    return tasks
+@suite("cor4.3", first_p=True, certified=True)
+def _cor43(cfg, p):
+    for k, (s, t, v), x, y in iproduct((1, 2), ((0, 0, -1), (1, 1, 0), (1, 2, 1)),
+                                        range(4), range(4)):
+        if ratfun.pr_valid(ratfun.PrParams(s, t, v, k, QBase(float(p), "float")), x, y):
+            yield ("cor43", f"closed_vs_inner[k={k},s={s},t={t},v={v},x={x},y={y}]",
+                   dict(k=k, s=s, t=t, v=v, x=x, y=y))
 
 
-def suite_prop33(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    n_max = min(cfg.n_max or 4, 5)
-    for p in cfg.ps():
-        for N in range(n_max + 1):
-            for s, t, v in _STV:
-                for x in range(N + 1):
-                    for y in range(N + 1):
-                        qb = QBase(p)
-                        if not ratfun.rr_valid(ratfun.RrParams(s, t, v, N, qb), x, y):
-                            continue
-                        tasks.append(Task(
-                            "prop3.3", f"closed_vs_inner[N={N},s={s},t={t},v={v},x={x},y={y}]",
-                            "prop33", _point(p, N=N, s=s, t=t, v=v, x=x, y=y)))
-    return tasks
+@suite("prop4.4", first_p=True, certified=True)
+def _prop44(cfg, p):
+    for (k, s, t, v), relation, i, j in iproduct(
+            ((1, 0, 0, -1), (2, 1, 1, 0)), ("x", "y"), range(3), range(3)):
+        yield ("pr_biorth", f"biorth_{relation}[k={k},s={s},t={t},v={v},{i},{j}]",
+               dict(k=k, s=s, t=t, v=v, relation=relation, i=i, j=j))
 
 
-def suite_prop34(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    n_max = min(cfg.n_max or 3, 4)
-    for p in cfg.ps()[:1]:
-        for N in range(n_max + 1):
-            for s, t in ((0, 0), (1, 2), (2, 1)):
-                for v in (-2, -1, 0, 1):
-                    for relation in ("x", "y"):
-                        for i in range(N + 1):
-                            for jj in range(N + 1):
-                                tasks.append(Task(
-                                    "prop3.4",
-                                    f"biorth_{relation}[N={N},s={s},t={t},v={v},{i},{jj}]",
-                                    "rr_biorth",
-                                    _point(p, N=N, s=s, t=t, v=v, relation=relation, i=i, j=jj)))
-    return tasks
+@suite("lemma4.5")
+def _lemma45(cfg, p):
+    for k, (s, t, v), y in iproduct((1, 2), _STV, range(4)):
+        yield ("asc_transfer", f"transfer[k={k},s={s},t={t},v={v},y={y}]",
+               dict(k=k, s=s, t=t, v=v, y=y, trunc=cfg.trunc or 8))
 
 
-def suite_lemma35(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps():
-        for N in range(min(cfg.n_max or 3, 4) + 1):
-            for s, t, v in _STV:
-                for y in range(N + 1):
-                    tasks.append(Task(
-                        "lemma3.5", f"transfer[N={N},s={s},t={t},v={v},y={y}]",
-                        "kraw_transfer", _point(p, N=N, s=s, t=t, v=v, y=y)))
-    return tasks
+@suite("prop4.5", first_p=True, certified=True)
+def _prop45(cfg, p):
+    for (k, s, t, v), x, y in iproduct(((1, 0, 1, 0), (2, 1, 0, -1)), range(4), range(4)):
+        yield ("pr_gevp", f"gevp[k={k},s={s},t={t},v={v},x={x},y={y}]",
+               dict(k=k, s=s, t=t, v=v, x=x, y=y))
 
 
-def suite_lemma38(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps():
-        for N in range(1, min(cfg.n_max or 3, 4) + 1):
-            for t in (0, 1, 2):
-                for v in (0, 1):
-                    for y in range(N + 1):
-                        tasks.append(Task(
-                            "lemma3.8", f"dyn[N={N},t={t},v={v},y={y}]",
-                            "kraw_dyn", _point(p, N=N, t=t, v=v, y=y)))
-    return tasks
+@suite("prop4.6", first_p=True)
+def _prop46(cfg, p):
+    for ks in ((1, 1), (1, 2)):
+        for j, (v, base) in iproduct(range(1, len(ks) + 1), ((0, 1), (1, 0))):
+            for ys, side in iproduct(iproduct(range(2), range(2)), ("L", "R")):
+                yield ("nested_eigen",
+                       f"nested_ev_{side}[ks={ks},j={j},v={v},t={base},ys={list(ys)}]",
+                       dict(side=side, j=j, v=v, base=base, sizes=ks, ys=ys,
+                            su11=True, trunc=cfg.trunc or 8))
 
 
-def suite_cor36(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps():
-        for N in range(min(cfg.n_max or 3, 4) + 1):
-            for s, t, v in _STV:
-                for x in range(N + 1):
-                    for y in range(N + 1):
-                        tasks.append(Task(
-                            "cor3.6", f"gevp[N={N},s={s},t={t},v={v},x={x},y={y}]",
-                            "rr_gevp", _point(p, N=N, s=s, t=t, v=v, x=x, y=y)))
-    return tasks
-
-
-def suite_prop37(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    chains = ([1], [2], [1, 1], [2, 2], [1, 1, 1])
-    for p in cfg.ps()[:1]:
-        for sizes in chains:
-            M = len(sizes)
-            for j in range(1, M + 1):
-                for v, base in ((0, 1), (1, 0)):
-                    for ys in iproduct(*[range(N + 1) for N in sizes]):
-                        for side in ("L", "R"):
-                            tasks.append(Task(
-                                "prop3.7",
-                                f"nested_ev_{side}[Ns={sizes},j={j},v={v},t={base},ys={list(ys)}]",
-                                "nested_eigen",
-                                _point(p, side=side, j=j, v=v, base=base,
-                                       sizes=tuple(sizes), ys=ys)))
-    return tasks
-
-
-def suite_lemma39(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    chains = ([2], [2, 2], [1, 1, 1])
-    for p in cfg.ps()[:1]:
-        for sizes in chains:
-            M = len(sizes)
-            for j in range(1, M + 1):
-                for t, v, sigma in ((0, 1, 1), (1, 0, 2)):
-                    for ys in iproduct(*[range(N + 1) for N in sizes]):
-                        tasks.append(Task(
-                            "lemma3.9",
-                            f"transfer[Ns={sizes},j={j},t={t},v={v},ys={list(ys)}]",
-                            "multi_transfer",
-                            _point(p, j=j, ys=ys, t=t, v=v, sigma=sigma, Ns=tuple(sizes))))
-    return tasks
-
-
-def suite_cor310(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    chains = ([2, 2], [1, 1, 1])
-    for p in cfg.ps()[:1]:
-        for sizes in chains:
-            M = len(sizes)
-            for j in range(1, M + 1):
-                for s, t, v in ((1, 0, 1), (0, 1, 0)):
-                    grid = list(iproduct(*[range(N + 1) for N in sizes]))
-                    for xs in grid:
-                        for ys in grid:
-                            tasks.append(Task(
-                                "cor3.10",
-                                f"gevp[Ns={sizes},j={j},s={s},t={t},v={v},xs={list(xs)},ys={list(ys)}]",
-                                "multi_gevp",
-                                _point(p, j=j, xs=xs, ys=ys, s=s, t=t, v=v, Ns=tuple(sizes))))
-    return tasks
-
-
-def suite_lemma45(cfg: RunConfig) -> List[Task]:
-    tasks = []
+@suite("lemma4.8", first_p=True)
+def _lemma48(cfg, p):
     trunc = cfg.trunc or 8
-    for p in cfg.ps():
-        for k in (1, 2):
-            for s, t, v in _STV:
-                for y in range(4):
-                    tasks.append(Task(
-                        "lemma4.5", f"transfer[k={k},s={s},t={t},v={v},y={y}]",
-                        "asc_transfer", _point(p, k=k, s=s, t=t, v=v, y=y, trunc=trunc)))
-    return tasks
+    for k, t, v, y in iproduct((1, 2), (1, 2, 3), (0, 1), range(4)):
+        yield "asc_dyn", f"dyn[k={k},t={t},v={v},y={y}]", dict(k=k, t=t, v=v, y=y, trunc=trunc)
+    for j, ys in iproduct((1, 2), iproduct(range(3), range(3))):
+        yield ("multi_transfer_asc", f"transfer[ks=(1,1),j={j},ys={list(ys)}]",
+               dict(j=j, ys=ys, t=0, v=0, sigma=1, ks=(1, 1), trunc=min(trunc, 6)))
 
 
-def suite_lemma48(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    trunc = cfg.trunc or 8
-    for p in cfg.ps()[:1]:
-        for k in (1, 2):
-            for t in (1, 2, 3):
-                for v in (0, 1):
-                    for y in range(4):
-                        tasks.append(Task(
-                            "lemma4.8", f"dyn[k={k},t={t},v={v},y={y}]",
-                            "asc_dyn", _point(p, k=k, t=t, v=v, y=y, trunc=trunc)))
-        for j in (1, 2):
-            for ys in iproduct(range(3), range(3)):
-                tasks.append(Task(
-                    "lemma4.8", f"transfer[ks=(1,1),j={j},ys={list(ys)}]",
-                    "multi_transfer_asc",
-                    _point(p, j=j, ys=ys, t=0, v=0, sigma=1, ks=(1, 1),
-                           trunc=min(trunc, 6))))
-    return tasks
+@suite("cor4.9", first_p=True, certified=True)
+def _cor49(cfg, p):
+    ks = (1, 1)
+    corners = list(iproduct(range(2), range(2)))
+    for j, (s, t, v), xs, ys in iproduct((1, 2), ((1, 0, 0), (0, 1, -1)), corners, corners):
+        yield ("multi_gevp_asc",
+               f"gevp[ks={ks},j={j},s={s},t={t},v={v},xs={list(xs)},ys={list(ys)}]",
+               dict(j=j, xs=xs, ys=ys, s=s, t=t, v=v, ks=ks))
 
-
-def suite_prop46(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    trunc = cfg.trunc or 8
-    for p in cfg.ps()[:1]:
-        for ks in ((1, 1), (1, 2)):
-            M = len(ks)
-            for j in range(1, M + 1):
-                for v, base in ((0, 1), (1, 0)):
-                    for ys in iproduct(range(2), range(2)):
-                        for side in ("L", "R"):
-                            tasks.append(Task(
-                                "prop4.6",
-                                f"nested_ev_{side}[ks={ks},j={j},v={v},t={base},ys={list(ys)}]",
-                                "nested_eigen",
-                                _point(p, side=side, j=j, v=v, base=base,
-                                       sizes=ks, ys=ys, su11=True, trunc=trunc)))
-    return tasks
-
-
-def suite_cor43(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps()[:1]:
-        for k in (1, 2):
-            for s, t, v in ((0, 0, -1), (1, 1, 0), (1, 2, 1)):
-                for x in range(4):
-                    for y in range(4):
-                        if not ratfun.pr_valid(
-                            ratfun.PrParams(s, t, v, k, QBase(float(p), "float")), x, y
-                        ):
-                            continue
-                        tasks.append(Task(
-                            "cor4.3", f"closed_vs_inner[k={k},s={s},t={t},v={v},x={x},y={y}]",
-                            "cor43", _point(p, k=k, s=s, t=t, v=v, x=x, y=y,
-                                            tb_tol=cfg.tail().tolerance,
-                                            tb_max_terms=cfg.tail().max_terms),
-                            contract="certified"))
-    return tasks
-
-
-def suite_prop44(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps()[:1]:
-        for k, s, t, v in ((1, 0, 0, -1), (2, 1, 1, 0)):
-            for relation in ("x", "y"):
-                for i in range(3):
-                    for jj in range(3):
-                        tasks.append(Task(
-                            "prop4.4",
-                            f"biorth_{relation}[k={k},s={s},t={t},v={v},{i},{jj}]",
-                            "pr_biorth",
-                            _point(p, k=k, s=s, t=t, v=v, relation=relation, i=i, j=jj,
-                                   tb_tol=cfg.tail().tolerance,
-                                   tb_max_terms=cfg.tail().max_terms),
-                            contract="certified"))
-    return tasks
-
-
-def suite_prop45(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps()[:1]:
-        for k, s, t, v in ((1, 0, 1, 0), (2, 1, 0, -1)):
-            for x in range(4):
-                for y in range(4):
-                    tasks.append(Task(
-                        "prop4.5", f"gevp[k={k},s={s},t={t},v={v},x={x},y={y}]",
-                        "pr_gevp", _point(p, k=k, s=s, t=t, v=v, x=x, y=y,
-                                          tb_tol=cfg.tail().tolerance,
-                                          tb_max_terms=cfg.tail().max_terms),
-                        contract="certified"))
-    return tasks
-
-
-def suite_cor49(cfg: RunConfig) -> List[Task]:
-    tasks = []
-    for p in cfg.ps()[:1]:
-        ks = (1, 1)
-        for j in (1, 2):
-            for s, t, v in ((1, 0, 0), (0, 1, -1)):
-                for xs in iproduct(range(2), range(2)):
-                    for ys in iproduct(range(2), range(2)):
-                        tasks.append(Task(
-                            "cor4.9",
-                            f"gevp[ks={ks},j={j},s={s},t={t},v={v},xs={list(xs)},ys={list(ys)}]",
-                            "multi_gevp_asc",
-                            _point(p, j=j, xs=xs, ys=ys, s=s, t=t, v=v, ks=ks,
-                                   tb_tol=cfg.tail().tolerance,
-                                   tb_max_terms=cfg.tail().max_terms),
-                            contract="certified"))
-    return tasks
-
-
-SUITES = {
-    "lemma2.1": suite_lemma21,
-    "relations": suite_relations,
-    "star": suite_star,
-    "lemma3.1": suite_lemma31,
-    "ev3.x": suite_ev3,
-    "prop3.3": suite_prop33,
-    "prop3.4": suite_prop34,
-    "lemma3.5": suite_lemma35,
-    "cor3.6": suite_cor36,
-    "prop3.7": suite_prop37,
-    "lemma3.8": suite_lemma38,
-    "lemma3.9": suite_lemma39,
-    "cor3.10": suite_cor310,
-    "cor4.1": suite_cor41,
-    "ev4.x": suite_ev4,
-    "cor4.3": suite_cor43,
-    "prop4.4": suite_prop44,
-    "lemma4.5": suite_lemma45,
-    "prop4.5": suite_prop45,
-    "prop4.6": suite_prop46,
-    "lemma4.8": suite_lemma48,
-    "cor4.9": suite_cor49,
-}
 
 SUITE_IDS = tuple(SUITES) + ("all",)
 
 
+def _expand(suite_id: str, cfg: RunConfig) -> List[Task]:
+    points, first_p, certified = SUITES[suite_id]
+    tail = {}
+    if certified:
+        tb = cfg.tail()
+        tail = {"tb_tol": tb.tolerance, "tb_max_terms": tb.max_terms}
+    contract = "certified" if certified else "exact"
+    return [
+        Task(suite_id, check, fn, {**params, **tail, "p": p}, contract)
+        for p in (cfg.ps()[:1] if first_p else cfg.ps())
+        for fn, check, params in points(cfg, p)
+    ]
+
+
 def build_tasks(suite_id: str, cfg: RunConfig) -> List[Task]:
     if suite_id == "all":
-        tasks = []
-        for sid in SUITES:
-            tasks.extend(SUITES[sid](cfg))
-        return tasks
+        return [task for sid in SUITES for task in _expand(sid, cfg)]
     if suite_id not in SUITES:
         raise KeyError(f"unknown suite {suite_id!r}; choose from {sorted(SUITE_IDS)}")
-    return SUITES[suite_id](cfg)
+    return _expand(suite_id, cfg)
 
 
 def run_task(task: Task, mode: str, tol: float) -> CheckReport:

@@ -1,4 +1,4 @@
-"""Scalar backends: half-integers, q-powers and the two q-number brackets."""
+"""Scalar backends: half-integer q-powers and the two q-number brackets."""
 
 from fractions import Fraction as F
 
@@ -6,24 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qracah import HalfInt, QBase, qbracket, qbrace, qpow
+from qracah import QBase, qbracket, qbrace, qpow
 from qracah.errors import ExactnessError
-
-
-def test_halfint_basic():
-    h = HalfInt(F(3, 2))
-    assert h.twice == 3
-    assert not h.is_integer
-    assert (h + h).is_integer
-    assert (h + h) == 3
-    assert -h == HalfInt(F(-3, 2))
-    assert 2 * h == 3
-    assert HalfInt(2).as_fraction() == 2
-
-
-def test_halfint_rejects_finer_fractions():
-    with pytest.raises(ExactnessError):
-        HalfInt(F(1, 3))
 
 
 def test_qbase_validation():
@@ -51,7 +35,7 @@ def test_qpow_examples():
     assert qpow(qb, 0) == 1
     assert qpow(qb, 1) == F(1, 4)  # q = p**2
     assert qpow(qb, F(1, 2)) == F(1, 2)  # q**(1/2) = p
-    assert qpow(qb, HalfInt(F(-1, 2))) == 2
+    assert qpow(qb, F(-1, 2)) == 2
 
 
 def test_qpow_exact_requires_half_integer():

@@ -1,12 +1,13 @@
 """Verification harness and command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
 
 from qracah.report import CheckReport, residual_string, serialize_value
-from qracah.verify import SUITE_IDS, SUITES, RunConfig, run_suite
+from qracah.verify import SUITE_IDS, SUITES, RunConfig, build_tasks, run_suite, run_task
 
 # the externally promised suite registry, one id per machine-checked result
 SUITE_MANIFEST = {
@@ -20,6 +21,27 @@ SUITE_MANIFEST = {
 def test_registry_matches_manifest():
     assert set(SUITE_IDS) == SUITE_MANIFEST
     assert set(SUITES) == SUITE_MANIFEST - {"all"}
+
+
+def _task_digest(cfg):
+    rows = [
+        [t.suite, t.check, t.fn, [[k, serialize_value(v)] for k, v in t.params.items()],
+         t.contract]
+        for t in build_tasks("all", cfg)
+    ]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return len(rows), hashlib.sha256(blob).hexdigest()
+
+
+def test_task_manifest_is_pinned():
+    # every task of every suite, in order: suite, check, fn, params in key
+    # order and contract, for the default run and for one that sets p, the
+    # truncation and the tail bound
+    assert _task_digest(RunConfig()) == (
+        3938, "cb8cc444c2e74f98b39b60899d71d6a75e3a66aebedfb8fa4d51c72b3cdb25bc")
+    cfg = RunConfig(p=F(3, 4), trunc=5, tolerance=1e-6, max_terms=99)
+    assert _task_digest(cfg) == (
+        3011, "43981dec2f13ecc640eb394dc4fcaccff706ed8dc29263db480473bc32256b40")
 
 
 def test_report_serialization():
@@ -46,9 +68,9 @@ def test_small_suites_pass():
 
 
 def test_exact_suites_zero_residuals():
-    reports = _suite_reports("lemma3.5", p=F(1, 2), n_max=2)
+    reports = _suite_reports("lemma3.5", p=F(1, 2))
     assert reports and all(r.passed and r.residual == "0" for r in reports)
-    reports = _suite_reports("lemma3.8", p=F(1, 2), n_max=2)
+    reports = _suite_reports("lemma3.8", p=F(1, 2))
     assert reports and all(r.passed and r.residual == "0" for r in reports)
 
 
@@ -61,7 +83,7 @@ def test_certified_suite_passes_with_label():
 def test_exact_mode_invariant():
     # no report labeled exact may combine pass=True with a nonzero residual
     for suite in ("lemma2.1", "prop3.3", "cor3.6"):
-        for r in _suite_reports(suite, p=F(1, 2), n_max=2):
+        for r in _suite_reports(suite, p=F(1, 2)):
             if r.backend == "exact" and r.passed:
                 assert r.residual == "0"
             assert r.passed
@@ -70,7 +92,7 @@ def test_exact_mode_invariant():
 def test_determinism_up_to_timing():
     def stream(jobs):
         out = []
-        for r in _suite_reports("lemma3.5", p=F(1, 2), n_max=1, jobs=jobs):
+        for r in _suite_reports("lemma3.5", p=F(1, 2), jobs=jobs):
             payload = json.loads(r.to_json())
             payload.pop("elapsed_ms")
             out.append(json.dumps(payload, sort_keys=True))
@@ -96,7 +118,9 @@ def test_certificate_honesty():
 
 
 def test_float_mode_uses_tolerance_contract():
-    reports = _suite_reports("ev3.x", mode="float", p=F(1, 2), n_max=1, tolerance=1e-9)
+    # only N <= 1: larger N fails in float mode on unnormalized residuals
+    tasks = build_tasks("ev3.x", RunConfig(mode="float", p=F(1, 2)))
+    reports = [run_task(t, "float", 1e-9) for t in tasks if t.params["N"] <= 1]
     assert reports and all(r.passed for r in reports)
     assert all(r.backend == "float" for r in reports)
 
@@ -154,6 +178,20 @@ def test_cli_weights_n_side_needs_no_s():
     assert without.stdout.startswith("w=") and without.stdout == with_s.stdout
     x_side = _cli("eval", "--fn", "weights", "--p", "3/2", "--N", "13", "--x", "2")
     assert x_side.returncode == 2 and "--s is required" in x_side.stderr
+
+
+def test_cli_eval_complex_mode_infinite_family():
+    # complex mode parses s and t as complex too; the convergence guard
+    # compares real parts, and the value is the float-mode one
+    point = ("--p", "1/2", "--k", "1", "--s", "1", "--t", "1", "--v", "0",
+             "--x", "1", "--y", "1")
+    for fn in ("pr_inner", "pr_closed"):
+        real = _cli("eval", "--fn", fn, "--mode", "float", *point)
+        cplx = _cli("eval", "--fn", fn, "--mode", "complex", *point)
+        assert real.returncode == 0 and cplx.returncode == 0, cplx.stderr
+        assert complex(cplx.stdout.strip()) == float(real.stdout)
+        if fn == "pr_inner":
+            assert float(real.stdout) == 1034.7253526406096
 
 
 def test_cli_eval_multivariate():
