@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InternalError, InvalidEpsilon, OutOfRange
 from . import orthopoly, uqsl2
 from .orthopoly import ASCParams, KrawParams, TailBound
-from .ratfun import PrParams, RrParams, pr_inner, rr_inner
+from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
 from .scalar import QBase, as_exponent
 
 
@@ -378,30 +378,16 @@ def multi_biorth_residual(qb: QBase, s, t, v, Ns: Sequence[int],
     partner family at -conj(v) - 2.  Exact zero for the finite chain."""
     vpart = -qb.conj(as_exponent(v)) - 2
     idx, idx2 = tuple(idx), tuple(idx2)
-    grid = list(iproduct(*[range(N + 1) for N in Ns]))
-    if relation == "x":
-        acc = qb.zero()
-        for xs in grid:
-            acc += (
-                rr_multi(qb, s, t, v, Ns, xs, idx)
-                * qb.conj(rr_multi(qb, s, t, vpart, Ns, xs, idx2))
-                * kraw_W_multi(qb, s, Ns, xs)
-            )
-        if idx == idx2:
-            acc -= 1 / kraw_W_multi(qb, t, Ns, idx)
-        return acc
-    if relation == "y":
-        acc = qb.zero()
-        for ys in grid:
-            acc += (
-                rr_multi(qb, s, t, v, Ns, idx, ys)
-                * qb.conj(rr_multi(qb, s, t, vpart, Ns, idx2, ys))
-                * kraw_W_multi(qb, t, Ns, ys)
-            )
-        if idx == idx2:
-            acc -= 1 / kraw_W_multi(qb, s, Ns, idx)
-        return acc
-    raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
+    outer, diag, overlap = biorth_overlap(
+        qb, relation, s, t, idx, idx2,
+        lambda xs, ys: rr_multi(qb, s, t, v, Ns, xs, ys),
+        lambda xs, ys: rr_multi(qb, s, t, vpart, Ns, xs, ys))
+    acc = qb.zero()
+    for us in iproduct(*[range(N + 1) for N in Ns]):
+        acc += overlap(us) * kraw_W_multi(qb, outer, Ns, us)
+    if idx == idx2:
+        acc -= 1 / kraw_W_multi(qb, diag, Ns, idx)
+    return acc
 
 
 def multi_biorth_residual_asc(qb: QBase, s, t, v, ks: Sequence,

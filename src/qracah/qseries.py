@@ -20,12 +20,27 @@ infinite objects carry an error certificate controlled by a
 If a certificate cannot be met within ``max_terms``,
 :class:`~qracah.errors.NonConvergent` is raised rather than returning an
 unreliable value.
+
+When the base, the argument and every parameter are int or Fraction (the
+exact backend, hence every certified check), :func:`rphis` sums on Python
+ints: each parameter is a (numerator, denominator) pair, a factor
+1 - a*base**j is the pair (a_d f_d - a_n f_n, a_d f_d), the term and the
+running total share one unreduced denominator, and a single Fraction is
+built at the end.  Zero factors (termination, denominator poles) are the
+integer tests a_n f_n == a_d f_d in the same loop.  The result is
+bit-identical to summing factor by factor in Fraction arithmetic: both are
+the same rational, and Fractions are stored reduced.  The term magnitudes
+the proved tail bound reads are ``abs(n) / d`` of the unreduced pair, which
+int true division rounds correctly, so they are the floats ``float()`` of
+the reduced term gives.  Float and complex series run the floating loop,
+whose operation order fixes their results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
@@ -158,18 +173,6 @@ class PhiSpec:
     terminate_after: Optional[int] = None
 
 
-def _detect_termination(nums, base, limit):
-    # smallest j with some numerator factor 1 - a*base**j == 0; None if no
-    # exact zero within the scan window (exact backend only)
-    f = base * 0 + 1
-    for j in range(limit):
-        for a in nums:
-            if 1 - a * f == 0:
-                return j + 1  # terms 0..j survive
-        f *= base
-    return None
-
-
 def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
     """Evaluate a basic hypergeometric series.
 
@@ -177,38 +180,135 @@ def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
     summed exactly; otherwise the sum is truncated once the proved tail
     bound of the module docstring is below ``tb.tolerance``.  A denominator
     Pochhammer vanishing at a reached index raises DenominatorPole before
-    any division happens.
+    any division happens.  When the base, the argument and every parameter
+    are int or Fraction the result is a Fraction; any float or complex value
+    selects the floating loop, which sees an exact zero factor only where
+    the arithmetic produces one.
     """
+    limit = spec.max_terms or tb.max_terms
+    values = (spec.base, spec.argument, *spec.numerators, *spec.denominators)
+    if all(isinstance(x, (int, Fraction)) for x in values):
+        return _rphis_exact(spec, limit, tb.tolerance)
+    return _rphis_float(spec, limit, tb.tolerance)
+
+
+def _pair(x):
+    return x.numerator, x.denominator
+
+
+def _rphis_exact(spec: PhiSpec, limit: int, tolerance: float) -> Fraction:
+    # Every value is an integer pair (numerator, denominator), f = base**j
+    # is (fn, fd), and the term t_j and the partial sum share the unreduced
+    # denominator td.  The ratio t_(j+1)/t_j is
+    #   z prod(1 - a f) / ((1 - base f) prod(1 - b f))
+    #   = cn prod(ad fd - an fn) fd**e / (cd (bd fd - bn fn) prod(b_d fd - b_n fn))
+    # with the constant parts cn/cd and e = 1 + #dens - #nums, so a factor
+    # is zero exactly when an*fn == ad*fd; the one gcd is the final Fraction.
+    bn, bd = _pair(spec.base)
+    zn, zd = _pair(spec.argument)
+    nums = [_pair(a) for a in spec.numerators]
+    dens = [_pair(b) for b in spec.denominators]
+    n_terms = spec.terminate_after
+    cn, cd = zn * bd, zd
+    for _, d in dens:
+        cn *= d
+    for _, d in nums:
+        cd *= d
+    e = 1 + len(dens) - len(nums)
+    if n_terms is None:
+        mags = (_quotient(zn, zd), _quotient(bn, bd),
+                [_quotient(*a) for a in nums], [_quotient(*b) for b in dens])
+
+    fn = fd = tn = td = 1
+    acc = 0
+    for j in range(limit):
+        acc += tn
+        if n_terms is not None and j == n_terms - 1:
+            return Fraction(acc, td)
+        top, bot = cn, cd * (bd * fd - bn * fn)
+        for an, ad in nums:
+            x = ad * fd - an * fn
+            if not x:
+                return Fraction(acc, td)
+            top *= x
+        for dn, dd in dens:
+            bot *= dd * fd - dn * fn
+        if not bot:
+            raise _pole(spec, nums, dens, bn, bd, j, limit)
+        if e > 0:
+            top *= fd**e
+        elif e < 0:
+            bot *= fd**-e
+        tn *= top
+        td *= bot
+        acc *= bot
+        fn *= bn
+        fd *= bd
+        if n_terms is None:
+            # tn/td is t_(j+1) and fn/fd = base**(j+1): bound every later ratio
+            ratio = _ratio_bound(*mags, _quotient(fn, fd))
+            if ratio < 1 and _quotient(tn, td) * ratio / (1 - ratio) <= tolerance:
+                # the sum terminates instead if a numerator factor vanishes
+                # at a later index within the limit; |base| < 1 here, so
+                # only a factor with |a f| >= 1 still can
+                later = [(an, ad) for an, ad in nums if abs(an * fn) >= ad * fd]
+                hit = _first_zero(later, bn, bd, j + 1, limit) if later else None
+                if hit is None:
+                    return Fraction(acc + tn, td)
+                n_terms = hit[0] + 1
+    if n_terms is not None:
+        # a terminating sum reaches every factor index up to n_terms - 2
+        hit = _first_zero(dens, bn, bd, limit, n_terms - 1)
+        if hit is not None:
+            raise _den_param_pole(spec, *hit)
+    raise NonConvergent(f"series did not terminate or certify within {limit} terms")
+
+
+def _first_zero(pairs, bn, bd, start, stop):
+    # the first (index i, position) in [start, stop) whose factor
+    # 1 - c*base**i vanishes, c = pairs[position]; None if there is none
+    fn, fd = bn**start, bd**start
+    for i in range(start, stop):
+        for pos, (cn, cd) in enumerate(pairs):
+            if cn * fn == cd * fd:
+                return i, pos
+        fn *= bn
+        fd *= bd
+    return None
+
+
+def _den_param_pole(spec, i, pos):
+    return DenominatorPole(
+        f"denominator parameter {spec.denominators[pos]} equals base**-{i}, hit at term {i + 1}"
+    )
+
+
+def _pole(spec, nums, dens, bn, bd, j, limit):
+    # A denominator factor vanishes at index j, and no factor vanished
+    # before.  If the sum terminates (n_terms given, or a numerator factor
+    # vanishing later within the limit), a denominator parameter that
+    # vanishes before its last term is named; otherwise the failing term is.
+    n_terms = spec.terminate_after
+    window = min(limit, n_terms or limit)
+    hit = _first_zero(nums, bn, bd, j + 1, window)
+    if hit is not None and (n_terms is None or hit[0] + 1 < n_terms):
+        n_terms = hit[0] + 1
+    if n_terms is not None:
+        hit = _first_zero(dens, bn, bd, j, n_terms - 1)
+        if hit is not None:
+            return _den_param_pole(spec, *hit)
+    return DenominatorPole(f"denominator factor vanishes at term {j + 1}")
+
+
+def _rphis_float(spec: PhiSpec, limit: int, tolerance: float):
     nums = list(spec.numerators)
     dens = list(spec.denominators)
     base = spec.base
     z = spec.argument
-    limit = spec.max_terms or tb.max_terms
-
     n_terms = spec.terminate_after
-    exact_zero_detection = not isinstance(base, (float, complex))
-    if exact_zero_detection:
-        detected = _detect_termination(nums, base, min(limit, n_terms or limit))
-        if n_terms is None:
-            n_terms = detected
-        elif detected is not None and detected < n_terms:
-            n_terms = detected
-
-    # eager pole scan over the factor indices a terminating sum will reach
-    if n_terms is not None and exact_zero_detection:
-        f = base * 0 + 1
-        for j in range(n_terms - 1):
-            for b in dens:
-                if 1 - b * f == 0:
-                    raise DenominatorPole(
-                        f"denominator parameter {b} equals base**-{j}, hit at term {j + 1}"
-                    )
-            f *= base
-
     if n_terms is None:
-        z_mag, base_mag = _magnitude(z), _magnitude(base)
-        num_mags = [_magnitude(a) for a in nums]
-        den_mags = [_magnitude(b) for b in dens]
+        mags = (_magnitude(z), _magnitude(base),
+                [_magnitude(a) for a in nums], [_magnitude(b) for b in dens])
 
     one = base * 0 + z * 0 + 1
     total = one * 0
@@ -232,8 +332,8 @@ def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
         f *= base
         if n_terms is None:
             # term is t_(j+1) and f = base**(j+1): bound every later ratio
-            ratio = _ratio_bound(z_mag, base_mag, num_mags, den_mags, _magnitude(f))
-            if ratio < 1 and _magnitude(term) * ratio / (1 - ratio) <= tb.tolerance:
+            ratio = _ratio_bound(*mags, _magnitude(f))
+            if ratio < 1 and _magnitude(term) * ratio / (1 - ratio) <= tolerance:
                 return total + term
     raise NonConvergent(f"series did not terminate or certify within {limit} terms")
 
@@ -242,6 +342,15 @@ def _magnitude(x) -> float:
     # |x| as a float; inf when it leaves the floating-point range
     try:
         return float(abs(x))
+    except OverflowError:
+        return math.inf
+
+
+def _quotient(n: int, d: int) -> float:
+    # |n/d|: int true division is correctly rounded, so this is
+    # _magnitude(Fraction(n, d)) without reducing the pair
+    try:
+        return abs(n) / abs(d)
     except OverflowError:
         return math.inf
 
@@ -292,7 +401,7 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
     magnitudes = []
     for n, t in enumerate(terms):
         total = t if total is None else total + t
-        mag = float(abs(t))
+        mag = _magnitude(t)
         if not math.isfinite(mag):
             raise NonConvergent(f"term {n} exceeds the floating-point range")
         magnitudes.append(mag)

@@ -165,24 +165,28 @@ def rr_biorth_residual(rp: RrParams, relation: str, idx: int, idx2: int):
     qb = rp.qb
     vpart = -_conj_param(qb, rp.v) - 2
     partner = RrParams(rp.s, rp.t, vpart, rp.N, qb)
+    outer, diag, overlap = biorth_overlap(
+        qb, relation, rp.s, rp.t, idx, idx2,
+        lambda x, y: rr_inner(rp, x, y), lambda x, y: rr_inner(partner, x, y))
+    acc = sum(overlap(u) * kraw_W(qb, outer, rp.N, u) for u in range(rp.N + 1))
+    if idx == idx2:
+        acc -= 1 / kraw_W(qb, diag, rp.N, idx)
+    return acc
+
+
+def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
+    """The summand of one biorthogonality relation between the families
+    ``left(x, y)`` and ``right(x, y)``.
+
+    Returns ``(outer, diag, overlap)``: relation="x" sums ``overlap(u) =
+    left(u, idx) * conj(right(u, idx2))`` against the weight at ``outer = s``
+    and subtracts the inverse weight at ``diag = t`` on the diagonal;
+    relation="y" sums over the second argument with s and t swapped.
+    """
     if relation == "x":
-        acc = sum(
-            rr_inner(rp, x, idx) * qb.conj(rr_inner(partner, x, idx2))
-            * kraw_W(qb, rp.s, rp.N, x)
-            for x in range(rp.N + 1)
-        )
-        if idx == idx2:
-            acc -= 1 / kraw_W(qb, rp.t, rp.N, idx)
-        return acc
+        return s, t, lambda u: left(u, idx) * qb.conj(right(u, idx2))
     if relation == "y":
-        acc = sum(
-            rr_inner(rp, idx, y) * qb.conj(rr_inner(partner, idx2, y))
-            * kraw_W(qb, rp.t, rp.N, y)
-            for y in range(rp.N + 1)
-        )
-        if idx == idx2:
-            acc -= 1 / kraw_W(qb, rp.s, rp.N, idx)
-        return acc
+        return t, s, lambda u: left(idx, u) * qb.conj(right(idx2, u))
     raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
 
 
@@ -323,24 +327,19 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
         raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
     vpart = -_conj_param(qb, v) - 2
     partner = PrParams(pp.s, pp.t, vpart, pp.k, qb, pp.tb)
-    if relation == "x":
-        outer_s, diag_t = pp.s, pp.t
-        val = lambda m, x: (pr_inner(pp, x, idx) if m == 0 else pr_inner(partner, x, idx2))
-    elif relation == "y":
-        outer_s, diag_t = pp.t, pp.s
-        val = lambda m, y: (pr_inner(pp, idx, y) if m == 0 else pr_inner(partner, idx2, y))
-    else:
-        raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
+    outer, diag, overlap = biorth_overlap(
+        qb, relation, pp.s, pp.t, idx, idx2,
+        lambda x, y: pr_inner(pp, x, y), lambda x, y: pr_inner(partner, x, y))
 
     def terms():
         u = 0
         while True:
-            yield val(0, u) * qb.conj(val(1, u)) * asc_W(qb, outer_s, pp.k, u, pp.tb)
+            yield overlap(u) * asc_W(qb, outer, pp.k, u, pp.tb)
             u += 1
 
     acc = certified_sum(terms(), pp.tb)
     if idx == idx2:
-        acc -= 1 / asc_W(qb, diag_t, pp.k, idx, pp.tb)
+        acc -= 1 / asc_W(qb, diag, pp.k, idx, pp.tb)
     return acc
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qracah import (
@@ -144,6 +144,131 @@ def test_rphis_tail_bound_sees_a_late_near_pole():
         f *= base
     assert abs(float(ref) - 1.5584946749152) < 1e-12
     assert abs(val - ref) <= 1e-12
+
+
+def _reference_rphis(spec, tb):
+    # the direct evaluation in Fraction arithmetic: a termination scan, an
+    # eager scan for denominator poles, then one Fraction operation per factor
+    nums, dens = list(spec.numerators), list(spec.denominators)
+    base, z = spec.base, spec.argument
+    limit = spec.max_terms or tb.max_terms
+    n_terms = spec.terminate_after
+    detected, f = None, base * 0 + 1
+    for j in range(min(limit, n_terms or limit)):
+        if any(1 - a * f == 0 for a in nums):
+            detected = j + 1
+            break
+        f *= base
+    if n_terms is None:
+        n_terms = detected
+    elif detected is not None and detected < n_terms:
+        n_terms = detected
+    if n_terms is not None:
+        f = base * 0 + 1
+        for j in range(n_terms - 1):
+            for b in dens:
+                if 1 - b * f == 0:
+                    raise DenominatorPole(
+                        f"denominator parameter {b} equals base**-{j}, hit at term {j + 1}"
+                    )
+            f *= base
+    else:
+        z_mag, base_mag = float(abs(z)), float(abs(base))
+        num_mags = [float(abs(a)) for a in nums]
+        den_mags = [float(abs(b)) for b in dens]
+    one = base * 0 + z * 0 + 1
+    total, term, f = one * 0, one, one
+    for j in range(limit):
+        total += term
+        if n_terms is not None and j == n_terms - 1:
+            return total
+        numf = one
+        for a in nums:
+            numf *= 1 - a * f
+        if numf == 0:
+            return total
+        denf = 1 - base * f
+        for b in dens:
+            denf *= 1 - b * f
+        if denf == 0:
+            raise DenominatorPole(f"denominator factor vanishes at term {j + 1}")
+        term = term * numf * z / denf
+        f *= base
+        if n_terms is None:
+            F_ = float(abs(f))
+            den_bounds = [1 - base_mag * F_, *(1 - m * F_ for m in den_mags)]
+            if min(den_bounds) > 0:
+                ratio = z_mag
+                for m in num_mags:
+                    ratio *= 1 + m * F_
+                for d in den_bounds:
+                    ratio /= d
+                if ratio < 1 and float(abs(term)) * ratio / (1 - ratio) <= tb.tolerance:
+                    return total + term
+    raise NonConvergent(f"series did not terminate or certify within {limit} terms")
+
+
+def _outcome(evaluate, spec, tb):
+    try:
+        value = evaluate(spec, tb)
+    except (DenominatorPole, NonConvergent) as exc:
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+_BASES = (F(1, 4), F(4), F(1, 2), F(3, 2), F(-1, 2), F(-2), F(2, 3))
+
+
+@st.composite
+def _phi_cases(draw):
+    base = draw(st.sampled_from(_BASES))
+    # a signed power base**-m makes a factor vanish at index m
+    power = st.builds(lambda sign, m: sign * base ** -m, st.sampled_from((1, -1)),
+                      st.integers(0, 8))
+    param = st.one_of(st.fractions(-3, 3, max_denominator=9), power)
+    nums = draw(st.lists(param, max_size=4))
+    dens = draw(st.lists(param, max_size=3))
+    z = draw(param)
+    terminate_after = draw(st.one_of(st.none(), st.integers(0, 12)))
+    max_terms = draw(st.one_of(st.none(), st.integers(1, 15)))
+    if not terminate_after and max_terms is None:
+        max_terms = 40  # a series that never stops runs to the limit
+    tol = draw(st.sampled_from((1e-3, 1e-8, 1e-12)))
+    return PhiSpec(nums, dens, base, z, max_terms, terminate_after), TailBound(tol)
+
+
+_q = F(1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_phi_cases())
+# early termination on a base**-m numerator, detected and given
+@example(case=(PhiSpec([_q ** -2, F(1, 3)], [F(2, 5)], _q, F(1, 2)), TailBound()))
+@example(case=(PhiSpec([_q ** -5], [F(2, 5)], _q, F(1, 2), terminate_after=3), TailBound()))
+@example(case=(PhiSpec([_q ** -2], [F(2, 5)], _q, F(1, 2), terminate_after=7), TailBound()))
+# denominator poles before and at the last term
+@example(case=(PhiSpec([_q ** -4], [_q ** -2], _q, _q), TailBound()))
+@example(case=(PhiSpec([_q ** -3], [_q ** -3], _q, _q), TailBound()))
+@example(case=(PhiSpec([F(1, 3)], [_q ** -2], _q, _q, max_terms=9), TailBound()))
+# terminate_after beyond max_terms, with and without a pole past the limit
+@example(case=(PhiSpec([F(1, 3)], [F(1, 5)], _q, _q, max_terms=5, terminate_after=20),
+               TailBound()))
+@example(case=(PhiSpec([F(1, 3)], [_q ** -9], _q, _q, max_terms=5, terminate_after=20),
+               TailBound()))
+# negative parameters and a negative base; the base factor's own pole
+@example(case=(PhiSpec([-F(1, 2) ** -3, F(-2, 3)], [F(-3, 5)], F(-1, 2), F(-1, 3)),
+               TailBound()))
+@example(case=(PhiSpec([F(2)], [F(3)], F(-1), F(1, 2), max_terms=10), TailBound()))
+# non-terminating series closed by the proved ratio bound, and one whose
+# tiny argument meets the bound before a numerator factor vanishes
+@example(case=(PhiSpec([F(1, 3), F(2, 7)], [F(1, 5)], _q, F(1, 2)), TailBound(1e-12)))
+@example(case=(PhiSpec([F(8)], [], F(1, 2), F(1, 10**30)), TailBound(1e-12)))
+def test_rphis_exact_matches_fraction_reference(case):
+    spec, tb = case
+    got, want = _outcome(rphis, spec, tb), _outcome(_reference_rphis, spec, tb)
+    assert got == want
+    if not isinstance(got[0], type):
+        assert got[1] is F
 
 
 @given(

@@ -44,6 +44,28 @@ def test_task_manifest_is_pinned():
         3011, "43981dec2f13ecc640eb394dc4fcaccff706ed8dc29263db480473bc32256b40")
 
 
+def _report_digest(suite):
+    lines = []
+    for r in run_suite(suite, RunConfig()):
+        payload = json.loads(r.to_json())
+        payload.pop("elapsed_ms")
+        lines.append(json.dumps(payload, separators=(",", ":")))
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_report_digests_are_pinned():
+    # the default reports without elapsed_ms, in order: the summation
+    # identity (exact), closed form vs inner product and the recurrences of
+    # the infinite family (certified, whose residual digits depend on every
+    # series value, so a series kernel that drifts by one ulp shows here)
+    assert _report_digest("lemma2.1") == (
+        470, "e8c7e4dea4f1cb349e2eec5567816edcd30e7bbffc653af33a780afa7f4cef97")
+    assert _report_digest("cor4.3") == (
+        84, "18dcd271c0d81c12bb4890a0ca95ba93a74e9f8db28e5477a25146bbd6a0925d")
+    assert _report_digest("prop4.5") == (
+        32, "5d5150679d35da5568512d9c378f3a50094bc2ba0cc72b200ee43f9b30466393")
+
+
 def test_report_serialization():
     rep = CheckReport("s", "c", {"p": F(1, 2), "N": 3}, "0", True, "exact", 1.234)
     payload = json.loads(rep.to_json())
@@ -220,6 +242,20 @@ def test_cli_verify_failure_exit_code():
     out = _cli("verify", "--suite", "prop4.4", "--tol", "1e-20", "--max-terms", "25")
     assert out.returncode == 1
     assert "FAILED" in out.stderr
+
+
+def test_cli_verify_q_above_one_fails_by_report():
+    # at q > 1 the certified sums of cor4.3 leave the float range: every task
+    # becomes a failing report naming NonConvergent, and the run ends normally
+    out = _cli("verify", "--suite", "cor4.3", "--p", "3/2")
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    reports = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(reports) == 84
+    for r in reports:
+        assert not r["pass"] and r["residual"] == "error"
+        assert r["error"].startswith("NonConvergent: term ")
+        assert r["error"].endswith(" exceeds the floating-point range")
 
 
 def test_cli_verify_unknown_suite():
