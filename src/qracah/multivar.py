@@ -15,6 +15,7 @@ infinite sums.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,7 +36,8 @@ def heights(base, ys: Sequence[int], sizes: Sequence, su11: bool = False) -> lis
     h_j = h_{j-1} + 2*y_j - N_j (finite chain) or + 2*y_j + k_j (infinite)."""
     if len(ys) != len(sizes):
         raise OutOfRange(f"{len(ys)} indices vs {len(sizes)} sites")
-    h = [as_exponent(base)]
+    # exact heights are returned (and printed) as Fractions
+    h = [Fraction(base) if isinstance(base, (int, Fraction)) else base]
     for y, size in zip(ys, sizes):
         step = 2 * y + as_exponent(size) if su11 else 2 * y - as_exponent(size)
         h.append(h[-1] + step)
@@ -384,7 +386,8 @@ def multi_biorth_residual(qb: QBase, s, t, v, Ns: Sequence[int],
         lambda xs, ys: rr_multi(qb, s, t, vpart, Ns, xs, ys))
     acc = qb.zero()
     for us in iproduct(*[range(N + 1) for N in Ns]):
-        acc += overlap(us) * kraw_W_multi(qb, outer, Ns, us)
+        left, right = overlap(us)
+        acc += left * right * kraw_W_multi(qb, outer, Ns, us)
     if idx == idx2:
         acc -= 1 / kraw_W_multi(qb, diag, Ns, idx)
     return acc

@@ -386,7 +386,7 @@ def asc_orth_n(ap: ASCParams, x: int, x2: int):
     def terms():
         n = 0
         while True:
-            yield asc(a0, n, x) * asc(a0, n, x2) * asc_w(ap.qb, ap.k, n)
+            yield asc(a0, n, x), asc(a0, n, x2), asc_w(ap.qb, ap.k, n)
             n += 1
 
     acc = certified_sum(terms(), ap.tb)
@@ -403,7 +403,7 @@ def asc_orth_x(ap: ASCParams, n: int, n2: int):
     def terms():
         x = 0
         while True:
-            yield asc(a0, n, x) * asc(a0, n2, x) * asc_W(ap.qb, ap.s, ap.k, x, ap.tb)
+            yield asc(a0, n, x), asc(a0, n2, x), asc_W(ap.qb, ap.s, ap.k, x, ap.tb)
             x += 1
 
     acc = certified_sum(terms(), ap.tb)

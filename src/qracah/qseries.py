@@ -34,6 +34,15 @@ the proved tail bound reads are ``abs(n) / d`` of the unreduced pair, which
 int true division rounds correctly, so they are the floats ``float()`` of
 the reduced term gives.  Float and complex series run the floating loop,
 whose operation order fixes their results.
+
+:func:`certified_sum` takes each term as a tuple of factors and sums the
+same way: while every factor is int or Fraction, a term is the unreduced
+pair of its factors' numerator and denominator products, it is added to
+one running pair with a single gcd against the running denominator
+(Henrici's addition), its magnitude is the same correctly rounded quotient,
+and one Fraction is built at the end.  So it stops at the term Fraction
+arithmetic would stop at and returns the same rational.  Floating factors
+are multiplied left to right and summed in order, as before.
 """
 
 from __future__ import annotations
@@ -392,26 +401,54 @@ def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:
 def certified_sum(terms, tb: TailBound, min_terms: int = 6):
     """Sum an infinite series under the TailBound certificate.
 
-    ``terms`` is an iterable of scalars with eventually geometric decay.
+    ``terms`` is an iterable of terms with eventually geometric decay, each
+    a tuple of factors (a bare scalar is a one-factor term).  While every
+    factor is int or Fraction, the terms are summed on one unreduced
+    integer pair and the result is a Fraction, the rational and the
+    stopping term of Fraction arithmetic (see the module docstring); any
+    other term multiplies its factors left to right and is added as a
+    scalar.
+
     Raises NonConvergent if the stopping rule cannot be met within
     max_terms, or if a term leaves the floating-point range (a certified
     result is then impossible; failing loudly beats returning NaN).
     """
-    total = None
+    num, den = 0, 1  # the exact terms, while every term so far is exact
+    total = None  # the scalar sum, from the first term that is not
     magnitudes = []
-    for n, t in enumerate(terms):
-        total = t if total is None else total + t
-        mag = _magnitude(t)
+    for n, term in enumerate(terms):
+        factors = term if isinstance(term, tuple) else (term,)
+        if total is None and all(isinstance(f, (int, Fraction)) for f in factors):
+            tn = td = 1
+            for f in factors:
+                tn *= f.numerator
+                td *= f.denominator
+            mag = _quotient(tn, td)
+            g = math.gcd(den, td)
+            td //= g
+            num = num * td + tn * (den // g)
+            den *= td
+        else:
+            t = factors[0]
+            for f in factors[1:]:
+                t = t * f
+            if total is None:
+                total = t if n == 0 else Fraction(num, den) + t
+            else:
+                total = total + t
+            mag = _magnitude(t)
         if not math.isfinite(mag):
             raise NonConvergent(f"term {n} exceeds the floating-point range")
         magnitudes.append(mag)
         if n + 1 >= min_terms and _tail_certified(magnitudes, tb):
-            return total
+            break
         if n + 1 >= tb.max_terms:
             raise NonConvergent(
                 f"series tail not certified below {tb.tolerance} within {tb.max_terms} terms"
             )
-    return total if total is not None else 0
+    if total is not None:
+        return total
+    return Fraction(num, den) if magnitudes else 0
 
 
 # ---------------------------------------------------------------------------

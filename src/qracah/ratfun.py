@@ -87,6 +87,9 @@ def _pole_index(s, t, v, y):
     # the only real-parameter pole of the closed forms: the denominator
     # parameter q**(-2y+s-t-v+1) equals q**(-2j) at j = y - (s-t-v+1)/2
     e = as_exponent(s) - as_exponent(t) - as_exponent(v) + 1
+    if isinstance(e, int):
+        # integer parity: e / 2 would be a float, inexact beyond 2**53
+        return None if e % 2 else y - e // 2
     j = y - e / 2
     if isinstance(j, Fraction):
         return int(j) if j.denominator == 1 else None
@@ -168,7 +171,10 @@ def rr_biorth_residual(rp: RrParams, relation: str, idx: int, idx2: int):
     outer, diag, overlap = biorth_overlap(
         qb, relation, rp.s, rp.t, idx, idx2,
         lambda x, y: rr_inner(rp, x, y), lambda x, y: rr_inner(partner, x, y))
-    acc = sum(overlap(u) * kraw_W(qb, outer, rp.N, u) for u in range(rp.N + 1))
+    acc = 0
+    for u in range(rp.N + 1):
+        left, right = overlap(u)
+        acc += left * right * kraw_W(qb, outer, rp.N, u)
     if idx == idx2:
         acc -= 1 / kraw_W(qb, diag, rp.N, idx)
     return acc
@@ -178,15 +184,17 @@ def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
     """The summand of one biorthogonality relation between the families
     ``left(x, y)`` and ``right(x, y)``.
 
-    Returns ``(outer, diag, overlap)``: relation="x" sums ``overlap(u) =
-    left(u, idx) * conj(right(u, idx2))`` against the weight at ``outer = s``
-    and subtracts the inverse weight at ``diag = t`` on the diagonal;
-    relation="y" sums over the second argument with s and t swapped.
+    Returns ``(outer, diag, overlap)``: relation="x" sums the product of
+    the two factors ``overlap(u) = (left(u, idx), conj(right(u, idx2)))``
+    against the weight at ``outer = s`` and subtracts the inverse weight at
+    ``diag = t`` on the diagonal; relation="y" sums over the second
+    argument with s and t swapped.  The factors come unmultiplied so that a
+    certified sum can take them as one term's factor tuple.
     """
     if relation == "x":
-        return s, t, lambda u: left(u, idx) * qb.conj(right(u, idx2))
+        return s, t, lambda u: (left(u, idx), qb.conj(right(u, idx2)))
     if relation == "y":
-        return t, s, lambda u: left(idx, u) * qb.conj(right(idx2, u))
+        return t, s, lambda u: (left(idx, u), qb.conj(right(idx2, u)))
     raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
 
 
@@ -261,7 +269,7 @@ def pr_inner(pp: PrParams, x: int, y: int):
     def terms():
         n = 0
         while True:
-            yield asc(left, n, x) * asc(right, n, y) * asc_w(pp.qb, pp.k, n)
+            yield asc(left, n, x), asc(right, n, y), asc_w(pp.qb, pp.k, n)
             n += 1
 
     return certified_sum(terms(), pp.tb)
@@ -334,7 +342,7 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
     def terms():
         u = 0
         while True:
-            yield overlap(u) * asc_W(qb, outer, pp.k, u, pp.tb)
+            yield (*overlap(u), asc_W(qb, outer, pp.k, u, pp.tb))
             u += 1
 
     acc = certified_sum(terms(), pp.tb)

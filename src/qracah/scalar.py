@@ -10,7 +10,9 @@ The deformation parameter is stored as a rational ``p`` with ``q = p**2``,
 so every half-integer power ``q**(m/2) = p**m`` is an exact rational in the
 exact backend.  Parameters that enter exponents (``s``, ``t``, ``u``, ``v``)
 must be half-integers in the exact backend; arbitrary reals (or a complex
-``v``) are allowed in the floating backends.
+``v``) are allowed in the floating backends.  :func:`as_exponent` keeps
+integral exponents as Python ints (only a half-integer stays a Fraction),
+so exponent arithmetic and the exact ``p**(2e)`` stay on ints.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ MODES = ("exact", "float", "complex")
 def as_exponent(x):
     """Normalize a parameter for use in an exponent of q.
 
-    int and Fraction become Fraction; float/complex pass through (allowed
-    only in the floating backends).
+    Every integral int or Fraction becomes an int, so exponent arithmetic
+    runs on Python ints; a non-integral Fraction (a half-integer, say)
+    stays a Fraction; float/complex pass through (allowed only in the
+    floating backends).
     """
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+    if isinstance(x, int):
+        return int(x)  # bool too
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     return x
 
 
@@ -92,10 +98,12 @@ class QBase:
         """q**e.  Exact iff 2e is an integer (then q**e = p**(2e))."""
         e = as_exponent(e)
         if self.mode == "exact":
+            if type(e) is int:
+                return self.p ** (2 * e)
             te = 2 * e
             if not isinstance(te, Fraction) or te.denominator != 1:
                 raise ExactnessError(f"exponent {e} is not a half-integer")
-            return self.p ** int(te)
+            return self.p ** te.numerator
         logq = 2.0 * math.log(self._pf)
         if isinstance(e, complex):
             if self.mode != "complex":

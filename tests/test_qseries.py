@@ -11,6 +11,7 @@ from qracah import (
     PhiSpec,
     QBase,
     TailBound,
+    certified_sum,
     qbinom,
     qpoch,
     qpoch_inf,
@@ -21,6 +22,7 @@ from qracah import (
     summation_rhs,
 )
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
+from qracah.qseries import _tail_certified
 
 
 def test_qpoch_basics():
@@ -361,3 +363,69 @@ def test_summation_infinite_case_float():
         lhs = summation_lhs(qb, x, y, a, b, c, d, tb=tb)
         rhs = summation_rhs(qb, x, y, a, b, c, d, tb=tb)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def _fraction_certified_sum(terms, tb, min_terms=6):
+    # the reference: multiply each term's factors and sum term by term in
+    # Fraction arithmetic, reading magnitudes with float()
+    total, mags = None, []
+    for n, factors in enumerate(terms):
+        t = factors[0]
+        for f in factors[1:]:
+            t = t * f
+        total = t if total is None else total + t
+        mags.append(float(abs(t)))
+        if n + 1 >= min_terms and _tail_certified(mags, tb):
+            return total, n + 1
+    return total, len(mags)
+
+
+def _geometric_terms(ratio, seeds, shape):
+    # factor tuples whose products are +-ratio**n * c: each term splits c
+    # differently, so the factors' denominators do not cancel pairwise
+    n = 0
+    while True:
+        a = seeds[n % len(seeds)]
+        yield shape((-1) ** (n // 2) * ratio**n * a, seeds[0] / a)
+        n += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rnum=st.integers(1, 8),
+    seeds=st.lists(st.fractions(F(1, 9), 9, max_denominator=40), min_size=1, max_size=4),
+    tol_exp=st.integers(3, 14),
+)
+def test_certified_sum_pairs_match_fraction_sums(rnum, seeds, tol_exp):
+    # exact factor tuples (and bare Fractions) give the rational of the
+    # Fraction sum and stop after the same term; the result is a Fraction
+    tb = TailBound(10.0**-tol_exp, max_terms=1000)
+    ratio = F(rnum, 10)
+    for shape in (lambda a, b: (a, b, 1), lambda a, b: (a * b,)):
+        want, used = _fraction_certified_sum(_geometric_terms(ratio, seeds, shape), tb)
+        consumed = 0
+
+        def counted(shape=shape):
+            nonlocal consumed
+            for term in _geometric_terms(ratio, seeds, shape):
+                consumed += 1
+                yield term if len(term) > 1 else term[0]
+
+        got = certified_sum(counted(), tb)
+        assert type(got) is F and got == want
+        assert consumed == used
+
+
+def test_certified_sum_floating_factors_keep_their_order():
+    # floating factors are multiplied left to right and summed in order, so
+    # the sum is bit-identical to summing the products; an exact prefix
+    # joins the floating sum as one Fraction
+    tb = TailBound(1e-12)
+    for scale in (1.1, 1.1 + 0.3j):
+        terms = [(0.7**n * scale, 1 / 3, (-1) ** n * 0.9) for n in range(200)]
+        want, used = _fraction_certified_sum(terms, tb)
+        assert certified_sum(iter(terms), tb) == want
+        mixed = [(F(1, 3), F(2, 7))] + terms
+        want, _ = _fraction_certified_sum(mixed, tb)
+        assert certified_sum(iter(mixed), tb) == want
+    assert certified_sum(iter([]), tb) == 0

@@ -247,3 +247,37 @@ def test_pole_index_helper():
     assert _pole_index(F(1, 2), F(3, 2), 0, 2) == 2
     assert _pole_index(0, 0, 0, 1) is None  # half-integer offset, no pole
     assert _pole_index(1.0, 0.0, 0.0, 1) == 0
+
+
+def _pole_oracle(s, t, v, x, y):
+    # rr_valid by hand in Fraction arithmetic: the pole sits at
+    # j = y - (s - t - v + 1)/2 when that is an integer in 0..x-1
+    j = y - (F(s) - F(t) - F(v) + 1) / 2
+    return not (j.denominator == 1 and 0 <= j <= x - 1)
+
+
+def test_pole_test_is_exact_for_every_exponent_type():
+    # int, integral-Fraction and half-integer parameters give one verdict,
+    # the exact one, for both families
+    halves = [F(m, 2) for m in range(-5, 6)]
+    for s, t, v in ((s, t, v) for s in halves for t in halves[::2] for v in halves[1::3]):
+        spellings = [(s, t, v)]
+        if all(p.denominator == 1 for p in (s, t, v)):
+            spellings.append(tuple(int(p) for p in (s, t, v)))
+        for x in range(4):
+            for y in range(4):
+                want = _pole_oracle(s, t, v, x, y)
+                for a, b, c in spellings:
+                    assert rr_valid(RrParams(a, b, c, 3, QB), x, y) is want
+                    assert pr_valid(PrParams(a, b, c, 1, QB), x, y) is want
+
+
+def test_pole_test_beyond_float_precision():
+    # e = s - t - v + 1 = 2**54 + 3 is odd, so there is no pole; e / 2 in
+    # float arithmetic rounds to an even integer and would report one
+    rp = RrParams(2**54 + 2, 0, 0, 3, QBase(F(1, 2)))
+    assert rr_valid(rp, 2, 2**53 + 2)
+    assert rr_valid(RrParams(F(2**54 + 2), 0, 0, 3, QBase(F(1, 2))), 2, 2**53 + 2)
+    # and an even e far beyond 2**53 still finds its integer pole
+    assert _pole_index(2**54 + 1, 0, 0, 2**53 + 1) == 0
+    assert not rr_valid(RrParams(2**54 + 1, 0, 0, 3, QB), 2, 2**53 + 1)

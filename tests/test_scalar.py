@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qracah import QBase, qbracket, qbrace, qpow
 from qracah.errors import ExactnessError
+from qracah.scalar import as_exponent
 
 
 def test_qbase_validation():
@@ -40,8 +41,34 @@ def test_qpow_examples():
 
 def test_qpow_exact_requires_half_integer():
     qb = QBase(F(1, 2))
-    with pytest.raises(ExactnessError):
+    with pytest.raises(ExactnessError, match=r"^exponent 1/3 is not a half-integer$"):
         qpow(qb, F(1, 3))
+    with pytest.raises(ExactnessError, match=r"^exponent 1\.0 is not a half-integer$"):
+        qb.qpow(1.0)
+
+
+@given(
+    m=st.integers(-60, 60),
+    pnum=st.integers(1, 30),
+    pden=st.integers(1, 30),
+)
+def test_exact_qpow_and_exponent_types(m, pnum, pden):
+    # q**e = p**(2e) as a Fraction for an int, an integral Fraction and a
+    # half-integer e; as_exponent keeps integral values as ints
+    if pnum == pden:
+        pden += 1
+    p = F(pnum, pden)
+    qb = QBase(p)
+    half = F(m, 2)
+    spellings = [half] if m % 2 else [m // 2, F(m // 2), F(m, 2)]
+    for e in spellings:
+        got = qb.qpow(e)
+        assert type(got) is F and got == p**m
+        norm = as_exponent(e)
+        assert type(norm) is (int if m % 2 == 0 else F) and norm == half
+    # floats and complex numbers pass through unchanged
+    for x in (m / 2, complex(m, 1), complex(m, 0)):
+        assert as_exponent(x) is x
 
 
 def test_qbracket_examples():

@@ -6,13 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from qracah import (
+    ASCParams,
+    KrawParams,
     PrParams,
     QBase,
     RrParams,
     TailBound,
+    asc,
     asc_W,
     asc_diff_coeffs,
     asc_dyn_coeffs,
+    kraw,
     kraw_W,
     kraw_diff_coeffs,
     kraw_dyn_coeffs,
@@ -133,6 +137,19 @@ def test_size_grows_by_one_per_new_key():
         after = _size(kraw_diff_coeffs)
         assert after == before + grows, (args, kwargs)
         before = after
+
+
+def test_an_integral_exponent_keys_one_entry_whatever_its_type():
+    # as_exponent turns u = 1, F(1) and F(2, 2) into the int 1, so the three
+    # spellings share one polynomial-value entry and return one object
+    qb = QBase(F(5, 13))  # a base no other test uses
+    for family, cell, pack in ((kraw, orthopoly._kraw_cached, lambda u: KrawParams(u, 1, 3, qb)),
+                               (asc, orthopoly._asc_cached, lambda u: ASCParams(u, 1, 2, qb))):
+        before = _size(cell)
+        values = [family(pack(u), 2, 1) for u in (1, F(1), F(2, 2))]
+        assert _size(cell) == before + 1, family.__name__
+        assert values[0] is values[1] is values[2]
+        assert type(values[0]) is F
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,9 @@ def test_task_manifest_is_pinned():
         3011, "43981dec2f13ecc640eb394dc4fcaccff706ed8dc29263db480473bc32256b40")
 
 
-def _report_digest(suite):
+def _report_digest(suite, mode="exact"):
     lines = []
-    for r in run_suite(suite, RunConfig()):
+    for r in run_suite(suite, RunConfig(mode=mode)):
         payload = json.loads(r.to_json())
         payload.pop("elapsed_ms")
         lines.append(json.dumps(payload, separators=(",", ":")))
@@ -64,6 +64,20 @@ def test_report_digests_are_pinned():
         84, "18dcd271c0d81c12bb4890a0ca95ba93a74e9f8db28e5477a25146bbd6a0925d")
     assert _report_digest("prop4.5") == (
         32, "5d5150679d35da5568512d9c378f3a50094bc2ba0cc72b200ee43f9b30466393")
+
+
+def test_floating_report_digests_are_pinned():
+    # the same streams under --mode float and --mode complex: lemma2.1 runs
+    # the floating series and exponent paths (its residual digits move with
+    # any change of operation order there); cor4.3 is certified, so it runs
+    # exact whatever the mode and must match its exact digest
+    assert _report_digest("lemma2.1", "float") == (
+        470, "cbf2f6a208ff864baf577ebf07d31f13f93e9d971b490b4b7fa5deec5359ce28")
+    assert _report_digest("lemma2.1", "complex") == (
+        470, "17401a254fa1f2bc3d0e253f9366d1a69bdaae71835a7be3ac931911079e0eaf")
+    for mode in ("float", "complex"):
+        assert _report_digest("cor4.3", mode) == (
+            84, "18dcd271c0d81c12bb4890a0ca95ba93a74e9f8db28e5477a25146bbd6a0925d")
 
 
 def test_report_serialization():
