@@ -423,7 +423,7 @@ def test_certified_sum_floating_factors_keep_their_order():
     tb = TailBound(1e-12)
     for scale in (1.1, 1.1 + 0.3j):
         terms = [(0.7**n * scale, 1 / 3, (-1) ** n * 0.9) for n in range(200)]
-        want, used = _fraction_certified_sum(terms, tb)
+        want, _ = _fraction_certified_sum(terms, tb)
         assert certified_sum(iter(terms), tb) == want
         mixed = [(F(1, 3), F(2, 7))] + terms
         want, _ = _fraction_certified_sum(mixed, tb)
