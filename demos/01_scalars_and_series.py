@@ -11,31 +11,28 @@ from qracah import (
     QBase,
     TailBound,
     qbinom,
-    qbracket,
-    qbrace,
     qpoch,
     qpoch_inf,
-    qpow,
     rphis,
 )
 
 qb = QBase(F(1, 2))  # q = 1/4
 print("q          =", qb.q)
-print("q**(1/2)   =", qpow(qb, F(1, 2)), " (exact: p itself)")
-print("[2]_q      =", qbracket(qb, 2), " = q + 1/q")
-print("[t]_q is antisymmetric: [-3]_q =", qbracket(qb, -3), " [3]_q =", qbracket(qb, 3))
-print("{0}_q      =", qbrace(qb, 0), " = 2/(q + 1/q)")
+print("q**(1/2)   =", qb.qpow(F(1, 2)), " (exact: p itself)")
+print("[2]_q      =", qb.bracket(2), " = q + 1/q")
+print("[t]_q is antisymmetric: [-3]_q =", qb.bracket(-3), " [3]_q =", qb.bracket(3))
+print("{0}_q      =", qb.brace(0), " = 2/(q + 1/q)")
 print()
 
 q = qb.q
 print("(a;q)_3 at a=1/2:", qpoch(F(1, 2), q, 3))
-print("[4 choose 2] base q**2:", qbinom(4, 2, qpow(qb, 2)))
+print("[4 choose 2] base q**2:", qbinom(4, 2, qb.qpow(2)))
 print()
 
 # terminating series evaluate exactly; the first numerator parameter 1/q**2
 # cuts the sum after two terms
-spec = PhiSpec(numerators=(1 / qpow(qb, 2), F(1, 3)), denominators=(F(1, 5),),
-               base=qpow(qb, 2), argument=F(2, 7))
+spec = PhiSpec(numerators=(1 / qb.qpow(2), F(1, 3)), denominators=(F(1, 5),),
+               base=qb.qpow(2), argument=F(2, 7))
 print("terminating 2phi1:", rphis(spec))
 
 # truncated infinite products carry a certificate: the tail of the

@@ -20,7 +20,6 @@ from qracah import (
     kraw_orth_x,
     kraw_w,
     kraw_W,
-    qpow,
 )
 
 qb = QBase(F(1, 2))
@@ -46,7 +45,7 @@ print(f"orthogonality residuals nonzero: {bad} (both relations, all pairs)")
 # the coefficient row sums to q**-N because every polynomial is 1 at n=0
 am1, a0, a1 = kraw_diff_coeffs(qb, N, 1, s)
 print("\ntransfer coefficients at y=1:", (am1, a0, a1))
-print("row sum == q**-N:", am1 + a0 + a1 == qpow(qb, -N))
+print("row sum == q**-N:", am1 + a0 + a1 == qb.qpow(-N))
 
 # the infinite family: certified residuals
 qbf = QBase(0.5, "float")

@@ -17,7 +17,7 @@ from .errors import (
     OutOfRange,
     QRacahError,
 )
-from .scalar import QBase, qbracket, qbrace, qpow
+from .scalar import QBase
 from .qseries import (
     PhiSpec,
     TailBound,

@@ -137,12 +137,6 @@ def validate_epsilon(M: int, j: int, eps: Sequence[int]) -> None:
 # transfer-coefficient products
 # ---------------------------------------------------------------------------
 
-_LEGAL_PAIRS = {
-    (0, -1), (0, 0), (0, 1),
-    (2, -2), (2, -1), (2, 0),
-    (-2, 0), (-2, 1), (-2, 2),
-}
-
 
 def _coeff_product(shift_coeff, j, eps, ys, t, sizes, qb, su11):
     M = len(sizes)
@@ -151,10 +145,7 @@ def _coeff_product(shift_coeff, j, eps, ys, t, sizes, qb, su11):
     out = qb.one()
     sigma = 0
     for i in range(M - j, M):
-        delta = 2 * sigma
-        if (delta, eps[i]) not in _LEGAL_PAIRS:
-            raise InvalidEpsilon(f"(eps, delta) = ({eps[i]}, {delta}) is not a legal pair")
-        out *= shift_coeff(qb, sizes[i], ys[i], h[i], eps[i], delta)
+        out *= shift_coeff(qb, sizes[i], ys[i], h[i], eps[i], 2 * sigma)
         if out == 0:
             return qb.zero()
         sigma += eps[i]

@@ -15,15 +15,29 @@ exact normalizations are pinned by the n = 0 row, where every polynomial
 equals 1, so each coefficient row must sum to the diagonal symbol at n = 0
 (q**-N for the finite family, q**k for the infinite one).
 
+The infinite family is the finite one at N = -k: the 3phi2 (``_phi32``),
+the three-term table (``_diff_coeffs``) and the five-point table
+(``_dyn_coeffs``) are each written once, taking ``su11`` and a size that
+is N or -k.  The finite side negates each parameter whose exponent carries
+s or t (other than through s - t) and its prefactor carries (-1)**n; the
+upper-boundary zeros (y = N, y >= N, y >= N - 1) are finite-only.
+Exponents keep the infinite formulas' addend order (- c*k becomes
++ c*size) and signs are applied by negation, so every value, signed zeros
+included, is bit-identical to each family's formula written out on its
+own.  The weights, ``kraw_b_coeffs``/``asc_d_coeffs`` and the
+orthogonality sums stay per family: their algorithms differ, not only
+their parameters.
+
 The n-side weights are read from explicit tables, built once per key (the
 table objects are themselves ``tables.tabled``) and kept for the life of
 the process: ``kraw_w`` from one row per (qb, N) over a single prefix list
-of (q**2; q**2)_m, ``asc_w`` from one list per (qb, k) that grows to the largest n asked for by carrying its two Pochhammer
-products forward one factor at a time.  Each entry comes out of the same
-operation sequence as the direct ``qpoch``/``qbinom`` formula in its
-docstring, so it is bit-identical to it, and of the same type, in every
-backend; ``QBase`` equality includes the backend, so exact and floating
-bases never share an entry.
+of (q**2; q**2)_m, ``asc_w`` from one list per (qb, k) that grows to the
+largest n asked for by carrying its two Pochhammer products forward one
+factor at a time.  Each entry comes out of the same operation sequence as
+the direct ``qpoch``/``qbinom`` formula in its docstring, so it is
+bit-identical to it, and of the same type, in every backend; ``QBase``
+equality includes the backend, so exact and floating bases never share an
+entry.
 
 The other pure values -- polynomial values (``_kraw_cached``/``_asc_cached``,
 keyed on u as well), the x-side weights ``kraw_W``/``asc_W`` and the
@@ -73,23 +87,98 @@ class ASCParams:
 
 
 # ---------------------------------------------------------------------------
-# finite family
+# one body per formula: the infinite family is the finite one at N = -k
 # ---------------------------------------------------------------------------
 
 
-@tabled
-def _kraw_cached(qb, u, s, N, n, x):
-    pref = (-1) ** n * qb.qpow(n * (s - u - N * _HALF + _HALF))
+def _signed_qpow(qb: QBase, su11: bool):
+    """e -> q**e on the su11 side, e -> -q**e on the su2 side: the finite
+    family negates every parameter whose exponent carries s or t other than
+    through s - t."""
+    if su11:
+        return qb.qpow
+    return lambda e: -qb.qpow(e)
+
+
+def _phi32(qb: QBase, su11: bool, size, u, s, n: int, x: int):
+    """The renormalized terminating 3phi2 of either family; the finite
+    prefactor also carries (-1)**n."""
+    pref = qb.qpow(n * (s - u - size * _HALF + _HALF))
+    if not su11:
+        pref = (-1) ** n * pref
     ser = rphis(
         PhiSpec(
-            numerators=(qb.qpow(2 * n), qb.qpow(2 * x), -qb.qpow(-2 * x - 2 * s + 2 * N)),
-            denominators=(qb.qpow(2 * N),),
+            numerators=(
+                qb.qpow(2 * n),
+                qb.qpow(2 * x),
+                _signed_qpow(qb, su11)(-2 * x - 2 * s + 2 * size),
+            ),
+            denominators=(qb.qpow(2 * size),),
             base=qb.qpow(-2),
             argument=qb.qpow(-2),
             terminate_after=min(n, x) + 1,
         )
     )
     return pref * ser
+
+
+def _diff_coeffs(qb: QBase, su11: bool, size, y: int, t):
+    """The three-term table of either family; only the finite family has
+    the upper boundary y = N."""
+    qp, sq = qb.qpow, _signed_qpow(qb, su11)
+    zero = qb.zero()
+    if y == 0:
+        am1 = zero
+    else:
+        am1 = sq(-4 * y - 2 * t + 3 * size + 2) * (1 - qp(-2 * y)) * (
+            1 - sq(-2 * y - 2 * t)
+        ) / ((1 - sq(-4 * y - 2 * t + 2 * size + 2)) * (1 - sq(-4 * y - 2 * t + 2 * size)))
+    if not su11 and y == size:
+        a1 = zero
+    else:
+        a1 = qp(-size) * (1 - qp(-2 * y + 2 * size)) * (
+            1 - sq(-2 * y - 2 * t + 2 * size)
+        ) / ((1 - sq(-4 * y - 2 * t + 2 * size)) * (1 - sq(-4 * y - 2 * t + 2 * size - 2)))
+    a0 = qp(-size) - am1 - a1
+    return am1, a0, a1
+
+
+def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
+    """The five-point table of either family; only the finite family has
+    the upper-boundary zeros, at y >= N and y >= N - 1."""
+    if direction not in (2, -2):
+        raise OutOfRange(f"direction must be +-2, got {direction}")
+    qp, sq = qb.qpow, _signed_qpow(qb, su11)
+    qs = qp(-size)
+    zero = qb.zero()
+    if direction == 2:
+        am22 = zero if y <= 1 else qs * (1 - qp(2 * y)) * (1 - qp(2 * y - 2)) / (
+            (1 - sq(4 * y + 2 * t - 2 * size)) * (1 - sq(4 * y + 2 * t - 2 * size - 2)))
+        am12 = zero if y == 0 else qs * (1 + qp(2)) * (1 - qp(2 * y)) * (
+            1 - sq(-2 * y + 2 * size - 2 * t)) / (
+            (1 - sq(4 * y + 2 * t - 2 * size + 2)) * (1 - sq(-4 * y + 2 * size - 2 * t + 2)))
+        a02 = qs * (1 - sq(-2 * y + 2 * size - 2 * t)) * (1 - sq(-2 * y + 2 * size - 2 * t - 2)) / (
+            (1 - sq(-4 * y + 2 * size - 2 * t)) * (1 - sq(-4 * y + 2 * size - 2 * t - 2)))
+        return am22, am12, a02
+    a0m2 = qs * (1 - sq(2 * y + 2 * t)) * (1 - sq(2 * y + 2 * t - 2)) / (
+        (1 - sq(4 * y + 2 * t - 2 * size)) * (1 - sq(4 * y + 2 * t - 2 * size - 2)))
+    a1m2 = zero if not su11 and y >= size else qs * (1 + qp(2)) * (1 - qp(-2 * y + 2 * size)) * (
+        1 - sq(2 * y + 2 * t)) / (
+        (1 - sq(-4 * y + 2 * size - 2 * t + 2)) * (1 - sq(4 * y + 2 * t - 2 * size + 2)))
+    a2m2 = zero if not su11 and y >= size - 1 else qs * (1 - qp(-2 * y + 2 * size)) * (
+        1 - qp(-2 * y + 2 * size - 2)) / (
+        (1 - sq(-4 * y + 2 * size - 2 * t)) * (1 - sq(-4 * y + 2 * size - 2 * t - 2)))
+    return a0m2, a1m2, a2m2
+
+
+# ---------------------------------------------------------------------------
+# finite family
+# ---------------------------------------------------------------------------
+
+
+@tabled
+def _kraw_cached(qb, u, s, N, n, x):
+    return _phi32(qb, False, N, u, s, n, x)
 
 
 def kraw(kp: KrawParams, n: int, x: int):
@@ -144,12 +233,12 @@ def kraw_w(qb: QBase, N: int, n: int):
 
 
 @tabled
-def kraw_W(qb: QBase, s, N: int, x: int, inverse_base: bool = True):
-    """x-side weight.  All usage sites evaluate it in base 1/q, which is the
-    default; pass inverse_base=False for the literal base-q expression."""
+def kraw_W(qb: QBase, s, N: int, x: int):
+    """x-side weight, evaluated in base 1/q (``b`` below), the base every
+    usage site needs."""
     if not 0 <= x <= N:
         raise OutOfRange(f"x = {x} outside 0..{N}")
-    b = qb.inverse() if inverse_base else qb
+    b = qb.inverse()
     s = as_exponent(s)
     q2 = b.qpow(2)
     out = (1 + b.qpow(4 * x + 2 * s - 2 * N)) / (1 + b.qpow(2 * s - 2 * N))
@@ -194,22 +283,7 @@ def kraw_diff_coeffs(qb: QBase, N: int, y: int, t):
     """
     if not 0 <= y <= N:
         raise OutOfRange(f"y = {y} outside 0..{N}")
-    t = as_exponent(t)
-    zero = qb.zero()
-    if y == 0:
-        am1 = zero
-    else:
-        am1 = -qb.qpow(-4 * y - 2 * t + 3 * N + 2) * (1 - qb.qpow(-2 * y)) * (
-            1 + qb.qpow(-2 * y - 2 * t)
-        ) / ((1 + qb.qpow(-4 * y - 2 * t + 2 * N + 2)) * (1 + qb.qpow(-4 * y - 2 * t + 2 * N)))
-    if y == N:
-        a1 = zero
-    else:
-        a1 = qb.qpow(-N) * (1 - qb.qpow(-2 * y + 2 * N)) * (
-            1 + qb.qpow(-2 * y - 2 * t + 2 * N)
-        ) / ((1 + qb.qpow(-4 * y - 2 * t + 2 * N)) * (1 + qb.qpow(-4 * y - 2 * t + 2 * N - 2)))
-    a0 = qb.qpow(-N) - am1 - a1
-    return am1, a0, a1
+    return _diff_coeffs(qb, False, N, y, as_exponent(t))
 
 
 def kraw_b_coeffs(qb: QBase, N: int, y: int, t, v):
@@ -234,27 +308,7 @@ def kraw_dyn_coeffs(qb: QBase, N: int, y: int, t, direction: int):
     """
     if not 0 <= y <= N:
         raise OutOfRange(f"y = {y} outside 0..{N}")
-    if direction not in (2, -2):
-        raise OutOfRange(f"direction must be +-2, got {direction}")
-    t = as_exponent(t)
-    qn = qb.qpow(-N)
-    zero = qb.zero()
-    qp = qb.qpow
-    if direction == 2:
-        am22 = zero if y <= 1 else qn * (1 - qp(2 * y)) * (1 - qp(2 * y - 2)) / (
-            (1 + qp(4 * y + 2 * t - 2 * N)) * (1 + qp(4 * y + 2 * t - 2 * N - 2)))
-        am12 = zero if y == 0 else qn * (1 + qp(2)) * (1 - qp(2 * y)) * (1 + qp(2 * N - 2 * y - 2 * t)) / (
-            (1 + qp(4 * y + 2 * t - 2 * N + 2)) * (1 + qp(2 * N - 4 * y - 2 * t + 2)))
-        a02 = qn * (1 + qp(2 * N - 2 * y - 2 * t)) * (1 + qp(2 * N - 2 * y - 2 * t - 2)) / (
-            (1 + qp(2 * N - 4 * y - 2 * t)) * (1 + qp(2 * N - 4 * y - 2 * t - 2)))
-        return am22, am12, a02
-    a0m2 = qn * (1 + qp(2 * y + 2 * t)) * (1 + qp(2 * y + 2 * t - 2)) / (
-        (1 + qp(4 * y + 2 * t - 2 * N)) * (1 + qp(4 * y + 2 * t - 2 * N - 2)))
-    a1m2 = zero if y >= N else qn * (1 + qp(2)) * (1 - qp(2 * N - 2 * y)) * (1 + qp(2 * y + 2 * t)) / (
-        (1 + qp(2 * N - 4 * y - 2 * t + 2)) * (1 + qp(4 * y + 2 * t - 2 * N + 2)))
-    a2m2 = zero if y >= N - 1 else qn * (1 - qp(2 * N - 2 * y)) * (1 - qp(2 * N - 2 * y - 2)) / (
-        (1 + qp(2 * N - 4 * y - 2 * t)) * (1 + qp(2 * N - 4 * y - 2 * t - 2)))
-    return a0m2, a1m2, a2m2
+    return _dyn_coeffs(qb, False, N, y, as_exponent(t), direction)
 
 
 def kraw_shift_coeff(qb: QBase, N: int, y: int, t, eps: int, delta: int):
@@ -286,17 +340,7 @@ def _shift_coeff(diff_coeffs, dyn_coeffs, qb, size, y, t, eps, delta):
 
 @tabled
 def _asc_cached(qb, u, s, k, n, x):
-    pref = qb.qpow(n * (s - u + k * _HALF + _HALF))
-    ser = rphis(
-        PhiSpec(
-            numerators=(qb.qpow(2 * n), qb.qpow(2 * x), qb.qpow(-2 * x - 2 * s - 2 * k)),
-            denominators=(qb.qpow(-2 * k),),
-            base=qb.qpow(-2),
-            argument=qb.qpow(-2),
-            terminate_after=min(n, x) + 1,
-        )
-    )
-    return pref * ser
+    return _phi32(qb, True, -k, u, s, n, x)
 
 
 def asc(ap: ASCParams, n: int, x: int):
@@ -438,17 +482,7 @@ def asc_diff_coeffs(qb: QBase, k, y: int, t):
     n=0 row pins c_-1 + c_0 + c_1 = q**k."""
     if y < 0:
         raise OutOfRange(f"y = {y} must be nonnegative")
-    t, k = as_exponent(t), as_exponent(k)
-    qp = qb.qpow
-    if y == 0:
-        cm1 = qb.zero()
-    else:
-        cm1 = qp(-4 * y - 2 * t - 3 * k + 2) * (1 - qp(-2 * y)) * (1 - qp(-2 * y - 2 * t)) / (
-            (1 - qp(-4 * y - 2 * t - 2 * k + 2)) * (1 - qp(-4 * y - 2 * t - 2 * k)))
-    c1 = qp(k) * (1 - qp(-2 * y - 2 * k)) * (1 - qp(-2 * y - 2 * t - 2 * k)) / (
-        (1 - qp(-4 * y - 2 * t - 2 * k)) * (1 - qp(-4 * y - 2 * t - 2 * k - 2)))
-    c0 = qp(k) - cm1 - c1
-    return cm1, c0, c1
+    return _diff_coeffs(qb, True, -as_exponent(k), y, as_exponent(t))
 
 
 def asc_d_coeffs(qb: QBase, k, y: int, t, v):
@@ -472,27 +506,7 @@ def asc_dyn_coeffs(qb: QBase, k, y: int, t, direction: int):
     vanish (at y=0 and y<=1)."""
     if y < 0:
         raise OutOfRange(f"y = {y} must be nonnegative")
-    if direction not in (2, -2):
-        raise OutOfRange(f"direction must be +-2, got {direction}")
-    t, k = as_exponent(t), as_exponent(k)
-    qk = qb.qpow(k)
-    qp = qb.qpow
-    zero = qb.zero()
-    if direction == 2:
-        cm22 = zero if y <= 1 else qk * (1 - qp(2 * y)) * (1 - qp(2 * y - 2)) / (
-            (1 - qp(4 * y + 2 * t + 2 * k)) * (1 - qp(4 * y + 2 * t + 2 * k - 2)))
-        cm12 = zero if y == 0 else qk * (1 + qp(2)) * (1 - qp(2 * y)) * (1 - qp(-2 * y - 2 * k - 2 * t)) / (
-            (1 - qp(4 * y + 2 * t + 2 * k + 2)) * (1 - qp(-4 * y - 2 * k - 2 * t + 2)))
-        c02 = qk * (1 - qp(-2 * y - 2 * k - 2 * t)) * (1 - qp(-2 * y - 2 * k - 2 * t - 2)) / (
-            (1 - qp(-4 * y - 2 * k - 2 * t)) * (1 - qp(-4 * y - 2 * k - 2 * t - 2)))
-        return cm22, cm12, c02
-    c0m2 = qk * (1 - qp(2 * y + 2 * t)) * (1 - qp(2 * y + 2 * t - 2)) / (
-        (1 - qp(4 * y + 2 * t + 2 * k)) * (1 - qp(4 * y + 2 * t + 2 * k - 2)))
-    c1m2 = qk * (1 + qp(2)) * (1 - qp(-2 * y - 2 * k)) * (1 - qp(2 * y + 2 * t)) / (
-        (1 - qp(-4 * y - 2 * k - 2 * t + 2)) * (1 - qp(4 * y + 2 * t + 2 * k + 2)))
-    c2m2 = qk * (1 - qp(-2 * y - 2 * k)) * (1 - qp(-2 * y - 2 * k - 2)) / (
-        (1 - qp(-4 * y - 2 * k - 2 * t)) * (1 - qp(-4 * y - 2 * k - 2 * t - 2)))
-    return c0m2, c1m2, c2m2
+    return _dyn_coeffs(qb, True, -as_exponent(k), y, as_exponent(t), direction)
 
 
 def asc_shift_coeff(qb: QBase, k, y: int, t, eps: int, delta: int):

@@ -30,6 +30,7 @@ from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .orthopoly import (
     ASCParams,
     KrawParams,
+    _signed_qpow,
     asc,
     asc_d_coeffs,
     asc_diff_coeffs,
@@ -100,11 +101,45 @@ def _pole_index(s, t, v, y):
     return int(j) if float(j) == int(j) else None
 
 
-def rr_valid(rp: RrParams, x: int, y: int) -> bool:
+def rr_valid(rp, x: int, y: int) -> bool:
     """True unless the 4phi3 denominator parameter q**(-2y+s-t-v+1) hits
-    q**(-2j) for a j inside the x-terminated summation range."""
+    q**(-2j) for a j inside the x-terminated summation range.  The infinite
+    family has the same pole pattern: ``pr_valid`` is this function."""
     j = _pole_index(rp.s, rp.t, rp.v, y)
     return j is None or not 0 <= j <= x - 1
+
+
+def _require_valid(rp, x: int, y: int) -> None:
+    if not rr_valid(rp, x, y):
+        raise DenominatorPole(
+            f"q^(-2y+s-t-v+1) = q^(-2j) with j = {_pole_index(rp.s, rp.t, rp.v, y)}"
+            f" inside the series range 0..{x - 1}"
+        )
+
+
+def _phi43(qb: QBase, su11: bool, size, s, t, v, x: int, y: int):
+    """The terminating 4phi3 in base q**2 of either closed form, with size N
+    for the finite family and -k for the infinite one."""
+    q2 = qb.qpow(2)
+    sq = _signed_qpow(qb, su11)
+    return rphis(
+        PhiSpec(
+            numerators=(
+                qb.qpow(-2 * x),
+                sq(2 * x + 2 * s - 2 * size),
+                sq(s + t - v + 1),
+                qb.qpow(s - t - v + 1),
+            ),
+            denominators=(
+                sq(2 * s + 2),
+                qb.qpow(-2 * y + s - t - v + 1),
+                sq(2 * y + s + t - 2 * size - v + 1),
+            ),
+            base=q2,
+            argument=q2,
+            terminate_after=x + 1,
+        )
+    )
 
 
 def rr_closed(rp: RrParams, x: int, y: int):
@@ -116,11 +151,7 @@ def rr_closed(rp: RrParams, x: int, y: int):
     """
     if not (0 <= x <= rp.N and 0 <= y <= rp.N):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
-    if not rr_valid(rp, x, y):
-        raise DenominatorPole(
-            f"q^(-2y+s-t-v+1) = q^(-2j) with j = {_pole_index(rp.s, rp.t, rp.v, y)}"
-            f" inside the series range 0..{x - 1}"
-        )
+    _require_valid(rp, x, y)
     qb = rp.qb
     s, t, v = as_exponent(rp.s), as_exponent(rp.t), as_exponent(rp.v)
     N = rp.N
@@ -130,24 +161,7 @@ def rr_closed(rp: RrParams, x: int, y: int):
     c1 *= qpoch(qb.qpow(-2 * y + s - t - v + 1), q2, y) / qpoch(
         -qb.qpow(s + t - 2 * N - v + 1), q2, y
     )
-    ser = rphis(
-        PhiSpec(
-            numerators=(
-                qb.qpow(-2 * x),
-                -qb.qpow(2 * x + 2 * s - 2 * N),
-                -qb.qpow(s + t - v + 1),
-                qb.qpow(s - t - v + 1),
-            ),
-            denominators=(
-                -qb.qpow(2 * s + 2),
-                qb.qpow(-2 * y + s - t - v + 1),
-                -qb.qpow(2 * y + s + t - 2 * N - v + 1),
-            ),
-            base=q2,
-            argument=q2,
-            terminate_after=x + 1,
-        )
-    )
+    ser = _phi43(qb, False, N, s, t, v, x, y)
     return c1 * ser
 
 
@@ -275,11 +289,7 @@ def pr_inner(pp: PrParams, x: int, y: int):
     return certified_sum(terms(), pp.tb)
 
 
-def pr_valid(pp: PrParams, x: int, y: int) -> bool:
-    """Same pole pattern as the finite family: q**(-2y+s-t-v+1) = q**(-2j)
-    with j inside the x-terminated range."""
-    j = _pole_index(pp.s, pp.t, pp.v, y)
-    return j is None or not 0 <= j <= x - 1
+pr_valid = rr_valid
 
 
 def pr_closed(pp: PrParams, x: int, y: int):
@@ -289,11 +299,7 @@ def pr_closed(pp: PrParams, x: int, y: int):
         raise OutOfRange(f"(x, y) = ({x}, {y}) must be nonnegative")
     if not _pr_convergent(pp):
         raise NonConvergent(f"closed form requires Re(v) < 1 + s + t, got v = {pp.v}")
-    if not pr_valid(pp, x, y):
-        raise DenominatorPole(
-            f"q^(-2y+s-t-v+1) = q^(-2j) with j = {_pole_index(pp.s, pp.t, pp.v, y)}"
-            f" inside the series range 0..{x - 1}"
-        )
+    _require_valid(pp, x, y)
     qb = pp.qb
     s, t, v, k = (as_exponent(pp.s), as_exponent(pp.t), as_exponent(pp.v), as_exponent(pp.k))
     q2 = qb.qpow(2)
@@ -302,24 +308,7 @@ def pr_closed(pp: PrParams, x: int, y: int):
         qb.qpow(s + t + 2 * k - v + 1), q2, y
     )
     c1 *= qpoch(qb.qpow(-2 * x - 2 * s), q2, x) / qpoch(qb.qpow(2 * k), q2, x)
-    ser = rphis(
-        PhiSpec(
-            numerators=(
-                qb.qpow(-2 * x),
-                qb.qpow(2 * x + 2 * s + 2 * k),
-                qb.qpow(s + t - v + 1),
-                qb.qpow(s - t - v + 1),
-            ),
-            denominators=(
-                qb.qpow(2 * s + 2),
-                qb.qpow(-2 * y + s - t - v + 1),
-                qb.qpow(2 * y + s + t + 2 * k - v + 1),
-            ),
-            base=q2,
-            argument=q2,
-            terminate_after=x + 1,
-        )
-    )
+    ser = _phi43(qb, True, -k, s, t, v, x, y)
     return c1 * ser
 
 

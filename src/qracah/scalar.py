@@ -147,18 +147,3 @@ class QBase:
 
     def __repr__(self):
         return f"QBase(p={self.p}, mode={self.mode!r})"
-
-
-def qpow(qb: QBase, e):
-    """q**e in the backend of ``qb``."""
-    return qb.qpow(e)
-
-
-def qbracket(qb: QBase, t):
-    """The symmetric q-number [t]_q = (q**t - q**-t)/(q - 1/q)."""
-    return qb.bracket(t)
-
-
-def qbrace(qb: QBase, t):
-    """The companion q-number {t}_q = (q**t + q**-t)/(q + 1/q)."""
-    return qb.brace(t)

@@ -10,6 +10,11 @@ step down, F one step up):
   hold exactly only on "interior" rows; every check states how many top
   rows it excludes (one per E/F application in the expression).
 
+``gens`` builds both flavours from one body: the su11 generators are the
+su2 ones at N = -k, so F = [N - n] becomes -[n + k]; only the window
+differs (su2 stops at N, su11 at ``trunc``).  The twisted elements stay
+per flavour, since the two *-structures differ.
+
 The twisted combinations ``twist_x`` / ``twist_y`` are the tridiagonal
 elements whose eigenfunctions are the two polynomial families.  The
 non-compact pair carries the scale (q - 1/q)/(q + 1/q) on its off-diagonal
@@ -204,25 +209,19 @@ def gens(rs: RepSpec) -> Tuple[OpMatrix, OpMatrix, OpMatrix, OpMatrix]:
     qb = rs.qb
     dim = rs.dim
     K, Ki, E, F = ([{} for _ in range(dim)] for _ in range(4))
-    if rs.kind == "su2":
-        half_size = rs.N * _HALF
-        for n in range(dim):
-            K[n][n] = qb.qpow(n - half_size)
-            Ki[n][n] = qb.qpow(half_size - n)
-            if n >= 1:
-                E[n][n - 1] = qb.bracket(n)
-            if n + 1 < dim:
-                F[n][n + 1] = qb.bracket(rs.N - n)
-    else:
-        k = as_exponent(rs.k)
-        half_k = k * _HALF
-        for n in range(dim):
-            K[n][n] = qb.qpow(n + half_k)
-            Ki[n][n] = qb.qpow(-n - half_k)
-            if n >= 1:
-                E[n][n - 1] = qb.bracket(n)
-            if n + 1 < dim:
-                F[n][n + 1] = -qb.bracket(n + k)
+    # su11 is su2 at N = -k.  The su11 exponents keep their bits (a complex k
+    # keeps the sign of its zero imaginary part): -n + half_size, not
+    # half_size - n, and F = -[n + k], not [-k - n]
+    su11 = rs.kind == "su11"
+    size = -as_exponent(rs.k) if su11 else rs.N
+    half_size = size * _HALF
+    for n in range(dim):
+        K[n][n] = qb.qpow(n - half_size)
+        Ki[n][n] = qb.qpow(-n + half_size)
+        if n >= 1:
+            E[n][n - 1] = qb.bracket(n)
+        if n + 1 < dim:
+            F[n][n + 1] = -qb.bracket(n - size) if su11 else qb.bracket(size - n)
     zero = qb.zero()
     return tuple(OpMatrix._sparse(rows, zero) for rows in (K, Ki, E, F))
 

@@ -33,6 +33,7 @@ from . import multivar, orthopoly, qseries, ratfun, uqsl2
 from .errors import QRacahError
 from .report import CheckReport, residual_string
 from .scalar import QBase, as_exponent
+from .tables import tabled
 
 DEFAULT_PS = (Fraction(1, 2), Fraction(2, 3))  # q = 1/4 and 4/9
 DEFAULT_TOL = 1e-9
@@ -74,8 +75,15 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
+@tabled
+def _base(p, mode):
+    return QBase(p, mode)
+
+
 def _qb(params, mode):
-    return QBase(params["p"], mode)
+    # one shared base per (p, mode): a table lookup whose key holds the base
+    # then matches it by identity, without QBase.__eq__
+    return _base(params["p"], mode)
 
 
 def _tb(params):

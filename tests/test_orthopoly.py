@@ -27,11 +27,8 @@ from qracah import (
     kraw_orth_n,
     kraw_orth_x,
     kraw_w,
-    qbracket,
     qbinom,
-    qbrace,
     qpoch,
-    qpow,
 )
 from qracah import uqsl2
 from qracah.errors import DenominatorPole, ExactnessError, OutOfRange
@@ -46,7 +43,7 @@ def test_kraw_trivial_values():
     # x = 0 kills the series: value is the bare prefactor
     kp2 = KrawParams(1, 2, 3, QB)
     for n in range(4):
-        pref = (-1) ** n * qpow(QB, n * (F(2) - 1 - F(3, 2) + F(1, 2)))
+        pref = (-1) ** n * QB.qpow(n * (F(2) - 1 - F(3, 2) + F(1, 2)))
         assert kraw(kp2, n, 0) == pref
     with pytest.raises(OutOfRange):
         kraw(kp, 4, 0)
@@ -60,7 +57,7 @@ def test_kraw_twist_rescaling():
             kp_0 = KrawParams(0, s, 3, QB)
             for n in range(4):
                 for x in range(4):
-                    assert kraw(kp_u, n, x) == qpow(QB, -u * n) * kraw(kp_0, n, x)
+                    assert kraw(kp_u, n, x) == QB.qpow(-u * n) * kraw(kp_0, n, x)
 
 
 def test_kraw_w_examples():
@@ -101,7 +98,7 @@ def test_kraw_diff_coeffs_identity():
                     kp = KrawParams(v, t, N, qb)
                     for y in range(N + 1):
                         am1, a0, a1 = kraw_diff_coeffs(qb, N, y, t)
-                        assert am1 + a0 + a1 == qpow(qb, -N)
+                        assert am1 + a0 + a1 == qb.qpow(-N)
                         for n in range(N + 1):
                             rhs = a0 * kraw(kp, n, y)
                             if y > 0:
@@ -112,7 +109,7 @@ def test_kraw_diff_coeffs_identity():
                                 rhs += a1 * kraw(kp, n, y + 1)
                             else:
                                 assert a1 == 0
-                            assert qpow(qb, 2 * n - N) * kraw(kp, n, y) == rhs
+                            assert qb.qpow(2 * n - N) * kraw(kp, n, y) == rhs
 
 
 def test_kraw_b_coeffs_identity():
@@ -126,7 +123,7 @@ def test_kraw_b_coeffs_identity():
             vec = [kraw(kp, n, y) for n in range(N + 1)]
             out = op.apply(vec)
             for n in range(N + 1):
-                rhs = (b0 + qbracket(QB, s)) * kraw(kp, n, y)
+                rhs = (b0 + QB.bracket(s)) * kraw(kp, n, y)
                 if y > 0:
                     rhs += bm1 * kraw(kp, n, y - 1)
                 if y < N:
@@ -145,9 +142,9 @@ def test_kraw_dyn_coeffs_identities():
                 for y in range(N + 1):
                     plus = kraw_dyn_coeffs(QB, N, y, t, 2)
                     minus = kraw_dyn_coeffs(QB, N, y, t, -2)
-                    assert sum(plus) == qpow(QB, -N) == sum(minus)
+                    assert sum(plus) == QB.qpow(-N) == sum(minus)
                     for n in range(N + 1):
-                        lhs = qpow(QB, 2 * n - N) * kraw(kp, n, y)
+                        lhs = QB.qpow(2 * n - N) * kraw(kp, n, y)
                         rhs_p = sum(
                             c * kraw(up, n, y + e)
                             for c, e in zip(plus, (-2, -1, 0))
@@ -184,7 +181,7 @@ def test_asc_trivial_values():
     # x = 0: the q**(2x) numerator parameter is 1, series collapses
     ap2 = ASCParams(1, 0, 1, QB)
     for n in range(4):
-        assert asc(ap2, n, 0) == qpow(QB, n * (0 - 1 + F(1, 2) + F(1, 2)))
+        assert asc(ap2, n, 0) == QB.qpow(n * (0 - 1 + F(1, 2) + F(1, 2)))
 
 
 def test_asc_twist_rescaling():
@@ -193,7 +190,7 @@ def test_asc_twist_rescaling():
         ap_0 = ASCParams(0, 1, 1, QB)
         for n in range(4):
             for x in range(4):
-                assert asc(ap_u, n, x) == qpow(QB, -u * n) * asc(ap_0, n, x)
+                assert asc(ap_u, n, x) == QB.qpow(-u * n) * asc(ap_0, n, x)
 
 
 def test_asc_w():
@@ -357,14 +354,14 @@ def test_asc_diff_coeffs_identity():
                     ap = ASCParams(v, t, k, qb)
                     for y in range(4):
                         cm1, c0, c1 = asc_diff_coeffs(qb, k, y, t)
-                        assert cm1 + c0 + c1 == qpow(qb, k)
+                        assert cm1 + c0 + c1 == qb.qpow(k)
                         for n in range(7):
                             rhs = c0 * asc(ap, n, y) + c1 * asc(ap, n, y + 1)
                             if y > 0:
                                 rhs += cm1 * asc(ap, n, y - 1)
                             else:
                                 assert cm1 == 0
-                            assert qpow(qb, 2 * n + k) * asc(ap, n, y) == rhs
+                            assert qb.qpow(2 * n + k) * asc(ap, n, y) == rhs
 
 
 def test_asc_d_coeffs_identity():
@@ -379,7 +376,7 @@ def test_asc_d_coeffs_identity():
             vec = [asc(ap, n, y) for n in range(T + 1)]
             out = op.apply(vec)
             for n in range(T):
-                rhs = (d0 + qbrace(QB, s)) * asc(ap, n, y)
+                rhs = (d0 + QB.brace(s)) * asc(ap, n, y)
                 if y > 0:
                     rhs += dm1 * asc(ap, n, y - 1)
                 rhs += d1 * asc(ap, n, y + 1)
@@ -391,7 +388,7 @@ def test_asc_d_specialization():
     k, t, y = 2, 1, 2
     _, _, c1 = asc_diff_coeffs(QB, k, y, t)
     _, _, d1 = asc_d_coeffs(QB, k, y, t, 1)
-    assert d1 == c1 * qbrace(QB, 2 * y + k + t)
+    assert d1 == c1 * QB.brace(2 * y + k + t)
 
 
 def test_asc_dyn_coeffs_identities():
@@ -404,9 +401,9 @@ def test_asc_dyn_coeffs_identities():
                 for y in range(4):
                     plus = asc_dyn_coeffs(QB, k, y, t, 2)
                     minus = asc_dyn_coeffs(QB, k, y, t, -2)
-                    assert sum(plus) == qpow(QB, k) == sum(minus)
+                    assert sum(plus) == QB.qpow(k) == sum(minus)
                     for n in range(7):
-                        lhs = qpow(QB, 2 * n + k) * asc(ap, n, y)
+                        lhs = QB.qpow(2 * n + k) * asc(ap, n, y)
                         rhs_p = sum(
                             c * asc(up, n, y + e)
                             for c, e in zip(plus, (-2, -1, 0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qracah import QBase, qbracket, qbrace, qpow
+from qracah import QBase
 from qracah.errors import ExactnessError
 from qracah.scalar import as_exponent
 
@@ -33,16 +33,16 @@ def test_qbase_hash_and_equality():
 
 def test_qpow_examples():
     qb = QBase(F(1, 2))
-    assert qpow(qb, 0) == 1
-    assert qpow(qb, 1) == F(1, 4)  # q = p**2
-    assert qpow(qb, F(1, 2)) == F(1, 2)  # q**(1/2) = p
-    assert qpow(qb, F(-1, 2)) == 2
+    assert qb.qpow(0) == 1
+    assert qb.qpow(1) == F(1, 4)  # q = p**2
+    assert qb.qpow(F(1, 2)) == F(1, 2)  # q**(1/2) = p
+    assert qb.qpow(F(-1, 2)) == 2
 
 
 def test_qpow_exact_requires_half_integer():
     qb = QBase(F(1, 2))
     with pytest.raises(ExactnessError, match=r"^exponent 1/3 is not a half-integer$"):
-        qpow(qb, F(1, 3))
+        qb.qpow(F(1, 3))
     with pytest.raises(ExactnessError, match=r"^exponent 1\.0 is not a half-integer$"):
         qb.qpow(1.0)
 
@@ -73,20 +73,20 @@ def test_exact_qpow_and_exponent_types(m, pnum, pden):
 
 def test_qbracket_examples():
     qb = QBase(F(1, 2))  # q = 1/4
-    assert qbracket(qb, 0) == 0
-    assert qbracket(qb, 1) == 1
+    assert qb.bracket(0) == 0
+    assert qb.bracket(1) == 1
     # [2]_q = q + 1/q, evaluated directly from the defining quotient
-    assert qbracket(qb, 2) == F(17, 4)
+    assert qb.bracket(2) == F(17, 4)
     # antisymmetry and base-inversion invariance
-    assert qbracket(qb, -3) == -qbracket(qb, 3)
-    assert qbracket(qb.inverse(), 3) == qbracket(qb, 3)
+    assert qb.bracket(-3) == -qb.bracket(3)
+    assert qb.inverse().bracket(3) == qb.bracket(3)
 
 
 def test_qbrace_examples():
     qb = QBase(F(1, 2))
-    assert qbrace(qb, 1) == 1
-    assert qbrace(qb, -3) == qbrace(qb, 3)
-    assert qbrace(qb, 0) == F(8, 17)  # 2/(q + 1/q) at q = 1/4
+    assert qb.brace(1) == 1
+    assert qb.brace(-3) == qb.brace(3)
+    assert qb.brace(0) == F(8, 17)  # 2/(q + 1/q) at q = 1/4
 
 
 def test_bracket_defining_rearrangement():
@@ -95,7 +95,7 @@ def test_bracket_defining_rearrangement():
     q = qb.q
     for twice_t in range(-8, 9):
         t = F(twice_t, 2)
-        assert (q - 1 / q) * qbracket(qb, t) + qpow(qb, -t) == qpow(qb, t)
+        assert (q - 1 / q) * qb.bracket(t) + qb.qpow(-t) == qb.qpow(t)
 
 
 @given(
@@ -109,7 +109,7 @@ def test_qpow_additivity_exact(a, b, pnum, pden):
         pnum, pden = pden, pnum + 1
     qb = QBase(F(pnum, pden))
     ea, eb = F(a, 2), F(b, 2)
-    assert qpow(qb, ea) * qpow(qb, eb) == qpow(qb, ea + eb)
+    assert qb.qpow(ea) * qb.qpow(eb) == qb.qpow(ea + eb)
 
 
 @settings(max_examples=200)
@@ -124,7 +124,7 @@ def test_backends_agree(p100, twice_t):
     t = F(twice_t, 2)
     exact = QBase(p)
     fl = QBase(float(p), "float")
-    for op in (qpow, qbracket, qbrace):
+    for op in (QBase.qpow, QBase.bracket, QBase.brace):
         e = float(op(exact, t))
         f = op(fl, t)
         assert f == pytest.approx(e, rel=1e-12, abs=1e-12)
@@ -132,7 +132,7 @@ def test_backends_agree(p100, twice_t):
 
 def test_complex_backend_conjugation():
     qb = QBase(0.5, "complex")
-    z = qpow(qb, 1 + 2j)
+    z = qb.qpow(1 + 2j)
     assert isinstance(z, complex)
     assert qb.conj(z) == z.conjugate()
     # exact/real conjugation is the identity
@@ -155,7 +155,7 @@ def test_backends_agree_thousand_point_grid():
         t = F(rng.randint(-12, 12), 2)
         exact = QBase(p)
         fl = QBase(float(p), "float")
-        op = rng.choice((qpow, qbracket, qbrace))
+        op = rng.choice((QBase.qpow, QBase.bracket, QBase.brace))
         e = float(op(exact, t))
         f = op(fl, t)
         assert abs(f - e) <= 1e-12 * max(1.0, abs(e))

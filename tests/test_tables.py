@@ -69,7 +69,7 @@ def _calls(qb):
             calls.append((orthopoly._asc_cached, (qb, one, h, one, n, x), {}))
     for y in range(4):
         calls.append((kraw_W, (qb, h, 3, y), {}))
-        calls.append((kraw_W, (qb, 1, 3, y), {"inverse_base": False}))
+        calls.append((kraw_W, (qb, 1, 3), {"x": y}))
         calls.append((asc_W, (qb, h, one, y, TB), {}))
         calls.append((kraw_diff_coeffs, (qb, 3, y, h), {}))
         calls.append((asc_diff_coeffs, (qb, one, y, h), {}))

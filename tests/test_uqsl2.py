@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qracah import QBase, qbracket, qbrace, qpow
+from qracah import QBase
 from qracah.errors import DimensionMismatch, OutOfRange
 from qracah.uqsl2 import (
     OpMatrix,
@@ -117,17 +117,17 @@ def test_gens_su2_small():
     rs1 = RepSpec.su2(1, QB)
     K, Ki, E, Fm = gens(rs1)
     assert K[0][0] == 2 and K[1][1] == F(1, 2)
-    assert E[1][0] == qbracket(QB, 1) == 1
-    assert Fm[0][1] == qbracket(QB, 1) == 1
+    assert E[1][0] == QB.bracket(1) == 1
+    assert Fm[0][1] == QB.bracket(1) == 1
 
 
 def test_gens_su11_entries():
     # entry mapping basis element n+1 into row n carries -[n+k]_q
     rs = RepSpec.su11(1, 3, QB)
     K, Ki, E, Fm = gens(rs)
-    assert Fm[1][2] == -qbracket(QB, 2) == -F(17, 4)
-    assert E[2][1] == qbracket(QB, 2)
-    assert K[0][0] == qpow(QB, F(1, 2))
+    assert Fm[1][2] == -QB.bracket(2) == -F(17, 4)
+    assert E[2][1] == QB.bracket(2)
+    assert K[0][0] == QB.qpow(F(1, 2))
 
 
 def test_relations():
@@ -165,19 +165,19 @@ def test_star_structure():
 def test_twist_shapes():
     # at N = 0 everything is the 1x1 constant
     rs = RepSpec.su2(0, QB)
-    assert twist_x(rs, 1, 2)[0][0] == qbracket(QB, 2)
+    assert twist_x(rs, 1, 2)[0][0] == QB.bracket(2)
     # the tilde variant's diagonal is [s]_q q**(N-2n)
     rs1 = RepSpec.su2(1, QB)
     xt = twist_x(rs1, 0, 2, tilde=True)
-    assert xt[0][0] == qbracket(QB, 2) * qpow(QB, 1)
-    assert xt[1][1] == qbracket(QB, 2) * qpow(QB, -1)
+    assert xt[0][0] == QB.bracket(2) * QB.qpow(1)
+    assert xt[1][1] == QB.bracket(2) * QB.qpow(-1)
     # non-compact tilde: explicit 3x3 check of the off-diagonal scale
     rs11 = RepSpec.su11(1, 2, QB)
     yt = twist_y(rs11, 0, 0, tilde=True)
     rho = QB.bracket_brace_ratio
     K, Ki, E, Fm = gens(rs11)
-    expect = rho * qpow(QB, -F(1, 2)) * (E @ Ki) + (-rho * qpow(QB, F(1, 2))) * (Fm @ Ki)
-    assert yt == expect + qbrace(QB, 0) * (Ki @ Ki)
+    expect = rho * QB.qpow(-F(1, 2)) * (E @ Ki) + (-rho * QB.qpow(F(1, 2))) * (Fm @ Ki)
+    assert yt == expect + QB.brace(0) * (Ki @ Ki)
 
 
 def test_twist_rewrite_su2():

@@ -80,6 +80,59 @@ def test_floating_report_digests_are_pinned():
             84, "18dcd271c0d81c12bb4890a0ca95ba93a74e9f8db28e5477a25146bbd6a0925d")
 
 
+# float and complex digests of the suites that run the formulas written once
+# for both families (3phi2, three-term and five-point tables, 4phi3,
+# generator matrices); their residual digits move with any change of
+# operation order or of a signed zero in those bodies
+SHARED_FORMULA_DIGESTS = {
+    ("relations", "float"): (
+        14, "f8aa872f402ab90527d08199019ae0a1770c5f477aeac5132ae0d605163e5d51"),
+    ("relations", "complex"): (
+        14, "43ab81d210df71085fb1bab6553387d7faabd675a1d635edd878061591fa72d2"),
+    ("ev3.x", "float"): (
+        180, "96eeb7ff9db5170c1fa91a9742ac4e92a054e1f7fdcda6e8aa10c441a29d4a57"),
+    ("ev3.x", "complex"): (
+        180, "8ac98d25a28a4a46e219cda0d8e586ada7a28e24bbfa4e0b7f12ee00ee0ee5b3"),
+    ("prop3.3", "float"): (
+        470, "91a198109d764cb56ecbd15400f772519e66d0ca46f53afde2a51a79ab077318"),
+    ("prop3.3", "complex"): (
+        470, "c9466aeb2c78d454044e5abfbe6755a6f86acd922efabd10f350a96bbbe14ed0"),
+    ("cor3.6", "float"): (
+        300, "53c8b3180fb6762cb181b785b374f2a61495a68daa88c9950355ed7bc7102fee"),
+    ("cor3.6", "complex"): (
+        300, "58ee54286ff3dbe89f6283c6dc6fee2ae9a833650704353b7dd69b65adb57fc7"),
+    ("lemma3.5", "float"): (
+        100, "c6b1773841c8de58b369b6576f9c4d052b938d5e60c45707f7626d5452f61f57"),
+    ("lemma3.5", "complex"): (
+        100, "34c5aa2901a2d438b60c8b7fd72f6c4d6837c6660803c3e11264c729ead7e9a8"),
+    ("lemma3.8", "float"): (
+        108, "ea9f32cfefece51120bb14a9db3dd612015550b725351d3b381efd57f4f5a927"),
+    ("lemma3.8", "complex"): (
+        108, "c9ac0b19d29f66a9d5ee89bbff9aae3452e3c441ec7e8b13133e49835c0d848d"),
+    ("ev4.x", "float"): (
+        48, "c0ed216deb400104202ebc620af418e9a3b92b1557fe6af2d9fd775bc66c96cd"),
+    ("ev4.x", "complex"): (
+        48, "ea610a99475cacfd7969c49e8c8ee88ed09e5a4d96a843fc2ce72ba340213484"),
+    ("lemma4.5", "float"): (
+        80, "bba38fbf318d3efb5c760684b85cf41a89f1313b0fa8fc1aabcd1ae56882526e"),
+    ("lemma4.5", "complex"): (
+        80, "dd4e7f33266b5d134280284afed087a65ee0a14df003a9720b252ebc7540b4f7"),
+    ("lemma4.8", "float"): (
+        66, "3ca421fae26c3c5de0a117995ea3f2804d4aeeca6e36c6aa1beae2552efa1a0c"),
+    ("lemma4.8", "complex"): (
+        66, "785ab63b0a7e152040b83377797721974466157d818d0ddfb6ddd3cdfd806f6b"),
+    ("cor4.1", "float"): (
+        20, "3a62d95390579e2b6fe2f2023b0c7aa9b6edefd6f982cf1fa3b3aadc9c3aebf2"),
+    ("cor4.1", "complex"): (
+        20, "da59c24f3be467cda3ec41d775c43d2bdb3650c584bcb77d28929e10ac5f1ba7"),
+}
+
+
+def test_shared_formula_digests_are_pinned():
+    for (suite, mode), digest in SHARED_FORMULA_DIGESTS.items():
+        assert _report_digest(suite, mode) == digest, (suite, mode)
+
+
 def test_report_serialization():
     rep = CheckReport("s", "c", {"p": F(1, 2), "N": 3}, "0", True, "exact", 1.234)
     payload = json.loads(rep.to_json())
