@@ -11,6 +11,20 @@ site contributes.
 All su2-side checks are exact; the su11 side runs on truncated tensor
 spaces with interior-row exactness and certified truncation of the
 infinite sums.
+
+Three chain tables (``tables.tabled``) hold what a chain point determines,
+so the transfer, eigen and generalized-eigenvalue residuals build it once
+per process rather than once per xs, per sigma or per side:
+
+- ``_shift_terms(qb, j, ys, t, v, sizes, su11)``: the A/C and B/D
+  shift-term maps ys+eps -> coefficient, from one pass over the shift set;
+- ``_nested_vec(qb, v, t, sizes, ys, su11, trunc, tb)``: the nested
+  products over the chain's index grid, as a tuple in grid order;
+- ``_chain_op(qb, sizes, su11, trunc, element, side, j, u, s)``: the
+  coproduct image ``uqsl2.coproduct_op`` of a named element.
+
+A hit returns the first call's object, so the tuples, dicts and
+``OpMatrix`` objects they hand out are shared: immutable by convention.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from . import orthopoly, uqsl2
 from .orthopoly import ASCParams, KrawParams, TailBound
 from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
 from .scalar import QBase, as_exponent
+from .tables import tabled
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +106,23 @@ def _interior(ns: Sequence[int], su11: bool, trunc: Optional[int]) -> bool:
     return not su11 or all(n < trunc for n in ns)
 
 
+@tabled
+def _nested_vec(qb: QBase, v, t, sizes: tuple, ys: tuple, su11: bool,
+                trunc: Optional[int], tb: TailBound) -> tuple:
+    """The nested products at ys for every ns of the chain's index grid, in
+    grid order."""
+    _, grid = _chain(qb, sizes, su11, trunc)
+    return tuple(_nested(qb, v, t, sizes, ys, ns, su11, tb) for ns in grid)
+
+
+@tabled
+def _chain_op(qb: QBase, sizes: tuple, su11: bool, trunc: Optional[int], element: str,
+              side: str, j: int, u, s) -> uqsl2.OpMatrix:
+    """The coproduct image of a named element on the chain's sites."""
+    sites, _ = _chain(qb, sizes, su11, trunc)
+    return uqsl2.coproduct_op(sites, element, side, j, u=u, s=s)
+
+
 # ---------------------------------------------------------------------------
 # shift vectors
 # ---------------------------------------------------------------------------
@@ -138,10 +170,9 @@ def validate_epsilon(M: int, j: int, eps: Sequence[int]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_product(shift_coeff, j, eps, ys, t, sizes, qb, su11):
+def _coeff_product(qb, j, eps, ys, h, sizes, su11):
+    shift_coeff = orthopoly.asc_shift_coeff if su11 else orthopoly.kraw_shift_coeff
     M = len(sizes)
-    validate_epsilon(M, j, eps)
-    h = heights(t, ys, sizes, su11)
     out = qb.one()
     sigma = 0
     for i in range(M - j, M):
@@ -152,13 +183,17 @@ def _coeff_product(shift_coeff, j, eps, ys, t, sizes, qb, su11):
     return out
 
 
+def _coeff(qb, j, eps, ys, t, sizes, su11):
+    validate_epsilon(len(sizes), j, eps)
+    return _coeff_product(qb, j, eps, ys, heights(t, ys, sizes, su11), sizes, su11)
+
+
 def coeff_A(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t,
             Ns: Sequence[int]):
     """Product over the last j sites of finite-family shift coefficients;
     site i uses the shift table selected by twice the prefix sum of eps
     before i, evaluated at the unshifted height."""
-    return _coeff_product(orthopoly.kraw_shift_coeff,
-                          j, tuple(eps), tuple(ys), t, tuple(Ns), qb, False)
+    return _coeff(qb, j, tuple(eps), tuple(ys), t, tuple(Ns), False)
 
 
 def coeff_B(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
@@ -172,8 +207,7 @@ def coeff_B(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
 def coeff_C(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t,
             ks: Sequence):
     """Infinite-family analogue of coeff_A with heights running upward."""
-    return _coeff_product(orthopoly.asc_shift_coeff,
-                          j, tuple(eps), tuple(ys), t, tuple(ks), qb, True)
+    return _coeff(qb, j, tuple(eps), tuple(ys), t, tuple(ks), True)
 
 
 def coeff_D(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
@@ -183,11 +217,15 @@ def coeff_D(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
 
 
 def _twisted_coeff(qb, j, eps, ys, t, v, sizes, su11):
-    M = len(sizes)
-    A = (coeff_C if su11 else coeff_A)(qb, j, eps, ys, t, sizes)
-    h = heights(t, ys, sizes, su11)
+    A = _coeff(qb, j, tuple(eps), tuple(ys), t, tuple(sizes), su11)
+    return _twist(qb, j, eps, A, heights(t, ys, sizes, su11), as_exponent(v), su11)
+
+
+def _twist(qb, j, eps, A, h, v_, su11):
+    """coeff_B (coeff_D with su11) of eps from the same eps's coeff_A
+    (coeff_C) and the heights h."""
+    M = len(h) - 1
     sym = qb.brace if su11 else qb.bracket
-    v_ = as_exponent(v)
     S = sum(eps)
     if S == -1:
         return A * sym(h[M] + v_ - 1)
@@ -203,30 +241,29 @@ def _twisted_coeff(qb, j, eps, ys, t, v, sizes, su11):
 # ---------------------------------------------------------------------------
 
 
-def _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted):
-    """Map ys+eps -> accumulated coefficient (coeff_B/coeff_D if twisted,
-    else coeff_A/coeff_C), skipping out-of-range shifts after asserting
-    their coefficient vanishes exactly."""
-    M = len(sizes)
-    terms = {}
-    for eps in epsilon_set(M, j):
-        if twisted:
-            c = (coeff_D if su11 else coeff_B)(qb, j, eps, ys, t, v, sizes)
-        else:
-            c = (coeff_C if su11 else coeff_A)(qb, j, eps, ys, t, sizes)
+@tabled
+def _shift_terms(qb: QBase, j: int, ys: tuple, t, v, sizes: tuple, su11: bool):
+    """The two shift-term maps of a chain point, ys+eps -> accumulated
+    coefficient: coeff_A's (coeff_C's with su11) and coeff_B's (coeff_D's),
+    from one pass over the shift set.  An out-of-range shift is skipped
+    after asserting that its coefficient vanishes exactly."""
+    h = heights(t, ys, sizes, su11)
+    v_ = as_exponent(v)
+    terms = ({}, {})
+    for eps in epsilon_set(len(sizes), j):
+        A = _coeff_product(qb, j, eps, ys, h, sizes, su11)
         shifted = tuple(y + e for y, e in zip(ys, eps))
         in_range = all(
             0 <= yy and (su11 or yy <= sizes[i]) for i, yy in enumerate(shifted)
         )
-        if not in_range:
-            if c != 0:
-                raise InternalError(
-                    f"nonzero coefficient {c} at out-of-range shift {eps} from {ys}"
-                )
-            continue
-        if c == 0:
-            continue
-        terms[shifted] = terms.get(shifted, qb.zero()) + c
+        for out, c in zip(terms, (A, _twist(qb, j, eps, A, h, v_, su11))):
+            if not in_range:
+                if c != 0:
+                    raise InternalError(
+                        f"nonzero coefficient {c} at out-of-range shift {eps} from {ys}"
+                    )
+            elif c != 0:
+                out[shifted] = out.get(shifted, qb.zero()) + c
     return terms
 
 
@@ -268,19 +305,17 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc, tb=TailBound(
     summed over every row of a finite chain and the interior rows of a
     truncated one."""
     ys, sizes = tuple(ys), tuple(sizes)
-    sites, grid = _chain(qb, sizes, su11, trunc)
+    _, grid = _chain(qb, sizes, su11, trunc)
     if sigma is None:
-        op, lam = uqsl2.coproduct_op(sites, "k2", "R", j), None
+        op, lam = _chain_op(qb, sizes, su11, trunc, "k2", "R", j, 0, 0), None
     else:
-        op = uqsl2.coproduct_op(sites, "y" if su11 else "x", "R", j, u=0, s=sigma)
+        op = _chain_op(qb, sizes, su11, trunc, "y" if su11 else "x", "R", j, 0, sigma)
         lam = (qb.brace if su11 else qb.bracket)(as_exponent(sigma))
-    vec = [_nested(qb, v, t, sizes, ys, ns, su11, tb) for ns in grid]
+    vec = _nested_vec(qb, v, t, sizes, ys, su11, trunc, tb)
     out = op.apply(vec)
-    terms = _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted=sigma is not None)
-    shifted_vecs = {
-        ysf: [_nested(qb, v, t, sizes, ysf, ns, su11, tb) for ns in grid]
-        for ysf in terms
-    }
+    termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
+    terms = termsA if sigma is None else termsB
+    shifted_vecs = {ysf: _nested_vec(qb, v, t, sizes, ysf, su11, trunc, tb) for ysf in terms}
     acc = qb.zero()
     for ii, ns in enumerate(grid):
         if not _interior(ns, su11, trunc):
@@ -398,18 +433,19 @@ def multi_biorth_residual_asc(qb: QBase, s, t, v, ks: Sequence,
     vpart = -qb.conj(as_exponent(v)) - 2
     idx, idx2 = tuple(idx), tuple(idx2)
 
+    hy = heights(t, idx, ks, su11=True)
+    hy2 = heights(t, idx2, ks, su11=True)
+
     def integrand(xs):
         # group the three factors site by site: the per-site products stay
         # of the order of the final term, while the full rational-function
         # products alone can overflow the float range
         hx = heights(s, xs, ks, su11=True)
-        hy = heights(t, idx, ks, su11=True)
-        hy2 = heights(t, idx2, ks, su11=True)
         out = qb.one()
         for j, k in enumerate(ks):
             left = pr_inner(PrParams(hx[j], hy[j], v, k, qb, tb), xs[j], idx[j])
             right = pr_inner(PrParams(hx[j], hy2[j], vpart, k, qb, tb), xs[j], idx2[j])
-            w = orthopoly.asc_W(qb, height(s, xs, ks, j, su11=True), k, xs[j], tb)
+            w = orthopoly.asc_W(qb, hx[j], k, xs[j], tb)
             out *= left * w * qb.conj(right)
         return out
 
@@ -451,8 +487,7 @@ def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
     M = len(sizes)
     ys, sizes = tuple(ys), tuple(sizes)
     hx = heights(s, xs, sizes, su11)
-    termsA = _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted=False)
-    termsB = _shifted_terms(qb, j, ys, t, v, sizes, su11, twisted=True)
+    termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
     vals = {
         ysf: (pr_multi(qb, s, t, v, sizes, xs, ysf, tb) if su11
               else rr_multi(qb, s, t, v, sizes, xs, ysf))
@@ -486,16 +521,17 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base_param,
     M = len(sizes)
     if su11 and trunc is None:
         raise OutOfRange("su11 nested eigencheck needs a truncation")
-    sites, grid = _chain(qb, sizes, su11, trunc)
+    sizes, ys = tuple(sizes), tuple(ys)
+    _, grid = _chain(qb, sizes, su11, trunc)
     h = heights(base_param, ys, sizes, su11)
-    vec = [_nested(qb, v, base_param, sizes, ys, ns, su11, tb) for ns in grid]
+    vec = _nested_vec(qb, v, base_param, sizes, ys, su11, trunc, tb)
     element = "ytilde" if su11 else "xtilde"
     symbol = qb.brace if su11 else qb.bracket
     if side == "L":
-        op = uqsl2.coproduct_op(sites, element, "L", j, u=v, s=base_param)
+        op = _chain_op(qb, sizes, su11, trunc, element, "L", j, v, base_param)
         lam = symbol(h[j])
     elif side == "R":
-        op = uqsl2.coproduct_op(sites, element, "R", j, u=v, s=h[M - j])
+        op = _chain_op(qb, sizes, su11, trunc, element, "R", j, v, h[M - j])
         lam = symbol(h[M])
     else:
         raise OutOfRange(f"side must be 'L' or 'R', got {side!r}")

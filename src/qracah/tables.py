@@ -8,7 +8,9 @@ the undecorated function's (``fn.__wrapped__``).
 
 A key is one flat tuple: the arguments, with each dataclass argument
 replaced by its fields, then the type of every one of those values, then
-the names of any keyword arguments.  The types keep apart arguments that
+the names of any keyword arguments.  A tuple argument stays whole and
+brings the types of its entries along, so ``(1,)`` and ``(1.0,)`` key
+apart as ``1`` and ``1.0`` do.  The types keep apart arguments that
 compare equal across backends -- ``1.0 == Fraction(1) == True`` -- so an
 exact base still rejects a float exponent whose ``Fraction`` twin is
 tabled.  A call that raises stores nothing and raises again next time.
@@ -20,8 +22,9 @@ from functools import wraps
 from operator import attrgetter
 
 _TABLES: dict = {}
-# class -> getter of its dataclass fields as a tuple, or None
-_FIELDS: dict = {}
+# class -> getter of the values that stand for an argument, or None for the
+# argument itself: a dataclass's fields, a tuple and its entries' types
+_FIELDS: dict = {tuple: lambda value: (value, tuple(map(type, value)))}
 _MISSING = object()
 
 

@@ -23,8 +23,9 @@ from qracah import (
     pr_inner,
     rr_inner,
 )
-from qracah import orthopoly
+from qracah import multivar, orthopoly
 from qracah.errors import DenominatorPole, OutOfRange
+from qracah.uqsl2 import OpMatrix
 from qracah.tables import table_sizes, tabled
 
 TB = TailBound(1e-12)
@@ -53,8 +54,14 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _same(a, b):
+    # equal values of equal types, entry by entry (dict keys in order)
     if isinstance(a, tuple):
         return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return (type(b) is dict and list(a) == list(b)
+                and all(map(_same, a.values(), b.values())))
+    if isinstance(a, OpMatrix):
+        return type(b) is OpMatrix and _same(tuple(a.rows), tuple(b.rows))
     return type(a) is type(b) and a == b
 
 
@@ -83,6 +90,18 @@ def _calls(qb):
             calls.append((rr_inner, (rp, x, y), {}))
     for x, y in ((0, 0), (1, 1), (2, 0)):
         calls.append((pr_inner, (pp, x, y), {}))
+    # the chain tables of multivar on a finite and a truncated infinite chain
+    for sizes, su11, trunc, elements in (((2, 1), False, None, ("k2", "x", "xtilde")),
+                                         ((one, one), True, 2, ("k2", "y", "ytilde"))):
+        for j in (1, 2):
+            for side in ("L", "R"):
+                for element in elements:
+                    calls.append((multivar._chain_op,
+                                  (qb, sizes, su11, trunc, element, side, j, h, one), {}))
+            for ys in ((0, 0), (1, 1), (2, 0)):
+                calls.append((multivar._shift_terms, (qb, j, ys, h, one, sizes, su11), {}))
+                calls.append((multivar._nested_vec,
+                              (qb, one, h, sizes, ys, su11, trunc, TB), {}))
     return calls
 
 
@@ -118,6 +137,15 @@ def test_raising_calls_are_not_tabled():
         with pytest.raises(OutOfRange):
             kraw_diff_coeffs(qb, 4, 5, 0)
     assert _size(kraw_diff_coeffs) == before
+    # the chain tables: j outside 1..M, and more indices than sites
+    for fn, args in ((multivar._shift_terms, (qb, 3, (0, 0), 0, 0, (1, 1), False)),
+                     (multivar._chain_op, (qb, (1, 1), False, None, "k2", "R", 0, 0, 0)),
+                     (multivar._nested_vec, (qb, 0, 0, (1,), (0, 0), False, None, TB))):
+        before = _size(fn)
+        for _ in range(2):
+            with pytest.raises(OutOfRange):
+                fn(*args)
+        assert _size(fn) == before, fn.__name__
 
 
 def test_size_grows_by_one_per_new_key():
@@ -172,4 +200,8 @@ def test_keys_are_typed_and_flatten_dataclass_fields():
     for pack in (_Pack(1, 2), _Pack(1.0, 2), _Pack(1, F(2))):
         assert _echo(pack)[0][0] is pack
     assert _echo(_Pack(1, 2)) is _echo(_Pack(1, 2))
-    assert _size(_echo) == before + 8
+    # nor equal tuples whose entries differ in type
+    for chain in ((1, 2), (1.0, 2), (1, F(2))):
+        assert _echo(chain)[0][0] is chain
+    assert _echo((1, 2)) is _echo((1, 2))
+    assert _size(_echo) == before + 11

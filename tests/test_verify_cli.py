@@ -133,6 +133,32 @@ def test_shared_formula_digests_are_pinned():
         assert _report_digest(suite, mode) == digest, (suite, mode)
 
 
+# float and complex digests of the finite suites that run the chain tables
+# of multivar (shift-term maps, nested vectors, chain operators); lemma4.8,
+# their infinite-side user, is pinned above.  Their residual digits move
+# with any change of the per-eps accumulation order or of an operator's
+# entries
+CHAIN_TABLE_DIGESTS = {
+    ("prop3.7", "float"): (
+        220, "159f6d1cce6e94430ad20f5b1231ff0deaa07470611e154d3a847438b2d238d2"),
+    ("prop3.7", "complex"): (
+        220, "38e936637639916d8856a106ff5c3c60ee70df060cf18837868c8306f68019b3"),
+    ("lemma3.9", "float"): (
+        90, "78f9a1ff2880820d9a92a4af0b853c638456d7c361b6724838345f1adb77a606"),
+    ("lemma3.9", "complex"): (
+        90, "9b970deedeeec9f5d0b576a67ecd8de7df03c879c144030d64c761e8502f0a9d"),
+    ("cor3.10", "float"): (
+        708, "40e308ee435982c33fe600140dff7a70d73790a3eb61f44046f0f1facffcd5a1"),
+    ("cor3.10", "complex"): (
+        708, "9d1aea26dc0084c629a5cd3522a5b98282daffa42a264986ab34f97d6e35fd6c"),
+}
+
+
+def test_chain_table_digests_are_pinned():
+    for (suite, mode), digest in CHAIN_TABLE_DIGESTS.items():
+        assert _report_digest(suite, mode) == digest, (suite, mode)
+
+
 def test_report_serialization():
     rep = CheckReport("s", "c", {"p": F(1, 2), "N": 3}, "0", True, "exact", 1.234)
     payload = json.loads(rep.to_json())
