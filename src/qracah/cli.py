@@ -35,8 +35,8 @@ def _parse_number(text: str, mode: str):
             pass
     try:
         fr = Fraction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse number {text!r}") from exc
     if mode == "exact":
         return fr
     return float(fr)
@@ -122,8 +122,8 @@ def _ints(args, name):
 
 def _tb(args) -> qseries.TailBound:
     return qseries.TailBound(
-        tolerance=min(args.tol, 1e-10) if args.tol else 1e-12,
-        max_terms=args.max_terms or 20000,
+        tolerance=min(args.tol, 1e-10) if args.tol is not None else 1e-12,
+        max_terms=args.max_terms if args.max_terms is not None else qseries.DEFAULT_MAX_TERMS,
     )
 
 
@@ -301,7 +301,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     cfg = RunConfig(
         mode=args.mode,
-        p=Fraction(args.p) if args.p else None,
+        p=_parse_number(args.p, "exact") if args.p else None,
         tolerance=args.tol,
         trunc=args.trunc,
         jobs=args.jobs,

@@ -25,6 +25,12 @@ per process rather than once per xs, per sigma or per side:
 
 A hit returns the first call's object, so the tuples, dicts and
 ``OpMatrix`` objects they hand out are shared: immutable by convention.
+
+The multivariate rational functions are tables too: :func:`rr_multi` and
+:func:`pr_multi` turn their size and index sequences into tuples and read
+``_rr_multi``/``_pr_multi``, so a generalized-eigenvalue residual that
+meets the same (xs, ys + eps) again, at another j or another shift, reuses
+the product of univariate factors.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .errors import InternalError, InvalidEpsilon, OutOfRange
 from . import orthopoly, uqsl2
 from .orthopoly import ASCParams, KrawParams, TailBound
 from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
-from .scalar import QBase, as_exponent
+from .scalar import QBase, as_exponent, ordered_sum
 from .tables import tabled
 
 
@@ -320,7 +326,7 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc, tb=TailBound(
     for ii, ns in enumerate(grid):
         if not _interior(ns, su11, trunc):
             continue
-        rhs = sum((c * shifted_vecs[ysf][ii] for ysf, c in terms.items()), qb.zero())
+        rhs = ordered_sum((c * shifted_vecs[ysf][ii] for ysf, c in terms.items()), qb.zero())
         if lam is not None:
             rhs += lam * vec[ii]
         acc += abs(out[ii] - rhs)
@@ -336,6 +342,11 @@ def rr_multi(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
              ys: Sequence[int]):
     """Nested product of univariate rational functions: factor j pairs
     (x_j, y_j) with both height chains as its base-point parameters."""
+    return _rr_multi(qb, s, t, v, tuple(Ns), tuple(xs), tuple(ys))
+
+
+@tabled
+def _rr_multi(qb, s, t, v, Ns, xs, ys):
     hx = heights(s, xs, Ns)
     hy = heights(t, ys, Ns)
     out = qb.one()
@@ -360,6 +371,11 @@ def rr_multi_inner(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
 def pr_multi(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
              ys: Sequence[int], tb: TailBound = TailBound()):
     """Nested product of infinite-family rational functions."""
+    return _pr_multi(qb, s, t, v, tuple(ks), tuple(xs), tuple(ys), tb)
+
+
+@tabled
+def _pr_multi(qb, s, t, v, ks, xs, ys, tb):
     hx = heights(s, xs, ks, su11=True)
     hy = heights(t, ys, ks, su11=True)
     out = qb.one()
@@ -494,9 +510,9 @@ def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
         for ysf in set(termsA) | set(termsB) | {ys}
     }
     sym = qb.brace if su11 else qb.bracket
-    lhs = sym(hx[M]) * sum((c * vals[ysf] for ysf, c in termsA.items()), qb.zero())
+    lhs = sym(hx[M]) * ordered_sum((c * vals[ysf] for ysf, c in termsA.items()), qb.zero())
     rhs = sym(hx[M - j]) * vals[ys]
-    rhs += sum((c * vals[ysf] for ysf, c in termsB.items()), qb.zero())
+    rhs += ordered_sum((c * vals[ysf] for ysf, c in termsB.items()), qb.zero())
     return lhs - rhs
 
 

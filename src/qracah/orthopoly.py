@@ -59,7 +59,7 @@ from threading import Lock
 
 from .errors import DenominatorPole, OutOfRange
 from .qseries import PhiSpec, TailBound, certified_sum, qbinom, qpoch, qpoch_inf_ratio, rphis
-from .scalar import QBase, as_exponent
+from .scalar import QBase, as_exponent, ordered_sum
 from .tables import tabled
 
 _HALF = Fraction(1, 2)
@@ -250,7 +250,7 @@ def kraw_W(qb: QBase, s, N: int, x: int):
 def kraw_orth_x(kp: KrawParams, n: int, n2: int):
     """Residual of the x-summed orthogonality: sum_x k(n,x) k(n2,x) W(x) - delta/w(n)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
-    acc = sum(
+    acc = ordered_sum(
         kraw(k0, n, x) * kraw(k0, n2, x) * kraw_W(kp.qb, kp.s, kp.N, x)
         for x in range(kp.N + 1)
     )
@@ -262,7 +262,7 @@ def kraw_orth_x(kp: KrawParams, n: int, n2: int):
 def kraw_orth_n(kp: KrawParams, x: int, x2: int):
     """Residual of the n-summed orthogonality: sum_n k(n,x) k(n,x2) w(n) - delta/W(x)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
-    acc = sum(
+    acc = ordered_sum(
         kraw(k0, n, x) * kraw(k0, n, x2) * kraw_w(kp.qb, kp.N, n)
         for n in range(kp.N + 1)
     )

@@ -43,6 +43,13 @@ one running pair with a single gcd against the running denominator
 and one Fraction is built at the end.  So it stops at the term Fraction
 arithmetic would stop at and returns the same rational.  Floating factors
 are multiplied left to right and summed in order, as before.
+
+:func:`qpoch` multiplies int or Fraction inputs the same way: each factor
+1 - a*base**i is an integer pair, the pairs multiply unreduced, and one
+Fraction (an int for int inputs) is built at the end, the rational the
+factor-by-factor product gives.  The terminating 3phi2 factors of the
+summation identity's series side depend on one of x, y only, so they are a
+process-lifetime table (``_rhs_factor``) shared across the (x, y) grid.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
-from .scalar import QBase, as_exponent
+from .scalar import QBase, as_exponent, ordered_sum
+from .tables import tabled
 
 DEFAULT_MAX_TERMS = 20000
 
@@ -85,15 +93,33 @@ class TailBound:
             raise ValueError("tolerance must be positive")
         if not 0 < self.ratio_cap < 1:
             raise ValueError("ratio_cap must lie in (0, 1)")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
 
 
 def qpoch(a, base, n: int):
     """The q-shifted factorial (a; base)_n = prod_{i<n} (1 - a*base**i).
 
-    The empty product (n = 0) is 1.
+    The empty product (n = 0) is 1.  When a and base are int or Fraction the
+    factors are multiplied on one unreduced integer pair and a single
+    Fraction is built at the end (an int when both are ints), the rational
+    factor-by-factor Fraction arithmetic gives.
     """
     if n < 0:
         raise OutOfRange(f"Pochhammer length {n} is negative")
+    if isinstance(a, (int, Fraction)) and isinstance(base, (int, Fraction)):
+        an, ad = _pair(a)
+        bn, bd = _pair(base)
+        num = den = fn = fd = 1
+        for _ in range(n):
+            # 1 - a*base**i = (ad fd - an fn) / (ad fd) with base**i = fn/fd
+            num *= ad * fd - an * fn
+            den *= ad * fd
+            fn *= bn
+            fd *= bd
+        if isinstance(a, Fraction) or isinstance(base, Fraction):
+            return Fraction(num, den)
+        return num
     one = a * 0 + base * 0 + 1
     out = one
     f = one
@@ -467,11 +493,10 @@ def summation_lhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None
     (a*b*c*d; q)_N (finite case a = q**-N, which requires x, y <= N);
     otherwise it is evaluated under the tail certificate (needs |bcd| < 1).
     """
-    return _summation_lhs(qb, x, y, a, b * b, b * c * d, b * d / c, N, tb)
+    return _summation_lhs(qb.q, x, y, a, b * b, b * c * d, b * d / c, N, tb)
 
 
-def _summation_lhs(qb, x, y, a, b2, bcd, bd_c, N, tb):
-    q = qb.q
+def _summation_lhs(q, x, y, a, b2, bcd, bd_c, N, tb):
     abcd = a * bcd
     if N is not None:
         if x > N or y > N:
@@ -505,37 +530,41 @@ def summation_rhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None
     """Series side of the summation identity: sum over n of
     (bcd)**n (a;q)_n/(q;q)_n times two terminating 3phi2 factors in base 1/q.
     """
-    return _summation_rhs(qb, x, y, a, b * b, c * c, b * c * d, N, tb)
+    return _summation_rhs(qb.q, x, y, a, b * b, c * c, b * c * d, N, tb)
 
 
-def _summation_rhs(qb, x, y, a, b2, c2, bcd, N, tb):
-    q = qb.q
+@tabled
+def _rhs_factor(q, a, tb, n, z, sq):
+    """The terminating 3phi2 factor of the summation identity's series side,
+    in base 1/q; it depends on one of x, y only, so one table entry serves
+    every point that shares (n, z)."""
+    return rphis(
+        PhiSpec(
+            numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
+            denominators=(1 / a,),
+            base=1 / q,
+            argument=1 / q,
+            terminate_after=min(n, z) + 1,
+        ),
+        tb,
+    )
 
-    def factor(n, z, sq):
-        return rphis(
-            PhiSpec(
-                numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
-                denominators=(1 / a,),
-                base=1 / q,
-                argument=1 / q,
-                terminate_after=min(n, z) + 1,
-            ),
-            tb,
-        )
 
+def _summation_rhs(q, x, y, a, b2, c2, bcd, N, tb):
     def terms():
         coeff = q * 0 + 1
         poch_q = coeff
         n = 0
         while True:
-            yield coeff / poch_q * factor(n, x, b2) * factor(n, y, c2)
+            yield (coeff / poch_q * _rhs_factor(q, a, tb, n, x, b2)
+                   * _rhs_factor(q, a, tb, n, y, c2))
             coeff *= bcd * (1 - a * q ** n)
             poch_q *= 1 - q ** (n + 1)
             n += 1
 
     if N is not None:
         gen = terms()
-        return sum(next(gen) for _ in range(N + 1))
+        return ordered_sum(next(gen) for _ in range(N + 1))
     return certified_sum(terms(), tb)
 
 
@@ -547,13 +576,14 @@ def summation_pair_qracah(qb: QBase, N: int, s, t, v, x: int, y: int):
     bd/c = q**(s-t-v+1) enter either side, so the evaluation stays in the
     exact (or real) backend.  Base is q**2, handled by squaring qb.p.
     """
-    qb2 = QBase(qb.p * qb.p, qb.mode) if qb.mode == "exact" else QBase(float(qb.p) ** 2, qb.mode)
+    p2 = qb.p * qb.p if qb.mode == "exact" else float(qb.p) ** 2
+    q2 = p2 * p2
     s, t, v = as_exponent(s), as_exponent(t), as_exponent(v)
     a = qb.qpow(-2 * N)
     b2 = -qb.qpow(2 * s)
     c2 = -qb.qpow(2 * t)
     bcd = -qb.qpow(s + t - v + 1)
     bd_c = qb.qpow(s - t - v + 1)
-    lhs = _summation_lhs(qb2, x, y, a, b2, bcd, bd_c, N, TailBound())
-    rhs = _summation_rhs(qb2, x, y, a, b2, c2, bcd, N, TailBound())
+    lhs = _summation_lhs(q2, x, y, a, b2, bcd, bd_c, N, TailBound())
+    rhs = _summation_rhs(q2, x, y, a, b2, c2, bcd, N, TailBound())
     return lhs, rhs

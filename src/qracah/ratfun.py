@@ -43,7 +43,7 @@ from .orthopoly import (
     kraw_W,
 )
 from .qseries import PhiSpec, TailBound, certified_sum, qpoch, qpoch_inf_ratio, rphis
-from .scalar import QBase, as_exponent
+from .scalar import QBase, as_exponent, ordered_sum
 from .tables import tabled
 
 
@@ -78,7 +78,7 @@ def rr_inner(rp: RrParams, x: int, y: int):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
     left = KrawParams(1, rp.s, rp.N, rp.qb)
     right = KrawParams(rp.v, rp.t, rp.N, rp.qb)
-    return sum(
+    return ordered_sum(
         kraw(left, n, x) * kraw(right, n, y) * kraw_w(rp.qb, rp.N, n)
         for n in range(rp.N + 1)
     )

@@ -13,6 +13,20 @@ must be half-integers in the exact backend; arbitrary reals (or a complex
 ``v``) are allowed in the floating backends.  :func:`as_exponent` keeps
 integral exponents as Python ints (only a half-integer stays a Fraction),
 so exponent arithmetic and the exact ``p**(2e)`` stay on ints.
+
+A :class:`QBase` computes ``q - 1/q`` and ``q + 1/q`` once and keeps the
+values of ``qpow``, ``bracket`` and ``brace`` in per-instance tables, so a
+power or q-number is reduced once per base, not once per use.  A key is the
+exponent with its type: ``1.0 == 1`` yet an exact base must still reject the
+float, and complex exponents are never stored (equal complex numbers can
+differ in the sign of a zero part, and so can their powers).  In the
+floating backends a power beyond the float range raises
+:class:`~qracah.errors.OutOfRange`, and a base whose q or 1/q is not a
+finite nonzero float is refused with ``ValueError``.
+
+:func:`ordered_sum` is the package's ``sum`` of backend scalars: plain
+left-to-right addition, so float residuals do not depend on whether the
+interpreter's ``sum`` compensates rounding (it does from Python 3.12 on).
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import ExactnessError
+from .errors import ExactnessError, OutOfRange
 
 MODES = ("exact", "float", "complex")
 
@@ -41,6 +55,36 @@ def as_exponent(x):
     return x
 
 
+def ordered_sum(values, start=0):
+    """start + v0 + v1 + ..., added left to right with ``+``.
+
+    This is what ``sum`` computes up to Python 3.11.  From 3.12 on, ``sum``
+    compensates the rounding of float terms (Neumaier), so the float
+    residuals of a check would depend on the interpreter; every sum of
+    backend scalars goes through here instead.
+    """
+    out = start
+    for value in values:
+        out = out + value
+    return out
+
+
+_MISSING = object()
+
+
+def _tabled(table, compute, e):
+    """table[e, type(e)], computed on a miss.  A call that raises stores
+    nothing, and a complex exponent is never stored: complex(x, 0.0) ==
+    complex(x, -0.0), yet their powers can differ in the sign of a zero."""
+    key = (e, type(e))
+    value = table.get(key, _MISSING)
+    if value is _MISSING:
+        value = compute(e)
+        if type(e) is not complex:
+            table[key] = value
+    return value
+
+
 class QBase:
     """The base q = p**2 with a fixed scalar backend.
 
@@ -49,7 +93,8 @@ class QBase:
     p**m; the floating backends evaluate powers with math/cmath.
     """
 
-    __slots__ = ("p", "mode", "_q", "_pf", "_hash")
+    __slots__ = ("p", "mode", "_q", "_logq", "_qdiff", "_qsum", "_hash",
+                 "_powers", "_brackets", "_braces")
 
     def __init__(self, p, mode: str = "exact"):
         if mode not in MODES:
@@ -58,13 +103,29 @@ class QBase:
         if isinstance(p, float) and mode == "exact":
             raise ExactnessError("exact mode requires a rational p")
         self.p = Fraction(p) if not isinstance(p, float) else p
-        pf = float(self.p)
-        if not pf > 0 or pf == 1.0:
+        if not self.p > 0 or self.p == 1:
             raise ValueError("p must be positive and different from 1")
-        self._pf = pf
-        self._q = self.p * self.p if mode == "exact" else pf * pf
+        if mode == "exact":
+            self._q = self.p * self.p
+            self._logq = None
+        else:
+            try:
+                pf = float(self.p)
+            except OverflowError:
+                pf = math.inf
+            self._q = pf * pf
+            # q and 1/q must be finite, nonzero floats, and q must differ from 1
+            if not (0 < self._q < math.inf and 1 / self._q < math.inf) or self._q == 1:
+                raise ValueError(f"p = {p} gives the unusable floating-point base q = {self._q!r}")
+            self._logq = 2.0 * math.log(pf)
+        self._qdiff = self._q - 1 / self._q
+        self._qsum = self._q + 1 / self._q
         # every table key holds a base: hash it once, not on each lookup
         self._hash = hash((self.p, mode))
+        # (exponent, its type) -> q**e, [e]_q, {e}_q: see _tabled
+        self._powers = {}
+        self._brackets = {}
+        self._braces = {}
 
     # -- scalar constructors -------------------------------------------------
 
@@ -96,6 +157,9 @@ class QBase:
 
     def qpow(self, e):
         """q**e.  Exact iff 2e is an integer (then q**e = p**(2e))."""
+        return _tabled(self._powers, self._qpow, e)
+
+    def _qpow(self, e):
         e = as_exponent(e)
         if self.mode == "exact":
             if type(e) is int:
@@ -104,12 +168,14 @@ class QBase:
             if not isinstance(te, Fraction) or te.denominator != 1:
                 raise ExactnessError(f"exponent {e} is not a half-integer")
             return self.p ** te.numerator
-        logq = 2.0 * math.log(self._pf)
-        if isinstance(e, complex):
-            if self.mode != "complex":
-                raise ExactnessError("complex exponent requires the complex backend")
-            return cmath.exp(e * logq)
-        val = math.exp(float(e) * logq)
+        try:
+            if isinstance(e, complex):
+                if self.mode != "complex":
+                    raise ExactnessError("complex exponent requires the complex backend")
+                return cmath.exp(e * self._logq)
+            val = math.exp(float(e) * self._logq)
+        except OverflowError as exc:
+            raise OutOfRange(f"q**{e} leaves the floating-point range") from exc
         return complex(val) if self.mode == "complex" else val
 
     def inverse(self) -> "QBase":
@@ -128,16 +194,22 @@ class QBase:
 
     def bracket(self, t):
         """[t]_q = (q**t - q**-t) / (q - 1/q)."""
-        return (self.qpow(t) - self.qpow(-1 * as_exponent(t))) / (self._q - 1 / self._q)
+        return _tabled(self._brackets, self._bracket, t)
+
+    def _bracket(self, t):
+        return (self.qpow(t) - self.qpow(-1 * as_exponent(t))) / self._qdiff
 
     def brace(self, t):
         """{t}_q = (q**t + q**-t) / (q + 1/q)."""
-        return (self.qpow(t) + self.qpow(-1 * as_exponent(t))) / (self._q + 1 / self._q)
+        return _tabled(self._braces, self._brace, t)
+
+    def _brace(self, t):
+        return (self.qpow(t) + self.qpow(-1 * as_exponent(t))) / self._qsum
 
     @property
     def bracket_brace_ratio(self):
         """(q - 1/q) / (q + 1/q), the scale relating the two brackets."""
-        return (self._q - 1 / self._q) / (self._q + 1 / self._q)
+        return self._qdiff / self._qsum
 
     def __eq__(self, other):
         return isinstance(other, QBase) and self.p == other.p and self.mode == other.mode

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, OutOfRange
 from . import orthopoly
-from .scalar import QBase, as_exponent
+from .scalar import QBase, as_exponent, ordered_sum
 
 _HALF = Fraction(1, 2)
 
@@ -133,7 +133,7 @@ class OpMatrix:
         if len(vec) != self.dim:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.dim}")
         return [
-            sum(a * vec[j] for j, a in row.items()) if row else self.zero
+            ordered_sum(a * vec[j] for j, a in row.items()) if row else self.zero
             for row in self.rows
         ]
 

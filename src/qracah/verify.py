@@ -32,7 +32,7 @@ from typing import Iterator, List, Optional
 from . import multivar, orthopoly, qseries, ratfun, uqsl2
 from .errors import QRacahError
 from .report import CheckReport, residual_string
-from .scalar import QBase, as_exponent
+from .scalar import QBase, as_exponent, ordered_sum
 from .tables import tabled
 
 DEFAULT_PS = (Fraction(1, 2), Fraction(2, 3))  # q = 1/4 and 4/9
@@ -67,7 +67,8 @@ class RunConfig:
 
     def tail(self) -> qseries.TailBound:
         tol = min(self.tol() * 1e-3, 1e-12)
-        return qseries.TailBound(tolerance=tol, max_terms=self.max_terms or 20000)
+        max_terms = self.max_terms if self.max_terms is not None else qseries.DEFAULT_MAX_TERMS
+        return qseries.TailBound(tolerance=tol, max_terms=max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def _qb(params, mode):
 def _tb(params):
     return qseries.TailBound(
         tolerance=params.get("tb_tol", 1e-12),
-        max_terms=params.get("tb_max_terms", 20000),
+        max_terms=params.get("tb_max_terms", qseries.DEFAULT_MAX_TERMS),
     )
 
 
@@ -105,7 +106,7 @@ def chk_relations(mode, params):
     rs = _repspec(params, mode)
     res = uqsl2.relation_residuals(rs)
     rows = rs.interior(1)
-    return sum(m.abs_sum(rows) for m in res.values())
+    return ordered_sum(m.abs_sum(rows) for m in res.values())
 
 
 def chk_star(mode, params):
@@ -113,7 +114,7 @@ def chk_star(mode, params):
     K, Ki, E, F = uqsl2.gens(rs)
     sgn = 1 if rs.kind == "su2" else -1
     pairs = [(K, K), (E, sgn * F), (F, sgn * E)]
-    return sum(uqsl2.star_residual(rs, A, As).abs_sum() for A, As in pairs)
+    return ordered_sum(uqsl2.star_residual(rs, A, As).abs_sum() for A, As in pairs)
 
 
 def chk_twist_rewrite(mode, params):
@@ -374,9 +375,10 @@ _UVST = ((0, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 2), (2, 1, 0, 2))
 def _stv_points(n_top, p=None):
     """(N, s, t, v, x, y) over N <= n_top, _STV and the square 0..N; with a
     p, only the points off the pole locus of the finite closed forms."""
+    qb = None if p is None else _base(p, "exact")
     for N, (s, t, v) in iproduct(range(n_top + 1), _STV):
         for x, y in iproduct(range(N + 1), repeat=2):
-            if p is None or ratfun.rr_valid(ratfun.RrParams(s, t, v, N, QBase(p)), x, y):
+            if p is None or ratfun.rr_valid(ratfun.RrParams(s, t, v, N, qb), x, y):
                 yield N, s, t, v, x, y
 
 
@@ -507,9 +509,10 @@ def _ev4(cfg, p):
 
 @suite("cor4.3", first_p=True, certified=True)
 def _cor43(cfg, p):
+    qb = _base(float(p), "float")
     for k, (s, t, v), x, y in iproduct((1, 2), ((0, 0, -1), (1, 1, 0), (1, 2, 1)),
                                         range(4), range(4)):
-        if ratfun.pr_valid(ratfun.PrParams(s, t, v, k, QBase(float(p), "float")), x, y):
+        if ratfun.pr_valid(ratfun.PrParams(s, t, v, k, qb), x, y):
             yield ("cor43", f"closed_vs_inner[k={k},s={s},t={t},v={v},x={x},y={y}]",
                    dict(k=k, s=s, t=t, v=v, x=x, y=y))
 

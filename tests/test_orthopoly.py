@@ -258,16 +258,17 @@ def test_weight_tables_keep_exact_and_float_bases_apart():
 
 
 def test_weight_tables_survive_an_overflow():
-    # q**(-2n) overflows a float from n = 39 at p = 1/100; the failed request
-    # must raise as the direct formula does and leave the table consistent
+    # q**(-2n) overflows a float from n = 39 at p = 1/100 (OutOfRange); the
+    # failed request must raise as the direct formula does and leave the
+    # table consistent
     qb = QBase(0.01, "float")
-    with pytest.raises(OverflowError):
+    with pytest.raises(OutOfRange):
         _asc_w_direct(qb, 3, 50)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OutOfRange):
         asc_w(qb, 3, 50)
     for n in (10, 38, 0):
         assert _same(asc_w(qb, 3, n), _asc_w_direct(qb, 3, n))
-    with pytest.raises(OverflowError):
+    with pytest.raises(OutOfRange):
         asc_w(qb, 3, 45)
 
 

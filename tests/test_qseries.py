@@ -35,6 +35,41 @@ def test_qpoch_basics():
         qpoch(F(1, 2), q, -1)
 
 
+def _qpoch_fraction_loop(a, base, n):
+    # the product factor by factor, every partial product a reduced Fraction;
+    # an int result when a and base are both ints, as Python arithmetic gives
+    out = 1 if type(a) is type(base) is int else F(1)
+    for i in range(n):
+        out *= 1 - a * base**i
+    return out
+
+
+_EXACT = st.one_of(st.integers(-6, 6),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=9))
+
+
+@settings(max_examples=300)
+@given(a=_EXACT, base=_EXACT, n=st.integers(0, 9))
+@example(a=F(1, 3), base=F(1, 4), n=0)  # the empty product
+@example(a=3, base=-2, n=5)  # int inputs, a negative base
+@example(a=F(-5, 2), base=F(-1, 3), n=6)  # negative parameters
+@example(a=F(4), base=F(1, 2), n=5)  # 1 - a*base**2 vanishes
+@example(a=-1, base=-1, n=4)  # 1 - a*base vanishes
+def test_exact_qpoch_is_the_fraction_product(a, base, n):
+    # the one-pair product equals the factor-by-factor product, with its type
+    got, want = qpoch(a, base, n), _qpoch_fraction_loop(a, base, n)
+    assert type(got) is type(want) and got == want
+
+
+def test_tail_bound_validation():
+    for kwargs, message in (({"tolerance": 0}, "tolerance must be positive"),
+                            ({"ratio_cap": 1}, "ratio_cap must lie in"),
+                            ({"max_terms": 0}, "max_terms must be at least 1")):
+        with pytest.raises(ValueError, match=message):
+            TailBound(**kwargs)
+    assert TailBound(max_terms=1).max_terms == 1
+
+
 def test_qpoch_inf_against_long_product():
     # brute-force oracle: 200 explicit factors
     val = qpoch_inf(0.5, 0.5, TailBound(tolerance=1e-15))

@@ -1,14 +1,17 @@
 """Scalar backends: half-integer q-powers and the two q-number brackets."""
 
+import cmath
+import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qracah import QBase
-from qracah.errors import ExactnessError
-from qracah.scalar import as_exponent
+from qracah.errors import ExactnessError, OutOfRange
+from qracah.scalar import as_exponent, ordered_sum
 
 
 def test_qbase_validation():
@@ -40,11 +43,15 @@ def test_qpow_examples():
 
 
 def test_qpow_exact_requires_half_integer():
-    qb = QBase(F(1, 2))
-    with pytest.raises(ExactnessError, match=r"^exponent 1/3 is not a half-integer$"):
-        qb.qpow(F(1, 3))
-    with pytest.raises(ExactnessError, match=r"^exponent 1\.0 is not a half-integer$"):
-        qb.qpow(1.0)
+    # 1.0 == 1 == F(1) hash alike: a float exponent must raise whether the
+    # tables are cold or already hold its int and Fraction twins
+    for qb, _ in product((QBase(F(1, 2)), QBase(F(5, 2))), range(2)):
+        for op in (qb.qpow, qb.bracket, qb.brace):
+            with pytest.raises(ExactnessError, match=r"^exponent 1/3 is not a half-integer$"):
+                op(F(1, 3))
+            with pytest.raises(ExactnessError, match=r"^exponent 1\.0 is not a half-integer$"):
+                op(1.0)
+            assert op(1) == op(F(1))
 
 
 @given(
@@ -159,3 +166,94 @@ def test_backends_agree_thousand_point_grid():
         e = float(op(exact, t))
         f = op(fl, t)
         assert abs(f - e) <= 1e-12 * max(1.0, abs(e))
+
+
+def _direct(p, mode):
+    """q**e, [t]_q and {t}_q from their defining formulas, untabled."""
+    if mode == "exact":
+        def qpow(e):
+            te = 2 * F(e)
+            return F(p) ** te.numerator
+        q = F(p) ** 2
+    else:
+        logq = 2.0 * math.log(float(p))
+
+        def qpow(e):
+            val = math.exp(float(e) * logq)
+            return complex(val) if mode == "complex" else val
+        q = float(p) * float(p)
+    return (qpow,
+            lambda t: (qpow(t) - qpow(-t)) / (q - 1 / q),
+            lambda t: (qpow(t) + qpow(-t)) / (q + 1 / q))
+
+
+@settings(max_examples=150)
+@given(
+    mode=st.sampled_from(("exact", "float", "complex")),
+    pnum=st.integers(1, 12),
+    pden=st.integers(1, 12),
+    twice_e=st.lists(st.integers(-30, 30), min_size=1, max_size=6),
+)
+def test_tabled_scalars_equal_the_direct_formulas(mode, pnum, pden, twice_e):
+    # a fresh base (cold tables), then every exponent again (warm): equal
+    # values of the direct formula's type, for int, half-integer and
+    # integral-Fraction spellings, at p < 1 and p > 1 alike
+    if pnum == pden:
+        pden += 1
+    p = F(pnum, pden)
+    qb = QBase(p if mode == "exact" else float(p), mode)
+    direct = _direct(p, mode)
+    exponents = []
+    for m in twice_e:
+        exponents += [F(m, 2)] if m % 2 else [m // 2, F(m // 2)]
+    for _ in range(2):
+        for e in exponents:
+            for op, ref in zip((qb.qpow, qb.bracket, qb.brace), direct):
+                got, want = op(e), ref(e)
+                assert type(got) is type(want) and got == want, (op.__name__, e)
+
+
+def test_complex_exponents_keep_the_sign_of_zero():
+    # complex(x, 0.0) == complex(x, -0.0), but their powers need not agree
+    # in the sign of a zero part, so neither may read the other's value
+    # (at p = 1/2, q**(-1 - 0j) is 4+0j and q**(-1 + 0j) is 4-0j)
+    qb = QBase(F(1, 2), "complex")
+    for e in (complex(-1, -0.0), complex(-1, 0.0), complex(-1, -0.0)):
+        got, want = qb.qpow(e), cmath.exp(e * (2.0 * math.log(0.5)))
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("mode", ("float", "complex"))
+def test_floating_overflow_is_out_of_range(mode):
+    # q**e beyond the float range raises OutOfRange (a failing report, an
+    # exit status 2), cold and warm, and leaves finite powers unaffected
+    qb = QBase(0.001, mode)
+    for _ in range(2):
+        with pytest.raises(OutOfRange, match="leaves the floating-point range"):
+            qb.qpow(-10000)
+        with pytest.raises(OutOfRange):
+            qb.bracket(60)
+        assert qb.qpow(2) == _direct(F(1, 1000), mode)[0](2)
+    with pytest.raises(OutOfRange):
+        QBase(F(1, 10**30), mode).qpow(-6)
+
+
+@pytest.mark.parametrize("mode", ("float", "complex"))
+def test_floating_base_must_stay_in_range(mode):
+    # q = p**2 (or 1/q) underflows or overflows a float: a ValueError, which
+    # the command line reports as ConfigError with exit status 2
+    for p in (F(1, 10**200), F(10**200), F(1, 10**155), 1e-160, F(10**400)):
+        with pytest.raises(ValueError, match="unusable floating-point base"):
+            QBase(p, mode)
+    # the exact backend has no such range
+    assert QBase(F(1, 10**200)).qpow(-1) == 10**400
+
+
+def test_ordered_sum_adds_left_to_right():
+    # each float partial sum is rounded, as sum() does up to Python 3.11;
+    # a compensated sum (Python 3.12's sum(), math.fsum) gives 2.0 here
+    assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert math.fsum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert repr(ordered_sum([], -0.0)) == "-0.0"
+    assert ordered_sum((F(1, 3), F(1, 6)), F(1, 2)) == 1
+    assert ordered_sum(iter([1j, 2])) == 2 + 1j

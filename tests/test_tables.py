@@ -23,7 +23,7 @@ from qracah import (
     pr_inner,
     rr_inner,
 )
-from qracah import multivar, orthopoly
+from qracah import multivar, orthopoly, qseries
 from qracah.errors import DenominatorPole, OutOfRange
 from qracah.uqsl2 import OpMatrix
 from qracah.tables import table_sizes, tabled
@@ -102,6 +102,16 @@ def _calls(qb):
                 calls.append((multivar._shift_terms, (qb, j, ys, h, one, sizes, su11), {}))
                 calls.append((multivar._nested_vec,
                               (qb, one, h, sizes, ys, su11, trunc, TB), {}))
+    # the multivariate rational functions, and the summation identity's
+    # 3phi2 factors in base 1/q
+    for xs in ((0, 0), (1, 0), (2, 1)):
+        for ys in ((0, 1), (1, 1)):
+            calls.append((multivar._rr_multi, (qb, one, h, 0, (2, 1), xs, ys), {}))
+            calls.append((multivar._pr_multi, (qb, one, 0, 0, (one, one), xs, ys, TB), {}))
+    a, sq = qb.qpow(-4), -qb.qpow(one)
+    for n in range(3):
+        for z in range(3):
+            calls.append((qseries._rhs_factor, (qb.q, a, TB, n, z, sq), {}))
     return calls
 
 
@@ -178,6 +188,20 @@ def test_an_integral_exponent_keys_one_entry_whatever_its_type():
         assert _size(cell) == before + 1, family.__name__
         assert values[0] is values[1] is values[2]
         assert type(values[0]) is F
+
+
+def test_multivariate_sequences_key_one_entry_as_list_or_tuple():
+    # rr_multi and pr_multi take sequences; a list and a tuple of the same
+    # entries key one entry and return one object
+    qb = QBase(F(3, 11))  # a base no other test uses
+    tb = TailBound(1e-9)
+    for public, cell, sizes, extra in ((multivar.rr_multi, multivar._rr_multi, (2, 1), ()),
+                                       (multivar.pr_multi, multivar._pr_multi, (1, 1), (tb,))):
+        before = _size(cell)
+        first = public(qb, 1, 0, 0, list(sizes), [1, 0], [0, 1], *extra)
+        again = public(qb, 1, 0, 0, tuple(sizes), (1, 0), (0, 1), *extra)
+        assert first is again and _size(cell) == before + 1, public.__name__
+        assert type(first) is F
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 from qracah.report import CheckReport, residual_string, serialize_value
 from qracah.verify import SUITE_IDS, SUITES, RunConfig, build_tasks, run_suite, run_task
 
@@ -349,6 +351,51 @@ def test_cli_verify_q_above_one_fails_by_report():
         assert not r["pass"] and r["residual"] == "error"
         assert r["error"].startswith("NonConvergent: term ")
         assert r["error"].endswith(" exceeds the floating-point range")
+
+
+_RR_POINT = ("--fn", "rr_closed", "--N", "2", "--s", "1", "--t", "0", "--v", "0",
+             "--x", "1", "--y", "2")
+_PR_POINT = ("--fn", "pr_closed", "--k", "1", "--s", "1", "--t", "0", "--v", "0",
+             "--x", "1", "--y", "1")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("eval", *_RR_POINT[:5], "abc", *_RR_POINT[6:]), "cannot parse number 'abc'"),
+    (("eval", "--mode", "float", "--p", "nan", *_RR_POINT), "cannot parse number 'nan'"),
+    (("eval", "--mode", "float", "--p", "inf", *_RR_POINT), "cannot parse number 'inf'"),
+    (("eval", "--p", "1/0", *_RR_POINT), "cannot parse number '1/0'"),
+    (("verify", "--suite", "relations", "--p", "1/0"), "cannot parse number '1/0'"),
+    (("eval", "--max-terms", "0", *_PR_POINT), "max_terms must be at least 1"),
+    (("verify", "--suite", "cor4.3", "--max-terms", "0"), "max_terms must be at least 1"),
+    (("eval", "--tol", "0", *_PR_POINT), "tolerance must be positive"),
+    (("eval", "--mode", "float", "--p", f"1/{10**200}", *_RR_POINT),
+     "unusable floating-point base q = 0.0"),
+], ids=["s-abc", "p-nan", "p-inf", "p-zero-denominator", "verify-p-zero-denominator",
+        "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow"])
+def test_cli_bad_input_is_a_config_error(args, message):
+    # a number that does not parse, or a tail bound or base that cannot
+    # work, is refused with exit status 2 and one line, never a traceback
+    # or a silent default
+    out = _cli(*args)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr.startswith("ConfigError: ") and message in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_cli_floating_overflow_fails_by_report():
+    # at p = 1e-30 the su11 relations need q**-6 = 1e360: each such task is
+    # a failing OutOfRange report, and all 7 reports are written
+    out = _cli("verify", "--suite", "relations", "--mode", "float", "--p", f"1/{10**30}")
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    reports = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(reports) == 7
+    errors = [r["error"] for r in reports if "error" in r]
+    assert errors and all(e.startswith("OutOfRange: q**") for e in errors)
+    # a single evaluation reports it with exit status 2
+    out = _cli("eval", "--mode", "float", "--p", "1/1000", "--fn", "weights",
+               "--N", "200", "--n", "100")
+    assert out.returncode == 2
+    assert out.stderr.startswith("OutOfRange: q**") and "Traceback" not in out.stderr
 
 
 def test_cli_verify_unknown_suite():
