@@ -103,12 +103,14 @@ class QBase:
         if isinstance(p, float) and mode == "exact":
             raise ExactnessError("exact mode requires a rational p")
         self.p = Fraction(p) if not isinstance(p, float) else p
-        if not self.p > 0 or self.p == 1:
-            raise ValueError("p must be positive and different from 1")
         if mode == "exact":
+            if self.p.numerator <= 0 or self.p.numerator == self.p.denominator:
+                raise ValueError("p must be positive and different from 1")
             self._q = self.p * self.p
             self._logq = None
         else:
+            if not self.p > 0 or self.p == 1:
+                raise ValueError("p must be positive and different from 1")
             try:
                 pf = float(self.p)
             except OverflowError:
@@ -118,8 +120,9 @@ class QBase:
             if not (0 < self._q < math.inf and 1 / self._q < math.inf) or self._q == 1:
                 raise ValueError(f"p = {p} gives the unusable floating-point base q = {self._q!r}")
             self._logq = 2.0 * math.log(pf)
-        self._qdiff = self._q - 1 / self._q
-        self._qsum = self._q + 1 / self._q
+        inv = 1 / self._q
+        self._qdiff = self._q - inv
+        self._qsum = self._q + inv
         # every table key holds a base: hash it once, not on each lookup
         self._hash = hash((self.p, mode))
         # (exponent, its type) -> q**e, [e]_q, {e}_q: see _tabled
