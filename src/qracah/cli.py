@@ -54,39 +54,41 @@ def _parse_grid(text: str):
         lo, _, hi = rng.partition(":")
         if not hi:
             hi = lo
-        axes.append((var.strip(), list(range(int(lo), int(hi) + 1))))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"grid range {piece!r} is empty")
+        axes.append((var.strip(), values))
     return axes
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each subcommand takes only the options it reads, spelled out in full:
+    # an abbreviation would read verify's --s as --suite
     parser = argparse.ArgumentParser(prog="qracah", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("eval", "verify", "table"):
-        sp = sub.add_parser(name)
+    ev, ver, tab = (sub.add_parser(name, allow_abbrev=False)
+                    for name in ("eval", "verify", "table"))
+    for sp in (ev, ver, tab):
         sp.add_argument("--mode", choices=("exact", "float", "complex"), default="exact")
         sp.add_argument("--p", default=None, help="base parameter p with q = p**2, e.g. 1/2")
-        sp.add_argument("--s", default=None)
-        sp.add_argument("--t", default=None)
-        sp.add_argument("--u", default=None)
-        sp.add_argument("--v", default=None)
-        sp.add_argument("--N", default=None, help="chain sizes, e.g. 3 or 2,2")
-        sp.add_argument("--k", default=None, help="weight parameters, e.g. 1 or 1,1")
-        sp.add_argument("--x", default=None)
-        sp.add_argument("--y", default=None)
-        sp.add_argument("--n", default=None)
-        sp.add_argument("--trunc", type=int, default=None)
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--max-terms", type=int, default=None)
+    for sp in (ev, tab):
+        sp.add_argument("--fn", required=True, choices=sorted(FUNCTIONS))
+        for name in ("s", "t", "u", "v"):
+            sp.add_argument(f"--{name}", default=None)
+        sp.add_argument("--N", default=None, help="chain sizes, e.g. 3 or 2,2")
+        sp.add_argument("--k", default=None, help="weight parameters, e.g. 1 or 1,1")
+        for name in ("x", "y", "n"):
+            sp.add_argument(f"--{name}", default=None)
+    ver.add_argument("--suite", required=True, choices=sorted(SUITE_IDS))
+    ver.add_argument("--trunc", type=int, default=None)
+    ver.add_argument("--jobs", type=int, default=1)
+    tab.add_argument("--grid", required=True,
+                     help="inclusive ranges per variable, e.g. x=0:2,y=0:2")
+    tab.add_argument("--format", choices=("json", "csv"), default="json")
+    for sp in (ver, tab):
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--jobs", type=int, default=1)
-        if name == "verify":
-            sp.add_argument("--suite", required=True, choices=sorted(SUITE_IDS))
-        else:
-            sp.add_argument("--fn", required=True, choices=sorted(FUNCTIONS))
-        if name == "table":
-            sp.add_argument("--grid", required=True,
-                            help="inclusive ranges per variable, e.g. x=0:2,y=0:2")
     return parser
 
 

@@ -28,20 +28,21 @@ own.  The weights, ``kraw_b_coeffs``/``asc_d_coeffs`` and the
 orthogonality sums stay per family: their algorithms differ, not only
 their parameters.
 
-The n-side weights are read from explicit tables, built once per key (the
-table objects are themselves ``tables.tabled``) and kept for the life of
-the process: ``kraw_w`` from one row per (qb, N) over a single prefix list
-of (q**2; q**2)_m, ``asc_w`` from one list per (qb, k) that grows to the
-largest n asked for by carrying its two Pochhammer products forward one
-factor at a time.  Each entry comes out of the same operation sequence as
-the direct ``qpoch``/``qbinom`` formula in its docstring, so it is
-bit-identical to it, and of the same type, in every backend; ``QBase``
-equality includes the backend, so exact and floating bases never share an
-entry.
+The n-side weights are closed forms in Pochhammer prefixes of one base:
+``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2; q**2)_(N-n))
+and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n.  Each
+prefix is read from one row per (qb, exponent) -- ``_poch_row`` holds
+(q**e; q**2)_0, (q**e; q**2)_1, ... and grows it to the longest prefix
+asked for by the loop of ``qpoch`` -- so both families share the
+(q**2; q**2) row of a base, and ``asc_W`` reads the same two rows as
+``asc_w``.  Every entry comes out of the same operation sequence as the
+direct ``qpoch``/``qbinom`` formula, so each weight is bit-identical to it,
+and of the same type, in every backend; ``QBase`` equality includes the
+backend, so exact and floating bases never share a row.
 
 The other pure values -- polynomial values (``_kraw_cached``/``_asc_cached``,
-keyed on u as well), the x-side weights ``kraw_W``/``asc_W`` and the
-``*_diff_coeffs``/``*_dyn_coeffs`` tables -- are ``tables.tabled``: the first
+keyed on u as well), the weights ``kraw_w``/``asc_w``/``kraw_W``/``asc_W`` and
+the ``*_diff_coeffs``/``*_dyn_coeffs`` tables -- are ``tables.tabled``: the first
 call at a key stores the value for the life of the process, later calls
 return that same object, so every value is bit-identical to the undecorated
 function's.  Keys carry the type of each scalar argument, so a float
@@ -172,6 +173,41 @@ def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
 
 
 # ---------------------------------------------------------------------------
+# the Pochhammer rows behind both families' weights
+# ---------------------------------------------------------------------------
+
+
+class _PochRow:
+    """The prefixes (a; base)_0, (a; base)_1, ... of one Pochhammer product,
+    extended to the longest one requested by the loop of ``qpoch``.
+    Extension holds a lock: two threads reading the same last prefix would
+    append the same entry twice."""
+
+    __slots__ = ("a", "base", "f", "row", "lock")
+
+    def __init__(self, a, base):
+        self.a, self.base = a, base
+        self.f = one = a * 0 + base * 0 + 1
+        self.row = [one]
+        self.lock = Lock()
+
+    def __getitem__(self, m: int):
+        row = self.row
+        if m >= len(row):
+            with self.lock:
+                while len(row) <= m:
+                    row.append(row[-1] * (1 - self.a * self.f))
+                    self.f *= self.base
+        return row[m]
+
+
+@tabled
+def _poch_row(qb: QBase, e) -> _PochRow:
+    """The row of (q**e; q**2)_m, m = 0, 1, ..."""
+    return _PochRow(qb.qpow(e), qb.qpow(2))
+
+
+# ---------------------------------------------------------------------------
 # finite family
 # ---------------------------------------------------------------------------
 
@@ -188,48 +224,17 @@ def kraw(kp: KrawParams, n: int, x: int):
     return _kraw_cached(kp.qb, as_exponent(kp.u), as_exponent(kp.s), kp.N, n, x)
 
 
-class _KrawWeights:
-    """The row w(0..N) of one (qb, N): one prefix list P[m] = (q2; q2)_m,
-    built by the loop of ``qpoch``, and each weight
-    q**(n(n-N)) * (P[N] / (P[n] * P[N-n])) computed on first request, so a
-    floating overflow at one n stays that entry's error, as it is for the
-    direct formula."""
-
-    __slots__ = ("qb", "N", "poch", "row")
-
-    def __init__(self, qb: QBase, N: int):
-        self.qb, self.N = qb, N
-        q2 = qb.qpow(2)
-        f = q2 * 0 + q2 * 0 + 1
-        poch = [f]
-        for _ in range(N):
-            poch.append(poch[-1] * (1 - q2 * f))
-            f *= q2
-        self.poch = poch
-        self.row = [None] * (N + 1)
-
-    def __getitem__(self, n: int):
-        w = self.row[n]
-        if w is None:
-            N, P = self.N, self.poch
-            w = self.row[n] = self.qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
-        return w
-
-
 @tabled
-def _kraw_weights(qb: QBase, N: int) -> _KrawWeights:
-    return _KrawWeights(qb, N)
-
-
 def kraw_w(qb: QBase, N: int, n: int):
     """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under q <-> 1/q.
 
-    Read from the (qb, N) weight table; each entry equals the direct
-    ``qb.qpow(n * (n - N)) * qbinom(N, n, qb.qpow(2))`` bit for bit.
+    The binomial is read off the (q**2; q**2) row; the weight equals the
+    direct ``qb.qpow(n * (n - N)) * qbinom(N, n, qb.qpow(2))`` bit for bit.
     """
     if not 0 <= n <= N:
         raise OutOfRange(f"n = {n} outside 0..{N}")
-    return _kraw_weights(qb, N)[n]
+    P = _poch_row(qb, 2)
+    return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
 
 
 @tabled
@@ -350,59 +355,18 @@ def asc(ap: ASCParams, n: int, x: int):
     return _asc_cached(ap.qb, as_exponent(ap.u), as_exponent(ap.s), as_exponent(ap.k), n, x)
 
 
-class _AscWeights:
-    """The weights w_k(0), w_k(1), ... of one (qb, k), extended to the largest
-    n requested.  The numerator (q**2k; q**2)_m and denominator (q**2; q**2)_m
-    and their powers of q**2 are carried forward one factor at a time, by the
-    loop of ``qpoch``; the running state is committed only once the new
-    weight q**(-m(k-1)) * top / bot exists, so an error leaves it intact.
-    Extension holds a lock: two threads reading the same state would append
-    the same entry twice."""
-
-    __slots__ = ("qb", "k", "a", "q2", "state", "row", "lock")
-
-    def __init__(self, qb: QBase, k):
-        self.qb, self.k = qb, k
-        self.q2 = q2 = qb.qpow(2)
-        self.a = a = qb.qpow(2 * k)
-        top = a * 0 + q2 * 0 + 1
-        bot = q2 * 0 + q2 * 0 + 1
-        self.state = (top, top, bot, bot)
-        self.row = []
-        self.lock = Lock()
-
-    def __getitem__(self, n: int):
-        row = self.row
-        if n >= len(row):
-            with self.lock:
-                while len(row) <= n:
-                    m = len(row)
-                    top, ftop, bot, fbot = self.state
-                    if m:
-                        top *= 1 - self.a * ftop
-                        ftop *= self.q2
-                        bot *= 1 - self.q2 * fbot
-                        fbot *= self.q2
-                    row.append(self.qb.qpow(-m * (self.k - 1)) * top / bot)
-                    self.state = (top, ftop, bot, fbot)
-        return row[n]
-
-
 @tabled
-def _asc_weights(qb: QBase, k) -> _AscWeights:
-    return _AscWeights(qb, k)
-
-
 def asc_w(qb: QBase, k, n: int):
     """n-side weight q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n.
 
-    Read from the (qb, k) weight table; each entry equals the direct
+    The Pochhammers are read off their rows; the weight equals the direct
     ``qb.qpow(-n * (k - 1)) * qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)``
     bit for bit.
     """
     if n < 0:
         raise OutOfRange(f"n = {n} must be nonnegative")
-    return _asc_weights(qb, as_exponent(k))[n]
+    k = as_exponent(k)
+    return qb.qpow(-n * (k - 1)) * _poch_row(qb, as_exponent(2 * k))[n] / _poch_row(qb, 2)[n]
 
 
 @tabled
@@ -417,7 +381,7 @@ def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):
     s, k = as_exponent(s), as_exponent(k)
     q2 = qb.qpow(2)
     out = (1 - qb.qpow(4 * x + 2 * s + 2 * k)) / (1 - qb.qpow(2 * x + 2 * s + 2 * k))
-    out *= qpoch(qb.qpow(2 * k), q2, x) / qpoch(q2, q2, x)
+    out *= _poch_row(qb, as_exponent(2 * k))[x] / _poch_row(qb, 2)[x]
     out *= qpoch_inf_ratio(qb.qpow(2 * x + 2 * s + 2), qb.qpow(2 * x + 2 * s + 2 * k + 2), q2, tb)
     return out * qb.qpow(2 * x * (x + s))
 

@@ -59,6 +59,11 @@ class RunConfig:
     jobs: int = 1
     max_terms: Optional[int] = None
 
+    def __post_init__(self):
+        # a window of fewer than 2 levels has no interior row to check
+        if self.trunc is not None and self.trunc < 2:
+            raise ValueError("trunc must be at least 2")
+
     def ps(self):
         return (self.p,) if self.p is not None else DEFAULT_PS
 

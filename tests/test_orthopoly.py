@@ -32,6 +32,7 @@ from qracah import (
 )
 from qracah import uqsl2
 from qracah.errors import DenominatorPole, ExactnessError, OutOfRange
+from qracah.tables import table_sizes
 
 QB = QBase(F(1, 2))  # q = 1/4
 
@@ -319,6 +320,51 @@ def test_asc_w_table_extension_is_thread_safe():
         sys.setswitchinterval(old)
     for i, order in enumerate(orders):
         assert results[i] == [_asc_w_direct(qb, k, n) for n in order]
+
+
+def test_mixed_weight_requests_share_one_row_thread_safely():
+    # kraw_w and asc_w at k = 1 all read the base's (q**2; q**2) row, and
+    # asc_w at k = 3/2 also grows the (q**3; q**2) row: threads mixing them
+    # on a fresh base must not append a prefix twice
+    qb = QBase(F(4, 9))
+    requests = [("kraw", N, n) for N in range(40, 0, -7) for n in range(N + 1)]
+    requests += [("asc", k, n) for k in (1, F(3, 2)) for n in range(0, 61, 3)]
+    orders = [requests[i::3] + requests[:i:-5] for i in range(6)]
+    direct = {"kraw": _kraw_w_direct, "asc": _asc_w_direct}
+    weight = {"kraw": kraw_w, "asc": asc_w}
+    results = {}
+
+    def request(i):
+        results[i] = [weight[fam](qb, a, n) for fam, a, n in orders[i]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for i, order in enumerate(orders):
+        assert results[i] == [direct[fam](qb, a, n) for fam, a, n in order]
+
+
+def test_both_weight_families_share_one_pochhammer_row_per_exponent():
+    # every kraw_w of a base reads its (q**2; q**2) row, and asc_w at k adds
+    # only the (q**2k; q**2) row: N = 1..12 and two k make three rows
+    qb = QBase(F(8, 13))  # a base no other test uses
+    name = "qracah.orthopoly._poch_row"
+    before = table_sizes().get(name, 0)
+    for N in range(1, 13):
+        for n in range(N + 1):
+            kraw_w(qb, N, n)
+    for k in (F(1, 2), F(3, 2)):
+        for n in range(20):
+            asc_w(qb, k, n)
+    assert table_sizes()[name] == before + 3
 
 
 def test_asc_W_positive():

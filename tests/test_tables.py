@@ -74,6 +74,9 @@ def _calls(qb):
         for x in range(4):
             calls.append((orthopoly._kraw_cached, (qb, 0, h, 3, n, x), {}))
             calls.append((orthopoly._asc_cached, (qb, one, h, one, n, x), {}))
+    for n in range(4):
+        calls.append((orthopoly.kraw_w, (qb, 3, n), {}))
+        calls.append((orthopoly.asc_w, (qb, h, n), {}))
     for y in range(4):
         calls.append((kraw_W, (qb, h, 3, y), {}))
         calls.append((kraw_W, (qb, 1, 3), {"x": y}))

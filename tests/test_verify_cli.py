@@ -1,5 +1,6 @@
 """Verification harness and command-line interface."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -8,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qracah import cli
 from qracah.report import CheckReport, residual_string, serialize_value
 from qracah.verify import SUITE_IDS, SUITES, RunConfig, build_tasks, run_suite, run_task
 
@@ -357,6 +359,7 @@ _RR_POINT = ("--fn", "rr_closed", "--N", "2", "--s", "1", "--t", "0", "--v", "0"
              "--x", "1", "--y", "2")
 _PR_POINT = ("--fn", "pr_closed", "--k", "1", "--s", "1", "--t", "0", "--v", "0",
              "--x", "1", "--y", "1")
+_WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -370,8 +373,15 @@ _PR_POINT = ("--fn", "pr_closed", "--k", "1", "--s", "1", "--t", "0", "--v", "0"
     (("eval", "--tol", "0", *_PR_POINT), "tolerance must be positive"),
     (("eval", "--mode", "float", "--p", f"1/{10**200}", *_RR_POINT),
      "unusable floating-point base q = 0.0"),
+    (("verify", "--suite", "ev4.x", "--trunc", "0"), "trunc must be at least 2"),
+    (("verify", "--suite", "cor4.1", "--trunc", "1"), "trunc must be at least 2"),
+    (("table", *_WEIGHTS, "--grid", "x=2:1,y=0", "--format", "csv"),
+     "grid range 'x=2:1' is empty"),
+    (("table", *_WEIGHTS, "--grid", "x=2:1,y=0", "--format", "json"),
+     "grid range 'x=2:1' is empty"),
 ], ids=["s-abc", "p-nan", "p-inf", "p-zero-denominator", "verify-p-zero-denominator",
-        "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow"])
+        "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow", "trunc-0", "trunc-1",
+        "empty-grid-csv", "empty-grid-json"])
 def test_cli_bad_input_is_a_config_error(args, message):
     # a number that does not parse, or a tail bound or base that cannot
     # work, is refused with exit status 2 and one line, never a traceback
@@ -380,6 +390,42 @@ def test_cli_bad_input_is_a_config_error(args, message):
     assert out.returncode == 2 and "Traceback" not in out.stderr
     assert out.stderr.startswith("ConfigError: ") and message in out.stderr
     assert len(out.stderr.splitlines()) == 1
+
+
+def test_cli_verify_trunc_2_runs():
+    # the smallest window: cor4.1's degree-2 residuals still cover a row
+    out = _cli("verify", "--suite", "cor4.1", "--trunc", "2")
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    reports = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(reports) == 20 and all(r["params"]["trunc"] == 2 for r in reports)
+
+
+# the options each subcommand reads; any other option is an argparse error
+_SERIES_OPTIONS = {"--mode", "--p", "--tol", "--max-terms"}
+_POINT_OPTIONS = {"--fn", "--s", "--t", "--u", "--v", "--N", "--k", "--x", "--y", "--n"}
+_READ_OPTIONS = {
+    "eval": _SERIES_OPTIONS | _POINT_OPTIONS,
+    "verify": _SERIES_OPTIONS | {"--suite", "--trunc", "--jobs", "--out"},
+    "table": _SERIES_OPTIONS | _POINT_OPTIONS | {"--grid", "--format", "--out"},
+}
+_VALID_ARGS = {
+    "eval": ("--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1"),
+    "verify": ("--suite", "relations"),
+    "table": ("--fn", "weights", "--p", "1/2", "--N", "3", "--grid", "n=0:1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READ_OPTIONS))
+def test_cli_subcommand_takes_only_the_options_it_reads(command, capsys):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == _READ_OPTIONS[command]
+    for option in sorted(set().union(*_READ_OPTIONS.values()) - _READ_OPTIONS[command]):
+        value = "csv" if option == "--format" else "3"
+        assert cli.main([command, *_VALID_ARGS[command], option, value]) == 2, option
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {option} {value}" in err, option
 
 
 def test_cli_floating_overflow_fails_by_report():
