@@ -51,14 +51,40 @@ def _parse_grid(text: str):
     axes = []
     for piece in text.split(","):
         var, _, rng = piece.partition("=")
+        var = var.strip()
+        if any(var == name for name, _ in axes):
+            raise ValueError(f"grid axis {var!r} is repeated")
         lo, _, hi = rng.partition(":")
         if not hi:
             hi = lo
         values = list(range(int(lo), int(hi) + 1))
         if not values:
             raise ValueError(f"grid range {piece!r} is empty")
-        axes.append((var.strip(), values))
+        axes.append((var, values))
     return axes
+
+
+class _Point(dict):
+    """One grid point that records which coordinates a function read."""
+
+    def __init__(self, coords):
+        super().__init__(coords)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def _require_axes_read(names, point, fn):
+    # the vector slots x1, x2, ... and y1, ... are read through xs and ys
+    read = set(point.read)
+    for vec in ("x", "y"):
+        if vec + "s" in read:
+            read.update(name for name in names if name.startswith(vec) and name != vec)
+    for name in names:
+        if name not in read:
+            raise ValueError(f"grid axis {name!r} is not read by --fn {fn}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,7 +361,7 @@ def cmd_table(args) -> int:
     header = None
     rows = []
     for combo in iproduct(*[values for _, values in axes]):
-        point = dict(zip(names, combo))
+        point = _Point(zip(names, combo))
         # multivariate grids address vector slots as x1, x2, ..., y1, ...
         xs = tuple(point[k] for k in sorted(point) if k.startswith("x") and k != "x")
         ys = tuple(point[k] for k in sorted(point) if k.startswith("y") and k != "y")
@@ -344,14 +370,12 @@ def cmd_table(args) -> int:
         if ys:
             point["ys"] = ys
         value = FUNCTIONS[args.fn](args, qb, point)
-        if isinstance(value, dict):
-            if header is None:
-                header = names + list(value)
-            rows.append([*combo, *(_format_scalar(v) for v in value.values())])
-        else:
-            if header is None:
-                header = names + ["value"]
-            rows.append([*combo, _format_scalar(value)])
+        cells = value if isinstance(value, dict) else {"value": value}
+        if header is None:
+            # every cell calls the same function, so the first shows what it reads
+            _require_axes_read(names, point, args.fn)
+            header = names + list(cells)
+        rows.append([*combo, *(_format_scalar(v) for v in cells.values())])
     text = _render_table(header, rows, args.format, args.fn)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -443,8 +443,9 @@ def multi_biorth_residual_asc(qb: QBase, s, t, v, ks: Sequence,
     shell totals decay super-geometrically (the weight's q**(2x**2) beats
     the polynomial growth of the rational factors), so the shell sequence is
     truncated under the tail certificate."""
-    from .qseries import certified_sum
+    from .qseries import certified_sum, require_q_below_one
 
+    require_q_below_one(qb)
     M = len(ks)
     vpart = -qb.conj(as_exponent(v)) - 2
     idx, idx2 = tuple(idx), tuple(idx2)

@@ -15,40 +15,52 @@ exact normalizations are pinned by the n = 0 row, where every polynomial
 equals 1, so each coefficient row must sum to the diagonal symbol at n = 0
 (q**-N for the finite family, q**k for the infinite one).
 
-The infinite family is the finite one at N = -k: the 3phi2 (``_phi32``),
-the three-term table (``_diff_coeffs``) and the five-point table
-(``_dyn_coeffs``) are each written once, taking ``su11`` and a size that
-is N or -k.  The finite side negates each parameter whose exponent carries
-s or t (other than through s - t) and its prefactor carries (-1)**n; the
-upper-boundary zeros (y = N, y >= N, y >= N - 1) are finite-only.
-Exponents keep the infinite formulas' addend order (- c*k becomes
-+ c*size) and signs are applied by negation, so every value, signed zeros
-included, is bit-identical to each family's formula written out on its
-own.  The weights, ``kraw_b_coeffs``/``asc_d_coeffs`` and the
+The infinite family is the finite one at N = -k: the 3phi2 (``_series``
+and ``_column``), the three-term table (``_diff_coeffs``) and the
+five-point table (``_dyn_coeffs``) are each written once, taking ``su11``
+and a size that is N or -k.  The finite side negates each parameter whose
+exponent carries s or t (other than through s - t) and its prefactor
+carries (-1)**n; the upper-boundary zeros (y = N, y >= N, y >= N - 1) are
+finite-only.  Exponents keep the infinite formulas' addend order (- c*k
+becomes + c*size) and signs are applied by negation, so every value,
+signed zeros included, is bit-identical to each family's formula written
+out on its own.  The weights, ``kraw_b_coeffs``/``asc_d_coeffs`` and the
 orthogonality sums stay per family: their algorithms differ, not only
 their parameters.
 
-The n-side weights are closed forms in Pochhammer prefixes of one base:
-``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2; q**2)_(N-n))
-and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n.  Each
-prefix is read from one row per (qb, exponent) -- ``_poch_row`` holds
-(q**e; q**2)_0, (q**e; q**2)_1, ... and grows it to the longest prefix
-asked for by the loop of ``qpoch`` -- so both families share the
-(q**2; q**2) row of a base, and ``asc_W`` reads the same two rows as
-``asc_w``.  Every entry comes out of the same operation sequence as the
-direct ``qpoch``/``qbinom`` formula, so each weight is bit-identical to it,
-and of the same type, in every backend; ``QBase`` equality includes the
-backend, so exact and floating bases never share a row.
+Values that run over n are rows of one class, ``_Row``: entries 0, 1, ...
+computed in order on first request and kept, grown under a lock.
 
-The other pure values -- polynomial values (``_kraw_cached``/``_asc_cached``,
-keyed on u as well), the weights ``kraw_w``/``asc_w``/``kraw_W``/``asc_W`` and
-the ``*_diff_coeffs``/``*_dyn_coeffs`` tables -- are ``tables.tabled``: the first
+* Polynomial values are columns over n.  ``_column(qb, su11, size, u, s,
+  x)`` holds q**(n(s-u-size/2+1/2)) times entry n of the twist-free
+  series column ``_series(qb, su11, size, s, x)``: u enters only the
+  prefactor, so every twist reads one 3phi2 per (s, x).  ``kraw``/``asc``
+  read a column by index and ``kraw_column``/``asc_column`` hand a whole
+  column to the sums over n.  Each value still comes from its own series,
+  never from the recurrences that the verify suites check.  For int s, u
+  and size the prefactor exponent is n(2s-2u-size+1)/2 on ints, the same
+  power as the general expression.
+* The n-side weights are closed forms in Pochhammer prefixes of one base:
+  ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2;
+  q**2)_(N-n)) and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2;
+  q**2)_n, kept as the row ``asc_w_column(qb, k)``.  Each prefix is read
+  from one row per (qb, exponent) -- ``_poch_row`` holds (q**e; q**2)_0,
+  (q**e; q**2)_1, ... grown by the loop of ``qpoch`` -- so both families
+  share the (q**2; q**2) row of a base, and ``asc_W`` reads the same two
+  rows as ``asc_w``.  Every entry comes out of the same operation sequence
+  as the direct ``qpoch``/``qbinom`` formula, so each weight is
+  bit-identical to it, and of the same type, in every backend.
+
+The rows, ``kraw_w``/``kraw_W``/``asc_W`` and the
+``*_diff_coeffs``/``*_dyn_coeffs`` tables are ``tables.tabled``: the first
 call at a key stores the value for the life of the process, later calls
-return that same object, so every value is bit-identical to the undecorated
-function's.  Keys carry the type of each scalar argument, so a float
-exponent never reads the entry of an equal ``Fraction``; calls that raise
-store nothing.  Values still come from the series and closed forms, never
-from the recurrences that the verify suites check.
+return that same object, so every value is bit-identical to the
+undecorated function's.  Keys carry the type of each scalar argument, so a
+float exponent never reads the entry of an equal ``Fraction``, and
+``QBase`` equality includes the backend, so exact and floating bases never
+share a row; calls and row entries that raise store nothing.  The
+certified infinite sums refuse q > 1 before their first term
+(``qseries.require_q_below_one``).
 """
 
 from __future__ import annotations
@@ -59,7 +71,16 @@ from functools import wraps
 from threading import Lock
 
 from .errors import DenominatorPole, OutOfRange
-from .qseries import PhiSpec, TailBound, certified_sum, qbinom, qpoch, qpoch_inf_ratio, rphis
+from .qseries import (
+    PhiSpec,
+    TailBound,
+    certified_sum,
+    qbinom,
+    qpoch,
+    qpoch_inf_ratio,
+    require_q_below_one,
+    rphis,
+)
 from .scalar import QBase, as_exponent, ordered_sum
 from .tables import tabled
 
@@ -99,28 +120,6 @@ def _signed_qpow(qb: QBase, su11: bool):
     if su11:
         return qb.qpow
     return lambda e: -qb.qpow(e)
-
-
-def _phi32(qb: QBase, su11: bool, size, u, s, n: int, x: int):
-    """The renormalized terminating 3phi2 of either family; the finite
-    prefactor also carries (-1)**n."""
-    pref = qb.qpow(n * (s - u - size * _HALF + _HALF))
-    if not su11:
-        pref = (-1) ** n * pref
-    ser = rphis(
-        PhiSpec(
-            numerators=(
-                qb.qpow(2 * n),
-                qb.qpow(2 * x),
-                _signed_qpow(qb, su11)(-2 * x - 2 * s + 2 * size),
-            ),
-            denominators=(qb.qpow(2 * size),),
-            base=qb.qpow(-2),
-            argument=qb.qpow(-2),
-            terminate_after=min(n, x) + 1,
-        )
-    )
-    return pref * ser
 
 
 def _diff_coeffs(qb: QBase, su11: bool, size, y: int, t):
@@ -173,38 +172,94 @@ def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
 
 
 # ---------------------------------------------------------------------------
-# the Pochhammer rows behind both families' weights
+# rows over n: Pochhammer prefixes, weights and polynomial values
 # ---------------------------------------------------------------------------
 
 
-class _PochRow:
-    """The prefixes (a; base)_0, (a; base)_1, ... of one Pochhammer product,
-    extended to the longest one requested by the loop of ``qpoch``.
-    Extension holds a lock: two threads reading the same last prefix would
-    append the same entry twice."""
+class _Row:
+    """Entries 0, 1, 2, ... of a sequence, each computed once by
+    ``entry(m)`` and kept: a request for entry m first computes every entry
+    before it, in order.  Growth holds a lock, since two threads reading
+    the same last entry would append it twice.  An entry that raises is
+    not stored and raises again on the next request, and so does every
+    request past it."""
 
-    __slots__ = ("a", "base", "f", "row", "lock")
+    __slots__ = ("entry", "row", "lock")
 
-    def __init__(self, a, base):
-        self.a, self.base = a, base
-        self.f = one = a * 0 + base * 0 + 1
-        self.row = [one]
-        self.lock = Lock()
+    def __init__(self, entry):
+        self.entry, self.row, self.lock = entry, [], Lock()
 
     def __getitem__(self, m: int):
         row = self.row
         if m >= len(row):
             with self.lock:
                 while len(row) <= m:
-                    row.append(row[-1] * (1 - self.a * self.f))
-                    self.f *= self.base
+                    row.append(self.entry(len(row)))
         return row[m]
 
 
 @tabled
-def _poch_row(qb: QBase, e) -> _PochRow:
-    """The row of (q**e; q**2)_m, m = 0, 1, ..."""
-    return _PochRow(qb.qpow(e), qb.qpow(2))
+def _poch_row(qb: QBase, e) -> _Row:
+    """The row of (q**e; q**2)_m, m = 0, 1, ..., by the loop of ``qpoch``."""
+    a, base = qb.qpow(e), qb.qpow(2)
+    f = one = a * 0 + base * 0 + 1
+
+    def entry(m):
+        nonlocal f
+        if m == 0:
+            return one
+        out = row[m - 1] * (1 - a * f)
+        f *= base
+        return out
+
+    row = _Row(entry)
+    return row
+
+
+@tabled
+def _series(qb: QBase, su11: bool, size, s, x: int) -> _Row:
+    """The column over n of the renormalized terminating 3phi2 of either
+    family at (s, x).  The twist u enters only the prefactor, so every u
+    reads this one column."""
+    return _Row(lambda n: rphis(
+        PhiSpec(
+            numerators=(
+                qb.qpow(2 * n),
+                qb.qpow(2 * x),
+                _signed_qpow(qb, su11)(-2 * x - 2 * s + 2 * size),
+            ),
+            denominators=(qb.qpow(2 * size),),
+            base=qb.qpow(-2),
+            argument=qb.qpow(-2),
+            terminate_after=min(n, x) + 1,
+        )
+    ))
+
+
+@tabled
+def _column(qb: QBase, su11: bool, size, u, s, x: int) -> _Row:
+    """The column over n of either family's values at (u, s, x): the
+    prefactor q**(n(s-u-size/2+1/2)), with (-1)**n on the finite side,
+    times the twist-free series."""
+    series = _series(qb, su11, size, s, x)
+    if type(s) is int and type(u) is int and type(size) is int:
+        # the exponent n(2s-2u-size+1)/2 on ints; an odd numerator stays a half
+        twice = 2 * s - 2 * u - size + 1
+
+        def exponent(n):
+            m = n * twice
+            return Fraction(m, 2) if m % 2 else m // 2
+    else:
+        def exponent(n):
+            return n * (s - u - size * _HALF + _HALF)
+
+    def entry(n):
+        pref = qb.qpow(exponent(n))
+        if not su11:
+            pref = (-1) ** n * pref
+        return pref * series[n]
+
+    return _Row(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +267,16 @@ def _poch_row(qb: QBase, e) -> _PochRow:
 # ---------------------------------------------------------------------------
 
 
-@tabled
-def _kraw_cached(qb, u, s, N, n, x):
-    return _phi32(qb, False, N, u, s, n, x)
+def kraw_column(kp: KrawParams, x: int) -> _Row:
+    """The values kraw(kp, n, x), n = 0, 1, ..., as one column read by index."""
+    return _column(kp.qb, False, kp.N, as_exponent(kp.u), as_exponent(kp.s), x)
 
 
 def kraw(kp: KrawParams, n: int, x: int):
     """Evaluate the finite family member at (n, x), 0 <= n, x <= N."""
     if not (0 <= n <= kp.N and 0 <= x <= kp.N):
         raise OutOfRange(f"(n, x) = ({n}, {x}) outside 0..{kp.N}")
-    return _kraw_cached(kp.qb, as_exponent(kp.u), as_exponent(kp.s), kp.N, n, x)
+    return kraw_column(kp, x)[n]
 
 
 @tabled
@@ -267,10 +322,8 @@ def kraw_orth_x(kp: KrawParams, n: int, n2: int):
 def kraw_orth_n(kp: KrawParams, x: int, x2: int):
     """Residual of the n-summed orthogonality: sum_n k(n,x) k(n,x2) w(n) - delta/W(x)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
-    acc = ordered_sum(
-        kraw(k0, n, x) * kraw(k0, n, x2) * kraw_w(kp.qb, kp.N, n)
-        for n in range(kp.N + 1)
-    )
+    left, right = kraw_column(k0, x), kraw_column(k0, x2)
+    acc = ordered_sum(left[n] * right[n] * kraw_w(kp.qb, kp.N, n) for n in range(kp.N + 1))
     if x == x2:
         acc -= 1 / kraw_W(kp.qb, kp.s, kp.N, x)
     return acc
@@ -343,19 +396,26 @@ def _shift_coeff(diff_coeffs, dyn_coeffs, qb, size, y, t, eps, delta):
 # ---------------------------------------------------------------------------
 
 
-@tabled
-def _asc_cached(qb, u, s, k, n, x):
-    return _phi32(qb, True, -k, u, s, n, x)
+def asc_column(ap: ASCParams, x: int) -> _Row:
+    """The values asc(ap, n, x), n = 0, 1, ..., as one column read by index."""
+    return _column(ap.qb, True, -as_exponent(ap.k), as_exponent(ap.u), as_exponent(ap.s), x)
 
 
 def asc(ap: ASCParams, n: int, x: int):
     """Evaluate the infinite family member at (n, x), n, x >= 0."""
     if n < 0 or x < 0:
         raise OutOfRange(f"(n, x) = ({n}, {x}) must be nonnegative")
-    return _asc_cached(ap.qb, as_exponent(ap.u), as_exponent(ap.s), as_exponent(ap.k), n, x)
+    return asc_column(ap, x)[n]
 
 
 @tabled
+def asc_w_column(qb: QBase, k) -> _Row:
+    """The weights asc_w(qb, k, n), n = 0, 1, ..., as one row read by index."""
+    k = as_exponent(k)
+    return _Row(lambda n: qb.qpow(-n * (k - 1)) * _poch_row(qb, as_exponent(2 * k))[n]
+                / _poch_row(qb, 2)[n])
+
+
 def asc_w(qb: QBase, k, n: int):
     """n-side weight q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n.
 
@@ -365,8 +425,7 @@ def asc_w(qb: QBase, k, n: int):
     """
     if n < 0:
         raise OutOfRange(f"n = {n} must be nonnegative")
-    k = as_exponent(k)
-    return qb.qpow(-n * (k - 1)) * _poch_row(qb, as_exponent(2 * k))[n] / _poch_row(qb, 2)[n]
+    return asc_w_column(qb, k)[n]
 
 
 @tabled
@@ -389,12 +448,14 @@ def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):
 def asc_orth_n(ap: ASCParams, x: int, x2: int):
     """Residual of the n-summed orthogonality (infinite sum, certified):
     sum_n phi(n,x) phi(n,x2) w_k(n) - delta/W_k(x)."""
+    require_q_below_one(ap.qb)
     a0 = ASCParams(0, ap.s, ap.k, ap.qb, ap.tb)
+    left, right, w = asc_column(a0, x), asc_column(a0, x2), asc_w_column(ap.qb, ap.k)
 
     def terms():
         n = 0
         while True:
-            yield asc(a0, n, x), asc(a0, n, x2), asc_w(ap.qb, ap.k, n)
+            yield left[n], right[n], w[n]
             n += 1
 
     acc = certified_sum(terms(), ap.tb)
@@ -406,6 +467,7 @@ def asc_orth_n(ap: ASCParams, x: int, x2: int):
 def asc_orth_x(ap: ASCParams, n: int, n2: int):
     """Residual of the x-summed orthogonality; the weight decays
     super-geometrically, so the certificate closes quickly."""
+    require_q_below_one(ap.qb)
     a0 = ASCParams(0, ap.s, ap.k, ap.qb, ap.tb)
 
     def terms():

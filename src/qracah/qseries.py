@@ -13,7 +13,8 @@ infinite objects carry an error certificate controlled by a
   sums) only sees its terms, so it stops once the current term is
   below ``tolerance * (1 - ratio_cap)`` and the *observed* term ratios have
   stayed below ``ratio_cap``; that bounds the tail only if later ratios
-  stay below the cap too;
+  stay below the cap too.  The sums of the infinite family call
+  :func:`require_q_below_one` first: their weights decay only for q < 1;
 * ``qpoch_inf`` / ``qpoch_inf_ratio`` bound the relative error of the
   product to first order.
 
@@ -422,6 +423,13 @@ def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:
         if a > 0 and b / a > tb.ratio_cap:
             return False
     return True
+
+
+def require_q_below_one(qb: QBase) -> None:
+    """Refuse q > 1 at the entry of a certified infinite sum of the
+    infinite family: its weights decay only for 0 < q < 1."""
+    if qb.q > 1:
+        raise NonConvergent(f"certified infinite sum needs 0 < q < 1, got q = {qb.q}")
 
 
 def certified_sum(terms, tb: TailBound, min_terms: int = 6):

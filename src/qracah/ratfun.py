@@ -31,18 +31,26 @@ from .orthopoly import (
     ASCParams,
     KrawParams,
     _signed_qpow,
-    asc,
+    asc_column,
     asc_d_coeffs,
     asc_diff_coeffs,
-    asc_w,
+    asc_w_column,
     asc_W,
-    kraw,
     kraw_b_coeffs,
+    kraw_column,
     kraw_diff_coeffs,
     kraw_w,
     kraw_W,
 )
-from .qseries import PhiSpec, TailBound, certified_sum, qpoch, qpoch_inf_ratio, rphis
+from .qseries import (
+    PhiSpec,
+    TailBound,
+    certified_sum,
+    qpoch,
+    qpoch_inf_ratio,
+    require_q_below_one,
+    rphis,
+)
 from .scalar import QBase, as_exponent, ordered_sum
 from .tables import tabled
 
@@ -76,12 +84,9 @@ def rr_inner(rp: RrParams, x: int, y: int):
     """Reference evaluation: sum_n k_{1,s}(n,x) k_{v,t}(n,y) w(n)."""
     if not (0 <= x <= rp.N and 0 <= y <= rp.N):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
-    left = KrawParams(1, rp.s, rp.N, rp.qb)
-    right = KrawParams(rp.v, rp.t, rp.N, rp.qb)
-    return ordered_sum(
-        kraw(left, n, x) * kraw(right, n, y) * kraw_w(rp.qb, rp.N, n)
-        for n in range(rp.N + 1)
-    )
+    left = kraw_column(KrawParams(1, rp.s, rp.N, rp.qb), x)
+    right = kraw_column(KrawParams(rp.v, rp.t, rp.N, rp.qb), y)
+    return ordered_sum(left[n] * right[n] * kraw_w(rp.qb, rp.N, n) for n in range(rp.N + 1))
 
 
 def _pole_index(s, t, v, y):
@@ -273,17 +278,20 @@ def pr_inner(pp: PrParams, x: int, y: int):
     the terms decay like q**(n(s+t+1-v)), so Re(v) < 1+s+t is required."""
     if x < 0 or y < 0:
         raise OutOfRange(f"(x, y) = ({x}, {y}) must be nonnegative")
+    require_q_below_one(pp.qb)
     if not _pr_convergent(pp):
         raise NonConvergent(
             f"inner product diverges: Re(v) = {pp.v} >= 1 + s + t"
         )
-    left = ASCParams(1, pp.s, pp.k, pp.qb, pp.tb)
-    right = ASCParams(pp.v, pp.t, pp.k, pp.qb, pp.tb)
+    # the two polynomial columns and the weights, fetched once and read by index
+    left = asc_column(ASCParams(1, pp.s, pp.k, pp.qb, pp.tb), x)
+    right = asc_column(ASCParams(pp.v, pp.t, pp.k, pp.qb, pp.tb), y)
+    w = asc_w_column(pp.qb, pp.k)
 
     def terms():
         n = 0
         while True:
-            yield asc(left, n, x), asc(right, n, y), asc_w(pp.qb, pp.k, n)
+            yield left[n], right[n], w[n]
             n += 1
 
     return certified_sum(terms(), pp.tb)
@@ -320,6 +328,7 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
     ratios below ``ratio_cap``."""
     qb = pp.qb
     v = pp.v
+    require_q_below_one(qb)
     if not abs(_re(v) + 1) < 2 + _re(pp.s) + _re(pp.t):
         raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
     vpart = -_conj_param(qb, v) - 2

@@ -3,6 +3,9 @@
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+import sys
+import threading
+
 import pytest
 
 from qracah import (
@@ -25,6 +28,7 @@ from qracah import (
 )
 from qracah import multivar, orthopoly, qseries
 from qracah.errors import DenominatorPole, OutOfRange
+from qracah.scalar import as_exponent
 from qracah.uqsl2 import OpMatrix
 from qracah.tables import table_sizes, tabled
 
@@ -71,12 +75,7 @@ def _calls(qb):
     one = _exponent(qb, 1)
     calls = []
     for n in range(4):
-        for x in range(4):
-            calls.append((orthopoly._kraw_cached, (qb, 0, h, 3, n, x), {}))
-            calls.append((orthopoly._asc_cached, (qb, one, h, one, n, x), {}))
-    for n in range(4):
         calls.append((orthopoly.kraw_w, (qb, 3, n), {}))
-        calls.append((orthopoly.asc_w, (qb, h, n), {}))
     for y in range(4):
         calls.append((kraw_W, (qb, h, 3, y), {}))
         calls.append((kraw_W, (qb, 1, 3), {"x": y}))
@@ -182,15 +181,114 @@ def test_size_grows_by_one_per_new_key():
 
 def test_an_integral_exponent_keys_one_entry_whatever_its_type():
     # as_exponent turns u = 1, F(1) and F(2, 2) into the int 1, so the three
-    # spellings share one polynomial-value entry and return one object
+    # spellings share one polynomial column and return one object
     qb = QBase(F(5, 13))  # a base no other test uses
-    for family, cell, pack in ((kraw, orthopoly._kraw_cached, lambda u: KrawParams(u, 1, 3, qb)),
-                               (asc, orthopoly._asc_cached, lambda u: ASCParams(u, 1, 2, qb))):
-        before = _size(cell)
+    for family, pack in ((kraw, lambda u: KrawParams(u, 1, 3, qb)),
+                         (asc, lambda u: ASCParams(u, 1, 2, qb))):
+        before = _size(orthopoly._column)
         values = [family(pack(u), 2, 1) for u in (1, F(1), F(2, 2))]
-        assert _size(cell) == before + 1, family.__name__
+        assert _size(orthopoly._column) == before + 1, family.__name__
         assert values[0] is values[1] is values[2]
         assert type(values[0]) is F
+
+
+def test_every_twist_reads_one_series_column():
+    # u enters only the prefactor: four twists at one (s, x) add four
+    # polynomial columns but a single series column
+    qb = QBase(F(6, 13))  # a base no other test uses
+    for family, pack in ((kraw, lambda u: KrawParams(u, 1, 3, qb)),
+                         (asc, lambda u: ASCParams(u, 1, 2, qb))):
+        columns, series = _size(orthopoly._column), _size(orthopoly._series)
+        for u in (0, F(1, 2), 1, 2):
+            family(pack(u), 3, 2)
+        assert _size(orthopoly._column) == columns + 4, family.__name__
+        assert _size(orthopoly._series) == series + 1, family.__name__
+
+
+def _value_direct(qb, su11, size, u, s, n, x):
+    """One polynomial value from its own series, no row read: the prefactor
+    exponent in the general expression, the 3phi2 by a fresh rphis."""
+    pref = qb.qpow(n * (s - u - size * F(1, 2) + F(1, 2)))
+    if not su11:
+        pref = (-1) ** n * pref
+    sq = qb.qpow if su11 else (lambda e: -qb.qpow(e))
+    ser = qseries.rphis(qseries.PhiSpec(
+        numerators=(qb.qpow(2 * n), qb.qpow(2 * x), sq(-2 * x - 2 * s + 2 * size)),
+        denominators=(qb.qpow(2 * size),),
+        base=qb.qpow(-2),
+        argument=qb.qpow(-2),
+        terminate_after=min(n, x) + 1,
+    ))
+    return pref * ser
+
+
+def _asc_w_direct(qb, k, n):
+    q2 = qb.qpow(2)
+    return qb.qpow(-n * (k - 1)) * qseries.qpoch(qb.qpow(2 * k), q2, n) / qseries.qpoch(q2, q2, n)
+
+
+def _twists(qb):
+    # integral and half-integral u and s as int/Fraction (the int exponent
+    # path for the integral ones), and as the floating scalar types
+    values = [0, F(1, 2), 1, F(3, 2)]
+    if not qb.is_exact:
+        values += [float(v) for v in values]
+    if qb.mode == "complex":
+        values += [complex(v) for v in values[:4]]
+    return [(u, s) for u in values for s in values]
+
+
+@pytest.mark.parametrize("qb", BASES, ids=repr)
+def test_column_entries_are_fresh_series_values(qb):
+    # every entry of a polynomial column, read last entry first, is the
+    # value and type one fresh series evaluation gives, or its exception
+    for su11, sizes in ((False, (3,)), (True, (-1, -2))):
+        for size in sizes:
+            for u, s in _twists(qb):
+                for x in range(4):
+                    rows = 4 if not su11 else 6
+                    column = orthopoly._column(qb, su11, size, as_exponent(u), as_exponent(s), x)
+                    for n in reversed(range(rows)):
+                        got = _outcome(column.__getitem__, n)
+                        want = _outcome(_value_direct, qb, su11, size, u, s, n, x)
+                        if isinstance(want, type):
+                            assert got is want, (su11, size, u, s, n, x)
+                        else:
+                            assert _same(got, want), (su11, size, u, s, n, x)
+    # the weight row the certified sums read alongside
+    for k in (F(1, 2), 1, F(3, 2)):
+        for n in reversed(range(6)):
+            assert _same(orthopoly.asc_w_column(qb, k)[n], _asc_w_direct(qb, k, n)), (k, n)
+
+
+def test_one_polynomial_column_grows_thread_safely():
+    # threads reading one fresh column at once, each in its own order, must
+    # not append an entry twice: every thread sees the fresh series values
+    qb = QBase(F(7, 12))  # a base no other test uses
+    ap = ASCParams(F(1, 2), 1, 1, qb)
+    # the column exists before the threads start, so they all grow this one;
+    # at x = 20 each entry sums 21 series terms, long enough for a switch
+    column = orthopoly.asc_column(ap, 20)
+    orders = [list(range(0, 41, step)) + [40 - step] for step in (1, 1, 2, 3, 5, 7)]
+    results = {}
+
+    def request(i):
+        results[i] = [asc(ap, n, 20) for n in orders[i]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert orthopoly.asc_column(ap, 20) is column and len(column.row) == 41
+    for i, order in enumerate(orders):
+        assert results[i] == [_value_direct(qb, True, -1, F(1, 2), 1, n, 20) for n in order]
 
 
 def test_multivariate_sequences_key_one_entry_as_list_or_tuple():

@@ -376,8 +376,9 @@ def test_cli_verify_failure_exit_code():
 
 
 def test_cli_verify_q_above_one_fails_by_report():
-    # at q > 1 the certified sums of cor4.3 leave the float range: every task
-    # becomes a failing report naming NonConvergent, and the run ends normally
+    # at q > 1 the certified sums of cor4.3 are refused before their first
+    # term: every task becomes a failing report naming NonConvergent and the
+    # domain 0 < q < 1, and the run ends normally
     out = _cli("verify", "--suite", "cor4.3", "--p", "3/2")
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
@@ -385,8 +386,8 @@ def test_cli_verify_q_above_one_fails_by_report():
     assert len(reports) == 84
     for r in reports:
         assert not r["pass"] and r["residual"] == "error"
-        assert r["error"].startswith("NonConvergent: term ")
-        assert r["error"].endswith(" exceeds the floating-point range")
+        assert r["error"].startswith("NonConvergent: certified infinite sum ")
+        assert r["error"].endswith(" needs 0 < q < 1, got q = 9/4")
 
 
 _RR_POINT = ("--fn", "rr_closed", "--N", "2", "--s", "1", "--t", "0", "--v", "0",
@@ -413,9 +414,14 @@ _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
      "grid range 'x=2:1' is empty"),
     (("table", *_WEIGHTS, "--grid", "x=2:1,y=0", "--format", "json"),
      "grid range 'x=2:1' is empty"),
+    (("table", "--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1", "--grid", "z=0:2"),
+     "grid axis 'z' is not read by --fn weights"),
+    (("table", "--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1",
+      "--grid", "n=0:1,n=2:3", "--format", "json"),
+     "grid axis 'n' is repeated"),
 ], ids=["s-abc", "p-nan", "p-inf", "p-zero-denominator", "verify-p-zero-denominator",
         "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow", "trunc-0", "trunc-1",
-        "empty-grid-csv", "empty-grid-json"])
+        "empty-grid-csv", "empty-grid-json", "grid-axis-unread", "grid-axis-repeated"])
 def test_cli_bad_input_is_a_config_error(args, message):
     # a number that does not parse, or a tail bound or base that cannot
     # work, is refused with exit status 2 and one line, never a traceback
