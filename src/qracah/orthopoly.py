@@ -177,24 +177,24 @@ def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
 
 
 class _Row:
-    """Entries 0, 1, 2, ... of a sequence, each computed once by
-    ``entry(m)`` and kept: a request for entry m first computes every entry
-    before it, in order.  Growth holds a lock, since two threads reading
-    the same last entry would append it twice.  An entry that raises is
-    not stored and raises again on the next request, and so does every
-    request past it."""
+    """Entries 0, 1, 2, ... of a sequence, entry m computed once by
+    ``entry(*args, m)`` and kept: a request for entry m first computes every
+    entry before it, in order.  Growth holds a lock, since two threads
+    reading the same last entry would append it twice.  An entry that
+    raises is not stored and raises again on the next request, and so does
+    every request past it."""
 
-    __slots__ = ("entry", "row", "lock")
+    __slots__ = ("entry", "args", "row", "lock")
 
-    def __init__(self, entry):
-        self.entry, self.row, self.lock = entry, [], Lock()
+    def __init__(self, entry, *args):
+        self.entry, self.args, self.row, self.lock = entry, args, [], Lock()
 
     def __getitem__(self, m: int):
         row = self.row
         if m >= len(row):
             with self.lock:
                 while len(row) <= m:
-                    row.append(self.entry(len(row)))
+                    row.append(self.entry(*self.args, len(row)))
         return row[m]
 
 
@@ -216,12 +216,8 @@ def _poch_row(qb: QBase, e) -> _Row:
     return row
 
 
-@tabled
-def _series(qb: QBase, su11: bool, size, s, x: int) -> _Row:
-    """The column over n of the renormalized terminating 3phi2 of either
-    family at (s, x).  The twist u enters only the prefactor, so every u
-    reads this one column."""
-    return _Row(lambda n: rphis(
+def _series_entry(qb: QBase, su11: bool, size, s, x: int, n: int):
+    return rphis(
         PhiSpec(
             numerators=(
                 qb.qpow(2 * n),
@@ -233,7 +229,28 @@ def _series(qb: QBase, su11: bool, size, s, x: int) -> _Row:
             argument=qb.qpow(-2),
             terminate_after=min(n, x) + 1,
         )
-    ))
+    )
+
+
+@tabled
+def _series(qb: QBase, su11: bool, size, s, x: int) -> _Row:
+    """The column over n of the renormalized terminating 3phi2 of either
+    family at (s, x).  The twist u enters only the prefactor, so every u
+    reads this one column."""
+    return _Row(_series_entry, qb, su11, size, s, x)
+
+
+def _column_entry(qb: QBase, su11: bool, size, u, s, series: _Row, n: int):
+    if type(s) is int and type(u) is int and type(size) is int:
+        # the exponent n(2s-2u-size+1)/2 on ints; an odd numerator stays a half
+        m = n * (2 * s - 2 * u - size + 1)
+        e = Fraction(m, 2) if m % 2 else m // 2
+    else:
+        e = n * (s - u - size * _HALF + _HALF)
+    pref = qb.qpow(e)
+    if not su11:
+        pref = (-1) ** n * pref
+    return pref * series[n]
 
 
 @tabled
@@ -241,25 +258,7 @@ def _column(qb: QBase, su11: bool, size, u, s, x: int) -> _Row:
     """The column over n of either family's values at (u, s, x): the
     prefactor q**(n(s-u-size/2+1/2)), with (-1)**n on the finite side,
     times the twist-free series."""
-    series = _series(qb, su11, size, s, x)
-    if type(s) is int and type(u) is int and type(size) is int:
-        # the exponent n(2s-2u-size+1)/2 on ints; an odd numerator stays a half
-        twice = 2 * s - 2 * u - size + 1
-
-        def exponent(n):
-            m = n * twice
-            return Fraction(m, 2) if m % 2 else m // 2
-    else:
-        def exponent(n):
-            return n * (s - u - size * _HALF + _HALF)
-
-    def entry(n):
-        pref = qb.qpow(exponent(n))
-        if not su11:
-            pref = (-1) ** n * pref
-        return pref * series[n]
-
-    return _Row(entry)
+    return _Row(_column_entry, qb, su11, size, u, s, _series(qb, su11, size, s, x))
 
 
 # ---------------------------------------------------------------------------
