@@ -78,7 +78,7 @@ class _Point(dict):
 
 def _require_axes_read(names, point, fn):
     # the vector slots x1, x2, ... and y1, ... are read through xs and ys
-    read = set(point.read)
+    read = point.read
     for vec in ("x", "y"):
         if vec + "s" in read:
             read.update(name for name in names if name.startswith(vec) and name != vec)
@@ -361,14 +361,15 @@ def cmd_table(args) -> int:
     header = None
     rows = []
     for combo in iproduct(*[values for _, values in axes]):
-        point = _Point(zip(names, combo))
+        coords = dict(zip(names, combo))
         # multivariate grids address vector slots as x1, x2, ..., y1, ...
-        xs = tuple(point[k] for k in sorted(point) if k.startswith("x") and k != "x")
-        ys = tuple(point[k] for k in sorted(point) if k.startswith("y") and k != "y")
+        xs = tuple(coords[k] for k in sorted(coords) if k.startswith("x") and k != "x")
+        ys = tuple(coords[k] for k in sorted(coords) if k.startswith("y") and k != "y")
         if xs:
-            point["xs"] = xs
+            coords["xs"] = xs
         if ys:
-            point["ys"] = ys
+            coords["ys"] = ys
+        point = _Point(coords)
         value = FUNCTIONS[args.fn](args, qb, point)
         cells = value if isinstance(value, dict) else {"value": value}
         if header is None:

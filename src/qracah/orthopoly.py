@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from threading import Lock
+from threading import RLock
 
 from .errors import DenominatorPole, OutOfRange
 from .qseries import (
@@ -180,14 +180,16 @@ class _Row:
     """Entries 0, 1, 2, ... of a sequence, entry m computed once by
     ``entry(*args, m)`` and kept: a request for entry m first computes every
     entry before it, in order.  Growth holds a lock, since two threads
-    reading the same last entry would append it twice.  An entry that
-    raises is not stored and raises again on the next request, and so does
-    every request past it."""
+    reading the same last entry would append it twice; one reentrant lock
+    serves every row, as a column grows its series and a weight row its
+    Pochhammer rows.  An entry that raises is not stored and raises again
+    on the next request, and so does every request past it."""
 
-    __slots__ = ("entry", "args", "row", "lock")
+    __slots__ = ("entry", "args", "row")
+    lock = RLock()
 
     def __init__(self, entry, *args):
-        self.entry, self.args, self.row, self.lock = entry, args, [], Lock()
+        self.entry, self.args, self.row = entry, args, []
 
     def __getitem__(self, m: int):
         row = self.row

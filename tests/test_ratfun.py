@@ -5,10 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from qracah import (
+    ASCParams,
     PrParams,
     QBase,
     RrParams,
     TailBound,
+    asc_orth_n,
+    asc_orth_x,
     kraw_W,
     pr_biorth_residual,
     pr_closed,
@@ -21,8 +24,10 @@ from qracah import (
     rr_inner,
     rr_valid,
 )
+from qracah import multivar
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
 from qracah.ratfun import _pole_index
+from qracah.tables import table_sizes
 
 QB = QBase(F(1, 2))
 HALF_GRID = ((0, 0, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (F(1, 2), F(3, 2), 0),
@@ -281,3 +286,25 @@ def test_pole_test_beyond_float_precision():
     # and an even e far beyond 2**53 still finds its integer pole
     assert _pole_index(2**54 + 1, 0, 0, 2**53 + 1) == 0
     assert not rr_valid(RrParams(2**54 + 1, 0, 0, 3, QB), 2, 2**53 + 1)
+
+
+@pytest.mark.parametrize("qb", [QBase(F(3, 2)), QBase(1.5, "float"), QBase(F(5, 4), "complex")],
+                         ids=repr)
+def test_certified_sums_refuse_q_above_one_before_the_first_term(qb):
+    # the weights grow at q > 1: every certified infinite sum raises the
+    # named domain error at its entry, so no polynomial column or weight row
+    # is even created
+    tb = TailBound(1e-9)
+    pp = PrParams(0, 0, -1, 1, qb, tb)
+    ap = ASCParams(0, 0, 1, qb, tb)
+    before = table_sizes()
+    for call in (lambda: pr_inner(pp, 1, 1),
+                 lambda: pr_biorth_residual(pp, "x", 0, 0),
+                 lambda: asc_orth_n(ap, 0, 1),
+                 lambda: asc_orth_x(ap, 0, 1),
+                 lambda: multivar.multi_biorth_residual_asc(qb, 0, 0, -1, (1, 1), (0, 1), (0, 1), tb)):
+        with pytest.raises(NonConvergent, match=r"needs 0 < q < 1, got q = "):
+            call()
+    after = table_sizes()
+    for name in ("qracah.orthopoly._column", "qracah.orthopoly.asc_w_column"):
+        assert after[name] == before[name], name

@@ -419,9 +419,12 @@ _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
     (("table", "--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1",
       "--grid", "n=0:1,n=2:3", "--format", "json"),
      "grid axis 'n' is repeated"),
+    (("table", "--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1", "--grid", "x1=0:1"),
+     "grid axis 'x1' is not read by --fn weights"),
 ], ids=["s-abc", "p-nan", "p-inf", "p-zero-denominator", "verify-p-zero-denominator",
         "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow", "trunc-0", "trunc-1",
-        "empty-grid-csv", "empty-grid-json", "grid-axis-unread", "grid-axis-repeated"])
+        "empty-grid-csv", "empty-grid-json", "grid-axis-unread", "grid-axis-repeated",
+        "grid-slot-unread"])
 def test_cli_bad_input_is_a_config_error(args, message):
     # a number that does not parse, or a tail bound or base that cannot
     # work, is refused with exit status 2 and one line, never a traceback
