@@ -13,7 +13,9 @@ JSON object per line; the exit code is 0 only if every check passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -87,9 +89,11 @@ def _require_axes_read(names, point, fn):
             raise ValueError(f"grid axis {name!r} is not read by --fn {fn}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the options it reads, spelled out in full:
-    # an abbreviation would read verify's --s as --suite
+    # an abbreviation would read verify's --s as --suite.  Built once per
+    # process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(prog="qracah", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     ev, ver, tab = (sub.add_parser(name, allow_abbrev=False)
@@ -314,7 +318,24 @@ def _format_scalar(value) -> str:
     return str(serialize_value(value))
 
 
+def _check_series_options(args) -> None:
+    # the shared --tol and --max-terms, refused before any evaluation
+    RunConfig(tolerance=args.tol, max_terms=args.max_terms)
+
+
+def _output(path, **kwargs):
+    # --out opened before any work, so an unwritable path costs nothing;
+    # standard output otherwise, left open
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
 def cmd_eval(args) -> int:
+    _check_series_options(args)
     raw_p = args.p or "1/2"
     qb = QBase(_parse_number(raw_p, "exact" if args.mode == "exact" else "float"), args.mode)
     value = FUNCTIONS[args.fn](args, qb, {})
@@ -335,15 +356,11 @@ def cmd_verify(args) -> int:
         jobs=args.jobs,
         max_terms=args.max_terms,
     )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     counts = {"pass": 0, "fail": 0}
-    try:
+    with _output(args.out) as out:
         for report in run_suite(args.suite, cfg):
             counts["pass" if report.passed else "fail"] += 1
             print(report.to_json(), file=out)
-    finally:
-        if args.out:
-            out.close()
     total = counts["pass"] + counts["fail"]
     print(
         f"suite {args.suite}: {counts['pass']}/{total} checks passed"
@@ -354,9 +371,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _check_series_options(args)
     raw_p = args.p or "1/2"
     qb = QBase(_parse_number(raw_p, "exact" if args.mode == "exact" else "float"), args.mode)
     axes = _parse_grid(args.grid)
+    with _output(args.out, newline="") as out:
+        out.write(_table_text(args, qb, axes))
+    return 0
+
+
+def _table_text(args, qb, axes) -> str:
     names = [name for name, _ in axes]
     header = None
     rows = []
@@ -377,13 +401,7 @@ def cmd_table(args) -> int:
             _require_axes_read(names, point, args.fn)
             header = names + list(cells)
         rows.append([*combo, *(_format_scalar(v) for v in cells.values())])
-    text = _render_table(header, rows, args.format, args.fn)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _render_table(header, rows, args.format, args.fn)
 
 
 def _render_table(header, rows, fmt: str, fn: str) -> str:

@@ -322,15 +322,15 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc, tb=TailBound(
     termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
     terms = termsA if sigma is None else termsB
     shifted_vecs = {ysf: _nested_vec(qb, v, t, sizes, ysf, su11, trunc, tb) for ysf in terms}
-    acc = qb.zero()
-    for ii, ns in enumerate(grid):
-        if not _interior(ns, su11, trunc):
-            continue
-        rhs = ordered_sum((c * shifted_vecs[ysf][ii] for ysf, c in terms.items()), qb.zero())
+
+    def residual(ii):
+        rhs = [(c, shifted_vecs[ysf][ii]) for ysf, c in terms.items()]
         if lam is not None:
-            rhs += lam * vec[ii]
-        acc += abs(out[ii] - rhs)
-    return acc
+            rhs.append((lam, vec[ii]))
+        return abs(out[ii] - ordered_sum(rhs, qb.zero()))
+
+    return ordered_sum((residual(ii) for ii, ns in enumerate(grid)
+                        if _interior(ns, su11, trunc)), qb.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +426,8 @@ def multi_biorth_residual(qb: QBase, s, t, v, Ns: Sequence[int],
         qb, relation, s, t, idx, idx2,
         lambda xs, ys: rr_multi(qb, s, t, v, Ns, xs, ys),
         lambda xs, ys: rr_multi(qb, s, t, vpart, Ns, xs, ys))
-    acc = qb.zero()
-    for us in iproduct(*[range(N + 1) for N in Ns]):
-        left, right = overlap(us)
-        acc += left * right * kraw_W_multi(qb, outer, Ns, us)
+    acc = ordered_sum(((*overlap(us), kraw_W_multi(qb, outer, Ns, us))
+                       for us in iproduct(*[range(N + 1) for N in Ns])), qb.zero())
     if idx == idx2:
         acc -= 1 / kraw_W_multi(qb, diag, Ns, idx)
     return acc
@@ -511,9 +509,9 @@ def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
         for ysf in set(termsA) | set(termsB) | {ys}
     }
     sym = qb.brace if su11 else qb.bracket
-    lhs = sym(hx[M]) * ordered_sum((c * vals[ysf] for ysf, c in termsA.items()), qb.zero())
+    lhs = sym(hx[M]) * ordered_sum(((c, vals[ysf]) for ysf, c in termsA.items()), qb.zero())
     rhs = sym(hx[M - j]) * vals[ys]
-    rhs += ordered_sum((c * vals[ysf] for ysf, c in termsB.items()), qb.zero())
+    rhs += ordered_sum(((c, vals[ysf]) for ysf, c in termsB.items()), qb.zero())
     return lhs - rhs
 
 
@@ -553,8 +551,5 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base_param,
     else:
         raise OutOfRange(f"side must be 'L' or 'R', got {side!r}")
     out = op.apply(vec)
-    acc = qb.zero()
-    for ii, ns in enumerate(grid):
-        if _interior(ns, su11, trunc):
-            acc += abs(out[ii] - lam * vec[ii])
-    return acc
+    return ordered_sum((abs(out[ii] - lam * vec[ii]) for ii, ns in enumerate(grid)
+                        if _interior(ns, su11, trunc)), qb.zero())

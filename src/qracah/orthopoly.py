@@ -81,7 +81,7 @@ from .qseries import (
     require_q_below_one,
     rphis,
 )
-from .scalar import QBase, as_exponent, ordered_sum
+from .scalar import QBase, as_exponent, ordered_sum, real_part
 from .tables import tabled
 
 _HALF = Fraction(1, 2)
@@ -260,6 +260,8 @@ def _column(qb: QBase, su11: bool, size, u, s, x: int) -> _Row:
     """The column over n of either family's values at (u, s, x): the
     prefactor q**(n(s-u-size/2+1/2)), with (-1)**n on the finite side,
     times the twist-free series."""
+    if su11:
+        require_positive_k(-size)
     return _Row(_column_entry, qb, su11, size, u, s, _series(qb, su11, size, s, x))
 
 
@@ -312,7 +314,7 @@ def kraw_orth_x(kp: KrawParams, n: int, n2: int):
     """Residual of the x-summed orthogonality: sum_x k(n,x) k(n2,x) W(x) - delta/w(n)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
     acc = ordered_sum(
-        kraw(k0, n, x) * kraw(k0, n2, x) * kraw_W(kp.qb, kp.s, kp.N, x)
+        (kraw(k0, n, x), kraw(k0, n2, x), kraw_W(kp.qb, kp.s, kp.N, x))
         for x in range(kp.N + 1)
     )
     if n == n2:
@@ -324,7 +326,7 @@ def kraw_orth_n(kp: KrawParams, x: int, x2: int):
     """Residual of the n-summed orthogonality: sum_n k(n,x) k(n,x2) w(n) - delta/W(x)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
     left, right = kraw_column(k0, x), kraw_column(k0, x2)
-    acc = ordered_sum(left[n] * right[n] * kraw_w(kp.qb, kp.N, n) for n in range(kp.N + 1))
+    acc = ordered_sum((left[n], right[n], kraw_w(kp.qb, kp.N, n)) for n in range(kp.N + 1))
     if x == x2:
         acc -= 1 / kraw_W(kp.qb, kp.s, kp.N, x)
     return acc
@@ -397,6 +399,13 @@ def _shift_coeff(diff_coeffs, dyn_coeffs, qb, size, y, t, eps, delta):
 # ---------------------------------------------------------------------------
 
 
+def require_positive_k(k) -> None:
+    """Refuse Re(k) <= 0: the infinite family and the non-compact
+    representation live on the lowest weight k > 0."""
+    if not real_part(k) > 0:
+        raise OutOfRange(f"k must be positive, got k = {k}")
+
+
 def asc_column(ap: ASCParams, x: int) -> _Row:
     """The values asc(ap, n, x), n = 0, 1, ..., as one column read by index."""
     return _column(ap.qb, True, -as_exponent(ap.k), as_exponent(ap.u), as_exponent(ap.s), x)
@@ -412,6 +421,7 @@ def asc(ap: ASCParams, n: int, x: int):
 @tabled
 def asc_w_column(qb: QBase, k) -> _Row:
     """The weights asc_w(qb, k, n), n = 0, 1, ..., as one row read by index."""
+    require_positive_k(k)
     k = as_exponent(k)
     return _Row(lambda n: qb.qpow(-n * (k - 1)) * _poch_row(qb, as_exponent(2 * k))[n]
                 / _poch_row(qb, 2)[n])
@@ -438,6 +448,7 @@ def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):
     """
     if x < 0:
         raise OutOfRange(f"x = {x} must be nonnegative")
+    require_positive_k(k)
     s, k = as_exponent(s), as_exponent(k)
     q2 = qb.qpow(2)
     out = (1 - qb.qpow(4 * x + 2 * s + 2 * k)) / (1 - qb.qpow(2 * x + 2 * s + 2 * k))

@@ -39,11 +39,13 @@ whose operation order fixes their results.
 :func:`certified_sum` takes each term as a tuple of factors and sums the
 same way: while every factor is int or Fraction, a term is the unreduced
 pair of its factors' numerator and denominator products, it is added to
-one running pair with a single gcd against the running denominator
-(Henrici's addition), its magnitude is the same correctly rounded quotient,
-and one Fraction is built at the end.  So it stops at the term Fraction
-arithmetic would stop at and returns the same rational.  Floating factors
-are multiplied left to right and summed in order, as before.
+one running pair by :func:`~qracah.scalar.add_pair`, the step
+:func:`~qracah.scalar.ordered_sum` uses (Henrici's addition: a single gcd
+against the running denominator), its magnitude is the same correctly
+rounded quotient, and one Fraction is built at the end.  So it stops at
+the term Fraction arithmetic would stop at and returns the same rational.
+Floating factors are multiplied left to right and summed in order, as
+before.
 
 :func:`qpoch` multiplies int or Fraction inputs the same way: each factor
 1 - a*base**i is an integer pair, the pairs multiply unreduced, and one
@@ -61,7 +63,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
-from .scalar import QBase, as_exponent, ordered_sum
+from .scalar import QBase, add_pair, as_exponent, ordered_sum, product
 from .tables import tabled
 
 DEFAULT_MAX_TERMS = 20000
@@ -90,12 +92,18 @@ class TailBound:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        check_tolerance(self.tolerance)
         if not 0 < self.ratio_cap < 1:
             raise ValueError("ratio_cap must lie in (0, 1)")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+
+
+def check_tolerance(tolerance) -> None:
+    """Refuse a tolerance that is not a positive finite number: NaN passes
+    every ``<=`` test, and a stop rule compared against it never fires."""
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
 
 
 def qpoch(a, base, n: int):
@@ -458,14 +466,9 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
                 tn *= f.numerator
                 td *= f.denominator
             mag = _quotient(tn, td)
-            g = math.gcd(den, td)
-            td //= g
-            num = num * td + tn * (den // g)
-            den *= td
+            num, den = add_pair(num, den, tn, td)
         else:
-            t = factors[0]
-            for f in factors[1:]:
-                t = t * f
+            t = product(factors)
             if total is None:
                 total = t if n == 0 else Fraction(num, den) + t
             else:
@@ -564,8 +567,8 @@ def _summation_rhs(q, x, y, a, b2, c2, bcd, N, tb):
         poch_q = coeff
         n = 0
         while True:
-            yield (coeff / poch_q * _rhs_factor(q, a, tb, n, x, b2)
-                   * _rhs_factor(q, a, tb, n, y, c2))
+            yield (coeff / poch_q, _rhs_factor(q, a, tb, n, x, b2),
+                   _rhs_factor(q, a, tb, n, y, c2))
             coeff *= bcd * (1 - a * q ** n)
             poch_q *= 1 - q ** (n + 1)
             n += 1

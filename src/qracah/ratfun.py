@@ -41,6 +41,7 @@ from .orthopoly import (
     kraw_diff_coeffs,
     kraw_w,
     kraw_W,
+    require_positive_k,
 )
 from .qseries import (
     PhiSpec,
@@ -51,7 +52,7 @@ from .qseries import (
     require_q_below_one,
     rphis,
 )
-from .scalar import QBase, as_exponent, ordered_sum
+from .scalar import QBase, as_exponent, ordered_sum, real_part
 from .tables import tabled
 
 
@@ -86,7 +87,7 @@ def rr_inner(rp: RrParams, x: int, y: int):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
     left = kraw_column(KrawParams(1, rp.s, rp.N, rp.qb), x)
     right = kraw_column(KrawParams(rp.v, rp.t, rp.N, rp.qb), y)
-    return ordered_sum(left[n] * right[n] * kraw_w(rp.qb, rp.N, n) for n in range(rp.N + 1))
+    return ordered_sum((left[n], right[n], kraw_w(rp.qb, rp.N, n)) for n in range(rp.N + 1))
 
 
 def _pole_index(s, t, v, y):
@@ -190,10 +191,7 @@ def rr_biorth_residual(rp: RrParams, relation: str, idx: int, idx2: int):
     outer, diag, overlap = biorth_overlap(
         qb, relation, rp.s, rp.t, idx, idx2,
         lambda x, y: rr_inner(rp, x, y), lambda x, y: rr_inner(partner, x, y))
-    acc = 0
-    for u in range(rp.N + 1):
-        left, right = overlap(u)
-        acc += left * right * kraw_W(qb, outer, rp.N, u)
+    acc = ordered_sum((*overlap(u), kraw_W(qb, outer, rp.N, u)) for u in range(rp.N + 1))
     if idx == idx2:
         acc -= 1 / kraw_W(qb, diag, rp.N, idx)
     return acc
@@ -262,14 +260,8 @@ def _gevp_residual(p, x, y, su11, evaluate):
 # ---------------------------------------------------------------------------
 
 
-def _re(x) -> float:
-    # the complex backend parses every parameter as complex: compare real parts
-    x = as_exponent(x)
-    return x.real if isinstance(x, complex) else float(x)
-
-
 def _pr_convergent(pp: PrParams) -> bool:
-    return _re(pp.v) < _re(pp.s) + _re(pp.t) + 1
+    return real_part(pp.v) < real_part(pp.s) + real_part(pp.t) + 1
 
 
 @tabled
@@ -278,6 +270,7 @@ def pr_inner(pp: PrParams, x: int, y: int):
     the terms decay like q**(n(s+t+1-v)), so Re(v) < 1+s+t is required."""
     if x < 0 or y < 0:
         raise OutOfRange(f"(x, y) = ({x}, {y}) must be nonnegative")
+    require_positive_k(pp.k)
     require_q_below_one(pp.qb)
     if not _pr_convergent(pp):
         raise NonConvergent(
@@ -305,6 +298,7 @@ def pr_closed(pp: PrParams, x: int, y: int):
     finite Pochhammers times the terminating 4phi3 in base q**2."""
     if x < 0 or y < 0:
         raise OutOfRange(f"(x, y) = ({x}, {y}) must be nonnegative")
+    require_positive_k(pp.k)
     if not _pr_convergent(pp):
         raise NonConvergent(f"closed form requires Re(v) < 1 + s + t, got v = {pp.v}")
     _require_valid(pp, x, y)
@@ -329,7 +323,7 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
     qb = pp.qb
     v = pp.v
     require_q_below_one(qb)
-    if not abs(_re(v) + 1) < 2 + _re(pp.s) + _re(pp.t):
+    if not abs(real_part(v) + 1) < 2 + real_part(pp.s) + real_part(pp.t):
         raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
     vpart = -_conj_param(qb, v) - 2
     partner = PrParams(pp.s, pp.t, vpart, pp.k, qb, pp.tb)

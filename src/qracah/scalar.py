@@ -24,9 +24,16 @@ floating backends a power beyond the float range raises
 :class:`~qracah.errors.OutOfRange`, and a base whose q or 1/q is not a
 finite nonzero float is refused with ``ValueError``.
 
-:func:`ordered_sum` is the package's ``sum`` of backend scalars: plain
-left-to-right addition, so float residuals do not depend on whether the
-interpreter's ``sum`` compensates rounding (it does from Python 3.12 on).
+:func:`ordered_sum` is the package's sum of products of backend scalars.
+Each term is a tuple of factors (a bare scalar is one factor).  While every
+factor is int or Fraction, a term is the unreduced pair of its numerator and
+denominator products, and :func:`add_pair` adds it to one running pair with
+a single gcd against the running denominator (Henrici's addition), so a sum
+builds one Fraction, not one per product and addition; Fractions are stored
+reduced, so it is the rational ``*`` and ``+`` give.  From the first factor
+that is not int or Fraction on, terms are multiplied and added left to
+right: the float residuals do not depend on whether the interpreter's
+``sum`` compensates rounding (it does from Python 3.12 on).
 """
 
 from __future__ import annotations
@@ -55,17 +62,73 @@ def as_exponent(x):
     return x
 
 
-def ordered_sum(values, start=0):
-    """start + v0 + v1 + ..., added left to right with ``+``.
+def real_part(x) -> float:
+    """The real part of a parameter as a float (the complex backend parses
+    every parameter as complex)."""
+    x = as_exponent(x)
+    return x.real if isinstance(x, complex) else float(x)
 
-    This is what ``sum`` computes up to Python 3.11.  From 3.12 on, ``sum``
+
+def ordered_sum(values, start=0):
+    """start + v0 + v1 + ..., where a tuple value is the product of its
+    factors, multiplied and added left to right.
+
+    While ``start`` and every factor are int or Fraction, the terms are
+    summed on one unreduced integer pair (see the module docstring) and the
+    result is one Fraction, or an int if no Fraction entered: the value and
+    the type of the ``*``/``+`` fold.  At the first other factor the exact
+    prefix becomes that fold's value, and the rest is the fold itself, so
+    float and complex results keep their operation order and bits.  Plain
+    ``+`` is what ``sum`` computes up to Python 3.11; from 3.12 on ``sum``
     compensates the rounding of float terms (Neumaier), so the float
-    residuals of a check would depend on the interpreter; every sum of
-    backend scalars goes through here instead.
+    residuals of a check would depend on the interpreter.
     """
+    values = iter(values)
     out = start
+    if isinstance(start, (int, Fraction)):
+        num, den = start.numerator, start.denominator
+        # whether a Fraction entered; int is tested first, since
+        # isinstance(n, Fraction) on an int runs the slow ABC check
+        ratio = not isinstance(start, int)
+        for value in values:
+            factors = value if isinstance(value, tuple) else (value,)
+            tn = td = 1
+            term_ratio = False
+            for f in factors:
+                if isinstance(f, int):
+                    tn *= f
+                elif isinstance(f, Fraction):
+                    tn *= f.numerator
+                    td *= f.denominator
+                    term_ratio = True
+                else:
+                    out = (Fraction(num, den) if ratio else num) + product(factors)
+                    break
+            else:
+                num, den = add_pair(num, den, tn, td)
+                ratio = ratio or term_ratio
+                continue
+            break
+        else:
+            return Fraction(num, den) if ratio else num
     for value in values:
-        out = out + value
+        out = out + (product(value) if isinstance(value, tuple) else value)
+    return out
+
+
+def add_pair(num, den, tn, td):
+    """num/den + tn/td as an unreduced integer pair: one gcd against the
+    running denominator ``den`` (Henrici's addition)."""
+    g = math.gcd(den, td)
+    td //= g
+    return num * td + tn * (den // g), den * td
+
+
+def product(factors):
+    """f0 * f1 * ..., multiplied left to right."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
     return out
 
 

@@ -133,7 +133,7 @@ class OpMatrix:
         if len(vec) != self.dim:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.dim}")
         return [
-            ordered_sum(a * vec[j] for j, a in row.items()) if row else self.zero
+            ordered_sum((a, vec[j]) for j, a in row.items()) if row else self.zero
             for row in self.rows
         ]
 
@@ -184,8 +184,7 @@ class RepSpec:
     def su11(cls, k, trunc: int, qb: QBase) -> "RepSpec":
         if trunc < 0:
             raise OutOfRange(f"trunc = {trunc} must be nonnegative")
-        if float(abs(as_exponent(k))) <= 0:
-            raise OutOfRange("k must be positive")
+        orthopoly.require_positive_k(k)
         return cls("su11", qb, k=k, trunc=trunc)
 
     @property

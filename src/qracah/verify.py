@@ -63,6 +63,12 @@ class RunConfig:
         # a window of fewer than 2 levels has no interior row to check
         if self.trunc is not None and self.trunc < 2:
             raise ValueError("trunc must be at least 2")
+        if self.tolerance is not None:
+            qseries.check_tolerance(self.tolerance)
+        if self.max_terms is not None and self.max_terms < 1:
+            raise ValueError("max_terms must be at least 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
     def ps(self):
         return (self.p,) if self.p is not None else DEFAULT_PS
@@ -195,21 +201,21 @@ def _chk_dyn(mode, params, su11):
         family, pack, dyn_coeffs = orthopoly.kraw, orthopoly.KrawParams, orthopoly.kraw_dyn_coeffs
         diag = -size
     params_t = pack(v, t, size, qb)
-    acc = qb.zero()
+    residuals = []
     for direction in (2, -2):
         coeffs = dyn_coeffs(qb, size, y, t, direction)
         offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
         shifted = pack(v, as_exponent(t) + direction, size, qb)
         for n in range(n_top + 1):
             lhs = qb.qpow(2 * n + diag) * family(params_t, n, y)
-            rhs = qb.zero()
+            rhs = []
             for c, e in zip(coeffs, offsets):
                 if 0 <= y + e and (su11 or y + e <= size):
-                    rhs += c * family(shifted, n, y + e)
+                    rhs.append((c, family(shifted, n, y + e)))
                 elif c != 0:
                     raise QRacahError("nonzero coefficient at out-of-range shift")
-            acc += abs(lhs - rhs)
-    return acc
+            residuals.append(abs(lhs - ordered_sum(rhs, qb.zero())))
+    return ordered_sum(residuals, qb.zero())
 
 
 def chk_asc_transfer(mode, params):

@@ -495,3 +495,23 @@ def test_cross_check_orthogonality_from_summation():
                         assert val == 0
                     else:
                         assert val == 1 / kraw_W(QB, s, N, x)
+
+
+@pytest.mark.parametrize("k", [0, -1, F(-1, 2), complex(-1, 2)])
+def test_infinite_family_refuses_k_not_positive(k):
+    # one check on Re(k) > 0 guards the weights, the polynomials and the
+    # non-compact representation; a complex k is judged by its real part
+    qb = QBase(F(1, 2), "complex") if isinstance(k, complex) else QB
+    for call in (lambda: asc(ASCParams(0, 0, k, qb), 1, 1),
+                 lambda: asc_w(qb, k, 1),
+                 lambda: asc_W(qb, 0, k, 1),
+                 lambda: uqsl2.RepSpec.su11(k, 4, qb)):
+        with pytest.raises(OutOfRange, match="^k must be positive"):
+            call()
+
+
+def test_infinite_family_takes_the_lowest_positive_k():
+    qb = QBase(F(1, 2), "complex")
+    assert uqsl2.RepSpec.su11(complex(1, -3), 4, qb).k == complex(1, -3)
+    assert uqsl2.RepSpec.su11(F(1, 2), 4, QB).dim == 5
+    assert asc_w(QB, F(1, 2), 1) == QB.qpow(F(1, 2)) * (1 - QB.qpow(1)) / (1 - QB.qpow(2))

@@ -308,3 +308,13 @@ def test_certified_sums_refuse_q_above_one_before_the_first_term(qb):
     after = table_sizes()
     for name in ("qracah.orthopoly._column", "qracah.orthopoly.asc_w_column"):
         assert after[name] == before[name], name
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_pr_refuses_k_not_positive(k):
+    # at k = -1 the closed form used to print a value where the inner
+    # product hit a pole, and at k = 0 it divided by zero
+    pp = PrParams(0, 0, 0, k, QB)
+    for fn in (pr_inner, pr_closed):
+        with pytest.raises(OutOfRange, match="^k must be positive"):
+            fn(pp, 1, 2)

@@ -257,3 +257,86 @@ def test_ordered_sum_adds_left_to_right():
     assert repr(ordered_sum([], -0.0)) == "-0.0"
     assert ordered_sum((F(1, 3), F(1, 6)), F(1, 2)) == 1
     assert ordered_sum(iter([1j, 2])) == 2 + 1j
+
+
+def _fold(values, start):
+    # the definition: multiply each term's factors, then add, left to right
+    out = start
+    for value in values:
+        factors = value if isinstance(value, tuple) else (value,)
+        term = factors[0]
+        for f in factors[1:]:
+            term = term * f
+        out = out + term
+    return out
+
+
+def _outcome(fn, *args):
+    # the result's type and repr, or the exception type
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return "raises", type(exc)
+    return type(value), repr(value)
+
+
+def _terms(factor):
+    # a bare scalar or a tuple of 1-3 factors
+    return st.lists(st.one_of(factor, st.lists(factor, min_size=1, max_size=3).map(tuple)),
+                    max_size=8)
+
+
+_EXACT = st.one_of(st.integers(), st.integers(-3, 3), st.fractions(),
+                   st.fractions(max_denominator=7))
+_SMALL_EXACT = st.one_of(st.integers(-10**6, 10**6),
+                         st.fractions(-10**6, 10**6, max_denominator=10**6))
+_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+_COMPLEX = st.one_of(
+    st.complex_numbers(),
+    st.builds(complex, st.sampled_from([0.0, -0.0, 1.5, math.inf, math.nan]),
+              st.sampled_from([0.0, -0.0, -2.5, -math.inf, math.nan])))
+
+
+@settings(max_examples=300)
+@given(values=_terms(_EXACT), start=_EXACT)
+def test_ordered_sum_exact_is_the_fold(values, start):
+    # one integer pair per sum gives the fold's rational and its type: an
+    # int while no Fraction entered, a Fraction otherwise
+    got, want = ordered_sum(values, start), _fold(values, start)
+    assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=300)
+@given(values=_terms(st.one_of(_SMALL_EXACT, _FLOAT)),
+       start=st.one_of(_SMALL_EXACT, _FLOAT))
+def test_ordered_sum_float_is_the_fold_bit_for_bit(values, start):
+    assert _outcome(ordered_sum, values, start) == _outcome(_fold, values, start)
+
+
+@settings(max_examples=300)
+@given(values=_terms(st.one_of(_SMALL_EXACT, _FLOAT, _COMPLEX)),
+       start=st.one_of(_SMALL_EXACT, _FLOAT, _COMPLEX))
+def test_ordered_sum_complex_is_the_fold_bit_for_bit(values, start):
+    # signed zero parts included: int + complex and Fraction + complex can
+    # differ in them, so the exact prefix must keep the fold's type too
+    assert _outcome(ordered_sum, values, start) == _outcome(_fold, values, start)
+
+
+@settings(max_examples=200)
+@given(prefix=_terms(_EXACT), factors=st.lists(_SMALL_EXACT, max_size=2),
+       x=_FLOAT, rest=_terms(st.one_of(_SMALL_EXACT, _FLOAT)))
+def test_ordered_sum_exact_prefix_then_float(prefix, factors, x, rest):
+    # the exact prefix becomes the fold's value where the first float enters,
+    # even in the middle of a term
+    values = [*prefix, (*factors, x), *rest]
+    assert _outcome(ordered_sum, iter(values)) == _outcome(_fold, values, 0)
+
+
+def test_ordered_sum_of_factor_tuples():
+    assert ordered_sum([(F(1, 2), 3), 2, (F(2, 3), F(3, 4), 4)]) == F(11, 2)
+    assert type(ordered_sum([(2, 3), 4])) is int
+    assert type(ordered_sum([(F(2), 3)])) is F and ordered_sum([], F(0)) == 0
+    assert type(ordered_sum([], F(0))) is F
+    # an exact prefix, then a float: 0 + 1/3*3 = 1 exactly, then + 0.5
+    assert repr(ordered_sum([(F(1, 3), 3), (F(1, 2), 1.0)])) == "1.5"
+    assert repr(ordered_sum([(2, -0.0)])) == "0.0" == repr(0 + 2 * -0.0)

@@ -421,10 +421,28 @@ _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
      "grid axis 'n' is repeated"),
     (("table", "--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1", "--grid", "x1=0:1"),
      "grid axis 'x1' is not read by --fn weights"),
+    # NaN passes a `tolerance <= 0` test: cor4.3 then ran without end and
+    # pr_inner stopped after 6 terms
+    (("verify", "--suite", "cor4.3", "--tol", "nan"),
+     "tolerance must be positive and finite, got nan"),
+    (("eval", "--tol", "nan", "--fn", "pr_inner", "--k", "1", "--s", "0", "--t", "0",
+      "--v", "0", "--x", "0", "--y", "0"), "tolerance must be positive and finite, got nan"),
+    (("verify", "--suite", "lemma2.1", "--mode", "float", "--tol", "-1"),
+     "tolerance must be positive and finite, got -1.0"),
+    (("verify", "--suite", "relations", "--tol", "inf"),
+     "tolerance must be positive and finite, got inf"),
+    (("eval", "--tol", "inf", *_RR_POINT), "tolerance must be positive and finite, got inf"),
+    (("table", *_WEIGHTS, "--grid", "x=0:1", "--tol", "nan"),
+     "tolerance must be positive and finite, got nan"),
+    (("table", *_WEIGHTS, "--grid", "x=0:1", "--max-terms", "0"), "max_terms must be at least 1"),
+    (("verify", "--suite", "relations", "--jobs", "-2"), "jobs must be at least 1"),
+    (("verify", "--suite", "relations", "--jobs", "0"), "jobs must be at least 1"),
 ], ids=["s-abc", "p-nan", "p-inf", "p-zero-denominator", "verify-p-zero-denominator",
         "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow", "trunc-0", "trunc-1",
         "empty-grid-csv", "empty-grid-json", "grid-axis-unread", "grid-axis-repeated",
-        "grid-slot-unread"])
+        "grid-slot-unread", "verify-tol-nan", "tol-nan", "verify-tol-negative",
+        "verify-tol-inf", "tol-inf", "table-tol-nan", "table-max-terms-0", "jobs-negative",
+        "jobs-0"])
 def test_cli_bad_input_is_a_config_error(args, message):
     # a number that does not parse, or a tail bound or base that cannot
     # work, is refused with exit status 2 and one line, never a traceback
@@ -433,6 +451,34 @@ def test_cli_bad_input_is_a_config_error(args, message):
     assert out.returncode == 2 and "Traceback" not in out.stderr
     assert out.stderr.startswith("ConfigError: ") and message in out.stderr
     assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", "relations"),
+    ("table", *_WEIGHTS, "--grid", "x=0:2", "--format", "csv"),
+    # the output is opened first: this grid would fail on its first cell
+    ("table", "--fn", "pr_closed", "--k", "0", "--s", "0", "--t", "0", "--v", "0",
+     "--y", "1", "--grid", "x=0:1"),
+], ids=["verify", "table", "table-before-the-grid"])
+def test_cli_unwritable_out_is_a_config_error(args, tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    out = _cli(*args, "--out", str(path))
+    assert out.returncode == 2 and "Traceback" not in out.stderr and out.stdout == ""
+    assert out.stderr == f"ConfigError: cannot write --out {path}: No such file or directory\n"
+
+
+def test_cli_k_not_positive_is_out_of_range():
+    # pr_closed at k = 0 died with a ZeroDivisionError traceback
+    out = _cli("eval", "--fn", "pr_closed", "--k", "0", "--s", "0", "--t", "0", "--v", "0",
+               "--x", "1", "--y", "1")
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr == "OutOfRange: k must be positive, got k = 0\n"
+
+
+def test_cli_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(["eval", *_WEIGHTS, "--n", "1"]) == 0
+    assert cli.main(["eval", *_WEIGHTS, "--n", "1", "--tol", "nan"]) == 2
 
 
 def test_cli_verify_trunc_2_runs():
