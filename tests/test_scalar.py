@@ -335,7 +335,7 @@ def test_ordered_sum_exact_prefix_then_float(prefix, factors, x, rest):
 def test_ordered_sum_of_factor_tuples():
     assert ordered_sum([(F(1, 2), 3), 2, (F(2, 3), F(3, 4), 4)]) == F(11, 2)
     assert type(ordered_sum([(2, 3), 4])) is int
-    assert type(ordered_sum([(F(2), 3)])) is F and ordered_sum([], F(0)) == 0
+    assert type(ordered_sum([(F(2), 3)])) is F
     assert type(ordered_sum([], F(0))) is F
     # an exact prefix, then a float: 0 + 1/3*3 = 1 exactly, then + 0.5
     assert repr(ordered_sum([(F(1, 3), 3), (F(1, 2), 1.0)])) == "1.5"
