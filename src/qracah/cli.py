@@ -380,19 +380,28 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _slots(names, vec):
+    # multivariate grids address vector slots as x1, x2, ..., y1, ...: their
+    # names in index order, refused unless they are exactly vec1..vecM
+    found = [name for name in names if name.startswith(vec) and name != vec]
+    slots = [f"{vec}{i}" for i in range(1, len(found) + 1)]
+    if set(found) != set(slots):
+        raise ValueError(f"grid vector slots must be {vec}1..{vec}{len(slots)}, "
+                         f"got {', '.join(found)}")
+    return slots
+
+
 def _table_text(args, qb, axes) -> str:
     names = [name for name, _ in axes]
+    xslots, yslots = _slots(names, "x"), _slots(names, "y")
     header = None
     rows = []
     for combo in iproduct(*[values for _, values in axes]):
         coords = dict(zip(names, combo))
-        # multivariate grids address vector slots as x1, x2, ..., y1, ...
-        xs = tuple(coords[k] for k in sorted(coords) if k.startswith("x") and k != "x")
-        ys = tuple(coords[k] for k in sorted(coords) if k.startswith("y") and k != "y")
-        if xs:
-            coords["xs"] = xs
-        if ys:
-            coords["ys"] = ys
+        if xslots:
+            coords["xs"] = tuple(coords[k] for k in xslots)
+        if yslots:
+            coords["ys"] = tuple(coords[k] for k in yslots)
         point = _Point(coords)
         value = FUNCTIONS[args.fn](args, qb, point)
         cells = value if isinstance(value, dict) else {"value": value}

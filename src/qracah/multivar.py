@@ -520,7 +520,7 @@ def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
 # ---------------------------------------------------------------------------
 
 
-def nested_eigen_residual(qb: QBase, side: str, j: int, v, base_param,
+def nested_eigen_residual(qb: QBase, side: str, j: int, v, base,
                           sizes: Sequence, ys: Sequence[int],
                           su11: bool = False, trunc: Optional[int] = None,
                           tb: TailBound = TailBound()):
@@ -538,12 +538,12 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base_param,
         raise OutOfRange("su11 nested eigencheck needs a truncation")
     sizes, ys = tuple(sizes), tuple(ys)
     _, grid = _chain(qb, sizes, su11, trunc)
-    h = heights(base_param, ys, sizes, su11)
-    vec = _nested_vec(qb, v, base_param, sizes, ys, su11, trunc, tb)
+    h = heights(base, ys, sizes, su11)
+    vec = _nested_vec(qb, v, base, sizes, ys, su11, trunc, tb)
     element = "ytilde" if su11 else "xtilde"
     symbol = qb.brace if su11 else qb.bracket
     if side == "L":
-        op = _chain_op(qb, sizes, su11, trunc, element, "L", j, v, base_param)
+        op = _chain_op(qb, sizes, su11, trunc, element, "L", j, v, base)
         lam = symbol(h[j])
     elif side == "R":
         op = _chain_op(qb, sizes, su11, trunc, element, "R", j, v, h[M - j])

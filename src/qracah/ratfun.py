@@ -171,12 +171,6 @@ def rr_closed(rp: RrParams, x: int, y: int):
     return c1 * ser
 
 
-def _conj_param(qb: QBase, v):
-    if qb.mode == "complex" and isinstance(v, complex):
-        return v.conjugate()
-    return v
-
-
 def rr_biorth_residual(rp: RrParams, relation: str, idx: int, idx2: int):
     """Residual of the biorthogonality relation against the partner family
     with v replaced by -conj(v) - 2.
@@ -186,7 +180,7 @@ def rr_biorth_residual(rp: RrParams, relation: str, idx: int, idx2: int):
     relation="y" is the symmetric statement summing over y.
     """
     qb = rp.qb
-    vpart = -_conj_param(qb, rp.v) - 2
+    vpart = -qb.conj(rp.v) - 2
     partner = RrParams(rp.s, rp.t, vpart, rp.N, qb)
     outer, diag, overlap = biorth_overlap(
         qb, relation, rp.s, rp.t, idx, idx2,
@@ -325,7 +319,7 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
     require_q_below_one(qb)
     if not abs(real_part(v) + 1) < 2 + real_part(pp.s) + real_part(pp.t):
         raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
-    vpart = -_conj_param(qb, v) - 2
+    vpart = -qb.conj(v) - 2
     partner = PrParams(pp.s, pp.t, vpart, pp.k, qb, pp.tb)
     outer, diag, overlap = biorth_overlap(
         qb, relation, pp.s, pp.t, idx, idx2,

@@ -157,7 +157,7 @@ class QBase:
     """
 
     __slots__ = ("p", "mode", "_q", "_logq", "_qdiff", "_qsum", "_hash",
-                 "_powers", "_brackets", "_braces")
+                 "_powers", "_brackets", "_braces", "_zero", "_one")
 
     def __init__(self, p, mode: str = "exact"):
         if mode not in MODES:
@@ -192,6 +192,9 @@ class QBase:
         self._powers = {}
         self._brackets = {}
         self._braces = {}
+        # scalars are immutable: every zero() and one() can be the same one
+        self._zero = self.scalar(0)
+        self._one = self.scalar(1)
 
     # -- scalar constructors -------------------------------------------------
 
@@ -206,10 +209,10 @@ class QBase:
         return float(x)
 
     def one(self):
-        return self.scalar(1)
+        return self._one
 
     def zero(self):
-        return self.scalar(0)
+        return self._zero
 
     @property
     def q(self):

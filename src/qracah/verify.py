@@ -7,7 +7,10 @@ for each point of its grid, as plain nested loops.  ``build_tasks`` is the
 one expander: it runs the generator for every p of the run (only the
 first for suites registered ``first_p``), appends the tail-bound fields
 ``tb_tol``/``tb_max_terms`` to the params of certified suites, then the
-point's ``p``.  Tasks carry a contract:
+point's ``p``.  ``run_task`` calls ``CHECKS[fn](qb, **point)``: ``p`` becomes
+the shared base ``qb``, the tail-bound fields one ``TailBound`` ``tb``, and
+the rest are keywords that each check names in its signature, so a library
+residual with those parameter names is its own check.  Tasks carry a contract:
 
 * ``exact``     -- the residual must be identically zero when run in the
   exact backend (the default); under a floating backend the tolerance
@@ -89,59 +92,50 @@ class RunConfig:
 
 @tabled
 def _base(p, mode):
+    # one shared base per (p, mode): a table lookup whose key holds the base
+    # then matches it by identity, without QBase.__eq__
     return QBase(p, mode)
 
 
-def _qb(params, mode):
-    # one shared base per (p, mode): a table lookup whose key holds the base
-    # then matches it by identity, without QBase.__eq__
-    return _base(params["p"], mode)
-
-
-def _tb(params):
-    return qseries.TailBound(
-        tolerance=params.get("tb_tol", 1e-12),
-        max_terms=params.get("tb_max_terms", qseries.DEFAULT_MAX_TERMS),
-    )
-
-
-def chk_summation(mode, params):
-    qb = _qb(params, mode)
-    lhs, rhs = qseries.summation_pair_qracah(
-        qb, params["N"], params["s"], params["t"], params["v"], params["x"], params["y"]
-    )
+def chk_summation(qb, N, s, t, v, x, y):
+    lhs, rhs = qseries.summation_pair_qracah(qb, N, s, t, v, x, y)
     return lhs - rhs
 
 
-def chk_relations(mode, params):
-    rs = _repspec(params, mode)
+def _repspec(qb, N=None, k=None, trunc=None):
+    if N is not None:
+        return uqsl2.RepSpec.su2(N, qb)
+    return uqsl2.RepSpec.su11(k, trunc, qb)
+
+
+def chk_relations(qb, **site):
+    rs = _repspec(qb, **site)
     res = uqsl2.relation_residuals(rs)
     rows = rs.interior(1)
     return ordered_sum(m.abs_sum(rows) for m in res.values())
 
 
-def chk_star(mode, params):
-    rs = _repspec(params, mode)
+def chk_star(qb, **site):
+    rs = _repspec(qb, **site)
     K, Ki, E, F = uqsl2.gens(rs)
     sgn = 1 if rs.kind == "su2" else -1
     pairs = [(K, K), (E, sgn * F), (F, sgn * E)]
     return ordered_sum(uqsl2.star_residual(rs, A, As).abs_sum() for A, As in pairs)
 
 
-def chk_twist_rewrite(mode, params):
-    rs = _repspec(params, mode)
-    res = uqsl2.twist_rewrite_residual(rs, params["u"], params["v"], params["s"], params["t"])
-    return res.abs_sum(rs.interior(2))
+def chk_twist_rewrite(qb, u, v, s, t, **site):
+    rs = _repspec(qb, **site)
+    return uqsl2.twist_rewrite_residual(rs, u, v, s, t).abs_sum(rs.interior(2))
 
 
-def chk_gevp_rewrite(mode, params):
-    rs = _repspec(params, mode)
-    return uqsl2.gevp_rewrite_residual(rs, params["s"]).abs_sum(rs.interior(2))
+def chk_gevp_rewrite(qb, s, **site):
+    rs = _repspec(qb, **site)
+    return uqsl2.gevp_rewrite_residual(rs, s).abs_sum(rs.interior(2))
 
 
-def chk_eigen(mode, params):
-    rs = _repspec(params, mode)
-    res = uqsl2.eigen_residual(rs, params["u"], params["s"], params["x"])
+def chk_eigen(qb, u, s, x, **site):
+    rs = _repspec(qb, **site)
+    res = uqsl2.eigen_residual(rs, u, s, x)
     rows = rs.interior(1)
     total = None
     for r in res[:rows]:
@@ -149,57 +143,39 @@ def chk_eigen(mode, params):
     return 0 if total is None else total
 
 
-def chk_prop33(mode, params):
-    qb = _qb(params, mode)
-    rp = ratfun.RrParams(params["s"], params["t"], params["v"], params["N"], qb)
-    return ratfun.rr_closed(rp, params["x"], params["y"]) - ratfun.rr_inner(
-        rp, params["x"], params["y"]
-    )
+def chk_prop33(qb, N, s, t, v, x, y):
+    rp = ratfun.RrParams(s, t, v, N, qb)
+    return ratfun.rr_closed(rp, x, y) - ratfun.rr_inner(rp, x, y)
 
 
-def chk_rr_biorth(mode, params):
-    qb = _qb(params, mode)
-    rp = ratfun.RrParams(params["s"], params["t"], params["v"], params["N"], qb)
-    return ratfun.rr_biorth_residual(rp, params["relation"], params["i"], params["j"])
+def chk_rr_biorth(qb, N, s, t, v, relation, i, j):
+    return ratfun.rr_biorth_residual(ratfun.RrParams(s, t, v, N, qb), relation, i, j)
 
 
-def chk_rr_gevp(mode, params):
-    qb = _qb(params, mode)
-    rp = ratfun.RrParams(params["s"], params["t"], params["v"], params["N"], qb)
-    return ratfun.rr_gevp_residual(rp, params["x"], params["y"])
+def chk_rr_gevp(qb, N, s, t, v, x, y):
+    return ratfun.rr_gevp_residual(ratfun.RrParams(s, t, v, N, qb), x, y)
 
 
-def chk_kraw_transfer(mode, params):
-    # single-site three-term transfer, both the diagonal symbol and the
-    # twisted action, checked for every n at once
-    qb = _qb(params, mode)
-    acc = multivar.transfer_check_k2(qb, 1, [params["y"]], params["t"], params["v"], [params["N"]])
-    acc += multivar.transfer_check_x(
-        qb, 1, [params["y"]], params["t"], params["v"], params["s"], [params["N"]]
-    )
-    return acc
+def chk_kraw_transfer(qb, N, s, t, v, y):
+    # the single-site three-term transfer is the one-site chain's
+    return chk_multi_transfer(qb, 1, (y,), t, v, s, (N,))
 
 
-def chk_kraw_dyn(mode, params):
-    return _chk_dyn(mode, params, su11=False)
+def chk_kraw_dyn(qb, N, t, v, y):
+    return _chk_dyn(qb, False, N, N, -N, t, v, y)
 
 
-def chk_asc_dyn(mode, params):
-    return _chk_dyn(mode, params, su11=True)
+def chk_asc_dyn(qb, k, t, v, y, trunc):
+    return _chk_dyn(qb, True, k, trunc, as_exponent(k), t, v, y)
 
 
-def _chk_dyn(mode, params, su11):
+def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
     # the parameter-shifting five-point transfer, checked for every n of the
     # finite family or of the infinite family's truncated window
-    qb = _qb(params, mode)
-    y, t, v = params["y"], params["t"], params["v"]
     if su11:
-        size, n_top, diag = params["k"], params["trunc"], as_exponent(params["k"])
         family, pack, dyn_coeffs = orthopoly.asc, orthopoly.ASCParams, orthopoly.asc_dyn_coeffs
     else:
-        size = n_top = params["N"]
         family, pack, dyn_coeffs = orthopoly.kraw, orthopoly.KrawParams, orthopoly.kraw_dyn_coeffs
-        diag = -size
     params_t = pack(v, t, size, qb)
     residuals = []
     for direction in (2, -2):
@@ -218,21 +194,18 @@ def _chk_dyn(mode, params, su11):
     return ordered_sum(residuals, qb.zero())
 
 
-def chk_asc_transfer(mode, params):
+def chk_asc_transfer(qb, k, s, t, v, y, trunc):
     # single-site ASC transfer: diagonal symbol and twisted action on a
     # truncated window, interior rows
-    qb = _qb(params, mode)
-    k, y, t, v, s, T = (params["k"], params["y"], params["t"], params["v"],
-                        params["s"], params["trunc"])
     ap = orthopoly.ASCParams(v, t, k, qb)
-    rs = uqsl2.RepSpec.su11(k, T, qb)
+    rs = uqsl2.RepSpec.su11(k, trunc, qb)
     Y0s = uqsl2.twist_y(rs, 0, s, tilde=False)
     cm1, c0, c1 = orthopoly.asc_diff_coeffs(qb, k, y, t)
     dm1, d0, d1 = orthopoly.asc_d_coeffs(qb, k, y, t, v)
-    vec = [orthopoly.asc(ap, n, y) for n in range(T + 1)]
+    vec = [orthopoly.asc(ap, n, y) for n in range(trunc + 1)]
     out = Y0s.apply(vec)
     acc = qb.zero()
-    for n in range(T):
+    for n in range(trunc):
         lhs_k2 = qb.qpow(2 * n + as_exponent(k)) * vec[n]
         rhs_k2 = c0 * vec[n]
         rhs_y = (d0 + qb.brace(s)) * vec[n]
@@ -247,94 +220,38 @@ def chk_asc_transfer(mode, params):
     return acc
 
 
-def chk_nested_eigen(mode, params):
-    qb = _qb(params, mode)
-    return multivar.nested_eigen_residual(
-        qb,
-        params["side"],
-        params["j"],
-        params["v"],
-        params["base"],
-        params["sizes"],
-        params["ys"],
-        su11=params.get("su11", False),
-        trunc=params.get("trunc"),
-    )
-
-
-def chk_multi_transfer(mode, params):
-    qb = _qb(params, mode)
-    acc = multivar.transfer_check_k2(
-        qb, params["j"], params["ys"], params["t"], params["v"], params["Ns"]
-    )
-    acc += multivar.transfer_check_x(
-        qb, params["j"], params["ys"], params["t"], params["v"], params["sigma"], params["Ns"]
-    )
+def chk_multi_transfer(qb, j, ys, t, v, sigma, Ns):
+    acc = multivar.transfer_check_k2(qb, j, ys, t, v, Ns)
+    acc += multivar.transfer_check_x(qb, j, ys, t, v, sigma, Ns)
     return acc
 
 
-def chk_multi_transfer_asc(mode, params):
-    qb = _qb(params, mode)
-    acc = multivar.transfer_check_k2_asc(
-        qb, params["j"], params["ys"], params["t"], params["v"], params["ks"], params["trunc"]
-    )
-    acc += multivar.transfer_check_y(
-        qb, params["j"], params["ys"], params["t"], params["v"], params["sigma"],
-        params["ks"], params["trunc"]
-    )
+def chk_multi_transfer_asc(qb, j, ys, t, v, sigma, ks, trunc):
+    acc = multivar.transfer_check_k2_asc(qb, j, ys, t, v, ks, trunc)
+    acc += multivar.transfer_check_y(qb, j, ys, t, v, sigma, ks, trunc)
     return acc
 
 
-def chk_multi_gevp(mode, params):
-    qb = _qb(params, mode)
-    return multivar.multi_gevp_residual(
-        qb, params["j"], params["xs"], params["ys"],
-        params["s"], params["t"], params["v"], params["Ns"]
-    )
-
-
-def chk_multi_gevp_asc(mode, params):
-    qb = _qb(params, mode)
-    return multivar.multi_gevp_residual_asc(
-        qb, params["j"], params["xs"], params["ys"],
-        params["s"], params["t"], params["v"], params["ks"], _tb(params)
-    )
-
-
-def chk_cor43(mode, params):
+def chk_cor43(qb, tb, k, s, t, v, x, y):
     # scale-normalized: the function values grow without bound across the
     # grid while the certificates control relative precision
-    qb = _qb(params, mode)
-    pp = ratfun.PrParams(params["s"], params["t"], params["v"], params["k"], qb, _tb(params))
-    inner = ratfun.pr_inner(pp, params["x"], params["y"])
-    closed = ratfun.pr_closed(pp, params["x"], params["y"])
+    pp = ratfun.PrParams(s, t, v, k, qb, tb)
+    inner = ratfun.pr_inner(pp, x, y)
+    closed = ratfun.pr_closed(pp, x, y)
     return (closed - inner) / (1 + abs(inner))
 
 
-def chk_pr_biorth(mode, params):
+def chk_pr_biorth(qb, tb, k, s, t, v, relation, i, j):
     # normalized by the diagonal target 1/W on diagonal entries
-    qb = _qb(params, mode)
-    tb = _tb(params)
-    pp = ratfun.PrParams(params["s"], params["t"], params["v"], params["k"], qb, tb)
-    raw = ratfun.pr_biorth_residual(pp, params["relation"], params["i"], params["j"])
-    if params["i"] == params["j"]:
-        diag_s = params["t"] if params["relation"] == "x" else params["s"]
-        scale = abs(1 / orthopoly.asc_W(qb, diag_s, params["k"], params["i"], tb))
-        return raw / (1 + scale)
+    raw = ratfun.pr_biorth_residual(ratfun.PrParams(s, t, v, k, qb, tb), relation, i, j)
+    if i == j:
+        diag_s = t if relation == "x" else s
+        return raw / (1 + abs(1 / orthopoly.asc_W(qb, diag_s, k, i, tb)))
     return raw
 
 
-def chk_pr_gevp(mode, params):
-    qb = _qb(params, mode)
-    pp = ratfun.PrParams(params["s"], params["t"], params["v"], params["k"], qb, _tb(params))
-    return ratfun.pr_gevp_residual(pp, params["x"], params["y"])
-
-
-def _repspec(params, mode):
-    qb = _qb(params, mode)
-    if "N" in params:
-        return uqsl2.RepSpec.su2(params["N"], qb)
-    return uqsl2.RepSpec.su11(params["k"], params["trunc"], qb)
+def chk_pr_gevp(qb, tb, k, s, t, v, x, y):
+    return ratfun.pr_gevp_residual(ratfun.PrParams(s, t, v, k, qb, tb), x, y)
 
 
 CHECKS = {
@@ -351,11 +268,11 @@ CHECKS = {
     "kraw_dyn": chk_kraw_dyn,
     "asc_transfer": chk_asc_transfer,
     "asc_dyn": chk_asc_dyn,
-    "nested_eigen": chk_nested_eigen,
+    "nested_eigen": multivar.nested_eigen_residual,
     "multi_transfer": chk_multi_transfer,
     "multi_transfer_asc": chk_multi_transfer_asc,
-    "multi_gevp": chk_multi_gevp,
-    "multi_gevp_asc": chk_multi_gevp_asc,
+    "multi_gevp": multivar.multi_gevp_residual,
+    "multi_gevp_asc": multivar.multi_gevp_residual_asc,
     "cor43": chk_cor43,
     "pr_biorth": chk_pr_biorth,
     "pr_gevp": chk_pr_gevp,
@@ -618,7 +535,12 @@ def run_task(task: Task, mode: str, tol: float) -> CheckReport:
     label = "certified" if certified else mode
     start = time.perf_counter()
     try:
-        residual = CHECKS[task.fn](scalar_mode, task.params)
+        point = dict(task.params)
+        qb = _base(point.pop("p"), scalar_mode)
+        if certified:
+            point["tb"] = qseries.TailBound(tolerance=point.pop("tb_tol"),
+                                            max_terms=point.pop("tb_max_terms"))
+        residual = CHECKS[task.fn](qb, **point)
         err = ""
     except QRacahError as exc:
         residual = None

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from qracah import cli
 from qracah.report import CheckReport, residual_string, serialize_value
+from qracah import verify
 from qracah.verify import SUITE_IDS, SUITES, RunConfig, build_tasks, run_suite, run_task
 
 # the externally promised suite registry, one id per machine-checked result
@@ -46,6 +48,30 @@ def test_task_manifest_is_pinned():
     cfg = RunConfig(p=F(3, 4), trunc=5, tolerance=1e-6, max_terms=99)
     assert _task_digest(cfg) == (
         3011, "43981dec2f13ecc640eb394dc4fcaccff706ed8dc29263db480473bc32256b40")
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(p=F(3, 4), trunc=5, tolerance=1e-6,
+                                                        max_terms=99)],
+                         ids=["default", "pinned"])
+def test_every_task_binds_to_its_check(cfg):
+    # run_task calls CHECKS[fn](qb, **point), with p taken out and, for a
+    # certified task, tb_tol/tb_max_terms turned into tb; a check that
+    # forwards **site builds its representation with _repspec
+    unbound = []
+    for task in build_tasks("all", cfg):
+        point = dict(task.params)
+        del point["p"]
+        if task.contract == "certified":
+            del point["tb_tol"], point["tb_max_terms"]
+            point["tb"] = None
+        signature = inspect.signature(verify.CHECKS[task.fn])
+        try:
+            bound = signature.bind(None, **point)
+            if "site" in signature.parameters:
+                inspect.signature(verify._repspec).bind(None, **bound.arguments.get("site", {}))
+        except TypeError as exc:
+            unbound.append(f"{task.suite} {task.check}: {exc}")
+    assert unbound == []
 
 
 def _report_digest(suite, mode="exact"):
@@ -421,6 +447,11 @@ _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
      "grid axis 'n' is repeated"),
     (("table", "--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1", "--grid", "x1=0:1"),
      "grid axis 'x1' is not read by --fn weights"),
+    # a gap among the vector slots was read as the next site
+    (("table", "--fn", "heights", "--N", "1,2", "--grid", "y1=0,y3=2"),
+     "grid vector slots must be y1..y2, got y1, y3"),
+    (("table", "--fn", "heights", "--N", "1,2", "--grid", "y0=0,y1=0"),
+     "grid vector slots must be y1..y2, got y0, y1"),
     # NaN passes a `tolerance <= 0` test: cor4.3 then ran without end and
     # pr_inner stopped after 6 terms
     (("verify", "--suite", "cor4.3", "--tol", "nan"),
@@ -440,7 +471,7 @@ _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
 ], ids=["s-abc", "p-nan", "p-inf", "p-zero-denominator", "verify-p-zero-denominator",
         "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow", "trunc-0", "trunc-1",
         "empty-grid-csv", "empty-grid-json", "grid-axis-unread", "grid-axis-repeated",
-        "grid-slot-unread", "verify-tol-nan", "tol-nan", "verify-tol-negative",
+        "grid-slot-unread", "grid-slot-gap", "grid-slot-zero", "verify-tol-nan", "tol-nan", "verify-tol-negative",
         "verify-tol-inf", "tol-inf", "table-tol-nan", "table-max-terms-0", "jobs-negative",
         "jobs-0"])
 def test_cli_bad_input_is_a_config_error(args, message):
@@ -560,15 +591,18 @@ def test_cli_table_json(tmp_path):
 
 
 def test_cli_jobs_parallel_matches_serial():
-    base = ("verify", "--suite", "ev3.x", "--p", "1/2")
-    serial = _cli(*base)
-    parallel = _cli(*base, "--jobs", "2")
     strip = lambda s: [
         json.dumps({k: v for k, v in json.loads(l).items() if k != "elapsed_ms"},
                    sort_keys=True)
         for l in s.strip().splitlines()
     ]
-    assert strip(serial.stdout) == strip(parallel.stdout)
+    # cor4.3 is certified: each worker builds its tasks' TailBound
+    for suite in ("ev3.x", "cor4.3"):
+        base = ("verify", "--suite", suite, "--p", "1/2")
+        serial = _cli(*base)
+        parallel = _cli(*base, "--jobs", "2")
+        assert serial.returncode == parallel.returncode == 0
+        assert strip(serial.stdout) == strip(parallel.stdout)
 
 
 def test_cli_table_multivariate_grid():
@@ -579,3 +613,23 @@ def test_cli_table_multivariate_grid():
     lines = out.stdout.strip().splitlines()
     assert lines[0].strip() == "x1,x2,y1,y2,value"
     assert len(lines) == 1 + 16
+
+
+_TEN_SITES = ("--N", "1,1,1,1,1,1,1,1,1,3", "--s", "0", "--t", "0", "--v", "0")
+
+
+@pytest.mark.parametrize("fn, slot, other", [("heights", "y", None), ("rr_multi", "x", "y"),
+                                             ("rr_multi", "y", "x")])
+def test_cli_table_ten_slots_match_eval(fn, slot, other):
+    # slot 10 is the tenth site, not the second
+    point = [0] * 9 + [3]
+    fixed = ("--" + other, ",".join(["0"] * 9 + ["1"])) if other else ()
+    grid = ",".join(f"{slot}{i}={c}" for i, c in enumerate(point, 1))
+    table = _cli("table", "--fn", fn, *_TEN_SITES, *fixed, "--grid", grid)
+    value = _cli("eval", "--fn", fn, *_TEN_SITES, *fixed,
+                 "--" + slot, ",".join(map(str, point)))
+    assert table.returncode == value.returncode == 0, table.stderr + value.stderr
+    row = json.loads(table.stdout)
+    expected = dict(line.split("=") for line in value.stdout.split()) if fn == "heights" \
+        else {"value": value.stdout.strip()}
+    assert {k: v for k, v in row.items() if not k.startswith(slot)} == expected
