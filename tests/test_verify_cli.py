@@ -630,6 +630,8 @@ def test_cli_table_ten_slots_match_eval(fn, slot, other):
                  "--" + slot, ",".join(map(str, point)))
     assert table.returncode == value.returncode == 0, table.stderr + value.stderr
     row = json.loads(table.stdout)
-    expected = dict(line.split("=") for line in value.stdout.split()) if fn == "heights" \
-        else {"value": value.stdout.strip()}
+    if fn == "heights":
+        expected = dict(line.split("=") for line in value.stdout.split())
+    else:
+        expected = {"value": value.stdout.strip()}
     assert {k: v for k, v in row.items() if not k.startswith(slot)} == expected
