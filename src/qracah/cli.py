@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
@@ -357,8 +358,9 @@ def cmd_verify(args) -> int:
         max_terms=args.max_terms,
     )
     counts = {"pass": 0, "fail": 0}
-    with _output(args.out) as out:
-        for report in run_suite(args.suite, cfg):
+    # closed on the way out, so a pool stops with the command
+    with _output(args.out) as out, contextlib.closing(run_suite(args.suite, cfg)) as reports:
+        for report in reports:
             counts["pass" if report.passed else "fail"] += 1
             print(report.to_json(), file=out)
     total = counts["pass"] + counts["fail"]
@@ -433,12 +435,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = {"eval": cmd_eval, "verify": cmd_verify, "table": cmd_table}[args.command]
     try:
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_table(args)
+        status = command(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed early: stop writing.  The interpreter flushes
+        # standard output again at exit, so it goes to devnull from here
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except QRacahError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

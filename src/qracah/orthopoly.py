@@ -36,10 +36,11 @@ computed in order on first request and kept, grown under a lock.
   series column ``_series(qb, su11, size, s, x)``: u enters only the
   prefactor, so every twist reads one 3phi2 per (s, x).  ``kraw``/``asc``
   read a column by index and ``kraw_column``/``asc_column`` hand a whole
-  column to the sums over n.  Each value still comes from its own series,
-  never from the recurrences that the verify suites check.  For int s, u
-  and size the prefactor exponent is n(2s-2u-size+1)/2 on ints, the same
-  power as the general expression.
+  column to the sums over n; the exact ``ratfun.pr_inner`` reads the two
+  series and folds both prefactors into one power.  Each value still
+  comes from its own series, never from the recurrences that the verify
+  suites check.  For int s, u and size the prefactor exponent is
+  n(2s-2u-size+1)/2 on ints, the same power as the general expression.
 * The n-side weights are closed forms in Pochhammer prefixes of one base:
   ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2;
   q**2)_(N-n)) and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2;

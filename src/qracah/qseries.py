@@ -44,13 +44,20 @@ one running pair by :func:`~qracah.scalar.add_pair`, the step
 against the running denominator), its magnitude is the same correctly
 rounded quotient, and one Fraction is built at the end.  So it stops at
 the term Fraction arithmetic would stop at and returns the same rational.
-Floating factors are multiplied left to right and summed in order, as
-before.
+Floating factors are multiplied left to right and summed in order.  Its
+stop rule reads two counters, the trailing terms below the floor and the
+trailing ratios at most the cap, so each term costs O(1) however long the
+sum runs.
 
 :func:`qpoch` multiplies int or Fraction inputs the same way: each factor
 1 - a*base**i is an integer pair, the pairs multiply unreduced, and one
 Fraction (an int for int inputs) is built at the end, the rational the
-factor-by-factor product gives.  The terminating 3phi2 factors of the
+factor-by-factor product gives.  :func:`qpoch_inf_ratio` runs on integer
+pairs for a Fraction base too: its stop test reads the correctly rounded
+quotients of the unreduced a*base**m pairs, the floats of the reduced
+values, so it stops at the same factor.  Its running pair is cancelled
+against each factor, since the ratios its callers pass telescope: their
+reduced value stays small while an unreduced pair grows like m**2 bits.  The terminating 3phi2 factors of the
 summation identity's series side depend on one of x, y only, so they are a
 process-lifetime table (``_rhs_factor``) shared across the (x, y) grid.
 """
@@ -172,21 +179,51 @@ def qpoch_inf_ratio(a_top, a_bot, base, tb: TailBound = TailBound()):
     tail is bounded by ``tolerance`` (to first order) and the *relative*
     error of the ratio is at most about 2*tolerance; the absolute error
     scales with the ratio itself.
+
+    When a_top and a_bot are int or Fraction and base is a Fraction, the
+    product runs on integer pairs: a*base**m is an unreduced pair whose
+    correctly rounded quotient, the float of the reduced value, is the stop
+    test; a vanishing denominator factor is an integer test; each factor is
+    an integer pair cancelled into the running pair by two gcds against the
+    small factor, as Fraction multiplication does; and one Fraction is built
+    at the end, the rational the factor-by-factor loop gives.  Other inputs
+    run that loop; an int base with |base| < 1 is 0.
     """
     bmag = abs(float(abs(base)))
     if bmag >= 1:
         raise NonConvergent(f"infinite Pochhammer needs |base| < 1, got {bmag}")
     cutoff = tb.tolerance * (1 - bmag)
-    out = a_top * 0 + a_bot * 0 + base * 0 + 1
-    f = out
-    for m in range(tb.max_terms):
-        if float(abs(a_top * f)) < cutoff and float(abs(a_bot * f)) < cutoff:
-            return out
-        bot = 1 - a_bot * f
-        if bot == 0:
-            raise DenominatorPole(f"(a;q)_inf pole: factor 1 - {a_bot}*base^{m} vanishes")
-        out *= (1 - a_top * f) / bot
-        f *= base
+    if (isinstance(base, Fraction) and isinstance(a_top, (int, Fraction))
+            and isinstance(a_bot, (int, Fraction))):
+        tn, td = _pair(a_top)
+        bn, bd = _pair(a_bot)
+        qn, qd = _pair(base)
+        num = den = fn = fd = 1
+        for m in range(tb.max_terms):
+            # a_top*base**m = top/tden and a_bot*base**m = bot/bden
+            top, tden, bot, bden = tn * fn, td * fd, bn * fn, bd * fd
+            if _quotient(top, tden) < cutoff and _quotient(bot, bden) < cutoff:
+                return Fraction(num, den)
+            if bot == bden:
+                raise DenominatorPole(f"(a;q)_inf pole: factor 1 - {a_bot}*base^{m} vanishes")
+            # (1 - top/tden) / (1 - bot/bden) = (tden - top) bd / ((bden - bot) td),
+            # cancelled against the pair as Fraction multiplication does
+            fnum, fden = (tden - top) * bd, (bden - bot) * td
+            g1, g2 = math.gcd(num, fden), math.gcd(fnum, den)
+            num, den = (num // g1) * (fnum // g2), (den // g2) * (fden // g1)
+            fn *= qn
+            fd *= qd
+    else:
+        out = a_top * 0 + a_bot * 0 + base * 0 + 1
+        f = out
+        for m in range(tb.max_terms):
+            if float(abs(a_top * f)) < cutoff and float(abs(a_bot * f)) < cutoff:
+                return out
+            bot = 1 - a_bot * f
+            if bot == 0:
+                raise DenominatorPole(f"(a;q)_inf pole: factor 1 - {a_bot}*base^{m} vanishes")
+            out *= (1 - a_top * f) / bot
+            f *= base
     raise NonConvergent(
         f"Pochhammer ratio needed more than {tb.max_terms} factors for tolerance {tb.tolerance}"
     )
@@ -418,21 +455,6 @@ def _ratio_bound(z_mag, base_mag, num_mags, den_mags, F):
     return out
 
 
-def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:
-    # require `run` consecutive sub-threshold terms with ratios below the cap
-    if len(magnitudes) < max(run + 1, 6):
-        return False
-    floor = tb.tolerance * (1 - tb.ratio_cap)
-    recent = magnitudes[-run:]
-    if any(m >= floor for m in recent):
-        return False
-    prev = magnitudes[-run - 1 :]
-    for a, b in zip(prev, prev[1:]):
-        if a > 0 and b / a > tb.ratio_cap:
-            return False
-    return True
-
-
 def require_q_below_one(qb: QBase) -> None:
     """Refuse q > 1 at the entry of a certified infinite sum of the
     infinite family: its weights decay only for 0 < q < 1."""
@@ -451,23 +473,42 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
     other term multiplies its factors left to right and is added as a
     scalar.
 
+    Summation stops after term n once n + 1 >= max(min_terms, 6), the last
+    three term magnitudes are below tolerance*(1-ratio_cap) and each of the
+    last three ratios |t_j / t_(j-1)| with t_(j-1) != 0 is at most
+    ``ratio_cap``.  Two counters of trailing terms keep that test O(1) per
+    term.
+
     Raises NonConvergent if the stopping rule cannot be met within
     max_terms, or if a term leaves the floating-point range (a certified
     result is then impossible; failing loudly beats returning NaN).
     """
+    floor = tb.tolerance * (1 - tb.ratio_cap)
+    cap = tb.ratio_cap
+    first = max(min_terms, 6)
     num, den = 0, 1  # the exact terms, while every term so far is exact
     total = None  # the scalar sum, from the first term that is not
-    magnitudes = []
+    below = capped = 0  # trailing terms below floor, trailing ratios at most cap
+    n = -1
     for n, term in enumerate(terms):
         factors = term if isinstance(term, tuple) else (term,)
-        if total is None and all(isinstance(f, (int, Fraction)) for f in factors):
+        mag = None
+        if total is None:
             tn = td = 1
+            # int is tested first: isinstance(f, Fraction) on an int runs
+            # the slow ABC check
             for f in factors:
-                tn *= f.numerator
-                td *= f.denominator
-            mag = _quotient(tn, td)
-            num, den = add_pair(num, den, tn, td)
-        else:
+                if isinstance(f, int):
+                    tn *= f
+                elif isinstance(f, Fraction):
+                    tn *= f.numerator
+                    td *= f.denominator
+                else:
+                    break
+            else:
+                mag = _quotient(tn, td)
+                num, den = add_pair(num, den, tn, td)
+        if mag is None:
             t = product(factors)
             if total is None:
                 total = t if n == 0 else Fraction(num, den) + t
@@ -476,8 +517,11 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
             mag = _magnitude(t)
         if not math.isfinite(mag):
             raise NonConvergent(f"term {n} exceeds the floating-point range")
-        magnitudes.append(mag)
-        if n + 1 >= min_terms and _tail_certified(magnitudes, tb):
+        below = below + 1 if mag < floor else 0
+        if n:
+            capped = 0 if last > 0 and mag / last > cap else capped + 1
+        last = mag
+        if n + 1 >= first and below >= 3 and capped >= 3:
             break
         if n + 1 >= tb.max_terms:
             raise NonConvergent(
@@ -485,7 +529,7 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
             )
     if total is not None:
         return total
-    return Fraction(num, den) if magnitudes else 0
+    return Fraction(num, den) if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Pochhammer symbols, hypergeometric series and the summation identity."""
 
+import re
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,6 @@ from qracah import (
     summation_rhs,
 )
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
-from qracah.qseries import _tail_certified
 
 
 def test_qpoch_basics():
@@ -100,6 +100,68 @@ def test_qpoch_inf_ratio_matches_separate_products():
     r = qpoch_inf_ratio(0.3, 0.7, 0.25, tb)
     sep = qpoch_inf(0.3, 0.25, tb) / qpoch_inf(0.7, 0.25, tb)
     assert r == pytest.approx(sep, rel=1e-12)
+
+
+def _ratio_fraction_loop(a_top, a_bot, base, tb):
+    # the truncated product factor by factor, every partial product a
+    # reduced Fraction and every stop test a float(); also returns the index
+    # m of the stop test that ended it
+    cutoff = tb.tolerance * (1 - abs(float(abs(base))))
+    out = a_top * 0 + a_bot * 0 + base * 0 + 1
+    f = out
+    for m in range(tb.max_terms):
+        if float(abs(a_top * f)) < cutoff and float(abs(a_bot * f)) < cutoff:
+            return out, m
+        bot = 1 - a_bot * f
+        if bot == 0:
+            raise DenominatorPole(f"(a;q)_inf pole: factor 1 - {a_bot}*base^{m} vanishes")
+        out *= (1 - a_top * f) / bot
+        f *= base
+    raise NonConvergent(
+        f"Pochhammer ratio needed more than {tb.max_terms} factors for tolerance {tb.tolerance}"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(a_top=_EXACT, a_bot=_EXACT,
+       base=st.fractions(F(-8, 9), F(8, 9), max_denominator=9),
+       tol=st.one_of(st.integers(1, 14).map(lambda e: 10.0**-e), st.just(2.0**-10)),
+       max_terms=st.integers(1, 120))
+@example(a_top=F(1, 3), a_bot=4, base=F(1, 2), tol=1e-12, max_terms=99)  # pole at m = 2
+@example(a_top=F(-5, 2), a_bot=F(9, 4), base=F(-2, 3), tol=1e-9, max_terms=99)  # pole at m = 2
+@example(a_top=F(1, 3), a_bot=F(1, 5), base=F(7, 8), tol=1e-12, max_terms=40)  # NonConvergent
+@example(a_top=3, a_bot=-2, base=F(1, 2), tol=1e-12, max_terms=99)  # int parameters
+@example(a_top=2, a_bot=3, base=0, tol=1e-12, max_terms=99)  # int inputs
+@example(a_top=F(-5, 2), a_bot=F(-1, 3), base=F(-1, 3), tol=1e-14, max_terms=99)  # negatives
+@example(a_top=0, a_bot=0, base=F(1, 2), tol=1e-3, max_terms=1)  # stops at m = 0
+# |a_top base**8| is the cutoff 2**-11 itself, which does not stop the product
+@example(a_top=F(1, 8), a_bot=0, base=F(1, 2), tol=2.0**-10, max_terms=99)
+def test_exact_qpoch_inf_ratio_is_the_fraction_loop(a_top, a_bot, base, tol, max_terms):
+    # the one-pair product gives the Fraction loop's value and type and
+    # stops at its index m: m + 1 factors are enough and m are not; a pole
+    # or a missed certificate raises the loop's error with its text
+    tb = TailBound(tol, max_terms=max_terms)
+    try:
+        want, m = _ratio_fraction_loop(a_top, a_bot, base, tb)
+    except (DenominatorPole, NonConvergent) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            qpoch_inf_ratio(a_top, a_bot, base, tb)
+        return
+    got = qpoch_inf_ratio(a_top, a_bot, base, TailBound(tb.tolerance, max_terms=m + 1))
+    assert type(got) is type(want) and got == want
+    if m:
+        with pytest.raises(NonConvergent):
+            qpoch_inf_ratio(a_top, a_bot, base, TailBound(tb.tolerance, max_terms=m))
+
+
+def test_exact_qpoch_inf_ratio_runs_past_the_float_range():
+    # |a_bot*base**m| above the float range is not below the cutoff (its
+    # quotient is inf), so the product runs on to its stop test; float() of
+    # the Fraction raised OverflowError there
+    a_top, a_bot, base = F(1, 3), 3 * F(2) ** 1100, F(1, 256)
+    cutoff = TailBound().tolerance * (1 - float(base))
+    m = next(m for m in count() if abs(a_bot * base**m) < cutoff)
+    assert qpoch_inf_ratio(a_top, a_bot, base) == qpoch(a_top, base, m) / qpoch(a_bot, base, m)
 
 
 def test_qbinom():
@@ -400,6 +462,23 @@ def test_summation_infinite_case_float():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:
+    # the stop rule certified_sum keeps in two counters, as it read the
+    # whole list of magnitudes: `run` consecutive sub-threshold terms with
+    # ratios below the cap
+    if len(magnitudes) < max(run + 1, 6):
+        return False
+    floor = tb.tolerance * (1 - tb.ratio_cap)
+    recent = magnitudes[-run:]
+    if any(m >= floor for m in recent):
+        return False
+    prev = magnitudes[-run - 1 :]
+    for a, b in zip(prev, prev[1:]):
+        if a > 0 and b / a > tb.ratio_cap:
+            return False
+    return True
+
+
 def _fraction_certified_sum(terms, tb, min_terms=6):
     # the reference: multiply each term's factors and sum term by term in
     # Fraction arithmetic, reading magnitudes with float()
@@ -449,6 +528,56 @@ def test_certified_sum_pairs_match_fraction_sums(rnum, seeds, tol_exp):
         got = certified_sum(counted(), tb)
         assert type(got) is F and got == want
         assert consumed == used
+
+
+# magnitudes 2**-e and zeros: every ratio is exact, so one exactly equal to
+# ratio_cap = 1/2 is reached, and with tolerance 2**-20 the floor
+# tolerance*(1-ratio_cap) = 2**-21 is itself a magnitude (not below it);
+# with tolerance 4 every term is below the floor 2 and only ratios count
+_POWERS = st.one_of(st.none(), st.integers(0, 26))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exps=st.lists(_POWERS, max_size=40), signs=st.integers(0, 2**40 - 1),
+       min_terms=st.sampled_from([3, 6]), floating=st.booleans(),
+       tol=st.sampled_from([2.0**-20, 4.0]))
+@example(exps=[20, 21, 22, 23, 24, 25, 26], signs=0, min_terms=6, floating=False,
+         tol=2.0**-20)  # every ratio is the cap
+@example(exps=[16, 22, 23, 24, 17, 22, 23, 24, 25], signs=5, min_terms=3, floating=False,
+         tol=2.0**-20)  # below the floor, above it again, below again
+@example(exps=[22, None, None, 23, None, 24, 25], signs=0, min_terms=3, floating=True,
+         tol=2.0**-20)  # zeros
+@example(exps=[21, 22, 23, 24, 25, 26, 26], signs=0, min_terms=6, floating=False,
+         tol=2.0**-20)  # the floor itself
+@example(exps=[3, 4, 5, None, 0, 1, 2], signs=0, min_terms=3, floating=False,
+         tol=4.0)  # a ratio after a zero is not read
+def test_certified_sum_stops_where_the_list_rule_does(exps, signs, min_terms, floating, tol):
+    # the two counters stop at the first n with n + 1 >= min_terms at which
+    # _tail_certified over the first n + 1 magnitudes holds; a finite
+    # series that never certifies is summed whole
+    tb = TailBound(tol, ratio_cap=0.5)
+    terms = [0 if e is None else (-1) ** (signs >> i & 1) * F(1, 2**e)
+             for i, e in enumerate(exps)]
+    if floating:
+        terms = [float(t) for t in terms]
+    mags = [float(abs(t)) for t in terms]
+    used = next((n + 1 for n in range(len(terms))
+                 if n + 1 >= min_terms and _tail_certified(mags[: n + 1], tb)), len(terms))
+    consumed = 0
+
+    def counted():
+        nonlocal consumed
+        for term in terms:
+            consumed += 1
+            yield term
+
+    got = certified_sum(counted(), tb, min_terms)
+    assert consumed == used
+    want = 0
+    for t in terms[:used]:
+        want = want + t
+    assert got == want and type(got) is (float if floating and used else
+                                           F if used else int)
 
 
 def test_certified_sum_floating_factors_keep_their_order():

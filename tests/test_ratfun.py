@@ -25,7 +25,9 @@ from qracah import (
     rr_valid,
 )
 from qracah import multivar
-from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
+from qracah.errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
+from qracah.orthopoly import _series, asc_column, asc_w_column
+from qracah.qseries import certified_sum
 from qracah.ratfun import _pole_index
 from qracah.tables import table_sizes
 
@@ -308,6 +310,43 @@ def test_certified_sums_refuse_q_above_one_before_the_first_term(qb):
     after = table_sizes()
     for name in ("qracah.orthopoly._column", "qracah.orthopoly.asc_w_column"):
         assert after[name] == before[name], name
+
+
+@pytest.mark.parametrize("p, s, t, v, k", [(F(3, 5), 1, 0, -1, 2),
+                                           (F(4, 7), F(1, 2), F(3, 2), F(-1, 2), 1)])
+def test_exact_pr_inner_reads_the_series_not_the_columns(p, s, t, v, k):
+    # an exact pr_inner sums q**(n(s+t-v+k)) times the two twist-free series
+    # entries and the weight: no polynomial column is built, and the value
+    # is the sum of the column products, stopped at the same term
+    pp = PrParams(s, t, v, k, QBase(p), TailBound(1e-15))
+    before = table_sizes()
+    value = pr_inner(pp, 2, 1)
+    after = table_sizes()
+    assert after["qracah.orthopoly._column"] == before["qracah.orthopoly._column"]
+    assert after["qracah.orthopoly._series"] == before["qracah.orthopoly._series"] + 2
+    read = len(_series(pp.qb, True, -k, s, 2).row)
+    left = asc_column(ASCParams(1, s, k, pp.qb, pp.tb), 2)
+    right = asc_column(ASCParams(v, t, k, pp.qb, pp.tb), 1)
+    w = asc_w_column(pp.qb, k)
+    used = 0
+
+    def terms():
+        nonlocal used
+        for n in range(10**4):
+            used += 1
+            yield left[n], right[n], w[n]
+
+    assert certified_sum(terms(), pp.tb) == value and type(value) is F
+    assert used == read > 6
+
+
+def test_exact_pr_inner_keeps_the_column_error():
+    # the power q**(n(s+t-v+k)) = q**(n/2) is exact here, but the left
+    # column prefactor q**(n(2s+k-1)/2) = q**(-n/4) is not: the columns
+    # raise, as they did before the series were read directly
+    pp = PrParams(0, F(1, 2), F(1, 2), F(1, 2), QBase(F(3, 4)))
+    with pytest.raises(ExactnessError, match="^exponent -1/4 is not a half-integer$"):
+        pr_inner(pp, 1, 1)
 
 
 @pytest.mark.parametrize("k", [0, -1])

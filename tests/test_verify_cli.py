@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -223,6 +224,34 @@ def test_polynomial_value_digests_are_pinned():
         assert _report_digest(suite, mode) == digest, (suite, mode)
 
 
+# table --fn pr_inner in the floating backends, whose column products fix
+# their bits (the exact backend sums the series entries unprefixed)
+_PR_INNER_POINTS = {
+    "p=2/3,k=3/2": ("--p", "2/3", "--k", "3/2", "--s", "1", "--t", "1/2", "--v", "1/3",
+                    "--grid", "x=0:6,y=0:6"),
+    "p=1/2,k=1": ("--p", "1/2", "--k", "1", "--s", "1", "--t", "1", "--v", "0",
+                  "--grid", "x=0:4,y=0:4"),
+}
+PR_INNER_TABLE_DIGESTS = {
+    ("float", "p=2/3,k=3/2"): (
+        49, "4d7db3dc422ce2d4ddc66b9de02b751bb031e3ac20f14ca653f3cb6b586c5b8e"),
+    ("float", "p=1/2,k=1"): (
+        25, "92a03723f850eb250d05c35305dffc85b4e4a1a402a1c8c94ea00398284d0b2a"),
+    ("complex", "p=2/3,k=3/2"): (
+        49, "676f1df7ce57c4b05126d4def9ea59874c5655d1a19642e043f043345faa789e"),
+    ("complex", "p=1/2,k=1"): (
+        25, "e75a68074e314964b2fa082cb4aab8a1df5dfbb78661d7208cc6d424eabd471a"),
+}
+
+
+def test_pr_inner_floating_table_digests_are_pinned(capsys):
+    for (mode, point), digest in PR_INNER_TABLE_DIGESTS.items():
+        argv = ["table", "--fn", "pr_inner", "--mode", mode, *_PR_INNER_POINTS[point]]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == digest, argv
+
+
 def test_report_serialization():
     rep = CheckReport("s", "c", {"p": F(1, 2), "N": 3}, "0", True, "exact", 1.234)
     payload = json.loads(rep.to_json())
@@ -399,6 +428,36 @@ def test_cli_verify_failure_exit_code():
     out = _cli("verify", "--suite", "prop4.4", "--tol", "1e-20", "--max-terms", "25")
     assert out.returncode == 1
     assert "FAILED" in out.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("argv, lines", [
+    (("verify", "--suite", "all"), 1),
+    (("verify", "--suite", "all", "--jobs", "2"), 1),
+    (("eval", "--fn", "kraw", "--p", "1/2", "--N", "3", "--s", "1", "--n", "1", "--x", "2"), 0),
+    (("table", "--fn", "kraw", "--p", "1/2", "--N", "3", "--s", "1", "--grid", "n=0:3,x=0:3"), 0),
+], ids=["verify", "verify-jobs2", "eval", "table"])
+def test_cli_reader_closing_early_ends_the_command(argv, lines):
+    # `| head -1`: the reader closes the pipe after `lines` lines, long
+    # before a whole stream of reports fits in it.  The command stops
+    # writing and exits 1 with no traceback, and no pool worker is left in
+    # its process group once it has exited
+    proc = subprocess.Popen([sys.executable, "-m", "qracah.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1 and b"Traceback" not in err, err.decode()
+        assert all(json.loads(line)["suite"] == "lemma2.1" for line in head)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, 9)
+        except ProcessLookupError:
+            pass
 
 
 def test_cli_verify_q_above_one_fails_by_report():
