@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -455,7 +456,7 @@ def test_cli_reader_closing_early_ends_the_command(argv, lines):
             os.killpg(proc.pid, 0)
     finally:
         try:
-            os.killpg(proc.pid, 9)
+            os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
 
