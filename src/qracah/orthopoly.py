@@ -28,8 +28,9 @@ out on its own.  The weights, ``kraw_b_coeffs``/``asc_d_coeffs`` and the
 orthogonality sums stay per family: their algorithms differ, not only
 their parameters.
 
-Values that run over n are rows of one class, ``_Row``: entries 0, 1, ...
-computed in order on first request and kept, grown under a lock.
+Values that run over n are rows, ``tables._Row``: entries 0, 1, ...
+computed in order on first request and kept, grown under a lock.  A sum
+over n fetches each row once and reads it by index.
 
 * Polynomial values are columns over n.  ``_column(qb, su11, size, u, s,
   x)`` holds q**(n(s-u-size/2+1/2)) times entry n of the twist-free
@@ -43,8 +44,9 @@ computed in order on first request and kept, grown under a lock.
   n(2s-2u-size+1)/2 on ints, the same power as the general expression.
 * The n-side weights are closed forms in Pochhammer prefixes of one base:
   ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2;
-  q**2)_(N-n)) and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2;
-  q**2)_n, kept as the row ``asc_w_column(qb, k)``.  Each prefix is read
+  q**2)_(N-n)), kept as the row ``kraw_w_column(qb, N)``, and ``asc_w``
+  is q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n, kept as the row
+  ``asc_w_column(qb, k)``.  Each prefix is read
   from one row per (qb, exponent) -- ``_poch_row`` holds (q**e; q**2)_0,
   (q**e; q**2)_1, ... grown by the loop of ``qpoch`` -- so both families
   share the (q**2; q**2) row of a base, and ``asc_W`` reads the same two
@@ -52,7 +54,7 @@ computed in order on first request and kept, grown under a lock.
   as the direct ``qpoch``/``qbinom`` formula, so each weight is
   bit-identical to it, and of the same type, in every backend.
 
-The rows, ``kraw_w``/``kraw_W``/``asc_W`` and the
+The rows, ``kraw_W``/``asc_W`` and the
 ``*_diff_coeffs``/``*_dyn_coeffs`` tables are ``tables.tabled``: the first
 call at a key stores the value for the life of the process, later calls
 return that same object, so every value is bit-identical to the
@@ -69,7 +71,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from threading import RLock
 
 from .errors import DenominatorPole, OutOfRange
 from .qseries import (
@@ -83,7 +84,7 @@ from .qseries import (
     rphis,
 )
 from .scalar import QBase, as_exponent, ordered_sum, real_part
-from .tables import tabled
+from .tables import _Row, tabled
 
 _HALF = Fraction(1, 2)
 
@@ -177,30 +178,6 @@ def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
 # ---------------------------------------------------------------------------
 
 
-class _Row:
-    """Entries 0, 1, 2, ... of a sequence, entry m computed once by
-    ``entry(*args, m)`` and kept: a request for entry m first computes every
-    entry before it, in order.  Growth holds a lock, since two threads
-    reading the same last entry would append it twice; one reentrant lock
-    serves every row, as a column grows its series and a weight row its
-    Pochhammer rows.  An entry that raises is not stored and raises again
-    on the next request, and so does every request past it."""
-
-    __slots__ = ("entry", "args", "row")
-    lock = RLock()
-
-    def __init__(self, entry, *args):
-        self.entry, self.args, self.row = entry, args, []
-
-    def __getitem__(self, m: int):
-        row = self.row
-        if m >= len(row):
-            with self.lock:
-                while len(row) <= m:
-                    row.append(self.entry(*self.args, len(row)))
-        return row[m]
-
-
 @tabled
 def _poch_row(qb: QBase, e) -> _Row:
     """The row of (q**e; q**2)_m, m = 0, 1, ..., by the loop of ``qpoch``."""
@@ -284,6 +261,19 @@ def kraw(kp: KrawParams, n: int, x: int):
 
 
 @tabled
+def kraw_w_column(qb: QBase, N: int) -> _Row:
+    """The weights kraw_w(qb, N, n), n = 0..N, as one row read by index;
+    an entry past N raises OutOfRange."""
+    P = _poch_row(qb, 2)
+
+    def entry(n):
+        if n > N:
+            raise OutOfRange(f"n = {n} outside 0..{N}")
+        return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
+
+    return _Row(entry)
+
+
 def kraw_w(qb: QBase, N: int, n: int):
     """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under q <-> 1/q.
 
@@ -292,8 +282,7 @@ def kraw_w(qb: QBase, N: int, n: int):
     """
     if not 0 <= n <= N:
         raise OutOfRange(f"n = {n} outside 0..{N}")
-    P = _poch_row(qb, 2)
-    return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
+    return kraw_w_column(qb, N)[n]
 
 
 @tabled
@@ -326,8 +315,8 @@ def kraw_orth_x(kp: KrawParams, n: int, n2: int):
 def kraw_orth_n(kp: KrawParams, x: int, x2: int):
     """Residual of the n-summed orthogonality: sum_n k(n,x) k(n,x2) w(n) - delta/W(x)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
-    left, right = kraw_column(k0, x), kraw_column(k0, x2)
-    acc = ordered_sum((left[n], right[n], kraw_w(kp.qb, kp.N, n)) for n in range(kp.N + 1))
+    left, right, w = kraw_column(k0, x), kraw_column(k0, x2), kraw_w_column(kp.qb, kp.N)
+    acc = ordered_sum((left[n], right[n], w[n]) for n in range(kp.N + 1))
     if x == x2:
         acc -= 1 / kraw_W(kp.qb, kp.s, kp.N, x)
     return acc

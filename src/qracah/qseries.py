@@ -57,9 +57,16 @@ pairs for a Fraction base too: its stop test reads the correctly rounded
 quotients of the unreduced a*base**m pairs, the floats of the reduced
 values, so it stops at the same factor.  Its running pair is cancelled
 against each factor, since the ratios its callers pass telescope: their
-reduced value stays small while an unreduced pair grows like m**2 bits.  The terminating 3phi2 factors of the
-summation identity's series side depend on one of x, y only, so they are a
-process-lifetime table (``_rhs_factor``) shared across the (x, y) grid.
+reduced value stays small while an unreduced pair grows like m**2 bits.
+
+The summation identity's series side reads rows over n (``tables._Row``):
+its terminating 3phi2 factors depend on one of x, y only, so
+``_rhs_factor(q, a, tb, z, sq)`` is one row per (z, sq), and its
+coefficients (bcd)**n (a; q)_n / (q; q)_n are one row per (q, a, bcd),
+``_rhs_coeffs``, carried by the recurrences the sum once ran inline, so
+every float and complex bit is the same.  Both are tabled and shared
+across the (x, y) grid of a summation point; a sum fetches its three rows
+once and reads them by index.
 """
 
 from __future__ import annotations
@@ -67,13 +74,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .scalar import QBase, add_pair, as_exponent, ordered_sum, product
-from .tables import tabled
+from .tables import _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -479,9 +488,17 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
     ``ratio_cap``.  Two counters of trailing terms keep that test O(1) per
     term.
 
+    An exact term whose magnitude is beyond the floating-point range reads
+    as inf: it is not below the floor, its ratio to a finite predecessor is
+    inf, above the cap as the exact ratio (above 1) is, and the ratio of
+    the next term to it is compared exactly, on integer pairs.  Finite
+    magnitudes keep the float test, so such a sum stops where Fraction
+    arithmetic would.
+
     Raises NonConvergent if the stopping rule cannot be met within
-    max_terms, or if a term leaves the floating-point range (a certified
-    result is then impossible; failing loudly beats returning NaN).
+    max_terms, or if a floating term leaves the floating-point range (a
+    certified result is then impossible; failing loudly beats returning
+    NaN).
     """
     floor = tb.tolerance * (1 - tb.ratio_cap)
     cap = tb.ratio_cap
@@ -511,15 +528,29 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
         if mag is None:
             t = product(factors)
             if total is None:
-                total = t if n == 0 else Fraction(num, den) + t
+                try:
+                    total = t if n == 0 else Fraction(num, den) + t
+                except OverflowError:
+                    raise NonConvergent(f"the exact terms before term {n} exceed "
+                                        "the floating-point range") from None
             else:
                 total = total + t
             mag = _magnitude(t)
-        if not math.isfinite(mag):
-            raise NonConvergent(f"term {n} exceeds the floating-point range")
+            if not math.isfinite(mag):
+                raise NonConvergent(f"term {n} exceeds the floating-point range")
         below = below + 1 if mag < floor else 0
         if n:
-            capped = 0 if last > 0 and mag / last > cap else capped + 1
+            if last < _INF:
+                over = last > 0 and mag / last > cap
+            else:
+                # the previous term, an exact one, is beyond the float range:
+                # |t_n| / |t_(n-1)| > cap on integer pairs (a float is one)
+                an, ad = (tn, td) if total is None else mag.as_integer_ratio()
+                cn, cd = cap.as_integer_ratio()
+                over = abs(an) * huge[1] * cd > cn * abs(huge[0]) * ad
+            capped = 0 if over else capped + 1
+        if mag == _INF:
+            huge = tn, td
         last = mag
         if n + 1 >= first and below >= 3 and capped >= 3:
             break
@@ -588,11 +619,7 @@ def summation_rhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None
     return _summation_rhs(qb.q, x, y, a, b * b, c * c, b * c * d, N, tb)
 
 
-@tabled
-def _rhs_factor(q, a, tb, n, z, sq):
-    """The terminating 3phi2 factor of the summation identity's series side,
-    in base 1/q; it depends on one of x, y only, so one table entry serves
-    every point that shares (n, z)."""
+def _rhs_factor_entry(q, a, tb, z, sq, n):
     return rphis(
         PhiSpec(
             numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
@@ -605,22 +632,41 @@ def _rhs_factor(q, a, tb, n, z, sq):
     )
 
 
-def _summation_rhs(q, x, y, a, b2, c2, bcd, N, tb):
-    def terms():
-        coeff = q * 0 + 1
-        poch_q = coeff
-        n = 0
-        while True:
-            yield (coeff / poch_q, _rhs_factor(q, a, tb, n, x, b2),
-                   _rhs_factor(q, a, tb, n, y, c2))
-            coeff *= bcd * (1 - a * q ** n)
-            poch_q *= 1 - q ** (n + 1)
-            n += 1
+@tabled
+def _rhs_factor(q, a, tb, z, sq) -> _Row:
+    """The column over n of the terminating 3phi2 factor of the summation
+    identity's series side, in base 1/q; it depends on one of x, y only, so
+    one row serves every point that shares z."""
+    return _Row(_rhs_factor_entry, q, a, tb, z, sq)
 
+
+@tabled
+def _rhs_coeffs(q, a, bcd) -> _Row:
+    """The coefficients (bcd)**n (a; q)_n / (q; q)_n of the series side,
+    n = 0, 1, ..., carried forward one factor per entry; every (x, y) of a
+    summation point reads this one row."""
+    coeff = poch_q = q * 0 + 1
+
+    def entry(n):
+        nonlocal coeff, poch_q
+        c, p = coeff, poch_q
+        if n:
+            c = c * (bcd * (1 - a * q ** (n - 1)))
+            p = p * (1 - q ** n)
+        out = c / p
+        # carried only once the entry is computed: an entry that raises
+        # leaves the products as they were
+        coeff, poch_q = c, p
+        return out
+
+    return _Row(entry)
+
+
+def _summation_rhs(q, x, y, a, b2, c2, bcd, N, tb):
+    c, fx, fy = _rhs_coeffs(q, a, bcd), _rhs_factor(q, a, tb, x, b2), _rhs_factor(q, a, tb, y, c2)
     if N is not None:
-        gen = terms()
-        return ordered_sum(next(gen) for _ in range(N + 1))
-    return certified_sum(terms(), tb)
+        return ordered_sum((c[n], fx[n], fy[n]) for n in range(N + 1))
+    return certified_sum(((c[n], fx[n], fy[n]) for n in count()), tb)
 
 
 def summation_pair_qracah(qb: QBase, N: int, s, t, v, x: int, y: int):

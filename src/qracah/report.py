@@ -4,15 +4,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
 
+def _digits(n: int) -> str:
+    """str(n) for an int of any length: str() refuses ints longer than
+    sys.get_int_max_str_digits() digits, and Decimal converts without that
+    limit, to the same digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _ratio(x: Fraction) -> str:
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+
+
 def serialize_value(x):
     """Canonical JSON-friendly form: exact rationals as "num/den" strings."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        return _ratio(x) if x.denominator != 1 else _digits(x.numerator)
     if isinstance(x, complex):
         return repr(x)
     if isinstance(x, (list, tuple)):
@@ -25,7 +40,7 @@ def residual_string(res) -> str:
     if res == 0:
         return "0"
     if isinstance(res, Fraction):
-        return f"{res.numerator}/{res.denominator}"
+        return _ratio(res)
     return repr(res)
 
 

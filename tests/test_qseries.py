@@ -22,7 +22,9 @@ from qracah import (
     summation_pair_qracah,
     summation_rhs,
 )
+from qracah import qseries
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
+from qracah.scalar import ordered_sum
 
 
 def test_qpoch_basics():
@@ -462,6 +464,76 @@ def test_summation_infinite_case_float():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+def _summation_rhs_loop(q, x, y, a, b2, c2, bcd, N, tb):
+    """The series side as one loop, the coefficient carried term by term
+    and each 3phi2 factor a fresh series: the reference the rows are read
+    against.  Returns the terms summed and the sum."""
+
+    def factor(n, z, sq):
+        return rphis(PhiSpec(numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
+                             denominators=(1 / a,), base=1 / q, argument=1 / q,
+                             terminate_after=min(n, z) + 1), tb)
+
+    used = []
+
+    def terms():
+        coeff = q * 0 + 1
+        poch_q = coeff
+        n = 0
+        while True:
+            used.append((coeff / poch_q, factor(n, x, b2), factor(n, y, c2)))
+            yield used[-1]
+            coeff *= bcd * (1 - a * q ** n)
+            poch_q *= 1 - q ** (n + 1)
+            n += 1
+
+    if N is not None:
+        gen = terms()
+        total = ordered_sum(next(gen) for _ in range(N + 1))
+    else:
+        total = certified_sum(terms(), tb)
+    return used, total
+
+
+def _same_bits(a, b):
+    # one type and one printed form: for floats and complex numbers that
+    # is every bit, the sign of a zero included
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("qb", [QBase(F(1, 2)), QBase(0.5, "float"), QBase(F(2, 3), "complex"),
+                                QBase(F(3, 2)), QBase(1.5, "float")], ids=repr)
+def test_summation_rows_are_the_loop_values(qb):
+    # the rows of the series side, _rhs_coeffs and _rhs_factor, read entry
+    # by entry, and the sum over them, are the loop's terms and sum, value
+    # and type and every float bit, at the q-Racah parameters of finite N
+    # and, for q < 1, in the certified branch
+    tb = TailBound(1e-12)
+    q = qb.qpow(2)
+    points = []
+    for N in range(4):
+        for s, t, v in ((1, 0, 0), (F(1, 2), 1, -1)):
+            b2, c2, bcd = -qb.qpow(2 * s), -qb.qpow(2 * t), -qb.qpow(s + t - v + 1)
+            points += [(qb.qpow(-2 * N), b2, c2, bcd, N, x, y)
+                       for x in range(N + 1) for y in range(N + 1)]
+    if qb.q < 1:
+        points += [(qb.qpow(a), qb.qpow(2), -qb.qpow(1), qb.qpow(3), None, x, y)
+                   for a in (1, 3) for x in range(3) for y in range(3)]
+    longest = 0
+    for a, b2, c2, bcd, N, x, y in points:
+        used, want = _summation_rhs_loop(q, x, y, a, b2, c2, bcd, N, tb)
+        longest = max(longest, len(used))
+        got = qseries._summation_rhs(q, x, y, a, b2, c2, bcd, N, tb)
+        assert _same_bits(got, want), (a, N, x, y)
+        rows = (qseries._rhs_coeffs(q, a, bcd), qseries._rhs_factor(q, a, tb, x, b2),
+                qseries._rhs_factor(q, a, tb, y, c2))
+        for n in reversed(range(len(used))):
+            assert all(map(_same_bits, (row[n] for row in rows), used[n])), (a, N, x, y, n)
+    # finite sums of up to N + 1 = 4 terms; the certified branch (q < 1)
+    # ran past its minimum of six terms
+    assert longest > 6 if qb.q < 1 else longest == 4
+
+
 def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:
     # the stop rule certified_sum keeps in two counters, as it read the
     # whole list of magnitudes: `run` consecutive sub-threshold terms with
@@ -578,6 +650,47 @@ def test_certified_sum_stops_where_the_list_rule_does(exps, signs, min_terms, fl
         want = want + t
     assert got == want and type(got) is (float if floating and used else
                                            F if used else int)
+
+
+def test_certified_sum_reads_exact_terms_beyond_the_float_range():
+    # exact terms whose magnitudes overflow a float are summed, and the sum
+    # stops where the list rule on exact magnitudes stops: a huge first
+    # term, a ratio above the cap between two huge terms, a huge term after
+    # a small one, each followed by geometric decay
+    tb = TailBound(1e-12)
+    huge = F(10**400, 7)
+    for head in ([huge], [huge, huge * 10**5, huge / 3], [F(1, 3), huge, huge * 2]):
+        terms = [*head, *(F(1, 10 ** (3 * n)) for n in range(1, 12))]
+        mags = [abs(t) for t in terms]
+        used = next(n + 1 for n in range(len(terms))
+                    if n + 1 >= 6 and _tail_certified(mags[: n + 1], tb))
+        consumed = 0
+
+        def counted():
+            nonlocal consumed
+            for term in terms:
+                consumed += 1
+                yield term, F(1)
+
+        got = certified_sum(counted(), tb)
+        assert consumed == used, head
+        assert type(got) is F and got == sum(terms[:used]), head
+    # floating terms after two huge exact ones that cancel: the ratio to
+    # the first float is read on integer pairs, and the sum is the floats'
+    terms = [huge, -huge, *(0.5 * 10.0 ** (-3 * n) for n in range(12))]
+    mags = [abs(F(t)) for t in terms]
+    used = next(n + 1 for n in range(len(terms))
+                if n + 1 >= 6 and _tail_certified(mags[: n + 1], tb))
+    want = 0
+    for t in terms[2:used]:
+        want = want + t
+    assert _same_bits(certified_sum(iter(terms), tb), want)
+    # a floating term beyond the range still raises, and so does a floating
+    # sum that would have to take in an exact prefix beyond it
+    with pytest.raises(NonConvergent, match="term 1 exceeds the floating-point range"):
+        certified_sum(iter([F(1, 2), 1e300 * 1e10]), tb)
+    with pytest.raises(NonConvergent, match="exact terms before term 1 exceed"):
+        certified_sum(iter([huge, 0.5]), tb)
 
 
 def test_certified_sum_floating_factors_keep_their_order():

@@ -1,5 +1,6 @@
 """Process-lifetime tables of the pure value layer."""
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -26,11 +27,11 @@ from qracah import (
     pr_inner,
     rr_inner,
 )
-from qracah import multivar, orthopoly, qseries
+from qracah import multivar, orthopoly, qseries, tables
 from qracah.errors import DenominatorPole, OutOfRange
 from qracah.scalar import as_exponent
 from qracah.uqsl2 import OpMatrix
-from qracah.tables import table_sizes, tabled
+from qracah.tables import _Row, table_sizes, tabled
 
 TB = TailBound(1e-12)
 
@@ -51,14 +52,29 @@ def _exponent(qb, x):
 
 
 def _outcome(fn, *args, **kwargs):
+    # a TypeError or AttributeError is a call that does not fit the code
+    # (a stale signature, say), not an outcome to compare: it propagates
     try:
         return fn(*args, **kwargs)
+    except (TypeError, AttributeError):
+        raise
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
         return type(exc)
 
 
+# the entries of a row compared, each an outcome
+ROW_ENTRIES = 6
+
+
 def _same(a, b):
-    # equal values of equal types, entry by entry (dict keys in order)
+    # equal values of equal types, entry by entry (dict keys in order, the
+    # first ROW_ENTRIES entries of a row, each a value or an exception type)
+    if isinstance(a, _Row):
+        return type(b) is _Row and all(
+            _same(_outcome(a.__getitem__, m), _outcome(b.__getitem__, m))
+            for m in range(ROW_ENTRIES))
+    if isinstance(a, type):
+        return a is b
     if isinstance(a, tuple):
         return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, dict):
@@ -74,8 +90,8 @@ def _calls(qb):
     h = _exponent(qb, F(1, 2))
     one = _exponent(qb, 1)
     calls = []
-    for n in range(4):
-        calls.append((orthopoly.kraw_w, (qb, 3, n), {}))
+    for N in range(4):
+        calls.append((orthopoly.kraw_w_column, (qb, N), {}))
     for y in range(4):
         calls.append((kraw_W, (qb, h, 3, y), {}))
         calls.append((kraw_W, (qb, 1, 3), {"x": y}))
@@ -105,15 +121,16 @@ def _calls(qb):
                 calls.append((multivar._nested_vec,
                               (qb, one, h, sizes, ys, su11, trunc, TB), {}))
     # the multivariate rational functions, and the summation identity's
-    # 3phi2 factors in base 1/q
+    # rows: its 3phi2 factors in base 1/q and its coefficients
     for xs in ((0, 0), (1, 0), (2, 1)):
         for ys in ((0, 1), (1, 1)):
             calls.append((multivar._rr_multi, (qb, one, h, 0, (2, 1), xs, ys), {}))
             calls.append((multivar._pr_multi, (qb, one, 0, 0, (one, one), xs, ys, TB), {}))
     a, sq = qb.qpow(-4), -qb.qpow(one)
-    for n in range(3):
-        for z in range(3):
-            calls.append((qseries._rhs_factor, (qb.q, a, TB, n, z, sq), {}))
+    for z in range(3):
+        calls.append((qseries._rhs_factor, (qb.q, a, TB, z, sq), {}))
+    for bcd in (-qb.qpow(h), qb.qpow(3)):
+        calls.append((qseries._rhs_coeffs, (qb.q, a, bcd), {}))
     return calls
 
 
@@ -291,6 +308,74 @@ def test_one_polynomial_column_grows_thread_safely():
         assert results[i] == [_value_direct(qb, True, -1, F(1, 2), 1, n, 20) for n in order]
 
 
+def test_summation_rows_grow_by_one_row_per_factor():
+    # one (N, s, t, v) point over its whole (x, y) grid: one row of 3phi2
+    # factors per (z, sq), whatever n each sum reads, and one coefficient
+    # row for the grid
+    qb = QBase(F(4, 11))  # a base no other test uses
+    q, N = qb.qpow(2), 3
+    a, b2, c2, bcd = qb.qpow(-2 * N), -qb.qpow(2), -qb.qpow(0), -qb.qpow(2)
+    factors, coeffs = _size(qseries._rhs_factor), _size(qseries._rhs_coeffs)
+    for x in range(N + 1):
+        for y in range(N + 1):
+            qseries._summation_rhs(q, x, y, a, b2, c2, bcd, N, TB)
+    assert _size(qseries._rhs_factor) == factors + 2 * (N + 1)
+    assert _size(qseries._rhs_coeffs) == coeffs + 1
+
+
+def test_a_row_grows_each_entry_once_in_order_across_threads():
+    # threads reading one fresh row at once, each in its own order: every
+    # entry is computed once, in index order, and each thread reads it
+    computed = []
+
+    def entry(scale, m):
+        computed.append(m)
+        return sum(scale * m for _ in range(200))
+
+    row = _Row(entry, 3)
+    orders = [list(range(0, 41, step)) + [40 - step] for step in (1, 1, 2, 3, 5, 7)]
+    results = {}
+
+    def request(i):
+        results[i] = [row[m] for m in orders[i]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert computed == list(range(41))
+    for i, order in enumerate(orders):
+        assert results[i] == [600 * m for m in order]
+
+
+def test_a_row_entry_that_raises_is_not_stored():
+    # the entry raises again on the next request, and so does every
+    # request past it; once it computes, the row grows on from there
+    failing = {2}
+
+    def entry(m):
+        if m in failing:
+            raise OutOfRange(f"entry {m}")
+        return m * m
+
+    row = _Row(entry)
+    assert row[1] == 1
+    for _ in range(2):
+        for m in (2, 4):
+            with pytest.raises(OutOfRange, match="entry 2"):
+                row[m]
+    assert row.row == [0, 1]
+    failing.clear()
+    assert row[4] == 16 and row.row == [0, 1, 4, 9, 16]
+
+
 def test_multivariate_sequences_key_one_entry_as_list_or_tuple():
     # rr_multi and pr_multi take sequences; a list and a tuple of the same
     # entries key one entry and return one object
@@ -319,7 +404,7 @@ def _echo(*args, **kwargs):
 def test_keys_are_typed_and_flatten_dataclass_fields():
     before = _size(_echo)
     # equal values of different types never share an entry
-    for value in (1, 1.0, F(1), True, 1 + 0j):
+    for value in (1, 1.0, F(1), True, 1 + 0j, F(1, 2), 0.5):
         assert _echo(value)[0][0] is value
     # equal packs whose fields differ in type never share one either
     for pack in (_Pack(1, 2), _Pack(1.0, 2), _Pack(1, F(2))):
@@ -329,4 +414,38 @@ def test_keys_are_typed_and_flatten_dataclass_fields():
     for chain in ((1, 2), (1.0, 2), (1, F(2))):
         assert _echo(chain)[0][0] is chain
     assert _echo((1, 2)) is _echo((1, 2))
-    assert _size(_echo) == before + 11
+    # nor packs that differ in the type of a nested pack's field
+    for pack in (_Pack(_Pack(1, 2), 0), _Pack(_Pack(1, 2.0), 0)):
+        assert _echo(pack)[0][0] is pack
+    assert _size(_echo) == before + 15
+    # an equal Fraction built apart reads the same entry
+    assert _echo(F(2, 4))[0][0] is _echo(F(1, 2))[0][0]
+
+
+def test_a_frozen_pack_is_keyed_once():
+    # the typed field entry of a frozen dataclass is built on the first
+    # call that keys it and kept on the object: later keys reuse that very
+    # entry, and an equal pack built separately gets its own, equal one
+    # and reads the same table entry
+    pack, twin = _Pack(F(1, 3), (1, 2)), _Pack(F(1, 3), (1, 2))
+    first = _echo(pack, pack)
+    entry = vars(pack)[tables._KEY_ATTR]
+    assert _echo(pack) is not first and _echo(pack, pack) is first
+    assert tables._key((pack,), {})[0] is entry
+    assert _echo(twin, twin) is first
+    assert vars(twin)[tables._KEY_ATTR] is not entry
+    assert vars(twin)[tables._KEY_ATTR] == entry
+
+
+def test_keyed_parameter_packs_keep_their_dataclass_behaviour():
+    # keying a parameter pack changes none of ==, hash, repr and fields
+    qb = QBase(F(1, 2))
+    packs = [KrawParams(1, F(1, 2), 3, qb), ASCParams(0, 1, F(3, 2), qb), RrParams(1, 0, -1, 2, qb),
+             PrParams(1, 1, 0, 1, qb, TB), TailBound(), TailBound(1e-9, 0.5, 100)]
+    for pack in packs:
+        twin = dataclasses.replace(pack)
+        before = repr(pack), hash(pack), dataclasses.fields(pack)
+        _echo(pack)
+        assert (repr(pack), hash(pack), dataclasses.fields(pack)) == before
+        assert pack == twin and hash(pack) == hash(twin) and repr(pack) == repr(twin)
+        assert _echo(twin)[0][0] is pack

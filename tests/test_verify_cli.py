@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qracah import cli
+from qracah import PrParams, QBase, cli, pr_inner
 from qracah.report import CheckReport, residual_string, serialize_value
 from qracah import verify
 from qracah.verify import SUITE_IDS, SUITES, RunConfig, build_tasks, run_suite, run_task
@@ -262,6 +262,34 @@ def test_report_serialization():
     assert residual_string(F(0, 1)) == "0"
     assert residual_string(F(-3, 7)) == "-3/7"
     assert serialize_value([F(1, 3), 2]) == ["1/3", 2]
+
+
+def test_exact_values_of_any_length_serialize_in_full():
+    # past the interpreter's limit on int-to-string conversion (4300
+    # digits by default), in the same num/den form, leaving the limit as
+    # it was
+    limit = sys.get_int_max_str_digits()
+    digits = "1" + "0" * 4999 + "1"
+    value = F(10**5000 + 1, 3)
+    assert serialize_value(value) == residual_string(value) == digits + "/3"
+    assert serialize_value(-value) == "-" + digits + "/3"
+    assert serialize_value(F(10**5000 + 1)) == digits
+    assert residual_string(1 / value) == "3/" + digits
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_cli_eval_prints_long_certified_values(capsys):
+    # at x = y = 14 the exact pr_inner value has more digits than str()
+    # converts; at x = y = 16 its early terms exceed the float range
+    for xy in ("14", "16"):
+        argv = ["eval", "--fn", "pr_inner", "--p", "1/2", "--k", "1", "--s", "1",
+                "--t", "1", "--v", "0", "--x", xy, "--y", xy]
+        assert cli.main(argv) == 0, xy
+        out, err = capsys.readouterr()
+        value = pr_inner(PrParams(1, 1, 0, 1, QBase(F(1, 2))), int(xy), int(xy))
+        assert err == "" and out == serialize_value(value) + "\n", xy
+        # more than 4300 digits: 4300 digits are fewer than 14,300 bits
+        assert max(value.numerator, value.denominator).bit_length() > 14300, xy
 
 
 def _suite_reports(suite, **cfg_kw):
