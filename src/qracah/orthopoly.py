@@ -44,9 +44,8 @@ over n fetches each row once and reads it by index.
   n(2s-2u-size+1)/2 on ints, the same power as the general expression.
 * The n-side weights are closed forms in Pochhammer prefixes of one base:
   ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2;
-  q**2)_(N-n)), kept as the row ``kraw_w_column(qb, N)``, and ``asc_w``
-  is q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n, kept as the row
-  ``asc_w_column(qb, k)``.  Each prefix is read
+  q**2)_(N-n)) and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2;
+  q**2)_n, kept as the row ``asc_w_column(qb, k)``.  Each prefix is read
   from one row per (qb, exponent) -- ``_poch_row`` holds (q**e; q**2)_0,
   (q**e; q**2)_1, ... grown by the loop of ``qpoch`` -- so both families
   share the (q**2; q**2) row of a base, and ``asc_W`` reads the same two
@@ -54,7 +53,7 @@ over n fetches each row once and reads it by index.
   as the direct ``qpoch``/``qbinom`` formula, so each weight is
   bit-identical to it, and of the same type, in every backend.
 
-The rows, ``kraw_W``/``asc_W`` and the
+The rows, ``kraw_w``/``kraw_W``/``asc_W`` and the
 ``*_diff_coeffs``/``*_dyn_coeffs`` tables are ``tables.tabled``: the first
 call at a key stores the value for the life of the process, later calls
 return that same object, so every value is bit-identical to the
@@ -261,19 +260,6 @@ def kraw(kp: KrawParams, n: int, x: int):
 
 
 @tabled
-def kraw_w_column(qb: QBase, N: int) -> _Row:
-    """The weights kraw_w(qb, N, n), n = 0..N, as one row read by index;
-    an entry past N raises OutOfRange."""
-    P = _poch_row(qb, 2)
-
-    def entry(n):
-        if n > N:
-            raise OutOfRange(f"n = {n} outside 0..{N}")
-        return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
-
-    return _Row(entry)
-
-
 def kraw_w(qb: QBase, N: int, n: int):
     """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under q <-> 1/q.
 
@@ -282,7 +268,8 @@ def kraw_w(qb: QBase, N: int, n: int):
     """
     if not 0 <= n <= N:
         raise OutOfRange(f"n = {n} outside 0..{N}")
-    return kraw_w_column(qb, N)[n]
+    P = _poch_row(qb, 2)
+    return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
 
 
 @tabled
@@ -315,8 +302,8 @@ def kraw_orth_x(kp: KrawParams, n: int, n2: int):
 def kraw_orth_n(kp: KrawParams, x: int, x2: int):
     """Residual of the n-summed orthogonality: sum_n k(n,x) k(n,x2) w(n) - delta/W(x)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
-    left, right, w = kraw_column(k0, x), kraw_column(k0, x2), kraw_w_column(kp.qb, kp.N)
-    acc = ordered_sum((left[n], right[n], w[n]) for n in range(kp.N + 1))
+    left, right = kraw_column(k0, x), kraw_column(k0, x2)
+    acc = ordered_sum((left[n], right[n], kraw_w(kp.qb, kp.N, n)) for n in range(kp.N + 1))
     if x == x2:
         acc -= 1 / kraw_W(kp.qb, kp.s, kp.N, x)
     return acc

@@ -644,7 +644,10 @@ def _rhs_factor(q, a, tb, z, sq) -> _Row:
 def _rhs_coeffs(q, a, bcd) -> _Row:
     """The coefficients (bcd)**n (a; q)_n / (q; q)_n of the series side,
     n = 0, 1, ..., carried forward one factor per entry; every (x, y) of a
-    summation point reads this one row."""
+    summation point reads this one row.  Complex arguments that differ only
+    in the sign of a zero (complex(r, 0.0) == complex(r, -0.0)) key one
+    row, as they key one ``_rhs_factor`` row: the later call reads entries
+    carried from the first call's arguments."""
     coeff = poch_q = q * 0 + 1
 
     def entry(n):

@@ -41,7 +41,7 @@ from .orthopoly import (
     kraw_b_coeffs,
     kraw_column,
     kraw_diff_coeffs,
-    kraw_w_column,
+    kraw_w,
     kraw_W,
     require_positive_k,
 )
@@ -89,8 +89,7 @@ def rr_inner(rp: RrParams, x: int, y: int):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
     left = kraw_column(KrawParams(1, rp.s, rp.N, rp.qb), x)
     right = kraw_column(KrawParams(rp.v, rp.t, rp.N, rp.qb), y)
-    w = kraw_w_column(rp.qb, rp.N)
-    return ordered_sum((left[n], right[n], w[n]) for n in range(rp.N + 1))
+    return ordered_sum((left[n], right[n], kraw_w(rp.qb, rp.N, n)) for n in range(rp.N + 1))
 
 
 def _pole_index(s, t, v, y):

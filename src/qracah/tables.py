@@ -6,22 +6,14 @@ entries each table holds.  A hit returns the very object the first call
 computed, so a tabled value is bit-identical to, and of the same type as,
 the undecorated function's (``fn.__wrapped__``).
 
-A key is one flat tuple: one entry per argument, then the type of every
-argument, then the names of any keyword arguments.  Most arguments are
-their own entry.  A ``Fraction`` enters as its integer pair (numerator,
-denominator), which hashes and compares in C, where ``Fraction`` hashes
-and compares in Python on every lookup.  A tuple argument stays whole and
+A key is one flat tuple: the arguments, with each dataclass argument
+replaced by its fields, then the type of every one of those values, then
+the names of any keyword arguments.  A tuple argument stays whole and
 brings the types of its entries along, so ``(1,)`` and ``(1.0,)`` key
-apart as ``1`` and ``1.0`` do.  A frozen dataclass argument (the parameter
-packs ``KrawParams``, ``ASCParams``, ``RrParams``, ``PrParams`` and
-``TailBound``) stands for its fields, each keyed the same way and followed
-by the types of all of them; that entry is built and hashed on the first
-call that keys the object and kept on the object, so later calls neither
-flatten nor hash its fields again.  The types keep apart
-arguments that compare equal across backends -- ``1.0 == Fraction(1) ==
-True`` -- so an exact base still rejects a float exponent whose
-``Fraction`` twin is tabled.  A call that raises stores nothing and raises
-again next time.
+apart as ``1`` and ``1.0`` do.  The types keep apart arguments that
+compare equal across backends -- ``1.0 == Fraction(1) == True`` -- so an
+exact base still rejects a float exponent whose ``Fraction`` twin is
+tabled.  A call that raises stores nothing and raises again next time.
 
 Values that run over an index are rows, ``_Row``: entries 0, 1, ...
 computed in order on first request and kept.  A tabled function that
@@ -31,15 +23,15 @@ per sum and read it by index, with no key built per entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import wraps
 from operator import attrgetter
 from threading import RLock
 
 _TABLES: dict = {}
+# class -> getter of the values that stand for an argument, or None for the
+# argument itself: a dataclass's fields, a tuple and its entries' types
+_FIELDS: dict = {tuple: lambda value: (value, tuple(map(type, value)))}
 _MISSING = object()
-# the attribute under which a frozen dataclass keeps its key entry
-_KEY_ATTR = "_tables_key"
 
 
 class _Row:
@@ -66,74 +58,26 @@ class _Row:
         return row[m]
 
 
-class _Fields:
-    """The key entry of a frozen dataclass: its class, its fields' entries
-    and their types, hashed once."""
-
-    __slots__ = ("values", "hash")
-
-    def __init__(self, values):
-        self.values, self.hash = values, hash(values)
-
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        return type(other) is _Fields and self.values == other.values
-
-
-def _tuple_entry(value):
-    return value, tuple(map(type, value))
-
-
-def _entry_maker(cls):
-    """How a value of class ``cls`` enters a key: None when it stands for
-    itself, else a function of the value."""
-    params = getattr(cls, "__dataclass_params__", None)
-    if params is None:
+def _fields_getter(cls):
+    names = tuple(getattr(cls, "__dataclass_fields__", ()))
+    if not names:
         return None
-    names = tuple(cls.__dataclass_fields__)
-    get = attrgetter(*names) if len(names) > 1 else (lambda obj: (getattr(obj, names[0]),))
-
-    def fields_entry(value):
-        fields = get(value)
-        return _Fields((cls, *_entries(fields), *map(type, fields)))
-
-    if not params.frozen:
-        # fields that could change after keying are read on every call
-        return fields_entry
-
-    def frozen_entry(value):
-        entry = value.__dict__.get(_KEY_ATTR)
-        if entry is None:
-            entry = fields_entry(value)
-            # a frozen dataclass refuses setattr; its fields cannot change
-            object.__setattr__(value, _KEY_ATTR, entry)
-        return entry
-
-    return frozen_entry
-
-
-# class -> how a value of that class enters a key (see _entry_maker)
-_MAKERS: dict = {tuple: _tuple_entry, Fraction: Fraction.as_integer_ratio}
-
-
-def _entries(values):
-    """The key entry of each value: the value itself, a Fraction's integer
-    pair, a tuple with its entries' types, or a dataclass's ``_Fields``."""
-    out = []
-    for value in values:
-        cls = type(value)
-        make = _MAKERS.get(cls, _MISSING)
-        if make is _MISSING:
-            make = _MAKERS[cls] = _entry_maker(cls)
-        out.append(value if make is None else make(value))
-    return out
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
 
 
 def _key(args, kwargs):
-    values = (*args, *kwargs.values()) if kwargs else args
-    return (*_entries(values), *map(type, values), *kwargs)
+    flat = []
+    for value in ((*args, *kwargs.values()) if kwargs else args):
+        cls = type(value)
+        get = _FIELDS.get(cls, _MISSING)
+        if get is _MISSING:
+            get = _FIELDS[cls] = _fields_getter(cls)
+        if get is None:
+            flat.append(value)
+        else:
+            flat.extend(get(value))
+    return (*flat, *map(type, flat), *kwargs)
 
 
 def tabled(fn):

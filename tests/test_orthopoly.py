@@ -31,7 +31,6 @@ from qracah import (
     qpoch,
 )
 from qracah import uqsl2
-from qracah.orthopoly import kraw_w_column
 from qracah.errors import DenominatorPole, ExactnessError, OutOfRange
 from qracah.tables import table_sizes
 
@@ -241,10 +240,7 @@ def test_asc_w_table_matches_direct_formula(qb, order):
 
 @pytest.mark.parametrize("qb, order", WEIGHT_TABLE_CASES, ids=repr)
 def test_kraw_w_table_matches_direct_formula(qb, order):
-    # the row the sums over n read, first entry last, then kraw_w
     for N in range(14):
-        for n in reversed(range(N + 1)):
-            assert _same(kraw_w_column(qb, N)[n], _kraw_w_direct(qb, N, n)), (N, n)
         for n in (N, 0, N // 2, *range(N + 1)):
             assert _same(kraw_w(qb, N, n), _kraw_w_direct(qb, N, n)), (N, n)
 
@@ -283,9 +279,6 @@ def test_weight_tables_range_checks():
     for n in (-1, 5):
         with pytest.raises(OutOfRange):
             kraw_w(QB, 4, n)
-    # the row has no entry past N
-    with pytest.raises(OutOfRange):
-        kraw_w_column(QB, 4)[5]
     # a float k equal to a tabled Fraction k is still refused by an exact base
     assert asc_w(QB, 1, 3) == 1
     with pytest.raises(ExactnessError):

@@ -534,6 +534,23 @@ def test_summation_rows_are_the_loop_values(qb):
     assert longest > 6 if qb.q < 1 else longest == 4
 
 
+def test_summation_rows_shared_across_signed_zeros_keep_the_loop_sums():
+    # complex parameters that differ only in the sign of a zero key one row
+    # each; read in either order, every sum is still the loop's, bit for bit
+    qb, tb = QBase(F(5, 7), "complex"), TailBound(1e-12)  # a base no other test uses
+    q = qb.qpow(2)
+    for order in (1, -1):
+        for r, N in ((-0.9, 2), (0.9, 3), (-0.3, None)):
+            a = qb.qpow(-2 * N) if N is not None else qb.qpow(1)
+            for bcd, b2 in ((complex(r, 0.0), complex(0.7, -0.0)),
+                            (complex(r, -0.0), complex(0.7, 0.0)))[::order]:
+                for x in range(3):
+                    for y in range(3):
+                        want = _summation_rhs_loop(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)[1]
+                        got = qseries._summation_rhs(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)
+                        assert _same_bits(got, want), (order, r, N, x, y)
+
+
 def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:
     # the stop rule certified_sum keeps in two counters, as it read the
     # whole list of magnitudes: `run` consecutive sub-threshold terms with
