@@ -19,7 +19,8 @@ per process rather than once per xs, per sigma or per side:
 - ``_shift_terms(qb, j, ys, t, v, sizes, su11)``: the A/C and B/D
   shift-term maps ys+eps -> coefficient, from one pass over the shift set;
 - ``_nested_vec(qb, v, t, sizes, ys, su11, trunc, tb)``: the nested
-  products over the chain's index grid, as a tuple in grid order;
+  products over the chain's index grid, as a tuple in grid order, each
+  read from the M site columns fetched once;
 - ``_chain_op(qb, sizes, su11, trunc, element, side, j, u, s)``: the
   coproduct image ``uqsl2.coproduct_op`` of a named element.
 
@@ -72,18 +73,35 @@ def height(base, ys: Sequence[int], sizes: Sequence, j: int, su11: bool = False)
     return heights(base, ys[:j], sizes[:j], su11)[j]
 
 
+def _site_columns(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], su11: bool,
+                  tb: TailBound) -> list:
+    """The column over n of each site's family (the infinite one with su11)
+    at y_j, with the height after the previous sites as base point."""
+    h = heights(t, ys, sizes, su11)
+    if su11:
+        return [orthopoly.asc_column(ASCParams(v, h[j], size, qb, tb), ys[j])
+                for j, size in enumerate(sizes)]
+    return [orthopoly.kraw_column(KrawParams(v, h[j], size, qb), ys[j])
+            for j, size in enumerate(sizes)]
+
+
+def _column_product(qb: QBase, columns: list, ns: Sequence[int]):
+    """The nested product at ns: entry n_j of site j's column, in site order."""
+    out = qb.one()
+    for j, column in enumerate(columns):
+        out *= column[ns[j]]
+    return out
+
+
 def _nested(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], ns: Sequence[int],
             su11: bool, tb: TailBound = TailBound()):
     """Product over sites of the finite family (the infinite one with su11)
     at (n_j, y_j), with the height after the previous sites as base point."""
-    h = heights(t, ys, sizes, su11)
-    out = qb.one()
-    for j, size in enumerate(sizes):
-        if su11:
-            out *= orthopoly.asc(ASCParams(v, h[j], size, qb, tb), ns[j], ys[j])
-        else:
-            out *= orthopoly.kraw(KrawParams(v, h[j], size, qb), ns[j], ys[j])
-    return out
+    for n, size in zip(ns, sizes):
+        if n < 0 or not su11 and n > size:
+            raise OutOfRange(f"n = {n} must be nonnegative" if su11
+                             else f"n = {n} outside 0..{size}")
+    return _column_product(qb, _site_columns(qb, v, t, sizes, ys, su11, tb), ns)
 
 
 def nested_kraw(qb: QBase, v, t, Ns: Sequence[int], ys: Sequence[int], ns: Sequence[int]):
@@ -116,9 +134,10 @@ def _interior(ns: Sequence[int], su11: bool, trunc: Optional[int]) -> bool:
 def _nested_vec(qb: QBase, v, t, sizes: tuple, ys: tuple, su11: bool,
                 trunc: Optional[int], tb: TailBound) -> tuple:
     """The nested products at ys for every ns of the chain's index grid, in
-    grid order."""
+    grid order, each read from the M site columns fetched once."""
     _, grid = _chain(qb, sizes, su11, trunc)
-    return tuple(_nested(qb, v, t, sizes, ys, ns, su11, tb) for ns in grid)
+    columns = _site_columns(qb, v, t, sizes, ys, su11, tb)
+    return tuple(_column_product(qb, columns, ns) for ns in grid)
 
 
 @tabled

@@ -248,7 +248,10 @@ def _column(qb: QBase, su11: bool, size, u, s, x: int) -> _Row:
 
 
 def kraw_column(kp: KrawParams, x: int) -> _Row:
-    """The values kraw(kp, n, x), n = 0, 1, ..., as one column read by index."""
+    """The values kraw(kp, n, x), n = 0, 1, ..., N, as one column read by
+    index; an x outside 0..N raises before any entry is computed."""
+    if not 0 <= x <= kp.N:
+        raise OutOfRange(f"x = {x} outside 0..{kp.N}")
     return _column(kp.qb, False, kp.N, as_exponent(kp.u), as_exponent(kp.s), x)
 
 
@@ -384,7 +387,10 @@ def require_positive_k(k) -> None:
 
 
 def asc_column(ap: ASCParams, x: int) -> _Row:
-    """The values asc(ap, n, x), n = 0, 1, ..., as one column read by index."""
+    """The values asc(ap, n, x), n = 0, 1, ..., as one column read by index;
+    a negative x raises before any entry is computed."""
+    if x < 0:
+        raise OutOfRange(f"x = {x} must be nonnegative")
     return _column(ap.qb, True, -as_exponent(ap.k), as_exponent(ap.u), as_exponent(ap.s), x)
 
 

@@ -27,6 +27,15 @@ generator has at most one nonzero entry per row, and a coproduct image on M
 sites keeps O(M) entries per row, so products, sums, Kronecker products and
 applications cost in proportion to the stored entries; no dense d x d
 matrix is built or multiplied.
+
+``gens(rs)`` and the twisted elements are ``tables.tabled``, once per
+(rs, u, s, tilde, compact): ``twist_x``/``twist_y`` pass their arguments
+positionally to one tabled builder ``_twisted``, so ``tilde=False`` and an
+omitted ``tilde`` read one entry.  A hit returns the first call's object,
+so every check of a representation shares the same matrices, and
+``OpMatrix`` immutability is load-bearing: no operation writes to an
+operand.  As in every table, complex arguments that differ only in the
+sign of a zero key one entry.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import DimensionMismatch, OutOfRange
 from . import orthopoly
 from .scalar import QBase, as_exponent, ordered_sum
+from .tables import tabled
 
 _HALF = Fraction(1, 2)
 
@@ -49,7 +59,9 @@ class OpMatrix:
     increasing column order, so sums accumulate in the order a dense row
     would give them and floating-point results do not depend on the storage.
     ``zero`` is the backend's zero, returned for entries that are not stored.
-    Every operation visits stored entries only.  Immutable by convention.
+    Every operation visits stored entries only.  Immutable by convention,
+    a convention the tabled generator and twisted-element matrices rely on:
+    they are shared by every caller.
     """
 
     __slots__ = ("rows", "dim", "zero")
@@ -203,6 +215,7 @@ class RepSpec:
         return orthopoly.asc_w(self.qb, self.k, n)
 
 
+@tabled
 def gens(rs: RepSpec) -> Tuple[OpMatrix, OpMatrix, OpMatrix, OpMatrix]:
     """The generator matrices (K, Kinv, E, F) of the representation."""
     qb = rs.qb
@@ -238,18 +251,23 @@ def _twist_from(qb: QBase, E: OpMatrix, F: OpMatrix, K: OpMatrix, Ki: OpMatrix,
     return out + const * OpMatrix.identity(dim, qb)
 
 
+@tabled
+def _twisted(rs: RepSpec, u, s, tilde: bool, compact: bool) -> OpMatrix:
+    # called positionally only: a keyword would key the same element apart
+    K, Ki, E, F = gens(rs)
+    return _twist_from(rs.qb, E, F, K, Ki, u, s, tilde, compact, rs.dim)
+
+
 def twist_x(rs: RepSpec, u, s, tilde: bool = False) -> OpMatrix:
     """The compact twisted element: EK + FK (+[s]) or its tilde variant
     EK**-1 + FK**-1 + [s]K**-2, with the stated q-power weights."""
-    K, Ki, E, F = gens(rs)
-    return _twist_from(rs.qb, E, F, K, Ki, u, s, tilde, True, rs.dim)
+    return _twisted(rs, u, s, tilde, True)
 
 
 def twist_y(rs: RepSpec, u, s, tilde: bool = False) -> OpMatrix:
     """The non-compact twisted element (E, F enter with opposite signs and
     the brace constant); off-diagonal part scaled by (q-1/q)/(q+1/q)."""
-    K, Ki, E, F = gens(rs)
-    return _twist_from(rs.qb, E, F, K, Ki, u, s, tilde, False, rs.dim)
+    return _twisted(rs, u, s, tilde, False)
 
 
 def qcommutator(qb: QBase, A: OpMatrix, B: OpMatrix) -> OpMatrix:
@@ -337,15 +355,14 @@ def eigen_residual(rs: RepSpec, u, s, x: int) -> list:
             raise OutOfRange(f"x = {x} outside 0..{rs.N}")
         op = twist_x(rs, u, s, tilde=True)
         lam = qb.bracket(2 * x - rs.N + s_)
-        kp = orthopoly.KrawParams(u, s, rs.N, qb)
-        vec = [orthopoly.kraw(kp, n, x) for n in range(rs.dim)]
+        column = orthopoly.kraw_column(orthopoly.KrawParams(u, s, rs.N, qb), x)
     else:
         if x < 0:
             raise OutOfRange(f"x = {x} must be nonnegative")
         op = twist_y(rs, u, s, tilde=True)
         lam = qb.brace(2 * x + as_exponent(rs.k) + s_)
-        ap = orthopoly.ASCParams(u, s, rs.k, qb)
-        vec = [orthopoly.asc(ap, n, x) for n in range(rs.dim)]
+        column = orthopoly.asc_column(orthopoly.ASCParams(u, s, rs.k, qb), x)
+    vec = [column[n] for n in range(rs.dim)]
     out = op.apply(vec)
     return [o - lam * v for o, v in zip(out, vec)]
 

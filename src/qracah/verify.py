@@ -173,21 +173,25 @@ def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
     # the parameter-shifting five-point transfer, checked for every n of the
     # finite family or of the infinite family's truncated window
     if su11:
-        family, pack, dyn_coeffs = orthopoly.asc, orthopoly.ASCParams, orthopoly.asc_dyn_coeffs
+        column, pack = orthopoly.asc_column, orthopoly.ASCParams
+        dyn_coeffs = orthopoly.asc_dyn_coeffs
     else:
-        family, pack, dyn_coeffs = orthopoly.kraw, orthopoly.KrawParams, orthopoly.kraw_dyn_coeffs
-    params_t = pack(v, t, size, qb)
+        column, pack = orthopoly.kraw_column, orthopoly.KrawParams
+        dyn_coeffs = orthopoly.kraw_dyn_coeffs
+    col_t = column(pack(v, t, size, qb), y)
     residuals = []
     for direction in (2, -2):
         coeffs = dyn_coeffs(qb, size, y, t, direction)
         offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
         shifted = pack(v, as_exponent(t) + direction, size, qb)
+        cols = {e: column(shifted, y + e) for e in offsets
+                if 0 <= y + e and (su11 or y + e <= size)}
         for n in range(n_top + 1):
-            lhs = qb.qpow(2 * n + diag) * family(params_t, n, y)
+            lhs = qb.qpow(2 * n + diag) * col_t[n]
             rhs = []
             for c, e in zip(coeffs, offsets):
-                if 0 <= y + e and (su11 or y + e <= size):
-                    rhs.append((c, family(shifted, n, y + e)))
+                if e in cols:
+                    rhs.append((c, cols[e][n]))
                 elif c != 0:
                     raise QRacahError("nonzero coefficient at out-of-range shift")
             residuals.append(abs(lhs - ordered_sum(rhs, qb.zero())))
@@ -202,7 +206,9 @@ def chk_asc_transfer(qb, k, s, t, v, y, trunc):
     Y0s = uqsl2.twist_y(rs, 0, s, tilde=False)
     cm1, c0, c1 = orthopoly.asc_diff_coeffs(qb, k, y, t)
     dm1, d0, d1 = orthopoly.asc_d_coeffs(qb, k, y, t, v)
-    vec = [orthopoly.asc(ap, n, y) for n in range(trunc + 1)]
+    below = orthopoly.asc_column(ap, y - 1) if y > 0 else None
+    column, above = orthopoly.asc_column(ap, y), orthopoly.asc_column(ap, y + 1)
+    vec = [column[n] for n in range(trunc + 1)]
     out = Y0s.apply(vec)
     acc = qb.zero()
     for n in range(trunc):
@@ -210,10 +216,10 @@ def chk_asc_transfer(qb, k, s, t, v, y, trunc):
         rhs_k2 = c0 * vec[n]
         rhs_y = (d0 + qb.brace(s)) * vec[n]
         if y > 0:
-            val = orthopoly.asc(ap, n, y - 1)
+            val = below[n]
             rhs_k2 += cm1 * val
             rhs_y += dm1 * val
-        val = orthopoly.asc(ap, n, y + 1)
+        val = above[n]
         rhs_k2 += c1 * val
         rhs_y += d1 * val
         acc += abs(lhs_k2 - rhs_k2) + abs(out[n] - rhs_y)

@@ -144,6 +144,14 @@ def test_transfer_first_site_untouched():
     assert transfer_check_k2(QB, 2, (1, 1, 0), 0, 1, (1, 1, 1)) == 0
 
 
+def test_transfer_check_refuses_an_out_of_range_y_at_its_site_column():
+    # the nested vector fetches one column per site, and the column
+    # accessor names the x it refuses
+    with pytest.raises(OutOfRange, match=r"^x = 5 outside 0\.\.3$") as info:
+        transfer_check_k2(QB, 1, (5,), 0, 0, (3,))
+    assert "_nested_vec" in {entry.name for entry in info.traceback}
+
+
 def test_transfer_checks_asc_interior():
     for j in (1, 2):
         for ys in iproduct(range(2), range(2)):

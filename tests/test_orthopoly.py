@@ -30,7 +30,7 @@ from qracah import (
     qbinom,
     qpoch,
 )
-from qracah import uqsl2
+from qracah import orthopoly, uqsl2
 from qracah.errors import DenominatorPole, ExactnessError, OutOfRange
 from qracah.tables import table_sizes
 
@@ -48,6 +48,26 @@ def test_kraw_trivial_values():
         assert kraw(kp2, n, 0) == pref
     with pytest.raises(OutOfRange):
         kraw(kp, 4, 0)
+
+
+def test_columns_refuse_an_out_of_range_x_before_any_entry():
+    # an unchecked column read past the window gave silent wrong residuals:
+    # kraw_orth_n at (5, 6) with N = 3 near 2.2e25, asc_orth_n at (-1, 0)
+    # near 1.07
+    kp = KrawParams(0, 1, 3, QB)
+    ap = ASCParams(0, 1, 1, QB)
+    before = table_sizes()["qracah.orthopoly._column"]
+    for x in (-1, 4):
+        with pytest.raises(OutOfRange, match=rf"^x = {x} outside 0\.\.3$"):
+            orthopoly.kraw_column(kp, x)
+    with pytest.raises(OutOfRange, match="^x = -1 must be nonnegative$"):
+        orthopoly.asc_column(ap, -1)
+    assert table_sizes()["qracah.orthopoly._column"] == before
+    for x, x2 in ((5, 6), (4, 0)):
+        with pytest.raises(OutOfRange):
+            kraw_orth_n(kp, x, x2)
+    with pytest.raises(OutOfRange):
+        asc_orth_n(ap, -1, 0)
 
 
 def test_kraw_twist_rescaling():

@@ -26,7 +26,7 @@ from qracah import (
     pr_inner,
     rr_inner,
 )
-from qracah import multivar, orthopoly, qseries
+from qracah import multivar, orthopoly, qseries, uqsl2
 from qracah.errors import DenominatorPole, OutOfRange
 from qracah.scalar import as_exponent
 from qracah.uqsl2 import OpMatrix
@@ -119,6 +119,13 @@ def _calls(qb):
                 calls.append((multivar._shift_terms, (qb, j, ys, h, one, sizes, su11), {}))
                 calls.append((multivar._nested_vec,
                               (qb, one, h, sizes, ys, su11, trunc, TB), {}))
+    # the generator and twisted-element matrices of a compact and a
+    # truncated non-compact representation
+    for rs in (uqsl2.RepSpec.su2(2, qb), uqsl2.RepSpec.su11(one, 3, qb)):
+        calls.append((uqsl2.gens, (rs,), {}))
+        for tilde in (False, True):
+            for compact in (False, True):
+                calls.append((uqsl2._twisted, (rs, h, one, tilde, compact), {}))
     # the multivariate rational functions, and the summation identity's
     # rows: its 3phi2 factors in base 1/q and its coefficients
     for xs in ((0, 0), (1, 0), (2, 1)):

@@ -326,6 +326,30 @@ def test_exact_mode_invariant():
             assert r.passed
 
 
+def test_shared_operators_are_never_mutated():
+    # gens and the twisted elements are tabled, so every check reads the
+    # same OpMatrix objects: one that wrote to them would change the
+    # reports of the checks after it, or leave an entry unlike a fresh build
+    from qracah import tables, uqsl2
+
+    tasks = [task for sid in ("relations", "star", "ev3.x", "lemma3.1", "ev4.x", "cor4.1",
+                              "lemma4.5") for task in build_tasks(sid, RunConfig())]
+
+    def timeless(task):
+        report = json.loads(run_task(task, "exact", verify.DEFAULT_TOL).to_json())
+        del report["elapsed_ms"]
+        return report
+
+    forward = [timeless(task) for task in tasks]
+    assert forward == [timeless(task) for task in reversed(tasks)][::-1]
+    for fn, nargs in ((uqsl2.gens, 0), (uqsl2._twisted, 4)):
+        entries = tables._TABLES[f"{fn.__module__}.{fn.__qualname__}"]
+        assert entries
+        for key, value in entries.items():
+            # a key starts with the RepSpec's five fields, then the other arguments
+            assert value == fn.__wrapped__(uqsl2.RepSpec(*key[:5]), *key[5:5 + nargs]), key
+
+
 def test_determinism_up_to_timing():
     def stream(jobs):
         out = []
