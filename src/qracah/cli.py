@@ -45,8 +45,15 @@ def _parse_number(text: str, mode: str):
     return float(fr)
 
 
-def _parse_int_list(text: str):
-    return tuple(int(part) for part in text.split(","))
+def _parse_int(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option} must be an integer, got {text!r}") from None
+
+
+def _parse_int_list(text: str, option: str):
+    return tuple(_parse_int(part, option) for part in text.split(","))
 
 
 def _parse_grid(text: str):
@@ -60,7 +67,7 @@ def _parse_grid(text: str):
         lo, _, hi = rng.partition(":")
         if not hi:
             hi = lo
-        values = list(range(int(lo), int(hi) + 1))
+        values = list(range(_parse_int(lo, "--grid bound"), _parse_int(hi, "--grid bound") + 1))
         if not values:
             raise ValueError(f"grid range {piece!r} is empty")
         axes.append((var, values))
@@ -143,14 +150,14 @@ def _int(args, name, default=None):
         if default is None:
             raise QRacahError(f"--{name} is required for this function")
         return default
-    return int(raw)
+    return _parse_int(raw, f"--{name}")
 
 
 def _ints(args, name):
     raw = getattr(args, name)
     if raw is None:
         raise QRacahError(f"--{name} is required for this function")
-    return _parse_int_list(str(raw))
+    return _parse_int_list(str(raw), f"--{name}")
 
 
 def _tb(args) -> qseries.TailBound:

@@ -40,8 +40,12 @@ over n fetches each row once and reads it by index.
   column to the sums over n; the exact ``ratfun.pr_inner`` reads the two
   series and folds both prefactors into one power.  Each value still
   comes from its own series, never from the recurrences that the verify
-  suites check.  For int s, u and size the prefactor exponent is
-  n(2s-2u-size+1)/2 on ints, the same power as the general expression.
+  suites check: in an exact base the series column is the exact 3phi2
+  column ``qseries._Phi32Column`` (n-free term ratios computed once per
+  column, one Horner pass per entry), in the floating backends one
+  ``rphis`` per entry, ``_series_entry``.  For int s, u and size the
+  prefactor exponent is n(2s-2u-size+1)/2 on ints, the same power as the
+  general expression.
 * The n-side weights are closed forms in Pochhammer prefixes of one base:
   ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2;
   q**2)_(N-n)) and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2;
@@ -73,8 +77,10 @@ from functools import wraps
 
 from .errors import DenominatorPole, OutOfRange
 from .qseries import (
+    DEFAULT_MAX_TERMS,
     PhiSpec,
     TailBound,
+    _Phi32Column,
     certified_sum,
     qbinom,
     qpoch,
@@ -215,7 +221,14 @@ def _series_entry(qb: QBase, su11: bool, size, s, x: int, n: int):
 def _series(qb: QBase, su11: bool, size, s, x: int) -> _Row:
     """The column over n of the renormalized terminating 3phi2 of either
     family at (s, x).  The twist u enters only the prefactor, so every u
-    reads this one column."""
+    reads this one column.  An exact base takes the exact column
+    ``qseries._Phi32Column`` (Q = q**2, C = +-q**(-2x-2s+2size), B =
+    q**(2size)); the floating backends evaluate each entry by ``rphis``."""
+    if qb.is_exact:
+        sq = _signed_qpow(qb, su11)
+        return _Row(_Phi32Column(
+            lambda: (x, sq(-2 * x - 2 * s + 2 * size), qb.qpow(2 * size), qb.qpow(2)),
+            DEFAULT_MAX_TERMS))
     return _Row(_series_entry, qb, su11, size, s, x)
 
 

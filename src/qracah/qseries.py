@@ -67,6 +67,18 @@ coefficients (bcd)**n (a; q)_n / (q; q)_n are one row per (q, a, bcd),
 every float and complex bit is the same.  Both are tabled and shared
 across the (x, y) grid of a summation point; a sum fetches its three rows
 once and reads them by index.
+
+Both families' polynomial series (``orthopoly._series``) and the summation
+identity's factors (``_rhs_factor``) are columns over n of one terminating
+3phi2(Q**n, Q**x, C; B; 1/Q, 1/Q), whose term ratios depend on n only
+through the numerator Q**n.  In the exact backend the column body is
+``_Phi32Column``, written once here: the n-free ratios are reduced integer
+pairs computed once per column, the pairs 1 - Q**m are read from one row
+per Q (``_one_minus_row``), and entry n is one Horner pass on one unreduced
+integer pair and one Fraction, the rational ``rphis`` gives, with its
+errors raised from the same entry read.  The float and complex backends
+evaluate each entry by its own ``rphis`` (``orthopoly._series_entry``,
+``_rhs_factor_entry``), so their bits are those of the series loop.
 """
 
 from __future__ import annotations
@@ -350,7 +362,7 @@ def _rphis_exact(spec: PhiSpec, limit: int, tolerance: float) -> Fraction:
         # a terminating sum reaches every factor index up to n_terms - 2
         hit = _first_zero(dens, bn, bd, limit, n_terms - 1)
         if hit is not None:
-            raise _den_param_pole(spec, *hit)
+            raise _den_param_pole(spec.denominators[hit[1]], hit[0])
     raise NonConvergent(f"series did not terminate or certify within {limit} terms")
 
 
@@ -367,10 +379,8 @@ def _first_zero(pairs, bn, bd, start, stop):
     return None
 
 
-def _den_param_pole(spec, i, pos):
-    return DenominatorPole(
-        f"denominator parameter {spec.denominators[pos]} equals base**-{i}, hit at term {i + 1}"
-    )
+def _den_param_pole(b, i):
+    return DenominatorPole(f"denominator parameter {b} equals base**-{i}, hit at term {i + 1}")
 
 
 def _pole(spec, nums, dens, bn, bd, j, limit):
@@ -386,7 +396,7 @@ def _pole(spec, nums, dens, bn, bd, j, limit):
     if n_terms is not None:
         hit = _first_zero(dens, bn, bd, j, n_terms - 1)
         if hit is not None:
-            return _den_param_pole(spec, *hit)
+            return _den_param_pole(spec.denominators[hit[1]], hit[0])
     return DenominatorPole(f"denominator factor vanishes at term {j + 1}")
 
 
@@ -462,6 +472,119 @@ def _ratio_bound(z_mag, base_mag, num_mags, den_mags, F):
     for d in dens:
         out /= d
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exact terminating 3phi2 columns over n (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+@tabled
+def _one_minus_row(Q: Fraction) -> _Row:
+    """The row of 1 - Q**m, m = 0, 1, ..., each the reduced integer pair
+    (Qd**m - Qn**m, Qd**m) of Q = Qn/Qd: one row per Q serves every column
+    in that base."""
+    qn, qd = _pair(Q)
+    pn = pd = 1
+
+    def entry(m):
+        nonlocal pn, pd
+        if m:
+            pn, pd = pn * qn, pd * qd
+        return pd - pn, pd
+
+    return _Row(entry)
+
+
+class _Phi32Column:
+    """The entries of ``_Row(_Phi32Column(params, limit))``, the column over
+    n of the terminating series 3phi2(Q**n, Q**x, C; B; 1/Q, 1/Q) for int
+    or Fraction C and B and a Fraction base 1/Q with Q > 0, Q != 1:
+
+        entry n = sum_(j <= min(n, x)) prod_(i < j) r_i (1 - Q**(n-i)),
+        r_i = (1 - Q**(x-i)) (1 - C/Q**i) / (Q (1 - Q**(-1-i)) (1 - B/Q**i)),
+
+    with j <= n when x < 0.  Only the numerator Q**n depends on n (Gasper and Rahman, section 1.2),
+    so the ratios r_i are reduced integer pairs computed once per column,
+    the pairs 1 - Q**m are read from ``_one_minus_row(Q)``, and entry n is
+    one Horner pass 1 + r_0 a_0 (1 + r_1 a_1 (1 + ...)) on one unreduced
+    integer pair, a_i = 1 - Q**(n-i): one Fraction per entry.
+
+    Entry n is the Fraction ``rphis`` gives for the series at n with
+    ``terminate_after=min(n, x) + 1`` and at most ``limit`` terms, and it
+    raises what that call raises.  ``params()`` returns (x, C, B, Q) and is
+    called at entry 0, so it should evaluate C and B in the per-entry
+    PhiSpec's order: an invalid parameter then raises its error from the
+    entry read.  A vanishing 1 - C/Q**i ends every later sum at term i; a
+    vanishing 1 - B/Q**i is the DenominatorPole of every entry that reaches
+    it; a sum longer than ``limit`` terms raises the ``max_terms`` error.
+    """
+
+    __slots__ = ("params", "limit", "x", "c", "b", "q", "ones", "ratios", "end")
+
+    def __init__(self, params, limit: int):
+        self.params, self.limit = params, limit
+        self.ratios = []  # r_0, r_1, ... as reduced integer pairs
+        self.end = None  # (i, is_pole) once 1 - C/Q**i or 1 - B/Q**i is 0
+
+    def __call__(self, n: int):
+        if n == 0:
+            # the parameters are made here, so an invalid one raises from
+            # the entry read, as the per-entry PhiSpec does
+            self.x, self.c, self.b, self.q = self.params()
+            self.params = None
+            self.ones = _one_minus_row(self.q)
+            return Fraction(1)
+        x, limit = self.x, self.limit
+        # rphis stops at term min(n, x) + 1, or at the zero of 1 - Q**(n-i)
+        # when x < 0, or at a zero of 1 - C/Q**i; within ``limit`` terms.
+        # A row computes its entries in order, so ``last`` grows by at most
+        # one per entry: the first entry past the limit has last == limit,
+        # where rphis's scan for a pole in [limit, last) is empty
+        last = min(n, x) if x >= 0 else n
+        self._grow(min(last, limit))
+        if self.end is not None:
+            stop, is_pole = self.end
+            if is_pole:
+                if x < 0:
+                    raise DenominatorPole(f"denominator factor vanishes at term {stop + 1}")
+                raise _den_param_pole(self.b, stop)
+        elif last >= limit:
+            raise NonConvergent(f"series did not terminate or certify within {limit} terms")
+        else:
+            stop = last
+        # 1 + r_0 a_0 (1 + r_1 a_1 (1 + ...)), a_i = 1 - Q**(n-i), on one
+        # unreduced pair
+        ratios, ones = self.ratios, self.ones
+        num = den = 1
+        for i in range(stop - 1, -1, -1):
+            rn, rd = ratios[i]
+            an, ad = ones[n - i]
+            d = rd * ad * den
+            num, den = d + rn * an * num, d
+        return Fraction(num, den)
+
+    def _grow(self, reach: int):
+        ratios = self.ratios
+        if len(ratios) >= reach or self.end is not None:
+            return
+        (qn, qd), (xn, xd) = _pair(self.q), _pair(self.q**self.x)
+        (cn, cd), (bn, bd) = _pair(self.c), _pair(self.b)
+        while len(ratios) < reach:
+            i = len(ratios)
+            fn, fd = qd**i, qn**i  # Q**-i
+            # the numerator factor 1 - C/Q**i is tested before the
+            # denominator's 1 - B/Q**i, as in rphis
+            c = cd * fd - cn * fn
+            b = bd * fd - bn * fn
+            if not c or not b:
+                self.end = (i, bool(c))
+                return
+            # r_i = (1 - Q**(x-i)) (1 - C/Q**i) / ((Q - 1/Q**i) (1 - B/Q**i))
+            num = (xd * fd - xn * fn) * c * qd * bd
+            den = xd * cd * (qn * fd - qd * fn) * b
+            g = math.gcd(num, den)
+            ratios.append((num // g, den // g))
 
 
 def require_q_below_one(qb: QBase) -> None:
@@ -636,7 +759,13 @@ def _rhs_factor_entry(q, a, tb, z, sq, n):
 def _rhs_factor(q, a, tb, z, sq) -> _Row:
     """The column over n of the terminating 3phi2 factor of the summation
     identity's series side, in base 1/q; it depends on one of x, y only, so
-    one row serves every point that shares z."""
+    one row serves every point that shares z.  When every parameter of the
+    series is int or Fraction it is the exact column ``_Phi32Column`` with
+    Q = q, C = q**-z/(a sq) and B = 1/a; otherwise each entry is its own
+    ``rphis``."""
+    if (isinstance(q, Fraction) and isinstance(a, Fraction)
+            and isinstance(sq, (int, Fraction)) and type(z) is int):
+        return _Row(_Phi32Column(lambda: (z, q ** (-z) / (a * sq), 1 / a, q), tb.max_terms))
     return _Row(_rhs_factor_entry, q, a, tb, z, sq)
 
 

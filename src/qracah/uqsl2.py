@@ -270,10 +270,11 @@ def twist_y(rs: RepSpec, u, s, tilde: bool = False) -> OpMatrix:
     return _twisted(rs, u, s, tilde, False)
 
 
-def qcommutator(qb: QBase, A: OpMatrix, B: OpMatrix) -> OpMatrix:
-    """[A, B]_q = q A B - (1/q) B A."""
+def qcommutator(qb: QBase, AB: OpMatrix, BA: OpMatrix) -> OpMatrix:
+    """[A, B]_q = q A B - (1/q) B A, from the two products AB and BA, so
+    [A, B]_q and [B, A]_q share them."""
     q = qb.q
-    return q * (A @ B) + (-(1 / q)) * (B @ A)
+    return q * AB + (-(1 / q)) * BA
 
 
 def relation_residuals(rs: RepSpec) -> dict:
@@ -326,7 +327,9 @@ def twist_rewrite_residual(rs: RepSpec, u, v, s, t) -> OpMatrix:
         tilt = twist_y(rs, v, t, tilde=True)
         const = -qb.brace(t) * qb.brace(u_ + v_) + qb.brace(s)
     q2 = qb.qpow(2)
-    num = qb.qpow(u_ + v_) * qcommutator(qb, K2, tilt) + qb.qpow(-u_ - v_) * qcommutator(qb, tilt, K2)
+    K2_tilt, tilt_K2 = K2 @ tilt, tilt @ K2
+    num = (qb.qpow(u_ + v_) * qcommutator(qb, K2_tilt, tilt_K2)
+           + qb.qpow(-u_ - v_) * qcommutator(qb, tilt_K2, K2_tilt))
     rhs = (1 / (q2 - 1 / q2)) * num + const * OpMatrix.identity(rs.dim, qb)
     return lhs - rhs
 

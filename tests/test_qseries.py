@@ -22,9 +22,10 @@ from qracah import (
     summation_pair_qracah,
     summation_rhs,
 )
-from qracah import qseries
-from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
+from qracah import orthopoly, qseries
+from qracah.errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
 from qracah.scalar import ordered_sum
+from qracah.tables import _Row
 
 
 def test_qpoch_basics():
@@ -549,6 +550,110 @@ def test_summation_rows_shared_across_signed_zeros_keep_the_loop_sums():
                         want = _summation_rhs_loop(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)[1]
                         got = qseries._summation_rhs(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)
                         assert _same_bits(got, want), (order, r, N, x, y)
+
+
+def _entry_outcome(row, n):
+    # an entry as (value, type), or a raised error as (type, text)
+    try:
+        value = row[n]
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+_COLUMN_P = st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(3, 2), F(9, 10)])
+_HALF_INTEGERS = st.integers(-12, 12).map(lambda m: F(m, 2))
+
+
+@st.composite
+def _series_cases(draw):
+    # either family's series column: finite N, or su11 weight k (size -k,
+    # k = 0 included, whose B = 1 is a pole); half-integer s, now and then
+    # a third, which an exact base refuses
+    qb = QBase(draw(_COLUMN_P))
+    su11 = draw(st.booleans())
+    size = -draw(st.integers(0, 8).map(lambda m: F(m, 2))) if su11 else draw(st.integers(0, 8))
+    s = draw(st.one_of(_HALF_INTEGERS, st.just(F(1, 3))))
+    x = draw(st.integers(0, 9))
+    order = draw(st.permutations(range(11)))[:draw(st.integers(1, 11))]
+    return (qb, su11, size, s, x), order
+
+
+@st.composite
+def _rhs_cases(draw):
+    # the summation identity's factor in base 1/q: a = q**-N (finite N) or
+    # another power of q, sq = +-q**m (q**m can vanish the C-factor
+    # 1 - q**(-z-i)/(a sq)), z = x or y (negative too), and a max_terms
+    # that can cut the sum
+    q = draw(_COLUMN_P) ** 2
+    a = q ** draw(st.integers(-8, 3))
+    sq = draw(st.sampled_from([1, -1])) * q ** draw(st.integers(-8, 8))
+    z = draw(st.integers(-3, 9))
+    tb = TailBound(max_terms=draw(st.sampled_from([qseries.DEFAULT_MAX_TERMS, 1, 2, 3, 5])))
+    order = draw(st.permutations(range(11)))[:draw(st.integers(1, 11))]
+    return (q, a, tb, z, sq), order
+
+
+def _same_column(got: _Row, want: _Row, order):
+    # read in the given order: each entry or error the reference row gives
+    for n in order:
+        assert _entry_outcome(got, n) == _entry_outcome(want, n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_series_cases())
+# 1 - C/Q**i with Q = q**2 and C = q**(-2x-2s-2k) vanishes at i = 2 (x = 4,
+# s = -7, k = 1): every sum from n = 3 on is cut short there
+@example(case=((QBase(F(1, 2)), True, -1, F(-7), 4), [9, 3, 0]))
+# B = q**(2N) is a pole at i = N once x > N; k = 0 is a pole at i = 0
+@example(case=((QBase(F(2, 3)), False, 2, F(1, 2), 5), [0, 4, 2]))
+@example(case=((QBase(F(3, 2)), True, 0, 1, 3), [2, 1]))
+# an exact base given s = 1/3
+@example(case=((QBase(F(3, 4)), False, 3, F(1, 3), 2), [1, 0]))
+def test_exact_series_column_is_the_rphis_column(case):
+    (qb, su11, size, s, x), order = case
+    got = orthopoly._series.__wrapped__(qb, su11, size, s, x)
+    assert isinstance(got.entry, qseries._Phi32Column)
+    _same_column(got, _Row(orthopoly._series_entry, qb, su11, size, s, x), order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rhs_cases())
+# finite N = 3: 1 - q**(-z-i)/(a sq) vanishes at i = 1 (z = 2, sq = q**0)
+@example(case=((F(1, 4), F(64), TailBound(), 2, 1), [2, 0, 3]))
+# 1/a = q**2 is a pole at i = 2; max_terms = 3 stops a longer sum, also
+# one with the pole 1/a = q**4 past the limit
+@example(case=((F(4, 9), F(81, 16), TailBound(), 4, F(4, 9)), [5, 1]))
+@example(case=((F(1, 4), F(1, 2), TailBound(max_terms=3), 6, -1), [7, 2]))
+@example(case=((F(1, 4), F(256), TailBound(max_terms=3), 7, F(1, 4)), [6]))
+# a negative z: the sum runs to the zero of 1 - q**(n-i), without and with
+# the pole 1/a = q
+@example(case=((F(9, 4), F(1, 3), TailBound(), -2, -1), [4, 0]))
+@example(case=((F(9, 4), F(4, 9), TailBound(), -2, -1), [4, 0]))
+def test_exact_summation_factor_is_the_rphis_column(case):
+    (q, a, tb, z, sq), order = case
+    got = qseries._rhs_factor.__wrapped__(q, a, tb, z, sq)
+    assert isinstance(got.entry, qseries._Phi32Column)
+    _same_column(got, _Row(qseries._rhs_factor_entry, q, a, tb, z, sq), order)
+
+
+def test_exact_column_errors_come_from_the_entry_read():
+    # the column call itself raises nothing; its first read raises what the
+    # per-entry rphis raises, and so does every later read
+    qb = QBase(F(1, 2))
+    for su11, size in ((False, 3), (True, -1)):
+        column = orthopoly._series.__wrapped__(qb, su11, size, F(1, 3), 2)
+        for n in (0, 2, 0):
+            with pytest.raises(ExactnessError, match="is not a half-integer"):
+                column[n]
+    column = qseries._rhs_factor.__wrapped__(F(1, 4), F(1, 2), TailBound(), 1, 0)
+    with pytest.raises(ZeroDivisionError):
+        column[1]
+    # the pole: entries before it are values, the first entry past it raises
+    column = orthopoly._series.__wrapped__(qb, False, 1, 0, 3)
+    assert column[1] == orthopoly._series_entry(qb, False, 1, 0, 3, 1)
+    with pytest.raises(DenominatorPole, match=r"equals base\*\*-1, hit at term 2"):
+        column[2]
 
 
 def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:

@@ -135,6 +135,14 @@ def _calls(qb):
     a, sq = qb.qpow(-4), -qb.qpow(one)
     for z in range(3):
         calls.append((qseries._rhs_factor, (qb.q, a, TB, z, sq), {}))
+    # the series columns of both families, and in an exact base the rows of
+    # 1 - Q**m their exact columns read
+    for x in range(3):
+        calls.append((orthopoly._series, (qb, False, 3, h, x), {}))
+        calls.append((orthopoly._series, (qb, True, -one, h, x), {}))
+    if qb.is_exact:
+        for Q in (qb.q, qb.qpow(2)):
+            calls.append((qseries._one_minus_row, (Q,), {}))
     for bcd in (-qb.qpow(h), qb.qpow(3)):
         calls.append((qseries._rhs_coeffs, (qb.q, a, bcd), {}))
     return calls

@@ -596,6 +596,30 @@ def test_cli_bad_input_is_a_config_error(args, message):
     assert len(out.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (("eval", "--fn", "kraw", "--p", "1/2", "--N", "3/2", "--s", "1", "--n", "0", "--x", "0"),
+     "--N must be an integer, got '3/2'"),
+    (("eval", "--fn", "kraw", "--p", "1/2", "--N", "3", "--s", "1", "--n", "0.5", "--x", "0"),
+     "--n must be an integer, got '0.5'"),
+    (("eval", "--fn", "kraw", "--p", "1/2", "--N", "3", "--s", "1", "--n", "0", "--x", "x"),
+     "--x must be an integer, got 'x'"),
+    (("eval", "--fn", "rr_closed", "--N", "2", "--s", "1", "--t", "0", "--v", "0",
+      "--x", "1", "--y", "1/2"), "--y must be an integer, got '1/2'"),
+    (("eval", "--fn", "rr_multi", "--N", "1,3/2", "--s", "1", "--t", "0", "--v", "0",
+      "--x", "0,0", "--y", "0,0"), "--N must be an integer, got '3/2'"),
+    (("eval", "--fn", "rr_multi", "--N", "1,1", "--s", "1", "--t", "0", "--v", "0",
+      "--x", "0,0", "--y", "0,1.0"), "--y must be an integer, got '1.0'"),
+    (("table", *_WEIGHTS, "--grid", "x=0:3/2"), "--grid bound must be an integer, got '3/2'"),
+    (("table", *_WEIGHTS, "--grid", "x=a:1"), "--grid bound must be an integer, got 'a'"),
+], ids=["N", "n", "x", "y", "int-list", "int-list-slot", "grid-hi", "grid-lo"])
+def test_cli_non_integer_option_names_the_option(capsys, args, message):
+    # an integer option that does not parse as one is a configuration error
+    # that names the option, not int()'s "invalid literal"
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ConfigError: {message}\n"
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "--suite", "relations"),
     ("table", *_WEIGHTS, "--grid", "x=0:2", "--format", "csv"),
