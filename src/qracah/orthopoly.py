@@ -16,7 +16,8 @@ equals 1, so each coefficient row must sum to the diagonal symbol at n = 0
 (q**-N for the finite family, q**k for the infinite one).
 
 The infinite family is the finite one at N = -k: the 3phi2 (``_series``
-and ``_column``), the three-term table (``_diff_coeffs``) and the
+and ``_column``), the three-term table (``_diff_coeffs``), the
+twisted-action table (``_b_coeffs``, brackets or braces) and the
 five-point table (``_dyn_coeffs``) are each written once, taking ``su11``
 and a size that is N or -k.  The finite side negates each parameter whose
 exponent carries s or t (other than through s - t) and its prefactor
@@ -24,7 +25,9 @@ carries (-1)**n; the upper-boundary zeros (y = N, y >= N, y >= N - 1) are
 finite-only.  Exponents keep the infinite formulas' addend order (- c*k
 becomes + c*size) and signs are applied by negation, so every value,
 signed zeros included, is bit-identical to each family's formula written
-out on its own.  The weights, ``kraw_b_coeffs``/``asc_d_coeffs`` and the
+out on its own, except the infinite d_-1, whose height keeps the finite
+addend order 2y - size + t + v - 1 (a float or complex k, t, v may round
+it differently from 2y + t + k + v - 1).  The weights and the
 orthogonality sums stay per family: their algorithms differ, not only
 their parameters.
 
@@ -37,12 +40,12 @@ over n fetches each row once and reads it by index.
   series column ``_series(qb, su11, size, s, x)``: u enters only the
   prefactor, so every twist reads one 3phi2 per (s, x).  ``kraw``/``asc``
   read a column by index and ``kraw_column``/``asc_column`` hand a whole
-  column to the sums over n; the exact ``ratfun.pr_inner`` reads the two
-  series and folds both prefactors into one power.  Each value still
-  comes from its own series, never from the recurrences that the verify
-  suites check: in an exact base the series column is the exact 3phi2
-  column ``qseries._Phi32Column`` (n-free term ratios computed once per
-  column, one Horner pass per entry), in the floating backends one
+  column to the sums over n; ``ratfun.pr_inner`` reads the two series
+  and folds both prefactors into one power, in every backend.  Each value
+  still comes from its own series, never from the recurrences that the
+  verify suites check: in an exact base the series column is the exact
+  3phi2 column ``qseries._Phi32Column`` (n-free term ratios computed once
+  per column, one Horner pass per entry), in the floating backends one
   ``rphis`` per entry, ``_series_entry``.  For int s, u and size the
   prefactor exponent is n(2s-2u-size+1)/2 on ints, the same power as the
   general expression.
@@ -148,6 +151,20 @@ def _diff_coeffs(qb: QBase, su11: bool, size, y: int, t):
         ) / ((1 - sq(-4 * y - 2 * t + 2 * size)) * (1 - sq(-4 * y - 2 * t + 2 * size - 2)))
     a0 = qp(-size) - am1 - a1
     return am1, a0, a1
+
+
+def _b_coeffs(qb: QBase, su11: bool, size, y: int, t, v):
+    """The twisted-action table of either family: its three-term table
+    times brackets on the finite side, braces on the infinite one, at the
+    height 2y - size + t."""
+    if su11:
+        sym, (am1, a0, a1) = qb.brace, asc_diff_coeffs(qb, -size, y, t)
+    else:
+        sym, (am1, a0, a1) = qb.bracket, kraw_diff_coeffs(qb, size, y, t)
+    h = 2 * y - size + t
+    return (am1 * sym(h + v - 1),
+            a0 * sym(h) * qb.brace(v) - sym(t) * qb.brace(v),
+            a1 * sym(h - v + 1))
 
 
 def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
@@ -343,12 +360,7 @@ def kraw_diff_coeffs(qb: QBase, N: int, y: int, t):
 def kraw_b_coeffs(qb: QBase, N: int, y: int, t, v):
     """Tridiagonal coefficients (b_-1, b_0, b_1) of the twisted-element action;
     the full identity adds [s]_q on the diagonal."""
-    t, v = as_exponent(t), as_exponent(v)
-    am1, a0, a1 = kraw_diff_coeffs(qb, N, y, t)
-    bm1 = am1 * qb.bracket(2 * y - N + t + v - 1)
-    b0 = a0 * qb.bracket(2 * y - N + t) * qb.brace(v) - qb.bracket(t) * qb.brace(v)
-    b1 = a1 * qb.bracket(2 * y - N + t - v + 1)
-    return bm1, b0, b1
+    return _b_coeffs(qb, False, N, y, as_exponent(t), as_exponent(v))
 
 
 @tabled
@@ -522,12 +534,7 @@ def asc_diff_coeffs(qb: QBase, k, y: int, t):
 def asc_d_coeffs(qb: QBase, k, y: int, t, v):
     """Tridiagonal coefficients (d_-1, d_0, d_1) of the twisted-element
     action for the infinite family; the identity adds {s}_q on the diagonal."""
-    t, v, k = as_exponent(t), as_exponent(v), as_exponent(k)
-    cm1, c0, c1 = asc_diff_coeffs(qb, k, y, t)
-    dm1 = cm1 * qb.brace(2 * y + t + k + v - 1)
-    d0 = c0 * qb.brace(2 * y + k + t) * qb.brace(v) - qb.brace(t) * qb.brace(v)
-    d1 = c1 * qb.brace(2 * y + k + t - v + 1)
-    return dm1, d0, d1
+    return _b_coeffs(qb, True, -as_exponent(k), y, as_exponent(t), as_exponent(v))
 
 
 @tabled

@@ -763,9 +763,10 @@ def _rhs_factor(q, a, tb, z, sq) -> _Row:
     series is int or Fraction it is the exact column ``_Phi32Column`` with
     Q = q, C = q**-z/(a sq) and B = 1/a; otherwise each entry is its own
     ``rphis``."""
-    if (isinstance(q, Fraction) and isinstance(a, Fraction)
+    if (isinstance(q, Fraction) and isinstance(a, (int, Fraction))
             and isinstance(sq, (int, Fraction)) and type(z) is int):
-        return _Row(_Phi32Column(lambda: (z, q ** (-z) / (a * sq), 1 / a, q), tb.max_terms))
+        return _Row(_Phi32Column(lambda: (z, q ** (-z) / (a * sq), 1 / Fraction(a), q),
+                                 tb.max_terms))
     return _Row(_rhs_factor_entry, q, a, tb, z, sq)
 
 

@@ -29,11 +29,9 @@ from itertools import count
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .orthopoly import (
-    ASCParams,
     KrawParams,
     _series,
     _signed_qpow,
-    asc_column,
     asc_d_coeffs,
     asc_diff_coeffs,
     asc_w_column,
@@ -265,15 +263,14 @@ def pr_inner(pp: PrParams, x: int, y: int):
     """Certified evaluation of sum_n phi_{1,s}(n,x) phi_{v,t}(n,y) w_k(n);
     the terms decay like q**(n(s+t+1-v)), so Re(v) < 1+s+t is required.
 
-    The two polynomial columns and the weight row are fetched once and read
-    by index.  In the exact backend the column prefactors q**(n(2s+k-1)/2)
-    and q**(n(2t-2v+k+1)/2) are one power q**(n(s+t-v+k)), so each term is
-    that power, the two twist-free series entries and the weight, taken
-    unreduced by ``certified_sum``: the same rational as the product of the
-    column values, hence the same magnitudes, stopping term and sum.  A
-    prefactor that is not a half-integer power of q keeps the columns,
-    which raise it; the floating backends keep them too, whose products
-    fix their bits.
+    The two twist-free series columns and the weight row are fetched once
+    and read by index.  The column prefactors q**(n(2s+k-1)/2) and
+    q**(n(2t-2v+k+1)/2) are one power q**(n(s+t-v+k)), so each term is that
+    power, the two series entries and the weight, in every backend; the
+    exact ``certified_sum`` takes them unreduced, the same rational as the
+    product of the column values.  Only the combined power has to be a
+    half-integer power of q: at k = 1/2, s = 0, t = v = 1/2 it is
+    q**(n/2), where each prefactor alone would need a root of p.
     """
     if x < 0 or y < 0:
         raise OutOfRange(f"(x, y) = ({x}, {y}) must be nonnegative")
@@ -286,16 +283,9 @@ def pr_inner(pp: PrParams, x: int, y: int):
     qb = pp.qb
     w = asc_w_column(qb, pp.k)
     s, t, v, k = (as_exponent(pp.s), as_exponent(pp.t), as_exponent(pp.v), as_exponent(pp.k))
-    if (qb.is_exact and type(as_exponent(2 * s + k)) is int
-            and type(as_exponent(2 * t - 2 * v + k)) is int):
-        left, right = _series(qb, True, -k, s, x), _series(qb, True, -k, t, y)
-        e = s + t - v + k
-        term = lambda n: (qb.qpow(n * e), left[n], right[n], w[n])
-    else:
-        left = asc_column(ASCParams(1, pp.s, pp.k, qb, pp.tb), x)
-        right = asc_column(ASCParams(pp.v, pp.t, pp.k, qb, pp.tb), y)
-        term = lambda n: (left[n], right[n], w[n])
-    return certified_sum(map(term, count()), pp.tb)
+    left, right = _series(qb, True, -k, s, x), _series(qb, True, -k, t, y)
+    e = s + t - v + k
+    return certified_sum(((qb.qpow(n * e), left[n], right[n], w[n]) for n in count()), pp.tb)
 
 
 pr_valid = rr_valid

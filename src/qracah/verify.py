@@ -136,11 +136,7 @@ def chk_gevp_rewrite(qb, s, **site):
 def chk_eigen(qb, u, s, x, **site):
     rs = _repspec(qb, **site)
     res = uqsl2.eigen_residual(rs, u, s, x)
-    rows = rs.interior(1)
-    total = None
-    for r in res[:rows]:
-        total = abs(r) if total is None else total + abs(r)
-    return 0 if total is None else total
+    return ordered_sum(abs(r) for r in res[:rs.interior(1)])
 
 
 def chk_prop33(qb, N, s, t, v, x, y):
@@ -199,31 +195,8 @@ def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
 
 
 def chk_asc_transfer(qb, k, s, t, v, y, trunc):
-    # single-site ASC transfer: diagonal symbol and twisted action on a
-    # truncated window, interior rows
-    ap = orthopoly.ASCParams(v, t, k, qb)
-    rs = uqsl2.RepSpec.su11(k, trunc, qb)
-    Y0s = uqsl2.twist_y(rs, 0, s, tilde=False)
-    cm1, c0, c1 = orthopoly.asc_diff_coeffs(qb, k, y, t)
-    dm1, d0, d1 = orthopoly.asc_d_coeffs(qb, k, y, t, v)
-    below = orthopoly.asc_column(ap, y - 1) if y > 0 else None
-    column, above = orthopoly.asc_column(ap, y), orthopoly.asc_column(ap, y + 1)
-    vec = [column[n] for n in range(trunc + 1)]
-    out = Y0s.apply(vec)
-    acc = qb.zero()
-    for n in range(trunc):
-        lhs_k2 = qb.qpow(2 * n + as_exponent(k)) * vec[n]
-        rhs_k2 = c0 * vec[n]
-        rhs_y = (d0 + qb.brace(s)) * vec[n]
-        if y > 0:
-            val = below[n]
-            rhs_k2 += cm1 * val
-            rhs_y += dm1 * val
-        val = above[n]
-        rhs_k2 += c1 * val
-        rhs_y += d1 * val
-        acc += abs(lhs_k2 - rhs_k2) + abs(out[n] - rhs_y)
-    return acc
+    # the single-site transfer on a truncated window is the one-site chain's
+    return chk_multi_transfer_asc(qb, 1, (y,), t, v, s, (k,), trunc)
 
 
 def chk_multi_transfer(qb, j, ys, t, v, sigma, Ns):

@@ -465,6 +465,22 @@ def test_summation_infinite_case_float():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+def test_summation_rhs_takes_an_int_a_exactly():
+    # an int a takes the exact column: the series side is the Fraction that
+    # Fraction(a) gives and matches the product side, for finite N (a =
+    # q**-N = 4 at q = 1/4) and for the certified sum
+    qb = QBase(F(1, 2))
+    b, c, d = F(1, 3), F(1, 5), F(1, 7)
+    tb = TailBound(tolerance=1e-15)
+    for a, N in ((4, 1), (2, None)):
+        for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            rhs = summation_rhs(qb, x, y, a, b, c, d, N, tb)
+            assert type(rhs) is F, (a, N, x, y)
+            assert rhs == summation_rhs(qb, x, y, F(a), b, c, d, N, tb), (a, N, x, y)
+            lhs = summation_lhs(qb, x, y, a, b, c, d, N, tb)
+            assert (lhs == rhs) if N is not None else abs(lhs - rhs) < 1e-13, (a, N, x, y)
+
+
 def _summation_rhs_loop(q, x, y, a, b2, c2, bcd, N, tb):
     """The series side as one loop, the coefficient carried term by term
     and each 3phi2 factor a fresh series: the reference the rows are read

@@ -25,7 +25,7 @@ from qracah import (
     rr_valid,
 )
 from qracah import multivar
-from qracah.errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
+from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
 from qracah.orthopoly import _series, asc_column, asc_w_column
 from qracah.qseries import certified_sum
 from qracah.ratfun import _pole_index
@@ -340,13 +340,20 @@ def test_exact_pr_inner_reads_the_series_not_the_columns(p, s, t, v, k):
     assert used == read > 6
 
 
-def test_exact_pr_inner_keeps_the_column_error():
-    # the power q**(n(s+t-v+k)) = q**(n/2) is exact here, but the left
-    # column prefactor q**(n(2s+k-1)/2) = q**(-n/4) is not: the columns
-    # raise, as they did before the series were read directly
-    pp = PrParams(0, F(1, 2), F(1, 2), F(1, 2), QBase(F(3, 4)))
-    with pytest.raises(ExactnessError, match="^exponent -1/4 is not a half-integer$"):
-        pr_inner(pp, 1, 1)
+def test_exact_pr_inner_takes_half_integer_k():
+    # the combined power q**(n(s+t-v+k)) is exact at these points although
+    # one column prefactor q**(n(2s+k-1)/2) alone would need a root of p:
+    # every valid cell is a Fraction and agrees with the closed form within
+    # the normalization of the cor4.3 check
+    for p, k, s, t, v in ((F(3, 4), F(1, 2), 0, F(1, 2), F(1, 2)),
+                          (F(2, 3), F(3, 2), 1, F(1, 2), F(-1, 2))):
+        pp = PrParams(s, t, v, k, QBase(p))
+        cells = [(x, y) for x in range(3) for y in range(3) if pr_valid(pp, x, y)]
+        assert len(cells) >= 5
+        for x, y in cells:
+            inner = pr_inner(pp, x, y)
+            assert type(inner) is F, (p, x, y)
+            assert abs(pr_closed(pp, x, y) - inner) / (1 + abs(inner)) <= 1e-9, (p, x, y)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -76,26 +76,78 @@ def test_every_task_binds_to_its_check(cfg):
     assert unbound == []
 
 
-def _report_digest(suite, mode="exact"):
-    lines = []
+def _report_digests(suite, mode="exact"):
+    # per suite, the number of reports and the sha256 of their lines
+    # without elapsed_ms, in order
+    lines = {}
     for r in run_suite(suite, RunConfig(mode=mode)):
         payload = json.loads(r.to_json())
         payload.pop("elapsed_ms")
-        lines.append(json.dumps(payload, separators=(",", ":")))
-    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        lines.setdefault(r.suite, []).append(json.dumps(payload, separators=(",", ":")))
+    return {sid: (len(rows), hashlib.sha256("\n".join(rows).encode()).hexdigest())
+            for sid, rows in lines.items()}
+
+
+def _report_digest(suite, mode="exact"):
+    return _report_digests(suite, mode)[suite]
+
+
+# the whole exact stream of `verify --suite all` at the default p, suite by
+# suite: every route or operation-order change that keeps the exact values
+# must keep these bytes
+EXACT_SUITE_DIGESTS = {
+    "lemma2.1": (
+        470, "e8c7e4dea4f1cb349e2eec5567816edcd30e7bbffc653af33a780afa7f4cef97"),
+    "relations": (
+        14, "5700eef68ede4bf636591229eecf0186eec1fc9cba7a6b036f82be6d81a7937e"),
+    "star": (
+        14, "d6e1b7491f382386259c6dfe7375e2e9dc03df55fe6ba747f1377cf24db5ed43"),
+    "lemma3.1": (
+        50, "8534d607f47fd6294c48c7e765cd1750c144b171a43913bc3c976ad63fcc2607"),
+    "ev3.x": (
+        180, "a9e9f2a00e559557da9f2449cd5f885dbc98f87e0f48b97dce986755be03b73f"),
+    "prop3.3": (
+        470, "fee9d8087b23fdb8b1e1c1692ec05595f5f16b9c6304f96434be2b0f56aa80c1"),
+    "prop3.4": (
+        720, "e2f3fdf022d15061af2c473b7fd29d3c8662ccaa140cbec96fa4d19c56b53d33"),
+    "lemma3.5": (
+        100, "1a22c56ca57fec7ad1f16c8eaab071e2aebcb3ddf283f0fff58c7a699637d70f"),
+    "cor3.6": (
+        300, "20354d2a6e36bf54594e6e423985c07b3f0159232a1b806a573663e4da37fce7"),
+    "prop3.7": (
+        220, "c0c3bc435f86dee5581e8f81b4714185d00aa9cba3d20949add0ada491813b73"),
+    "lemma3.8": (
+        108, "a07129ea5820b2db4c22f390aff75467c9bd0ccbf1d6f6eed637bdf248cb78d4"),
+    "lemma3.9": (
+        90, "42e773a1915e192e0675f5fd14246d66dc1d71d98ee87b056f5931ebdc9bf5d9"),
+    "cor3.10": (
+        708, "5c29a26dcd9117cc8e4eb18f6c83d0216a2d5bf6f6366952de1a300c8512032f"),
+    "cor4.1": (
+        20, "906f87086bd756812667a85d3d528ecffdf08cb008e4c60137f14e3b232a3b0f"),
+    "ev4.x": (
+        48, "899e64f464b213a78393743ad4a9c845b2d1ee1423db84498286e2c06e68e455"),
+    "cor4.3": (
+        84, "18dcd271c0d81c12bb4890a0ca95ba93a74e9f8db28e5477a25146bbd6a0925d"),
+    "prop4.4": (
+        36, "d5f6864c5fb7b052b9b5c35dc407645069466a22a6cbaf191831105712c3e19e"),
+    "lemma4.5": (
+        80, "2761fb9a3aa0dace8eee21b7773ab71461b00ac6aa1c8d3ffcdcfd460b7c0499"),
+    "prop4.5": (
+        32, "5d5150679d35da5568512d9c378f3a50094bc2ba0cc72b200ee43f9b30466393"),
+    "prop4.6": (
+        64, "1b786e78178a5ac8474c0ff0d58723086dc1fa14460275becbfff42a2c6a0030"),
+    "lemma4.8": (
+        66, "defeedc451b8010117735df95b824d1dbaf365f32287d7f465b92eb1d51bc2e9"),
+    "cor4.9": (
+        64, "e04ac2cddfc7a4d2c1af6adab2a265b70e1d74e8b6f19a74a549a545e7e80039"),
+}
 
 
 def test_report_digests_are_pinned():
-    # the default reports without elapsed_ms, in order: the summation
-    # identity (exact), closed form vs inner product and the recurrences of
-    # the infinite family (certified, whose residual digits depend on every
-    # series value, so a series kernel that drifts by one ulp shows here)
-    assert _report_digest("lemma2.1") == (
-        470, "e8c7e4dea4f1cb349e2eec5567816edcd30e7bbffc653af33a780afa7f4cef97")
-    assert _report_digest("cor4.3") == (
-        84, "18dcd271c0d81c12bb4890a0ca95ba93a74e9f8db28e5477a25146bbd6a0925d")
-    assert _report_digest("prop4.5") == (
-        32, "5d5150679d35da5568512d9c378f3a50094bc2ba0cc72b200ee43f9b30466393")
+    # the default reports without elapsed_ms, in order, of every suite: the
+    # certified ones' residual digits depend on every series value, so a
+    # series kernel that drifts by one ulp shows here
+    assert _report_digests("all") == EXACT_SUITE_DIGESTS
 
 
 def test_floating_report_digests_are_pinned():
@@ -108,8 +160,7 @@ def test_floating_report_digests_are_pinned():
     assert _report_digest("lemma2.1", "complex") == (
         470, "17401a254fa1f2bc3d0e253f9366d1a69bdaae71835a7be3ac931911079e0eaf")
     for mode in ("float", "complex"):
-        assert _report_digest("cor4.3", mode) == (
-            84, "18dcd271c0d81c12bb4890a0ca95ba93a74e9f8db28e5477a25146bbd6a0925d")
+        assert _report_digest("cor4.3", mode) == EXACT_SUITE_DIGESTS["cor4.3"]
 
 
 # float and complex digests of the suites that run the formulas written once
@@ -146,9 +197,9 @@ SHARED_FORMULA_DIGESTS = {
     ("ev4.x", "complex"): (
         48, "ea610a99475cacfd7969c49e8c8ee88ed09e5a4d96a843fc2ce72ba340213484"),
     ("lemma4.5", "float"): (
-        80, "bba38fbf318d3efb5c760684b85cf41a89f1313b0fa8fc1aabcd1ae56882526e"),
+        80, "ecedca8bf5c69aa4bd0465a09ce359fe3bbb4951fe224601d3a9c23a885d5597"),
     ("lemma4.5", "complex"): (
-        80, "dd4e7f33266b5d134280284afed087a65ee0a14df003a9720b252ebc7540b4f7"),
+        80, "496f30cd4e6f5be8573fa510bef3c5c81973b10d2a7129dfaa39317d272b4d76"),
     ("lemma4.8", "float"): (
         66, "3ca421fae26c3c5de0a117995ea3f2804d4aeeca6e36c6aa1beae2552efa1a0c"),
     ("lemma4.8", "complex"): (
@@ -211,12 +262,6 @@ POLYNOMIAL_VALUE_DIGESTS = {
         64, "7aa1ce70f10291414cb5223a6e4775a5b99dacc3c3c1dddb834d9aeab616caaf"),
     ("prop4.6", "complex"): (
         64, "e7ae2ec6da704d07757dd313485a64bbcd982b104cda9b676e65fc489d3995fe"),
-    ("prop4.4", "exact"): (
-        36, "d5f6864c5fb7b052b9b5c35dc407645069466a22a6cbaf191831105712c3e19e"),
-    ("cor4.9", "exact"): (
-        64, "e04ac2cddfc7a4d2c1af6adab2a265b70e1d74e8b6f19a74a549a545e7e80039"),
-    ("prop4.6", "exact"): (
-        64, "1b786e78178a5ac8474c0ff0d58723086dc1fa14460275becbfff42a2c6a0030"),
 }
 
 
@@ -225,8 +270,9 @@ def test_polynomial_value_digests_are_pinned():
         assert _report_digest(suite, mode) == digest, (suite, mode)
 
 
-# table --fn pr_inner in the floating backends, whose column products fix
-# their bits (the exact backend sums the series entries unprefixed)
+# table --fn pr_inner in the floating backends: each term is the combined
+# power q**(n(s+t-v+k)) times the two series entries and the weight, in
+# that order, as in the exact backend, and that order fixes the bits
 _PR_INNER_POINTS = {
     "p=2/3,k=3/2": ("--p", "2/3", "--k", "3/2", "--s", "1", "--t", "1/2", "--v", "1/3",
                     "--grid", "x=0:6,y=0:6"),
@@ -235,13 +281,13 @@ _PR_INNER_POINTS = {
 }
 PR_INNER_TABLE_DIGESTS = {
     ("float", "p=2/3,k=3/2"): (
-        49, "4d7db3dc422ce2d4ddc66b9de02b751bb031e3ac20f14ca653f3cb6b586c5b8e"),
+        49, "89ae61a854585aff412d6f315c10a95d917e4bfe9ff3821053b949c3d7d749b0"),
     ("float", "p=1/2,k=1"): (
-        25, "92a03723f850eb250d05c35305dffc85b4e4a1a402a1c8c94ea00398284d0b2a"),
+        25, "156feff8403ad203d14271e02299d92e714fffecf266a251a048b5ef1e066213"),
     ("complex", "p=2/3,k=3/2"): (
-        49, "676f1df7ce57c4b05126d4def9ea59874c5655d1a19642e043f043345faa789e"),
+        49, "4119120192fb6754206f993ca5e01ad94cf8cb0ecd5f79470935ab60dc7ecaea"),
     ("complex", "p=1/2,k=1"): (
-        25, "e75a68074e314964b2fa082cb4aab8a1df5dfbb78661d7208cc6d424eabd471a"),
+        25, "ae305185c167b1384f38f8c6d24b3d45ff84beb1849d3606b4499f508e669698"),
 }
 
 
@@ -452,7 +498,7 @@ def test_cli_eval_complex_mode_infinite_family():
         assert real.returncode == 0 and cplx.returncode == 0, cplx.stderr
         assert complex(cplx.stdout.strip()) == float(real.stdout)
         if fn == "pr_inner":
-            assert float(real.stdout) == 1034.7253526406096
+            assert float(real.stdout) == 1034.72535264061
 
 
 def test_cli_eval_multivariate():
