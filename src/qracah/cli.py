@@ -188,7 +188,7 @@ def fn_kraw(args, qb, point):
 def fn_asc(args, qb, point):
     ap = orthopoly.ASCParams(
         _num(args, "u", qb.mode, Fraction(0)), _num(args, "s", qb.mode),
-        _num(args, "k", qb.mode), qb, _tb(args))
+        _num(args, "k", qb.mode), qb)
     return orthopoly.asc(ap, _coord(point, args, "n"), _coord(point, args, "x"))
 
 
@@ -204,24 +204,11 @@ def _pr_params(args, qb):
         _num(args, "k", qb.mode), qb, _tb(args))
 
 
-def fn_rr_inner(args, qb, point):
-    return ratfun.rr_inner(_rr_params(args, qb),
-                           _coord(point, args, "x"), _coord(point, args, "y"))
-
-
-def fn_rr_closed(args, qb, point):
-    return ratfun.rr_closed(_rr_params(args, qb),
-                            _coord(point, args, "x"), _coord(point, args, "y"))
-
-
-def fn_pr_inner(args, qb, point):
-    return ratfun.pr_inner(_pr_params(args, qb),
-                           _coord(point, args, "x"), _coord(point, args, "y"))
-
-
-def fn_pr_closed(args, qb, point):
-    return ratfun.pr_closed(_pr_params(args, qb),
-                            _coord(point, args, "x"), _coord(point, args, "y"))
+def _fn_xy(evaluate, params):
+    """The evaluator of a univariate rational function ``evaluate(params, x, y)``."""
+    def fn(args, qb, point):
+        return evaluate(params(args, qb), _coord(point, args, "x"), _coord(point, args, "y"))
+    return fn
 
 
 def fn_rr_multi(args, qb, point):
@@ -264,36 +251,31 @@ def fn_weights(args, qb, point):
     return out
 
 
+# per family: its size option and reader, the letters of its difference and
+# twisted-difference coefficients, and their tables
+_COEFFICIENT_FAMILIES = (
+    ("N", lambda args, qb: _int(args, "N"), "a", "b", orthopoly.kraw_diff_coeffs,
+     orthopoly.kraw_b_coeffs, orthopoly.kraw_dyn_coeffs),
+    ("k", lambda args, qb: _num(args, "k", qb.mode), "c", "d", orthopoly.asc_diff_coeffs,
+     orthopoly.asc_d_coeffs, orthopoly.asc_dyn_coeffs),
+)
+
+
 def fn_coefficients(args, qb, point):
     y = _coord(point, args, "y")
     t = _num(args, "t", qb.mode)
-    out = {}
-    if getattr(args, "N", None) is not None:
-        N = _int(args, "N")
-        am1, a0, a1 = orthopoly.kraw_diff_coeffs(qb, N, y, t)
-        out.update({"a_m1": am1, "a_0": a0, "a_1": a1})
-        if args.v is not None:
-            v = _num(args, "v", qb.mode)
-            bm1, b0, b1 = orthopoly.kraw_b_coeffs(qb, N, y, t, v)
-            out.update({"b_m1": bm1, "b_0": b0, "b_1": b1})
-        for direction, names in ((2, ("a_m2_p2", "a_m1_p2", "a_0_p2")),
-                                 (-2, ("a_0_m2", "a_1_m2", "a_2_m2"))):
-            for name, val in zip(names, orthopoly.kraw_dyn_coeffs(qb, N, y, t, direction)):
-                out[name] = val
-    elif getattr(args, "k", None) is not None:
-        k = _num(args, "k", qb.mode)
-        cm1, c0, c1 = orthopoly.asc_diff_coeffs(qb, k, y, t)
-        out.update({"c_m1": cm1, "c_0": c0, "c_1": c1})
-        if args.v is not None:
-            v = _num(args, "v", qb.mode)
-            dm1, d0, d1 = orthopoly.asc_d_coeffs(qb, k, y, t, v)
-            out.update({"d_m1": dm1, "d_0": d0, "d_1": d1})
-        for direction, names in ((2, ("c_m2_p2", "c_m1_p2", "c_0_p2")),
-                                 (-2, ("c_0_m2", "c_1_m2", "c_2_m2"))):
-            for name, val in zip(names, orthopoly.asc_dyn_coeffs(qb, k, y, t, direction)):
-                out[name] = val
+    for option, read_size, a, b, diff, twisted, dyn in _COEFFICIENT_FAMILIES:
+        if getattr(args, option, None) is not None:
+            break
     else:
         raise QRacahError("coefficients needs --N (finite) or --k (infinite)")
+    size = read_size(args, qb)
+    out = dict(zip((f"{a}_m1", f"{a}_0", f"{a}_1"), diff(qb, size, y, t)))
+    if args.v is not None:
+        v = _num(args, "v", qb.mode)
+        out.update(zip((f"{b}_m1", f"{b}_0", f"{b}_1"), twisted(qb, size, y, t, v)))
+    for direction, names in ((2, ("m2_p2", "m1_p2", "0_p2")), (-2, ("0_m2", "1_m2", "2_m2"))):
+        out.update(zip((f"{a}_{name}" for name in names), dyn(qb, size, y, t, direction)))
     return out
 
 
@@ -311,10 +293,10 @@ FUNCTIONS = {
     "kraw": fn_kraw,
     "heights": fn_heights,
     "asc": fn_asc,
-    "rr_inner": fn_rr_inner,
-    "rr_closed": fn_rr_closed,
-    "pr_inner": fn_pr_inner,
-    "pr_closed": fn_pr_closed,
+    "rr_inner": _fn_xy(ratfun.rr_inner, _rr_params),
+    "rr_closed": _fn_xy(ratfun.rr_closed, _rr_params),
+    "pr_inner": _fn_xy(ratfun.pr_inner, _pr_params),
+    "pr_closed": _fn_xy(ratfun.pr_closed, _pr_params),
     "rr_multi": fn_rr_multi,
     "pr_multi": fn_pr_multi,
     "weights": fn_weights,

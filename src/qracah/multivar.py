@@ -10,7 +10,11 @@ site contributes.
 
 All su2-side checks are exact; the su11 side runs on truncated tensor
 spaces with interior-row exactness and certified truncation of the
-infinite sums.
+infinite sums.  Every site factor is a terminating series, so the nested
+products and the transfer and eigen residuals built from them take no
+``TailBound``; one reaches only the functions that sum or multiply an
+infinite series (``pr_multi``, ``asc_W_multi`` and the infinite chain's
+generalized-eigenvalue and biorthogonality residuals).
 
 Three chain tables (``tables.tabled``) hold what a chain point determines,
 so the transfer, eigen and generalized-eigenvalue residuals build it once
@@ -18,7 +22,7 @@ per process rather than once per xs, per sigma or per side:
 
 - ``_shift_terms(qb, j, ys, t, v, sizes, su11)``: the A/C and B/D
   shift-term maps ys+eps -> coefficient, from one pass over the shift set;
-- ``_nested_vec(qb, v, t, sizes, ys, su11, trunc, tb)``: the nested
+- ``_nested_vec(qb, v, t, sizes, ys, su11, trunc)``: the nested
   products over the chain's index grid, as a tuple in grid order, each
   read from the M site columns fetched once;
 - ``_chain_op(qb, sizes, su11, trunc, element, side, j, u, s)``: the
@@ -73,35 +77,35 @@ def height(base, ys: Sequence[int], sizes: Sequence, j: int, su11: bool = False)
     return heights(base, ys[:j], sizes[:j], su11)[j]
 
 
-def _site_columns(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], su11: bool,
-                  tb: TailBound) -> list:
+def _site_columns(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], su11: bool) -> list:
     """The column over n of each site's family (the infinite one with su11)
     at y_j, with the height after the previous sites as base point."""
     h = heights(t, ys, sizes, su11)
     if su11:
-        return [orthopoly.asc_column(ASCParams(v, h[j], size, qb, tb), ys[j])
+        return [orthopoly.asc_column(ASCParams(v, h[j], size, qb), ys[j])
                 for j, size in enumerate(sizes)]
     return [orthopoly.kraw_column(KrawParams(v, h[j], size, qb), ys[j])
             for j, size in enumerate(sizes)]
 
 
 def _column_product(qb: QBase, columns: list, ns: Sequence[int]):
-    """The nested product at ns: entry n_j of site j's column, in site order."""
-    out = qb.one()
-    for j, column in enumerate(columns):
-        out *= column[ns[j]]
+    """The nested product at ns: entry n_j of site j's column, in site order,
+    from the first site's entry (one for an empty chain)."""
+    out = columns[0][ns[0]] if columns else qb.one()
+    for column, n in zip(columns[1:], ns[1:]):
+        out *= column[n]
     return out
 
 
 def _nested(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], ns: Sequence[int],
-            su11: bool, tb: TailBound = TailBound()):
+            su11: bool):
     """Product over sites of the finite family (the infinite one with su11)
     at (n_j, y_j), with the height after the previous sites as base point."""
     for n, size in zip(ns, sizes):
         if n < 0 or not su11 and n > size:
             raise OutOfRange(f"n = {n} must be nonnegative" if su11
                              else f"n = {n} outside 0..{size}")
-    return _column_product(qb, _site_columns(qb, v, t, sizes, ys, su11, tb), ns)
+    return _column_product(qb, _site_columns(qb, v, t, sizes, ys, su11), ns)
 
 
 def nested_kraw(qb: QBase, v, t, Ns: Sequence[int], ys: Sequence[int], ns: Sequence[int]):
@@ -109,10 +113,9 @@ def nested_kraw(qb: QBase, v, t, Ns: Sequence[int], ys: Sequence[int], ns: Seque
     return _nested(qb, v, t, Ns, ys, ns, False)
 
 
-def nested_asc(qb: QBase, v, t, ks: Sequence, ys: Sequence[int], ns: Sequence[int],
-               tb: TailBound = TailBound()):
+def nested_asc(qb: QBase, v, t, ks: Sequence, ys: Sequence[int], ns: Sequence[int]):
     """Product over sites of the infinite family with running heights."""
-    return _nested(qb, v, t, ks, ys, ns, True, tb)
+    return _nested(qb, v, t, ks, ys, ns, True)
 
 
 def _chain(qb: QBase, sizes: Sequence, su11: bool, trunc: Optional[int]):
@@ -132,11 +135,11 @@ def _interior(ns: Sequence[int], su11: bool, trunc: Optional[int]) -> bool:
 
 @tabled
 def _nested_vec(qb: QBase, v, t, sizes: tuple, ys: tuple, su11: bool,
-                trunc: Optional[int], tb: TailBound) -> tuple:
+                trunc: Optional[int]) -> tuple:
     """The nested products at ys for every ns of the chain's index grid, in
     grid order, each read from the M site columns fetched once."""
     _, grid = _chain(qb, sizes, su11, trunc)
-    columns = _site_columns(qb, v, t, sizes, ys, su11, tb)
+    columns = _site_columns(qb, v, t, sizes, ys, su11)
     return tuple(_column_product(qb, columns, ns) for ns in grid)
 
 
@@ -310,22 +313,20 @@ def transfer_check_x(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
 
 
 def transfer_check_k2_asc(qb: QBase, j: int, ys: Sequence[int], t, v,
-                          ks: Sequence, trunc: int,
-                          tb: TailBound = TailBound()):
+                          ks: Sequence, trunc: int):
     """Interior total absolute residual of the diagonal-symbol transfer on a
     truncated tensor space for the infinite family."""
-    return _transfer_residual(qb, j, ys, t, v, None, ks, True, trunc, tb)
+    return _transfer_residual(qb, j, ys, t, v, None, ks, True, trunc)
 
 
 def transfer_check_y(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
-                     ks: Sequence, trunc: int,
-                     tb: TailBound = TailBound()):
+                     ks: Sequence, trunc: int):
     """Interior total absolute residual of the non-compact twisted-element
     transfer, with {sigma}_q on the diagonal and coeff_D weights."""
-    return _transfer_residual(qb, j, ys, t, v, sigma, ks, True, trunc, tb)
+    return _transfer_residual(qb, j, ys, t, v, sigma, ks, True, trunc)
 
 
-def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc, tb=TailBound()):
+def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc):
     """The diagonal-symbol transfer (sigma None) or the twisted-element one,
     summed over every row of a finite chain and the interior rows of a
     truncated one."""
@@ -336,11 +337,11 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc, tb=TailBound(
     else:
         op = _chain_op(qb, sizes, su11, trunc, "y" if su11 else "x", "R", j, 0, sigma)
         lam = (qb.brace if su11 else qb.bracket)(as_exponent(sigma))
-    vec = _nested_vec(qb, v, t, sizes, ys, su11, trunc, tb)
+    vec = _nested_vec(qb, v, t, sizes, ys, su11, trunc)
     out = op.apply(vec)
     termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
     terms = termsA if sigma is None else termsB
-    shifted_vecs = {ysf: _nested_vec(qb, v, t, sizes, ysf, su11, trunc, tb) for ysf in terms}
+    shifted_vecs = {ysf: _nested_vec(qb, v, t, sizes, ysf, su11, trunc) for ysf in terms}
 
     def residual(ii):
         rhs = [(c, shifted_vecs[ysf][ii]) for ysf, c in terms.items()]
@@ -404,7 +405,7 @@ def _pr_multi(qb, s, t, v, ks, xs, ys, tb):
 
 
 def pr_multi_inner(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
-                   ys: Sequence[int], trunc: int, tb: TailBound = TailBound()):
+                   ys: Sequence[int], trunc: int):
     """Tensor inner product route for the infinite family, truncating every
     site index at ``trunc``."""
     out = qb.zero()
@@ -412,7 +413,7 @@ def pr_multi_inner(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
         w = qb.one()
         for j, k in enumerate(ks):
             w *= orthopoly.asc_w(qb, k, ns[j])
-        out += nested_asc(qb, 1, s, ks, xs, ns, tb) * nested_asc(qb, v, t, ks, ys, ns, tb) * w
+        out += nested_asc(qb, 1, s, ks, xs, ns) * nested_asc(qb, v, t, ks, ys, ns) * w
     return out
 
 
@@ -493,7 +494,7 @@ def multi_biorth_residual_asc(qb: QBase, s, t, v, ks: Sequence,
             yield total
             m += 1
 
-    acc = certified_sum(shells(), tb, min_terms=3)
+    acc = certified_sum(shells(), tb)
     if idx == idx2:
         acc -= 1 / asc_W_multi(qb, t, ks, idx, tb)
     return acc
@@ -541,8 +542,7 @@ def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
 
 def nested_eigen_residual(qb: QBase, side: str, j: int, v, base,
                           sizes: Sequence, ys: Sequence[int],
-                          su11: bool = False, trunc: Optional[int] = None,
-                          tb: TailBound = TailBound()):
+                          su11: bool = False, trunc: Optional[int] = None):
     """Total absolute residual of the coproduct eigen-identities on nested vectors.
 
     side="L": the left-aligned coproduct of the tilde element at the
@@ -558,7 +558,7 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base,
     sizes, ys = tuple(sizes), tuple(ys)
     _, grid = _chain(qb, sizes, su11, trunc)
     h = heights(base, ys, sizes, su11)
-    vec = _nested_vec(qb, v, base, sizes, ys, su11, trunc, tb)
+    vec = _nested_vec(qb, v, base, sizes, ys, su11, trunc)
     element = "ytilde" if su11 else "xtilde"
     symbol = qb.brace if su11 else qb.bracket
     if side == "L":

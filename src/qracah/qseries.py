@@ -11,8 +11,8 @@ infinite objects carry an error certificate controlled by a
 * :func:`certified_sum` (``pr_inner``, ``pr_biorth_residual``,
   ``asc_orth_*``, the infinite ``summation_rhs``, the multivariate shell
   sums) only sees its terms, so it stops once the current term is
-  below ``tolerance * (1 - ratio_cap)`` and the *observed* term ratios have
-  stayed below ``ratio_cap``; that bounds the tail only if later ratios
+  below ``tolerance * (1 - RATIO_CAP)`` and the *observed* term ratios have
+  stayed below ``RATIO_CAP``; that bounds the tail only if later ratios
   stay below the cap too.  The sums of the infinite family call
   :func:`require_q_below_one` first: their weights decay only for q < 1;
 * ``qpoch_inf`` / ``qpoch_inf_ratio`` bound the relative error of the
@@ -94,6 +94,8 @@ from .scalar import QBase, add_pair, as_exponent, ordered_sum, product
 from .tables import _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
+# the bound certified_sum's stop rule puts on its last term ratios
+RATIO_CAP = 0.9
 _INF = math.inf
 
 
@@ -105,24 +107,23 @@ class TailBound:
 
     * non-terminating series (:func:`rphis`): a *proved* bound on the
       *absolute* truncation error, from a bound on every later term ratio
-      derived from the series parameters; ``ratio_cap`` is not used;
+      derived from the series parameters;
     * sums (:func:`certified_sum`): if summation stops, the *absolute*
       truncation error is at most ``tolerance`` provided the
-      post-truncation term ratios stay below ``ratio_cap``; this is only
+      post-truncation term ratios stay below ``RATIO_CAP``; this is only
       checked on the observed ratios, so it is not a proof;
     * products (:func:`qpoch_inf`, :func:`qpoch_inf_ratio`): ``tolerance``
       bounds the tail of the log-product, hence the *relative* error of the
       product, not the absolute one.
+
+    ``max_terms`` is the one limit on the terms or factors any of them reads.
     """
 
     tolerance: float = 1e-12
-    ratio_cap: float = 0.9
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
         check_tolerance(self.tolerance)
-        if not 0 < self.ratio_cap < 1:
-            raise ValueError("ratio_cap must lie in (0, 1)")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
 
@@ -271,7 +272,6 @@ class PhiSpec:
     denominators: Sequence
     base: object
     argument: object
-    max_terms: Optional[int] = None
     terminate_after: Optional[int] = None
 
 
@@ -287,11 +287,10 @@ def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
     selects the floating loop, which sees an exact zero factor only where
     the arithmetic produces one.
     """
-    limit = spec.max_terms or tb.max_terms
     values = (spec.base, spec.argument, *spec.numerators, *spec.denominators)
     if all(isinstance(x, (int, Fraction)) for x in values):
-        return _rphis_exact(spec, limit, tb.tolerance)
-    return _rphis_float(spec, limit, tb.tolerance)
+        return _rphis_exact(spec, tb.max_terms, tb.tolerance)
+    return _rphis_float(spec, tb.max_terms, tb.tolerance)
 
 
 def _pair(x):
@@ -594,7 +593,7 @@ def require_q_below_one(qb: QBase) -> None:
         raise NonConvergent(f"certified infinite sum needs 0 < q < 1, got q = {qb.q}")
 
 
-def certified_sum(terms, tb: TailBound, min_terms: int = 6):
+def certified_sum(terms, tb: TailBound):
     """Sum an infinite series under the TailBound certificate.
 
     ``terms`` is an iterable of terms with eventually geometric decay, each
@@ -605,11 +604,10 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
     other term multiplies its factors left to right and is added as a
     scalar.
 
-    Summation stops after term n once n + 1 >= max(min_terms, 6), the last
-    three term magnitudes are below tolerance*(1-ratio_cap) and each of the
-    last three ratios |t_j / t_(j-1)| with t_(j-1) != 0 is at most
-    ``ratio_cap``.  Two counters of trailing terms keep that test O(1) per
-    term.
+    Summation stops after term n once n + 1 >= 6, the last three term
+    magnitudes are below tolerance*(1-RATIO_CAP) and each of the last three
+    ratios |t_j / t_(j-1)| with t_(j-1) != 0 is at most ``RATIO_CAP``.  Two
+    counters of trailing terms keep that test O(1) per term.
 
     An exact term whose magnitude is beyond the floating-point range reads
     as inf: it is not below the floor, its ratio to a finite predecessor is
@@ -623,9 +621,8 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
     certified result is then impossible; failing loudly beats returning
     NaN).
     """
-    floor = tb.tolerance * (1 - tb.ratio_cap)
-    cap = tb.ratio_cap
-    first = max(min_terms, 6)
+    floor = tb.tolerance * (1 - RATIO_CAP)
+    cap = RATIO_CAP
     num, den = 0, 1  # the exact terms, while every term so far is exact
     total = None  # the scalar sum, from the first term that is not
     below = capped = 0  # trailing terms below floor, trailing ratios at most cap
@@ -675,7 +672,7 @@ def certified_sum(terms, tb: TailBound, min_terms: int = 6):
         if mag == _INF:
             huge = tn, td
         last = mag
-        if n + 1 >= first and below >= 3 and capped >= 3:
+        if n + 1 >= 6 and below >= 3 and capped >= 3:
             break
         if n + 1 >= tb.max_terms:
             raise NonConvergent(

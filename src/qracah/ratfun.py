@@ -209,16 +209,16 @@ def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
     raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
 
 
-def rr_gevp_residual(rp: RrParams, x: int, y: int, path: str = "inner"):
+def rr_gevp_residual(rp: RrParams, x: int, y: int):
     """Residual of the generalized-eigenvalue three-term identity in y.
 
     [2x-N+s]_q (a_-1 R(x,y-1) + a_0 R(x,y) + a_1 R(x,y+1))
       - (b_-1 R(x,y-1) + (b_0 + [s]_q) R(x,y) + b_1 R(x,y+1)).
 
-    Boundary terms are dropped exactly where their coefficient vanishes.
-    path="inner" (total) or "closed" (raises at validity-rejected points).
+    R is ``rr_inner``, total on 0..N; boundary terms are dropped exactly
+    where their coefficient vanishes.
     """
-    return _gevp_residual(rp, x, y, False, rr_inner if path == "inner" else rr_closed)
+    return _gevp_residual(rp, x, y, False, rr_inner)
 
 
 def _gevp_residual(p, x, y, su11, evaluate):
@@ -316,8 +316,8 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
     """Residual of the infinite biorthogonality relation; requires
     |Re(v) + 1| < 2 + s + t so both family members converge.  The outer sum
     is truncated by :func:`certified_sum` under ``pp.tb``: it stops once
-    three consecutive terms fall below tolerance*(1-ratio_cap) with term
-    ratios below ``ratio_cap``."""
+    three consecutive terms fall below tolerance*(1-RATIO_CAP) with term
+    ratios at most ``RATIO_CAP`` (``qseries``)."""
     qb = pp.qb
     v = pp.v
     require_q_below_one(qb)

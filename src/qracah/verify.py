@@ -279,13 +279,13 @@ _STV = ((0, 0, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (0, 1, -2))
 _UVST = ((0, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 2), (2, 1, 0, 2))
 
 
-def _stv_points(n_top, p=None):
-    """(N, s, t, v, x, y) over N <= n_top, _STV and the square 0..N; with a
-    p, only the points off the pole locus of the finite closed forms."""
-    qb = None if p is None else _base(p, "exact")
+def _stv_points(n_top, off_poles=False):
+    """(N, s, t, v, x, y) over N <= n_top, _STV and the square 0..N; with
+    off_poles, only the points off the pole locus of the finite closed
+    forms.  The locus does not depend on q, so no base is built for it."""
     for N, (s, t, v) in iproduct(range(n_top + 1), _STV):
         for x, y in iproduct(range(N + 1), repeat=2):
-            if p is None or ratfun.rr_valid(ratfun.RrParams(s, t, v, N, qb), x, y):
+            if not off_poles or ratfun.rr_valid(ratfun.RrParams(s, t, v, N, None), x, y):
                 yield N, s, t, v, x, y
 
 
@@ -299,7 +299,7 @@ def _rep_points(fn, cfg):
 @suite("lemma2.1")
 def _lemma21(cfg, p):
     # the product side shares the closed forms' pole locus
-    for N, s, t, v, x, y in _stv_points(4, p):
+    for N, s, t, v, x, y in _stv_points(4, off_poles=True):
         yield ("summation", f"sum_identity[N={N},s={s},t={t},v={v},x={x},y={y}]",
                dict(N=N, s=s, t=t, v=v, x=x, y=y))
 
@@ -331,7 +331,7 @@ def _ev3(cfg, p):
 
 @suite("prop3.3")
 def _prop33(cfg, p):
-    for N, s, t, v, x, y in _stv_points(4, p):
+    for N, s, t, v, x, y in _stv_points(4, off_poles=True):
         yield ("prop33", f"closed_vs_inner[N={N},s={s},t={t},v={v},x={x},y={y}]",
                dict(N=N, s=s, t=t, v=v, x=x, y=y))
 
@@ -416,10 +416,10 @@ def _ev4(cfg, p):
 
 @suite("cor4.3", first_p=True, certified=True)
 def _cor43(cfg, p):
-    qb = _base(float(p), "float")
+    # pr_valid reads s, t and v only: no base is built for it
     for k, (s, t, v), x, y in iproduct((1, 2), ((0, 0, -1), (1, 1, 0), (1, 2, 1)),
                                         range(4), range(4)):
-        if ratfun.pr_valid(ratfun.PrParams(s, t, v, k, qb), x, y):
+        if ratfun.pr_valid(ratfun.PrParams(s, t, v, k, None), x, y):
             yield ("cor43", f"closed_vs_inner[k={k},s={s},t={t},v={v},x={x},y={y}]",
                    dict(k=k, s=s, t=t, v=v, x=x, y=y))
 

@@ -254,7 +254,7 @@ def test_nested_eigen_asc_interior():
 def test_pr_multi_product_vs_tensor_inner():
     tb = TailBound(tolerance=1e-12)
     val = pr_multi(QB, 1, 0, 0, (1, 1), (1, 0), (0, 1), tb)
-    ref = pr_multi_inner(QB, 1, 0, 0, (1, 1), (1, 0), (0, 1), 40, tb)
+    ref = pr_multi_inner(QB, 1, 0, 0, (1, 1), (1, 0), (0, 1), 40)
     assert abs(float(val - ref)) < 1e-10
 
 
@@ -275,6 +275,11 @@ def test_multi_gevp_asc_certified():
                 for ys in ((0, 0), (0, 1), (1, 1)):
                     r = multi_gevp_residual_asc(QB, j, xs, ys, s, t, v, (1, 1), tb)
                     assert abs(float(r)) < 1e-8
+
+
+def test_nested_product_of_an_empty_chain_is_one():
+    got = nested_kraw(QBase(F(1, 2)), 0, 0, [], [], [])
+    assert type(got) is F and got == 1
 
 
 def test_nested_asc_single_site():

@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction as F
 from itertools import count, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -66,7 +67,6 @@ def test_exact_qpoch_is_the_fraction_product(a, base, n):
 
 def test_tail_bound_validation():
     for kwargs, message in (({"tolerance": 0}, "tolerance must be positive"),
-                            ({"ratio_cap": 1}, "ratio_cap must lie in"),
                             ({"max_terms": 0}, "max_terms must be at least 1")):
         with pytest.raises(ValueError, match=message):
             TailBound(**kwargs)
@@ -183,7 +183,8 @@ def test_qbinom():
 def test_rphis_trivial_cases():
     q = F(1, 4)
     # argument zero: only the n=0 term
-    assert rphis(PhiSpec([F(1, 2)], [F(1, 3)], q, 0, terminate_after=None, max_terms=50)) == 1
+    assert rphis(PhiSpec([F(1, 2)], [F(1, 3)], q, 0, terminate_after=None),
+                 TailBound(max_terms=50)) == 1
     # numerator parameter 1 kills everything past n=0
     assert rphis(PhiSpec([1, F(1, 2)], [F(1, 3)], q, F(1, 2))) == 1
 
@@ -228,7 +229,7 @@ def test_rphis_nonterminating_certified():
         term *= (1 - 0.3 * qb ** n) * 0.5 / ((1 - 0.2 * qb ** n) * (1 - qb ** (n + 1)))
     assert val == pytest.approx(brute, rel=1e-12)
     with pytest.raises(NonConvergent):
-        rphis(PhiSpec([0.3], [0.2], qb, 0.5, max_terms=4))
+        rphis(PhiSpec([0.3], [0.2], qb, 0.5), TailBound(max_terms=4))
 
 
 def test_rphis_tail_bound_sees_a_late_near_pole():
@@ -253,7 +254,7 @@ def _reference_rphis(spec, tb):
     # eager scan for denominator poles, then one Fraction operation per factor
     nums, dens = list(spec.numerators), list(spec.denominators)
     base, z = spec.base, spec.argument
-    limit = spec.max_terms or tb.max_terms
+    limit = tb.max_terms
     n_terms = spec.terminate_after
     detected, f = None, base * 0 + 1
     for j in range(min(limit, n_terms or limit)):
@@ -336,7 +337,8 @@ def _phi_cases(draw):
     if not terminate_after and max_terms is None:
         max_terms = 40  # a series that never stops runs to the limit
     tol = draw(st.sampled_from((1e-3, 1e-8, 1e-12)))
-    return PhiSpec(nums, dens, base, z, max_terms, terminate_after), TailBound(tol)
+    return (PhiSpec(nums, dens, base, z, terminate_after),
+            TailBound(tol, max_terms or qseries.DEFAULT_MAX_TERMS))
 
 
 _q = F(1, 4)
@@ -351,16 +353,16 @@ _q = F(1, 4)
 # denominator poles before and at the last term
 @example(case=(PhiSpec([_q ** -4], [_q ** -2], _q, _q), TailBound()))
 @example(case=(PhiSpec([_q ** -3], [_q ** -3], _q, _q), TailBound()))
-@example(case=(PhiSpec([F(1, 3)], [_q ** -2], _q, _q, max_terms=9), TailBound()))
+@example(case=(PhiSpec([F(1, 3)], [_q ** -2], _q, _q), TailBound(max_terms=9)))
 # terminate_after beyond max_terms, with and without a pole past the limit
-@example(case=(PhiSpec([F(1, 3)], [F(1, 5)], _q, _q, max_terms=5, terminate_after=20),
-               TailBound()))
-@example(case=(PhiSpec([F(1, 3)], [_q ** -9], _q, _q, max_terms=5, terminate_after=20),
-               TailBound()))
+@example(case=(PhiSpec([F(1, 3)], [F(1, 5)], _q, _q, terminate_after=20),
+               TailBound(max_terms=5)))
+@example(case=(PhiSpec([F(1, 3)], [_q ** -9], _q, _q, terminate_after=20),
+               TailBound(max_terms=5)))
 # negative parameters and a negative base; the base factor's own pole
 @example(case=(PhiSpec([-F(1, 2) ** -3, F(-2, 3)], [F(-3, 5)], F(-1, 2), F(-1, 3)),
                TailBound()))
-@example(case=(PhiSpec([F(2)], [F(3)], F(-1), F(1, 2), max_terms=10), TailBound()))
+@example(case=(PhiSpec([F(2)], [F(3)], F(-1), F(1, 2)), TailBound(max_terms=10)))
 # non-terminating series closed by the proved ratio bound, and one whose
 # tiny argument meets the bound before a numerator factor vanishes
 @example(case=(PhiSpec([F(1, 3), F(2, 7)], [F(1, 5)], _q, F(1, 2)), TailBound(1e-12)))
@@ -678,18 +680,18 @@ def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:
     # ratios below the cap
     if len(magnitudes) < max(run + 1, 6):
         return False
-    floor = tb.tolerance * (1 - tb.ratio_cap)
+    floor = tb.tolerance * (1 - qseries.RATIO_CAP)
     recent = magnitudes[-run:]
     if any(m >= floor for m in recent):
         return False
     prev = magnitudes[-run - 1 :]
     for a, b in zip(prev, prev[1:]):
-        if a > 0 and b / a > tb.ratio_cap:
+        if a > 0 and b / a > qseries.RATIO_CAP:
             return False
     return True
 
 
-def _fraction_certified_sum(terms, tb, min_terms=6):
+def _fraction_certified_sum(terms, tb):
     # the reference: multiply each term's factors and sum term by term in
     # Fraction arithmetic, reading magnitudes with float()
     total, mags = None, []
@@ -699,7 +701,7 @@ def _fraction_certified_sum(terms, tb, min_terms=6):
             t = t * f
         total = t if total is None else total + t
         mags.append(float(abs(t)))
-        if n + 1 >= min_terms and _tail_certified(mags, tb):
+        if _tail_certified(mags, tb):
             return total, n + 1
     return total, len(mags)
 
@@ -740,39 +742,38 @@ def test_certified_sum_pairs_match_fraction_sums(rnum, seeds, tol_exp):
         assert consumed == used
 
 
-# magnitudes 2**-e and zeros: every ratio is exact, so one exactly equal to
-# ratio_cap = 1/2 is reached, and with tolerance 2**-20 the floor
-# tolerance*(1-ratio_cap) = 2**-21 is itself a magnitude (not below it);
-# with tolerance 4 every term is below the floor 2 and only ratios count
+# magnitudes 2**-e and zeros, with RATIO_CAP set to 1/2: every ratio is
+# exact, so one exactly equal to the cap is reached, and with tolerance
+# 2**-20 the floor tolerance*(1-RATIO_CAP) = 2**-21 is itself a magnitude
+# (not below it); with tolerance 4 every term is below the floor 2 and only
+# ratios count
 _POWERS = st.one_of(st.none(), st.integers(0, 26))
 
 
 @settings(max_examples=300, deadline=None)
 @given(exps=st.lists(_POWERS, max_size=40), signs=st.integers(0, 2**40 - 1),
-       min_terms=st.sampled_from([3, 6]), floating=st.booleans(),
+       floating=st.booleans(),
        tol=st.sampled_from([2.0**-20, 4.0]))
-@example(exps=[20, 21, 22, 23, 24, 25, 26], signs=0, min_terms=6, floating=False,
+@example(exps=[20, 21, 22, 23, 24, 25, 26], signs=0, floating=False,
          tol=2.0**-20)  # every ratio is the cap
-@example(exps=[16, 22, 23, 24, 17, 22, 23, 24, 25], signs=5, min_terms=3, floating=False,
+@example(exps=[16, 22, 23, 24, 17, 22, 23, 24, 25], signs=5, floating=False,
          tol=2.0**-20)  # below the floor, above it again, below again
-@example(exps=[22, None, None, 23, None, 24, 25], signs=0, min_terms=3, floating=True,
+@example(exps=[22, None, None, 23, None, 24, 25], signs=0, floating=True,
          tol=2.0**-20)  # zeros
-@example(exps=[18, 19, 20, 21, 22, 23, 24], signs=0, min_terms=6, floating=False,
+@example(exps=[18, 19, 20, 21, 22, 23, 24], signs=0, floating=False,
          tol=2.0**-20)  # the floor itself among the last three at term 6
-@example(exps=[3, 4, 5, None, 0, 1, 2], signs=0, min_terms=3, floating=False,
+@example(exps=[3, 4, 5, None, 0, 1, 2], signs=0, floating=False,
          tol=4.0)  # a ratio after a zero is not read
-def test_certified_sum_stops_where_the_list_rule_does(exps, signs, min_terms, floating, tol):
-    # the two counters stop at the first n with n + 1 >= min_terms at which
-    # _tail_certified over the first n + 1 magnitudes holds; a finite
-    # series that never certifies is summed whole
-    tb = TailBound(tol, ratio_cap=0.5)
+def test_certified_sum_stops_where_the_list_rule_does(exps, signs, floating, tol):
+    # the two counters stop at the first n at which _tail_certified over the
+    # first n + 1 magnitudes holds; a finite series that never certifies is
+    # summed whole
+    tb = TailBound(tol)
     terms = [0 if e is None else (-1) ** (signs >> i & 1) * F(1, 2**e)
              for i, e in enumerate(exps)]
     if floating:
         terms = [float(t) for t in terms]
     mags = [float(abs(t)) for t in terms]
-    used = next((n + 1 for n in range(len(terms))
-                 if n + 1 >= min_terms and _tail_certified(mags[: n + 1], tb)), len(terms))
     consumed = 0
 
     def counted():
@@ -781,7 +782,10 @@ def test_certified_sum_stops_where_the_list_rule_does(exps, signs, min_terms, fl
             consumed += 1
             yield term
 
-    got = certified_sum(counted(), tb, min_terms)
+    with mock.patch.object(qseries, "RATIO_CAP", 0.5):
+        used = next((n + 1 for n in range(len(terms))
+                     if _tail_certified(mags[: n + 1], tb)), len(terms))
+        got = certified_sum(counted(), tb)
     assert consumed == used
     want = 0
     for t in terms[:used]:

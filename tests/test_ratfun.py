@@ -28,7 +28,7 @@ from qracah import multivar
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
 from qracah.orthopoly import _series, asc_column, asc_w_column
 from qracah.qseries import certified_sum
-from qracah.ratfun import _pole_index
+from qracah.ratfun import _gevp_residual, _pole_index
 from qracah.tables import table_sizes
 
 QB = QBase(F(1, 2))
@@ -131,7 +131,7 @@ def test_rr_gevp_closed_path():
         for y in range(4):
             pts = [(x, yy) for yy in (y - 1, y, y + 1) if 0 <= yy <= 3]
             if all(rr_valid(rp, *pt) for pt in pts):
-                assert rr_gevp_residual(rp, x, y, path="closed") == 0
+                assert _gevp_residual(rp, x, y, False, rr_closed) == 0
 
 
 def test_rr_out_of_range():

@@ -118,7 +118,7 @@ def _calls(qb):
             for ys in ((0, 0), (1, 1), (2, 0)):
                 calls.append((multivar._shift_terms, (qb, j, ys, h, one, sizes, su11), {}))
                 calls.append((multivar._nested_vec,
-                              (qb, one, h, sizes, ys, su11, trunc, TB), {}))
+                              (qb, one, h, sizes, ys, su11, trunc), {}))
     # the generator and twisted-element matrices of a compact and a
     # truncated non-compact representation
     for rs in (uqsl2.RepSpec.su2(2, qb), uqsl2.RepSpec.su11(one, 3, qb)):
@@ -183,7 +183,7 @@ def test_raising_calls_are_not_tabled():
     # the chain tables: j outside 1..M, and more indices than sites
     for fn, args in ((multivar._shift_terms, (qb, 3, (0, 0), 0, 0, (1, 1), False)),
                      (multivar._chain_op, (qb, (1, 1), False, None, "k2", "R", 0, 0, 0)),
-                     (multivar._nested_vec, (qb, 0, 0, (1,), (0, 0), False, None, TB))):
+                     (multivar._nested_vec, (qb, 0, 0, (1,), (0, 0), False, None))):
         before = _size(fn)
         for _ in range(2):
             with pytest.raises(OutOfRange):

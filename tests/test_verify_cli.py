@@ -574,6 +574,15 @@ def test_cli_verify_q_above_one_fails_by_report():
         assert r["error"].endswith(" needs 0 < q < 1, got q = 9/4")
 
 
+def test_cli_verify_cor43_builds_no_base_for_its_pole_test():
+    # at p = 10**-200 a floating base would be q = 0.0, refused; the suite's
+    # pole test reads s, t and v only, so every certified check runs
+    out = _cli("verify", "--suite", "cor4.3", "--p", f"1/{10**200}", "--jobs", "2")
+    assert out.returncode == 0, out.stderr
+    reports = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(reports) == 84 and all(r["pass"] for r in reports)
+
+
 _RR_POINT = ("--fn", "rr_closed", "--N", "2", "--s", "1", "--t", "0", "--v", "0",
              "--x", "1", "--y", "2")
 _PR_POINT = ("--fn", "pr_closed", "--k", "1", "--s", "1", "--t", "0", "--v", "0",
