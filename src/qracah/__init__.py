@@ -12,7 +12,6 @@ from .errors import (
     DimensionMismatch,
     ExactnessError,
     InternalError,
-    InvalidEpsilon,
     NonConvergent,
     OutOfRange,
     QRacahError,
@@ -67,12 +66,7 @@ from .ratfun import (
     rr_valid,
 )
 from .multivar import (
-    coeff_A,
-    coeff_B,
-    coeff_C,
-    coeff_D,
     epsilon_set,
-    height,
     heights,
     multi_biorth_residual,
     multi_gevp_residual,

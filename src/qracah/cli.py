@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
@@ -420,6 +421,12 @@ def _render_table(header, rows, fmt: str, fn: str) -> str:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes only -1 and -0.5 for negative numbers: "--v -1/2" or
+    # "--v -1+1j" goes in as "--v=-1/2"
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

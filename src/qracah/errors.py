@@ -21,10 +21,6 @@ class DimensionMismatch(QRacahError):
     """Matrix or tensor dimensions are incompatible."""
 
 
-class InvalidEpsilon(QRacahError):
-    """A shift vector violates the prefix-sum admissibility constraint."""
-
-
 class ExactnessError(QRacahError):
     """A value cannot be represented exactly in the exact backend."""
 

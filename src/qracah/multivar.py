@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InternalError, InvalidEpsilon, OutOfRange
+from .errors import InternalError, OutOfRange
 from . import orthopoly, uqsl2
 from .orthopoly import ASCParams, KrawParams, TailBound
 from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
@@ -68,13 +68,6 @@ def heights(base, ys: Sequence[int], sizes: Sequence, su11: bool = False) -> lis
         step = 2 * y + as_exponent(size) if su11 else 2 * y - as_exponent(size)
         h.append(h[-1] + step)
     return h
-
-
-def height(base, ys: Sequence[int], sizes: Sequence, j: int, su11: bool = False):
-    """h_j alone; j ranges over 0..M."""
-    if not 0 <= j <= len(sizes):
-        raise OutOfRange(f"j = {j} outside 0..{len(sizes)}")
-    return heights(base, ys[:j], sizes[:j], su11)[j]
 
 
 def _site_columns(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], su11: bool) -> list:
@@ -180,25 +173,14 @@ def epsilon_set(M: int, j: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def validate_epsilon(M: int, j: int, eps: Sequence[int]) -> None:
-    """Raise InvalidEpsilon unless eps satisfies the prefix-sum constraint."""
-    if len(eps) != M:
-        raise InvalidEpsilon(f"length {len(eps)} != {M}")
-    sigma = 0
-    for i, e in enumerate(eps):
-        if i < M - j and e != 0:
-            raise InvalidEpsilon(f"entry {i} must vanish for j = {j}")
-        sigma += e
-        if not -1 <= sigma <= 1:
-            raise InvalidEpsilon(f"prefix sum {sigma} at entry {i} outside -1..1")
-
-
 # ---------------------------------------------------------------------------
 # transfer-coefficient products
 # ---------------------------------------------------------------------------
 
 
 def _coeff_product(qb, j, eps, ys, h, sizes, su11):
+    """The A (C with su11) coefficient product of eps over the last j sites,
+    each site's shift table picked by twice eps's prefix sum before it."""
     shift_coeff = orthopoly.asc_shift_coeff if su11 else orthopoly.kraw_shift_coeff
     M = len(sizes)
     out = qb.one()
@@ -211,47 +193,9 @@ def _coeff_product(qb, j, eps, ys, h, sizes, su11):
     return out
 
 
-def _coeff(qb, j, eps, ys, t, sizes, su11):
-    validate_epsilon(len(sizes), j, eps)
-    return _coeff_product(qb, j, eps, ys, heights(t, ys, sizes, su11), sizes, su11)
-
-
-def coeff_A(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t,
-            Ns: Sequence[int]):
-    """Product over the last j sites of finite-family shift coefficients;
-    site i uses the shift table selected by twice the prefix sum of eps
-    before i, evaluated at the unshifted height."""
-    return _coeff(qb, j, tuple(eps), tuple(ys), t, tuple(Ns), False)
-
-
-def coeff_B(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
-            Ns: Sequence[int]):
-    """The twisted-action companion of coeff_A, by cases on sum(eps):
-    -1 and +1 attach [h_M +- (v - 1)]-type brackets, the zero vector
-    subtracts the height-bracket term."""
-    return _twisted_coeff(qb, j, eps, ys, t, v, Ns, False)
-
-
-def coeff_C(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t,
-            ks: Sequence):
-    """Infinite-family analogue of coeff_A with heights running upward."""
-    return _coeff(qb, j, tuple(eps), tuple(ys), t, tuple(ks), True)
-
-
-def coeff_D(qb: QBase, j: int, eps: Sequence[int], ys: Sequence[int], t, v,
-            ks: Sequence):
-    """Infinite-family analogue of coeff_B with brace symbols throughout."""
-    return _twisted_coeff(qb, j, eps, ys, t, v, ks, True)
-
-
-def _twisted_coeff(qb, j, eps, ys, t, v, sizes, su11):
-    A = _coeff(qb, j, tuple(eps), tuple(ys), t, tuple(sizes), su11)
-    return _twist(qb, j, eps, A, heights(t, ys, sizes, su11), as_exponent(v), su11)
-
-
 def _twist(qb, j, eps, A, h, v_, su11):
-    """coeff_B (coeff_D with su11) of eps from the same eps's coeff_A
-    (coeff_C) and the heights h."""
+    """The B (D with su11) coefficient product of eps from its A (C) product
+    A and the heights h, by cases on sum(eps)."""
     M = len(h) - 1
     sym = qb.brace if su11 else qb.bracket
     S = sum(eps)
@@ -271,10 +215,9 @@ def _twist(qb, j, eps, A, h, v_, su11):
 
 @tabled
 def _shift_terms(qb: QBase, j: int, ys: tuple, t, v, sizes: tuple, su11: bool):
-    """The two shift-term maps of a chain point, ys+eps -> accumulated
-    coefficient: coeff_A's (coeff_C's with su11) and coeff_B's (coeff_D's),
-    from one pass over the shift set.  An out-of-range shift is skipped
-    after asserting that its coefficient vanishes exactly."""
+    """The A/B (C/D with su11) coefficient products of a chain point as two
+    maps ys+eps -> accumulated coefficient, from one pass over the shift set.
+    An out-of-range shift is skipped after asserting its coefficient is 0."""
     h = heights(t, ys, sizes, su11)
     v_ = as_exponent(v)
     terms = ({}, {})
@@ -299,8 +242,8 @@ def transfer_check_k2(qb: QBase, j: int, ys: Sequence[int], t, v,
                       Ns: Sequence[int]):
     """Total absolute residual over the full index grid of the diagonal-symbol
     transfer: the tensor operator (built from the representation module)
-    applied to the nested vector, versus the coeff_A-weighted sum of
-    shifted nested vectors.  Exact zero."""
+    applied to the nested vector, versus the shifted nested vectors weighted
+    by the A coefficient products.  Exact zero."""
     return _transfer_residual(qb, j, ys, t, v, None, Ns, False, None)
 
 
@@ -308,21 +251,21 @@ def transfer_check_x(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
                      Ns: Sequence[int]):
     """Total absolute residual of the twisted-element transfer: the right-aligned
     coproduct of the compact twisted element at parameter sigma, versus
-    [sigma]_q times the vector plus the coeff_B-weighted shifted sum."""
+    [sigma]_q times the vector plus the B coefficient products' shifted sum."""
     return _transfer_residual(qb, j, ys, t, v, sigma, Ns, False, None)
 
 
 def transfer_check_k2_asc(qb: QBase, j: int, ys: Sequence[int], t, v,
                           ks: Sequence, trunc: int):
-    """Interior total absolute residual of the diagonal-symbol transfer on a
-    truncated tensor space for the infinite family."""
+    """Interior total absolute residual of the diagonal-symbol transfer, with
+    the C coefficient products, on a truncated tensor space."""
     return _transfer_residual(qb, j, ys, t, v, None, ks, True, trunc)
 
 
 def transfer_check_y(qb: QBase, j: int, ys: Sequence[int], t, v, sigma,
                      ks: Sequence, trunc: int):
     """Interior total absolute residual of the non-compact twisted-element
-    transfer, with {sigma}_q on the diagonal and coeff_D weights."""
+    transfer, with {sigma}_q on the diagonal and the D coefficient products."""
     return _transfer_residual(qb, j, ys, t, v, sigma, ks, True, trunc)
 
 

@@ -447,7 +447,25 @@ def asc_w(qb: QBase, k, n: int):
     return asc_w_column(qb, k)[n]
 
 
+def _poles_named(table):
+    """Make a coefficient or weight table raise DenominatorPole, not ZeroDivisionError,
+    at parameters where one of its denominator factors vanishes."""
+
+    @wraps(table)
+    def checked(qb, *args, **kwargs):
+        try:
+            return table(qb, *args, **kwargs)
+        except ZeroDivisionError as exc:
+            point = ", ".join([*map(str, args), *(f"{k}={v}" for k, v in kwargs.items())])
+            raise DenominatorPole(
+                f"{table.__name__}({point}): a denominator factor vanishes"
+            ) from exc
+
+    return checked
+
+
 @tabled
+@_poles_named
 def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):
     """x-side weight; positive for s > -1, k > 0, decays like q**(2x(x+s)).
 
@@ -500,23 +518,6 @@ def asc_orth_x(ap: ASCParams, n: int, n2: int):
     if n == n2:
         acc -= 1 / asc_w(ap.qb, ap.k, n)
     return acc
-
-
-def _poles_named(table):
-    """Make a coefficient table raise DenominatorPole, not ZeroDivisionError,
-    at parameters where one of its denominator factors vanishes."""
-
-    @wraps(table)
-    def checked(qb, *args, **kwargs):
-        try:
-            return table(qb, *args, **kwargs)
-        except ZeroDivisionError as exc:
-            point = ", ".join([*map(str, args), *(f"{k}={v}" for k, v in kwargs.items())])
-            raise DenominatorPole(
-                f"{table.__name__}({point}): a denominator factor vanishes"
-            ) from exc
-
-    return checked
 
 
 @tabled

@@ -168,28 +168,10 @@ def qpoch(a, base, n: int):
 
 
 def qpoch_inf(a, base, tb: TailBound = TailBound()):
-    """The infinite product (a; base)_inf, truncated with a certificate.
-
-    Factors are accumulated until |a*base**m| < tolerance*(1-|base|); the
-    tail of the log-product is then bounded by ``tolerance`` (to first
-    order), so the *relative* error of the result is at most about
-    ``tolerance``; the absolute error scales with |(a; base)_inf|.
-    Requires |base| < 1.
-    """
-    bmag = abs(float(abs(base)))
-    if bmag >= 1:
-        raise NonConvergent(f"infinite Pochhammer needs |base| < 1, got {bmag}")
-    cutoff = tb.tolerance * (1 - bmag)
-    out = a * 0 + base * 0 + 1
-    f = out
-    for m in range(tb.max_terms):
-        if float(abs(a * f)) < cutoff:
-            return out
-        out *= 1 - a * f
-        f *= base
-    raise NonConvergent(
-        f"(a;q)_inf needed more than {tb.max_terms} factors for tolerance {tb.tolerance}"
-    )
+    """The infinite product (a; base)_inf, |base| < 1: the truncated ratio over
+    (0; base)_inf = 1, so its *relative* error is at most about ``tolerance``;
+    the absolute error scales with |(a; base)_inf|."""
+    return qpoch_inf_ratio(a, 0, base, tb)
 
 
 def qpoch_inf_ratio(a_top, a_bot, base, tb: TailBound = TailBound()):

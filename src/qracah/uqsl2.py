@@ -315,17 +315,13 @@ def twist_rewrite_residual(rs: RepSpec, u, v, s, t) -> OpMatrix:
     minus the bracket (or brace) constant correction."""
     qb = rs.qb
     u_, v_ = as_exponent(u), as_exponent(v)
-    K, Ki, E, F = gens(rs)
+    K = gens(rs)[0]
     K2 = K @ K
     compact = rs.kind == "su2"
-    if compact:
-        lhs = twist_x(rs, u, s, tilde=False)
-        tilt = twist_x(rs, v, t, tilde=True)
-        const = -qb.bracket(t) * qb.brace(u_ + v_) + qb.bracket(s)
-    else:
-        lhs = twist_y(rs, u, s, tilde=False)
-        tilt = twist_y(rs, v, t, tilde=True)
-        const = -qb.brace(t) * qb.brace(u_ + v_) + qb.brace(s)
+    sym = qb.bracket if compact else qb.brace
+    lhs = _twisted(rs, u, s, False, compact)
+    tilt = _twisted(rs, v, t, True, compact)
+    const = -sym(t) * qb.brace(u_ + v_) + sym(s)
     q2 = qb.qpow(2)
     K2_tilt, tilt_K2 = K2 @ tilt, tilt @ K2
     num = (qb.qpow(u_ + v_) * qcommutator(qb, K2_tilt, tilt_K2)
@@ -337,11 +333,8 @@ def twist_rewrite_residual(rs: RepSpec, u, v, s, t) -> OpMatrix:
 def gevp_rewrite_residual(rs: RepSpec, s) -> OpMatrix:
     """Residual of K**-2 X_{0,s} = Xtilde_{1,s} (or the Y analogue), the
     rewriting that turns the generalized eigenvalue problem into a plain one."""
-    K, Ki, E, F = gens(rs)
-    Ki2 = Ki @ Ki
-    if rs.kind == "su2":
-        return Ki2 @ twist_x(rs, 0, s, tilde=False) - twist_x(rs, 1, s, tilde=True)
-    return Ki2 @ twist_y(rs, 0, s, tilde=False) - twist_y(rs, 1, s, tilde=True)
+    Ki, compact = gens(rs)[1], rs.kind == "su2"
+    return (Ki @ Ki) @ _twisted(rs, 0, s, False, compact) - _twisted(rs, 1, s, True, compact)
 
 
 def eigen_residual(rs: RepSpec, u, s, x: int) -> list:
@@ -404,7 +397,7 @@ def coproduct_op(sites: Sequence[RepSpec], element: str, side: str, j: int,
     """The (j-1)-th coproduct image of a named element placed on the left or
     right j sites of the chain, identity elsewhere.
 
-    element is one of "x", "xtilde", "y", "ytilde", "k2", "kinv2"; u and s
+    element is one of "x", "xtilde", "y", "ytilde", "k2"; u and s
     parameterize the twisted elements.  Tensor ordering is row-major with
     the first site slowest, matching nested-product vectors.
     """
@@ -417,16 +410,11 @@ def coproduct_op(sites: Sequence[RepSpec], element: str, side: str, j: int,
     rest = sites[j:] if side == "L" else sites[: M - j]
     qb = sites[0].qb
     DK, DKi, DE, DF = coproduct_gens(window)
-    dim_w = DK.dim
-    compact = window[0].kind == "su2"
     if element == "k2":
         op = DK @ DK
-    elif element == "kinv2":
-        op = DKi @ DKi
-    elif element in ("x", "xtilde"):
-        op = _twist_from(qb, DE, DF, DK, DKi, u, s, element == "xtilde", True, dim_w)
-    elif element in ("y", "ytilde"):
-        op = _twist_from(qb, DE, DF, DK, DKi, u, s, element == "ytilde", False, dim_w)
+    elif element in ("x", "xtilde", "y", "ytilde"):
+        op = _twist_from(qb, DE, DF, DK, DKi, u, s, element.endswith("tilde"),
+                         element[0] == "x", DK.dim)
     else:
         raise OutOfRange(f"unknown element {element!r}")
     if not rest:

@@ -6,12 +6,11 @@ from itertools import product as iproduct
 import pytest
 
 from qracah import QBase, TailBound, kraw, KrawParams, asc, ASCParams
-from qracah.errors import InvalidEpsilon, OutOfRange
+from qracah import multivar
+from qracah.errors import OutOfRange
 from qracah.multivar import (
     asc_W_multi,
-    coeff_A,
     epsilon_set,
-    height,
     heights,
     kraw_W_multi,
     multi_biorth_residual,
@@ -29,7 +28,6 @@ from qracah.multivar import (
     transfer_check_k2_asc,
     transfer_check_x,
     transfer_check_y,
-    validate_epsilon,
 )
 from qracah.orthopoly import kraw_diff_coeffs
 from qracah.ratfun import RrParams, rr_inner
@@ -39,12 +37,10 @@ QB = QBase(F(1, 2))
 
 def test_heights_examples():
     # finite chain: t + sum(2 y_i - N_i)
-    assert height(1, (1, 0), (2, 3), 2) == 1 + (2 - 2) + (0 - 3) == -2
+    assert heights(1, (1, 0), (2, 3))[2] == 1 + (2 - 2) + (0 - 3) == -2
     # infinite chain: t + sum(2 y_i + k_i)
-    assert height(0, (1, 1), (1, 2), 2, su11=True) == 7
+    assert heights(0, (1, 1), (1, 2), su11=True)[2] == 7
     assert heights(2, (), ()) == [2]
-    with pytest.raises(OutOfRange):
-        height(0, (1,), (2,), 2)
 
 
 def test_nested_kraw_reductions():
@@ -82,7 +78,9 @@ def test_epsilon_set_cardinality():
             assert len(eps) == 3 ** j
             assert len(set(eps)) == 3 ** j
             for e in eps:
-                validate_epsilon(M, j, e)
+                # the frozen prefix vanishes and every prefix sum is in -1..1
+                assert len(e) == M and not any(e[:M - j])
+                assert all(-1 <= sum(e[:i + 1]) <= 1 for i in range(M))
 
 
 def test_epsilon_set_printed_sublist():
@@ -104,28 +102,19 @@ def test_epsilon_set_last_entry_classes():
     assert sums == {-1: 9, 0: 9, 1: 9}
 
 
-def test_validate_epsilon_rejects():
-    with pytest.raises(InvalidEpsilon):
-        validate_epsilon(3, 2, (1, 0, 0))  # nonzero in the frozen prefix
-    with pytest.raises(InvalidEpsilon):
-        validate_epsilon(3, 3, (2, 0, 0))  # prefix sum 2
-    with pytest.raises(InvalidEpsilon):
-        validate_epsilon(3, 3, (1, 1, -1))  # prefix sum 2 at entry 2
-
-
 def test_coeff_A_single_site_reduction():
     # j = 1 with eps = (0,...,0,-1) is the univariate downward coefficient
     Ns, t = (2, 3), 1
     for ys in iproduct(range(3), range(4)):
         h = heights(t, ys, Ns)
-        a = coeff_A(QB, 1, (0, -1), ys, t, Ns)
+        a = multivar._coeff_product(QB, 1, (0, -1), ys, h, Ns, False)
         assert a == kraw_diff_coeffs(QB, Ns[1], ys[1], h[1])[0]
     # the zero vector gives the product of middle coefficients
     ys = (1, 2)
     h = heights(t, ys, Ns)
     expect = (kraw_diff_coeffs(QB, 2, 1, h[0])[1]
               * kraw_diff_coeffs(QB, 3, 2, h[1])[1])
-    assert coeff_A(QB, 2, (0, 0), ys, t, Ns) == expect
+    assert multivar._coeff_product(QB, 2, (0, 0), ys, h, Ns, False) == expect
 
 
 def test_transfer_checks_exact():

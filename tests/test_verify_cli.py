@@ -476,6 +476,33 @@ def test_cli_coefficients_pole_exit_code():
     assert out.stderr.startswith("DenominatorPole")
 
 
+def test_cli_weights_pole_exit_code():
+    # the x-side weight's 1 - q**(2x+2s+2k) vanishes at x + s + k = 0: a
+    # named pole, in every mode, not a ZeroDivisionError traceback
+    for point in (("--s", "-2", "--x", "1"), ("--s", "-1", "--x", "0"),
+                  ("--s", "-2", "--x", "1", "--mode", "float")):
+        out = _cli("eval", "--fn", "weights", "--k", "1", *point)
+        assert out.returncode == 2 and "Traceback" not in out.stderr
+        assert out.stderr.startswith("DenominatorPole: asc_W(")
+        assert out.stderr.endswith("): a denominator factor vanishes\n")
+
+
+def test_cli_negative_fraction_or_complex_after_an_option():
+    # argparse takes only -1 and -0.5 for negative numbers; "--v -1/2" is
+    # read as "--v=-1/2", at the exact point the README documents
+    point = ("--fn", "pr_inner", "--k", "3/2", "--s", "1", "--t", "1/2", "--x", "1", "--y", "1")
+    spaced = _cli("eval", *point, "--v", "-1/2")
+    joined = _cli("eval", *point, "--v=-1/2")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout and "/" in spaced.stdout
+    cplx = _cli("eval", *point, "--v", "-1+1j", "--mode", "complex")
+    assert cplx.returncode == 0, cplx.stderr
+    complex(cplx.stdout)
+    # a negative base is read, then refused
+    bad = _cli("eval", *point, "--v", "0", "--p", "-1/2")
+    assert bad.returncode == 2 and bad.stderr.startswith("ConfigError: ")
+
+
 def test_cli_weights_n_side_needs_no_s():
     # kraw_w does not depend on s, so --s is read only when --x is asked
     without = _cli("eval", "--fn", "weights", "--p", "3/2", "--N", "13", "--n", "6")
