@@ -323,10 +323,11 @@ def rr_multi_inner(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
     """The same pairing evaluated as a full tensor inner product (the
     independent route: sum over the whole index grid)."""
     out = qb.zero()
+    rows = [orthopoly.kraw_w_column(qb, N) for N in Ns]
     for ns in iproduct(*[range(N + 1) for N in Ns]):
         w = qb.one()
-        for j, N in enumerate(Ns):
-            w *= orthopoly.kraw_w(qb, N, ns[j])
+        for row, n in zip(rows, ns):
+            w *= row[n]
         out += nested_kraw(qb, 1, s, Ns, xs, ns) * nested_kraw(qb, v, t, Ns, ys, ns) * w
     return out
 

@@ -40,36 +40,37 @@ over n fetches each row once and reads it by index.
   series column ``_series(qb, su11, size, s, x)``: u enters only the
   prefactor, so every twist reads one 3phi2 per (s, x).  ``kraw``/``asc``
   read a column by index and ``kraw_column``/``asc_column`` hand a whole
-  column to the sums over n; ``ratfun.pr_inner`` reads the two series
-  and folds both prefactors into one power, in every backend.  Each value
-  still comes from its own series, never from the recurrences that the
-  verify suites check: in an exact base the series column is the exact
-  3phi2 column ``qseries._Phi32Column`` (n-free term ratios computed once
-  per column, one Horner pass per entry), in the floating backends one
-  ``rphis`` per entry, ``_series_entry``.  For int s, u and size the
+  column to the sums over n.  The inner products of ``ratfun`` read the
+  two series and fold both prefactors into one power: ``pr_inner`` in
+  every backend, ``rr_inner`` in an exact base.  Each value still comes
+  from its own series, never from the recurrences that the verify suites
+  check: in an exact base the series column is the exact 3phi2 column
+  ``qseries._Phi32Column`` (n-free term ratios computed once per column,
+  one Horner pass per entry), in the floating backends one ``rphis`` per
+  entry, ``_series_entry``.  For int s, u and size the
   prefactor exponent is n(2s-2u-size+1)/2 on ints, the same power as the
   general expression.
 * The n-side weights are closed forms in Pochhammer prefixes of one base:
   ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2;
-  q**2)_(N-n)) and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2;
-  q**2)_n, kept as the row ``asc_w_column(qb, k)``.  Each prefix is read
-  from one row per (qb, exponent) -- ``_poch_row`` holds (q**e; q**2)_0,
-  (q**e; q**2)_1, ... grown by the loop of ``qpoch`` -- so both families
-  share the (q**2; q**2) row of a base, and ``asc_W`` reads the same two
-  rows as ``asc_w``.  Every entry comes out of the same operation sequence
-  as the direct ``qpoch``/``qbinom`` formula, so each weight is
-  bit-identical to it, and of the same type, in every backend.
+  q**2)_(N-n)), kept as the row ``kraw_w_column(qb, N)`` (an entry past N
+  raises ``OutOfRange``), and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n /
+  (q**2; q**2)_n, kept as the row ``asc_w_column(qb, k)``.  Each prefix
+  is read from one row per (qb, exponent) -- ``_poch_row`` holds (q**e;
+  q**2)_0, (q**e; q**2)_1, ... grown by the loop of ``qpoch`` -- so both
+  families share the (q**2; q**2) row of a base, and ``asc_W`` reads the
+  same two rows as ``asc_w``.  Every entry comes out of the same
+  operation sequence as the direct ``qpoch``/``qbinom`` formula, so each
+  weight is bit-identical to it, and of the same type, in every backend.
 
-The rows, ``kraw_w``/``kraw_W``/``asc_W`` and the
-``*_diff_coeffs``/``*_dyn_coeffs`` tables are ``tables.tabled``: the first
-call at a key stores the value for the life of the process, later calls
-return that same object, so every value is bit-identical to the
-undecorated function's.  Keys carry the type of each scalar argument, so a
-float exponent never reads the entry of an equal ``Fraction``, and
-``QBase`` equality includes the backend, so exact and floating bases never
-share a row; calls and row entries that raise store nothing.  The
-certified infinite sums refuse q > 1 before their first term
-(``qseries.require_q_below_one``).
+The rows, ``kraw_W``/``asc_W`` and the ``*_diff_coeffs``/``*_dyn_coeffs``
+tables are ``tables.tabled``: the first call at a key stores the value for
+the life of the process, later calls return that same object, so every
+value is bit-identical to the undecorated function's.  Keys carry the
+type of each scalar argument, so a float exponent never reads the entry of
+an equal ``Fraction``, and ``QBase`` equality includes the backend, so
+exact and floating bases never share a row; calls and row entries that
+raise store nothing.  The certified infinite sums refuse q > 1 before
+their first term (``qseries.require_q_below_one``).
 """
 
 from __future__ import annotations
@@ -293,6 +294,19 @@ def kraw(kp: KrawParams, n: int, x: int):
 
 
 @tabled
+def kraw_w_column(qb: QBase, N: int) -> _Row:
+    """The weights kraw_w(qb, N, n), n = 0, 1, ..., N, as one row read by
+    index; an entry past N raises OutOfRange."""
+    P = _poch_row(qb, 2)
+
+    def entry(n):
+        if n > N:
+            raise OutOfRange(f"n = {n} outside 0..{N}")
+        return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
+
+    return _Row(entry)
+
+
 def kraw_w(qb: QBase, N: int, n: int):
     """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under q <-> 1/q.
 
@@ -301,8 +315,7 @@ def kraw_w(qb: QBase, N: int, n: int):
     """
     if not 0 <= n <= N:
         raise OutOfRange(f"n = {n} outside 0..{N}")
-    P = _poch_row(qb, 2)
-    return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
+    return kraw_w_column(qb, N)[n]
 
 
 @tabled
@@ -335,8 +348,8 @@ def kraw_orth_x(kp: KrawParams, n: int, n2: int):
 def kraw_orth_n(kp: KrawParams, x: int, x2: int):
     """Residual of the n-summed orthogonality: sum_n k(n,x) k(n,x2) w(n) - delta/W(x)."""
     k0 = KrawParams(0, kp.s, kp.N, kp.qb)
-    left, right = kraw_column(k0, x), kraw_column(k0, x2)
-    acc = ordered_sum((left[n], right[n], kraw_w(kp.qb, kp.N, n)) for n in range(kp.N + 1))
+    left, right, w = kraw_column(k0, x), kraw_column(k0, x2), kraw_w_column(kp.qb, kp.N)
+    acc = ordered_sum((left[n], right[n], w[n]) for n in range(kp.N + 1))
     if x == x2:
         acc -= 1 / kraw_W(kp.qb, kp.s, kp.N, x)
     return acc

@@ -16,6 +16,11 @@ real parameters this is literally the weighted inner product, and it is the
 analytic continuation in v that makes closed form and biorthogonality hold
 verbatim for complex v with partner -conj(v) - 2 and an outer conjugation.
 
+Both inner products sum the terms of ``_inner_terms``: one power of q, the
+entries of the two twist-free 3phi2 series columns and the n-side weight,
+read off rows fetched once per sum.  ``pr_inner`` takes that route in every
+backend, ``rr_inner`` in an exact base.
+
 ``rr_inner`` and ``pr_inner`` are ``tables.tabled``: each (parameters, x, y)
 is summed once per process and the biorthogonality and recurrence residuals
 reuse that very value, so results are bit-identical to an untabled sum.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .orthopoly import (
@@ -39,7 +44,7 @@ from .orthopoly import (
     kraw_b_coeffs,
     kraw_column,
     kraw_diff_coeffs,
-    kraw_w,
+    kraw_w_column,
     kraw_W,
     require_positive_k,
 )
@@ -53,7 +58,7 @@ from .qseries import (
     rphis,
 )
 from .scalar import QBase, as_exponent, ordered_sum, real_part
-from .tables import tabled
+from .tables import _Row, tabled
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,43 @@ class PrParams:
     tb: TailBound = TailBound()
 
 
+def _inner_terms(qb: QBase, su11: bool, size, s, t, v, x: int, y: int, w: _Row):
+    """The terms (q**(n(s+t-v-size)), left[n], right[n], w[n]), n = 0, 1,
+    ..., of either family's inner product at twists 1 and v.
+
+    ``left`` and ``right`` are the twist-free series columns at (s, x) and
+    (t, y).  The column prefactors q**(n(s-1/2-size/2)) and
+    q**(n(t-v-size/2+1/2)) are one power, and their (-1)**n signs on the
+    finite side cancel, so each term is that power, the two series entries
+    and the weight.  Only the combined power has to be a half-integer
+    power of q: where each prefactor alone would need a root of p (s = 1/4,
+    t = 3/4, v = 0, say) the sum is still exact.
+    """
+    left, right = _series(qb, su11, size, s, x), _series(qb, su11, size, t, y)
+    e = s + t - v - size
+    return ((qb.qpow(n * e), left[n], right[n], w[n]) for n in count())
+
+
 @tabled
 def rr_inner(rp: RrParams, x: int, y: int):
-    """Reference evaluation: sum_n k_{1,s}(n,x) k_{v,t}(n,y) w(n)."""
+    """Reference evaluation: sum_n k_{1,s}(n,x) k_{v,t}(n,y) w(n).
+
+    An exact base sums the first N + 1 terms of ``_inner_terms``, the route
+    ``pr_inner`` takes, on one unreduced integer pair.  The floating bases
+    still multiply the two polynomial columns, (left[n], right[n], w[n]):
+    folding the power there changes float bits, and goes with the floating
+    backends' false verdicts (ROADMAP item 8).
+    """
     if not (0 <= x <= rp.N and 0 <= y <= rp.N):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
-    left = kraw_column(KrawParams(1, rp.s, rp.N, rp.qb), x)
-    right = kraw_column(KrawParams(rp.v, rp.t, rp.N, rp.qb), y)
-    return ordered_sum((left[n], right[n], kraw_w(rp.qb, rp.N, n)) for n in range(rp.N + 1))
+    qb, N = rp.qb, rp.N
+    w = kraw_w_column(qb, N)
+    if qb.is_exact:
+        s, t, v = as_exponent(rp.s), as_exponent(rp.t), as_exponent(rp.v)
+        return ordered_sum(islice(_inner_terms(qb, False, N, s, t, v, x, y, w), N + 1))
+    left = kraw_column(KrawParams(1, rp.s, N, qb), x)
+    right = kraw_column(KrawParams(rp.v, rp.t, N, qb), y)
+    return ordered_sum((left[n], right[n], w[n]) for n in range(N + 1))
 
 
 def _pole_index(s, t, v, y):
@@ -263,14 +297,11 @@ def pr_inner(pp: PrParams, x: int, y: int):
     """Certified evaluation of sum_n phi_{1,s}(n,x) phi_{v,t}(n,y) w_k(n);
     the terms decay like q**(n(s+t+1-v)), so Re(v) < 1+s+t is required.
 
-    The two twist-free series columns and the weight row are fetched once
-    and read by index.  The column prefactors q**(n(2s+k-1)/2) and
-    q**(n(2t-2v+k+1)/2) are one power q**(n(s+t-v+k)), so each term is that
-    power, the two series entries and the weight, in every backend; the
-    exact ``certified_sum`` takes them unreduced, the same rational as the
-    product of the column values.  Only the combined power has to be a
-    half-integer power of q: at k = 1/2, s = 0, t = v = 1/2 it is
-    q**(n/2), where each prefactor alone would need a root of p.
+    The terms are ``_inner_terms`` at size -k, in every backend: the power
+    q**(n(s+t-v+k)), the two series entries and the weight.  The exact
+    ``certified_sum`` takes them unreduced, the same rational as the
+    product of the column values.  At k = 1/2, s = 0, t = v = 1/2 the
+    power is q**(n/2), where each prefactor alone would need a root of p.
     """
     if x < 0 or y < 0:
         raise OutOfRange(f"(x, y) = ({x}, {y}) must be nonnegative")
@@ -281,11 +312,9 @@ def pr_inner(pp: PrParams, x: int, y: int):
             f"inner product diverges: Re(v) = {pp.v} >= 1 + s + t"
         )
     qb = pp.qb
-    w = asc_w_column(qb, pp.k)
     s, t, v, k = (as_exponent(pp.s), as_exponent(pp.t), as_exponent(pp.v), as_exponent(pp.k))
-    left, right = _series(qb, True, -k, s, x), _series(qb, True, -k, t, y)
-    e = s + t - v + k
-    return certified_sum(((qb.qpow(n * e), left[n], right[n], w[n]) for n in count()), pp.tb)
+    terms = _inner_terms(qb, True, -k, s, t, v, x, y, asc_w_column(qb, pp.k))
+    return certified_sum(terms, pp.tb)
 
 
 pr_valid = rr_valid

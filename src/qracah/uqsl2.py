@@ -208,11 +208,12 @@ class RepSpec:
         E, F is exact (all rows for su2)."""
         return self.dim if self.kind == "su2" else max(self.dim - degree, 0)
 
-    def weight(self, n: int):
-        """The Hilbert-space weight pairing this representation's basis."""
+    def weights(self):
+        """The Hilbert-space weights pairing this representation's basis, as
+        one row read by index."""
         if self.kind == "su2":
-            return orthopoly.kraw_w(self.qb, self.N, n)
-        return orthopoly.asc_w(self.qb, self.k, n)
+            return orthopoly.kraw_w_column(self.qb, self.N)
+        return orthopoly.asc_w_column(self.qb, self.k)
 
 
 @tabled
@@ -300,7 +301,7 @@ def star_residual(rs: RepSpec, A: OpMatrix, Astar: OpMatrix) -> OpMatrix:
     """Residual of the adjointness relation w(n) A[n,m] = w(m) conj(A*[m,n])
     for the weighted inner product of the representation space."""
     qb = rs.qb
-    w = [rs.weight(n) for n in range(rs.dim)]
+    w = rs.weights()
     out = [{m: w[n] * a for m, a in row.items()} for n, row in enumerate(A.rows)]
     for m, row in enumerate(Astar.rows):
         for n, b in row.items():

@@ -26,7 +26,6 @@ process pool; results stream in deterministic task order either way.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -555,13 +554,19 @@ def _run_task_star(args):
 
 
 def run_suite(suite_id: str, cfg: RunConfig) -> Iterator[CheckReport]:
-    """Execute a suite, yielding reports in deterministic task order."""
+    """Execute a suite, yielding reports in deterministic task order.
+
+    ``cfg.jobs`` > 1 runs the tasks in a process pool, imported on first
+    use: a serial run, and every ``import qracah``, loads no
+    ``multiprocessing``."""
     tasks = build_tasks(suite_id, cfg)
     tol = cfg.tol()
     if cfg.jobs <= 1:
         for task in tasks:
             yield run_task(task, cfg.mode, tol)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
         args = [(task, cfg.mode, tol) for task in tasks]
         for report in pool.map(_run_task_star, args, chunksize=8):

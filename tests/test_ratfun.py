@@ -6,6 +6,7 @@ import pytest
 
 from qracah import (
     ASCParams,
+    KrawParams,
     PrParams,
     QBase,
     RrParams,
@@ -26,10 +27,12 @@ from qracah import (
 )
 from qracah import multivar
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
-from qracah.orthopoly import _series, asc_column, asc_w_column
+from qracah.orthopoly import _series, asc_column, asc_w_column, kraw_column, kraw_w
 from qracah.qseries import certified_sum
 from qracah.ratfun import _gevp_residual, _pole_index
+from qracah.scalar import ordered_sum
 from qracah.tables import table_sizes
+from qracah.verify import _STV
 
 QB = QBase(F(1, 2))
 HALF_GRID = ((0, 0, 0), (1, 0, 0), (1, 2, 1), (2, 1, -1), (F(1, 2), F(3, 2), 0),
@@ -149,6 +152,54 @@ def test_rr_complex_backend_biorthogonality():
     for i in range(3):
         for j in range(3):
             assert abs(rr_biorth_residual(rp, "x", i, j)) < 1e-12
+
+
+def _rr_column_fold(rp, x, y):
+    # the polynomial columns times the weight, term by term: the independent
+    # reference for the series route of an exact rr_inner
+    left = kraw_column(KrawParams(1, rp.s, rp.N, rp.qb), x)
+    right = kraw_column(KrawParams(rp.v, rp.t, rp.N, rp.qb), y)
+    return ordered_sum((left[n], right[n], kraw_w(rp.qb, rp.N, n)) for n in range(rp.N + 1))
+
+
+@pytest.mark.parametrize("mode, ps", [("exact", (F(1, 2), F(2, 3), F(3, 2))),
+                                      ("float", (0.5, 2 / 3, 1.5)),
+                                      ("complex", (F(1, 2), F(2, 3), F(3, 2)))])
+def test_rr_inner_is_the_column_fold(mode, ps):
+    # exact: the series route gives the fold's rational and its type;
+    # float and complex: the fold itself, bit for bit (repr keeps the sign
+    # of a zero)
+    for p in ps:
+        qb = QBase(p, mode)
+        for N in range(7):
+            for s, t, v in _STV:
+                rp = RrParams(s, t, v, N, qb)
+                for x in range(N + 1):
+                    for y in range(N + 1):
+                        got, want = rr_inner(rp, x, y), _rr_column_fold(rp, x, y)
+                        assert type(got) is type(want), (p, N, s, t, v, x, y)
+                        if qb.is_exact:
+                            assert got == want, (p, N, s, t, v, x, y)
+                        else:
+                            assert repr(got) == repr(want), (p, N, s, t, v, x, y)
+
+
+def test_exact_rr_inner_takes_quarter_integer_points():
+    # the combined power q**(n(s+t-v-N)) is exact at s = 1/4, t = 3/4, v = 0
+    # although each column prefactor alone would need a root of p, and the
+    # sum agrees with the closed form on every valid cell
+    rp = RrParams(F(1, 4), F(3, 4), 0, 3, QB)
+    before = table_sizes()
+    assert rr_inner(rp, 2, 1) == rr_closed(rp, 2, 1) == F(-265, 91)
+    after = table_sizes()
+    # the sum reads the two series columns and builds no polynomial column
+    assert after["qracah.orthopoly._column"] == before["qracah.orthopoly._column"]
+    assert after["qracah.orthopoly._series"] == before["qracah.orthopoly._series"] + 2
+    cells = [(x, y) for x in range(4) for y in range(4) if rr_valid(rp, x, y)]
+    assert len(cells) == 16
+    for x, y in cells:
+        inner = rr_inner(rp, x, y)
+        assert type(inner) is F and inner == rr_closed(rp, x, y), (x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,8 @@ def _calls(qb):
     h = _exponent(qb, F(1, 2))
     one = _exponent(qb, 1)
     calls = []
-    for n in range(4):
-        calls.append((orthopoly.kraw_w, (qb, 3, n), {}))
+    for N in range(4):
+        calls.append((orthopoly.kraw_w_column, (qb, N), {}))
     for y in range(4):
         calls.append((kraw_W, (qb, h, 3, y), {}))
         calls.append((kraw_W, (qb, 1, 3), {"x": y}))
@@ -286,10 +286,17 @@ def test_column_entries_are_fresh_series_values(qb):
                             assert got is want, (su11, size, u, s, n, x)
                         else:
                             assert _same(got, want), (su11, size, u, s, n, x)
-    # the weight row the certified sums read alongside
+    # the weight rows the sums over n read alongside
     for k in (F(1, 2), 1, F(3, 2)):
         for n in reversed(range(6)):
             assert _same(orthopoly.asc_w_column(qb, k)[n], _asc_w_direct(qb, k, n)), (k, n)
+    for N in range(5):
+        row = orthopoly.kraw_w_column(qb, N)
+        for n in reversed(range(N + 1)):
+            direct = qb.qpow(n * (n - N)) * qseries.qbinom(N, n, qb.qpow(2))
+            assert _same(row[n], direct), (N, n)
+        with pytest.raises(OutOfRange):
+            row[N + 1]
 
 
 def test_one_polynomial_column_grows_thread_safely():

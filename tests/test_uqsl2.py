@@ -281,7 +281,7 @@ def test_coproduct_padding_sides():
 
 def _relative_star_bound(rs, A):
     res = star_residual(rs, A, A)
-    w = [rs.weight(n) for n in range(rs.dim)]
+    w = rs.weights()
     worst = 0.0
     for n in range(rs.dim):
         for m in range(rs.dim):

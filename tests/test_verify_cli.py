@@ -445,6 +445,16 @@ def _cli(*args):
     )
 
 
+def test_import_loads_no_process_pool():
+    # the pool is imported on first use, by a run with --jobs > 1, so the
+    # package and its command line load no multiprocessing
+    code = ("import sys, qracah, qracah.cli; print(sorted(m for m in sys.modules"
+            " if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_cli_eval_trivial():
     out = _cli("eval", "--fn", "kraw", "--p", "1/2", "--N", "3", "--s", "1",
                "--n", "0", "--x", "2")
