@@ -48,7 +48,7 @@ from .errors import InternalError, OutOfRange
 from . import orthopoly, uqsl2
 from .orthopoly import ASCParams, KrawParams, TailBound
 from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
-from .scalar import QBase, as_exponent, ordered_sum
+from .scalar import QBase, as_exponent, ordered_sum, residual_sum
 from .tables import tabled
 
 
@@ -281,19 +281,23 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc):
         op = _chain_op(qb, sizes, su11, trunc, "y" if su11 else "x", "R", j, 0, sigma)
         lam = (qb.brace if su11 else qb.bracket)(as_exponent(sigma))
     vec = _nested_vec(qb, v, t, sizes, ys, su11, trunc)
-    out = op.apply(vec)
     termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
     terms = termsA if sigma is None else termsB
-    shifted_vecs = {ysf: _nested_vec(qb, v, t, sizes, ysf, su11, trunc) for ysf in terms}
+    shifted = [(c, _nested_vec(qb, v, t, sizes, ysf, su11, trunc)) for ysf, c in terms.items()]
 
-    def residual(ii):
-        rhs = [(c, shifted_vecs[ysf][ii]) for ysf, c in terms.items()]
+    def row(ii):
+        rhs = [(c, svec[ii]) for c, svec in shifted]
         if lam is not None:
             rhs.append((lam, vec[ii]))
-        return abs(out[ii] - ordered_sum(rhs, qb.zero()))
+        return _op_row(op, vec, ii), rhs
 
-    return ordered_sum((residual(ii) for ii, ns in enumerate(grid)
-                        if _interior(ns, su11, trunc)), qb.zero())
+    return residual_sum((row(ii) for ii, ns in enumerate(grid) if _interior(ns, su11, trunc)),
+                        qb.zero())
+
+
+def _op_row(op, vec, ii):
+    """Row ii of op applied to vec, as the terms (entry, vec[column])."""
+    return [(a, vec[j]) for j, a in op.rows[ii].items()]
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +517,6 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base,
         lam = symbol(h[M])
     else:
         raise OutOfRange(f"side must be 'L' or 'R', got {side!r}")
-    out = op.apply(vec)
-    return ordered_sum((abs(out[ii] - lam * vec[ii]) for ii, ns in enumerate(grid)
-                        if _interior(ns, su11, trunc)), qb.zero())
+    return residual_sum(((_op_row(op, vec, ii), [(lam, vec[ii])])
+                         for ii, ns in enumerate(grid) if _interior(ns, su11, trunc)),
+                        qb.zero())

@@ -184,21 +184,20 @@ def qpoch_inf_ratio(a_top, a_bot, base, tb: TailBound = TailBound()):
     error of the ratio is at most about 2*tolerance; the absolute error
     scales with the ratio itself.
 
-    When a_top and a_bot are int or Fraction and base is a Fraction, the
-    product runs on integer pairs: a*base**m is an unreduced pair whose
-    correctly rounded quotient, the float of the reduced value, is the stop
-    test; a vanishing denominator factor is an integer test; each factor is
-    an integer pair cancelled into the running pair by two gcds against the
-    small factor, as Fraction multiplication does; and one Fraction is built
-    at the end, the rational the factor-by-factor loop gives.  Other inputs
-    run that loop; an int base with |base| < 1 is 0.
+    When a_top, a_bot and base are int or Fraction (an int base with
+    |base| < 1 is 0), the product runs on integer pairs: a*base**m is an
+    unreduced pair whose correctly rounded quotient, the float of the
+    reduced value, is the stop test; a vanishing denominator factor is an
+    integer test; each factor is an integer pair cancelled into the running
+    pair by two gcds against the small factor, as Fraction multiplication
+    does; and one Fraction is built at the end, the rational the
+    factor-by-factor Fraction loop gives.  Other inputs run that loop.
     """
     bmag = abs(float(abs(base)))
     if bmag >= 1:
         raise NonConvergent(f"infinite Pochhammer needs |base| < 1, got {bmag}")
     cutoff = tb.tolerance * (1 - bmag)
-    if (isinstance(base, Fraction) and isinstance(a_top, (int, Fraction))
-            and isinstance(a_bot, (int, Fraction))):
+    if all(isinstance(x, (int, Fraction)) for x in (a_top, a_bot, base)):
         tn, td = _pair(a_top)
         bn, bd = _pair(a_bot)
         qn, qd = _pair(base)

@@ -34,6 +34,14 @@ reduced, so it is the rational ``*`` and ``+`` give.  From the first factor
 that is not int or Fraction on, terms are multiplied and added left to
 right: the float residuals do not depend on whether the interpreter's
 ``sum`` compensates rounding (it does from Python 3.12 on).
+
+:func:`residual_sum` is the total absolute residual of a check, the sum
+over rows of |sum(plus) - sum(minus)|, each side a list of factor tuples
+(an operator row applied to a vector, say, against the other side of the
+identity).  In the exact backend each row is one unreduced integer pair,
+its magnitude is added to one outer pair, and a call builds one Fraction,
+not one per row for each sum, difference and ``abs``.  Float and complex
+rows run that expression as written, so their bits do not change.
 """
 
 from __future__ import annotations
@@ -85,35 +93,103 @@ def ordered_sum(values, start=0):
     """
     values = iter(values)
     out = start
-    if isinstance(start, (int, Fraction)):
-        num, den = start.numerator, start.denominator
-        # whether a Fraction entered; int is tested first, since
-        # isinstance(n, Fraction) on an int runs the slow ABC check
-        ratio = not isinstance(start, int)
-        for value in values:
-            factors = value if isinstance(value, tuple) else (value,)
-            tn = td = 1
-            term_ratio = False
-            for f in factors:
-                if isinstance(f, int):
-                    tn *= f
-                elif isinstance(f, Fraction):
-                    tn *= f.numerator
-                    td *= f.denominator
-                    term_ratio = True
-                else:
-                    out = (Fraction(num, den) if ratio else num) + product(factors)
-                    break
-            else:
-                num, den = add_pair(num, den, tn, td)
-                ratio = ratio or term_ratio
-                continue
-            break
-        else:
-            return Fraction(num, den) if ratio else num
+    if _is_exact(start):
+        num, den, ratio, pending = _add_terms(values, start.numerator, start.denominator)
+        # whether a Fraction entered
+        ratio = ratio or not isinstance(start, int)
+        out = Fraction(num, den) if ratio else num
+        if pending is None:
+            return out
+        out = out + product(pending)
     for value in values:
         out = out + (product(value) if isinstance(value, tuple) else value)
     return out
+
+
+def residual_sum(rows, zero):
+    """The sum over rows of |sum(plus) - sum(minus)|, from ``zero``: each row
+    is a pair (plus, minus) of term sequences in :func:`ordered_sum`'s form.
+
+    The value and type are those of
+    ``ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus, zero)) for
+    plus, minus in rows), zero)``.  While ``zero`` and every factor are int
+    or Fraction, each row is one unreduced integer pair (the minus terms
+    negated), a row of value 0 adds nothing, and the others add their
+    magnitude to one outer pair by :func:`add_pair`: one Fraction is built
+    per call.  A row that meets another factor is recomputed by that
+    expression, and so is every row after it, so float and complex results
+    keep their bits.
+    """
+    rows = iter(rows)
+    out = zero
+    if _is_exact(zero):
+        zn, zd = zero.numerator, zero.denominator
+        num, den = zn, zd
+        ratio = not isinstance(zero, int)
+        for plus, minus in rows:
+            # sum(plus) - (zero + sum(minus)): the minus side starts at zero
+            rn, rd, plus_ratio, pending = _add_terms(plus, -zn, zd)
+            if pending is None:
+                rn, rd, minus_ratio, pending = _add_terms(minus, rn, rd, True)
+            if pending is not None:
+                out = (Fraction(num, den) if ratio else num) + _residual(plus, minus, zero)
+                break
+            ratio = ratio or plus_ratio or minus_ratio
+            if rn:
+                num, den = add_pair(num, den, abs(rn), rd)
+        else:
+            return Fraction(num, den) if ratio else num
+    for plus, minus in rows:
+        out = out + _residual(plus, minus, zero)
+    return out
+
+
+def _residual(plus, minus, zero):
+    return abs(ordered_sum(plus) - ordered_sum(minus, zero))
+
+
+def _is_exact(x) -> bool:
+    # type() first: isinstance(x, Fraction) on any other type runs the slow
+    # ABC check (Fraction is a numbers.Rational)
+    return type(x) is Fraction or type(x) is int or isinstance(x, (int, Fraction))
+
+
+def _add_terms(terms, num, den, negate=False):
+    """Add the terms (negated with ``negate``) to the pair num/den.
+
+    Returns (num, den, ratio, pending): the pair after the last term whose
+    factors are all int or Fraction, whether a Fraction factor entered
+    those terms, and the factor tuple of the first term with another
+    factor (``None`` if there is none).  An iterator is left just past
+    that term.
+    """
+    ratio = False
+    for value in terms:
+        factors = value if isinstance(value, tuple) else (value,)
+        tn = td = 1
+        term_ratio = False
+        for f in factors:
+            if type(f) is Fraction:
+                tn *= f.numerator
+                td *= f.denominator
+                term_ratio = True
+            elif type(f) is int or isinstance(f, int):
+                tn *= f
+            elif isinstance(f, Fraction):
+                tn *= f.numerator
+                td *= f.denominator
+                term_ratio = True
+            else:
+                return num, den, ratio, factors
+        if negate:
+            tn = -tn
+        if td == 1:
+            # an integer term needs no gcd
+            num += tn * den
+        else:
+            num, den = add_pair(num, den, tn, td)
+        ratio = ratio or term_ratio
+    return num, den, ratio, None
 
 
 def add_pair(num, den, tn, td):

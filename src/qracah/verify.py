@@ -34,7 +34,7 @@ from typing import Iterator, List, Optional
 from . import multivar, orthopoly, qseries, ratfun, uqsl2
 from .errors import QRacahError
 from .report import CheckReport, residual_string
-from .scalar import QBase, as_exponent, ordered_sum
+from .scalar import QBase, as_exponent, ordered_sum, residual_sum
 from .tables import tabled
 
 DEFAULT_PS = (Fraction(1, 2), Fraction(2, 3))  # q = 1/4 and 4/9
@@ -174,7 +174,7 @@ def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
         column, pack = orthopoly.kraw_column, orthopoly.KrawParams
         dyn_coeffs = orthopoly.kraw_dyn_coeffs
     col_t = column(pack(v, t, size, qb), y)
-    residuals = []
+    rows = []
     for direction in (2, -2):
         coeffs = dyn_coeffs(qb, size, y, t, direction)
         offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
@@ -182,15 +182,14 @@ def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
         cols = {e: column(shifted, y + e) for e in offsets
                 if 0 <= y + e and (su11 or y + e <= size)}
         for n in range(n_top + 1):
-            lhs = qb.qpow(2 * n + diag) * col_t[n]
             rhs = []
             for c, e in zip(coeffs, offsets):
                 if e in cols:
                     rhs.append((c, cols[e][n]))
                 elif c != 0:
                     raise QRacahError("nonzero coefficient at out-of-range shift")
-            residuals.append(abs(lhs - ordered_sum(rhs, qb.zero())))
-    return ordered_sum(residuals, qb.zero())
+            rows.append(([(qb.qpow(2 * n + diag), col_t[n])], rhs))
+    return residual_sum(rows, qb.zero())
 
 
 def chk_asc_transfer(qb, k, s, t, v, y, trunc):

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from qracah import QBase, TailBound, kraw, KrawParams, asc, ASCParams
-from qracah import multivar
+from qracah import multivar, orthopoly
 from qracah.errors import OutOfRange
 from qracah.multivar import (
     asc_W_multi,
@@ -31,6 +31,8 @@ from qracah.multivar import (
 )
 from qracah.orthopoly import kraw_diff_coeffs
 from qracah.ratfun import RrParams, rr_inner
+from qracah.uqsl2 import OpMatrix
+from qracah.verify import chk_kraw_dyn
 
 QB = QBase(F(1, 2))
 
@@ -310,3 +312,121 @@ def test_multivariate_nested_orthogonality():
                     assert total == 1 / w
                 else:
                     assert total == 0
+
+
+# ---------------------------------------------------------------------------
+# nonzero residuals: every default-grid exact residual is 0, so a wrong
+# coefficient and a wrong operator entry show what the residual sums add up
+# ---------------------------------------------------------------------------
+
+
+def _old_transfer(qb, j, ys, t, v, sigma, sizes, su11, trunc):
+    # the operator applied to the nested vector, minus the shifted sum, abs,
+    # row by row: the expression the transfer residual is defined by
+    _, grid = multivar._chain(qb, sizes, su11, trunc)
+    if sigma is None:
+        op, lam = multivar._chain_op(qb, sizes, su11, trunc, "k2", "R", j, 0, 0), None
+    else:
+        op = multivar._chain_op(qb, sizes, su11, trunc, "y" if su11 else "x", "R", j, 0, sigma)
+        lam = (qb.brace if su11 else qb.bracket)(sigma)
+    vec = multivar._nested_vec(qb, v, t, sizes, ys, su11, trunc)
+    out = op.apply(vec)
+    termsA, termsB = multivar._shift_terms(qb, j, ys, t, v, sizes, su11)
+    terms = termsA if sigma is None else termsB
+    total = qb.zero()
+    for ii, ns in enumerate(grid):
+        if multivar._interior(ns, su11, trunc):
+            rhs = qb.zero()
+            for ysf, c in terms.items():
+                rhs += c * multivar._nested_vec(qb, v, t, sizes, ysf, su11, trunc)[ii]
+            if lam is not None:
+                rhs += lam * vec[ii]
+            total += abs(out[ii] - rhs)
+    return total
+
+
+def _old_nested_eigen(qb, side, j, v, base, sizes, ys, su11=False, trunc=None):
+    _, grid = multivar._chain(qb, sizes, su11, trunc)
+    h = heights(base, ys, sizes, su11)
+    vec = multivar._nested_vec(qb, v, base, sizes, ys, su11, trunc)
+    element, symbol = ("ytilde", qb.brace) if su11 else ("xtilde", qb.bracket)
+    if side == "L":
+        op = multivar._chain_op(qb, sizes, su11, trunc, element, "L", j, v, base)
+        lam = symbol(h[j])
+    else:
+        op = multivar._chain_op(qb, sizes, su11, trunc, element, "R", j, v,
+                                h[len(sizes) - j])
+        lam = symbol(h[len(sizes)])
+    out = op.apply(vec)
+    total = qb.zero()
+    for ii, ns in enumerate(grid):
+        if multivar._interior(ns, su11, trunc):
+            total += abs(out[ii] - lam * vec[ii])
+    return total
+
+
+def _old_kraw_dyn(qb, N, t, v, y):
+    # q^(2n-N) k_{v,t}(n, y) against the parameter-shifted five-point sum
+    total = qb.zero()
+    for direction in (2, -2):
+        coeffs = orthopoly.kraw_dyn_coeffs(qb, N, y, t, direction)
+        offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
+        for n in range(N + 1):
+            rhs = qb.zero()
+            for c, e in zip(coeffs, offsets):
+                if 0 <= y + e <= N:
+                    rhs += c * kraw(KrawParams(v, t + direction, N, qb), n, y + e)
+            total += abs(qb.qpow(2 * n - N) * kraw(KrawParams(v, t, N, qb), n, y) - rhs)
+    return total
+
+
+@pytest.fixture
+def wrong_entries(monkeypatch):
+    """One shift coefficient of each map and one entry of every chain
+    operator off by a fixed rational."""
+    shift_terms, chain_op = multivar._shift_terms, multivar._chain_op
+
+    def wrong_shift_terms(*args):
+        out = []
+        for terms in shift_terms(*args):
+            terms = dict(terms)
+            for first in terms:  # a map can be empty
+                terms[first] += F(1, 3)
+                break
+            out.append(terms)
+        return tuple(out)
+
+    def wrong_chain_op(qb, *args):
+        op = chain_op(qb, *args)
+        rows = [dict(row) for row in op.rows]
+        rows[0][0] = rows[0].get(0, qb.zero()) + F(2, 5)
+        return OpMatrix._sparse(rows, op.zero)
+
+    monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
+    monkeypatch.setattr(multivar, "_chain_op", wrong_chain_op)
+
+
+@pytest.mark.parametrize("got, want", [
+    (lambda: transfer_check_k2(QB, 2, (1, 1), 0, 1, (2, 2)),
+     lambda: _old_transfer(QB, 2, (1, 1), 0, 1, None, (2, 2), False, None)),
+    (lambda: transfer_check_k2(QB, 1, (2,), 1, 0, (3,)),
+     lambda: _old_transfer(QB, 1, (2,), 1, 0, None, (3,), False, None)),
+    (lambda: transfer_check_y(QB, 2, (1, 0), 1, 0, 1, (1, 1), 5),
+     lambda: _old_transfer(QB, 2, (1, 0), 1, 0, 1, (1, 1), True, 5)),
+    (lambda: nested_eigen_residual(QB, "R", 2, 0, 1, (2, 2), (1, 1)),
+     lambda: _old_nested_eigen(QB, "R", 2, 0, 1, (2, 2), (1, 1))),
+    (lambda: nested_eigen_residual(QB, "L", 1, 1, 0, (1, 1), (0, 1), True, 4),
+     lambda: _old_nested_eigen(QB, "L", 1, 1, 0, (1, 1), (0, 1), True, 4)),
+])
+def test_wrong_entries_give_the_row_by_row_residual(wrong_entries, got, want):
+    got, want = got(), want()
+    assert type(got) is F and got == want and got > 0
+
+
+def test_a_wrong_five_point_coefficient_gives_the_row_by_row_residual(monkeypatch):
+    # the last coefficient's shift (y, or y + 2 <= N) is in range
+    dyn_coeffs = orthopoly.kraw_dyn_coeffs
+    monkeypatch.setattr(orthopoly, "kraw_dyn_coeffs",
+                        lambda *args: (*dyn_coeffs(*args)[:-1], dyn_coeffs(*args)[-1] + F(1, 7)))
+    got, want = chk_kraw_dyn(QB, 3, 1, 0, 1), _old_kraw_dyn(QB, 3, 1, 0, 1)
+    assert type(got) is F and got == want and got > 0

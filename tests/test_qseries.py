@@ -83,6 +83,14 @@ def test_qpoch_inf_against_long_product():
     assert qpoch_inf(0.0, 0.25) == 1.0
 
 
+def test_exact_qpoch_inf_with_an_int_base_is_a_fraction():
+    # an int base (0 is the only one below 1) takes the integer-pair
+    # product: (2; 0)_inf = 1 - 2, not the float of a `/` loop
+    for got, want in ((qpoch_inf(2, 0), F(-1)), (qpoch_inf_ratio(2, 3, 0), F(1, 2)),
+                      (qpoch_inf_ratio(F(1, 2), 3, 0), F(-1, 4))):
+        assert type(got) is F and got == want
+
+
 def test_qpoch_inf_shift_relation():
     # (a;q)_inf / (a q**j; q)_inf == (a; q)_j
     a, q, j = 0.2, 0.25, 3
@@ -107,11 +115,10 @@ def test_qpoch_inf_ratio_matches_separate_products():
 
 def _ratio_fraction_loop(a_top, a_bot, base, tb):
     # the truncated product factor by factor, every partial product a
-    # reduced Fraction and every stop test a float(); also returns the index
-    # m of the stop test that ended it
+    # reduced Fraction (int inputs too) and every stop test a float(); also
+    # returns the index m of the stop test that ended it
     cutoff = tb.tolerance * (1 - abs(float(abs(base))))
-    out = a_top * 0 + a_bot * 0 + base * 0 + 1
-    f = out
+    out = f = F(1)
     for m in range(tb.max_terms):
         if float(abs(a_top * f)) < cutoff and float(abs(a_bot * f)) < cutoff:
             return out, m
@@ -134,7 +141,7 @@ def _ratio_fraction_loop(a_top, a_bot, base, tb):
 @example(a_top=F(-5, 2), a_bot=F(9, 4), base=F(-2, 3), tol=1e-9, max_terms=99)  # pole at m = 2
 @example(a_top=F(1, 3), a_bot=F(1, 5), base=F(7, 8), tol=1e-12, max_terms=40)  # NonConvergent
 @example(a_top=3, a_bot=-2, base=F(1, 2), tol=1e-12, max_terms=99)  # int parameters
-@example(a_top=2, a_bot=3, base=0, tol=1e-12, max_terms=99)  # int inputs
+@example(a_top=2, a_bot=3, base=0, tol=1e-12, max_terms=99)  # int inputs: the Fraction 1/2
 @example(a_top=F(-5, 2), a_bot=F(-1, 3), base=F(-1, 3), tol=1e-14, max_terms=99)  # negatives
 @example(a_top=0, a_bot=0, base=F(1, 2), tol=1e-3, max_terms=1)  # stops at m = 0
 # |a_top base**8| is the cutoff 2**-11 itself, which does not stop the product

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qracah import QBase
 from qracah.errors import ExactnessError, OutOfRange
-from qracah.scalar import as_exponent, ordered_sum
+from qracah.scalar import as_exponent, ordered_sum, residual_sum
 
 
 def test_qbase_validation():
@@ -340,3 +340,72 @@ def test_ordered_sum_of_factor_tuples():
     # an exact prefix, then a float: 0 + 1/3*3 = 1 exactly, then + 0.5
     assert repr(ordered_sum([(F(1, 3), 3), (F(1, 2), 1.0)])) == "1.5"
     assert repr(ordered_sum([(2, -0.0)])) == "0.0" == repr(0 + 2 * -0.0)
+
+
+def _residual_expr(rows, zero):
+    # the definition: each row's |sum(plus) - sum(minus)|, summed from zero
+    return ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus, zero))
+                        for plus, minus in rows), zero)
+
+
+def _rows(factor):
+    # (plus, minus) pairs: empty rows (an operator row with no entry),
+    # rows whose two sides are equal (value 0) and arbitrary ones
+    side = _terms(factor)
+    row = st.one_of(st.tuples(side, side), side.map(lambda terms: (terms, list(terms))),
+                    st.just(([], [])))
+    return st.lists(row, max_size=4)
+
+
+_ZEROS = st.sampled_from([0, F(0)])
+
+
+@settings(max_examples=150)
+@given(rows=st.one_of(_rows(_EXACT), _rows(st.integers(-5, 5)), _rows(st.integers(-5, -1))),
+       zero=st.one_of(_ZEROS, _EXACT))
+def test_residual_sum_exact_is_the_expression(rows, zero):
+    # one integer pair per row and one outer pair give the expression's
+    # rational and type: an int while no Fraction entered (int-only rows
+    # from the int 0), a Fraction otherwise
+    got, want = residual_sum(rows, zero), _residual_expr(rows, zero)
+    assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=150)
+@given(rows=_rows(st.one_of(_SMALL_EXACT, _FLOAT)),
+       zero=st.one_of(_ZEROS, st.sampled_from([0.0, -0.0]), _FLOAT))
+def test_residual_sum_float_is_the_expression_bit_for_bit(rows, zero):
+    assert _outcome(residual_sum, rows, zero) == _outcome(_residual_expr, rows, zero)
+
+
+@settings(max_examples=150)
+@given(rows=_rows(st.one_of(_SMALL_EXACT, _FLOAT, _COMPLEX)),
+       zero=st.one_of(_ZEROS, _FLOAT, _COMPLEX))
+def test_residual_sum_complex_is_the_expression_bit_for_bit(rows, zero):
+    assert _outcome(residual_sum, rows, zero) == _outcome(_residual_expr, rows, zero)
+
+
+@settings(max_examples=100)
+@given(prefix=_rows(_EXACT), factors=st.lists(_SMALL_EXACT, max_size=2),
+       x=st.one_of(_FLOAT, _COMPLEX), in_minus=st.booleans(),
+       rest=_rows(st.one_of(_SMALL_EXACT, _FLOAT)), zero=_ZEROS)
+def test_residual_sum_exact_rows_then_a_float_factor(prefix, factors, x, in_minus, rest,
+                                                      zero):
+    # the exact rows become the expression's value where a float factor
+    # follows exact ones, on either side of a row
+    side = [(F(1, 3), 2), (*factors, x)]
+    row = ([(1, F(1, 2))], side) if in_minus else (side, [F(2, 7)])
+    rows = [*prefix, row, *rest]
+    assert _outcome(residual_sum, iter(rows), zero) == _outcome(_residual_expr, rows, zero)
+
+
+def test_residual_sum_examples():
+    # |1/2 - 1/3| + |0| + |2 - 5| over three rows
+    rows = [([F(1, 2)], [(F(1, 3), 1)]), ([], []), ([(2, 1)], [5])]
+    assert residual_sum(rows, F(0)) == F(19, 6)
+    assert type(residual_sum([([2], [5])], 0)) is int
+    assert type(residual_sum([([2], [5])], F(0))) is F
+    assert type(residual_sum([], F(0))) is F
+    # -0.0 entries: the operator row's 0 + 2 * -0.0 is 0.0
+    assert repr(residual_sum([([(2, -0.0)], [-0.0])], 0.0)) == "0.0"
+    assert repr(residual_sum([], -0.0)) == "-0.0"
