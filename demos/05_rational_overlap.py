@@ -16,12 +16,12 @@ from qracah import (
     pr_closed,
     pr_inner,
     pr_valid,
-    rr_biorth_residual,
     rr_closed,
     rr_gevp_residual,
     rr_inner,
     rr_valid,
 )
+from qracah.multivar import multi_biorth_residual
 
 qb = QBase(F(1, 2))
 rp = RrParams(2, 1, -1, 3, qb)
@@ -37,7 +37,9 @@ agree = all(
 print("closed form == inner product on the validity domain:", agree)
 
 print("\nbiorthogonality residuals (x-relation, partner -v-2):")
-bad = sum(1 for i in range(4) for j in range(4) if rr_biorth_residual(rp, "x", i, j) != 0)
+# the univariate relation is the one-site chain's
+bad = sum(1 for i in range(4) for j in range(4)
+          if multi_biorth_residual(qb, rp.s, rp.t, rp.v, (rp.N,), "x", (i,), (j,)) != 0)
 print("  nonzero residuals:", bad)
 
 print("three-term recurrence residuals:")

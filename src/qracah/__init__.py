@@ -56,10 +56,8 @@ from .ratfun import (
     RrParams,
     pr_biorth_residual,
     pr_closed,
-    pr_gevp_residual,
     pr_inner,
     pr_valid,
-    rr_biorth_residual,
     rr_closed,
     rr_gevp_residual,
     rr_inner,

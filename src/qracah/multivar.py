@@ -40,7 +40,6 @@ the product of univariate factors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
@@ -62,8 +61,7 @@ def heights(base, ys: Sequence[int], sizes: Sequence, su11: bool = False) -> lis
     h_j = h_{j-1} + 2*y_j - N_j (finite chain) or + 2*y_j + k_j (infinite)."""
     if len(ys) != len(sizes):
         raise OutOfRange(f"{len(ys)} indices vs {len(sizes)} sites")
-    # exact heights are returned (and printed) as Fractions
-    h = [Fraction(base) if isinstance(base, (int, Fraction)) else base]
+    h = [as_exponent(base)]
     for y, size in zip(ys, sizes):
         step = 2 * y + as_exponent(size) if su11 else 2 * y - as_exponent(size)
         h.append(h[-1] + step)

@@ -37,15 +37,12 @@ from .orthopoly import (
     KrawParams,
     _series,
     _signed_qpow,
-    asc_d_coeffs,
-    asc_diff_coeffs,
     asc_w_column,
     asc_W,
     kraw_b_coeffs,
     kraw_column,
     kraw_diff_coeffs,
     kraw_w_column,
-    kraw_W,
     require_positive_k,
 )
 from .qseries import (
@@ -205,26 +202,6 @@ def rr_closed(rp: RrParams, x: int, y: int):
     return c1 * ser
 
 
-def rr_biorth_residual(rp: RrParams, relation: str, idx: int, idx2: int):
-    """Residual of the biorthogonality relation against the partner family
-    with v replaced by -conj(v) - 2.
-
-    relation="x" sums over x with weight W(x,s): the result is
-    delta_{idx,idx2} / W(idx, t) for row indices (y, y') = (idx, idx2).
-    relation="y" is the symmetric statement summing over y.
-    """
-    qb = rp.qb
-    vpart = -qb.conj(rp.v) - 2
-    partner = RrParams(rp.s, rp.t, vpart, rp.N, qb)
-    outer, diag, overlap = biorth_overlap(
-        qb, relation, rp.s, rp.t, idx, idx2,
-        lambda x, y: rr_inner(rp, x, y), lambda x, y: rr_inner(partner, x, y))
-    acc = ordered_sum((*overlap(u), kraw_W(qb, outer, rp.N, u)) for u in range(rp.N + 1))
-    if idx == idx2:
-        acc -= 1 / kraw_W(qb, diag, rp.N, idx)
-    return acc
-
-
 def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
     """The summand of one biorthogonality relation between the families
     ``left(x, y)`` and ``right(x, y)``.
@@ -252,32 +229,25 @@ def rr_gevp_residual(rp: RrParams, x: int, y: int):
     R is ``rr_inner``, total on 0..N; boundary terms are dropped exactly
     where their coefficient vanishes.
     """
-    return _gevp_residual(rp, x, y, False, rr_inner)
+    return _gevp_residual(rp, x, y, rr_inner)
 
 
-def _gevp_residual(p, x, y, su11, evaluate):
-    """The three-term identity of either family: brackets, the a/b tables
-    and y <= N for the finite one; braces, the c/d tables and no upper
-    boundary in y for the infinite one."""
-    qb = p.qb
-    if su11:
-        sym = qb.brace
-        ev = sym(2 * x + as_exponent(p.k) + as_exponent(p.s))
-        a, b = asc_diff_coeffs(qb, p.k, y, p.t), asc_d_coeffs(qb, p.k, y, p.t, p.v)
-    else:
-        sym = qb.bracket
-        ev = sym(2 * x - p.N + as_exponent(p.s))
-        a, b = kraw_diff_coeffs(qb, p.N, y, p.t), kraw_b_coeffs(qb, p.N, y, p.t, p.v)
-    (am1, a0, a1), (bm1, b0, b1) = a, b
-    val = evaluate(p, x, y)
+def _gevp_residual(rp, x, y, evaluate):
+    """The three-term identity with R = ``evaluate(rp, x, y)``: the finite
+    family's brackets and a/b tables, with no term outside 0..N in y."""
+    qb = rp.qb
+    ev = qb.bracket(2 * x - rp.N + as_exponent(rp.s))
+    am1, a0, a1 = kraw_diff_coeffs(qb, rp.N, y, rp.t)
+    bm1, b0, b1 = kraw_b_coeffs(qb, rp.N, y, rp.t, rp.v)
+    val = evaluate(rp, x, y)
     lhs = a0 * val
-    rhs = (b0 + sym(p.s)) * val
+    rhs = (b0 + qb.bracket(rp.s)) * val
     if y > 0:
-        val = evaluate(p, x, y - 1)
+        val = evaluate(rp, x, y - 1)
         lhs += am1 * val
         rhs += bm1 * val
-    if su11 or y < p.N:
-        val = evaluate(p, x, y + 1)
+    if y < rp.N:
+        val = evaluate(rp, x, y + 1)
         lhs += a1 * val
         rhs += b1 * val
     return ev * lhs - rhs
@@ -369,9 +339,3 @@ def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
         acc -= 1 / asc_W(qb, diag, pp.k, idx, pp.tb)
     return acc
 
-
-def pr_gevp_residual(pp: PrParams, x: int, y: int):
-    """Residual of the three-term identity for the infinite family, with
-    {2x+k+s}_q on the left; float-precision contract (the closed form's
-    infinite Pochhammer ratio prevents exact cancellation)."""
-    return _gevp_residual(pp, x, y, True, pr_inner)

@@ -338,32 +338,6 @@ def gevp_rewrite_residual(rs: RepSpec, s) -> OpMatrix:
     return (Ki @ Ki) @ _twisted(rs, 0, s, False, compact) - _twisted(rs, 1, s, True, compact)
 
 
-def eigen_residual(rs: RepSpec, u, s, x: int) -> list:
-    """Residual vector of the eigenvalue equation for the tilde element on
-    the polynomial family vector at spectral point x.
-
-    su2: eigenvalue [2x-N+s]_q, exact on all rows.  su11: eigenvalue
-    {2x+k+s}_q, exact on rows 0..trunc-1.
-    """
-    qb = rs.qb
-    s_ = as_exponent(s)
-    if rs.kind == "su2":
-        if not 0 <= x <= rs.N:
-            raise OutOfRange(f"x = {x} outside 0..{rs.N}")
-        op = twist_x(rs, u, s, tilde=True)
-        lam = qb.bracket(2 * x - rs.N + s_)
-        column = orthopoly.kraw_column(orthopoly.KrawParams(u, s, rs.N, qb), x)
-    else:
-        if x < 0:
-            raise OutOfRange(f"x = {x} must be nonnegative")
-        op = twist_y(rs, u, s, tilde=True)
-        lam = qb.brace(2 * x + as_exponent(rs.k) + s_)
-        column = orthopoly.asc_column(orthopoly.ASCParams(u, s, rs.k, qb), x)
-    vec = [column[n] for n in range(rs.dim)]
-    out = op.apply(vec)
-    return [o - lam * v for o, v in zip(out, vec)]
-
-
 # ---------------------------------------------------------------------------
 # coproduct images on tensor products
 # ---------------------------------------------------------------------------

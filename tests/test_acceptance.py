@@ -15,12 +15,9 @@ from qracah import (
     KrawParams,
     QBase,
     RrParams,
-    PrParams,
     TailBound,
     kraw_orth_n,
     kraw_orth_x,
-    pr_gevp_residual,
-    rr_biorth_residual,
     rr_closed,
     rr_gevp_residual,
     rr_inner,
@@ -107,11 +104,12 @@ def test_criterion_04_biorthogonality():
     for N in range(5):
         for (s, t) in ((0, 0), (1, 2), (2, 1)):
             for v in (-2, -1, 0, 1):
-                rp = RrParams(s, t, v, N, qb)
+                # the univariate relation is the one-site chain's
                 for i in range(N + 1):
                     for j in range(N + 1):
-                        assert rr_biorth_residual(rp, "x", i, j) == 0
-                        assert rr_biorth_residual(rp, "y", i, j) == 0
+                        for relation in ("x", "y"):
+                            assert multivar.multi_biorth_residual(
+                                qb, s, t, v, (N,), relation, (i,), (j,)) == 0
                         checked += 2
     # the self-partner case v = -1 is plain orthogonality
     rp = RrParams(1, 1, -1, 3, qb)
@@ -157,21 +155,20 @@ def test_criterion_06_eigenvalue_equations():
     """Univariate and nested eigen-identities, exact (interior for su11)."""
     qb = QBase(F(1, 2))
     count = 0
+    # the univariate eigen-identities are the one-site chain's left ones,
+    # summed over every row (su2) or the interior rows (su11)
     for N in range(5):
-        rs = uqsl2.RepSpec.su2(N, qb)
         for u in (0, 1):
             for s in (0, 2):
                 for x in range(N + 1):
-                    assert all(r == 0 for r in uqsl2.eigen_residual(rs, u, s, x))
+                    assert multivar.nested_eigen_residual(qb, "L", 1, u, s, (N,), (x,)) == 0
                     count += 1
     for k in (1, 2):
-        rs = uqsl2.RepSpec.su11(k, 10, qb)
-        rows = rs.interior(1)
         for u in (0, 1):
             for s in (0, 1):
                 for x in (0, 1, 2):
-                    res = uqsl2.eigen_residual(rs, u, s, x)
-                    assert all(r == 0 for r in res[:rows])
+                    assert multivar.nested_eigen_residual(
+                        qb, "L", 1, u, s, (k,), (x,), True, 10) == 0
                     count += 1
     # nested chains, left- and right-aligned coproducts
     for sizes in ((2,), (2, 2), (1, 1, 1), (2, 1, 2)):
@@ -271,11 +268,12 @@ def test_criterion_08_three_term_recurrences():
                     assert rr_gevp_residual(rp, x, y) == 0
                     count += 1
     worst = 0.0
+    # the infinite recurrence is the one-site chain's
     for (k, s, t, v) in ((1, 0, 1, 0), (2, 1, 0, -1)):
-        pp = PrParams(s, t, v, k, qb, TB)
         for x in range(4):
             for y in range(4):
-                r = abs(float(pr_gevp_residual(pp, x, y)))
+                r = abs(float(multivar.multi_gevp_residual_asc(
+                    qb, 1, (x,), (y,), s, t, v, (k,), TB)))
                 worst = max(worst, r)
                 assert r < 1e-9
                 count += 1

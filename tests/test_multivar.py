@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from qracah import QBase, TailBound, kraw, KrawParams, asc, ASCParams
-from qracah import multivar, orthopoly
+from qracah import multivar, orthopoly, uqsl2
 from qracah.errors import OutOfRange
 from qracah.multivar import (
     asc_W_multi,
@@ -30,9 +30,11 @@ from qracah.multivar import (
     transfer_check_y,
 )
 from qracah.orthopoly import kraw_diff_coeffs
-from qracah.ratfun import RrParams, rr_inner
-from qracah.uqsl2 import OpMatrix
-from qracah.verify import chk_kraw_dyn
+from qracah.ratfun import PrParams, RrParams, pr_inner, rr_inner
+from qracah.report import residual_string
+from qracah.scalar import ordered_sum
+from qracah.uqsl2 import OpMatrix, RepSpec, twist_x, twist_y
+from qracah.verify import CHECKS, RunConfig, build_tasks, chk_kraw_dyn, run_task
 
 QB = QBase(F(1, 2))
 
@@ -430,3 +432,151 @@ def test_a_wrong_five_point_coefficient_gives_the_row_by_row_residual(monkeypatc
                         lambda *args: (*dyn_coeffs(*args)[:-1], dyn_coeffs(*args)[-1] + F(1, 7)))
     got, want = chk_kraw_dyn(QB, 3, 1, 0, 1), _old_kraw_dyn(QB, 3, 1, 0, 1)
     assert type(got) is F and got == want and got > 0
+
+
+# ---------------------------------------------------------------------------
+# the univariate eigen, biorthogonality and infinite-recurrence verdicts run
+# the one-site chain: each against the univariate expression it replaced
+# ---------------------------------------------------------------------------
+
+
+def _univariate_eigen(qb, u, s, x, N=None, k=None, trunc=None):
+    # the tilde element applied row by row to the family column, minus the
+    # eigenvalue times the column, over the rows the window keeps exact
+    if N is not None:
+        rs = RepSpec.su2(N, qb)
+        op, lam = twist_x(rs, u, s, tilde=True), qb.bracket(2 * x - N + s)
+        column = orthopoly.kraw_column(KrawParams(u, s, N, qb), x)
+    else:
+        rs = RepSpec.su11(k, trunc, qb)
+        op, lam = twist_y(rs, u, s, tilde=True), qb.brace(2 * x + k + s)
+        column = orthopoly.asc_column(ASCParams(u, s, k, qb), x)
+    vec = [column[n] for n in range(rs.dim)]
+    res = [o - lam * w for o, w in zip(op.apply(vec), vec)]
+    return ordered_sum(abs(r) for r in res[:rs.interior(1)])
+
+
+def _univariate_rr_biorth(qb, N, s, t, v, relation, i, j):
+    # the u-sum of the two rr_inner factors times the weight, minus
+    # delta_ij over the weight at the other parameter
+    rp, partner = RrParams(s, t, v, N, qb), RrParams(s, t, -qb.conj(v) - 2, N, qb)
+    if relation == "x":
+        outer, diag = s, t
+        pairs = [(rr_inner(rp, u, i), qb.conj(rr_inner(partner, u, j))) for u in range(N + 1)]
+    else:
+        outer, diag = t, s
+        pairs = [(rr_inner(rp, i, u), qb.conj(rr_inner(partner, j, u))) for u in range(N + 1)]
+    acc = ordered_sum((*pair, orthopoly.kraw_W(qb, outer, N, u)) for u, pair in enumerate(pairs))
+    if i == j:
+        acc -= 1 / orthopoly.kraw_W(qb, diag, N, i)
+    return acc
+
+
+def _univariate_pr_gevp(qb, tb, k, s, t, v, x, y, c0_error=0):
+    # {2x+k+s}_q (c_-1 R(x,y-1) + c_0 R(x,y) + c_1 R(x,y+1))
+    #   - (d_-1 R(x,y-1) + (d_0 + {s}_q) R(x,y) + d_1 R(x,y+1)),
+    # with c_0 off by c0_error
+    pp = PrParams(s, t, v, k, qb, tb)
+    (cm1, c0, c1) = orthopoly.asc_diff_coeffs(qb, k, y, t)
+    c0 += c0_error
+    (dm1, d0, d1) = orthopoly.asc_d_coeffs(qb, k, y, t, v)
+    val = pr_inner(pp, x, y)
+    lhs, rhs = c0 * val, (d0 + qb.brace(s)) * val
+    if y > 0:
+        val = pr_inner(pp, x, y - 1)
+        lhs += cm1 * val
+        rhs += dm1 * val
+    val = pr_inner(pp, x, y + 1)
+    lhs += c1 * val
+    rhs += d1 * val
+    return qb.brace(2 * x + k + s) * lhs - rhs
+
+
+_EIGEN_POINTS = (dict(N=4, u=1, s=2, x=1), dict(N=3, u=0, s=1, x=2), dict(N=4, u=1, s=0, x=3),
+                 dict(k=2, trunc=12, u=1, s=1, x=2), dict(k=1, trunc=12, u=0, s=0, x=1))
+_BIORTH_POINTS = ((3, 1, 2, 0, "x", 1, 1), (3, 2, 1, -1, "y", 2, 2), (2, 0, 0, 1, "x", 0, 1),
+                  (3, 1, 2, -2, "y", 0, 0))
+
+
+@pytest.mark.parametrize("mode", ["float", "complex"])
+def test_one_site_eigen_and_biorth_are_the_univariate_floats(mode):
+    # the same bits, rounding residuals included
+    qb = QBase(F(2, 3), mode)
+    eigen = [(CHECKS["eigen"](qb, **pt), _univariate_eigen(qb, **pt)) for pt in _EIGEN_POINTS]
+    biorth = [(CHECKS["rr_biorth"](qb, *pt), _univariate_rr_biorth(qb, *pt))
+              for pt in _BIORTH_POINTS]
+    for pairs in (eigen, biorth):
+        assert [repr(got) for got, _ in pairs] == [repr(want) for _, want in pairs]
+        assert any(want for _, want in pairs)
+
+
+def test_one_site_infinite_recurrence_is_the_univariate_one():
+    # certified tasks run in exact scalars in every mode, so the chain's
+    # order of the three terms gives the same rational, and the floating
+    # modes report the same float of it
+    cfg = RunConfig()
+    tasks = build_tasks("prop4.5", cfg)
+    assert len(tasks) == 32
+    values = []
+    for task in tasks:
+        point = dict(task.params)
+        qb = QBase(point.pop("p"))
+        tb = TailBound(tolerance=point.pop("tb_tol"), max_terms=point.pop("tb_max_terms"))
+        want = _univariate_pr_gevp(qb, tb, **point)
+        got = CHECKS["pr_gevp"](qb, tb, **point)
+        assert type(got) is F and got == want, task.check
+        for mode in ("float", "complex"):
+            report = run_task(task, mode, cfg.tol())
+            assert report.residual == residual_string(float(want)), (task.check, mode)
+        values.append(want)
+    assert any(values)
+
+
+@pytest.fixture
+def wrong_twisted_entry(monkeypatch):
+    """Entry (0, 0) of every twisted element off by 2/5, in the one body
+    that builds it for twist_x/twist_y and for coproduct_op; the tables
+    that keep those elements are read around."""
+    twist_from = uqsl2._twist_from
+
+    def wrong_twist_from(qb, *args):
+        op = twist_from(qb, *args)
+        rows = [dict(row) for row in op.rows]
+        rows[0][0] = rows[0].get(0, qb.zero()) + F(2, 5)
+        return OpMatrix._sparse(rows, op.zero)
+
+    monkeypatch.setattr(uqsl2, "_twist_from", wrong_twist_from)
+    monkeypatch.setattr(uqsl2, "_twisted", uqsl2._twisted.__wrapped__)
+    monkeypatch.setattr(multivar, "_chain_op", multivar._chain_op.__wrapped__)
+
+
+@pytest.mark.parametrize("point", [dict(N=3, u=1, s=2, x=1), dict(k=1, trunc=6, u=0, s=1, x=2)])
+def test_a_wrong_twisted_entry_gives_the_univariate_eigen_residual(wrong_twisted_entry, point):
+    got, want = CHECKS["eigen"](QB, **point), _univariate_eigen(QB, **point)
+    assert type(got) is F and got == want and got > 0
+
+
+def test_a_wrong_weight_gives_the_univariate_biorth_residual(monkeypatch):
+    kraw_W = orthopoly.kraw_W
+    monkeypatch.setattr(orthopoly, "kraw_W",
+                        lambda qb, s, N, x: kraw_W(qb, s, N, x) + (F(1, 3) if x == 1 else 0))
+    for point in ((3, 1, 2, 0, "x", 1, 0), (2, 0, 0, 1, "y", 1, 1), (3, 2, 1, -1, "x", 2, 2)):
+        got, want = CHECKS["rr_biorth"](QB, *point), _univariate_rr_biorth(QB, *point)
+        assert type(got) is F and got == want and got != 0, point
+
+
+def test_a_wrong_shift_coefficient_gives_the_univariate_recurrence_residual(monkeypatch):
+    # the unshifted coefficient of the one-site C map off by 1/3 is c_0 of
+    # the univariate identity off by 1/3
+    shift_terms = multivar._shift_terms
+
+    def wrong_shift_terms(qb, j, ys, *args):
+        C, D = shift_terms(qb, j, ys, *args)
+        return {**C, ys: C.get(ys, qb.zero()) + F(1, 3)}, D
+
+    monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
+    tb = TailBound(tolerance=1e-12)
+    for point in ((1, 0, 1, 0, 1, 2), (2, 1, 0, -1, 0, 0)):
+        got = CHECKS["pr_gevp"](QB, tb, *point)
+        want = _univariate_pr_gevp(QB, tb, *point, c0_error=F(1, 3))
+        assert type(got) is F and got == want and got != 0, point

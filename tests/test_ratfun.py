@@ -16,10 +16,8 @@ from qracah import (
     kraw_W,
     pr_biorth_residual,
     pr_closed,
-    pr_gevp_residual,
     pr_inner,
     pr_valid,
-    rr_biorth_residual,
     rr_closed,
     rr_gevp_residual,
     rr_inner,
@@ -88,6 +86,11 @@ def test_rr_symmetry():
                     assert rr_inner(a, x, y) == rr_inner(b, y, x)
 
 
+def _rr_biorth(rp, relation, i, j):
+    # the univariate biorthogonality is the one-site chain's
+    return multivar.multi_biorth_residual(rp.qb, rp.s, rp.t, rp.v, (rp.N,), relation, (i,), (j,))
+
+
 def test_rr_biorth_both_relations_exact():
     for N in range(4):
         for (s, t) in ((0, 0), (1, 2), (2, 1)):
@@ -95,15 +98,15 @@ def test_rr_biorth_both_relations_exact():
                 rp = RrParams(s, t, v, N, QB)
                 for i in range(N + 1):
                     for j in range(N + 1):
-                        assert rr_biorth_residual(rp, "x", i, j) == 0
-                        assert rr_biorth_residual(rp, "y", i, j) == 0
+                        assert _rr_biorth(rp, "x", i, j) == 0
+                        assert _rr_biorth(rp, "y", i, j) == 0
 
 
 def test_rr_biorth_self_partner():
     # v = -1 is its own partner: plain orthogonality
     rp = RrParams(0, 0, -1, 1, QB)
-    assert rr_biorth_residual(rp, "x", 0, 1) == 0
-    assert rr_biorth_residual(rp, "y", 1, 1) == 0
+    assert _rr_biorth(rp, "x", 0, 1) == 0
+    assert _rr_biorth(rp, "y", 1, 1) == 0
 
 
 def test_rr_biorth_diagonal_value():
@@ -134,7 +137,7 @@ def test_rr_gevp_closed_path():
         for y in range(4):
             pts = [(x, yy) for yy in (y - 1, y, y + 1) if 0 <= yy <= 3]
             if all(rr_valid(rp, *pt) for pt in pts):
-                assert _gevp_residual(rp, x, y, False, rr_closed) == 0
+                assert _gevp_residual(rp, x, y, rr_closed) == 0
 
 
 def test_rr_out_of_range():
@@ -142,7 +145,7 @@ def test_rr_out_of_range():
     with pytest.raises(OutOfRange):
         rr_inner(rp, 3, 0)
     with pytest.raises(OutOfRange):
-        rr_biorth_residual(rp, "diag", 0, 0)
+        _rr_biorth(rp, "diag", 0, 0)
 
 
 def test_rr_complex_backend_biorthogonality():
@@ -151,7 +154,7 @@ def test_rr_complex_backend_biorthogonality():
     rp = RrParams(1.0, 0.0, 0.5 + 0.25j, 2, qb)
     for i in range(3):
         for j in range(3):
-            assert abs(rr_biorth_residual(rp, "x", i, j)) < 1e-12
+            assert abs(_rr_biorth(rp, "x", i, j)) < 1e-12
 
 
 def _rr_column_fold(rp, x, y):
@@ -289,16 +292,21 @@ def test_pr_biorth_diagonal_value():
     assert asc_W(QBF, 0, 1, 0, TB) > 0
 
 
+def _pr_gevp(pp, x, y):
+    # the infinite three-term identity is the one-site chain's
+    return multivar.multi_gevp_residual_asc(pp.qb, 1, (x,), (y,), pp.s, pp.t, pp.v, (pp.k,), pp.tb)
+
+
 def test_pr_gevp():
     # exact scalars keep the residual at pure truncation size
     for (k, s, t, v) in ((1, 0, 1, 0), (2, 1, 0, -1)):
         pp = PrParams(s, t, v, k, QB, TB)
         for x in range(4):
             for y in range(4):
-                assert abs(float(pr_gevp_residual(pp, x, y))) < 1e-9
+                assert abs(float(_pr_gevp(pp, x, y))) < 1e-9
     # a larger spectral point, same contract
     pp = PrParams(0, 1, 0, 1, QB, TB)
-    assert abs(float(pr_gevp_residual(pp, 6, 1))) < 1e-8
+    assert abs(float(_pr_gevp(pp, 6, 1))) < 1e-8
 
 
 def test_pole_index_helper():

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from qracah import QBase
 from qracah.errors import DimensionMismatch, OutOfRange
+from qracah.multivar import nested_eigen_residual
+from qracah.orthopoly import ASCParams, asc_column
 from qracah.uqsl2 import (
     OpMatrix,
     RepSpec,
     coproduct_gens,
     coproduct_op,
     coproduct_twist_coideal,
-    eigen_residual,
     gens,
     gevp_rewrite_residual,
     relation_residuals,
@@ -206,23 +207,25 @@ def test_gevp_rewrite():
 
 
 def test_eigen_residual_su2():
-    # the finite family diagonalizes the tilde element with [2x-N+s]_q
-    rs0 = RepSpec.su2(0, QB)
-    assert eigen_residual(rs0, 0, 1, 0) == [0]
+    # the finite family diagonalizes the tilde element with [2x-N+s]_q: the
+    # one-site chain's left eigen-identity, summed over every row
+    assert nested_eigen_residual(QB, "L", 1, 0, 1, (0,), (0,)) == 0
     for N in (2, 4):
-        rs = RepSpec.su2(N, QB)
         for u in (0, 1):
             for s in (0, 2):
                 for x in range(N + 1):
-                    assert all(r == 0 for r in eigen_residual(rs, u, s, x))
+                    assert nested_eigen_residual(QB, "L", 1, u, s, (N,), (x,)) == 0
 
 
 def test_eigen_residual_su11_interior():
     rs = RepSpec.su11(1, 12, QB)
     for x in (0, 1, 2):
-        res = eigen_residual(rs, 0, 0, x)
-        assert all(r == 0 for r in res[: rs.interior(1)])
-        assert res[-1] != 0  # boundary row genuinely leaks
+        assert nested_eigen_residual(QB, "L", 1, 0, 0, (1,), (x,), True, 12) == 0
+        # the boundary row, fed from outside the window, genuinely leaks
+        column = asc_column(ASCParams(0, 0, 1, QB), x)
+        vec = [column[n] for n in range(rs.dim)]
+        out = twist_y(rs, 0, 0, tilde=True).apply(vec)
+        assert out[-1] - QB.brace(2 * x + 1) * vec[-1] != 0
 
 
 def test_coproduct_k2_is_kron_square():

@@ -792,6 +792,18 @@ def test_cli_floating_overflow_fails_by_report():
     assert out.stderr.startswith("OutOfRange: q**") and "Traceback" not in out.stderr
 
 
+def test_certified_residual_beyond_the_float_range_fails_by_report():
+    # at p = 1/10**200 this exact certified residual is about 2**2658, past
+    # the largest float: a failing OutOfRange report, not an OverflowError
+    cfg = RunConfig(p=F(1, 10**200))
+    check = "gevp[ks=(1, 1),j=2,s=1,t=0,v=0,xs=[1, 1],ys=[0, 1]]"
+    [task] = [t for t in build_tasks("cor4.9", cfg) if t.check == check]
+    report = run_task(task, "exact", cfg.tol())
+    assert not report.passed and report.residual == "error"
+    assert report.error.startswith("OutOfRange: ")
+    assert report.error.endswith("leaves the floating-point range")
+
+
 def test_cli_verify_unknown_suite():
     out = _cli("verify", "--suite", "nope")
     assert out.returncode == 2

@@ -48,6 +48,9 @@ REFERENCES = {
     "qseries.summation_lhs": _TEST + " (summation_pair_qracah)",
     "qseries.summation_rhs": _TEST + " (summation_pair_qracah)",
     "uqsl2.coproduct_twist_coideal": _TEST + " (coproduct_op, by the coideal recursion)",
+    "uqsl2.twist_x": "tests and coproduct_twist_coideal build the compact element on one site",
+    "uqsl2.twist_y": "tests and coproduct_twist_coideal build the non-compact element on one site",
+    "uqsl2.OpMatrix.apply": "the benchmark's operator probe and tests apply a matrix to a vector",
     "verify._run_task_star": "runs only in the pool workers of verify --jobs N > 1",
     "scalar.QBase.__repr__": "names a base in test failures and tracebacks",
     "tables.table_sizes": "tests read table sizes to show what a call tabled",
