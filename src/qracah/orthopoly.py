@@ -47,20 +47,26 @@ over n fetches each row once and reads it by index.
   check: in an exact base the series column is the exact 3phi2 column
   ``qseries._Phi32Column`` (n-free term ratios computed once per column,
   one Horner pass per entry), in the floating backends one ``rphis`` per
-  entry, ``_series_entry``.  For int s, u and size the
+  entry, ``_series_entry``.  An exact series entry is the unreduced
+  Horner pair (``scalar.Unreduced``): ``_column_entry`` builds one
+  Fraction from the prefactor's pair times it, and the inner products
+  multiply it unreduced into their terms.  For int s, u and size the
   prefactor exponent is n(2s-2u-size+1)/2 on ints, the same power as the
   general expression.
-* The n-side weights are closed forms in Pochhammer prefixes of one base:
-  ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N / ((q**2; q**2)_n (q**2;
-  q**2)_(N-n)), kept as the row ``kraw_w_column(qb, N)`` (an entry past N
-  raises ``OutOfRange``), and ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n /
-  (q**2; q**2)_n, kept as the row ``asc_w_column(qb, k)``.  Each prefix
-  is read from one row per (qb, exponent) -- ``_poch_row`` holds (q**e;
-  q**2)_0, (q**e; q**2)_1, ... grown by the loop of ``qpoch`` -- so both
-  families share the (q**2; q**2) row of a base, and ``asc_W`` reads the
-  same two rows as ``asc_w``.  Every entry comes out of the same
-  operation sequence as the direct ``qpoch``/``qbinom`` formula, so each
-  weight is bit-identical to it, and of the same type, in every backend.
+* The n-side weights are rows: ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N
+  / ((q**2; q**2)_n (q**2; q**2)_(N-n)), kept as the row
+  ``kraw_w_column(qb, N)`` (an entry past N raises ``OutOfRange``), and
+  ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n, kept as the
+  row ``asc_w_column(qb, k)``.  ``kraw_w`` reads Pochhammer prefixes from
+  one row per (qb, exponent) -- ``_poch_row`` holds (q**e; q**2)_0, (q**e;
+  q**2)_1, ... grown by the loop of ``qpoch`` -- and so do the floating
+  ``asc_w`` and ``asc_W``, so the families share the (q**2; q**2) row of
+  a base; those weights come out of the operation sequence of the direct
+  ``qpoch``/``qbinom`` formula, bit-identical to it and of its type.  The
+  exact ``asc_w`` is the ratio recurrence of its consecutive entries, one
+  Fraction each and no prefix: it runs to hundreds of terms near q = 1,
+  where the prefixes grow like n**2 bits and the weights do not.  It is
+  the Fraction the direct formula gives.
 
 The rows, ``kraw_W``/``asc_W`` and the ``*_diff_coeffs``/``*_dyn_coeffs``
 tables are ``tables.tabled``: the first call at a key stores the value for
@@ -260,7 +266,11 @@ def _column_entry(qb: QBase, su11: bool, size, u, s, series: _Row, n: int):
     pref = qb.qpow(e)
     if not su11:
         pref = (-1) ** n * pref
-    return pref * series[n]
+    entry = series[n]
+    if qb.is_exact:
+        # the series entry is an Unreduced pair: one Fraction for the product
+        return Fraction(pref.numerator * entry.numerator, pref.denominator * entry.denominator)
+    return pref * entry
 
 
 @tabled
@@ -441,19 +451,47 @@ def asc(ap: ASCParams, n: int, x: int):
 
 @tabled
 def asc_w_column(qb: QBase, k) -> _Row:
-    """The weights asc_w(qb, k, n), n = 0, 1, ..., as one row read by index."""
+    """The weights asc_w(qb, k, n), n = 0, 1, ..., as one row read by index.
+
+    An exact base carries the ratio recurrence w_n = w_(n-1) q**-(k-1)
+    (1 - q**(2k+2n-2)) / (1 - q**(2n)) on integer pairs, one Fraction per
+    entry, so no Pochhammer prefix is built: near q = 1 the prefixes grow
+    like n**2 bits while the weights (1 at k = 1) stay small.  Entry 0 is 1;
+    the step's powers are made at entry 1, so a k that is not a
+    half-integer raises there.  The floating backends read the prefixes.
+    """
     require_positive_k(k)
     k = as_exponent(k)
-    return _Row(lambda n: qb.qpow(-n * (k - 1)) * _poch_row(qb, as_exponent(2 * k))[n]
-                / _poch_row(qb, 2)[n])
+    if not qb.is_exact:
+        return _Row(lambda n: qb.qpow(-n * (k - 1)) * _poch_row(qb, as_exponent(2 * k))[n]
+                    / _poch_row(qb, 2)[n])
+    pairs = None  # q**-(k-1), q**2k and q**2 as integer pairs, made at entry 1
+    fu = fd = 1  # (q**2)**(n-1)
+
+    def entry(n):
+        nonlocal pairs, fu, fd
+        if n == 0:
+            return qb.one()
+        if pairs is None:
+            pairs = [(f.numerator, f.denominator)
+                     for f in (qb.qpow(-(k - 1)), qb.qpow(as_exponent(2 * k)), qb.qpow(2))]
+        (an, ad), (cn, cd), (u, d) = pairs
+        # q**-(k-1) (1 - q**2k fu/fd) / (1 - q**2 fu/fd)
+        out = row[n - 1] * Fraction(an * d * (cd * fd - cn * fu), ad * cd * (d * fd - u * fu))
+        fu, fd = fu * u, fd * d
+        return out
+
+    row = _Row(entry)
+    return row
 
 
 def asc_w(qb: QBase, k, n: int):
     """n-side weight q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n.
 
-    The Pochhammers are read off their rows; the weight equals the direct
-    ``qb.qpow(-n * (k - 1)) * qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)``
-    bit for bit.
+    The weight equals the direct ``qb.qpow(-n * (k - 1)) *
+    qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)``: the same Fraction in
+    an exact base (from the ratio recurrence of ``asc_w_column``), bit for
+    bit in the floating ones (from the Pochhammer rows).
     """
     if n < 0:
         raise OutOfRange(f"n = {n} must be nonnegative")

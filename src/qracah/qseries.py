@@ -37,8 +37,9 @@ the reduced term gives.  Float and complex series run the floating loop,
 whose operation order fixes their results.
 
 :func:`certified_sum` takes each term as a tuple of factors and sums the
-same way: while every factor is int or Fraction, a term is the unreduced
-pair of its factors' numerator and denominator products, it is added to
+same way: while every factor is int, Fraction or
+:class:`~qracah.scalar.Unreduced`, a term is the unreduced pair of its
+factors' numerator and denominator products, it is added to
 one running pair by :func:`~qracah.scalar.add_pair`, the step
 :func:`~qracah.scalar.ordered_sum` uses (Henrici's addition: a single gcd
 against the running denominator), its magnitude is the same correctly
@@ -75,10 +76,15 @@ through the numerator Q**n.  In the exact backend the column body is
 ``_Phi32Column``, written once here: the n-free ratios are reduced integer
 pairs computed once per column, the pairs 1 - Q**m are read from one row
 per Q (``_one_minus_row``), and entry n is one Horner pass on one unreduced
-integer pair and one Fraction, the rational ``rphis`` gives, with its
-errors raised from the same entry read.  The float and complex backends
-evaluate each entry by its own ``rphis`` (``orthopoly._series_entry``,
-``_rhs_factor_entry``), so their bits are those of the series loop.
+integer pair, kept as that pair (``scalar.Unreduced``), whose value is the
+rational ``rphis`` gives, with its errors raised from the same entry read.
+The pair is not reduced: the Horner pair's gcd removes a small share of its
+bits, and every reader multiplies the entry into a term that its sum
+reduces once anyway (``certified_sum``, ``ordered_sum``; a polynomial
+column builds one Fraction from its prefactor and the pair).  The float
+and complex backends evaluate each entry by its own ``rphis``
+(``orthopoly._series_entry``, ``_rhs_factor_entry``), so their bits are
+those of the series loop.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ from itertools import count
 from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
-from .scalar import QBase, add_pair, as_exponent, ordered_sum, product
+from .scalar import QBase, Unreduced, add_pair, as_exponent, ordered_sum, product
 from .tables import _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
@@ -488,14 +494,19 @@ class _Phi32Column:
     so the ratios r_i are reduced integer pairs computed once per column,
     the pairs 1 - Q**m are read from ``_one_minus_row(Q)``, and entry n is
     one Horner pass 1 + r_0 a_0 (1 + r_1 a_1 (1 + ...)) on one unreduced
-    integer pair, a_i = 1 - Q**(n-i): one Fraction per entry.
+    integer pair, a_i = 1 - Q**(n-i).
 
-    Entry n is the Fraction ``rphis`` gives for the series at n with
+    Entry n is that pair as an ``Unreduced`` with a positive denominator,
+    whose value is the Fraction ``rphis`` gives for the series at n with
     ``terminate_after=min(n, x) + 1`` and at most ``limit`` terms, and it
-    raises what that call raises.  ``params()`` returns (x, C, B, Q) and is
-    called at entry 0, so it should evaluate C and B in the per-entry
-    PhiSpec's order: an invalid parameter then raises its error from the
-    entry read.  A vanishing 1 - C/Q**i ends every later sum at term i; a
+    raises what that call raises.  No entry is reduced: the sums that read
+    the column multiply the pair unreduced and reduce once, and a column of
+    polynomial values builds one Fraction per entry from the prefactor and
+    the pair (``orthopoly._column_entry``).
+
+    ``params()`` returns (x, C, B, Q) and is called at entry 0, so it
+    should evaluate C and B in the per-entry PhiSpec's order: an invalid
+    parameter then raises its error from the entry read.  A vanishing 1 - C/Q**i ends every later sum at term i; a
     vanishing 1 - B/Q**i is the DenominatorPole of every entry that reaches
     it; a sum longer than ``limit`` terms raises the ``max_terms`` error.
     """
@@ -514,7 +525,7 @@ class _Phi32Column:
             self.x, self.c, self.b, self.q = self.params()
             self.params = None
             self.ones = _one_minus_row(self.q)
-            return Fraction(1)
+            return Unreduced(1, 1)
         x, limit = self.x, self.limit
         # rphis stops at term min(n, x) + 1, or at the zero of 1 - Q**(n-i)
         # when x < 0, or at a zero of 1 - C/Q**i; within ``limit`` terms.
@@ -542,7 +553,8 @@ class _Phi32Column:
             an, ad = ones[n - i]
             d = rd * ad * den
             num, den = d + rn * an * num, d
-        return Fraction(num, den)
+        # r_i's denominator carries Q - 1/Q**i, negative for Q < 1
+        return Unreduced(num, den) if den > 0 else Unreduced(-num, -den)
 
     def _grow(self, reach: int):
         ratios = self.ratios
@@ -579,11 +591,11 @@ def certified_sum(terms, tb: TailBound):
 
     ``terms`` is an iterable of terms with eventually geometric decay, each
     a tuple of factors (a bare scalar is a one-factor term).  While every
-    factor is int or Fraction, the terms are summed on one unreduced
-    integer pair and the result is a Fraction, the rational and the
-    stopping term of Fraction arithmetic (see the module docstring); any
-    other term multiplies its factors left to right and is added as a
-    scalar.
+    factor is int, Fraction or ``scalar.Unreduced``, the terms are summed
+    on one unreduced integer pair and the result is a Fraction, the
+    rational and the stopping term of Fraction arithmetic on the reduced
+    factors (see the module docstring); any other term multiplies its
+    factors left to right and is added as a scalar.
 
     Summation stops after term n once n + 1 >= 6, the last three term
     magnitudes are below tolerance*(1-RATIO_CAP) and each of the last three
@@ -613,10 +625,13 @@ def certified_sum(terms, tb: TailBound):
         mag = None
         if total is None:
             tn = td = 1
-            # int is tested first: isinstance(f, Fraction) on an int runs
-            # the slow ABC check
+            # exact types are tested first: isinstance(f, Fraction) on any
+            # other type runs the slow ABC check
             for f in factors:
-                if isinstance(f, int):
+                if type(f) is Fraction or type(f) is Unreduced:
+                    tn *= f.numerator
+                    td *= f.denominator
+                elif isinstance(f, int):
                     tn *= f
                 elif isinstance(f, Fraction):
                     tn *= f.numerator
@@ -739,8 +754,8 @@ def _rhs_factor(q, a, tb, z, sq) -> _Row:
     identity's series side, in base 1/q; it depends on one of x, y only, so
     one row serves every point that shares z.  When every parameter of the
     series is int or Fraction it is the exact column ``_Phi32Column`` with
-    Q = q, C = q**-z/(a sq) and B = 1/a; otherwise each entry is its own
-    ``rphis``."""
+    Q = q, C = q**-z/(a sq) and B = 1/a, whose entries are ``Unreduced``
+    pairs; otherwise each entry is its own ``rphis``."""
     if (isinstance(q, Fraction) and isinstance(a, (int, Fraction))
             and isinstance(sq, (int, Fraction)) and type(z) is int):
         return _Row(_Phi32Column(lambda: (z, q ** (-z) / (a * sq), 1 / Fraction(a), q),

@@ -35,6 +35,13 @@ that is not int or Fraction on, terms are multiplied and added left to
 right: the float residuals do not depend on whether the interpreter's
 ``sum`` compensates rounding (it does from Python 3.12 on).
 
+A factor may also be an :class:`Unreduced` pair, an exact rational whose
+numerator and denominator were never divided by their gcd (a 3phi2 column
+entry, say).  The exact kernels read its two integers as they read a
+Fraction's, and the term counts as rational, so a sum over such factors is
+the Fraction the reduced factors give: reducing each factor first would be
+a gcd the sum's own reduction makes again.
+
 :func:`residual_sum` is the total absolute residual of a check, the sum
 over rows of |sum(plus) - sum(minus)|, each side a list of factor tuples
 (an operator row applied to a vector, say, against the other side of the
@@ -48,11 +55,25 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExactnessError, OutOfRange
 
 MODES = ("exact", "float", "complex")
+
+
+@dataclass(frozen=True, slots=True)
+class Unreduced:
+    """The rational numerator/denominator as an integer pair that is not
+    reduced; the denominator is positive, as a Fraction's is.  It has no
+    arithmetic: :func:`ordered_sum`, :func:`residual_sum` and
+    ``qseries.certified_sum`` take it as a factor, and :func:`product`
+    multiplies it as its Fraction.  Not a tuple: a tuple term is a factor
+    tuple to those sums."""
+
+    numerator: int
+    denominator: int
 
 
 def as_exponent(x):
@@ -81,10 +102,11 @@ def ordered_sum(values, start=0):
     """start + v0 + v1 + ..., where a tuple value is the product of its
     factors, multiplied and added left to right.
 
-    While ``start`` and every factor are int or Fraction, the terms are
-    summed on one unreduced integer pair (see the module docstring) and the
-    result is one Fraction, or an int if no Fraction entered: the value and
-    the type of the ``*``/``+`` fold.  At the first other factor the exact
+    While ``start`` and every factor are int, Fraction or Unreduced, the
+    terms are summed on one unreduced integer pair (see the module
+    docstring) and the result is one Fraction, or an int if no Fraction or
+    Unreduced entered: the value and the type of the ``*``/``+`` fold of
+    the reduced factors.  At the first other factor the exact
     prefix becomes that fold's value, and the rest is the fold itself, so
     float and complex results keep their operation order and bits.  Plain
     ``+`` is what ``sum`` computes up to Python 3.11; from 3.12 on ``sum``
@@ -102,7 +124,7 @@ def ordered_sum(values, start=0):
             return out
         out = out + product(pending)
     for value in values:
-        out = out + (product(value) if isinstance(value, tuple) else value)
+        out = out + (product(value) if isinstance(value, tuple) else _reduced(value))
     return out
 
 
@@ -112,9 +134,9 @@ def residual_sum(rows, zero):
 
     The value and type are those of
     ``ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus, zero)) for
-    plus, minus in rows), zero)``.  While ``zero`` and every factor are int
-    or Fraction, each row is one unreduced integer pair (the minus terms
-    negated), a row of value 0 adds nothing, and the others add their
+    plus, minus in rows), zero)``.  While ``zero`` and every factor are int,
+    Fraction or Unreduced, each row is one unreduced integer pair (the minus
+    terms negated), a row of value 0 adds nothing, and the others add their
     magnitude to one outer pair by :func:`add_pair`: one Fraction is built
     per call.  A row that meets another factor is recomputed by that
     expression, and so is every row after it, so float and complex results
@@ -158,10 +180,10 @@ def _add_terms(terms, num, den, negate=False):
     """Add the terms (negated with ``negate``) to the pair num/den.
 
     Returns (num, den, ratio, pending): the pair after the last term whose
-    factors are all int or Fraction, whether a Fraction factor entered
-    those terms, and the factor tuple of the first term with another
-    factor (``None`` if there is none).  An iterator is left just past
-    that term.
+    factors are all int, Fraction or Unreduced, whether a Fraction or
+    Unreduced factor entered those terms, and the factor tuple of the first
+    term with another factor (``None`` if there is none).  An iterator is
+    left just past that term.
     """
     ratio = False
     for value in terms:
@@ -169,7 +191,7 @@ def _add_terms(terms, num, den, negate=False):
         tn = td = 1
         term_ratio = False
         for f in factors:
-            if type(f) is Fraction:
+            if type(f) is Fraction or type(f) is Unreduced:
                 tn *= f.numerator
                 td *= f.denominator
                 term_ratio = True
@@ -201,11 +223,16 @@ def add_pair(num, den, tn, td):
 
 
 def product(factors):
-    """f0 * f1 * ..., multiplied left to right."""
-    out = factors[0]
+    """f0 * f1 * ..., multiplied left to right; an Unreduced factor is
+    multiplied as its Fraction."""
+    out = _reduced(factors[0])
     for f in factors[1:]:
-        out = out * f
+        out = out * _reduced(f)
     return out
+
+
+def _reduced(f):
+    return Fraction(f.numerator, f.denominator) if type(f) is Unreduced else f
 
 
 _MISSING = object()

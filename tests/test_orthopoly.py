@@ -258,6 +258,39 @@ def test_asc_w_table_matches_direct_formula(qb, order):
             assert _same(asc_w(qb, k, n), _asc_w_direct(qb, k, n)), (k, n)
 
 
+@pytest.mark.parametrize("p", [F(1, 2), F(2, 3), F(9, 10)], ids=str)
+def test_exact_asc_w_ratio_recurrence_is_the_direct_formula(p):
+    # the exact row carries w_n / w_(n-1), no Pochhammer prefix: every entry
+    # is the direct formula's Fraction
+    qb = QBase(p)
+    for k in (F(1, 2), 1, F(3, 2), 2, F(5, 2)):
+        row = orthopoly.asc_w_column(qb, k)
+        for n in range(41):
+            assert _same(row[n], _asc_w_direct(qb, k, n)), (k, n)
+
+
+def test_exact_asc_w_near_q_one_stays_small():
+    # at p = 9/10 the prefixes of n = 200 have about 267,000 bits,
+    # yet the k = 1 weights are 1 and the k = 2 weights q**-n (1 -
+    # q**(2n+2)) / (1 - q**2)
+    qb = QBase(F(9, 10))
+    one, two = orthopoly.asc_w_column(qb, 1), orthopoly.asc_w_column(qb, 2)
+    q = qb.q
+    for n in range(201):
+        assert _same(one[n], F(1)), n
+        assert _same(two[n], q**-n * (1 - q ** (2 * n + 2)) / (1 - q**2)), n
+
+
+def test_exact_asc_w_refuses_a_third_at_entry_one():
+    # k = 1/3: the row is made and entry 0 is 1; entry 1 raises the error
+    # of the exponent -(k - 1) = 2/3, and raises again on every later read
+    row = orthopoly.asc_w_column(QBase(F(1, 2)), F(1, 3))
+    assert _same(row[0], F(1))
+    for n in (1, 2, 1):
+        with pytest.raises(ExactnessError, match=r"^exponent 2/3 is not a half-integer$"):
+            row[n]
+
+
 @pytest.mark.parametrize("qb, order", WEIGHT_TABLE_CASES, ids=repr)
 def test_kraw_w_table_matches_direct_formula(qb, order):
     for N in range(14):
@@ -373,18 +406,23 @@ def test_mixed_weight_requests_share_one_row_thread_safely():
 
 
 def test_both_weight_families_share_one_pochhammer_row_per_exponent():
-    # every kraw_w of a base reads its (q**2; q**2) row, and asc_w at k adds
-    # only the (q**2k; q**2) row: N = 1..12 and two k make three rows
-    qb = QBase(F(8, 13))  # a base no other test uses
+    # a floating asc_w at k reads the (q**2; q**2) row and the (q**2k; q**2)
+    # row, and every kraw_w of the base reads that same (q**2; q**2) row:
+    # two k and N = 1..12 make three rows.  The exact asc_w is a ratio
+    # recurrence and reads no row, so on an exact base only kraw_w's one
+    # row is made
     name = "qracah.orthopoly._poch_row"
-    before = table_sizes().get(name, 0)
-    for N in range(1, 13):
-        for n in range(N + 1):
-            kraw_w(qb, N, n)
-    for k in (F(1, 2), F(3, 2)):
-        for n in range(20):
-            asc_w(qb, k, n)
-    assert table_sizes()[name] == before + 3
+    # bases no other test uses: (base, rows after asc_w, rows after kraw_w)
+    for qb, asc_rows, rows in ((QBase(8 / 13, "float"), 3, 3), (QBase(F(8, 13)), 0, 1)):
+        before = table_sizes().get(name, 0)
+        for k in (F(1, 2), F(3, 2)):
+            for n in range(20):
+                asc_w(qb, k, n)
+        assert table_sizes().get(name, 0) == before + asc_rows, qb
+        for N in range(1, 13):
+            for n in range(N + 1):
+                kraw_w(qb, N, n)
+        assert table_sizes()[name] == before + rows, qb
 
 
 def test_asc_W_positive():

@@ -25,7 +25,7 @@ from qracah import (
 )
 from qracah import orthopoly, qseries
 from qracah.errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
-from qracah.scalar import ordered_sum
+from qracah.scalar import Unreduced, ordered_sum
 from qracah.tables import _Row
 
 
@@ -554,7 +554,12 @@ def test_summation_rows_are_the_loop_values(qb):
         rows = (qseries._rhs_coeffs(q, a, bcd), qseries._rhs_factor(q, a, tb, x, b2),
                 qseries._rhs_factor(q, a, tb, y, c2))
         for n in reversed(range(len(used))):
-            assert all(map(_same_bits, (row[n] for row in rows), used[n])), (a, N, x, y, n)
+            # an exact 3phi2 factor is an Unreduced pair: its value is the
+            # loop's Fraction
+            got = [row[n] for row in rows]
+            if qb.is_exact:
+                assert [type(g) for g in got] == [F, Unreduced, Unreduced], (a, N, x, y, n)
+            assert all(map(_same_bits, map(_pair_value, got), used[n])), (a, N, x, y, n)
     # finite sums of up to N + 1 = 4 terms; the certified branch (q < 1)
     # ran past its minimum of six terms
     assert longest > 6 if qb.q < 1 else longest == 4
@@ -575,6 +580,15 @@ def test_summation_rows_shared_across_signed_zeros_keep_the_loop_sums():
                         want = _summation_rhs_loop(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)[1]
                         got = qseries._summation_rhs(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)
                         assert _same_bits(got, want), (order, r, N, x, y)
+
+
+def _pair_value(x):
+    # the Fraction of an Unreduced pair, whose denominator is positive;
+    # any other value as it is
+    if type(x) is not Unreduced:
+        return x
+    assert x.denominator > 0, x
+    return F(x.numerator, x.denominator)
 
 
 def _entry_outcome(row, n):
@@ -620,9 +634,14 @@ def _rhs_cases(draw):
 
 
 def _same_column(got: _Row, want: _Row, order):
-    # read in the given order: each entry or error the reference row gives
+    # read in the given order: each entry an Unreduced pair whose value is
+    # the reference row's Fraction, or the error the reference row raises
     for n in order:
-        assert _entry_outcome(got, n) == _entry_outcome(want, n), n
+        value, kind = _entry_outcome(got, n)
+        if not isinstance(kind, str):  # a value, not an error's text
+            assert kind is Unreduced, n
+            value, kind = _pair_value(value), F
+        assert (value, kind) == _entry_outcome(want, n), n
 
 
 @settings(max_examples=300, deadline=None)
@@ -676,7 +695,8 @@ def test_exact_column_errors_come_from_the_entry_read():
         column[1]
     # the pole: entries before it are values, the first entry past it raises
     column = orthopoly._series.__wrapped__(qb, False, 1, 0, 3)
-    assert column[1] == orthopoly._series_entry(qb, False, 1, 0, 3, 1)
+    assert type(column[1]) is Unreduced
+    assert _pair_value(column[1]) == orthopoly._series_entry(qb, False, 1, 0, 3, 1)
     with pytest.raises(DenominatorPole, match=r"equals base\*\*-1, hit at term 2"):
         column[2]
 
@@ -841,6 +861,36 @@ def test_certified_sum_reads_exact_terms_beyond_the_float_range():
     with pytest.raises(NonConvergent, match="exact terms before term 1 exceed"):
         certified_sum(iter([huge, 0.5]), tb)
 
+
+
+def test_certified_sum_reads_pair_factors_as_their_fractions():
+    # factors that are Unreduced pairs (scaled out of lowest terms, negative
+    # numerators among them) give the sum, its type and its stop index that
+    # the equal Fractions give; the huge heads run the branch for exact
+    # terms beyond the float range
+    tb = TailBound(1e-12)
+    huge = F(10**400, 7)
+    heads = ([], [huge], [huge, -huge * 10**5, huge / 3], [F(1, 3), huge, huge * 2])
+    shapes = (lambda f: (f, F(2, 3), 5), lambda f: f, lambda f: (-3, f))
+    for head in heads:
+        values = [*head, *((-1) ** n * F(7, 10 ** (3 * n)) for n in range(1, 12))]
+        for g, shape in ((1, shapes[0]), (6, shapes[1]), (10**30 + 1, shapes[2])):
+            sums = []
+            for paired in (True, False):
+                terms = [shape(Unreduced(v.numerator * g, v.denominator * g) if paired else v)
+                         for v in values]
+                consumed = 0
+
+                def counted(terms=terms):
+                    nonlocal consumed
+                    for term in terms:
+                        consumed += 1
+                        yield term
+
+                got = certified_sum(counted(), tb)
+                sums.append((type(got), got, consumed))
+            assert sums[0] == sums[1], (head, g)
+            assert sums[0][0] is F and sums[0][2] < len(values), (head, g)
 
 def test_certified_sum_floating_factors_keep_their_order():
     # floating factors are multiplied left to right and summed in order, so

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qracah import QBase
 from qracah.errors import ExactnessError, OutOfRange
-from qracah.scalar import as_exponent, ordered_sum, residual_sum
+from qracah.scalar import Unreduced, as_exponent, ordered_sum, residual_sum
 
 
 def test_qbase_validation():
@@ -398,6 +398,60 @@ def test_residual_sum_exact_rows_then_a_float_factor(prefix, factors, x, in_minu
     rows = [*prefix, row, *rest]
     assert _outcome(residual_sum, iter(rows), zero) == _outcome(_residual_expr, rows, zero)
 
+
+
+# (Unreduced pair, its Fraction): the value scaled by g/g out of lowest
+# terms, its numerator of either sign; beside it exact factors as they are
+_PAIR = st.builds(lambda f, g: (Unreduced(f.numerator * g, f.denominator * g), f),
+                  st.one_of(st.fractions(), st.integers().map(F)), st.integers(1, 10**6))
+_PAIRED_TERMS = st.lists(
+    st.tuples(st.booleans(), st.lists(st.one_of(_EXACT.map(lambda x: (x, x)), _PAIR),
+                                      min_size=1, max_size=3)),
+    max_size=8)
+
+
+def _sides(terms):
+    # (the terms with their pair factors, the same terms with each pair's
+    # Fraction); a flagged one-factor term is a bare scalar
+    out = ([], [])
+    for bare, factors in terms:
+        for side in (0, 1):
+            term = tuple(f[side] for f in factors)
+            out[side].append(term[0] if bare and len(term) == 1 else term)
+    return out
+
+
+@settings(max_examples=300)
+@given(terms=_PAIRED_TERMS, start=_EXACT)
+def test_ordered_sum_reads_pairs_as_their_fractions(terms, start):
+    # a pair factor is read as its Fraction: the same rational and type (a
+    # Fraction as soon as a pair enters, as a Fraction factor makes it)
+    paired, fractions = _sides(terms)
+    got, want = ordered_sum(paired, start), ordered_sum(fractions, start)
+    assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=150)
+@given(rows=st.lists(st.tuples(_PAIRED_TERMS, _PAIRED_TERMS), max_size=4),
+       zero=st.one_of(_ZEROS, _EXACT))
+def test_residual_sum_reads_pairs_as_their_fractions(rows, zero):
+    paired = [(_sides(plus)[0], _sides(minus)[0]) for plus, minus in rows]
+    fractions = [(_sides(plus)[1], _sides(minus)[1]) for plus, minus in rows]
+    got, want = residual_sum(paired, zero), residual_sum(fractions, zero)
+    assert type(got) is type(want) and got == want
+
+
+def test_pair_factors_before_and_after_a_float():
+    # a float factor ends the exact pair sum: the pairs after it, in a
+    # tuple or bare, are multiplied and added as their Fractions
+    for x in (1.5, -0.0, 1.5 - 2j):
+        paired = [(Unreduced(2, 6), 3), (Unreduced(-4, 8), x), Unreduced(3, 9),
+                  (5, Unreduced(-10, 4))]
+        fractions = [(F(1, 3), 3), (F(-1, 2), x), F(1, 3), (5, F(-5, 2))]
+        assert _outcome(ordered_sum, paired) == _outcome(ordered_sum, fractions)
+        rows = [([Unreduced(6, 4)], [(Unreduced(-2, 2), x)]), ([Unreduced(9, 3)], [])]
+        want = [([F(3, 2)], [(F(-1), x)]), ([F(3)], [])]
+        assert _outcome(residual_sum, rows, 0) == _outcome(residual_sum, want, 0)
 
 def test_residual_sum_examples():
     # |1/2 - 1/3| + |0| + |2 - 5| over three rows
