@@ -31,11 +31,16 @@ per process rather than once per xs, per sigma or per side:
 A hit returns the first call's object, so the tuples, dicts and
 ``OpMatrix`` objects they hand out are shared: immutable by convention.
 
-The multivariate rational functions are tables too: :func:`rr_multi` and
-:func:`pr_multi` turn their size and index sequences into tuples and read
-``_rr_multi``/``_pr_multi``, so a generalized-eigenvalue residual that
-meets the same (xs, ys + eps) again, at another j or another shift, reuses
-the product of univariate factors.
+The multivariate rational functions and the finite x-side weight are pack
+tables (``tables.packed``): ``_rr_pack(qb, s, t, v, Ns)`` and
+``_pr_pack(qb, s, t, v, ks, tb)`` hold the products of univariate factors
+by (xs, ys), and ``_kraw_W_pack(qb, s, Ns)`` the weights by xs.  The
+biorthogonality and generalized-eigenvalue residuals fetch each pack once
+per check and read it by point, with no key built per (xs, ys); a residual
+that meets the same (xs, ys + eps) again, at another j or another shift,
+reuses the product.  :func:`rr_multi`, :func:`pr_multi` and
+:func:`kraw_W_multi` turn their sequences into tuples and read the same
+entries.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from . import orthopoly, uqsl2
 from .orthopoly import ASCParams, KrawParams, TailBound
 from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
 from .scalar import QBase, as_exponent, ordered_sum, residual_sum
-from .tables import tabled
+from .tables import packed, tabled
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +312,12 @@ def rr_multi(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
              ys: Sequence[int]):
     """Nested product of univariate rational functions: factor j pairs
     (x_j, y_j) with both height chains as its base-point parameters."""
-    return _rr_multi(qb, s, t, v, tuple(Ns), tuple(xs), tuple(ys))
+    return _rr_pack(qb, s, t, v, tuple(Ns))[tuple(xs), tuple(ys)]
 
 
-@tabled
-def _rr_multi(qb, s, t, v, Ns, xs, ys):
+@packed
+def _rr_pack(qb, s, t, v, Ns, point):
+    xs, ys = point
     hx = heights(s, xs, Ns)
     hy = heights(t, ys, Ns)
     out = qb.one()
@@ -337,11 +343,12 @@ def rr_multi_inner(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
 def pr_multi(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
              ys: Sequence[int], tb: TailBound = TailBound()):
     """Nested product of infinite-family rational functions."""
-    return _pr_multi(qb, s, t, v, tuple(ks), tuple(xs), tuple(ys), tb)
+    return _pr_pack(qb, s, t, v, tuple(ks), tb)[tuple(xs), tuple(ys)]
 
 
-@tabled
-def _pr_multi(qb, s, t, v, ks, xs, ys, tb):
+@packed
+def _pr_pack(qb, s, t, v, ks, tb, point):
+    xs, ys = point
     hx = heights(s, xs, ks, su11=True)
     hy = heights(t, ys, ks, su11=True)
     out = qb.one()
@@ -365,6 +372,11 @@ def pr_multi_inner(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
 
 def kraw_W_multi(qb: QBase, s, Ns: Sequence[int], xs: Sequence[int]):
     """Nested x-side weight: product of univariate weights at running heights."""
+    return _kraw_W_pack(qb, s, tuple(Ns))[tuple(xs)]
+
+
+@packed
+def _kraw_W_pack(qb, s, Ns, xs):
     h = heights(s, xs, Ns)
     out = qb.one()
     for j, N in enumerate(Ns):
@@ -387,13 +399,14 @@ def multi_biorth_residual(qb: QBase, s, t, v, Ns: Sequence[int],
     """Residual of the multivariate biorthogonality over the full grid;
     partner family at -conj(v) - 2.  Exact zero for the finite chain."""
     vpart = -qb.conj(as_exponent(v)) - 2
-    idx, idx2 = tuple(idx), tuple(idx2)
+    Ns, idx, idx2 = tuple(Ns), tuple(idx), tuple(idx2)
+    left, right = _rr_pack(qb, s, t, v, Ns), _rr_pack(qb, s, t, vpart, Ns)
     outer, diag, overlap = biorth_overlap(
         qb, relation, s, t, idx, idx2,
-        lambda xs, ys: rr_multi(qb, s, t, v, Ns, xs, ys),
-        lambda xs, ys: rr_multi(qb, s, t, vpart, Ns, xs, ys))
-    acc = ordered_sum(((*overlap(us), kraw_W_multi(qb, outer, Ns, us))
-                       for us in iproduct(*[range(N + 1) for N in Ns])), qb.zero())
+        lambda xs, ys: left[xs, ys], lambda xs, ys: right[xs, ys])
+    w = _kraw_W_pack(qb, outer, Ns)
+    acc = ordered_sum(((*overlap(us), w[us]) for us in iproduct(*[range(N + 1) for N in Ns])),
+                      qb.zero())
     if idx == idx2:
         acc -= 1 / kraw_W_multi(qb, diag, Ns, idx)
     return acc
@@ -466,14 +479,11 @@ def multi_gevp_residual_asc(qb: QBase, j: int, xs: Sequence[int], ys: Sequence[i
 
 def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
     M = len(sizes)
-    ys, sizes = tuple(ys), tuple(sizes)
+    xs, ys, sizes = tuple(xs), tuple(ys), tuple(sizes)
     hx = heights(s, xs, sizes, su11)
     termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
-    vals = {
-        ysf: (pr_multi(qb, s, t, v, sizes, xs, ysf, tb) if su11
-              else rr_multi(qb, s, t, v, sizes, xs, ysf))
-        for ysf in set(termsA) | set(termsB) | {ys}
-    }
+    pack = _pr_pack(qb, s, t, v, sizes, tb) if su11 else _rr_pack(qb, s, t, v, sizes)
+    vals = {ysf: pack[xs, ysf] for ysf in set(termsA) | set(termsB) | {ys}}
     sym = qb.brace if su11 else qb.bracket
     lhs = sym(hx[M]) * ordered_sum(((c, vals[ysf]) for ysf, c in termsA.items()), qb.zero())
     rhs = sym(hx[M - j]) * vals[ys]

@@ -67,7 +67,11 @@ coefficients (bcd)**n (a; q)_n / (q; q)_n are one row per (q, a, bcd),
 ``_rhs_coeffs``, carried by the recurrences the sum once ran inline, so
 every float and complex bit is the same.  Both are tabled and shared
 across the (x, y) grid of a summation point; a sum fetches its three rows
-once and reads them by index.
+once and reads them by index.  The product side reads what its point
+fixes from one table per point, ``_lhs_prefactors``: the x- and y-free
+Pochhammer factor and pack tables (``tables._Points``) of the quotient of
+x only and of y only, each formed by the expression the side once ran
+inline and multiplied in the same order, so every bit is the same.
 
 Both families' polynomial series (``orthopoly._series``) and the summation
 identity's factors (``_rhs_factor``) are columns over n of one terminating
@@ -97,7 +101,7 @@ from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .scalar import QBase, Unreduced, add_pair, as_exponent, ordered_sum, product
-from .tables import _Row, tabled
+from .tables import _Points, _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
 # the bound certified_sum's stop rule puts on its last term ratios
@@ -699,21 +703,14 @@ def summation_lhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None
 
 
 def _summation_lhs(q, x, y, a, b2, bcd, bd_c, N, tb):
+    if N is not None and (x > N or y > N):
+        raise DenominatorPole(
+            f"finite case is restricted to x, y <= N; got x={x}, y={y}, N={N}"
+        )
+    pref, X, Y = _lhs_prefactors(q, a, b2, bcd, bd_c, N, tb)
+    pref *= Y[y]
+    pref *= X[x]
     abcd = a * bcd
-    if N is not None:
-        if x > N or y > N:
-            raise DenominatorPole(
-                f"finite case is restricted to x, y <= N; got x={x}, y={y}, N={N}"
-            )
-        inf_ratio = qpoch(abcd, q, N)
-    else:
-        inf_ratio = qpoch_inf_ratio(abcd, bcd, q, tb)
-    pref = inf_ratio
-    pref *= qpoch(bd_c * q ** (-y), q, y) / qpoch(abcd, q, y)
-    denom = qpoch(a, q, x)
-    if denom == 0:
-        raise DenominatorPole(f"(a;q)_x vanishes at a={a}, x={x}")
-    pref *= qpoch(q ** (-x) / b2, q, x) / denom
     ser = rphis(
         PhiSpec(
             numerators=(q ** (-x), a * b2 * q ** x, bcd, bd_c),
@@ -725,6 +722,32 @@ def _summation_lhs(q, x, y, a, b2, bcd, bd_c, N, tb):
         tb,
     )
     return pref * ser
+
+
+@tabled
+def _lhs_prefactors(q, a, b2, bcd, bd_c, N, tb):
+    """The factors of the product side's prefactor that one summation point
+    fixes: (abcd; q)_N with N given, else the infinite Pochhammer ratio
+    (abcd; q)_inf / (bcd; q)_inf; and the tables of the quotient of x only
+    and of the quotient of y only, shared by the point's (x, y) grid.  A
+    vanishing (a; q)_x or (abcd; q)_y raises for the x or y requested."""
+    abcd = a * bcd
+
+    def x_quotient(x):
+        denom = qpoch(a, q, x)
+        if denom == 0:
+            raise DenominatorPole(f"(a;q)_x vanishes at a={a}, x={x}")
+        return qpoch(q ** (-x) / b2, q, x) / denom
+
+    def y_quotient(y):
+        num = qpoch(bd_c * q ** (-y), q, y)
+        denom = qpoch(abcd, q, y)
+        if denom == 0:
+            raise DenominatorPole(f"(abcd;q)_y vanishes at abcd={abcd}, y={y}")
+        return num / denom
+
+    inf_ratio = qpoch(abcd, q, N) if N is not None else qpoch_inf_ratio(abcd, bcd, q, tb)
+    return inf_ratio, _Points(x_quotient), _Points(y_quotient)
 
 
 def summation_rhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None,

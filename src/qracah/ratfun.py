@@ -24,6 +24,13 @@ backend, ``rr_inner`` in an exact base.
 ``rr_inner`` and ``pr_inner`` are ``tables.tabled``: each (parameters, x, y)
 is summed once per process and the biorthogonality and recurrence residuals
 reuse that very value, so results are bit-identical to an untabled sum.
+``rr_closed`` and ``pr_closed`` read the factors of their prefactor that a
+point fixes from one table per point (``_rr_prefactors``,
+``_pr_prefactors``): the x- and y-free product, and pack tables of the
+quotient of x only and of y only, each formed by the inline expression and
+multiplied in the inline order, so every float and complex bit is kept.
+Complex parameters that differ only in the sign of a zero part key one
+table, as they key one ``rr_inner`` entry.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .qseries import (
     rphis,
 )
 from .scalar import QBase, as_exponent, ordered_sum, real_part
-from .tables import _Row, tabled
+from .tables import _Points, _Row, tabled
 
 
 @dataclass(frozen=True)
@@ -191,15 +198,29 @@ def rr_closed(rp: RrParams, x: int, y: int):
     _require_valid(rp, x, y)
     qb = rp.qb
     s, t, v = as_exponent(rp.s), as_exponent(rp.t), as_exponent(rp.v)
-    N = rp.N
-    q2 = qb.qpow(2)
-    c1 = qpoch(-qb.qpow(-2 * N + s + t - v + 1), q2, N)
-    c1 *= qpoch(-qb.qpow(-2 * x - 2 * s), q2, x) / qpoch(qb.qpow(-2 * N), q2, x)
-    c1 *= qpoch(qb.qpow(-2 * y + s - t - v + 1), q2, y) / qpoch(
-        -qb.qpow(s + t - 2 * N - v + 1), q2, y
-    )
-    ser = _phi43(qb, False, N, s, t, v, x, y)
+    c1, X, Y = _rr_prefactors(qb, s, t, v, rp.N)
+    c1 *= X[x]
+    c1 *= Y[y]
+    ser = _phi43(qb, False, rp.N, s, t, v, x, y)
     return c1 * ser
+
+
+@tabled
+def _rr_prefactors(qb: QBase, s, t, v, N):
+    """The factors of ``rr_closed``'s prefactor that one point fixes: the
+    x-free and y-free (-q**(-2N+s+t-v+1); q**2)_N, and the tables of the
+    quotient of x only and of the quotient of y only."""
+    q2 = qb.qpow(2)
+
+    def x_quotient(x):
+        return qpoch(-qb.qpow(-2 * x - 2 * s), q2, x) / qpoch(qb.qpow(-2 * N), q2, x)
+
+    def y_quotient(y):
+        return qpoch(qb.qpow(-2 * y + s - t - v + 1), q2, y) / qpoch(
+            -qb.qpow(s + t - 2 * N - v + 1), q2, y
+        )
+
+    return qpoch(-qb.qpow(-2 * N + s + t - v + 1), q2, N), _Points(x_quotient), _Points(y_quotient)
 
 
 def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
@@ -301,14 +322,30 @@ def pr_closed(pp: PrParams, x: int, y: int):
     _require_valid(pp, x, y)
     qb = pp.qb
     s, t, v, k = (as_exponent(pp.s), as_exponent(pp.t), as_exponent(pp.v), as_exponent(pp.k))
-    q2 = qb.qpow(2)
-    c1 = qpoch_inf_ratio(qb.qpow(s + t + 2 * k - v + 1), qb.qpow(s + t - v + 1), q2, pp.tb)
-    c1 *= qpoch(qb.qpow(-2 * y + s - t - v + 1), q2, y) / qpoch(
-        qb.qpow(s + t + 2 * k - v + 1), q2, y
-    )
-    c1 *= qpoch(qb.qpow(-2 * x - 2 * s), q2, x) / qpoch(qb.qpow(2 * k), q2, x)
+    c1, X, Y = _pr_prefactors(qb, s, t, v, k, pp.tb)
+    c1 *= Y[y]
+    c1 *= X[x]
     ser = _phi43(qb, True, -k, s, t, v, x, y)
     return c1 * ser
+
+
+@tabled
+def _pr_prefactors(qb: QBase, s, t, v, k, tb):
+    """The factors of ``pr_closed``'s prefactor that one point fixes: the
+    infinite Pochhammer ratio, and the tables of the quotient of y only and
+    of the quotient of x only."""
+    q2 = qb.qpow(2)
+
+    def y_quotient(y):
+        return qpoch(qb.qpow(-2 * y + s - t - v + 1), q2, y) / qpoch(
+            qb.qpow(s + t + 2 * k - v + 1), q2, y
+        )
+
+    def x_quotient(x):
+        return qpoch(qb.qpow(-2 * x - 2 * s), q2, x) / qpoch(qb.qpow(2 * k), q2, x)
+
+    ratio = qpoch_inf_ratio(qb.qpow(s + t + 2 * k - v + 1), qb.qpow(s + t - v + 1), q2, tb)
+    return ratio, _Points(x_quotient), _Points(y_quotient)
 
 
 def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):

@@ -8,6 +8,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
+# one encoder for every report: json.dumps builds one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _digits(n: int) -> str:
@@ -26,6 +28,10 @@ def _ratio(x: Fraction) -> str:
 
 def serialize_value(x):
     """Canonical JSON-friendly form: exact rationals as "num/den" strings."""
+    # the common types first: isinstance(x, Fraction) on any other type
+    # runs the slow ABC check
+    if type(x) is int or type(x) is str:
+        return x
     if isinstance(x, Fraction):
         return _ratio(x) if x.denominator != 1 else _digits(x.numerator)
     if isinstance(x, complex):
@@ -70,4 +76,4 @@ class CheckReport:
         }
         if self.error:
             payload["error"] = self.error
-        return json.dumps(payload, separators=(",", ":"))
+        return _ENCODER.encode(payload)

@@ -19,6 +19,14 @@ Values that run over an index are rows, ``_Row``: entries 0, 1, ...
 computed in order on first request and kept.  A tabled function that
 returns a row is keyed once per row, and its callers fetch the row once
 per sum and read it by index, with no key built per entry.
+
+Values that a parameter pack fixes at many index points, read in any
+order, are a pack table, ``_Points``: the entry at a point is computed on
+its first request and kept, and a point that raises stores nothing.  A
+point is keyed with the types of its entries, and of a tuple entry's
+entries, as ``tabled`` keys a tuple argument.  ``packed`` tables a
+function of a pack and a point as one ``_Points`` per pack, so a check
+keys its pack once and reads its points by index.
 """
 
 from __future__ import annotations
@@ -58,6 +66,35 @@ class _Row:
         return row[m]
 
 
+class _Points:
+    """The entries ``entry(*args, point)`` of a pack's index points, each
+    computed on its first request and kept; an entry that raises is not
+    stored and raises again on the next request.  A request for one point
+    computes that point only, so an error names the point asked for.  Two
+    threads that miss one point at once both compute it, and both get the
+    object stored first."""
+
+    __slots__ = ("entry", "args", "values")
+
+    def __init__(self, entry, *args):
+        self.entry, self.args, self.values = entry, args, {}
+
+    def __getitem__(self, point):
+        key = (point, _point_types(point))
+        value = self.values.get(key, _MISSING)
+        if value is _MISSING:
+            value = self.values.setdefault(key, self.entry(*self.args, point))
+        return value
+
+
+def _point_types(point):
+    # the type of a point; of a tuple point, the type of each entry, or of
+    # each entry's entries for a tuple entry
+    if type(point) is not tuple:
+        return type(point)
+    return tuple([tuple(map(type, p)) if type(p) is tuple else type(p) for p in point])
+
+
 def _fields_getter(cls):
     names = tuple(getattr(cls, "__dataclass_fields__", ()))
     if not names:
@@ -93,6 +130,19 @@ def tabled(fn):
         return value
 
     return lookup
+
+
+def packed(entry):
+    """Table ``entry(*pack, point)`` as one ``_Points`` per pack: the
+    returned function of the pack is ``tabled`` and hands out the pack's
+    table, to be read by point."""
+
+    @tabled
+    @wraps(entry)
+    def points(*pack):
+        return _Points(entry, *pack)
+
+    return points
 
 
 def table_sizes() -> dict:

@@ -426,6 +426,90 @@ def test_summation_finite_domain_restriction():
         summation_lhs(qb, 2, 0, q ** -1, F(1, 3), F(1, 5), F(2, 7), N=1)
 
 
+# one base per backend at p = 1/2, the point the lemma2.1 verdicts run at
+BACKENDS = (QBase(F(1, 2)), QBase(0.5, "float"), QBase(F(1, 2), "complex"))
+
+
+def _bits(value):
+    # the type and the repr: equal bits for a float or complex, the same
+    # rational for a Fraction
+    return type(value), repr(value)
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+
+
+def _summation_lhs_inline(q, x, y, a, b2, bcd, bd_c, N, tb):
+    """The product side with every prefactor formed inline, per call: the
+    reference its per-point tables are read against."""
+    abcd = a * bcd
+    if N is not None:
+        if x > N or y > N:
+            raise DenominatorPole(
+                f"finite case is restricted to x, y <= N; got x={x}, y={y}, N={N}"
+            )
+        inf_ratio = qpoch(abcd, q, N)
+    else:
+        inf_ratio = qpoch_inf_ratio(abcd, bcd, q, tb)
+    pref = inf_ratio
+    pref *= qpoch(bd_c * q ** (-y), q, y) / qpoch(abcd, q, y)
+    denom = qpoch(a, q, x)
+    if denom == 0:
+        raise DenominatorPole(f"(a;q)_x vanishes at a={a}, x={x}")
+    pref *= qpoch(q ** (-x) / b2, q, x) / denom
+    ser = rphis(
+        PhiSpec(
+            numerators=(q ** (-x), a * b2 * q ** x, bcd, bd_c),
+            denominators=(b2 * q, bd_c * q ** (-y), abcd * q ** y),
+            base=q,
+            argument=q,
+            terminate_after=x + 1,
+        ),
+        tb,
+    )
+    return pref * ser
+
+
+@pytest.mark.parametrize("qb", BACKENDS, ids=repr)
+def test_summation_lhs_prefactor_tables_keep_every_bit(qb):
+    # every point of the lemma2.1 grid, cold and then from the tables: the
+    # value and type of the inline expressions, bit for bit
+    from qracah.verify import _stv_points
+
+    p2 = qb.p * qb.p if qb.mode == "exact" else float(qb.p) ** 2
+    q2, tb = p2 * p2, TailBound()
+    for N, s, t, v, x, y in _stv_points(4, off_poles=True):
+        args = (q2, x, y, qb.qpow(-2 * N), -qb.qpow(2 * s), -qb.qpow(s + t - v + 1),
+                qb.qpow(s - t - v + 1), N, tb)
+        want = _outcome(_summation_lhs_inline, *args)
+        for _ in range(2):
+            assert _outcome(qseries._summation_lhs, *args) == want, (N, s, t, v, x, y)
+
+
+@pytest.mark.parametrize("qb", BACKENDS, ids=repr)
+def test_summation_lhs_poles_name_the_requested_index(qb):
+    # (a;q)_x at a = 1/q vanishes from x = 2 on, and (abcd;q)_y at abcd =
+    # 1/q from y = 2 on: a request names its own x or y, not the first
+    # vanishing one, and the y pole is a DenominatorPole, not a bare
+    # division by zero
+    cast = {"exact": F, "float": float, "complex": complex}[qb.mode]
+    q = qb.q
+    b, c, d = cast(F(1, 3)), cast(F(1, 5)), cast(F(2, 7))
+    for x in (3, 2):
+        args = (q, x, 0, 1 / cast(q), b * b, b * c * d, b * d / c, 3, TailBound())
+        with pytest.raises(DenominatorPole, match=f"x={x}$"):
+            summation_lhs(qb, x, 0, 1 / cast(q), b, c, d, N=3)
+        assert _outcome(qseries._summation_lhs, *args) == _outcome(_summation_lhs_inline, *args)
+    a, b, c, d = cast(F(1, 16)), cast(2), cast(2), cast(16)  # abcd = 4 = 1/q
+    for y in (3, 2):
+        with pytest.raises(DenominatorPole, match=rf"^\(abcd;q\)_y vanishes at .*, y={y}$"):
+            summation_lhs(qb, 0, y, a, b, c, d, N=3)
+
+
 def test_summation_qracah_point():
     qb = QBase(F(1, 2))
     checked = skipped = 0

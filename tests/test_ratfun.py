@@ -26,9 +26,9 @@ from qracah import (
 from qracah import multivar
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
 from qracah.orthopoly import _series, asc_column, asc_w_column, kraw_column, kraw_w
-from qracah.qseries import certified_sum
-from qracah.ratfun import _gevp_residual, _pole_index
-from qracah.scalar import ordered_sum
+from qracah.qseries import certified_sum, qpoch, qpoch_inf_ratio
+from qracah.ratfun import _gevp_residual, _phi43, _pole_index
+from qracah.scalar import as_exponent, ordered_sum
 from qracah.tables import table_sizes
 from qracah.verify import _STV
 
@@ -423,3 +423,64 @@ def test_pr_refuses_k_not_positive(k):
     for fn in (pr_inner, pr_closed):
         with pytest.raises(OutOfRange, match="^k must be positive"):
             fn(pp, 1, 2)
+
+
+def _rr_closed_inline(rp, x, y):
+    """rr_closed with every prefactor formed inline, per call: the
+    reference its per-point tables are read against."""
+    qb = rp.qb
+    s, t, v = as_exponent(rp.s), as_exponent(rp.t), as_exponent(rp.v)
+    N = rp.N
+    q2 = qb.qpow(2)
+    c1 = qpoch(-qb.qpow(-2 * N + s + t - v + 1), q2, N)
+    c1 *= qpoch(-qb.qpow(-2 * x - 2 * s), q2, x) / qpoch(qb.qpow(-2 * N), q2, x)
+    c1 *= qpoch(qb.qpow(-2 * y + s - t - v + 1), q2, y) / qpoch(
+        -qb.qpow(s + t - 2 * N - v + 1), q2, y
+    )
+    ser = _phi43(qb, False, N, s, t, v, x, y)
+    return c1 * ser
+
+
+def _pr_closed_inline(pp, x, y):
+    """pr_closed with every prefactor formed inline, per call."""
+    qb = pp.qb
+    s, t, v, k = (as_exponent(pp.s), as_exponent(pp.t), as_exponent(pp.v), as_exponent(pp.k))
+    q2 = qb.qpow(2)
+    c1 = qpoch_inf_ratio(qb.qpow(s + t + 2 * k - v + 1), qb.qpow(s + t - v + 1), q2, pp.tb)
+    c1 *= qpoch(qb.qpow(-2 * y + s - t - v + 1), q2, y) / qpoch(
+        qb.qpow(s + t + 2 * k - v + 1), q2, y
+    )
+    c1 *= qpoch(qb.qpow(-2 * x - 2 * s), q2, x) / qpoch(qb.qpow(2 * k), q2, x)
+    ser = _phi43(qb, True, -k, s, t, v, x, y)
+    return c1 * ser
+
+
+def _bits(value):
+    # the type and the repr: equal bits for a float or complex, the same
+    # rational for a Fraction
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("qb", [QBase(F(1, 2)), QBase(0.5, "float"),
+                                QBase(F(1, 2), "complex")], ids=repr)
+def test_closed_form_prefactor_tables_keep_every_bit(qb):
+    # rr_closed at every point of the prop3.3 grid and pr_closed at every
+    # point of the cor4.3 grid, cold and then from the tables: the value
+    # and type of the inline expressions, bit for bit
+    from qracah.verify import _stv_points
+
+    for N, s, t, v, x, y in _stv_points(4, off_poles=True):
+        rp = RrParams(s, t, v, N, qb)
+        want = _bits(_rr_closed_inline(rp, x, y))
+        for _ in range(2):
+            assert _bits(rr_closed(rp, x, y)) == want, (N, s, t, v, x, y)
+    tb = TailBound(1e-12)
+    for k in (1, 2):
+        for s, t, v in ((0, 0, -1), (1, 1, 0), (1, 2, 1)):
+            for x in range(4):
+                for y in range(4):
+                    pp = PrParams(s, t, v, k, qb, tb)
+                    if pr_valid(pp, x, y):
+                        want = _bits(_pr_closed_inline(pp, x, y))
+                        for _ in range(2):
+                            assert _bits(pr_closed(pp, x, y)) == want, (k, s, t, v, x, y)

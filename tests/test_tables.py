@@ -26,11 +26,12 @@ from qracah import (
     pr_inner,
     rr_inner,
 )
-from qracah import multivar, orthopoly, qseries, uqsl2
+from qracah import multivar, orthopoly, qseries, ratfun, uqsl2
 from qracah.errors import DenominatorPole, OutOfRange
 from qracah.scalar import as_exponent
 from qracah.uqsl2 import OpMatrix
-from qracah.tables import _Row, table_sizes, tabled
+from qracah import tables
+from qracah.tables import _Points, _Row, packed, table_sizes, tabled
 
 TB = TailBound(1e-12)
 
@@ -63,15 +64,27 @@ def _outcome(fn, *args, **kwargs):
 
 # the entries of a row compared, each an outcome
 ROW_ENTRIES = 6
+# the points of a pack table compared: the (xs, ys) of the two-site chains
+# of _calls (the last out of the finite chain's range), their xs for the
+# weight pack, and x or y 0..ROW_ENTRIES-1 for the closed forms' quotients
+CHAIN_POINTS = (((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (0, 1)), ((1, 1), (3, 0)))
+PACK_POINTS = {"_rr_pack": CHAIN_POINTS, "_pr_pack": CHAIN_POINTS,
+               "_kraw_W_pack": ((0, 0), (1, 0), (2, 1), (3, 0))}
 
 
 def _same(a, b):
     # equal values of equal types, entry by entry (dict keys in order, the
-    # first ROW_ENTRIES entries of a row, each a value or an exception type)
+    # first ROW_ENTRIES entries of a row, the PACK_POINTS of a pack table,
+    # each a value or an exception type)
     if isinstance(a, _Row):
         return type(b) is _Row and all(
             _same(_outcome(a.__getitem__, m), _outcome(b.__getitem__, m))
             for m in range(ROW_ENTRIES))
+    if isinstance(a, _Points):
+        points = PACK_POINTS.get(a.entry.__name__, range(ROW_ENTRIES))
+        return type(b) is _Points and all(
+            _same(_outcome(a.__getitem__, point), _outcome(b.__getitem__, point))
+            for point in points)
     if isinstance(a, type):
         return a is b
     if isinstance(a, tuple):
@@ -126,12 +139,12 @@ def _calls(qb):
         for tilde in (False, True):
             for compact in (False, True):
                 calls.append((uqsl2._twisted, (rs, h, one, tilde, compact), {}))
-    # the multivariate rational functions, and the summation identity's
-    # rows: its 3phi2 factors in base 1/q and its coefficients
-    for xs in ((0, 0), (1, 0), (2, 1)):
-        for ys in ((0, 1), (1, 1)):
-            calls.append((multivar._rr_multi, (qb, one, h, 0, (2, 1), xs, ys), {}))
-            calls.append((multivar._pr_multi, (qb, one, 0, 0, (one, one), xs, ys, TB), {}))
+    # the pack tables of the multivariate rational functions and the
+    # finite x-side weight, and the summation identity's rows: its 3phi2
+    # factors in base 1/q and its coefficients
+    calls.append((multivar._rr_pack, (qb, one, h, 0, (2, 1)), {}))
+    calls.append((multivar._pr_pack, (qb, one, 0, 0, (one, one), TB), {}))
+    calls.append((multivar._kraw_W_pack, (qb, h, (2, 1)), {}))
     a, sq = qb.qpow(-4), -qb.qpow(one)
     for z in range(3):
         calls.append((qseries._rhs_factor, (qb.q, a, TB, z, sq), {}))
@@ -145,6 +158,14 @@ def _calls(qb):
             calls.append((qseries._one_minus_row, (Q,), {}))
     for bcd in (-qb.qpow(h), qb.qpow(3)):
         calls.append((qseries._rhs_coeffs, (qb.q, a, bcd), {}))
+    # the closed forms' and the product side's factors of one point
+    for N, (s, t, v) in ((2, (1, 0, 0)), (3, (h, one, 0))):
+        calls.append((ratfun._rr_prefactors, (qb, s, t, v, N), {}))
+        calls.append((ratfun._pr_prefactors, (qb, s, t, v, one, TB), {}))
+        b2, bcd, bd_c = -qb.qpow(2 * s), -qb.qpow(s + t - v + 1), qb.qpow(s - t - v + 1)
+        for size in (N, None):
+            calls.append((qseries._lhs_prefactors,
+                          (qb.qpow(2), qb.qpow(-2 * N), b2, bcd, bd_c, size, TB), {}))
     return calls
 
 
@@ -399,16 +420,126 @@ def test_a_row_entry_that_raises_is_not_stored():
 
 def test_multivariate_sequences_key_one_entry_as_list_or_tuple():
     # rr_multi and pr_multi take sequences; a list and a tuple of the same
-    # entries key one entry and return one object
+    # entries key one pack and one entry of it, and return one object
     qb = QBase(F(3, 11))  # a base no other test uses
     tb = TailBound(1e-9)
-    for public, cell, sizes, extra in ((multivar.rr_multi, multivar._rr_multi, (2, 1), ()),
-                                       (multivar.pr_multi, multivar._pr_multi, (1, 1), (tb,))):
-        before = _size(cell)
+    for public, pack, sizes, extra in ((multivar.rr_multi, multivar._rr_pack, (2, 1), ()),
+                                       (multivar.pr_multi, multivar._pr_pack, (1, 1), (tb,))):
+        before = _size(pack)
         first = public(qb, 1, 0, 0, list(sizes), [1, 0], [0, 1], *extra)
         again = public(qb, 1, 0, 0, tuple(sizes), (1, 0), (0, 1), *extra)
-        assert first is again and _size(cell) == before + 1, public.__name__
+        assert first is again and _size(pack) == before + 1, public.__name__
+        assert len(pack(qb, 1, 0, 0, sizes, *extra).values) == 1, public.__name__
         assert type(first) is F
+
+
+def test_pack_points_key_apart_by_their_entries_types():
+    # an index point keys with the types of its entries, and of a tuple
+    # entry's entries: equal points of different types never share an entry
+    table = packed(lambda *args: args)("pack")
+    for point in ((1,), (1.0,), (True,), ((1,), (0,)), ((1.0,), (0,)), ((True,), (0,)),
+                  1, 1.0, True):
+        assert table[point][-1] is point
+    assert table[1,] is table[(1,)] and table[(1,), (0,)] is table[((1,), (0,))]
+    assert len(table.values) == 9
+
+
+def test_a_pack_point_that_raises_is_not_stored():
+    # the point raises again on the next request; other points, before and
+    # after it, are computed and kept
+    def entry(scale, point):
+        if point == 2:
+            raise OutOfRange(f"point {point}")
+        return scale * point
+
+    table = _Points(entry, 3)
+    assert table[1] == 3
+    for _ in range(2):
+        with pytest.raises(OutOfRange, match="point 2"):
+            table[2]
+    assert table[4] == 12 and len(table.values) == 2
+
+
+def test_pack_points_hand_every_thread_the_first_object():
+    # threads reading the points of one fresh pack table at once, each in
+    # its own order: a point two threads miss together is computed twice,
+    # but every reader gets the object stored first
+    def entry(scale, point):
+        return [sum(scale * point for _ in range(200))]
+
+    table = _Points(entry, 3)
+    orders = [list(range(0, 41, step)) + [40 - step] for step in (1, 1, 2, 3, 5, 7)]
+    results = {}
+
+    def request(i):
+        results[i] = [table[m] for m in orders[i]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for i, order in enumerate(orders):
+        assert all(got is table[m] for got, m in zip(results[i], order))
+        assert [got[0] for got in results[i]] == [600 * m for m in order]
+
+
+def test_public_multivariate_values_are_the_residuals_entries():
+    # a residual fills the pack; rr_multi and pr_multi then read the very
+    # objects it stored, and add no entry
+    qb = QBase(F(4, 13))  # a base no other test uses
+    tb = TailBound(1e-9)
+    for public, pack, sizes, residual, extra in (
+            (multivar.rr_multi, multivar._rr_pack, (1, 1), multivar.multi_gevp_residual, ()),
+            (multivar.pr_multi, multivar._pr_pack, (1, 1), multivar.multi_gevp_residual_asc,
+             (tb,))):
+        residual(qb, 1, (1, 0), (0, 1), 1, 0, 0, sizes, *extra)
+        table = pack(qb, 1, 0, 0, sizes, *extra)
+        stored = dict(table.values)
+        assert stored, public.__name__
+        for (point, _), value in stored.items():
+            assert public(qb, 1, 0, 0, list(sizes), *map(list, point), *extra) is value
+        assert table.values == stored, public.__name__
+
+
+def _keys_built(monkeypatch, call):
+    # the tabled lookups of one call, counted through tables._key
+    built = []
+    key = tables._key
+
+    def counting(args, kwargs):
+        built.append(args)
+        return key(args, kwargs)
+
+    monkeypatch.setattr(tables, "_key", counting)
+    call()
+    monkeypatch.setattr(tables, "_key", key)
+    return len(built)
+
+
+def test_chain_residuals_key_each_pack_once_per_call(monkeypatch):
+    # once its packs are filled, a biorthogonality residual keys its two
+    # rational families and its weight once each (and the diagonal's weight),
+    # whatever the grid size; a generalized-eigenvalue residual keys its
+    # shift terms and its family once
+    qb = QBase(F(5, 17))  # a base no other test uses
+    for Ns in ((1,), (3,), (3, 2)):
+        idx, idx2 = tuple(Ns), tuple(0 for _ in Ns)
+        for i, j, keys in ((idx, idx2, 3), (idx, idx, 4)):
+            def call():
+                multivar.multi_biorth_residual(qb, 1, 0, 0, Ns, "x", i, j)
+            call()
+            assert _keys_built(monkeypatch, call) == keys, (Ns, i, j)
+        def gevp():
+            multivar.multi_gevp_residual(qb, 1, idx, idx2, 1, 0, 1, Ns)
+        gevp()
+        assert _keys_built(monkeypatch, gevp) == 2, Ns
 
 
 @dataclass(frozen=True)
