@@ -13,6 +13,7 @@ JSON object per line; the exit code is 0 only if every check passed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import functools
@@ -33,17 +34,21 @@ from .verify import SUITE_IDS, RunConfig, run_suite
 
 def _parse_number(text: str, mode: str):
     if mode == "complex":
-        try:
-            return complex(text)
-        except ValueError:
-            pass
+        with contextlib.suppress(ValueError):
+            z = complex(text)
+            # a non-finite part falls through, to be refused as in float mode
+            if cmath.isfinite(z):
+                return z
     try:
         fr = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse number {text!r}") from exc
     if mode == "exact":
         return fr
-    return float(fr)
+    try:
+        return float(fr)
+    except OverflowError:
+        raise ValueError(f"number {text!r} is beyond the floating-point range") from None
 
 
 def _parse_int(text: str, option: str) -> int:
@@ -108,11 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ev, ver, tab = (sub.add_parser(name, allow_abbrev=False)
                     for name in ("eval", "verify", "table"))
     for sp in (ev, ver, tab):
-        sp.add_argument("--mode", choices=("exact", "float", "complex"), default="exact")
         sp.add_argument("--p", default=None, help="base parameter p with q = p**2, e.g. 1/2")
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--max-terms", type=int, default=None)
+    # a verdict runs exact scalars only: the floating backends serve values
     for sp in (ev, tab):
+        sp.add_argument("--mode", choices=("exact", "float", "complex"), default="exact")
         sp.add_argument("--fn", required=True, choices=sorted(FUNCTIONS))
         for name in ("s", "t", "u", "v"):
             sp.add_argument(f"--{name}", default=None)
@@ -340,7 +346,6 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = RunConfig(
-        mode=args.mode,
         p=_parse_number(args.p, "exact") if args.p else None,
         tolerance=args.tol,
         trunc=args.trunc,

@@ -113,8 +113,8 @@ def rr_inner(rp: RrParams, x: int, y: int):
     An exact base sums the first N + 1 terms of ``_inner_terms``, the route
     ``pr_inner`` takes, on one unreduced integer pair.  The floating bases
     still multiply the two polynomial columns, (left[n], right[n], w[n]):
-    folding the power there changes float bits, and goes with the floating
-    backends' false verdicts (ROADMAP item 8).
+    folding the power there changes float bits, and goes with the
+    ``eval``/``table`` numerics (ROADMAP item 8).
     """
     if not (0 <= x <= rp.N and 0 <= y <= rp.N):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")

@@ -45,10 +45,10 @@ a gcd the sum's own reduction makes again.
 :func:`residual_sum` is the total absolute residual of a check, the sum
 over rows of |sum(plus) - sum(minus)|, each side a list of factor tuples
 (an operator row applied to a vector, say, against the other side of the
-identity).  In the exact backend each row is one unreduced integer pair,
-its magnitude is added to one outer pair, and a call builds one Fraction,
-not one per row for each sum, difference and ``abs``.  Float and complex
-rows run that expression as written, so their bits do not change.
+identity).  Checks run in the exact backend only: each row is one
+unreduced integer pair, its magnitude is added to one outer pair, and a
+call builds one Fraction, not one per row for each sum, difference and
+``abs``.
 """
 
 from __future__ import annotations
@@ -132,42 +132,29 @@ def residual_sum(rows, zero):
     """The sum over rows of |sum(plus) - sum(minus)|, from ``zero``: each row
     is a pair (plus, minus) of term sequences in :func:`ordered_sum`'s form.
 
-    The value and type are those of
-    ``ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus, zero)) for
-    plus, minus in rows), zero)``.  While ``zero`` and every factor are int,
-    Fraction or Unreduced, each row is one unreduced integer pair (the minus
-    terms negated), a row of value 0 adds nothing, and the others add their
-    magnitude to one outer pair by :func:`add_pair`: one Fraction is built
-    per call.  A row that meets another factor is recomputed by that
-    expression, and so is every row after it, so float and complex results
-    keep their bits.
+    Every caller is a check, so ``zero`` and every factor must be int,
+    Fraction or Unreduced (ExactnessError otherwise).  The value and type
+    are those of ``ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus,
+    zero)) for plus, minus in rows), zero)``: each row is one unreduced
+    integer pair (the minus terms negated), and its magnitude is added to
+    one outer pair by :func:`add_pair`, so a call builds one Fraction.
     """
-    rows = iter(rows)
-    out = zero
-    if _is_exact(zero):
-        zn, zd = zero.numerator, zero.denominator
-        num, den = zn, zd
-        ratio = not isinstance(zero, int)
-        for plus, minus in rows:
-            # sum(plus) - (zero + sum(minus)): the minus side starts at zero
-            rn, rd, plus_ratio, pending = _add_terms(plus, -zn, zd)
-            if pending is None:
-                rn, rd, minus_ratio, pending = _add_terms(minus, rn, rd, True)
-            if pending is not None:
-                out = (Fraction(num, den) if ratio else num) + _residual(plus, minus, zero)
-                break
-            ratio = ratio or plus_ratio or minus_ratio
-            if rn:
-                num, den = add_pair(num, den, abs(rn), rd)
-        else:
-            return Fraction(num, den) if ratio else num
+    if not _is_exact(zero):
+        raise ExactnessError(f"a residual sums exact scalars, got zero = {zero!r}")
+    zn, zd = zero.numerator, zero.denominator
+    num, den = zn, zd
+    ratio = not isinstance(zero, int)
     for plus, minus in rows:
-        out = out + _residual(plus, minus, zero)
-    return out
-
-
-def _residual(plus, minus, zero):
-    return abs(ordered_sum(plus) - ordered_sum(minus, zero))
+        # sum(plus) - (zero + sum(minus)): the minus side starts at zero
+        rn, rd, plus_ratio, pending = _add_terms(plus, -zn, zd)
+        if pending is None:
+            rn, rd, minus_ratio, pending = _add_terms(minus, rn, rd, True)
+        if pending is not None:
+            raise ExactnessError(f"a residual sums exact scalars, got the term {pending!r}")
+        ratio = ratio or plus_ratio or minus_ratio
+        if rn:
+            num, den = add_pair(num, den, abs(rn), rd)
+    return Fraction(num, den) if ratio else num
 
 
 def _is_exact(x) -> bool:

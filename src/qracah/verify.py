@@ -10,14 +10,12 @@ first for suites registered ``first_p``), appends the tail-bound fields
 point's ``p``.  ``run_task`` calls ``CHECKS[fn](qb, **point)``: ``p`` becomes
 the shared base ``qb``, the tail-bound fields one ``TailBound`` ``tb``, and
 the rest are keywords that each check names in its signature, so a library
-residual with those parameter names is its own check.  Tasks carry a contract:
+residual with those parameter names is its own check.  Every check runs in
+exact scalars, and a task's contract labels its report:
 
-* ``exact``     -- the residual must be identically zero when run in the
-  exact backend (the default); under a floating backend the tolerance
-  applies instead;
+* ``exact``     -- the residual must be identically zero;
 * ``certified`` -- the check involves certified truncation of infinite
-  sums/products, always runs its scalars in the exact backend, and passes
-  when the residual is within tolerance.
+  sums/products and passes when the residual is within tolerance.
 
 Task execution is a pure function of the task, so suites can run in a
 process pool; results stream in deterministic task order either way.
@@ -54,7 +52,6 @@ class Task:
 class RunConfig:
     """Options shared by the front-end commands."""
 
-    mode: str = "exact"
     p: Optional[Fraction] = None
     tolerance: Optional[float] = None
     trunc: Optional[int] = None
@@ -90,10 +87,10 @@ class RunConfig:
 
 
 @tabled
-def _base(p, mode):
-    # one shared base per (p, mode): a table lookup whose key holds the base
-    # then matches it by identity, without QBase.__eq__
-    return QBase(p, mode)
+def _base(p):
+    # one shared base per p: a table lookup whose key holds the base then
+    # matches it by identity, without QBase.__eq__
+    return QBase(p)
 
 
 def chk_summation(qb, N, s, t, v, x, y):
@@ -133,9 +130,9 @@ def chk_gevp_rewrite(qb, s, **site):
 
 
 def chk_eigen(qb, u, s, x, N=None, k=None, trunc=None):
-    # the one-site chain's left eigen-identity; abs makes a complex total a float
+    # the one-site chain's left eigen-identity
     size, su11 = (k, True) if N is None else (N, False)
-    return abs(multivar.nested_eigen_residual(qb, "L", 1, u, s, (size,), (x,), su11, trunc))
+    return multivar.nested_eigen_residual(qb, "L", 1, u, s, (size,), (x,), su11, trunc)
 
 
 def chk_prop33(qb, N, s, t, v, x, y):
@@ -504,20 +501,20 @@ def build_tasks(suite_id: str, cfg: RunConfig) -> List[Task]:
 
 
 def run_task(task: Task, mode: str, tol: float) -> CheckReport:
-    """Execute one task; errors become failing reports, never crashes.
+    """Execute one task in exact scalars; errors become failing reports.
 
-    Certified tasks run their scalar arithmetic in the exact backend (so the
-    only error is the certified truncation, never float cancellation) and
-    are labeled "certified": they pass by tolerance, not by exact zero.
+    The report is labeled by the task's contract: an exact task passes on a
+    residual of exactly 0, a certified one within ``tol``.  ``mode`` must
+    be ``"exact"``.
     """
-    certified = task.contract == "certified"
-    scalar_mode = "exact" if certified else mode
-    label = "certified" if certified else mode
+    if mode != "exact":
+        raise ValueError(f"verify runs exact scalars only, got mode {mode!r}")
+    label = task.contract
     start = time.perf_counter()
     try:
         point = dict(task.params)
-        qb = _base(point.pop("p"), scalar_mode)
-        if certified:
+        qb = _base(point.pop("p"))
+        if label == "certified":
             point["tb"] = qseries.TailBound(tolerance=point.pop("tb_tol"),
                                             max_terms=point.pop("tb_max_terms"))
         residual = CHECKS[task.fn](qb, **point)
@@ -546,10 +543,10 @@ def run_task(task: Task, mode: str, tol: float) -> CheckReport:
 
 
 def _floating(residual):
-    """A tolerance-contract residual as the float (or complex) it is read
-    and serialized as; an exact one past the float range is OutOfRange."""
+    """A certified residual as the float it is read and serialized as; one
+    past the float range is OutOfRange."""
     try:
-        return residual if isinstance(residual, complex) else float(residual)
+        return float(residual)
     except OverflowError:
         bits = abs(residual.numerator).bit_length() - residual.denominator.bit_length()
         raise OutOfRange(f"residual of about 2**{bits} leaves the floating-point range") from None
@@ -569,11 +566,11 @@ def run_suite(suite_id: str, cfg: RunConfig) -> Iterator[CheckReport]:
     tol = cfg.tol()
     if cfg.jobs <= 1:
         for task in tasks:
-            yield run_task(task, cfg.mode, tol)
+            yield run_task(task, "exact", tol)
         return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        args = [(task, cfg.mode, tol) for task in tasks]
+        args = [(task, "exact", tol) for task in tasks]
         for report in pool.map(_run_task_star, args, chunksize=8):
             yield report

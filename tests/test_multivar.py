@@ -492,28 +492,9 @@ def _univariate_pr_gevp(qb, tb, k, s, t, v, x, y, c0_error=0):
     return qb.brace(2 * x + k + s) * lhs - rhs
 
 
-_EIGEN_POINTS = (dict(N=4, u=1, s=2, x=1), dict(N=3, u=0, s=1, x=2), dict(N=4, u=1, s=0, x=3),
-                 dict(k=2, trunc=12, u=1, s=1, x=2), dict(k=1, trunc=12, u=0, s=0, x=1))
-_BIORTH_POINTS = ((3, 1, 2, 0, "x", 1, 1), (3, 2, 1, -1, "y", 2, 2), (2, 0, 0, 1, "x", 0, 1),
-                  (3, 1, 2, -2, "y", 0, 0))
-
-
-@pytest.mark.parametrize("mode", ["float", "complex"])
-def test_one_site_eigen_and_biorth_are_the_univariate_floats(mode):
-    # the same bits, rounding residuals included
-    qb = QBase(F(2, 3), mode)
-    eigen = [(CHECKS["eigen"](qb, **pt), _univariate_eigen(qb, **pt)) for pt in _EIGEN_POINTS]
-    biorth = [(CHECKS["rr_biorth"](qb, *pt), _univariate_rr_biorth(qb, *pt))
-              for pt in _BIORTH_POINTS]
-    for pairs in (eigen, biorth):
-        assert [repr(got) for got, _ in pairs] == [repr(want) for _, want in pairs]
-        assert any(want for _, want in pairs)
-
-
 def test_one_site_infinite_recurrence_is_the_univariate_one():
-    # certified tasks run in exact scalars in every mode, so the chain's
-    # order of the three terms gives the same rational, and the floating
-    # modes report the same float of it
+    # certified tasks run in exact scalars, so the chain's order of the
+    # three terms gives the same rational, and the report holds its float
     cfg = RunConfig()
     tasks = build_tasks("prop4.5", cfg)
     assert len(tasks) == 32
@@ -525,9 +506,8 @@ def test_one_site_infinite_recurrence_is_the_univariate_one():
         want = _univariate_pr_gevp(qb, tb, **point)
         got = CHECKS["pr_gevp"](qb, tb, **point)
         assert type(got) is F and got == want, task.check
-        for mode in ("float", "complex"):
-            report = run_task(task, mode, cfg.tol())
-            assert report.residual == residual_string(float(want)), (task.check, mode)
+        report = run_task(task, "exact", cfg.tol())
+        assert report.residual == residual_string(float(want)), task.check
         values.append(want)
     assert any(values)
 

@@ -76,20 +76,16 @@ def test_every_task_binds_to_its_check(cfg):
     assert unbound == []
 
 
-def _report_digests(suite, mode="exact"):
+def _report_digests(suite):
     # per suite, the number of reports and the sha256 of their lines
     # without elapsed_ms, in order
     lines = {}
-    for r in run_suite(suite, RunConfig(mode=mode)):
+    for r in run_suite(suite, RunConfig()):
         payload = json.loads(r.to_json())
         payload.pop("elapsed_ms")
         lines.setdefault(r.suite, []).append(json.dumps(payload, separators=(",", ":")))
     return {sid: (len(rows), hashlib.sha256("\n".join(rows).encode()).hexdigest())
             for sid, rows in lines.items()}
-
-
-def _report_digest(suite, mode="exact"):
-    return _report_digests(suite, mode)[suite]
 
 
 # the whole exact stream of `verify --suite all` at the default p, suite by
@@ -150,150 +146,87 @@ def test_report_digests_are_pinned():
     assert _report_digests("all") == EXACT_SUITE_DIGESTS
 
 
-def test_floating_report_digests_are_pinned():
-    # the same streams under --mode float and --mode complex: lemma2.1 runs
-    # the floating series and exponent paths (its residual digits move with
-    # any change of operation order there); cor4.3 is certified, so it runs
-    # exact whatever the mode and must match its exact digest
-    assert _report_digest("lemma2.1", "float") == (
-        470, "cbf2f6a208ff864baf577ebf07d31f13f93e9d971b490b4b7fa5deec5359ce28")
-    assert _report_digest("lemma2.1", "complex") == (
-        470, "17401a254fa1f2bc3d0e253f9366d1a69bdaae71835a7be3ac931911079e0eaf")
-    for mode in ("float", "complex"):
-        assert _report_digest("cor4.3", mode) == EXACT_SUITE_DIGESTS["cor4.3"]
-
-
-# float and complex digests of the suites that run the formulas written once
-# for both families (3phi2, three-term and five-point tables, 4phi3,
-# generator matrices); their residual digits move with any change of
-# operation order or of a signed zero in those bodies
-SHARED_FORMULA_DIGESTS = {
-    ("relations", "float"): (
-        14, "f8aa872f402ab90527d08199019ae0a1770c5f477aeac5132ae0d605163e5d51"),
-    ("relations", "complex"): (
-        14, "43ab81d210df71085fb1bab6553387d7faabd675a1d635edd878061591fa72d2"),
-    ("ev3.x", "float"): (
-        180, "96eeb7ff9db5170c1fa91a9742ac4e92a054e1f7fdcda6e8aa10c441a29d4a57"),
-    ("ev3.x", "complex"): (
-        180, "8ac98d25a28a4a46e219cda0d8e586ada7a28e24bbfa4e0b7f12ee00ee0ee5b3"),
-    ("prop3.3", "float"): (
-        470, "91a198109d764cb56ecbd15400f772519e66d0ca46f53afde2a51a79ab077318"),
-    ("prop3.3", "complex"): (
-        470, "c9466aeb2c78d454044e5abfbe6755a6f86acd922efabd10f350a96bbbe14ed0"),
-    ("cor3.6", "float"): (
-        300, "53c8b3180fb6762cb181b785b374f2a61495a68daa88c9950355ed7bc7102fee"),
-    ("cor3.6", "complex"): (
-        300, "58ee54286ff3dbe89f6283c6dc6fee2ae9a833650704353b7dd69b65adb57fc7"),
-    ("lemma3.5", "float"): (
-        100, "c6b1773841c8de58b369b6576f9c4d052b938d5e60c45707f7626d5452f61f57"),
-    ("lemma3.5", "complex"): (
-        100, "34c5aa2901a2d438b60c8b7fd72f6c4d6837c6660803c3e11264c729ead7e9a8"),
-    ("lemma3.8", "float"): (
-        108, "ea9f32cfefece51120bb14a9db3dd612015550b725351d3b381efd57f4f5a927"),
-    ("lemma3.8", "complex"): (
-        108, "c9ac0b19d29f66a9d5ee89bbff9aae3452e3c441ec7e8b13133e49835c0d848d"),
-    ("ev4.x", "float"): (
-        48, "c0ed216deb400104202ebc620af418e9a3b92b1557fe6af2d9fd775bc66c96cd"),
-    ("ev4.x", "complex"): (
-        48, "ea610a99475cacfd7969c49e8c8ee88ed09e5a4d96a843fc2ce72ba340213484"),
-    ("lemma4.5", "float"): (
-        80, "ecedca8bf5c69aa4bd0465a09ce359fe3bbb4951fe224601d3a9c23a885d5597"),
-    ("lemma4.5", "complex"): (
-        80, "496f30cd4e6f5be8573fa510bef3c5c81973b10d2a7129dfaa39317d272b4d76"),
-    ("lemma4.8", "float"): (
-        66, "3ca421fae26c3c5de0a117995ea3f2804d4aeeca6e36c6aa1beae2552efa1a0c"),
-    ("lemma4.8", "complex"): (
-        66, "785ab63b0a7e152040b83377797721974466157d818d0ddfb6ddd3cdfd806f6b"),
-    ("cor4.1", "float"): (
-        20, "3a62d95390579e2b6fe2f2023b0c7aa9b6edefd6f982cf1fa3b3aadc9c3aebf2"),
-    ("cor4.1", "complex"): (
-        20, "da59c24f3be467cda3ec41d775c43d2bdb3650c584bcb77d28929e10ac5f1ba7"),
-}
-
-
-def test_shared_formula_digests_are_pinned():
-    for (suite, mode), digest in SHARED_FORMULA_DIGESTS.items():
-        assert _report_digest(suite, mode) == digest, (suite, mode)
-
-
-# float and complex digests of the finite suites that run the chain tables
-# of multivar (shift-term maps, nested vectors, chain operators); lemma4.8,
-# their infinite-side user, is pinned above.  Their residual digits move
-# with any change of the per-eps accumulation order or of an operator's
-# entries
-CHAIN_TABLE_DIGESTS = {
-    ("prop3.7", "float"): (
-        220, "159f6d1cce6e94430ad20f5b1231ff0deaa07470611e154d3a847438b2d238d2"),
-    ("prop3.7", "complex"): (
-        220, "38e936637639916d8856a106ff5c3c60ee70df060cf18837868c8306f68019b3"),
-    ("lemma3.9", "float"): (
-        90, "78f9a1ff2880820d9a92a4af0b853c638456d7c361b6724838345f1adb77a606"),
-    ("lemma3.9", "complex"): (
-        90, "9b970deedeeec9f5d0b576a67ecd8de7df03c879c144030d64c761e8502f0a9d"),
-    ("cor3.10", "float"): (
-        708, "40e308ee435982c33fe600140dff7a70d73790a3eb61f44046f0f1facffcd5a1"),
-    ("cor3.10", "complex"): (
-        708, "9d1aea26dc0084c629a5cd3522a5b98282daffa42a264986ab34f97d6e35fd6c"),
-}
-
-
-def test_chain_table_digests_are_pinned():
-    for (suite, mode), digest in CHAIN_TABLE_DIGESTS.items():
-        assert _report_digest(suite, mode) == digest, (suite, mode)
-
-
-# the remaining suites that read polynomial values (kraw/asc), in the modes
-# no digest above pins: their residual digits move with any change of a
-# polynomial value's prefactor, series or operation order
-POLYNOMIAL_VALUE_DIGESTS = {
-    ("star", "float"): (
-        14, "f5b9b1c6bb2f071217bed52b638cbcf0e945a48fbcd7a549c4814218d8cc8d71"),
-    ("star", "complex"): (
-        14, "dfbc037d589428242775f1248c1132a16b257688cd00c49acb8d1abff2529afe"),
-    ("lemma3.1", "float"): (
-        50, "6d589af09b71df8ac3f82e5bc6dc54283fdad7fe5b159d277cb545dbc6cd1720"),
-    ("lemma3.1", "complex"): (
-        50, "fc593d8ded3f0b8a3babc13dff20c4c0d87077418d2bff6eca54067b3b89177b"),
-    ("prop3.4", "float"): (
-        720, "9e9832e7d0a924491d2ecc12feec498068f0faf10cc56119bf84dea912ac1352"),
-    ("prop3.4", "complex"): (
-        720, "f4bdbfde1e2e20908c443ff4e5058c9ff5a142fcb43028d95f03ef0058a7341c"),
-    ("prop4.6", "float"): (
-        64, "7aa1ce70f10291414cb5223a6e4775a5b99dacc3c3c1dddb834d9aeab616caaf"),
-    ("prop4.6", "complex"): (
-        64, "e7ae2ec6da704d07757dd313485a64bbcd982b104cda9b676e65fc489d3995fe"),
-}
-
-
-def test_polynomial_value_digests_are_pinned():
-    for (suite, mode), digest in POLYNOMIAL_VALUE_DIGESTS.items():
-        assert _report_digest(suite, mode) == digest, (suite, mode)
-
-
-# table --fn pr_inner in the floating backends: each term is the combined
+# table in the floating backends: pr_inner, whose terms are the combined
 # power q**(n(s+t-v+k)) times the two series entries and the weight, in
-# that order, as in the exact backend, and that order fixes the bits
-_PR_INNER_POINTS = {
-    "p=2/3,k=3/2": ("--p", "2/3", "--k", "3/2", "--s", "1", "--t", "1/2", "--v", "1/3",
-                    "--grid", "x=0:6,y=0:6"),
-    "p=1/2,k=1": ("--p", "1/2", "--k", "1", "--s", "1", "--t", "1", "--v", "0",
-                  "--grid", "x=0:4,y=0:4"),
+# that order, as in the exact backend, and one table per --fn (both
+# families where one takes either) of the polynomial, rational-function,
+# weight and coefficient bodies.  Their digits move with any change of
+# operation order or of a signed zero in those bodies
+_TABLE_POINTS = {
+    "pr_inner p=2/3,k=3/2": ("--fn", "pr_inner", "--p", "2/3", "--k", "3/2", "--s", "1",
+                             "--t", "1/2", "--v", "1/3", "--grid", "x=0:6,y=0:6"),
+    "pr_inner p=1/2,k=1": ("--fn", "pr_inner", "--p", "1/2", "--k", "1", "--s", "1",
+                           "--t", "1", "--v", "0", "--grid", "x=0:4,y=0:4"),
+    "kraw": ("--fn", "kraw", "--p", "2/3", "--N", "4", "--u", "1/2", "--s", "1/3",
+             "--grid", "n=0:4,x=0:4"),
+    "asc": ("--fn", "asc", "--p", "1/2", "--k", "3/2", "--u", "1", "--s", "1/3",
+            "--grid", "n=0:4,x=0:4"),
+    "rr_inner": ("--fn", "rr_inner", "--p", "2/3", "--N", "3", "--s", "1", "--t", "2",
+                 "--v", "1/3", "--grid", "x=0:3,y=0:3"),
+    "rr_closed": ("--fn", "rr_closed", "--p", "2/3", "--N", "3", "--s", "1", "--t", "2",
+                  "--v", "1/3", "--grid", "x=0:3,y=0:3"),
+    "rr_multi": ("--fn", "rr_multi", "--p", "1/2", "--N", "2,1", "--s", "1", "--t", "0",
+                 "--v", "1/2", "--grid", "x1=0:2,x2=0:1,y1=0:2,y2=0:1"),
+    "weights N": ("--fn", "weights", "--p", "2/3", "--N", "4", "--s", "1/2",
+                  "--grid", "n=0:4,x=0:4"),
+    "weights k": ("--fn", "weights", "--p", "1/2", "--k", "3/2", "--s", "1",
+                  "--grid", "n=0:4,x=0:4"),
+    "coefficients N": ("--fn", "coefficients", "--p", "2/3", "--N", "4", "--t", "1",
+                       "--v", "1/3", "--grid", "y=0:4"),
+    "coefficients k": ("--fn", "coefficients", "--p", "1/2", "--k", "2", "--t", "1",
+                       "--v", "0", "--grid", "y=0:4"),
 }
 PR_INNER_TABLE_DIGESTS = {
-    ("float", "p=2/3,k=3/2"): (
+    ("float", "pr_inner p=2/3,k=3/2"): (
         49, "89ae61a854585aff412d6f315c10a95d917e4bfe9ff3821053b949c3d7d749b0"),
-    ("float", "p=1/2,k=1"): (
+    ("float", "pr_inner p=1/2,k=1"): (
         25, "156feff8403ad203d14271e02299d92e714fffecf266a251a048b5ef1e066213"),
-    ("complex", "p=2/3,k=3/2"): (
+    ("complex", "pr_inner p=2/3,k=3/2"): (
         49, "4119120192fb6754206f993ca5e01ad94cf8cb0ecd5f79470935ab60dc7ecaea"),
-    ("complex", "p=1/2,k=1"): (
+    ("complex", "pr_inner p=1/2,k=1"): (
         25, "ae305185c167b1384f38f8c6d24b3d45ff84beb1849d3606b4499f508e669698"),
+    ("float", "kraw"): (
+        25, "7b9bedada6e2498ee5afc309d6d3d7c256d7e399a2f26f9df5d020efa5227522"),
+    ("float", "asc"): (
+        25, "901bb7b4dfef3ea1bd021455801d794c4e4eaf42b025d97cb6c148aa860f0e09"),
+    ("float", "rr_inner"): (
+        16, "610159727d1d8484545346839a3325beb0f47f3e395bd03d8da1b85b20fcf233"),
+    ("float", "rr_closed"): (
+        16, "ca0575d584e5801ec1fb2637a06e73c3e30888251c2b1394feb4971911cf677f"),
+    ("float", "rr_multi"): (
+        36, "f63845f5ad677327b672aed1aebc172292dbd69e35db26e132245fd0b72b839d"),
+    ("float", "weights N"): (
+        25, "7fa50cca7e5285428c2f9cc95f2859283a5c65fdd726198333fe5451ace4c09c"),
+    ("float", "weights k"): (
+        25, "3ce7b57885050b52e5477ac96711af12511e1c61fbcd382055361168fbb71eba"),
+    ("float", "coefficients N"): (
+        5, "723fe0a10f7bb158d55711274d6dbf09de9a2ff5636574ff241ad825b416e7b1"),
+    ("float", "coefficients k"): (
+        5, "e9cbca9196206e252b9371f87e083010fe16cf521bf394e3849473abd73e741d"),
+    ("complex", "kraw"): (
+        25, "95c742ad4f12ca0d946e81344f78a1c6b87a0053d5c3fdfbf36a8fb982b67bb0"),
+    ("complex", "asc"): (
+        25, "38fbb27f044a77a5161b14361d275f5d07fb27f69aa6a6684125d53253bf2375"),
+    ("complex", "rr_inner"): (
+        16, "0ff35efc7ddafa1786c3357c0e5cf6ed2a5ed2f3e79008f88cfaff0b3880623d"),
+    ("complex", "rr_closed"): (
+        16, "c88a0752bed206abd0fdd837fad59b79739337c86e132e8c44bea31203dbf6a9"),
+    ("complex", "rr_multi"): (
+        36, "9966ab12a8b8c403f2224faddc23c58c37147b2b6b03db8bba71eb7c93212d4e"),
+    ("complex", "weights N"): (
+        25, "0a00e1967ad05bbf91a849fe01a944b3e234a361dbaf5daa1eff82df220ae423"),
+    ("complex", "weights k"): (
+        25, "a0aeb997937f10aa5ba56ac08d8760d6a66f937ae4b16a10d22f967900fd9394"),
+    ("complex", "coefficients N"): (
+        5, "98aa8231215a122b641523cd2170b690028a410e31559fb49ec9111a6e4bbe8d"),
+    ("complex", "coefficients k"): (
+        5, "ac70a4a16669fe70f1743e2667e692d1166e83cd8c20b421a243436ed5207076"),
 }
 
 
 def test_pr_inner_floating_table_digests_are_pinned(capsys):
     for (mode, point), digest in PR_INNER_TABLE_DIGESTS.items():
-        argv = ["table", "--fn", "pr_inner", "--mode", mode, *_PR_INNER_POINTS[point]]
+        argv = ["table", "--mode", mode, *_TABLE_POINTS[point]]
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == digest, argv
@@ -422,14 +355,6 @@ def test_certificate_honesty():
         if r.passed:
             assert not r.error
             assert abs(float(r.residual)) <= 1e-20
-
-
-def test_float_mode_uses_tolerance_contract():
-    # only N <= 1: larger N fails in float mode on unnormalized residuals
-    tasks = build_tasks("ev3.x", RunConfig(mode="float", p=F(1, 2)))
-    reports = [run_task(t, "float", 1e-9) for t in tasks if t.params["N"] <= 1]
-    assert reports and all(r.passed for r in reports)
-    assert all(r.backend == "float" for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +550,7 @@ _RR_POINT = ("--fn", "rr_closed", "--N", "2", "--s", "1", "--t", "0", "--v", "0"
 _PR_POINT = ("--fn", "pr_closed", "--k", "1", "--s", "1", "--t", "0", "--v", "0",
              "--x", "1", "--y", "1")
 _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
+_KRAW_POINT = ("--fn", "kraw", "--N", "2", "--n", "1", "--x", "1")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -662,7 +588,7 @@ _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
      "tolerance must be positive and finite, got nan"),
     (("eval", "--tol", "nan", "--fn", "pr_inner", "--k", "1", "--s", "0", "--t", "0",
       "--v", "0", "--x", "0", "--y", "0"), "tolerance must be positive and finite, got nan"),
-    (("verify", "--suite", "lemma2.1", "--mode", "float", "--tol", "-1"),
+    (("verify", "--suite", "lemma2.1", "--tol", "-1"),
      "tolerance must be positive and finite, got -1.0"),
     (("verify", "--suite", "relations", "--tol", "inf"),
      "tolerance must be positive and finite, got inf"),
@@ -672,12 +598,26 @@ _WEIGHTS = ("--fn", "weights", "--p", "1/2", "--N", "3", "--s", "0")
     (("table", *_WEIGHTS, "--grid", "x=0:1", "--max-terms", "0"), "max_terms must be at least 1"),
     (("verify", "--suite", "relations", "--jobs", "-2"), "jobs must be at least 1"),
     (("verify", "--suite", "relations", "--jobs", "0"), "jobs must be at least 1"),
+    # float(Fraction) raised an OverflowError traceback
+    (("eval", "--mode", "float", *_KRAW_POINT, "--s", "1e400"),
+     "number '1e400' is beyond the floating-point range"),
+    (("eval", "--mode", "float", "--p", "1e400", *_KRAW_POINT, "--s", "1"),
+     "number '1e400' is beyond the floating-point range"),
+    # complex() takes nan, inf and 1e400 (as inf): a non-finite part is
+    # refused as in float mode, not evaluated to (nan+nanj)
+    (("eval", "--mode", "complex", *_KRAW_POINT, "--s", "nan"), "cannot parse number 'nan'"),
+    (("eval", "--mode", "complex", *_KRAW_POINT, "--s", "inf"), "cannot parse number 'inf'"),
+    (("eval", "--mode", "complex", *_KRAW_POINT, "--s", "1e400"),
+     "number '1e400' is beyond the floating-point range"),
+    (("eval", "--mode", "complex", *_RR_POINT[:7], "nan", *_RR_POINT[8:]),
+     "cannot parse number 'nan'"),
 ], ids=["s-abc", "p-nan", "p-inf", "p-zero-denominator", "verify-p-zero-denominator",
         "max-terms-0", "verify-max-terms-0", "tol-0", "p-underflow", "trunc-0", "trunc-1",
         "empty-grid-csv", "empty-grid-json", "grid-axis-unread", "grid-axis-repeated",
         "grid-slot-unread", "grid-slot-gap", "grid-slot-zero", "verify-tol-nan", "tol-nan", "verify-tol-negative",
         "verify-tol-inf", "tol-inf", "table-tol-nan", "table-max-terms-0", "jobs-negative",
-        "jobs-0"])
+        "jobs-0", "float-s-overflow", "float-p-overflow", "complex-s-nan", "complex-s-inf",
+        "complex-s-overflow", "complex-t-nan"])
 def test_cli_bad_input_is_a_config_error(args, message):
     # a number that does not parse, or a tail bound or base that cannot
     # work, is refused with exit status 2 and one line, never a traceback
@@ -748,13 +688,14 @@ def test_cli_verify_trunc_2_runs():
     assert len(reports) == 20 and all(r["params"]["trunc"] == 2 for r in reports)
 
 
-# the options each subcommand reads; any other option is an argparse error
-_SERIES_OPTIONS = {"--mode", "--p", "--tol", "--max-terms"}
+# the options each subcommand reads; any other option is an argparse error.
+# verify runs exact scalars only, so it takes no --mode
+_SERIES_OPTIONS = {"--p", "--tol", "--max-terms"}
 _POINT_OPTIONS = {"--fn", "--s", "--t", "--u", "--v", "--N", "--k", "--x", "--y", "--n"}
 _READ_OPTIONS = {
-    "eval": _SERIES_OPTIONS | _POINT_OPTIONS,
+    "eval": _SERIES_OPTIONS | {"--mode"} | _POINT_OPTIONS,
     "verify": _SERIES_OPTIONS | {"--suite", "--trunc", "--jobs", "--out"},
-    "table": _SERIES_OPTIONS | _POINT_OPTIONS | {"--grid", "--format", "--out"},
+    "table": _SERIES_OPTIONS | {"--mode"} | _POINT_OPTIONS | {"--grid", "--format", "--out"},
 }
 _VALID_ARGS = {
     "eval": ("--fn", "weights", "--p", "1/2", "--N", "3", "--n", "1"),
@@ -777,15 +718,7 @@ def test_cli_subcommand_takes_only_the_options_it_reads(command, capsys):
 
 
 def test_cli_floating_overflow_fails_by_report():
-    # at p = 1e-30 the su11 relations need q**-6 = 1e360: each such task is
-    # a failing OutOfRange report, and all 7 reports are written
-    out = _cli("verify", "--suite", "relations", "--mode", "float", "--p", f"1/{10**30}")
-    assert out.returncode == 1 and "Traceback" not in out.stderr
-    reports = [json.loads(line) for line in out.stdout.splitlines()]
-    assert len(reports) == 7
-    errors = [r["error"] for r in reports if "error" in r]
-    assert errors and all(e.startswith("OutOfRange: q**") for e in errors)
-    # a single evaluation reports it with exit status 2
+    # a floating power past the float range is reported with exit status 2
     out = _cli("eval", "--mode", "float", "--p", "1/1000", "--fn", "weights",
                "--N", "200", "--n", "100")
     assert out.returncode == 2
@@ -802,6 +735,16 @@ def test_certified_residual_beyond_the_float_range_fails_by_report():
     assert not report.passed and report.residual == "error"
     assert report.error.startswith("OutOfRange: ")
     assert report.error.endswith("leaves the floating-point range")
+
+
+def test_run_task_runs_exact_scalars_only():
+    # the mode argument stays for its callers; any other value is refused
+    # before the task runs
+    task = build_tasks("relations", RunConfig(p=F(1, 2)))[0]
+    for mode in ("float", "complex", "certified"):
+        with pytest.raises(ValueError, match=f"^verify runs exact scalars only, got mode '{mode}'$"):
+            run_task(task, mode, verify.DEFAULT_TOL)
+    assert run_task(task, "exact", verify.DEFAULT_TOL).residual == "0"
 
 
 def test_cli_verify_unknown_suite():
