@@ -17,11 +17,10 @@ from qracah import (
     pr_inner,
     pr_valid,
     rr_closed,
-    rr_gevp_residual,
     rr_inner,
     rr_valid,
 )
-from qracah.multivar import multi_biorth_residual
+from qracah.multivar import multi_biorth_residual, multi_gevp_residual
 
 qb = QBase(F(1, 2))
 rp = RrParams(2, 1, -1, 3, qb)
@@ -43,7 +42,9 @@ bad = sum(1 for i in range(4) for j in range(4)
 print("  nonzero residuals:", bad)
 
 print("three-term recurrence residuals:")
-bad = sum(1 for x in range(4) for y in range(4) if rr_gevp_residual(rp, x, y) != 0)
+# so is the recurrence, the one-site generalized eigenvalue problem
+bad = sum(1 for x in range(4) for y in range(4)
+          if multi_gevp_residual(qb, 1, (x,), (y,), rp.s, rp.t, rp.v, (rp.N,)) != 0)
 print("  nonzero residuals:", bad)
 
 # the infinite family: exact rational scalars with certified truncation

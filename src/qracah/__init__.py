@@ -59,7 +59,6 @@ from .ratfun import (
     pr_inner,
     pr_valid,
     rr_closed,
-    rr_gevp_residual,
     rr_inner,
     rr_valid,
 )

@@ -46,9 +46,7 @@ from .orthopoly import (
     _signed_qpow,
     asc_w_column,
     asc_W,
-    kraw_b_coeffs,
     kraw_column,
-    kraw_diff_coeffs,
     kraw_w_column,
     require_positive_k,
 )
@@ -239,39 +237,6 @@ def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
     if relation == "y":
         return t, s, lambda u: (left(idx, u), qb.conj(right(idx2, u)))
     raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
-
-
-def rr_gevp_residual(rp: RrParams, x: int, y: int):
-    """Residual of the generalized-eigenvalue three-term identity in y.
-
-    [2x-N+s]_q (a_-1 R(x,y-1) + a_0 R(x,y) + a_1 R(x,y+1))
-      - (b_-1 R(x,y-1) + (b_0 + [s]_q) R(x,y) + b_1 R(x,y+1)).
-
-    R is ``rr_inner``, total on 0..N; boundary terms are dropped exactly
-    where their coefficient vanishes.
-    """
-    return _gevp_residual(rp, x, y, rr_inner)
-
-
-def _gevp_residual(rp, x, y, evaluate):
-    """The three-term identity with R = ``evaluate(rp, x, y)``: the finite
-    family's brackets and a/b tables, with no term outside 0..N in y."""
-    qb = rp.qb
-    ev = qb.bracket(2 * x - rp.N + as_exponent(rp.s))
-    am1, a0, a1 = kraw_diff_coeffs(qb, rp.N, y, rp.t)
-    bm1, b0, b1 = kraw_b_coeffs(qb, rp.N, y, rp.t, rp.v)
-    val = evaluate(rp, x, y)
-    lhs = a0 * val
-    rhs = (b0 + qb.bracket(rp.s)) * val
-    if y > 0:
-        val = evaluate(rp, x, y - 1)
-        lhs += am1 * val
-        rhs += bm1 * val
-    if y < rp.N:
-        val = evaluate(rp, x, y + 1)
-        lhs += a1 * val
-        rhs += b1 * val
-    return ev * lhs - rhs
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ from .errors import ExactnessError, OutOfRange
 
 MODES = ("exact", "float", "complex")
 
+# The largest exact power p**m the exact backend takes, as a bound on the
+# bits of its numerator and denominator: |m| times the longer of p's two.
+# A power of a million bits takes milliseconds, while q**e at e = 1e12 and
+# p = 1/2 would hold 4e12 bits, about 500 GB.  The suites, the CI runs at
+# p = 3/4, 9/10 and 1e-200 and the CI's long pr_inner evals take at most
+# about 73,000 bits, a fourteenth of the bound.
+MAX_POWER_BITS = 1 << 20
+
 
 @dataclass(frozen=True, slots=True)
 class Unreduced:
@@ -321,12 +329,17 @@ class QBase:
     def _qpow(self, e):
         e = as_exponent(e)
         if self.mode == "exact":
-            if type(e) is int:
-                return self.p ** (2 * e)
             te = 2 * e
-            if not isinstance(te, Fraction) or te.denominator != 1:
-                raise ExactnessError(f"exponent {e} is not a half-integer")
-            return self.p ** te.numerator
+            if type(e) is not int:
+                if not isinstance(te, Fraction) or te.denominator != 1:
+                    raise ExactnessError(f"exponent {e} is not a half-integer")
+                te = te.numerator
+            pbits = max(self.p.numerator.bit_length(), self.p.denominator.bit_length())
+            if abs(te) * pbits > MAX_POWER_BITS:
+                # e itself can be too long to print
+                raise OutOfRange(f"q**e with |2e| > {MAX_POWER_BITS // pbits} needs more than "
+                                 f"{MAX_POWER_BITS} bits in the exact backend")
+            return self.p ** te
         try:
             if isinstance(e, complex):
                 if self.mode != "complex":

@@ -146,7 +146,8 @@ def chk_rr_biorth(qb, N, s, t, v, relation, i, j):
 
 
 def chk_rr_gevp(qb, N, s, t, v, x, y):
-    return ratfun.rr_gevp_residual(ratfun.RrParams(s, t, v, N, qb), x, y)
+    # the univariate three-term identity is the one-site chain's
+    return multivar.multi_gevp_residual(qb, 1, (x,), (y,), s, t, v, (N,))
 
 
 def chk_kraw_transfer(qb, N, s, t, v, y):

@@ -19,7 +19,6 @@ from qracah import (
     kraw_orth_n,
     kraw_orth_x,
     rr_closed,
-    rr_gevp_residual,
     rr_inner,
     rr_valid,
     summation_pair_qracah,
@@ -260,15 +259,14 @@ def test_criterion_08_three_term_recurrences():
     """Finite recurrence exact; infinite recurrence within 1e-9 certified."""
     qb = QBase(F(1, 2))
     count = 0
+    # both recurrences are the one-site chain's
     for N in range(5):
         for (s, t, v) in STV:
-            rp = RrParams(s, t, v, N, qb)
             for x in range(N + 1):
                 for y in range(N + 1):
-                    assert rr_gevp_residual(rp, x, y) == 0
+                    assert multivar.multi_gevp_residual(qb, 1, (x,), (y,), s, t, v, (N,)) == 0
                     count += 1
     worst = 0.0
-    # the infinite recurrence is the one-site chain's
     for (k, s, t, v) in ((1, 0, 1, 0), (2, 1, 0, -1)):
         for x in range(4):
             for y in range(4):

@@ -218,12 +218,10 @@ def test_multi_gevp_exact():
 
 def test_multi_gevp_single_site_reduction():
     # j = M = 1 is the univariate recurrence
-    from qracah.ratfun import rr_gevp_residual
-
     for x in range(3):
         for y in range(3):
-            assert multi_gevp_residual(QB, 1, (x,), (y,), 1, 0, 1, (2,)) == 0
-            assert rr_gevp_residual(RrParams(1, 0, 1, 2, QB), x, y) == 0
+            got = multi_gevp_residual(QB, 1, (x,), (y,), 1, 0, 1, (2,))
+            assert got == _univariate_rr_gevp(QB, 2, 1, 0, 1, x, y) == 0
 
 
 def test_nested_eigen_left_and_right():
@@ -435,8 +433,8 @@ def test_a_wrong_five_point_coefficient_gives_the_row_by_row_residual(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# the univariate eigen, biorthogonality and infinite-recurrence verdicts run
-# the one-site chain: each against the univariate expression it replaced
+# the univariate eigen, biorthogonality and recurrence verdicts run the
+# one-site chain: each against the univariate expression it replaced
 # ---------------------------------------------------------------------------
 
 
@@ -490,6 +488,28 @@ def _univariate_pr_gevp(qb, tb, k, s, t, v, x, y, c0_error=0):
     lhs += c1 * val
     rhs += d1 * val
     return qb.brace(2 * x + k + s) * lhs - rhs
+
+
+def _univariate_rr_gevp(qb, N, s, t, v, x, y, evaluate=rr_inner, b0_error=0):
+    # [2x-N+s]_q (a_-1 R(x,y-1) + a_0 R(x,y) + a_1 R(x,y+1))
+    #   - (b_-1 R(x,y-1) + (b_0 + [s]_q) R(x,y) + b_1 R(x,y+1)),
+    # R = evaluate(rp, x, y), with no term outside 0..N in y and b_0 off
+    # by b0_error
+    rp = RrParams(s, t, v, N, qb)
+    (am1, a0, a1) = orthopoly.kraw_diff_coeffs(qb, N, y, t)
+    (bm1, b0, b1) = orthopoly.kraw_b_coeffs(qb, N, y, t, v)
+    b0 += b0_error
+    val = evaluate(rp, x, y)
+    lhs, rhs = a0 * val, (b0 + qb.bracket(s)) * val
+    if y > 0:
+        val = evaluate(rp, x, y - 1)
+        lhs += am1 * val
+        rhs += bm1 * val
+    if y < N:
+        val = evaluate(rp, x, y + 1)
+        lhs += a1 * val
+        rhs += b1 * val
+    return qb.bracket(2 * x - N + s) * lhs - rhs
 
 
 def test_one_site_infinite_recurrence_is_the_univariate_one():
@@ -562,3 +582,49 @@ def test_a_wrong_shift_coefficient_gives_the_univariate_recurrence_residual(monk
         got = CHECKS["pr_gevp"](QB, tb, *point)
         want = _univariate_pr_gevp(QB, tb, *point, c0_error=F(1, 3))
         assert type(got) is F and got == want and got != 0, point
+
+
+def test_a_wrong_shift_coefficient_gives_the_univariate_finite_recurrence_residual(monkeypatch):
+    # the unshifted coefficient of the one-site B map off by 1/3 is b_0 of
+    # the univariate identity off by 1/3
+    shift_terms = multivar._shift_terms
+
+    def wrong_shift_terms(qb, j, ys, *args):
+        A, B = shift_terms(qb, j, ys, *args)
+        return A, {**B, ys: B.get(ys, qb.zero()) + F(1, 3)}
+
+    monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
+    for point in ((3, 1, 2, 0, 1, 2), (2, 0, 1, -2, 0, 0), (3, 2, 1, -1, 3, 3)):
+        got = CHECKS["rr_gevp"](QB, *point)
+        want = _univariate_rr_gevp(QB, *point, b0_error=F(1, 3))
+        assert type(got) is F and got == want and got != 0, point
+
+
+def test_eval_twisted_coefficients_are_the_one_site_shift_terms(capsys):
+    # no verdict reads kraw_b_coeffs or asc_d_coeffs: eval's b_/d_ rows are
+    # the one-site chain's B/D maps at y-1, y, y+1, a missing entry 0
+    from qracah import cli
+
+    compared = 0
+    for p, (option, sizes, su11), t, v in iproduct(
+            ("1/2", "2/3"), (("N", range(5), False), ("k", ("1", "2", "1/2"), True)),
+            ("0", "1", "1/2", "-3/2", "2"), ("0", "-1", "1/2", "3/2")):
+        qb = QBase(F(p))
+        for size in sizes:
+            size = F(size) if su11 else size
+            for y in range(5) if su11 else range(size + 1):
+                argv = ["eval", "--fn", "coefficients", "--p", p, f"--{option}", str(size),
+                        "--t", t, "--v", v, "--y", str(y)]
+                status = cli.main(argv)
+                out, err = capsys.readouterr()
+                if status:
+                    # a pole of one of the printed tables
+                    assert status == 2 and err.startswith("DenominatorPole"), argv
+                    continue
+                rows = dict(line.split("=") for line in out.split())
+                letter = "d" if su11 else "b"
+                got = tuple(F(rows[f"{letter}_{e}"]) for e in ("m1", "0", "1"))
+                B = multivar._shift_terms(qb, 1, (y,), F(t), F(v), (size,), su11)[1]
+                assert got == tuple(B.get((y + e,), 0) for e in (-1, 0, 1)), argv
+                compared += 1
+    assert compared == 1168  # 32 points are poles

@@ -19,7 +19,6 @@ from qracah import (
     pr_inner,
     pr_valid,
     rr_closed,
-    rr_gevp_residual,
     rr_inner,
     rr_valid,
 )
@@ -27,7 +26,7 @@ from qracah import multivar
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
 from qracah.orthopoly import _series, asc_column, asc_w_column, kraw_column, kraw_w
 from qracah.qseries import certified_sum, qpoch, qpoch_inf_ratio
-from qracah.ratfun import _gevp_residual, _phi43, _pole_index
+from qracah.ratfun import _phi43, _pole_index
 from qracah.scalar import as_exponent, ordered_sum
 from qracah.tables import table_sizes
 from qracah.verify import _STV
@@ -123,21 +122,24 @@ def test_rr_biorth_diagonal_value():
 
 
 def test_rr_gevp_exact():
+    # the finite three-term identity is the one-site chain's
     for N in range(4):
         for (s, t, v) in ((2, 1, 1), (1, 0, 0), (0, 2, -1)):
-            rp = RrParams(s, t, v, N, QB)
             for x in range(N + 1):
                 for y in range(N + 1):
-                    assert rr_gevp_residual(rp, x, y) == 0
+                    assert multivar.multi_gevp_residual(QB, 1, (x,), (y,), s, t, v, (N,)) == 0
 
 
 def test_rr_gevp_closed_path():
+    # the closed form satisfies the univariate identity wherever it is defined
+    from test_multivar import _univariate_rr_gevp
+
     rp = RrParams(2, 1, 1, 3, QB)
     for x in range(4):
         for y in range(4):
             pts = [(x, yy) for yy in (y - 1, y, y + 1) if 0 <= yy <= 3]
             if all(rr_valid(rp, *pt) for pt in pts):
-                assert _gevp_residual(rp, x, y, rr_closed) == 0
+                assert _univariate_rr_gevp(QB, 3, 2, 1, 1, x, y, rr_closed) == 0
 
 
 def test_rr_out_of_range():

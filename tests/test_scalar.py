@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qracah import QBase
 from qracah.errors import ExactnessError, OutOfRange
-from qracah.scalar import Unreduced, as_exponent, ordered_sum, residual_sum
+from qracah.scalar import MAX_POWER_BITS, Unreduced, as_exponent, ordered_sum, residual_sum
 
 
 def test_qbase_validation():
@@ -236,6 +236,21 @@ def test_floating_overflow_is_out_of_range(mode):
         assert qb.qpow(2) == _direct(F(1, 1000), mode)[0](2)
     with pytest.raises(OutOfRange):
         QBase(F(1, 10**30), mode).qpow(-6)
+
+
+def test_exact_power_past_the_bit_bound_is_out_of_range():
+    # |2e| times the longer of p's numerator and denominator bounds the
+    # bits of p**(2e): past MAX_POWER_BITS the power is refused before it
+    # is taken, cold and warm, and the largest one allowed is the power
+    qb = QBase(F(2, 3))  # 2 bits
+    top = MAX_POWER_BITS // 2
+    for _ in range(2):
+        for e in (F(top + 1, 2), -F(top + 1, 2), 10**12, 10**400):
+            with pytest.raises(OutOfRange, match="bits in the exact backend"):
+                qb.qpow(e)
+        with pytest.raises(OutOfRange):
+            qb.bracket(10**12)
+    assert qb.qpow(F(top, 2)) == F(2, 3) ** top
 
 
 @pytest.mark.parametrize("mode", ("float", "complex"))

@@ -403,6 +403,20 @@ def test_cli_eval_pole_exit_code():
     assert "DenominatorPole" in out.stderr
 
 
+@pytest.mark.parametrize("fn, s", [("rr_closed", "1e12"), ("rr_closed", "1e400"),
+                                   ("kraw", "1e30")])
+def test_cli_oversize_exact_power_exit_code(fn, s):
+    # an exact power past scalar.MAX_POWER_BITS is refused before it is
+    # taken: exit 2 naming OutOfRange well inside 30 s, where taking
+    # p**(2e) at e = 1e12 does not return
+    point = ("--N", "2", "--t", "0", "--v", "0", "--x", "1", "--y", "1") if fn == "rr_closed" \
+        else ("--N", "2", "--n", "1", "--x", "1")
+    out = subprocess.run([sys.executable, "-m", "qracah.cli", "eval", "--fn", fn, "--s", s, *point],
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2
+    assert out.stderr.startswith("OutOfRange")
+
+
 def test_cli_coefficients_pole_exit_code():
     # the t-lowering denominator 1 - q**(4y+2t+2k-2) vanishes at k=1, y=t=0
     out = _cli("eval", "--fn", "coefficients", "--p", "2/3", "--k", "1", "--y", "0",
