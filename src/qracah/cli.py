@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import multivar, orthopoly, qseries, ratfun
-from .errors import QRacahError
+from .errors import OutOfRange, QRacahError
 from .report import serialize_value
 from .scalar import QBase
 from .verify import SUITE_IDS, RunConfig, run_suite
@@ -312,6 +312,10 @@ FUNCTIONS = {
 
 
 def _format_scalar(value) -> str:
+    # the one place values are printed: a floating value that left the
+    # float range is refused, never printed as nan or inf
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise OutOfRange(f"the floating value {value!r} is not finite")
     return str(serialize_value(value))
 
 
@@ -336,11 +340,12 @@ def cmd_eval(args) -> int:
     raw_p = args.p or "1/2"
     qb = QBase(_parse_number(raw_p, "exact" if args.mode == "exact" else "float"), args.mode)
     value = FUNCTIONS[args.fn](args, qb, {})
+    # every value is formatted before any is printed
     if isinstance(value, dict):
-        for key in value:
-            print(f"{key}={_format_scalar(value[key])}")
+        lines = [f"{key}={_format_scalar(v)}" for key, v in value.items()]
     else:
-        print(_format_scalar(value))
+        lines = [_format_scalar(value)]
+    print("\n".join(lines))
     return 0
 
 

@@ -17,8 +17,9 @@ equals 1, so each coefficient row must sum to the diagonal symbol at n = 0
 
 The infinite family is the finite one at N = -k: the 3phi2 (``_series``
 and ``_column``), the three-term table (``_diff_coeffs``), the
-twisted-action table (``_b_coeffs``, brackets or braces) and the
-five-point table (``_dyn_coeffs``) are each written once, taking ``su11``
+twisted-action table (``_b_coeffs``, brackets or braces), the
+five-point table (``_dyn_coeffs``) and the n-side weight (``_w_column``)
+are each written once, taking ``su11``
 and a size that is N or -k.  The finite side negates each parameter whose
 exponent carries s or t (other than through s - t) and its prefactor
 carries (-1)**n; the upper-boundary zeros (y = N, y >= N, y >= N - 1) are
@@ -27,9 +28,9 @@ becomes + c*size) and signs are applied by negation, so every value,
 signed zeros included, is bit-identical to each family's formula written
 out on its own, except the infinite d_-1, whose height keeps the finite
 addend order 2y - size + t + v - 1 (a float or complex k, t, v may round
-it differently from 2y + t + k + v - 1).  The weights and the
-orthogonality sums stay per family: their algorithms differ, not only
-their parameters.
+it differently from 2y + t + k + v - 1).  The x-side weights
+(``kraw_W``/``asc_W``) and the orthogonality sums stay per family: their
+algorithms differ, not only their parameters.
 
 Values that run over n are rows, ``tables._Row``: entries 0, 1, ...
 computed in order on first request and kept, grown under a lock.  A sum
@@ -41,8 +42,8 @@ over n fetches each row once and reads it by index.
   prefactor, so every twist reads one 3phi2 per (s, x).  ``kraw``/``asc``
   read a column by index and ``kraw_column``/``asc_column`` hand a whole
   column to the sums over n.  The inner products of ``ratfun`` read the
-  two series and fold both prefactors into one power: ``pr_inner`` in
-  every backend, ``rr_inner`` in an exact base.  Each value still comes
+  two series and fold both prefactors into one power, in every backend.
+  Each value still comes
   from its own series, never from the recurrences that the verify suites
   check: in an exact base the series column is the exact 3phi2 column
   ``qseries._Phi32Column`` (n-free term ratios computed once per column,
@@ -53,20 +54,20 @@ over n fetches each row once and reads it by index.
   multiply it unreduced into their terms.  For int s, u and size the
   prefactor exponent is n(2s-2u-size+1)/2 on ints, the same power as the
   general expression.
-* The n-side weights are rows: ``kraw_w`` is q**(n(n-N)) (q**2; q**2)_N
-  / ((q**2; q**2)_n (q**2; q**2)_(N-n)), kept as the row
-  ``kraw_w_column(qb, N)`` (an entry past N raises ``OutOfRange``), and
-  ``asc_w`` is q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n, kept as the
-  row ``asc_w_column(qb, k)``.  ``kraw_w`` reads Pochhammer prefixes from
-  one row per (qb, exponent) -- ``_poch_row`` holds (q**e; q**2)_0, (q**e;
-  q**2)_1, ... grown by the loop of ``qpoch`` -- and so do the floating
-  ``asc_w`` and ``asc_W``, so the families share the (q**2; q**2) row of
-  a base; those weights come out of the operation sequence of the direct
-  ``qpoch``/``qbinom`` formula, bit-identical to it and of its type.  The
-  exact ``asc_w`` is the ratio recurrence of its consecutive entries, one
-  Fraction each and no prefix: it runs to hundreds of terms near q = 1,
-  where the prefixes grow like n**2 bits and the weights do not.  It is
-  the Fraction the direct formula gives.
+* The n-side weights of both families are one row body, ``_w_column(qb,
+  su11, size)``: entry n is (-+1)**n q**(n(size+1)) times entry n of the
+  ratio row ``_ratio_row(qb, -2size)``, (q**(-2size); q**2)_n / (q**2;
+  q**2)_n, the minus sign and the upper end n = N on the finite side only.
+  At size N that is ``kraw_w`` = q**(n(n-N)) (q**2; q**2)_N / ((q**2;
+  q**2)_n (q**2; q**2)_(N-n)), at size -k ``asc_w`` = q**(-n(k-1))
+  (q**2k; q**2)_n / (q**2; q**2)_n; ``kraw_w_column(qb, N)`` and
+  ``asc_w_column(qb, k)`` fetch it.  A ratio row grows by its consecutive
+  ratio (1 - q**e f) / (1 - q**2 f), so no Pochhammer prefix is built:
+  near q = 1 the prefixes grow like n**2 bits while the weights do not,
+  and at q > 1 they leave the float range where the weights do not.  In an
+  exact base each entry is the Fraction the direct ``qpoch``/``qbinom``
+  formula gives; ``asc_W`` reads its finite Pochhammer ratio from the same
+  row at e = 2k, so it needs q**2k only.
 
 The rows, ``kraw_W``/``asc_W`` and the ``*_diff_coeffs``/``*_dyn_coeffs``
 tables are ``tables.tabled``: the first call at a key stores the value for
@@ -208,18 +209,35 @@ def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
 
 
 @tabled
-def _poch_row(qb: QBase, e) -> _Row:
-    """The row of (q**e; q**2)_m, m = 0, 1, ..., by the loop of ``qpoch``."""
-    a, base = qb.qpow(e), qb.qpow(2)
-    f = one = a * 0 + base * 0 + 1
+def _ratio_row(qb: QBase, e) -> _Row:
+    """The row of (q**e; q**2)_m / (q**2; q**2)_m, m = 0, 1, ...: entry m is
+    entry m - 1 times (1 - q**e f) / (1 - q**2 f) at f = q**(2m-2).
 
-    def entry(m):
-        nonlocal f
-        if m == 0:
-            return one
-        out = row[m - 1] * (1 - a * f)
-        f *= base
-        return out
+    An exact base runs the step on integer pairs, one Fraction per entry:
+    near q = 1 the two Pochhammer prefixes grow like m**2 bits while their
+    ratio stays small.  The powers are made at entry 1, so an e that is not
+    a half-integer raises there.
+    """
+    if not qb.is_exact:
+        def entry(m):
+            if m == 0:
+                return qb.one()
+            f = qb.qpow(2 * m - 2)
+            return row[m - 1] * ((1 - qb.qpow(e) * f) / (1 - qb.qpow(2) * f))
+    else:
+        pairs = None  # q**e and q**2 as integer pairs, made at entry 1
+        fu = fd = 1  # f = fu / fd
+
+        def entry(m):
+            nonlocal pairs, fu, fd
+            if m == 0:
+                return qb.one()
+            if pairs is None:
+                pairs = [(f.numerator, f.denominator) for f in (qb.qpow(e), qb.qpow(2))]
+            (cn, cd), (u, d) = pairs
+            out = row[m - 1] * Fraction(d * (cd * fd - cn * fu), cd * (d * fd - u * fu))
+            fu, fd = fu * u, fd * d
+            return out
 
     row = _Row(entry)
     return row
@@ -283,6 +301,24 @@ def _column(qb: QBase, su11: bool, size, u, s, x: int) -> _Row:
     return _Row(_column_entry, qb, su11, size, u, s, _series(qb, su11, size, s, x))
 
 
+@tabled
+def _w_column(qb: QBase, su11: bool, size) -> _Row:
+    """The n-side weights of either family: entry n is (-+1)**n
+    q**(n(size+1)) (q**(-2size); q**2)_n / (q**2; q**2)_n, with the minus
+    sign and the upper end n = N on the finite side only.  At size N it is
+    q**(n(n-N)) times the q**2-binomial, at size -k the infinite family's
+    q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n."""
+    ratio = _ratio_row(qb, as_exponent(-2 * size))
+
+    def entry(n):
+        if not su11 and n > size:
+            raise OutOfRange(f"n = {n} outside 0..{size}")
+        w = qb.qpow(n * (size + 1)) * ratio[n]
+        return -w if not su11 and n % 2 else w
+
+    return _Row(entry)
+
+
 # ---------------------------------------------------------------------------
 # finite family
 # ---------------------------------------------------------------------------
@@ -303,26 +339,15 @@ def kraw(kp: KrawParams, n: int, x: int):
     return kraw_column(kp, x)[n]
 
 
-@tabled
 def kraw_w_column(qb: QBase, N: int) -> _Row:
     """The weights kraw_w(qb, N, n), n = 0, 1, ..., N, as one row read by
     index; an entry past N raises OutOfRange."""
-    P = _poch_row(qb, 2)
-
-    def entry(n):
-        if n > N:
-            raise OutOfRange(f"n = {n} outside 0..{N}")
-        return qb.qpow(n * (n - N)) * (P[N] / (P[n] * P[N - n]))
-
-    return _Row(entry)
+    return _w_column(qb, False, N)
 
 
 def kraw_w(qb: QBase, N: int, n: int):
-    """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under q <-> 1/q.
-
-    The binomial is read off the (q**2; q**2) row; the weight equals the
-    direct ``qb.qpow(n * (n - N)) * qbinom(N, n, qb.qpow(2))`` bit for bit.
-    """
+    """n-side weight: q**(n(n-N)) times the q**2-binomial; invariant under
+    q <-> 1/q.  Entry n of ``_w_column`` at size N."""
     if not 0 <= n <= N:
         raise OutOfRange(f"n = {n} outside 0..{N}")
     return kraw_w_column(qb, N)[n]
@@ -449,50 +474,16 @@ def asc(ap: ASCParams, n: int, x: int):
     return asc_column(ap, x)[n]
 
 
-@tabled
 def asc_w_column(qb: QBase, k) -> _Row:
-    """The weights asc_w(qb, k, n), n = 0, 1, ..., as one row read by index.
-
-    An exact base carries the ratio recurrence w_n = w_(n-1) q**-(k-1)
-    (1 - q**(2k+2n-2)) / (1 - q**(2n)) on integer pairs, one Fraction per
-    entry, so no Pochhammer prefix is built: near q = 1 the prefixes grow
-    like n**2 bits while the weights (1 at k = 1) stay small.  Entry 0 is 1;
-    the step's powers are made at entry 1, so a k that is not a
-    half-integer raises there.  The floating backends read the prefixes.
-    """
+    """The weights asc_w(qb, k, n), n = 0, 1, ..., as one row read by index."""
     require_positive_k(k)
-    k = as_exponent(k)
-    if not qb.is_exact:
-        return _Row(lambda n: qb.qpow(-n * (k - 1)) * _poch_row(qb, as_exponent(2 * k))[n]
-                    / _poch_row(qb, 2)[n])
-    pairs = None  # q**-(k-1), q**2k and q**2 as integer pairs, made at entry 1
-    fu = fd = 1  # (q**2)**(n-1)
-
-    def entry(n):
-        nonlocal pairs, fu, fd
-        if n == 0:
-            return qb.one()
-        if pairs is None:
-            pairs = [(f.numerator, f.denominator)
-                     for f in (qb.qpow(-(k - 1)), qb.qpow(as_exponent(2 * k)), qb.qpow(2))]
-        (an, ad), (cn, cd), (u, d) = pairs
-        # q**-(k-1) (1 - q**2k fu/fd) / (1 - q**2 fu/fd)
-        out = row[n - 1] * Fraction(an * d * (cd * fd - cn * fu), ad * cd * (d * fd - u * fu))
-        fu, fd = fu * u, fd * d
-        return out
-
-    row = _Row(entry)
-    return row
+    return _w_column(qb, True, -as_exponent(k))
 
 
 def asc_w(qb: QBase, k, n: int):
-    """n-side weight q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n.
-
-    The weight equals the direct ``qb.qpow(-n * (k - 1)) *
-    qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)``: the same Fraction in
-    an exact base (from the ratio recurrence of ``asc_w_column``), bit for
-    bit in the floating ones (from the Pochhammer rows).
-    """
+    """n-side weight q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n: entry n
+    of ``_w_column`` at size -k.  Entry 0 is 1, and a k that is not a
+    half-integer raises at entry 1."""
     if n < 0:
         raise OutOfRange(f"n = {n} must be nonnegative")
     return asc_w_column(qb, k)[n]
@@ -529,7 +520,7 @@ def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):
     s, k = as_exponent(s), as_exponent(k)
     q2 = qb.qpow(2)
     out = (1 - qb.qpow(4 * x + 2 * s + 2 * k)) / (1 - qb.qpow(2 * x + 2 * s + 2 * k))
-    out *= _poch_row(qb, as_exponent(2 * k))[x] / _poch_row(qb, 2)[x]
+    out *= _ratio_row(qb, as_exponent(2 * k))[x]
     out *= qpoch_inf_ratio(qb.qpow(2 * x + 2 * s + 2), qb.qpow(2 * x + 2 * s + 2 * k + 2), q2, tb)
     return out * qb.qpow(2 * x * (x + s))
 

@@ -18,8 +18,7 @@ verbatim for complex v with partner -conj(v) - 2 and an outer conjugation.
 
 Both inner products sum the terms of ``_inner_terms``: one power of q, the
 entries of the two twist-free 3phi2 series columns and the n-side weight,
-read off rows fetched once per sum.  ``pr_inner`` takes that route in every
-backend, ``rr_inner`` in an exact base.
+read off rows fetched once per sum, in every backend.
 
 ``rr_inner`` and ``pr_inner`` are ``tables.tabled``: each (parameters, x, y)
 is summed once per process and the biorthogonality and recurrence residuals
@@ -41,12 +40,10 @@ from itertools import count, islice
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .orthopoly import (
-    KrawParams,
     _series,
     _signed_qpow,
     asc_w_column,
     asc_W,
-    kraw_column,
     kraw_w_column,
     require_positive_k,
 )
@@ -106,24 +103,15 @@ def _inner_terms(qb: QBase, su11: bool, size, s, t, v, x: int, y: int, w: _Row):
 
 @tabled
 def rr_inner(rp: RrParams, x: int, y: int):
-    """Reference evaluation: sum_n k_{1,s}(n,x) k_{v,t}(n,y) w(n).
-
-    An exact base sums the first N + 1 terms of ``_inner_terms``, the route
-    ``pr_inner`` takes, on one unreduced integer pair.  The floating bases
-    still multiply the two polynomial columns, (left[n], right[n], w[n]):
-    folding the power there changes float bits, and goes with the
-    ``eval``/``table`` numerics (ROADMAP item 8).
-    """
+    """Reference evaluation: sum_n k_{1,s}(n,x) k_{v,t}(n,y) w(n), the
+    first N + 1 terms of ``_inner_terms``, the route ``pr_inner`` takes (an
+    exact base sums them on one unreduced integer pair)."""
     if not (0 <= x <= rp.N and 0 <= y <= rp.N):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
     qb, N = rp.qb, rp.N
-    w = kraw_w_column(qb, N)
-    if qb.is_exact:
-        s, t, v = as_exponent(rp.s), as_exponent(rp.t), as_exponent(rp.v)
-        return ordered_sum(islice(_inner_terms(qb, False, N, s, t, v, x, y, w), N + 1))
-    left = kraw_column(KrawParams(1, rp.s, N, qb), x)
-    right = kraw_column(KrawParams(rp.v, rp.t, N, qb), y)
-    return ordered_sum((left[n], right[n], w[n]) for n in range(N + 1))
+    s, t, v = as_exponent(rp.s), as_exponent(rp.t), as_exponent(rp.v)
+    terms = _inner_terms(qb, False, N, s, t, v, x, y, kraw_w_column(qb, N))
+    return ordered_sum(islice(terms, N + 1))
 
 
 def _pole_index(s, t, v, y):

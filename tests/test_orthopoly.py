@@ -32,6 +32,7 @@ from qracah import (
 )
 from qracah import orthopoly, uqsl2
 from qracah.errors import DenominatorPole, ExactnessError, OutOfRange
+from qracah.scalar import as_exponent
 from qracah.tables import table_sizes
 
 QB = QBase(F(1, 2))  # q = 1/4
@@ -221,8 +222,9 @@ def test_asc_w():
         assert asc_w(QB, 1, n) == 1
 
 
-# -- weight tables: every entry must equal the direct Pochhammer formula bit
-# for bit, with the same scalar type, whatever order entries are asked in
+# -- weight tables: whatever order entries are asked in, an exact entry is
+# the direct Pochhammer formula's Fraction, and a floating or complex entry
+# is within 1e-13 relative of that Fraction at the same rational p
 
 
 def _asc_w_direct(qb, k, n):
@@ -239,15 +241,25 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
-# (base, out-of-order n requests); floating bases with p > 1 overflow
-# (q**2; q**2)_n past n ~ 25, so they stop at 20
+def _is_weight(qb, got, direct, *args):
+    """``got`` is the weight ``direct(qb, *args)``: the same Fraction in an
+    exact base; in a floating one a scalar of the backend's type within
+    1e-13 relative of the direct formula's Fraction at the same rational p."""
+    if qb.is_exact:
+        return _same(got, direct(qb, *args))
+    want = direct(QBase(F(qb.p)), *args)
+    scalar = complex if qb.mode == "complex" else float
+    return type(got) is scalar and abs(got - float(want)) <= 1e-13 * abs(want)
+
+
+# (base, out-of-order n requests)
 WEIGHT_TABLE_CASES = [
     (QBase(F(1, 2)), (30, 3, 60, 0, 59)),
     (QBase(F(3, 2)), (30, 3, 60, 0, 59)),
     (QBase(0.5, "float"), (30, 3, 60, 0, 59)),
-    (QBase(1.5, "float"), (12, 3, 20, 0, 19)),
+    (QBase(1.5, "float"), (30, 3, 60, 0, 59)),
     (QBase(F(2, 3), "complex"), (30, 3, 60, 0, 59)),
-    (QBase(F(3, 2), "complex"), (12, 3, 20, 0, 19)),
+    (QBase(F(3, 2), "complex"), (30, 3, 60, 0, 59)),
 ]
 
 
@@ -255,7 +267,7 @@ WEIGHT_TABLE_CASES = [
 def test_asc_w_table_matches_direct_formula(qb, order):
     for k in (F(1, 2), 1, 2, 3):
         for n in order:
-            assert _same(asc_w(qb, k, n), _asc_w_direct(qb, k, n)), (k, n)
+            assert _is_weight(qb, asc_w(qb, k, n), _asc_w_direct, k, n), (k, n)
 
 
 @pytest.mark.parametrize("p", [F(1, 2), F(2, 3), F(9, 10)], ids=str)
@@ -295,7 +307,7 @@ def test_exact_asc_w_refuses_a_third_at_entry_one():
 def test_kraw_w_table_matches_direct_formula(qb, order):
     for N in range(14):
         for n in (N, 0, N // 2, *range(N + 1)):
-            assert _same(kraw_w(qb, N, n), _kraw_w_direct(qb, N, n)), (N, n)
+            assert _is_weight(qb, kraw_w(qb, N, n), _kraw_w_direct, N, n), (N, n)
 
 
 def test_weight_tables_keep_exact_and_float_bases_apart():
@@ -304,24 +316,24 @@ def test_weight_tables_keep_exact_and_float_bases_apart():
     exact, flt = QBase(F(1, 2)), QBase(0.5, "float")
     for n in (40, 2, 41, 0):
         for qb in (flt, exact):
-            assert _same(asc_w(qb, 2, n), _asc_w_direct(qb, 2, n))
+            assert _is_weight(qb, asc_w(qb, 2, n), _asc_w_direct, 2, n)
     for N in (13, 5):
         for n in range(N + 1):
             for qb in (exact, flt):
-                assert _same(kraw_w(qb, N, n), _kraw_w_direct(qb, N, n))
+                assert _is_weight(qb, kraw_w(qb, N, n), _kraw_w_direct, N, n)
 
 
 def test_weight_tables_survive_an_overflow():
     # q**(-2n) overflows a float from n = 39 at p = 1/100 (OutOfRange); the
     # failed request must raise as the direct formula does and leave the
     # table consistent
-    qb = QBase(0.01, "float")
+    qb = QBase(F(1, 100), "float")
     with pytest.raises(OutOfRange):
         _asc_w_direct(qb, 3, 50)
     with pytest.raises(OutOfRange):
         asc_w(qb, 3, 50)
     for n in (10, 38, 0):
-        assert _same(asc_w(qb, 3, n), _asc_w_direct(qb, 3, n))
+        assert _is_weight(qb, asc_w(qb, 3, n), _asc_w_direct, 3, n)
     with pytest.raises(OutOfRange):
         asc_w(qb, 3, 45)
 
@@ -376,9 +388,9 @@ def test_asc_w_table_extension_is_thread_safe():
 
 
 def test_mixed_weight_requests_share_one_row_thread_safely():
-    # kraw_w and asc_w at k = 1 all read the base's (q**2; q**2) row, and
-    # asc_w at k = 3/2 also grows the (q**3; q**2) row: threads mixing them
-    # on a fresh base must not append a prefix twice
+    # kraw_w at each N and asc_w at each k grow one weight row and one ratio
+    # row, every thread reading the same rows: threads mixing them on a
+    # fresh base must not append an entry twice
     qb = QBase(F(4, 9))
     requests = [("kraw", N, n) for N in range(40, 0, -7) for n in range(N + 1)]
     requests += [("asc", k, n) for k in (1, F(3, 2)) for n in range(0, 61, 3)]
@@ -406,23 +418,26 @@ def test_mixed_weight_requests_share_one_row_thread_safely():
 
 
 def test_both_weight_families_share_one_pochhammer_row_per_exponent():
-    # a floating asc_w at k reads the (q**2; q**2) row and the (q**2k; q**2)
-    # row, and every kraw_w of the base reads that same (q**2; q**2) row:
-    # two k and N = 1..12 make three rows.  The exact asc_w is a ratio
-    # recurrence and reads no row, so on an exact base only kraw_w's one
-    # row is made
-    name = "qracah.orthopoly._poch_row"
-    # bases no other test uses: (base, rows after asc_w, rows after kraw_w)
-    for qb, asc_rows, rows in ((QBase(8 / 13, "float"), 3, 3), (QBase(F(8, 13)), 0, 1)):
+    # every weight reads the ratio row (q**e; q**2)_m / (q**2; q**2)_m: asc_w
+    # at k and asc_W at k and any s read the one row at e = 2k, kraw_w at N
+    # the row at e = -2N, so two k and N = 1..12 make 14 rows, in every
+    # backend
+    name = "qracah.orthopoly._ratio_row"
+    for qb in (QBase(8 / 13, "float"), QBase(F(8, 13))):  # bases no other test uses
         before = table_sizes().get(name, 0)
         for k in (F(1, 2), F(3, 2)):
             for n in range(20):
                 asc_w(qb, k, n)
-        assert table_sizes().get(name, 0) == before + asc_rows, qb
+            for s in (0, F(1, 2), 2):
+                for x in range(6):
+                    asc_W(qb, s, k, x)
+            assert len(orthopoly._ratio_row(qb, as_exponent(2 * k)).row) == 20, (qb, k)
+        assert table_sizes()[name] == before + 2, qb
         for N in range(1, 13):
             for n in range(N + 1):
                 kraw_w(qb, N, n)
-        assert table_sizes()[name] == before + rows, qb
+            assert len(orthopoly._ratio_row(qb, -2 * N).row) == N + 1, (qb, N)
+        assert table_sizes()[name] == before + 14, qb
 
 
 def test_asc_W_positive():

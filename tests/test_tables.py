@@ -30,6 +30,7 @@ from qracah import multivar, orthopoly, qseries, ratfun, uqsl2
 from qracah.errors import DenominatorPole, OutOfRange
 from qracah.scalar import as_exponent
 from qracah.uqsl2 import OpMatrix
+from test_orthopoly import _asc_w_direct, _is_weight, _kraw_w_direct
 from qracah import tables
 from qracah.tables import _Points, _Row, packed, table_sizes, tabled
 
@@ -102,8 +103,13 @@ def _calls(qb):
     h = _exponent(qb, F(1, 2))
     one = _exponent(qb, 1)
     calls = []
+    # the weight rows of both families and the ratio rows they read
     for N in range(4):
-        calls.append((orthopoly.kraw_w_column, (qb, N), {}))
+        calls.append((orthopoly._w_column, (qb, False, N), {}))
+        calls.append((orthopoly._ratio_row, (qb, -2 * N), {}))
+    for k in (h, one):
+        calls.append((orthopoly._w_column, (qb, True, -k), {}))
+        calls.append((orthopoly._ratio_row, (qb, 2 * k), {}))
     for y in range(4):
         calls.append((kraw_W, (qb, h, 3, y), {}))
         calls.append((kraw_W, (qb, 1, 3), {"x": y}))
@@ -274,11 +280,6 @@ def _value_direct(qb, su11, size, u, s, n, x):
     return pref * ser
 
 
-def _asc_w_direct(qb, k, n):
-    q2 = qb.qpow(2)
-    return qb.qpow(-n * (k - 1)) * qseries.qpoch(qb.qpow(2 * k), q2, n) / qseries.qpoch(q2, q2, n)
-
-
 def _twists(qb):
     # integral and half-integral u and s as int/Fraction (the int exponent
     # path for the integral ones), and as the floating scalar types
@@ -310,12 +311,11 @@ def test_column_entries_are_fresh_series_values(qb):
     # the weight rows the sums over n read alongside
     for k in (F(1, 2), 1, F(3, 2)):
         for n in reversed(range(6)):
-            assert _same(orthopoly.asc_w_column(qb, k)[n], _asc_w_direct(qb, k, n)), (k, n)
+            assert _is_weight(qb, orthopoly.asc_w_column(qb, k)[n], _asc_w_direct, k, n), (k, n)
     for N in range(5):
         row = orthopoly.kraw_w_column(qb, N)
         for n in reversed(range(N + 1)):
-            direct = qb.qpow(n * (n - N)) * qseries.qbinom(N, n, qb.qpow(2))
-            assert _same(row[n], direct), (N, n)
+            assert _is_weight(qb, row[n], _kraw_w_direct, N, n), (N, n)
         with pytest.raises(OutOfRange):
             row[N + 1]
 

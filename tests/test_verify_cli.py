@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import os
 import signal
 import subprocess
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qracah import PrParams, QBase, cli, pr_inner
+from qracah import PrParams, QBase, asc_w, cli, kraw_W, kraw_w, pr_inner
 from qracah.report import CheckReport, residual_string, serialize_value
 from qracah import verify
 from qracah.verify import SUITE_IDS, SUITES, RunConfig, build_tasks, run_suite, run_task
@@ -146,9 +147,10 @@ def test_report_digests_are_pinned():
     assert _report_digests("all") == EXACT_SUITE_DIGESTS
 
 
-# table in the floating backends: pr_inner, whose terms are the combined
-# power q**(n(s+t-v+k)) times the two series entries and the weight, in
-# that order, as in the exact backend, and one table per --fn (both
+# table in the floating backends: pr_inner and rr_inner, whose terms are
+# the combined power q**(n(s+t-v+k)) or q**(n(s+t-v-N)) times the two
+# series entries and the weight, in that order, as in the exact backend,
+# and one table per --fn (both
 # families where one takes either) of the polynomial, rational-function,
 # weight and coefficient bodies.  Their digits move with any change of
 # operation order or of a signed zero in those bodies
@@ -178,11 +180,11 @@ _TABLE_POINTS = {
 }
 PR_INNER_TABLE_DIGESTS = {
     ("float", "pr_inner p=2/3,k=3/2"): (
-        49, "89ae61a854585aff412d6f315c10a95d917e4bfe9ff3821053b949c3d7d749b0"),
+        49, "650020933b1e50504528242ca2e8a097fbc80b5fe9f038bed233bbfb9c8d6c02"),
     ("float", "pr_inner p=1/2,k=1"): (
         25, "156feff8403ad203d14271e02299d92e714fffecf266a251a048b5ef1e066213"),
     ("complex", "pr_inner p=2/3,k=3/2"): (
-        49, "4119120192fb6754206f993ca5e01ad94cf8cb0ecd5f79470935ab60dc7ecaea"),
+        49, "ec76ed79a50f4cee3cf9f0719d70ee11f2b2f4b409a33f01d31f7d86b96fb28a"),
     ("complex", "pr_inner p=1/2,k=1"): (
         25, "ae305185c167b1384f38f8c6d24b3d45ff84beb1849d3606b4499f508e669698"),
     ("float", "kraw"): (
@@ -190,15 +192,15 @@ PR_INNER_TABLE_DIGESTS = {
     ("float", "asc"): (
         25, "901bb7b4dfef3ea1bd021455801d794c4e4eaf42b025d97cb6c148aa860f0e09"),
     ("float", "rr_inner"): (
-        16, "610159727d1d8484545346839a3325beb0f47f3e395bd03d8da1b85b20fcf233"),
+        16, "5b88a7075a8d5202ef4e84a7f0f14776538c53e96433fe324cf77718cc057681"),
     ("float", "rr_closed"): (
         16, "ca0575d584e5801ec1fb2637a06e73c3e30888251c2b1394feb4971911cf677f"),
     ("float", "rr_multi"): (
-        36, "f63845f5ad677327b672aed1aebc172292dbd69e35db26e132245fd0b72b839d"),
+        36, "f6e80a3ede8ac7bfcfbca1c9712e0c48132ffe9f49cadfde6e61a9ac4cd16e56"),
     ("float", "weights N"): (
-        25, "7fa50cca7e5285428c2f9cc95f2859283a5c65fdd726198333fe5451ace4c09c"),
+        25, "993437e677e1122a6cab5253c6a0ee4d9588f2e76e7780e3c438d6b717487f15"),
     ("float", "weights k"): (
-        25, "3ce7b57885050b52e5477ac96711af12511e1c61fbcd382055361168fbb71eba"),
+        25, "5857855ca1a691e1b3f69b6811ecd9a5a5a47b632b21f481da351c1f1d4ad1ef"),
     ("float", "coefficients N"): (
         5, "723fe0a10f7bb158d55711274d6dbf09de9a2ff5636574ff241ad825b416e7b1"),
     ("float", "coefficients k"): (
@@ -208,15 +210,15 @@ PR_INNER_TABLE_DIGESTS = {
     ("complex", "asc"): (
         25, "38fbb27f044a77a5161b14361d275f5d07fb27f69aa6a6684125d53253bf2375"),
     ("complex", "rr_inner"): (
-        16, "0ff35efc7ddafa1786c3357c0e5cf6ed2a5ed2f3e79008f88cfaff0b3880623d"),
+        16, "6808ed9a54dd8f61f18d621b32b6d18de65b309e0a6f3bd2913f2e072bbe57ee"),
     ("complex", "rr_closed"): (
         16, "c88a0752bed206abd0fdd837fad59b79739337c86e132e8c44bea31203dbf6a9"),
     ("complex", "rr_multi"): (
-        36, "9966ab12a8b8c403f2224faddc23c58c37147b2b6b03db8bba71eb7c93212d4e"),
+        36, "45d0d8bed009723293fa97b934501520d38f887e3febeaa3e0ee12564168e8c1"),
     ("complex", "weights N"): (
-        25, "0a00e1967ad05bbf91a849fe01a944b3e234a361dbaf5daa1eff82df220ae423"),
+        25, "56a78736e2d5c9d1d2e4909f3b9104ae722f57430dafaba1d0d3c505c3da8cd1"),
     ("complex", "weights k"): (
-        25, "a0aeb997937f10aa5ba56ac08d8760d6a66f937ae4b16a10d22f967900fd9394"),
+        25, "e51259d5763134d0c0c973000b4f80e67dd1e760667ac1dfaa9a356ebea80759"),
     ("complex", "coefficients N"): (
         5, "98aa8231215a122b641523cd2170b690028a410e31559fb49ec9111a6e4bbe8d"),
     ("complex", "coefficients k"): (
@@ -461,6 +463,53 @@ def test_cli_weights_n_side_needs_no_s():
     assert without.stdout.startswith("w=") and without.stdout == with_s.stdout
     x_side = _cli("eval", "--fn", "weights", "--p", "3/2", "--N", "13", "--x", "2")
     assert x_side.returncode == 2 and "--s is required" in x_side.stderr
+
+
+def test_cli_floating_weights_at_q_above_one_are_finite():
+    # the weight rows grow by their consecutive ratios, so at p = 3/2 no
+    # Pochhammer prefix leaves the float range (each printed nan or inf
+    # before): every printed value is within 1e-12 relative of the exact one
+    qb = QBase(F(3, 2))
+    for point, exact in ((("--k", "2", "--n", "40"), {"w_k": asc_w(qb, 2, 40)}),
+                         (("--N", "30", "--n", "15", "--s", "0", "--x", "3"),
+                          {"w": kraw_w(qb, 30, 15), "W_invbase": kraw_W(qb, 0, 30, 3)})):
+        out = _cli("eval", "--mode", "float", "--fn", "weights", "--p", "3/2", *point)
+        assert out.returncode == 0, out.stderr
+        printed = dict(line.split("=") for line in out.stdout.splitlines())
+        assert list(printed) == list(exact), point
+        for key, value in exact.items():
+            assert abs(float(printed[key]) - value) <= 1e-12 * abs(value), (point, key)
+
+
+@pytest.mark.parametrize("p", ["2/3", "3/2"])
+def test_cli_floating_rr_inner_past_the_float_range_is_refused(p):
+    # at N = 30 a power of the sum leaves the float range (q**-900 at p =
+    # 2/3, the weight's q**899 at p = 3/2): exit 2 naming OutOfRange, not a
+    # wrong value (the column fold printed 3.29e268 at p = 2/3, exact
+    # 3.04e276) or nan (at p = 3/2, exact 2.36)
+    out = _cli("eval", "--mode", "float", "--fn", "rr_inner", "--p", p, "--N", "30",
+               "--s", "0", "--t", "0", "--v", "0", "--x", "1", "--y", "1")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("OutOfRange: ") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(1, math.inf),
+                                   complex(math.nan, 0)], ids=repr)
+def test_cli_refuses_non_finite_values(monkeypatch, capsys, value):
+    # eval and table format every value in one place, which refuses a
+    # floating value outside the float range: exit 2 naming OutOfRange,
+    # nothing printed, whichever function produced it
+    def fn(args, qb, point):
+        if point:
+            point["n"]  # the table's one grid axis, read
+        return {"a": 1.0, "b": value}
+
+    monkeypatch.setitem(cli.FUNCTIONS, "kraw", fn)
+    for argv in (["eval", "--fn", "kraw", "--mode", "float"],
+                 ["table", "--fn", "kraw", "--mode", "float", "--grid", "n=0:1"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("OutOfRange: "), argv
 
 
 def test_cli_eval_complex_mode_infinite_family():
