@@ -55,19 +55,16 @@ over n fetches each row once and reads it by index.
   prefactor exponent is n(2s-2u-size+1)/2 on ints, the same power as the
   general expression.
 * The n-side weights of both families are one row body, ``_w_column(qb,
-  su11, size)``: entry n is (-+1)**n q**(n(size+1)) times entry n of the
-  ratio row ``_ratio_row(qb, -2size)``, (q**(-2size); q**2)_n / (q**2;
-  q**2)_n, the minus sign and the upper end n = N on the finite side only.
-  At size N that is ``kraw_w`` = q**(n(n-N)) (q**2; q**2)_N / ((q**2;
-  q**2)_n (q**2; q**2)_(N-n)), at size -k ``asc_w`` = q**(-n(k-1))
-  (q**2k; q**2)_n / (q**2; q**2)_n; ``kraw_w_column(qb, N)`` and
-  ``asc_w_column(qb, k)`` fetch it.  A ratio row grows by its consecutive
-  ratio (1 - q**e f) / (1 - q**2 f), so no Pochhammer prefix is built:
-  near q = 1 the prefixes grow like n**2 bits while the weights do not,
-  and at q > 1 they leave the float range where the weights do not.  In an
-  exact base each entry is the Fraction the direct ``qpoch``/``qbinom``
-  formula gives; ``asc_W`` reads its finite Pochhammer ratio from the same
-  row at e = 2k, so it needs q**2k only.
+  su11, size)``, fetched by ``kraw_w_column(qb, N)`` and ``asc_w_column(qb,
+  k)``: the ratio row ``_ratio_row(qb, -2size, size+1)`` of q**(n(size+1))
+  (q**(-2size); q**2)_n / (q**2; q**2)_n, on the finite side signed
+  (-1)**n, ending at n = N and read at min(n, N - n), as ``kraw_w`` =
+  q**(n(n-N)) times the q**2-binomial is symmetric.  A ratio row grows by
+  its consecutive ratio, the lead power folded into each step, so each
+  entry stays near its value: no Pochhammer prefix (n**2 bits near q = 1,
+  past the float range at q > 1) and no q**(n(size+1)) is built.  An exact
+  entry is the direct ``qpoch``/``qbinom`` formula's Fraction; ``asc_W``
+  reads the row at (2k, 0), so it needs q**2k only.
 
 The rows, ``kraw_W``/``asc_W`` and the ``*_diff_coeffs``/``*_dyn_coeffs``
 tables are ``tables.tabled``: the first call at a key stores the value for
@@ -82,6 +79,7 @@ their first term (``qseries.require_q_below_one``).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -204,28 +202,33 @@ def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
 
 
 # ---------------------------------------------------------------------------
-# rows over n: Pochhammer prefixes, weights and polynomial values
+# rows over n: Pochhammer ratios, weights and polynomial values
 # ---------------------------------------------------------------------------
 
 
 @tabled
-def _ratio_row(qb: QBase, e) -> _Row:
-    """The row of (q**e; q**2)_m / (q**2; q**2)_m, m = 0, 1, ...: entry m is
-    entry m - 1 times (1 - q**e f) / (1 - q**2 f) at f = q**(2m-2).
+def _ratio_row(qb: QBase, e, d) -> _Row:
+    """The row of q**(dm) (q**e; q**2)_m / (q**2; q**2)_m, m = 0, 1, ...:
+    entry m is entry m - 1 times (q**d - q**(d+e) f) / (1 - q**2 f) at f =
+    q**(2m-2).  The lead q**d is folded into every step, so each entry stays
+    near the value it is and no power past q**d, q**(d+e+2m-2) or q**(2m)
+    is taken; a floating entry outside the float range raises OutOfRange.
 
     An exact base runs the step on integer pairs, one Fraction per entry:
     near q = 1 the two Pochhammer prefixes grow like m**2 bits while their
-    ratio stays small.  The powers are made at entry 1, so an e that is not
-    a half-integer raises there.
+    ratio stays small.  The powers are made at entry 1, q**d first, so a d
+    or e that is not a half-integer raises there.
     """
     if not qb.is_exact:
         def entry(m):
             if m == 0:
                 return qb.one()
-            f = qb.qpow(2 * m - 2)
-            return row[m - 1] * ((1 - qb.qpow(e) * f) / (1 - qb.qpow(2) * f))
+            out = row[m - 1] * ((qb.qpow(d) - qb.qpow(d + e + 2 * m - 2)) / (1 - qb.qpow(2 * m)))
+            if not cmath.isfinite(out):
+                raise OutOfRange(f"entry {m} of a ratio row leaves the floating-point range")
+            return out
     else:
-        pairs = None  # q**e and q**2 as integer pairs, made at entry 1
+        pairs = None  # q**d, q**(d+e) and q**2 as integer pairs, made at entry 1
         fu = fd = 1  # f = fu / fd
 
         def entry(m):
@@ -233,10 +236,12 @@ def _ratio_row(qb: QBase, e) -> _Row:
             if m == 0:
                 return qb.one()
             if pairs is None:
-                pairs = [(f.numerator, f.denominator) for f in (qb.qpow(e), qb.qpow(2))]
-            (cn, cd), (u, d) = pairs
-            out = row[m - 1] * Fraction(d * (cd * fd - cn * fu), cd * (d * fd - u * fu))
-            fu, fd = fu * u, fd * d
+                pairs = [(f.numerator, f.denominator)
+                         for f in (qb.qpow(d), qb.qpow(d + e), qb.qpow(2))]
+            (an, ad), (cn, cd), (u, v) = pairs
+            out = row[m - 1] * Fraction(v * (an * cd * fd - cn * ad * fu),
+                                        ad * cd * (v * fd - u * fu))
+            fu, fd = fu * u, fd * v
             return out
 
     row = _Row(entry)
@@ -304,17 +309,18 @@ def _column(qb: QBase, su11: bool, size, u, s, x: int) -> _Row:
 @tabled
 def _w_column(qb: QBase, su11: bool, size) -> _Row:
     """The n-side weights of either family: entry n is (-+1)**n
-    q**(n(size+1)) (q**(-2size); q**2)_n / (q**2; q**2)_n, with the minus
-    sign and the upper end n = N on the finite side only.  At size N it is
-    q**(n(n-N)) times the q**2-binomial, at size -k the infinite family's
-    q**(-n(k-1)) (q**2k; q**2)_n / (q**2; q**2)_n."""
-    ratio = _ratio_row(qb, as_exponent(-2 * size))
+    q**(n(size+1)) (q**(-2size); q**2)_n / (q**2; q**2)_n, the ratio row
+    itself at size -k; at size N it ends at n = N and, being symmetric
+    under n <-> N - n, reads ratio entry min(n, N - n)."""
+    ratio = _ratio_row(qb, as_exponent(-2 * size), as_exponent(size + 1))
+    if su11:
+        return ratio
 
     def entry(n):
-        if not su11 and n > size:
+        if n > size:
             raise OutOfRange(f"n = {n} outside 0..{size}")
-        w = qb.qpow(n * (size + 1)) * ratio[n]
-        return -w if not su11 and n % 2 else w
+        n = min(n, size - n)
+        return -ratio[n] if n % 2 else ratio[n]
 
     return _Row(entry)
 
@@ -520,7 +526,7 @@ def asc_W(qb: QBase, s, k, x: int, tb: TailBound = TailBound()):
     s, k = as_exponent(s), as_exponent(k)
     q2 = qb.qpow(2)
     out = (1 - qb.qpow(4 * x + 2 * s + 2 * k)) / (1 - qb.qpow(2 * x + 2 * s + 2 * k))
-    out *= _ratio_row(qb, as_exponent(2 * k))[x]
+    out *= _ratio_row(qb, as_exponent(2 * k), 0)[x]
     out *= qpoch_inf_ratio(qb.qpow(2 * x + 2 * s + 2), qb.qpow(2 * x + 2 * s + 2 * k + 2), q2, tb)
     return out * qb.qpow(2 * x * (x + s))
 

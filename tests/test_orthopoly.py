@@ -3,6 +3,7 @@
 import sys
 import threading
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -305,9 +306,22 @@ def test_exact_asc_w_refuses_a_third_at_entry_one():
 
 @pytest.mark.parametrize("qb, order", WEIGHT_TABLE_CASES, ids=repr)
 def test_kraw_w_table_matches_direct_formula(qb, order):
-    for N in range(14):
+    # at N = 30 and p = 1/2 the weights reach 1e135 while q**(n(N+1)) on
+    # its own leaves the float range from n = 18
+    for N in (*range(14), 30):
         for n in (N, 0, N // 2, *range(N + 1)):
             assert _is_weight(qb, kraw_w(qb, N, n), _kraw_w_direct, N, n), (N, n)
+
+
+def test_exact_kraw_w_at_N_600_takes_no_large_power():
+    # every power the row takes is at most q**(N+1) or q**2, far under
+    # scalar.MAX_POWER_BITS, which q**(n(N+1)) passes at n = N; the
+    # reference is the q**2-binomial at q = 1/4 on integers
+    qb, N = QBase(F(1, 2)), 600
+    for n in (0, N // 2, N):
+        want = F(prod(16 ** (N - n + j) - 1 for j in range(1, n + 1)),
+                 prod(16**j - 1 for j in range(1, n + 1)) * 4 ** (n * (N - n)))
+        assert _same(kraw_w(qb, N, n), want), n
 
 
 def test_weight_tables_keep_exact_and_float_bases_apart():
@@ -324,9 +338,9 @@ def test_weight_tables_keep_exact_and_float_bases_apart():
 
 
 def test_weight_tables_survive_an_overflow():
-    # q**(-2n) overflows a float from n = 39 at p = 1/100 (OutOfRange); the
-    # failed request must raise as the direct formula does and leave the
-    # table consistent
+    # the weight, about q**(-2n), leaves the float range from n = 39 at p =
+    # 1/100 (OutOfRange); the failed request must raise as the direct
+    # formula does and leave the table consistent
     qb = QBase(F(1, 100), "float")
     with pytest.raises(OutOfRange):
         _asc_w_direct(qb, 3, 50)
@@ -418,10 +432,11 @@ def test_mixed_weight_requests_share_one_row_thread_safely():
 
 
 def test_both_weight_families_share_one_pochhammer_row_per_exponent():
-    # every weight reads the ratio row (q**e; q**2)_m / (q**2; q**2)_m: asc_w
-    # at k and asc_W at k and any s read the one row at e = 2k, kraw_w at N
-    # the row at e = -2N, so two k and N = 1..12 make 14 rows, in every
-    # backend
+    # every weight reads a ratio row q**(dm) (q**e; q**2)_m / (q**2; q**2)_m:
+    # asc_w at k is the row (2k, 1 - k) itself, asc_W at k and any s reads
+    # the row (2k, 0), and kraw_w at N reads the row (-2N, N + 1) up to
+    # entry N // 2, since its weights are symmetric in n <-> N - n; so two k
+    # and N = 1..12 make 16 rows, in every backend
     name = "qracah.orthopoly._ratio_row"
     for qb in (QBase(8 / 13, "float"), QBase(F(8, 13))):  # bases no other test uses
         before = table_sizes().get(name, 0)
@@ -431,13 +446,16 @@ def test_both_weight_families_share_one_pochhammer_row_per_exponent():
             for s in (0, F(1, 2), 2):
                 for x in range(6):
                     asc_W(qb, s, k, x)
-            assert len(orthopoly._ratio_row(qb, as_exponent(2 * k)).row) == 20, (qb, k)
-        assert table_sizes()[name] == before + 2, qb
+            e, d = as_exponent(2 * k), as_exponent(1 - k)
+            assert orthopoly.asc_w_column(qb, k) is orthopoly._ratio_row(qb, e, d)
+            assert len(orthopoly._ratio_row(qb, e, d).row) == 20, (qb, k)
+            assert len(orthopoly._ratio_row(qb, e, 0).row) == 6, (qb, k)
+        assert table_sizes()[name] == before + 4, qb
         for N in range(1, 13):
             for n in range(N + 1):
                 kraw_w(qb, N, n)
-            assert len(orthopoly._ratio_row(qb, -2 * N).row) == N + 1, (qb, N)
-        assert table_sizes()[name] == before + 14, qb
+            assert len(orthopoly._ratio_row(qb, -2 * N, N + 1).row) == N // 2 + 1, (qb, N)
+        assert table_sizes()[name] == before + 16, qb
 
 
 def test_asc_W_positive():

@@ -103,13 +103,15 @@ def _calls(qb):
     h = _exponent(qb, F(1, 2))
     one = _exponent(qb, 1)
     calls = []
-    # the weight rows of both families and the ratio rows they read
+    # the weight rows of both families, the ratio rows they read and the
+    # ratio rows of asc_W
     for N in range(4):
         calls.append((orthopoly._w_column, (qb, False, N), {}))
-        calls.append((orthopoly._ratio_row, (qb, -2 * N), {}))
+        calls.append((orthopoly._ratio_row, (qb, -2 * N, N + 1), {}))
     for k in (h, one):
         calls.append((orthopoly._w_column, (qb, True, -k), {}))
-        calls.append((orthopoly._ratio_row, (qb, 2 * k), {}))
+        calls.append((orthopoly._ratio_row, (qb, 2 * k, 1 - k), {}))
+        calls.append((orthopoly._ratio_row, (qb, 2 * k, 0), {}))
     for y in range(4):
         calls.append((kraw_W, (qb, h, 3, y), {}))
         calls.append((kraw_W, (qb, 1, 3), {"x": y}))

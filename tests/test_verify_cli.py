@@ -180,11 +180,11 @@ _TABLE_POINTS = {
 }
 PR_INNER_TABLE_DIGESTS = {
     ("float", "pr_inner p=2/3,k=3/2"): (
-        49, "650020933b1e50504528242ca2e8a097fbc80b5fe9f038bed233bbfb9c8d6c02"),
+        49, "f57b54f1a247e494f41a994f0ae6c2cbdb243dae9336ee57518268b353a0bf87"),
     ("float", "pr_inner p=1/2,k=1"): (
         25, "156feff8403ad203d14271e02299d92e714fffecf266a251a048b5ef1e066213"),
     ("complex", "pr_inner p=2/3,k=3/2"): (
-        49, "ec76ed79a50f4cee3cf9f0719d70ee11f2b2f4b409a33f01d31f7d86b96fb28a"),
+        49, "300f23095ce745a9d264d28df1c8026ecf11346efbc360137769fedeacb66054"),
     ("complex", "pr_inner p=1/2,k=1"): (
         25, "ae305185c167b1384f38f8c6d24b3d45ff84beb1849d3606b4499f508e669698"),
     ("float", "kraw"): (
@@ -192,15 +192,15 @@ PR_INNER_TABLE_DIGESTS = {
     ("float", "asc"): (
         25, "901bb7b4dfef3ea1bd021455801d794c4e4eaf42b025d97cb6c148aa860f0e09"),
     ("float", "rr_inner"): (
-        16, "5b88a7075a8d5202ef4e84a7f0f14776538c53e96433fe324cf77718cc057681"),
+        16, "f1fdb28d5506212f09b1806c289c856313bf305b9393d6263a72caf59986423f"),
     ("float", "rr_closed"): (
         16, "ca0575d584e5801ec1fb2637a06e73c3e30888251c2b1394feb4971911cf677f"),
     ("float", "rr_multi"): (
-        36, "f6e80a3ede8ac7bfcfbca1c9712e0c48132ffe9f49cadfde6e61a9ac4cd16e56"),
+        36, "fa723a3d45923911bf7ff26b13af5b1192559187643616bc0b875e451c3fcaaa"),
     ("float", "weights N"): (
-        25, "993437e677e1122a6cab5253c6a0ee4d9588f2e76e7780e3c438d6b717487f15"),
+        25, "a61c41cb20b7dc810db2e45c20625ff4b1e5cfca2e4870651cbe1548b481a937"),
     ("float", "weights k"): (
-        25, "5857855ca1a691e1b3f69b6811ecd9a5a5a47b632b21f481da351c1f1d4ad1ef"),
+        25, "95318dabcc0b3dc3b4e21a11d9c43c317d88d551246c421284acca221508a4f1"),
     ("float", "coefficients N"): (
         5, "723fe0a10f7bb158d55711274d6dbf09de9a2ff5636574ff241ad825b416e7b1"),
     ("float", "coefficients k"): (
@@ -210,15 +210,15 @@ PR_INNER_TABLE_DIGESTS = {
     ("complex", "asc"): (
         25, "38fbb27f044a77a5161b14361d275f5d07fb27f69aa6a6684125d53253bf2375"),
     ("complex", "rr_inner"): (
-        16, "6808ed9a54dd8f61f18d621b32b6d18de65b309e0a6f3bd2913f2e072bbe57ee"),
+        16, "2a10074a555e9f05e0c59f553e04796f5bc91957052acc4ac1b5075a66278bb5"),
     ("complex", "rr_closed"): (
         16, "c88a0752bed206abd0fdd837fad59b79739337c86e132e8c44bea31203dbf6a9"),
     ("complex", "rr_multi"): (
-        36, "45d0d8bed009723293fa97b934501520d38f887e3febeaa3e0ee12564168e8c1"),
+        36, "9a51e8cd346147de82e0fb20208c715ec1a1b093fa68e1e2f1cbd048232e40f3"),
     ("complex", "weights N"): (
-        25, "56a78736e2d5c9d1d2e4909f3b9104ae722f57430dafaba1d0d3c505c3da8cd1"),
+        25, "1de281d0c3178f425a1a3cfa3bc4938a132868679b54f2fd86b75f79b4e1bd8f"),
     ("complex", "weights k"): (
-        25, "e51259d5763134d0c0c973000b4f80e67dd1e760667ac1dfaa9a356ebea80759"),
+        25, "9a953720a8dfc9e5f8277b42162101c856e31cf2096e14e116e70dab2e7e2ff2"),
     ("complex", "coefficients N"): (
         5, "98aa8231215a122b641523cd2170b690028a410e31559fb49ec9111a6e4bbe8d"),
     ("complex", "coefficients k"): (
@@ -465,15 +465,18 @@ def test_cli_weights_n_side_needs_no_s():
     assert x_side.returncode == 2 and "--s is required" in x_side.stderr
 
 
-def test_cli_floating_weights_at_q_above_one_are_finite():
-    # the weight rows grow by their consecutive ratios, so at p = 3/2 no
-    # Pochhammer prefix leaves the float range (each printed nan or inf
-    # before): every printed value is within 1e-12 relative of the exact one
-    qb = QBase(F(3, 2))
-    for point, exact in ((("--k", "2", "--n", "40"), {"w_k": asc_w(qb, 2, 40)}),
-                         (("--N", "30", "--n", "15", "--s", "0", "--x", "3"),
-                          {"w": kraw_w(qb, 30, 15), "W_invbase": kraw_W(qb, 0, 30, 3)})):
-        out = _cli("eval", "--mode", "float", "--fn", "weights", "--p", "3/2", *point)
+def test_cli_floating_weights_in_the_float_range_are_finite():
+    # the weight rows grow by their consecutive ratios, the lead power folded
+    # into each step, so no Pochhammer prefix (p = 3/2; each printed nan or
+    # inf before) and no q**(n(N+1)) (p = 1/2) leaves the float range: every
+    # printed value is within 1e-12 relative of the exact one
+    for p, point, exact in (
+            ("3/2", ("--k", "2", "--n", "40"), {"w_k": asc_w(QBase(F(3, 2)), 2, 40)}),
+            ("3/2", ("--N", "30", "--n", "15", "--s", "0", "--x", "3"),
+             {"w": kraw_w(QBase(F(3, 2)), 30, 15), "W_invbase": kraw_W(QBase(F(3, 2)), 0, 30, 3)}),
+            ("3/2", ("--N", "30", "--n", "29"), {"w": kraw_w(QBase(F(3, 2)), 30, 29)}),
+            ("1/2", ("--N", "30", "--n", "15"), {"w": kraw_w(QBase(F(1, 2)), 30, 15)})):
+        out = _cli("eval", "--mode", "float", "--fn", "weights", "--p", p, *point)
         assert out.returncode == 0, out.stderr
         printed = dict(line.split("=") for line in out.stdout.splitlines())
         assert list(printed) == list(exact), point
@@ -481,16 +484,28 @@ def test_cli_floating_weights_at_q_above_one_are_finite():
             assert abs(float(printed[key]) - value) <= 1e-12 * abs(value), (point, key)
 
 
-@pytest.mark.parametrize("p", ["2/3", "3/2"])
-def test_cli_floating_rr_inner_past_the_float_range_is_refused(p):
-    # at N = 30 a power of the sum leaves the float range (q**-900 at p =
-    # 2/3, the weight's q**899 at p = 3/2): exit 2 naming OutOfRange, not a
-    # wrong value (the column fold printed 3.29e268 at p = 2/3, exact
-    # 3.04e276) or nan (at p = 3/2, exact 2.36)
-    out = _cli("eval", "--mode", "float", "--fn", "rr_inner", "--p", p, "--N", "30",
-               "--s", "0", "--t", "0", "--v", "0", "--x", "1", "--y", "1")
+_RR_INNER_N30 = ("--fn", "rr_inner", "--N", "30", "--s", "0", "--t", "0", "--v", "0",
+                 "--x", "1", "--y", "1")
+
+
+def test_cli_floating_rr_inner_past_the_float_range_is_refused():
+    # at p = 2/3, N = 30 the power q**-900 of the sum leaves the float range:
+    # exit 2 naming OutOfRange, not the wrong value the column fold printed
+    # (3.29e268, exact 3.04e276)
+    out = _cli("eval", "--mode", "float", "--p", "2/3", *_RR_INNER_N30)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("OutOfRange: ") and "Traceback" not in out.stderr
+
+
+def test_cli_floating_rr_inner_at_q_above_one_is_the_exact_value():
+    # at p = 3/2, N = 30 every weight stays near its value, so the sum
+    # prints the exact 2.356... within 1e-12 relative (the column fold
+    # printed nan)
+    exact = _cli("eval", "--p", "3/2", *_RR_INNER_N30)
+    out = _cli("eval", "--mode", "float", "--p", "3/2", *_RR_INNER_N30)
+    assert exact.returncode == 0 and out.returncode == 0, out.stderr
+    want = F(exact.stdout.strip())
+    assert abs(float(out.stdout) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(1, math.inf),
