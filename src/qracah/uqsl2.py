@@ -24,9 +24,13 @@ expansion, and is machine-verified in the tests.
 
 Operators are :class:`OpMatrix` values stored as sparse rows.  Every
 generator has at most one nonzero entry per row, and a coproduct image on M
-sites keeps O(M) entries per row, so products, sums, Kronecker products and
-applications cost in proportion to the stored entries; no dense d x d
-matrix is built or multiplied.
+sites keeps O(M) entries per row.  One kernel, :func:`weighted_products`,
+forms sum_t c_t A_t B_t over stored entries and yields each entry as its
+factor tuples (c_t, a, b); :func:`combine` sums each entry once with
+``scalar.ordered_sum``, so an exact product or sum builds one Fraction per
+stored entry.  No dense d x d matrix is built or multiplied.  The identity
+checks build no residual matrix either: they hand each entry's tuples of
+(left side - right side) to ``scalar.residual_sum``.
 
 ``gens(rs)`` and the twisted elements are ``tables.tabled``, once per
 (rs, u, s, tilde, compact): ``twist_x``/``twist_y`` pass their arguments
@@ -42,11 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, OutOfRange
 from . import orthopoly
-from .scalar import QBase, as_exponent, ordered_sum
+from .scalar import QBase, as_exponent, ordered_sum, residual_sum
 from .tables import tabled
 
 _HALF = Fraction(1, 2)
@@ -85,10 +90,6 @@ class OpMatrix:
         one = qb.one()
         return cls._sparse([{i: one} for i in range(dim)], qb.zero())
 
-    @classmethod
-    def zeros(cls, dim: int, qb: QBase) -> "OpMatrix":
-        return cls._sparse([{} for _ in range(dim)], qb.zero())
-
     def __getitem__(self, idx):
         row = self.rows[idx]
         return [row.get(j, self.zero) for j in range(self.dim)]
@@ -96,35 +97,7 @@ class OpMatrix:
     def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        orows = other.rows
-        out = []
-        for row in self.rows:
-            acc = {}
-            for k, a in row.items():
-                for j, b in orows[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(_pruned(acc))
-        return OpMatrix._sparse(out, self.zero)
-
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        out = []
-        for r1, r2 in zip(self.rows, other.rows):
-            acc = dict(r1)
-            for j, b in r2.items():
-                acc[j] = acc[j] + b if j in acc else b
-            out.append(_pruned(acc))
-        return OpMatrix._sparse(out, self.zero)
-
-    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "OpMatrix":
-        return OpMatrix._sparse(
-            [{j: v for j, a in row.items() if (v := scalar * a)} for row in self.rows],
-            self.zero,
-        )
+        return combine(((None, self, other),), self.dim, self.zero)
 
     def __eq__(self, other):
         return isinstance(other, OpMatrix) and self.rows == other.rows
@@ -149,20 +122,45 @@ class OpMatrix:
             for row in self.rows
         ]
 
-    def abs_sum(self, rows: Optional[int] = None):
-        """Sum of entry magnitudes over the first ``rows`` rows (all if None),
-        in the type ``abs`` gives the native scalar (exact in the exact
-        backend, so it is zero iff every entry is exactly zero)."""
-        acc = abs(self.zero)
-        for row in self.rows[:rows]:
-            for a in row.values():
-                acc += abs(a)
-        return acc
+
+def weighted_products(terms, rows: int):
+    """Rows 0..rows-1 of sum_t c_t A_t B_t, each a dict {column: [factor
+    tuples]}: a stored a = A_t[i, k] and b = B_t[k, j] give the tuple
+    (c_t, a, b) of entry (i, j).  ``terms`` holds the triples (c_t, A_t, B_t)
+    of square operators of one dimension; any of the three may be ``None``,
+    the unit (the identity operator, or the coefficient 1), whose factor
+    the tuple omits.  Only stored entries are visited, terms in order, so a
+    column's tuples come in the order a dense row would sum them."""
+    for i in range(rows):
+        acc = {}
+        for c, A, B in terms:
+            head = () if c is None else (c,)
+            if A is None and B is None:
+                acc.setdefault(i, []).append(head)
+            elif A is None or B is None:
+                for j, a in (B if A is None else A).rows[i].items():
+                    acc.setdefault(j, []).append((*head, a))
+            else:
+                for k, a in A.rows[i].items():
+                    for j, b in B.rows[k].items():
+                        acc.setdefault(j, []).append((*head, a, b))
+        yield acc
 
 
-def _pruned(acc: dict) -> dict:
-    """A sparse row from accumulated entries: zeros dropped, columns sorted."""
-    return {j: acc[j] for j in sorted(acc) if acc[j]}
+def combine(terms, dim: int, zero) -> OpMatrix:
+    """The operator sum_t c_t A_t B_t of :func:`weighted_products`: each
+    entry is ``ordered_sum`` of its factor tuples (or the factor itself,
+    where that is one tuple of one factor); entries that sum to zero are not
+    stored, columns are sorted, and ``zero`` is the backend's zero."""
+    out = []
+    for acc in weighted_products(terms, dim):
+        row = {}
+        for j in sorted(acc):
+            ts = acc[j]
+            if v := ts[0][0] if len(ts) == 1 and len(ts[0]) == 1 else ordered_sum(ts):
+                row[j] = v
+        out.append(row)
+    return OpMatrix._sparse(out, zero)
 
 
 def kron_all(mats: Sequence[OpMatrix]) -> OpMatrix:
@@ -246,10 +244,12 @@ def _twist_from(qb: QBase, E: OpMatrix, F: OpMatrix, K: OpMatrix, Ki: OpMatrix,
     scale = qb.one() if compact else qb.bracket_brace_ratio
     const = qb.bracket(s) if compact else qb.brace(s)
     if tilde:
-        out = scale * qb.qpow(-u - _HALF) * (E @ Ki) + (sgn * scale * qb.qpow(u + _HALF)) * (F @ Ki)
-        return out + const * (Ki @ Ki)
-    out = scale * qb.qpow(u + _HALF) * (E @ K) + (sgn * scale * qb.qpow(-u - _HALF)) * (F @ K)
-    return out + const * OpMatrix.identity(dim, qb)
+        terms = ((scale * qb.qpow(-u - _HALF), E, Ki),
+                 (sgn * scale * qb.qpow(u + _HALF), F, Ki), (const, Ki, Ki))
+    else:
+        terms = ((scale * qb.qpow(u + _HALF), E, K),
+                 (sgn * scale * qb.qpow(-u - _HALF), F, K), (const, None, None))
+    return combine(terms, dim, qb.zero())
 
 
 @tabled
@@ -271,71 +271,78 @@ def twist_y(rs: RepSpec, u, s, tilde: bool = False) -> OpMatrix:
     return _twisted(rs, u, s, tilde, False)
 
 
-def qcommutator(qb: QBase, AB: OpMatrix, BA: OpMatrix) -> OpMatrix:
-    """[A, B]_q = q A B - (1/q) B A, from the two products AB and BA, so
-    [A, B]_q and [B, A]_q share them."""
-    q = qb.q
-    return q * AB + (-(1 / q)) * BA
+def _residual(rs: RepSpec, terms, rows: Optional[int]):
+    """The sum over entries (i, j) of |sum_t c_t (A_t B_t)[i, j]|, i below
+    ``rows`` (all rows if None), from the factor tuples of each entry."""
+    acc_rows = weighted_products(terms, rs.dim if rows is None else rows)
+    return residual_sum(((ts, ()) for acc in acc_rows for ts in acc.values()), rs.qb.zero())
 
 
-def relation_residuals(rs: RepSpec) -> dict:
-    """Residual matrices of the defining algebra relations.
+def relation_residuals(rs: RepSpec, rows: Optional[int] = None) -> dict:
+    """Total absolute residual of each defining algebra relation over the
+    leading ``rows`` rows (all if None).
 
     Exact zeros on all rows (su2) or on rows 0..trunc-1 (su11; the EF-FE
     relation leaks in the last row only).
     """
-    qb = rs.qb
-    q = qb.q
+    q = rs.qb.q
     K, Ki, E, F = gens(rs)
-    eye = OpMatrix.identity(rs.dim, qb)
-    return {
-        "K*Kinv - 1": K @ Ki - eye,
-        "KE - qEK": K @ E - q * (E @ K),
-        "KF - (1/q)FK": K @ F - (1 / q) * (F @ K),
-        "EF - FE - (K2-Kinv2)/(q-1/q)": (E @ F - F @ E)
-        - (1 / (q - 1 / q)) * (K @ K - Ki @ Ki),
+    d = 1 / (q - 1 / q)
+    relations = {
+        "K*Kinv - 1": ((None, K, Ki), (-1, None, None)),
+        "KE - qEK": ((None, K, E), (-q, E, K)),
+        "KF - (1/q)FK": ((None, K, F), (-(1 / q), F, K)),
+        "EF - FE - (K2-Kinv2)/(q-1/q)": ((None, E, F), (-1, F, E), (-d, K, K), (d, Ki, Ki)),
     }
+    return {name: _residual(rs, terms, rows) for name, terms in relations.items()}
 
 
-def star_residual(rs: RepSpec, A: OpMatrix, Astar: OpMatrix) -> OpMatrix:
-    """Residual of the adjointness relation w(n) A[n,m] = w(m) conj(A*[m,n])
-    for the weighted inner product of the representation space."""
-    qb = rs.qb
+def star_residual(rs: RepSpec):
+    """Total absolute residual of the *-structure K* = K, E* = +-F,
+    F* = +-E (+ compact, - non-compact) for the weighted inner product: the
+    sum over pairs (A, A*) and entries (n, m) of |w(n) A[n,m] - w(m) A*[m,n]|
+    (exact scalars, so A*[m,n] is its own conjugate)."""
+    K, Ki, E, F = gens(rs)
+    sgn = 1 if rs.kind == "su2" else -1
     w = rs.weights()
-    out = [{m: w[n] * a for m, a in row.items()} for n, row in enumerate(A.rows)]
-    for m, row in enumerate(Astar.rows):
-        for n, b in row.items():
-            t = w[m] * qb.conj(b)
-            out[n][m] = out[n][m] - t if m in out[n] else -t
-    return OpMatrix._sparse([_pruned(r) for r in out], A.zero)
+    entries = []
+    for A, Astar, c in ((K, K, 1), (E, F, sgn), (F, E, sgn)):
+        out = [{m: [(w[n], a)] for m, a in row.items()} for n, row in enumerate(A.rows)]
+        for m, row in enumerate(Astar.rows):
+            for n, b in row.items():
+                out[n].setdefault(m, []).append((-c, w[m], b))
+        entries.extend(ts for acc in out for ts in acc.values())
+    return residual_sum(((ts, ()) for ts in entries), rs.qb.zero())
 
 
-def twist_rewrite_residual(rs: RepSpec, u, v, s, t) -> OpMatrix:
-    """Residual of expressing the untwisted element through K**2 and the
-    tilde element: the q-commutator combination divided by q**2 - q**-2,
-    minus the bracket (or brace) constant correction."""
-    qb = rs.qb
-    u_, v_ = as_exponent(u), as_exponent(v)
+def twist_rewrite_residual(rs: RepSpec, u, v, s, t, rows: Optional[int] = None):
+    """Total absolute residual, over the leading ``rows`` rows (all if
+    None), of expressing the untwisted element through K**2 and the tilde
+    element: the q-commutator combination divided by q**2 - q**-2, minus the
+    bracket (or brace) constant correction."""
+    qb, compact = rs.qb, rs.kind == "su2"
+    e = as_exponent(u) + as_exponent(v)
     K = gens(rs)[0]
-    K2 = K @ K
-    compact = rs.kind == "su2"
     sym = qb.bracket if compact else qb.brace
-    lhs = _twisted(rs, u, s, False, compact)
-    tilt = _twisted(rs, v, t, True, compact)
-    const = -sym(t) * qb.brace(u_ + v_) + sym(s)
-    q2 = qb.qpow(2)
-    K2_tilt, tilt_K2 = K2 @ tilt, tilt @ K2
-    num = (qb.qpow(u_ + v_) * qcommutator(qb, K2_tilt, tilt_K2)
-           + qb.qpow(-u_ - v_) * qcommutator(qb, tilt_K2, K2_tilt))
-    rhs = (1 / (q2 - 1 / q2)) * num + const * OpMatrix.identity(rs.dim, qb)
-    return lhs - rhs
+    lhs, tilt = _twisted(rs, u, s, False, compact), _twisted(rs, v, t, True, compact)
+    const = -sym(t) * qb.brace(e) + sym(s)
+    d = 1 / (qb.qpow(2) - qb.qpow(-2))
+    # q**e [K2, tilt]_q + q**-e [tilt, K2]_q = a K2 tilt + b tilt K2, and
+    # K2 is diagonal, so each product is one factor per entry
+    a = d * (qb.qpow(e + 1) - qb.qpow(-e - 1))
+    b = d * (qb.qpow(1 - e) - qb.qpow(e - 1))
+    K2 = K @ K
+    return _residual(rs, ((None, lhs, None), (-a, K2, tilt), (-b, tilt, K2),
+                          (-const, None, None)), rows)
 
 
-def gevp_rewrite_residual(rs: RepSpec, s) -> OpMatrix:
-    """Residual of K**-2 X_{0,s} = Xtilde_{1,s} (or the Y analogue), the
+def gevp_rewrite_residual(rs: RepSpec, s, rows: Optional[int] = None):
+    """Total absolute residual, over the leading ``rows`` rows (all if
+    None), of K**-2 X_{0,s} = Xtilde_{1,s} (or the Y analogue), the
     rewriting that turns the generalized eigenvalue problem into a plain one."""
     Ki, compact = gens(rs)[1], rs.kind == "su2"
-    return (Ki @ Ki) @ _twisted(rs, 0, s, False, compact) - _twisted(rs, 1, s, True, compact)
+    return _residual(rs, ((None, Ki @ Ki, _twisted(rs, 0, s, False, compact)),
+                          (-1, _twisted(rs, 1, s, True, compact), None)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +362,13 @@ def coproduct_gens(sites: Sequence[RepSpec]) -> Tuple[OpMatrix, OpMatrix, OpMatr
     per_site = [gens(rs) for rs in sites]
     Ks = [g[0] for g in per_site]
     Kis = [g[1] for g in per_site]
-    DK = kron_all(Ks)
-    DKi = kron_all(Kis)
-    DE: Optional[OpMatrix] = None
-    DF: Optional[OpMatrix] = None
-    for i in range(len(sites)):
-        termE = kron_all(Ks[:i] + [per_site[i][2]] + Kis[i + 1 :])
-        termF = kron_all(Ks[:i] + [per_site[i][3]] + Kis[i + 1 :])
-        DE = termE if DE is None else DE + termE
-        DF = termF if DF is None else DF + termF
-    return DK, DKi, DE, DF
+    DK, DKi = kron_all(Ks), kron_all(Kis)
+
+    def image(g):
+        return combine([(None, kron_all(Ks[:i] + [per_site[i][g]] + Kis[i + 1:]), None)
+                        for i in range(len(sites))], DK.dim, sites[0].qb.zero())
+
+    return DK, DKi, image(2), image(3)
 
 
 def coproduct_op(sites: Sequence[RepSpec], element: str, side: str, j: int,
@@ -394,9 +398,7 @@ def coproduct_op(sites: Sequence[RepSpec], element: str, side: str, j: int,
         raise OutOfRange(f"unknown element {element!r}")
     if not rest:
         return op
-    pad = OpMatrix.identity(1, qb)
-    for rs in rest:
-        pad = pad.kron(OpMatrix.identity(rs.dim, qb))
+    pad = OpMatrix.identity(prod(rs.dim for rs in rest), qb)
     return pad.kron(op) if side == "R" else op.kron(pad)
 
 
@@ -412,14 +414,18 @@ def coproduct_twist_coideal(sites: Sequence[RepSpec], u, s, kind: str) -> OpMatr
     correct general statement.
     """
     qb = sites[0].qb
+    zero = qb.zero()
     builder = twist_x if kind == "x" else twist_y
     const = qb.bracket(s) if kind == "x" else qb.brace(s)
     out = builder(sites[0], u, s, tilde=True)
     left_dim = sites[0].dim
     for rs in sites[1:]:
-        K, Ki, E, F = gens(rs)
-        local = builder(rs, u, s, tilde=True) - const * (Ki @ Ki)
-        eye_left = OpMatrix.identity(left_dim, qb)
-        out = eye_left.kron(local) + out.kron(Ki @ Ki)
+        Ki = gens(rs)[1]
+        Ki2 = Ki @ Ki
+        local = combine(((None, builder(rs, u, s, tilde=True), None), (-const, Ki2, None)),
+                        rs.dim, zero)
+        eye = OpMatrix.identity(left_dim, qb)
+        out = combine(((None, eye.kron(local), None), (None, out.kron(Ki2), None)),
+                      left_dim * rs.dim, zero)
         left_dim *= rs.dim
     return out

@@ -106,27 +106,21 @@ def _repspec(qb, N=None, k=None, trunc=None):
 
 def chk_relations(qb, **site):
     rs = _repspec(qb, **site)
-    res = uqsl2.relation_residuals(rs)
-    rows = rs.interior(1)
-    return ordered_sum(m.abs_sum(rows) for m in res.values())
+    return ordered_sum(uqsl2.relation_residuals(rs, rs.interior(1)).values())
 
 
 def chk_star(qb, **site):
-    rs = _repspec(qb, **site)
-    K, Ki, E, F = uqsl2.gens(rs)
-    sgn = 1 if rs.kind == "su2" else -1
-    pairs = [(K, K), (E, sgn * F), (F, sgn * E)]
-    return ordered_sum(uqsl2.star_residual(rs, A, As).abs_sum() for A, As in pairs)
+    return uqsl2.star_residual(_repspec(qb, **site))
 
 
 def chk_twist_rewrite(qb, u, v, s, t, **site):
     rs = _repspec(qb, **site)
-    return uqsl2.twist_rewrite_residual(rs, u, v, s, t).abs_sum(rs.interior(2))
+    return uqsl2.twist_rewrite_residual(rs, u, v, s, t, rs.interior(2))
 
 
 def chk_gevp_rewrite(qb, s, **site):
     rs = _repspec(qb, **site)
-    return uqsl2.gevp_rewrite_residual(rs, s).abs_sum(rs.interior(2))
+    return uqsl2.gevp_rewrite_residual(rs, s, rs.interior(2))
 
 
 def chk_eigen(qb, u, s, x, N=None, k=None, trunc=None):

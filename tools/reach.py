@@ -57,7 +57,6 @@ REFERENCES = {
     "scalar.QBase.__repr__": "names a base in test failures and tracebacks",
     "tables.table_sizes": "tests read table sizes to show what a call tabled",
     "uqsl2.OpMatrix.__init__": "tests build dense matrices as references",
-    "uqsl2.OpMatrix.zeros": "tests build zero matrices as references",
     "uqsl2.OpMatrix.__eq__": "tests compare matrices",
 }
 
