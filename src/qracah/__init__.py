@@ -27,7 +27,6 @@ from .qseries import (
     qpoch_inf_ratio,
     rphis,
     summation_lhs,
-    summation_pair_qracah,
     summation_rhs,
 )
 from .orthopoly import (
@@ -61,6 +60,7 @@ from .ratfun import (
     rr_closed,
     rr_inner,
     rr_valid,
+    summation_pair_qracah,
 )
 from .multivar import (
     epsilon_set,

@@ -60,35 +60,26 @@ values, so it stops at the same factor.  Its running pair is cancelled
 against each factor, since the ratios its callers pass telescope: their
 reduced value stays small while an unreduced pair grows like m**2 bits.
 
-The summation identity's series side reads rows over n (``tables._Row``):
-its terminating 3phi2 factors depend on one of x, y only, so
-``_rhs_factor(q, a, tb, z, sq)`` is one row per (z, sq), and its
-coefficients (bcd)**n (a; q)_n / (q; q)_n are one row per (q, a, bcd),
-``_rhs_coeffs``, carried by the recurrences the sum once ran inline, so
-every float and complex bit is the same.  Both are tabled and shared
-across the (x, y) grid of a summation point; a sum fetches its three rows
-once and reads them by index.  The product side reads what its point
-fixes from one table per point, ``_lhs_prefactors``: the x- and y-free
-Pochhammer factor and pack tables (``tables._Points``) of the quotient of
-x only and of y only, each formed by the expression the side once ran
-inline and multiplied in the same order, so every bit is the same.
+Both families' polynomial series (``orthopoly._series``) are columns over
+n of one terminating 3phi2(Q**n, Q**x, C; B; 1/Q, 1/Q), whose term ratios
+depend on n only through the numerator Q**n.  In the exact backend the
+column body is ``_Phi32Column``, written once here: the n-free ratios are
+reduced integer pairs computed once per column, the pairs 1 - Q**m are
+read from one row per Q (``_one_minus_row``), and entry n is one Horner
+pass on one unreduced integer pair, kept as that pair
+(``scalar.Unreduced``), whose value is the rational ``rphis`` gives, with
+its errors raised from the same entry read.  The pair is not reduced: the
+Horner pair's gcd removes a small share of its bits, and every reader
+multiplies the entry into a term that its sum reduces once anyway
+(``certified_sum``, ``ordered_sum``; a polynomial column builds one
+Fraction from its prefactor and the pair).  The float and complex backends
+evaluate each entry by its own ``rphis`` (``orthopoly._series_entry``), so
+their bits are those of the series loop.
 
-Both families' polynomial series (``orthopoly._series``) and the summation
-identity's factors (``_rhs_factor``) are columns over n of one terminating
-3phi2(Q**n, Q**x, C; B; 1/Q, 1/Q), whose term ratios depend on n only
-through the numerator Q**n.  In the exact backend the column body is
-``_Phi32Column``, written once here: the n-free ratios are reduced integer
-pairs computed once per column, the pairs 1 - Q**m are read from one row
-per Q (``_one_minus_row``), and entry n is one Horner pass on one unreduced
-integer pair, kept as that pair (``scalar.Unreduced``), whose value is the
-rational ``rphis`` gives, with its errors raised from the same entry read.
-The pair is not reduced: the Horner pair's gcd removes a small share of its
-bits, and every reader multiplies the entry into a term that its sum
-reduces once anyway (``certified_sum``, ``ordered_sum``; a polynomial
-column builds one Fraction from its prefactor and the pair).  The float
-and complex backends evaluate each entry by its own ``rphis``
-(``orthopoly._series_entry``, ``_rhs_factor_entry``), so their bits are
-those of the series loop.
+The summation identity (Lemma 2.1) is written here in its general form,
+``summation_lhs`` and ``summation_rhs`` for any (a, b, c, d), each side a
+direct expression.  Its q-Racah point is the finite rational function:
+``ratfun.summation_pair_qracah`` returns ``rr_closed`` and ``rr_inner``.
 """
 
 from __future__ import annotations
@@ -96,12 +87,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
-from .scalar import QBase, Unreduced, add_pair, as_exponent, ordered_sum, product
-from .tables import _Points, _Row, tabled
+from .scalar import QBase, Unreduced, add_pair, ordered_sum, product
+from .tables import _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
 # the bound certified_sum's stop rule puts on its last term ratios
@@ -684,10 +675,10 @@ def certified_sum(terms, tb: TailBound):
 
 
 # ---------------------------------------------------------------------------
-# The central summation identity: a weighted sum of products of two 3phi2's
-# in base 1/q equals a terminating 4phi3 (q-Racah type) with explicit
-# Pochhammer prefactors.  The finite case has a = q**-N and, like the
-# q-Racah setting it feeds, lives on the domain x, y <= N.
+# The central summation identity (Lemma 2.1): a weighted sum of products of
+# two 3phi2's in base 1/q equals a terminating 4phi3 with explicit
+# Pochhammer prefactors.  The finite case has a = q**-N and lives on the
+# domain x, y <= N.
 # ---------------------------------------------------------------------------
 
 
@@ -698,6 +689,9 @@ def summation_lhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None
     With ``N`` given, the infinite Pochhammer ratio collapses to the exact
     (a*b*c*d; q)_N (finite case a = q**-N, which requires x, y <= N);
     otherwise it is evaluated under the tail certificate (needs |bcd| < 1).
+    The 4phi3's denominator parameter bd/c q**-y at q**-j, j < x, raises
+    DenominatorPole even where the numerator bd/c ends the sum before term
+    j + 1: the rule ``ratfun.rr_valid`` applies at the q-Racah point.
     """
     return _summation_lhs(qb.q, x, y, a, b * b, b * c * d, b * d / c, N, tb)
 
@@ -707,47 +701,24 @@ def _summation_lhs(q, x, y, a, b2, bcd, bd_c, N, tb):
         raise DenominatorPole(
             f"finite case is restricted to x, y <= N; got x={x}, y={y}, N={N}"
         )
-    pref, X, Y = _lhs_prefactors(q, a, b2, bcd, bd_c, N, tb)
-    pref *= Y[y]
-    pref *= X[x]
     abcd = a * bcd
-    ser = rphis(
-        PhiSpec(
-            numerators=(q ** (-x), a * b2 * q ** x, bcd, bd_c),
-            denominators=(b2 * q, bd_c * q ** (-y), abcd * q ** y),
-            base=q,
-            argument=q,
-            terminate_after=x + 1,
-        ),
-        tb,
-    )
+    pref = qpoch(abcd, q, N) if N is not None else qpoch_inf_ratio(abcd, bcd, q, tb)
+    denom = qpoch(abcd, q, y)
+    if denom == 0:
+        raise DenominatorPole(f"(abcd;q)_y vanishes at abcd={abcd}, y={y}")
+    pref *= qpoch(bd_c * q ** (-y), q, y) / denom
+    denom = qpoch(a, q, x)
+    if denom == 0:
+        raise DenominatorPole(f"(a;q)_x vanishes at a={a}, x={x}")
+    pref *= qpoch(q ** (-x) / b2, q, x) / denom
+    pole = bd_c * q ** (-y)
+    for j in range(x):
+        if pole * q ** j == 1:
+            raise _den_param_pole(pole, j)
+    ser = rphis(PhiSpec(numerators=(q ** (-x), a * b2 * q ** x, bcd, bd_c),
+                        denominators=(b2 * q, pole, abcd * q ** y), base=q, argument=q,
+                        terminate_after=x + 1), tb)
     return pref * ser
-
-
-@tabled
-def _lhs_prefactors(q, a, b2, bcd, bd_c, N, tb):
-    """The factors of the product side's prefactor that one summation point
-    fixes: (abcd; q)_N with N given, else the infinite Pochhammer ratio
-    (abcd; q)_inf / (bcd; q)_inf; and the tables of the quotient of x only
-    and of the quotient of y only, shared by the point's (x, y) grid.  A
-    vanishing (a; q)_x or (abcd; q)_y raises for the x or y requested."""
-    abcd = a * bcd
-
-    def x_quotient(x):
-        denom = qpoch(a, q, x)
-        if denom == 0:
-            raise DenominatorPole(f"(a;q)_x vanishes at a={a}, x={x}")
-        return qpoch(q ** (-x) / b2, q, x) / denom
-
-    def y_quotient(y):
-        num = qpoch(bd_c * q ** (-y), q, y)
-        denom = qpoch(abcd, q, y)
-        if denom == 0:
-            raise DenominatorPole(f"(abcd;q)_y vanishes at abcd={abcd}, y={y}")
-        return num / denom
-
-    inf_ratio = qpoch(abcd, q, N) if N is not None else qpoch_inf_ratio(abcd, bcd, q, tb)
-    return inf_ratio, _Points(x_quotient), _Points(y_quotient)
 
 
 def summation_rhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None,
@@ -758,82 +729,22 @@ def summation_rhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None
     return _summation_rhs(qb.q, x, y, a, b * b, c * c, b * c * d, N, tb)
 
 
-def _rhs_factor_entry(q, a, tb, z, sq, n):
-    return rphis(
-        PhiSpec(
-            numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
-            denominators=(1 / a,),
-            base=1 / q,
-            argument=1 / q,
-            terminate_after=min(n, z) + 1,
-        ),
-        tb,
-    )
-
-
-@tabled
-def _rhs_factor(q, a, tb, z, sq) -> _Row:
-    """The column over n of the terminating 3phi2 factor of the summation
-    identity's series side, in base 1/q; it depends on one of x, y only, so
-    one row serves every point that shares z.  When every parameter of the
-    series is int or Fraction it is the exact column ``_Phi32Column`` with
-    Q = q, C = q**-z/(a sq) and B = 1/a, whose entries are ``Unreduced``
-    pairs; otherwise each entry is its own ``rphis``."""
-    if (isinstance(q, Fraction) and isinstance(a, (int, Fraction))
-            and isinstance(sq, (int, Fraction)) and type(z) is int):
-        return _Row(_Phi32Column(lambda: (z, q ** (-z) / (a * sq), 1 / Fraction(a), q),
-                                 tb.max_terms))
-    return _Row(_rhs_factor_entry, q, a, tb, z, sq)
-
-
-@tabled
-def _rhs_coeffs(q, a, bcd) -> _Row:
-    """The coefficients (bcd)**n (a; q)_n / (q; q)_n of the series side,
-    n = 0, 1, ..., carried forward one factor per entry; every (x, y) of a
-    summation point reads this one row.  Complex arguments that differ only
-    in the sign of a zero (complex(r, 0.0) == complex(r, -0.0)) key one
-    row, as they key one ``_rhs_factor`` row: the later call reads entries
-    carried from the first call's arguments."""
-    coeff = poch_q = q * 0 + 1
-
-    def entry(n):
-        nonlocal coeff, poch_q
-        c, p = coeff, poch_q
-        if n:
-            c = c * (bcd * (1 - a * q ** (n - 1)))
-            p = p * (1 - q ** n)
-        out = c / p
-        # carried only once the entry is computed: an entry that raises
-        # leaves the products as they were
-        coeff, poch_q = c, p
-        return out
-
-    return _Row(entry)
-
-
 def _summation_rhs(q, x, y, a, b2, c2, bcd, N, tb):
-    c, fx, fy = _rhs_coeffs(q, a, bcd), _rhs_factor(q, a, tb, x, b2), _rhs_factor(q, a, tb, y, c2)
+    inv_a = Fraction(1) / a  # exact for an int a too; 1 / a for the rest
+
+    def factor(n, z, sq):
+        return rphis(PhiSpec(numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
+                             denominators=(inv_a,), base=1 / q, argument=1 / q,
+                             terminate_after=min(n, z) + 1), tb)
+
+    def terms():
+        # the coefficient (bcd)**n (a; q)_n / (q; q)_n, carried term by term
+        coeff = poch_q = q * 0 + 1
+        for n in count():
+            yield coeff / poch_q, factor(n, x, b2), factor(n, y, c2)
+            coeff *= bcd * (1 - a * q ** n)
+            poch_q *= 1 - q ** (n + 1)
+
     if N is not None:
-        return ordered_sum((c[n], fx[n], fy[n]) for n in range(N + 1))
-    return certified_sum(((c[n], fx[n], fy[n]) for n in count()), tb)
-
-
-def summation_pair_qracah(qb: QBase, N: int, s, t, v, x: int, y: int):
-    """Both sides of the finite summation identity at the q-Racah point.
-
-    The substitution has purely imaginary b and c; only the real
-    combinations b**2 = -q**(2s), c**2 = -q**(2t), bcd = -q**(s+t-v+1) and
-    bd/c = q**(s-t-v+1) enter either side, so the evaluation stays in the
-    exact (or real) backend.  Base is q**2, handled by squaring qb.p.
-    """
-    p2 = qb.p * qb.p if qb.mode == "exact" else float(qb.p) ** 2
-    q2 = p2 * p2
-    s, t, v = as_exponent(s), as_exponent(t), as_exponent(v)
-    a = qb.qpow(-2 * N)
-    b2 = -qb.qpow(2 * s)
-    c2 = -qb.qpow(2 * t)
-    bcd = -qb.qpow(s + t - v + 1)
-    bd_c = qb.qpow(s - t - v + 1)
-    lhs = _summation_lhs(q2, x, y, a, b2, bcd, bd_c, N, TailBound())
-    rhs = _summation_rhs(q2, x, y, a, b2, c2, bcd, N, TailBound())
-    return lhs, rhs
+        return ordered_sum(islice(terms(), N + 1))
+    return certified_sum(terms(), tb)

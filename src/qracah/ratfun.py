@@ -30,6 +30,9 @@ quotient of x only and of y only, each formed by the inline expression and
 multiplied in the inline order, so every float and complex bit is kept.
 Complex parameters that differ only in the sign of a zero part key one
 table, as they key one ``rr_inner`` entry.
+
+``summation_pair_qracah`` is Lemma 2.1 at the q-Racah point: its sides are
+``rr_closed`` and ``rr_inner`` (``qseries`` has the general form).
 """
 
 from __future__ import annotations
@@ -207,6 +210,16 @@ def _rr_prefactors(qb: QBase, s, t, v, N):
         )
 
     return qpoch(-qb.qpow(-2 * N + s + t - v + 1), q2, N), _Points(x_quotient), _Points(y_quotient)
+
+
+def summation_pair_qracah(qb: QBase, N: int, s, t, v, x: int, y: int):
+    """(product side, series side) of Lemma 2.1 at the q-Racah point (the
+    ``lemma2.1`` suite): ``rr_closed``, prefactor ``_rr_prefactors`` times
+    the 4phi3 ``_phi43``, and ``rr_inner``, whose power times ``kraw_w`` is
+    the coefficient (bcd)**n (a; q**2)_n / (q**2; q**2)_n and whose series
+    columns are the two 3phi2's."""
+    rp = RrParams(s, t, v, N, qb)
+    return rr_closed(rp, x, y), rr_inner(rp, x, y)
 
 
 def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):

@@ -94,7 +94,7 @@ def _base(p):
 
 
 def chk_summation(qb, N, s, t, v, x, y):
-    lhs, rhs = qseries.summation_pair_qracah(qb, N, s, t, v, x, y)
+    lhs, rhs = ratfun.summation_pair_qracah(qb, N, s, t, v, x, y)
     return lhs - rhs
 
 
@@ -291,7 +291,16 @@ def _rep_points(fn, cfg):
 
 @suite("lemma2.1")
 def _lemma21(cfg, p):
-    # the product side shares the closed forms' pole locus
+    """Lemma 2.1, the summation identity, at the q-Racah point: the
+    product side, a prefactor times a terminating 4phi3 in base q**2,
+    equals the series side, the n-sum of (bcd)**n (a; q**2)_n /
+    (q**2; q**2)_n times two terminating 3phi2's in base q**-2, at a =
+    q**(-2N), b**2 = -q**(2s), c**2 = -q**(2t), bcd = -q**(s+t-v+1) and
+    bd/c = q**(s-t-v+1).  Exact residual 0 over N <= 4, the five (s, t, v)
+    of ``_STV`` and 0 <= x, y <= N, off the product side's poles (those of
+    the closed forms, ``rr_valid``).  ``ratfun.summation_pair_qracah``
+    computes the sides: the product side is ``rr_closed`` and the series
+    side ``rr_inner``."""
     for N, s, t, v, x, y in _stv_points(4, off_poles=True):
         yield ("summation", f"sum_identity[N={N},s={s},t={t},v={v},x={x},y={y}]",
                dict(N=N, s=s, t=t, v=v, x=x, y=y))

@@ -11,20 +11,32 @@ from hypothesis import strategies as st
 
 from qracah import (
     PhiSpec,
+    PrParams,
     QBase,
+    RrParams,
     TailBound,
     certified_sum,
+    pr_closed,
+    pr_inner,
     qbinom,
     qpoch,
     qpoch_inf,
     qpoch_inf_ratio,
     rphis,
+    rr_closed,
+    rr_inner,
     summation_lhs,
     summation_pair_qracah,
     summation_rhs,
 )
-from qracah import orthopoly, qseries
-from qracah.errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
+from qracah import orthopoly, qseries, verify
+from qracah.errors import (
+    DenominatorPole,
+    ExactnessError,
+    NonConvergent,
+    OutOfRange,
+    QRacahError,
+)
 from qracah.scalar import Unreduced, ordered_sum
 from qracah.tables import _Row
 
@@ -445,7 +457,7 @@ def _outcome(fn, *args):
 
 def _summation_lhs_inline(q, x, y, a, b2, bcd, bd_c, N, tb):
     """The product side with every prefactor formed inline, per call: the
-    reference its per-point tables are read against."""
+    reference the product side is read against."""
     abcd = a * bcd
     if N is not None:
         if x > N or y > N:
@@ -476,8 +488,9 @@ def _summation_lhs_inline(q, x, y, a, b2, bcd, bd_c, N, tb):
 
 @pytest.mark.parametrize("qb", BACKENDS, ids=repr)
 def test_summation_lhs_prefactor_tables_keep_every_bit(qb):
-    # every point of the lemma2.1 grid, cold and then from the tables: the
-    # value and type of the inline expressions, bit for bit
+    # every point of the lemma2.1 grid, twice over: the prefactors, formed
+    # per call, give the value and type of the inline expressions, bit for
+    # bit, and a repeated call gives them again
     from qracah.verify import _stv_points
 
     p2 = qb.p * qb.p if qb.mode == "exact" else float(qb.p) ** 2
@@ -574,16 +587,118 @@ def test_summation_rhs_takes_an_int_a_exactly():
             assert (lhs == rhs) if N is not None else abs(lhs - rhs) < 1e-13, (a, N, x, y)
 
 
+def _value_or_error(fn, *args):
+    # the value, or the type of the library error it raises
+    try:
+        return fn(*args)
+    except QRacahError as exc:
+        return type(exc)
+
+
+# the finite grid's (s, t, v): the verdict grid's five, one with bd/c = 1
+# (s - t - v + 1 = 0) and one with half-integer s and v
+_RACAH_STV = (*verify._STV, (F(1, 2), F(3, 2), 0), (F(1, 2), 0, F(-1, 2)))
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(2, 3), F(3, 2)], ids=str)
+def test_summation_sides_at_the_qracah_point_are_rr_closed_and_rr_inner(p):
+    # in base q**2 at a = q**(-2N), b**2 = -q**(2s), c**2 = -q**(2t), bcd =
+    # -q**(s+t-v+1) and bd/c = q**(s-t-v+1), the general product side is
+    # rr_closed and the general series side rr_inner: the same rational or
+    # the same error type at every point of N <= 5 and 0 <= x, y <= N
+    qb, tb = QBase(p), TailBound()
+    q2 = qb.qpow(2)
+    poles = 0
+    for N, (s, t, v) in ((N, stv) for N in range(6) for stv in _RACAH_STV):
+        rp = RrParams(s, t, v, N, qb)
+        a, b2, c2 = qb.qpow(-2 * N), -qb.qpow(2 * s), -qb.qpow(2 * t)
+        bcd, bd_c = -qb.qpow(s + t - v + 1), qb.qpow(s - t - v + 1)
+        for x in range(N + 1):
+            for y in range(N + 1):
+                lhs = _value_or_error(qseries._summation_lhs, q2, x, y, a, b2, bcd, bd_c, N, tb)
+                assert lhs == _value_or_error(rr_closed, rp, x, y), (N, s, t, v, x, y)
+                rhs = _value_or_error(qseries._summation_rhs, q2, x, y, a, b2, c2, bcd, N, tb)
+                assert rhs == rr_inner(rp, x, y), (N, s, t, v, x, y)
+                poles += lhs is DenominatorPole
+    # the four (s, t, v) with s - t - v + 1 in {0, 2}: 35 poles each
+    assert poles == 140
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(2, 3)], ids=str)
+def test_summation_sides_at_the_infinite_point_are_pr_closed_and_pr_inner(p):
+    # in base q**2 at a = q**(2k), b**2 = q**(2s), c**2 = q**(2t), bcd =
+    # q**(s+t-v+1) and bd/c = q**(s-t-v+1), without N, the general sides
+    # are pr_closed and pr_inner: the same rational or the same error type
+    qb, tb = QBase(p), TailBound()
+    q2 = qb.qpow(2)
+    for k in (F(1, 2), 1, 2):
+        for s, t, v in ((0, 0, -1), (1, 1, 0), (1, 2, 1)):
+            pp = PrParams(s, t, v, k, qb, tb)
+            a, b2, c2 = qb.qpow(2 * k), qb.qpow(2 * s), qb.qpow(2 * t)
+            bcd, bd_c = qb.qpow(s + t - v + 1), qb.qpow(s - t - v + 1)
+            for x in range(4):
+                for y in range(4):
+                    lhs = _value_or_error(qseries._summation_lhs, q2, x, y, a, b2, bcd, bd_c,
+                                          None, tb)
+                    assert lhs == _value_or_error(pr_closed, pp, x, y), (k, s, t, v, x, y)
+                    rhs = qseries._summation_rhs(q2, x, y, a, b2, c2, bcd, None, tb)
+                    assert rhs == pr_inner(pp, x, y), (k, s, t, v, x, y)
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(2, 3)], ids=str)
+def test_summation_pair_refuses_the_pole_bd_c_equal_one_hides(p):
+    # at (s, t, v) = (1/2, 3/2, 0), bd/c = 1: the numerator (1; q**2)_j ends
+    # the 4phi3 after its first term, before the denominator factor
+    # 1 - q**(2j-2y) that it cancels vanishes at j = y.  Each point with
+    # y <= x - 1 raises, as rr_closed does; every other point holds
+    qb = QBase(p)
+    poles = 0
+    for N in range(5):
+        for x in range(N + 1):
+            for y in range(N + 1):
+                if y <= x - 1:
+                    with pytest.raises(DenominatorPole):
+                        summation_pair_qracah(qb, N, F(1, 2), F(3, 2), 0, x, y)
+                    poles += 1
+                else:
+                    lhs, rhs = summation_pair_qracah(qb, N, F(1, 2), F(3, 2), 0, x, y)
+                    assert lhs == rhs, (N, x, y)
+    assert poles == 20
+
+
+def test_summation_lhs_refuses_a_pole_that_a_numerator_hides():
+    # (b, c, d) = (1/3, 1/5, 3/5) gives bd/c = 1: the numerator (1; q)_j
+    # ends the 4phi3 before the pole of its denominator parameter q**-y at
+    # j = y.  Each point with y <= x - 1 raises, naming that parameter; the
+    # other 10 points hold
+    qb = QBase(F(1, 4))
+    q = qb.q
+    a, b, c, d, N = q ** -3, F(1, 3), F(1, 5), F(3, 5), 3
+    held = 0
+    for x in range(N + 1):
+        for y in range(N + 1):
+            if y <= x - 1:
+                message = rf"^denominator parameter {q ** -y} equals base\*\*-{y}, hit at term {y + 1}$"
+                with pytest.raises(DenominatorPole, match=message):
+                    summation_lhs(qb, x, y, a, b, c, d, N)
+            else:
+                assert summation_lhs(qb, x, y, a, b, c, d, N) == summation_rhs(
+                    qb, x, y, a, b, c, d, N), (x, y)
+                held += 1
+    assert held == 10
+
+
+def _summation_factor(q, a, tb, z, sq, n):
+    # entry n of the series side's 3phi2 factor in base 1/q, a fresh series
+    return rphis(PhiSpec(numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
+                         denominators=(1 / a,), base=1 / q, argument=1 / q,
+                         terminate_after=min(n, z) + 1), tb)
+
+
 def _summation_rhs_loop(q, x, y, a, b2, c2, bcd, N, tb):
     """The series side as one loop, the coefficient carried term by term
-    and each 3phi2 factor a fresh series: the reference the rows are read
-    against.  Returns the terms summed and the sum."""
-
-    def factor(n, z, sq):
-        return rphis(PhiSpec(numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
-                             denominators=(1 / a,), base=1 / q, argument=1 / q,
-                             terminate_after=min(n, z) + 1), tb)
-
+    and each 3phi2 factor a fresh series.  Returns the terms summed and
+    the sum."""
     used = []
 
     def terms():
@@ -591,7 +706,8 @@ def _summation_rhs_loop(q, x, y, a, b2, c2, bcd, N, tb):
         poch_q = coeff
         n = 0
         while True:
-            used.append((coeff / poch_q, factor(n, x, b2), factor(n, y, c2)))
+            used.append((coeff / poch_q, _summation_factor(q, a, tb, x, b2, n),
+                         _summation_factor(q, a, tb, y, c2, n)))
             yield used[-1]
             coeff *= bcd * (1 - a * q ** n)
             poch_q *= 1 - q ** (n + 1)
@@ -611,13 +727,16 @@ def _same_bits(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
+# exact, float and complex bases at q < 1 and at q > 1
+SIDE_BASES = (*BACKENDS, QBase(F(2, 3), "complex"), QBase(F(3, 2)), QBase(1.5, "float"))
+
+
 @pytest.mark.parametrize("qb", [QBase(F(1, 2)), QBase(0.5, "float"), QBase(F(2, 3), "complex"),
                                 QBase(F(3, 2)), QBase(1.5, "float")], ids=repr)
 def test_summation_rows_are_the_loop_values(qb):
-    # the rows of the series side, _rhs_coeffs and _rhs_factor, read entry
-    # by entry, and the sum over them, are the loop's terms and sum, value
-    # and type and every float bit, at the q-Racah parameters of finite N
-    # and, for q < 1, in the certified branch
+    # the series side at the q-Racah parameters of finite N and, for q < 1,
+    # in the certified case: the loop's sum, value and type and every
+    # float bit, with an exact 3phi2 factor a Fraction
     tb = TailBound(1e-12)
     q = qb.qpow(2)
     points = []
@@ -635,23 +754,42 @@ def test_summation_rows_are_the_loop_values(qb):
         longest = max(longest, len(used))
         got = qseries._summation_rhs(q, x, y, a, b2, c2, bcd, N, tb)
         assert _same_bits(got, want), (a, N, x, y)
-        rows = (qseries._rhs_coeffs(q, a, bcd), qseries._rhs_factor(q, a, tb, x, b2),
-                qseries._rhs_factor(q, a, tb, y, c2))
-        for n in reversed(range(len(used))):
-            # an exact 3phi2 factor is an Unreduced pair: its value is the
-            # loop's Fraction
-            got = [row[n] for row in rows]
-            if qb.is_exact:
-                assert [type(g) for g in got] == [F, Unreduced, Unreduced], (a, N, x, y, n)
-            assert all(map(_same_bits, map(_pair_value, got), used[n])), (a, N, x, y, n)
-    # finite sums of up to N + 1 = 4 terms; the certified branch (q < 1)
-    # ran past its minimum of six terms
+        if qb.is_exact:
+            assert all(type(v) is F for term in used for v in term), (a, N, x, y)
+    # finite sums of up to N + 1 = 4 terms; the certified case (q < 1) ran
+    # past its minimum of six terms
     assert longest > 6 if qb.q < 1 else longest == 4
 
 
+@pytest.mark.parametrize("qb", SIDE_BASES, ids=repr)
+def test_summation_sides_are_the_inline_expressions(qb):
+    # the public sides at two generic (b, c, d), for finite N at a = q**-N
+    # and, for q < 1, in the certified case: the product side is the inline
+    # expression and the series side the loop, value and type and every
+    # float bit
+    cast = {"exact": F, "float": float, "complex": complex}[qb.mode]
+    q, tb = qb.q, TailBound(1e-12)
+    points = [(q ** -N, N, x, y) for N in range(4) for x in range(N + 1) for y in range(N + 1)]
+    if q < 1:
+        points += [(q ** a, None, x, y) for a in (1, 3) for x in range(3) for y in range(3)]
+    longest = 0
+    for bcd in ((F(1, 3), F(1, 5), F(2, 7)), (F(-2, 3), F(3, 4), F(1, 2))):
+        b, c, d = map(cast, bcd)
+        for a, N, x, y in points:
+            got = _outcome(summation_lhs, qb, x, y, a, b, c, d, N, tb)
+            want = _outcome(_summation_lhs_inline, q, x, y, a, b * b, b * c * d, b * d / c, N, tb)
+            assert got == want, (bcd, a, N, x, y)
+            used, want = _summation_rhs_loop(q, x, y, a, b * b, c * c, b * c * d, N, tb)
+            longest = max(longest, len(used))
+            assert _same_bits(summation_rhs(qb, x, y, a, b, c, d, N, tb), want), (bcd, a, N, x, y)
+    # finite sums of up to N + 1 = 4 terms; the certified case (q < 1) ran
+    # past its minimum of six terms
+    assert longest > 6 if q < 1 else longest == 4
+
+
 def test_summation_rows_shared_across_signed_zeros_keep_the_loop_sums():
-    # complex parameters that differ only in the sign of a zero key one row
-    # each; read in either order, every sum is still the loop's, bit for bit
+    # complex parameters that differ only in the sign of a zero, read in
+    # either order: every sum is the loop's, bit for bit
     qb, tb = QBase(F(5, 7), "complex"), TailBound(1e-12)  # a base no other test uses
     q = qb.qpow(2)
     for order in (1, -1):
@@ -717,6 +855,13 @@ def _rhs_cases(draw):
     return (q, a, tb, z, sq), order
 
 
+def _summation_column(q, a, tb, z, sq):
+    # the series side's 3phi2 factor in base 1/q as an exact column: Q = q,
+    # C = q**-z/(a sq) and B = 1/a, made at the first entry read
+    return _Row(qseries._Phi32Column(lambda: (z, q ** (-z) / (a * sq), 1 / F(a), q),
+                                     tb.max_terms))
+
+
 def _same_column(got: _Row, want: _Row, order):
     # read in the given order: each entry an Unreduced pair whose value is
     # the reference row's Fraction, or the error the reference row raises
@@ -760,9 +905,8 @@ def test_exact_series_column_is_the_rphis_column(case):
 @example(case=((F(9, 4), F(4, 9), TailBound(), -2, -1), [4, 0]))
 def test_exact_summation_factor_is_the_rphis_column(case):
     (q, a, tb, z, sq), order = case
-    got = qseries._rhs_factor.__wrapped__(q, a, tb, z, sq)
-    assert isinstance(got.entry, qseries._Phi32Column)
-    _same_column(got, _Row(qseries._rhs_factor_entry, q, a, tb, z, sq), order)
+    _same_column(_summation_column(q, a, tb, z, sq), _Row(_summation_factor, q, a, tb, z, sq),
+                 order)
 
 
 def test_exact_column_errors_come_from_the_entry_read():
@@ -774,7 +918,7 @@ def test_exact_column_errors_come_from_the_entry_read():
         for n in (0, 2, 0):
             with pytest.raises(ExactnessError, match="is not a half-integer"):
                 column[n]
-    column = qseries._rhs_factor.__wrapped__(F(1, 4), F(1, 2), TailBound(), 1, 0)
+    column = _summation_column(F(1, 4), F(1, 2), TailBound(), 1, 0)
     with pytest.raises(ZeroDivisionError):
         column[1]
     # the pole: entries before it are values, the first entry past it raises

@@ -148,14 +148,10 @@ def _calls(qb):
             for compact in (False, True):
                 calls.append((uqsl2._twisted, (rs, h, one, tilde, compact), {}))
     # the pack tables of the multivariate rational functions and the
-    # finite x-side weight, and the summation identity's rows: its 3phi2
-    # factors in base 1/q and its coefficients
+    # finite x-side weight
     calls.append((multivar._rr_pack, (qb, one, h, 0, (2, 1)), {}))
     calls.append((multivar._pr_pack, (qb, one, 0, 0, (one, one), TB), {}))
     calls.append((multivar._kraw_W_pack, (qb, h, (2, 1)), {}))
-    a, sq = qb.qpow(-4), -qb.qpow(one)
-    for z in range(3):
-        calls.append((qseries._rhs_factor, (qb.q, a, TB, z, sq), {}))
     # the series columns of both families, and in an exact base the rows of
     # 1 - Q**m their exact columns read
     for x in range(3):
@@ -164,16 +160,10 @@ def _calls(qb):
     if qb.is_exact:
         for Q in (qb.q, qb.qpow(2)):
             calls.append((qseries._one_minus_row, (Q,), {}))
-    for bcd in (-qb.qpow(h), qb.qpow(3)):
-        calls.append((qseries._rhs_coeffs, (qb.q, a, bcd), {}))
-    # the closed forms' and the product side's factors of one point
+    # the closed forms' factors of one point
     for N, (s, t, v) in ((2, (1, 0, 0)), (3, (h, one, 0))):
         calls.append((ratfun._rr_prefactors, (qb, s, t, v, N), {}))
         calls.append((ratfun._pr_prefactors, (qb, s, t, v, one, TB), {}))
-        b2, bcd, bd_c = -qb.qpow(2 * s), -qb.qpow(s + t - v + 1), qb.qpow(s - t - v + 1)
-        for size in (N, None):
-            calls.append((qseries._lhs_prefactors,
-                          (qb.qpow(2), qb.qpow(-2 * N), b2, bcd, bd_c, size, TB), {}))
     return calls
 
 
@@ -350,21 +340,6 @@ def test_one_polynomial_column_grows_thread_safely():
     assert orthopoly.asc_column(ap, 20) is column and len(column.row) == 41
     for i, order in enumerate(orders):
         assert results[i] == [_value_direct(qb, True, -1, F(1, 2), 1, n, 20) for n in order]
-
-
-def test_summation_rows_grow_by_one_row_per_factor():
-    # one (N, s, t, v) point over its whole (x, y) grid: one row of 3phi2
-    # factors per (z, sq), whatever n each sum reads, and one coefficient
-    # row for the grid
-    qb = QBase(F(4, 11))  # a base no other test uses
-    q, N = qb.qpow(2), 3
-    a, b2, c2, bcd = qb.qpow(-2 * N), -qb.qpow(2), -qb.qpow(0), -qb.qpow(2)
-    factors, coeffs = _size(qseries._rhs_factor), _size(qseries._rhs_coeffs)
-    for x in range(N + 1):
-        for y in range(N + 1):
-            qseries._summation_rhs(q, x, y, a, b2, c2, bcd, N, TB)
-    assert _size(qseries._rhs_factor) == factors + 2 * (N + 1)
-    assert _size(qseries._rhs_coeffs) == coeffs + 1
 
 
 def test_a_row_grows_each_entry_once_in_order_across_threads():

@@ -35,6 +35,9 @@ PACKAGE = ROOT / "src" / "qracah"
 
 _TEST = "test reference: a test compares a verdict's route with it"
 _ITEM6 = "paper identity with no suite yet (ROADMAP item 6)"
+_LEMMA21 = ("the general form of Lemma 2.1, tested at generic rationals and against "
+            "rr_*/pr_*")
+_POLE = "only tests reach a pole of an exact series"
 
 # every function that no verdict, command or demo reaches, and why it stays
 REFERENCES = {
@@ -46,9 +49,15 @@ REFERENCES = {
     "multivar.multi_biorth_residual_asc.shells": _ITEM6,
     "orthopoly.asc_orth_x": _ITEM6 + ": the infinite family's x-summed orthogonality",
     "orthopoly.asc_orth_x.terms": _ITEM6,
-    "qseries.summation_lhs": _TEST + " (summation_pair_qracah)",
-    "qseries.summation_rhs": _TEST + " (summation_pair_qracah)",
-    "qseries._rhs_factor_entry": _TEST + " (the exact 3phi2 column of the summation identity)",
+    "qseries.summation_lhs": _LEMMA21,
+    "qseries.summation_rhs": _LEMMA21,
+    "qseries._summation_lhs": _LEMMA21,
+    "qseries._summation_rhs": _LEMMA21,
+    "qseries._summation_rhs.factor": _LEMMA21,
+    "qseries._summation_rhs.terms": _LEMMA21,
+    "qseries._first_zero": _POLE,
+    "qseries._den_param_pole": _POLE,
+    "qseries._pole": _POLE,
     "uqsl2.coproduct_twist_coideal": _TEST + " (coproduct_op, by the coideal recursion)",
     "uqsl2.twist_x": "tests and coproduct_twist_coideal build the compact element on one site",
     "uqsl2.twist_y": "tests and coproduct_twist_coideal build the non-compact element on one site",
