@@ -28,7 +28,7 @@ from itertools import product as iproduct
 from . import multivar, orthopoly, qseries, ratfun
 from .errors import OutOfRange, QRacahError
 from .report import serialize_value
-from .scalar import QBase
+from .scalar import QBase, as_exponent
 from .verify import SUITE_IDS, RunConfig, run_suite
 
 
@@ -200,9 +200,10 @@ def fn_asc(args, qb, point):
 
 
 def _rr_params(args, qb):
-    return ratfun.RrParams(
-        _num(args, "s", qb.mode), _num(args, "t", qb.mode), _num(args, "v", qb.mode),
-        _int(args, "N"), qb)
+    # integral parameters as ints, as the suites pass them: the rr_inner and
+    # rr_closed table keys of a table's cells then hash no Fraction
+    s, t, v = (as_exponent(_num(args, name, qb.mode)) for name in "stv")
+    return ratfun.RrParams(s, t, v, _int(args, "N"), qb)
 
 
 def _pr_params(args, qb):

@@ -23,13 +23,19 @@ per process rather than once per xs, per sigma or per side:
 - ``_shift_terms(qb, j, ys, t, v, sizes, su11)``: the A/C and B/D
   shift-term maps ys+eps -> coefficient, from one pass over the shift set;
 - ``_nested_vec(qb, v, t, sizes, ys, su11, trunc)``: the nested
-  products over the chain's index grid, as a tuple in grid order, each
-  read from the M site columns fetched once;
+  products over the chain's index grid in grid order, each read from the
+  M site columns fetched once, held as integer numerators over their lcm
+  D (``scalar.scaled``);
 - ``_chain_op(qb, sizes, su11, trunc, element, side, j, u, s)``: the
-  coproduct image ``uqsl2.coproduct_op`` of a named element.
+  coproduct image ``uqsl2.coproduct_op`` of a named element, held as
+  integer rows over one denominator E (``scalar.scaled_rows``).
 
-A hit returns the first call's object, so the tuples, dicts and
-``OpMatrix`` objects they hand out are shared: immutable by convention.
+A hit returns the first call's object, so the tuples and dicts they hand
+out are shared: immutable by convention.  The transfer and eigen residuals
+hand these integer forms to ``scalar.scaled_residual``: each check folds
+its coefficients into one denominator, every row is an integer dot
+product, and the check builds one Fraction.  The chain tables hold exact
+scalars only: a floating base raises ExactnessError.
 
 The multivariate rational functions and the finite x-side weight are pack
 tables (``tables.packed``): ``_rr_pack(qb, s, t, v, Ns)`` and
@@ -52,7 +58,7 @@ from .errors import InternalError, OutOfRange
 from . import orthopoly, uqsl2
 from .orthopoly import ASCParams, KrawParams, TailBound
 from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
-from .scalar import QBase, as_exponent, ordered_sum, residual_sum
+from .scalar import QBase, as_exponent, ordered_sum, scaled, scaled_residual, scaled_rows
 from .tables import packed, tabled
 
 
@@ -133,18 +139,20 @@ def _interior(ns: Sequence[int], su11: bool, trunc: Optional[int]) -> bool:
 def _nested_vec(qb: QBase, v, t, sizes: tuple, ys: tuple, su11: bool,
                 trunc: Optional[int]) -> tuple:
     """The nested products at ys for every ns of the chain's index grid, in
-    grid order, each read from the M site columns fetched once."""
+    grid order, each read from the M site columns fetched once, as the
+    ``scalar.scaled`` pair (D, numerators over D)."""
     _, grid = _chain(qb, sizes, su11, trunc)
     columns = _site_columns(qb, v, t, sizes, ys, su11)
-    return tuple(_column_product(qb, columns, ns) for ns in grid)
+    return scaled(_column_product(qb, columns, ns) for ns in grid)
 
 
 @tabled
 def _chain_op(qb: QBase, sizes: tuple, su11: bool, trunc: Optional[int], element: str,
-              side: str, j: int, u, s) -> uqsl2.OpMatrix:
-    """The coproduct image of a named element on the chain's sites."""
+              side: str, j: int, u, s) -> tuple:
+    """The coproduct image of a named element on the chain's sites, its
+    rows over one denominator (``scalar.scaled_rows``)."""
     sites, _ = _chain(qb, sizes, su11, trunc)
-    return uqsl2.coproduct_op(sites, element, side, j, u=u, s=s)
+    return scaled_rows(uqsl2.coproduct_op(sites, element, side, j, u=u, s=s).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,7 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc):
     summed over every row of a finite chain and the interior rows of a
     truncated one."""
     ys, sizes = tuple(ys), tuple(sizes)
-    _, grid = _chain(qb, sizes, su11, trunc)
+    rows = _interior_rows(qb, sizes, su11, trunc)
     if sigma is None:
         op, lam = _chain_op(qb, sizes, su11, trunc, "k2", "R", j, 0, 0), None
     else:
@@ -285,22 +293,18 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc):
         lam = (qb.brace if su11 else qb.bracket)(as_exponent(sigma))
     vec = _nested_vec(qb, v, t, sizes, ys, su11, trunc)
     termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
-    terms = termsA if sigma is None else termsB
-    shifted = [(c, _nested_vec(qb, v, t, sizes, ysf, su11, trunc)) for ysf, c in terms.items()]
-
-    def row(ii):
-        rhs = [(c, svec[ii]) for c, svec in shifted]
-        if lam is not None:
-            rhs.append((lam, vec[ii]))
-        return _op_row(op, vec, ii), rhs
-
-    return residual_sum((row(ii) for ii, ns in enumerate(grid) if _interior(ns, su11, trunc)),
-                        qb.zero())
+    terms = [(c, _nested_vec(qb, v, t, sizes, ysf, su11, trunc))
+             for ysf, c in (termsA if sigma is None else termsB).items()]
+    if lam is not None:
+        terms.append((lam, vec))
+    return scaled_residual(op, vec, terms, rows, qb.zero())
 
 
-def _op_row(op, vec, ii):
-    """Row ii of op applied to vec, as the terms (entry, vec[column])."""
-    return [(a, vec[j]) for j, a in op.rows[ii].items()]
+def _interior_rows(qb, sizes, su11, trunc) -> list:
+    """The grid rows a residual sums: every row of a finite chain, the
+    interior ones of a truncated window."""
+    _, grid = _chain(qb, sizes, su11, trunc)
+    return [ii for ii, ns in enumerate(grid) if _interior(ns, su11, trunc)]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +516,7 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base,
     if su11 and trunc is None:
         raise OutOfRange("su11 nested eigencheck needs a truncation")
     sizes, ys = tuple(sizes), tuple(ys)
-    _, grid = _chain(qb, sizes, su11, trunc)
+    rows = _interior_rows(qb, sizes, su11, trunc)
     h = heights(base, ys, sizes, su11)
     vec = _nested_vec(qb, v, base, sizes, ys, su11, trunc)
     element = "ytilde" if su11 else "xtilde"
@@ -525,6 +529,4 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base,
         lam = symbol(h[M])
     else:
         raise OutOfRange(f"side must be 'L' or 'R', got {side!r}")
-    return residual_sum(((_op_row(op, vec, ii), [(lam, vec[ii])])
-                         for ii, ns in enumerate(grid) if _interior(ns, su11, trunc)),
-                        qb.zero())
+    return scaled_residual(op, vec, [(lam, vec)], rows, qb.zero())

@@ -20,11 +20,13 @@ Both inner products sum the terms of ``_inner_terms``: one power of q, the
 entries of the two twist-free 3phi2 series columns and the n-side weight,
 read off rows fetched once per sum, in every backend.
 
-``rr_inner`` and ``pr_inner`` are ``tables.tabled``: each (parameters, x, y)
-is summed once per process and the biorthogonality and recurrence residuals
-reuse that very value, so results are bit-identical to an untabled sum.
-``rr_closed`` and ``pr_closed`` read the factors of their prefactor that a
-point fixes from one table per point (``_rr_prefactors``,
+``rr_inner``, ``rr_closed`` and ``pr_inner`` are ``tables.tabled``: each
+(parameters, x, y) is evaluated once per process and the biorthogonality
+and recurrence residuals, and the ``lemma2.1`` and ``prop3.3`` suites,
+which both read ``rr_closed`` at the same points, reuse that very value,
+so results are bit-identical to an untabled call; a pole raises and stores
+nothing.  ``rr_closed`` and ``pr_closed`` read the factors of their
+prefactor that a point fixes from one table per point (``_rr_prefactors``,
 ``_pr_prefactors``): the x- and y-free product, and pack tables of the
 quotient of x only and of y only, each formed by the inline expression and
 multiplied in the inline order, so every float and complex bit is kept.
@@ -175,6 +177,7 @@ def _phi43(qb: QBase, su11: bool, size, s, t, v, x: int, y: int):
     )
 
 
+@tabled
 def rr_closed(rp: RrParams, x: int, y: int):
     """Closed form: prefactor times the terminating 4phi3 in base q**2.
 

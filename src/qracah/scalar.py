@@ -49,6 +49,15 @@ identity).  Checks run in the exact backend only: each row is one
 unreduced integer pair, its magnitude is added to one outer pair, and a
 call builds one Fraction, not one per row for each sum, difference and
 ``abs``.
+
+:func:`scaled_residual` is the same sum for the checks whose rows are an
+operator applied to a vector against coefficients times vectors: the
+operator is held as integer rows over one denominator E and every vector
+as integer numerators over their lcm (:func:`scaled`).  A check folds each
+coefficient into its vector's denominator and brings them to one
+denominator L; every row is then an integer dot product on one common
+denominator G = lcm(E·D, L), with no gcd in the loop, and the call builds
+the one Fraction of the sum of the rows' magnitudes over G.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 
 from .errors import ExactnessError, OutOfRange
 
@@ -163,6 +174,74 @@ def residual_sum(rows, zero):
         if rn:
             num, den = add_pair(num, den, abs(rn), rd)
     return Fraction(num, den) if ratio else num
+
+
+def scaled(values):
+    """Exact values as (D, nums): the lcm D of their denominators and the
+    tuple of integer numerators over D (D = 1 for no values).  A value
+    that is not int or Fraction raises ExactnessError."""
+    values = tuple(values)
+    for x in values:
+        if not _is_exact(x):
+            raise ExactnessError(f"a scaled vector holds exact scalars, got {x!r}")
+    den = math.lcm(*(x.denominator for x in values))
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+
+
+def scaled_rows(rows):
+    """Sparse rows {column: exact entry} as (E, op_rows): E the lcm of
+    every entry's denominator, op_rows[i] the pair (columns, integer
+    entries over E) of row i, the operator form of :func:`scaled_residual`."""
+    E, entries = scaled(a for row in rows for a in row.values())
+    entries = iter(entries)
+    return E, tuple((tuple(row), tuple(islice(entries, len(row)))) for row in rows)
+
+
+def scaled_residual(op, vec, terms, rows, zero):
+    """The sum over the row indices ``rows`` of |(A vec)[i] - sum_e c_e
+    vec_e[i]|, on one common denominator.
+
+    ``op`` is (E, op_rows): row i of A is op_rows[i], a pair (columns,
+    integer entries) over the positive denominator E.  ``vec`` and each
+    vec_e are :func:`scaled` pairs (D, nums), and ``terms`` holds the pairs
+    (c_e, vec_e) of exact coefficients; an eigenvalue is the term
+    (lambda, vec).  Each coefficient is folded into its vector's
+    denominator, c_e / D_e, and these are brought to one denominator L
+    with integer multipliers M_e; with G = lcm(E·D, L), row i is the
+    integer lhs·(G / (E·D)) - sum_e M_e·nums_e[i]·(G / L), lhs the dot
+    product of row i of A with vec's numerators.
+
+    ``zero`` is the backend's exact zero (0 or Fraction(0)).  The value is
+    :func:`residual_sum`'s over the same rows read as rationals.  The
+    result is the int sum when ``zero`` and every c_e are ints and E and
+    every D are 1, as all-int inputs give, and the Fraction of the sum over
+    G otherwise: residual_sum's type whenever ``zero`` is a Fraction, as a
+    check's is, or the inputs are all ints.
+    """
+    if not _is_exact(zero) or zero:
+        raise ExactnessError(f"a residual sums from an exact zero, got zero = {zero!r}")
+    E, op_rows = op
+    D, nums = vec
+    ratio = type(zero) is not int or E != 1 or D != 1
+    kappas = []
+    for c, (De, we) in terms:
+        if not _is_exact(c):
+            raise ExactnessError(f"a residual sums exact scalars, got the coefficient {c!r}")
+        ratio = ratio or De != 1 or type(c) is not int
+        kappas.append((Fraction(c.numerator, c.denominator * De), we))
+    L = math.lcm(*(k.denominator for k, _ in kappas))
+    G = math.lcm(E * D, L)
+    scale, rhs_scale = G // (E * D), G // L
+    mults = [(k.numerator * (L // k.denominator) * rhs_scale, we) for k, we in kappas]
+    at = nums.__getitem__
+    total = 0
+    for i in rows:
+        columns, entries = op_rows[i]
+        r = scale * sum(map(mul, entries, map(at, columns)))
+        for m, we in mults:
+            r -= m * we[i]
+        total += abs(r)
+    return Fraction(total, G) if ratio else total
 
 
 def _is_exact(x) -> bool:

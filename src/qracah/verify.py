@@ -349,6 +349,18 @@ def _prop34(cfg, p):
 
 @suite("lemma3.5")
 def _lemma35(cfg, p):
+    """Lemma 3.5, the three-term transfer on one site.  With f the column
+    n -> k_{v,t}(n, y) of the finite family, n = 0..N: K**2 f = sum_e A_e
+    f(y + e), and the compact twisted element X at parameter s gives X f =
+    [s]_q f + sum_e B_e f(y + e), over e in {-1, 0, 1} with y + e in 0..N.
+    Exact residual 0, the sum of |left - right| over every row n, for N <=
+    3, the five (s, t, v) of ``_STV`` and y = 0..N.  ``chk_kraw_transfer``
+    runs the one-site chain's ``multivar.transfer_check_k2`` and
+    ``transfer_check_x``: the left side is ``multivar._chain_op`` (the
+    ``uqsl2.coproduct_op`` image) applied to ``multivar._nested_vec`` (read
+    from ``orthopoly.kraw_column``), the right side the A/B maps of
+    ``multivar._shift_terms`` (from ``orthopoly.kraw_shift_coeff``) times
+    the shifted vectors, and ``scalar.scaled_residual`` sums the rows."""
     for N, (s, t, v) in iproduct(range(4), _STV):
         for y in range(N + 1):
             yield ("kraw_transfer", f"transfer[N={N},s={s},t={t},v={v},y={y}]",
@@ -381,6 +393,22 @@ def _lemma38(cfg, p):
 
 @suite("lemma3.9", first_p=True)
 def _lemma39(cfg, p):
+    """Lemma 3.9, the transfer on a chain of M sites.  With F the nested
+    vector over the index grid, ns -> the product over sites of the finite
+    family at (n_i, y_i) with running heights: the coproduct image of K**2
+    on the last j sites gives sum_eps A_eps F(ys + eps), and that of the
+    compact twisted element X at sigma gives [sigma]_q F + sum_eps B_eps
+    F(ys + eps), over the shift vectors eps of ``multivar.epsilon_set(M,
+    j)`` with ys + eps in range.  Exact residual 0, the sum of |left -
+    right| over every row of the grid, for Ns in [2], [2, 2] and [1, 1, 1],
+    j = 1..M, (t, v, sigma) in ((0, 1, 1), (1, 0, 2)) and every ys, at the
+    first p.  ``chk_multi_transfer`` runs ``multivar.transfer_check_k2``
+    and ``transfer_check_x``: the left side is ``multivar._chain_op``
+    (``uqsl2.coproduct_op``) applied to ``multivar._nested_vec`` (from
+    ``orthopoly.kraw_column``), the right side the A/B maps of
+    ``multivar._shift_terms`` (``orthopoly.kraw_shift_coeff`` products)
+    times the shifted vectors, and ``scalar.scaled_residual`` sums the
+    rows."""
     for sizes in ([2], [2, 2], [1, 1, 1]):
         for j, (t, v, sigma) in iproduct(range(1, len(sizes) + 1), ((0, 1, 1), (1, 0, 2))):
             for ys in iproduct(*[range(N + 1) for N in sizes]):
@@ -436,6 +464,20 @@ def _prop44(cfg, p):
 
 @suite("lemma4.5")
 def _lemma45(cfg, p):
+    """Lemma 4.5, the three-term transfer on one infinite site.  With g the
+    column n -> phi_{v,t}(n, y) of the infinite family at weight k: K**2 g
+    = sum_e C_e g(y + e), and the non-compact twisted element Y at
+    parameter s gives Y g = {s}_q g + sum_e D_e g(y + e), over e in {-1, 0,
+    1} with y + e >= 0.  On the window n = 0..trunc (default 8), exact
+    residual 0, the sum of |left - right| over the interior rows n < trunc
+    (row trunc is fed from outside the window), for k in {1, 2}, the five
+    (s, t, v) of ``_STV`` and y = 0..3.  ``chk_asc_transfer`` runs the
+    one-site chain's ``multivar.transfer_check_k2_asc`` and
+    ``transfer_check_y``: the left side is ``multivar._chain_op``
+    (``uqsl2.coproduct_op``) applied to ``multivar._nested_vec`` (from
+    ``orthopoly.asc_column``), the right side the C/D maps of
+    ``multivar._shift_terms`` (from ``orthopoly.asc_shift_coeff``) times
+    the shifted vectors, and ``scalar.scaled_residual`` sums the rows."""
     for k, (s, t, v), y in iproduct((1, 2), _STV, range(4)):
         yield ("asc_transfer", f"transfer[k={k},s={s},t={t},v={v},y={y}]",
                dict(k=k, s=s, t=t, v=v, y=y, trunc=cfg.trunc or 8))
@@ -461,6 +503,24 @@ def _prop46(cfg, p):
 
 @suite("lemma4.8", first_p=True)
 def _lemma48(cfg, p):
+    """Lemma 4.8, two transfers of the infinite family, at the first p.
+
+    The parameter-shifting five-point transfer: with g_t the column n ->
+    phi_{v,t}(n, y) at weight k, q**(2n+k) g_t = sum_e c_e g_{t+2}(y + e)
+    over e in {-2, -1, 0}, and q**(2n+k) g_t = sum_e c_e g_{t-2}(y + e) over
+    e in {0, 1, 2}, each with y + e >= 0 (a coefficient at a negative shift
+    must be 0).  Exact residual 0, the sum of |left - right| over both
+    directions and every row n = 0..trunc (default 8), for k in {1, 2}, t
+    in {1, 2, 3}, v in {0, 1} and y = 0..3.  ``chk_asc_dyn`` runs
+    ``_chk_dyn``: both sides read ``orthopoly.asc_column``, the
+    coefficients are ``orthopoly.asc_dyn_coeffs``, and
+    ``scalar.residual_sum`` sums the rows.
+
+    The transfer of ``lemma4.5`` on the two-site chain ks = (1, 1): for j
+    in {1, 2}, ys in {0, 1, 2}**2, t = v = 0 and sigma = 1, on the window
+    min(trunc, 6), the K**2 and Y identities over the interior rows, with
+    the shift vectors of ``multivar.epsilon_set(2, j)``
+    (``chk_multi_transfer_asc``, as in ``lemma4.5``)."""
     trunc = cfg.trunc or 8
     for k, t, v, y in iproduct((1, 2), (1, 2, 3), (0, 1), range(4)):
         yield "asc_dyn", f"dyn[k={k},t={t},v={v},y={y}]", dict(k=k, t=t, v=v, y=y, trunc=trunc)

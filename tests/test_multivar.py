@@ -32,7 +32,7 @@ from qracah.multivar import (
 from qracah.orthopoly import kraw_diff_coeffs
 from qracah.ratfun import PrParams, RrParams, pr_inner, rr_inner
 from qracah.report import residual_string
-from qracah.scalar import ordered_sum
+from qracah.scalar import ordered_sum, scaled_rows
 from qracah.uqsl2 import OpMatrix, RepSpec, twist_x, twist_y
 from qracah.verify import CHECKS, RunConfig, build_tasks, chk_kraw_dyn, run_task
 
@@ -320,16 +320,28 @@ def test_multivariate_nested_orthogonality():
 # ---------------------------------------------------------------------------
 
 
+def _chain_op(qb, *args):
+    # the chain table's integer rows over E, read back as the operator
+    E, rows = multivar._chain_op(qb, *args)
+    return OpMatrix._sparse([{j: F(a, E) for j, a in zip(*row)} for row in rows], qb.zero())
+
+
+def _nested_vec(*args):
+    # the chain table's numerators over D, read back as the vector
+    D, nums = multivar._nested_vec(*args)
+    return [F(n, D) for n in nums]
+
+
 def _old_transfer(qb, j, ys, t, v, sigma, sizes, su11, trunc):
     # the operator applied to the nested vector, minus the shifted sum, abs,
     # row by row: the expression the transfer residual is defined by
     _, grid = multivar._chain(qb, sizes, su11, trunc)
     if sigma is None:
-        op, lam = multivar._chain_op(qb, sizes, su11, trunc, "k2", "R", j, 0, 0), None
+        op, lam = _chain_op(qb, sizes, su11, trunc, "k2", "R", j, 0, 0), None
     else:
-        op = multivar._chain_op(qb, sizes, su11, trunc, "y" if su11 else "x", "R", j, 0, sigma)
+        op = _chain_op(qb, sizes, su11, trunc, "y" if su11 else "x", "R", j, 0, sigma)
         lam = (qb.brace if su11 else qb.bracket)(sigma)
-    vec = multivar._nested_vec(qb, v, t, sizes, ys, su11, trunc)
+    vec = _nested_vec(qb, v, t, sizes, ys, su11, trunc)
     out = op.apply(vec)
     termsA, termsB = multivar._shift_terms(qb, j, ys, t, v, sizes, su11)
     terms = termsA if sigma is None else termsB
@@ -338,7 +350,7 @@ def _old_transfer(qb, j, ys, t, v, sigma, sizes, su11, trunc):
         if multivar._interior(ns, su11, trunc):
             rhs = qb.zero()
             for ysf, c in terms.items():
-                rhs += c * multivar._nested_vec(qb, v, t, sizes, ysf, su11, trunc)[ii]
+                rhs += c * _nested_vec(qb, v, t, sizes, ysf, su11, trunc)[ii]
             if lam is not None:
                 rhs += lam * vec[ii]
             total += abs(out[ii] - rhs)
@@ -348,14 +360,14 @@ def _old_transfer(qb, j, ys, t, v, sigma, sizes, su11, trunc):
 def _old_nested_eigen(qb, side, j, v, base, sizes, ys, su11=False, trunc=None):
     _, grid = multivar._chain(qb, sizes, su11, trunc)
     h = heights(base, ys, sizes, su11)
-    vec = multivar._nested_vec(qb, v, base, sizes, ys, su11, trunc)
+    vec = _nested_vec(qb, v, base, sizes, ys, su11, trunc)
     element, symbol = ("ytilde", qb.brace) if su11 else ("xtilde", qb.bracket)
     if side == "L":
-        op = multivar._chain_op(qb, sizes, su11, trunc, element, "L", j, v, base)
+        op = _chain_op(qb, sizes, su11, trunc, element, "L", j, v, base)
         lam = symbol(h[j])
     else:
-        op = multivar._chain_op(qb, sizes, su11, trunc, element, "R", j, v,
-                                h[len(sizes) - j])
+        op = _chain_op(qb, sizes, su11, trunc, element, "R", j, v,
+                       h[len(sizes) - j])
         lam = symbol(h[len(sizes)])
     out = op.apply(vec)
     total = qb.zero()
@@ -397,10 +409,10 @@ def wrong_entries(monkeypatch):
         return tuple(out)
 
     def wrong_chain_op(qb, *args):
-        op = chain_op(qb, *args)
-        rows = [dict(row) for row in op.rows]
+        E, rows = chain_op(qb, *args)
+        rows = [{j: F(a, E) for j, a in zip(*row)} for row in rows]
         rows[0][0] = rows[0].get(0, qb.zero()) + F(2, 5)
-        return OpMatrix._sparse(rows, op.zero)
+        return scaled_rows(rows)
 
     monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
     monkeypatch.setattr(multivar, "_chain_op", wrong_chain_op)

@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 from qracah import QBase
 from qracah.errors import ExactnessError, OutOfRange
-from qracah.scalar import MAX_POWER_BITS, Unreduced, as_exponent, ordered_sum, residual_sum
+from qracah.scalar import (
+    MAX_POWER_BITS,
+    Unreduced,
+    as_exponent,
+    ordered_sum,
+    residual_sum,
+    scaled,
+    scaled_residual,
+    scaled_rows,
+)
 
 
 def test_qbase_validation():
@@ -455,3 +464,94 @@ def test_residual_sum_examples():
         for row in (([(F(1, 3), x)], []), ([2], [(1, x)])):
             with pytest.raises(ExactnessError, match=r"^a residual sums exact scalars, got the term"):
                 residual_sum([*rows, row], 0)
+
+
+# ---------------------------------------------------------------------------
+# the common-denominator kernel: an operator applied to a vector against
+# coefficients times vectors, every row an integer dot product
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _operator_check(draw, value):
+    """(op, vec, terms, rows): sparse rows {column: entry} of a square
+    operator (a row can be empty), the vector, the right side's
+    (coefficient, vector) pairs (none, or the vector itself among them, as
+    an eigenvalue is) and the summed row indices."""
+    dim = draw(st.integers(1, 5))
+    vector = st.lists(value, min_size=dim, max_size=dim)
+    op = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), value, max_size=3),
+                       min_size=dim, max_size=dim))
+    op = [dict(sorted(row.items())) for row in op]
+    vec = draw(vector)
+    terms = draw(st.lists(st.tuples(value, st.one_of(vector, st.just(vec))), max_size=3))
+    rows = sorted(draw(st.sets(st.integers(0, dim - 1))))
+    return op, vec, terms, rows
+
+
+def _kernel(op, vec, terms, rows, zero):
+    return scaled_residual(scaled_rows(op), scaled(vec), [(c, scaled(w)) for c, w in terms],
+                           rows, zero)
+
+
+def _reference(op, vec, terms, rows, zero):
+    # residual_sum over the same rows: the operator row applied to vec
+    # against the right side's terms
+    return residual_sum((([(a, vec[j]) for j, a in op[i].items()],
+                          [(c, w[i]) for c, w in terms]) for i in rows), zero)
+
+
+_SIGNED_INTS = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=200)
+@given(check=st.one_of(_operator_check(st.integers(-5, 5)), _operator_check(_SIGNED_INTS)),
+       zero=_ZEROS)
+def test_scaled_residual_on_ints_is_residual_sum(check, zero):
+    # int entries and coefficients: an int from the int 0, a Fraction from
+    # Fraction(0), as residual_sum gives
+    got, want = _kernel(*check, zero), _reference(*check, zero)
+    assert type(got) is type(want) is (int if type(zero) is int else F) and got == want
+
+
+@settings(max_examples=200)
+@given(check=st.one_of(_operator_check(_EXACT), _operator_check(_SMALL_EXACT),
+                       _operator_check(st.fractions(-3, 3, max_denominator=5))))
+def test_scaled_residual_on_fractions_is_residual_sum(check):
+    # a check sums from the backend's Fraction zero: the same Fraction
+    got, want = _kernel(*check, F(0)), _reference(*check, F(0))
+    assert type(got) is type(want) is F and got == want
+
+
+def test_scaled_residual_of_a_mutated_entry_is_residual_sum():
+    # A vec = 1/2 * w holds row by row: residual 0; one entry of A off by
+    # 2/5 leaves its row's magnitude, as residual_sum sums it
+    op = [{0: F(1, 3), 2: F(-2, 7)}, {}, {1: F(5, 4), 2: 3}]
+    vec = [F(2, 3), F(-1, 6), F(7, 5)]
+    w = [2 * sum(a * vec[j] for j, a in row.items()) for row in op]
+    for rows in ([0, 1, 2], [0, 2], []):
+        got = _kernel(op, vec, [(F(1, 2), w)], rows, F(0))
+        assert type(got) is F and got == 0
+    op[2][1] += F(2, 5)
+    got = _kernel(op, vec, [(F(1, 2), w)], [0, 1, 2], F(0))
+    want = _reference(op, vec, [(F(1, 2), w)], [0, 1, 2], F(0))
+    assert type(got) is F and got == want == abs(F(2, 5) * vec[1]) > 0
+    # an eigenvalue is the vector's own term: |A vec - lambda vec| by rows
+    got = _kernel(op, vec, [(F(-3, 2), vec)], [0, 2], F(0))
+    assert got == _reference(op, vec, [(F(-3, 2), vec)], [0, 2], F(0))
+
+
+def test_scaled_forms_and_refusals():
+    assert scaled([F(1, 6), 2, F(-3, 4)]) == (12, (2, 24, -9))
+    assert scaled([]) == (1, ())
+    assert scaled_rows([{1: F(1, 2)}, {}, {0: 3, 2: F(2, 3)}]) == (
+        6, (((1,), (3,)), ((), ()), ((0, 2), (18, 4))))
+    with pytest.raises(ExactnessError, match=r"^a scaled vector holds exact scalars"):
+        scaled([F(1, 2), 0.5])
+    op, vec = scaled_rows([{0: 1}]), scaled([F(1, 2)])
+    for zero in (0.0, 0j, F(1)):
+        with pytest.raises(ExactnessError, match=r"^a residual sums from an exact zero"):
+            scaled_residual(op, vec, [], [0], zero)
+    for c in (0.5, 1j):
+        with pytest.raises(ExactnessError, match=r"^a residual sums exact scalars, got the coef"):
+            scaled_residual(op, vec, [(c, vec)], [0], F(0))

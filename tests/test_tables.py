@@ -126,6 +126,7 @@ def _calls(qb):
     for x in range(3):
         for y in range(3):
             calls.append((rr_inner, (rp, x, y), {}))
+            calls.append((ratfun.rr_closed, (rp, x, y), {}))
     for x, y in ((0, 0), (1, 1), (2, 0)):
         calls.append((pr_inner, (pp, x, y), {}))
     # the chain tables of multivar on a finite and a truncated infinite chain
@@ -199,6 +200,12 @@ def test_raising_calls_are_not_tabled():
         with pytest.raises(OutOfRange):
             kraw_diff_coeffs(qb, 4, 5, 0)
     assert _size(kraw_diff_coeffs) == before
+    # a pole of the finite closed form: bd/c = q**(s-t-v+1) = 1 at y < x
+    before = _size(ratfun.rr_closed)
+    for _ in range(2):
+        with pytest.raises(DenominatorPole):
+            ratfun.rr_closed(RrParams(F(1, 2), F(3, 2), 0, 2, qb), 1, 0)
+    assert _size(ratfun.rr_closed) == before
     # the chain tables: j outside 1..M, and more indices than sites
     for fn, args in ((multivar._shift_terms, (qb, 3, (0, 0), 0, 0, (1, 1), False)),
                      (multivar._chain_op, (qb, (1, 1), False, None, "k2", "R", 0, 0, 0)),
