@@ -66,10 +66,12 @@ depend on n only through the numerator Q**n.  In the exact backend the
 column body is ``_Phi32Column``, written once here: the n-free ratios are
 reduced integer pairs computed once per column, the pairs 1 - Q**m are
 read from one row per Q (``_one_minus_row``), and entry n is one Horner
-pass on one unreduced integer pair, kept as that pair
-(``scalar.Unreduced``), whose value is the rational ``rphis`` gives, with
-its errors raised from the same entry read.  The pair is not reduced: the
-Horner pair's gcd removes a small share of its bits, and every reader
+pass on one unreduced integer pair, or, past the first 16 entries, the
+same pair from the column's polynomial in Q**n stepped from the entry
+before.  It is kept as
+that pair (``scalar.Unreduced``), whose value is the rational ``rphis``
+gives, with its errors raised from the same entry read.  The pair is not
+reduced: its gcd removes a small share of its bits, and every reader
 multiplies the entry into a term that its sum reduces once anyway
 (``certified_sum``, ``ordered_sum``; a polynomial column builds one
 Fraction from its prefactor and the pair).  The float and complex backends
@@ -88,6 +90,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
@@ -95,6 +98,10 @@ from .scalar import QBase, Unreduced, add_pair, ordered_sum, product
 from .tables import _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
+# the first entry of a _Phi32Column read from its power-basis form: the
+# form costs a few Horner entries to build, and the columns of 13 entries
+# or fewer (N <= 12) measured no faster with it
+_POWER_FROM = 16
 # the bound certified_sum's stop rule puts on its last term ratios
 RATIO_CAP = 0.9
 _INF = math.inf
@@ -264,10 +271,12 @@ def rphis(spec: PhiSpec, tb: TailBound = TailBound()):
     summed exactly; otherwise the sum is truncated once the proved tail
     bound of the module docstring is below ``tb.tolerance``.  A denominator
     Pochhammer vanishing at a reached index raises DenominatorPole before
-    any division happens.  When the base, the argument and every parameter
-    are int or Fraction the result is a Fraction; any float or complex value
-    selects the floating loop, which sees an exact zero factor only where
-    the arithmetic produces one.
+    any division happens, and so does a denominator parameter that
+    vanishes before term ``terminate_after`` where a numerator zero ends
+    the sum earlier: the caller asked for those terms.  When the base, the
+    argument and every parameter are int or Fraction the result is a
+    Fraction; any float or complex value selects the floating loop, which
+    sees an exact zero factor only where the arithmetic produces one.
     """
     values = (spec.base, spec.argument, *spec.numerators, *spec.denominators)
     if all(isinstance(x, (int, Fraction)) for x in values):
@@ -312,6 +321,11 @@ def _rphis_exact(spec: PhiSpec, limit: int, tolerance: float) -> Fraction:
         for an, ad in nums:
             x = ad * fd - an * fn
             if not x:
+                # the sum ends here, unless a denominator parameter vanishes
+                # before the last of the terms the caller asked for
+                hit = _first_zero(dens, bn, bd, j, (spec.terminate_after or 0) - 1)
+                if hit is not None:
+                    raise _den_param_pole(spec.denominators[hit[1]], hit[0])
                 return Fraction(acc, td)
             top *= x
         for dn, dd in dens:
@@ -403,6 +417,14 @@ def _rphis_float(spec: PhiSpec, limit: int, tolerance: float):
         for a in nums:
             numf *= 1 - a * f
         if numf == 0:
+            # as in the exact loop: a denominator parameter that vanishes
+            # before the last requested term is named
+            g = f
+            for i in range(j, (n_terms or 0) - 1):
+                for b in dens:
+                    if 1 - b * g == 0:
+                        raise _den_param_pole(b, i)
+                g *= base
             return total
         denf = 1 - base * f
         for b in dens:
@@ -485,14 +507,25 @@ class _Phi32Column:
         entry n = sum_(j <= min(n, x)) prod_(i < j) r_i (1 - Q**(n-i)),
         r_i = (1 - Q**(x-i)) (1 - C/Q**i) / (Q (1 - Q**(-1-i)) (1 - B/Q**i)),
 
-    with j <= n when x < 0.  Only the numerator Q**n depends on n (Gasper and Rahman, section 1.2),
-    so the ratios r_i are reduced integer pairs computed once per column,
-    the pairs 1 - Q**m are read from ``_one_minus_row(Q)``, and entry n is
-    one Horner pass 1 + r_0 a_0 (1 + r_1 a_1 (1 + ...)) on one unreduced
-    integer pair, a_i = 1 - Q**(n-i).
+    with j <= n when x < 0.  Only the numerator Q**n depends on n (Gasper
+    and Rahman, section 1.2), so the ratios r_i are reduced integer pairs
+    computed once per column, and entry n is one Horner pass 1 + r_0 a_0
+    (1 + r_1 a_1 (1 + ...)) on one unreduced integer pair, a_i = 1 -
+    Q**(n-i) read from ``_one_minus_row(Q)``.
 
-    Entry n is that pair as an ``Unreduced`` with a positive denominator,
-    whose value is the Fraction ``rphis`` gives for the series at n with
+    A long column is a polynomial in Z = Q**n: from entry ``_POWER_FROM``
+    on, when 0 < x < limit and every r_i (i < x) exists, entry n is P(Q**n)
+    for P(Z) = sum_a C_a Z**a / D, built once in integers from the same
+    r_i.  With Q = qn/qd, P(Q**n) = sum_a T_a / (D qd**(nx)), T_a = C_a
+    (qn**a qd**(x-a))**n, so each later entry multiplies every T_a and the
+    denominator by fixed integers of a few bits, where a Horner step
+    multiplies integers that grow with n.  The T_a and D carry a common
+    factor f = (qn qd)**(x(x-1)/2) beyond Horner's pair; divided out once,
+    at the first such entry, they give Horner's very integer pair, so a
+    reader cannot tell the two routes apart.
+
+    Entry n is an ``Unreduced`` pair with a positive denominator, whose
+    value is the Fraction ``rphis`` gives for the series at n with
     ``terminate_after=min(n, x) + 1`` and at most ``limit`` terms, and it
     raises what that call raises.  No entry is reduced: the sums that read
     the column multiply the pair unreduced and reduce once, and a column of
@@ -501,19 +534,33 @@ class _Phi32Column:
 
     ``params()`` returns (x, C, B, Q) and is called at entry 0, so it
     should evaluate C and B in the per-entry PhiSpec's order: an invalid
-    parameter then raises its error from the entry read.  A vanishing 1 - C/Q**i ends every later sum at term i; a
-    vanishing 1 - B/Q**i is the DenominatorPole of every entry that reaches
-    it; a sum longer than ``limit`` terms raises the ``max_terms`` error.
+    parameter then raises its error from the entry read.  A vanishing
+    1 - C/Q**i ends every later sum at term i + 1, except that an entry
+    whose terms would reach a vanishing 1 - B/Q**j (i <= j < min(n, x))
+    names B, as ``rphis`` names a denominator parameter within
+    ``terminate_after``; a vanishing 1 - B/Q**i is the DenominatorPole of
+    every entry that reaches it; a sum longer than ``limit`` terms raises
+    the ``max_terms`` error.
     """
 
-    __slots__ = ("params", "limit", "x", "c", "b", "q", "ones", "ratios", "end")
+    __slots__ = ("params", "limit", "x", "c", "b", "q", "ones", "ratios", "end", "power")
 
     def __init__(self, params, limit: int):
         self.params, self.limit = params, limit
         self.ratios = []  # r_0, r_1, ... as reduced integer pairs
-        self.end = None  # (i, is_pole) once 1 - C/Q**i or 1 - B/Q**i is 0
+        # (i, pole) once 1 - C/Q**i or 1 - B/Q**i is 0 at i: pole is the
+        # index of the vanishing 1 - B/Q**j an entry names once it reads
+        # past j, or None
+        self.end = None
+        self.power = None  # ([T_0/f, ..., T_x/f, den], their multipliers)
 
     def __call__(self, n: int):
+        if self.power is not None:
+            # entry n from entry n - 1: each T_a times qn**a qd**(x-a), the
+            # denominator times qd**x; a row reads its entries in order
+            terms, mults = self.power
+            terms[:] = map(mul, terms, mults)
+            return Unreduced(sum(terms[:-1]), terms[-1])
         if n == 0:
             # the parameters are made here, so an invalid one raises from
             # the entry read, as the per-entry PhiSpec does
@@ -530,15 +577,18 @@ class _Phi32Column:
         last = min(n, x) if x >= 0 else n
         self._grow(min(last, limit))
         if self.end is not None:
-            stop, is_pole = self.end
-            if is_pole:
+            stop, pole = self.end
+            if pole is not None and pole < last:
                 if x < 0:
                     raise DenominatorPole(f"denominator factor vanishes at term {stop + 1}")
-                raise _den_param_pole(self.b, stop)
+                raise _den_param_pole(self.b, pole)
         elif last >= limit:
             raise NonConvergent(f"series did not terminate or certify within {limit} terms")
         else:
             stop = last
+        if 0 < x == stop and n >= _POWER_FROM:
+            # every r_i exists: from here on, step the power-basis form
+            return self._start_power(n)
         # 1 + r_0 a_0 (1 + r_1 a_1 (1 + ...)), a_i = 1 - Q**(n-i), on one
         # unreduced pair
         ratios, ones = self.ratios, self.ones
@@ -550,6 +600,33 @@ class _Phi32Column:
             num, den = d + rn * an * num, d
         # r_i's denominator carries Q - 1/Q**i, negative for Q < 1
         return Unreduced(num, den) if den > 0 else Unreduced(-num, -den)
+
+    def _start_power(self, n: int):
+        # P(Z) = 1 + r_0 (1 - Z) (1 + r_1 (1 - Z/Q) (1 + ...)) as integer
+        # coefficients C_0..C_x over D, built inside out with 1 - Z/Q**i =
+        # (qn**i - Z qd**i) / qn**i
+        x = self.x
+        qn, qd = _pair(self.q)
+        coeffs, den = [1], 1
+        for i in range(x - 1, -1, -1):
+            rn, rd = self.ratios[i]
+            a, b = rn * qn**i, rn * qd**i
+            coeffs = [a * c - b * z for c, z in zip([*coeffs, 0], [0, *coeffs])]
+            den *= rd * qn**i
+            coeffs[0] += den
+        if den < 0:
+            coeffs, den = [-c for c in coeffs], -den
+        # at Z = Q**n, P = sum_a T_a / (D qd**(nx)) with T_a = C_a (qn**a
+        # qd**(x-a))**n.  D qd**(nx) is Horner's denominator |prod rd_i|
+        # qd**(nx - x(x-1)/2) times f = (qn qd)**(x(x-1)/2), and from n =
+        # x - 1 on f divides every T_a (C_a carries qd**(a(a-1)/2)
+        # qn**((x-a)(x-a-1)/2)): the T_a / f sum to Horner's numerator, so
+        # an entry is Horner's pair.  The denominator is kept last.
+        f = (qn * qd) ** (x * (x - 1) // 2)
+        mults = [qn**a * qd**(x - a) for a in range(x + 1)] + [qd**x]
+        terms = [c * m**n // f for c, m in zip([*coeffs, den], mults)]
+        self.power = terms, mults
+        return Unreduced(sum(terms[:-1]), terms[-1])
 
     def _grow(self, reach: int):
         ratios = self.ratios
@@ -564,8 +641,15 @@ class _Phi32Column:
             # denominator's 1 - B/Q**i, as in rphis
             c = cd * fd - cn * fn
             b = bd * fd - bn * fn
-            if not c or not b:
-                self.end = (i, bool(c))
+            if not c:
+                # the sum ends at term i + 1, yet an entry of more terms
+                # names a later zero of 1 - B/Q**j within them, as rphis
+                # does within its terminate_after
+                hit = _first_zero(((bn, bd),), qd, qn, i, self.x) if self.x >= 0 else None
+                self.end = (i, None if hit is None else hit[0])
+                return
+            if not b:
+                self.end = (i, i)
                 return
             # r_i = (1 - Q**(x-i)) (1 - C/Q**i) / ((Q - 1/Q**i) (1 - B/Q**i))
             num = (xd * fd - xn * fn) * c * qd * bd

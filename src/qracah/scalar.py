@@ -28,9 +28,10 @@ finite nonzero float is refused with ``ValueError``.
 Each term is a tuple of factors (a bare scalar is one factor).  While every
 factor is int or Fraction, a term is the unreduced pair of its numerator and
 denominator products, and :func:`add_pair` adds it to one running pair with
-a single gcd against the running denominator (Henrici's addition), so a sum
-builds one Fraction, not one per product and addition; Fractions are stored
-reduced, so it is the rational ``*`` and ``+`` give.  From the first factor
+a single gcd against the running denominator (Henrici's addition), none
+where the running denominator divides the term's, so a sum builds one
+Fraction, not one per product and addition; Fractions are stored reduced,
+so it is the rational ``*`` and ``+`` give.  From the first factor
 that is not int or Fraction on, terms are multiplied and added left to
 right: the float residuals do not depend on whether the interpreter's
 ``sum`` compensates rounding (it does from Python 3.12 on).
@@ -290,7 +291,13 @@ def _add_terms(terms, num, den, negate=False):
 
 def add_pair(num, den, tn, td):
     """num/den + tn/td as an unreduced integer pair: one gcd against the
-    running denominator ``den`` (Henrici's addition)."""
+    running denominator ``den`` (Henrici's addition).  When ``den``
+    divides ``td`` that gcd is ``den`` itself, so the pair is (num·m + tn,
+    td) with m = td/den, read off one division: the terms of a long sum
+    mostly carry their predecessors' denominators and more."""
+    m, rem = divmod(td, den)
+    if not rem:
+        return num * m + tn, td
     g = math.gcd(den, td)
     td //= g
     return num * td + tn * (den // g), den * td

@@ -446,6 +446,20 @@ def _ev4(cfg, p):
 
 @suite("cor4.3", first_p=True, certified=True)
 def _cor43(cfg, p):
+    """Corollary 4.3, the closed form of the infinite rational function.
+    The inner product sum_n phi_{1,s}(n, x) phi_{v,t}(n, y) w_k(n) of two
+    members of the infinite family equals an infinite Pochhammer ratio
+    times finite Pochhammer quotients in y and in x times a terminating
+    4phi3 in base q**2.  The residual is (closed - inner) / (1 + |inner|),
+    for k in {1, 2}, (s, t, v) in ((0, 0, -1), (1, 1, 0), (1, 2, 1)) and
+    0 <= x, y <= 3 off the closed form's poles (``ratfun.pr_valid``), at
+    the first p.  Certified: the n-sum (``qseries.certified_sum``) and the
+    Pochhammer ratio (``qseries.qpoch_inf_ratio``) are truncated under the
+    run's ``TailBound``, and a report passes when |residual| <= tol.
+    ``chk_cor43`` computes the left side by ``ratfun.pr_inner`` (the
+    twist-free series columns ``orthopoly._series`` and the weight row
+    ``orthopoly.asc_w_column``) and the right side by
+    ``ratfun.pr_closed``."""
     # pr_valid reads s, t and v only: no base is built for it
     for k, (s, t, v), x, y in iproduct((1, 2), ((0, 0, -1), (1, 1, 0), (1, 2, 1)),
                                         range(4), range(4)):
@@ -456,6 +470,21 @@ def _cor43(cfg, p):
 
 @suite("prop4.4", first_p=True, certified=True)
 def _prop44(cfg, p):
+    """Proposition 4.4, the biorthogonality of the infinite rational
+    functions.  With R_v(x, y) the certified inner product ``pr_inner`` at
+    twist v and R' the one at the partner twist -v - 2: relation "x" sums
+    R_v(u, i) R'(u, j) against the x-side weight W_s(u) over u >= 0 and
+    equals delta_ij / W_t(i); relation "y" sums over the second argument
+    with s and t swapped.  The residual is the sum minus the diagonal
+    target, divided by 1 + |1/W(i)| on the diagonal, for (k, s, t, v) in
+    ((1, 0, 0, -1), (2, 1, 1, 0)), both relations and 0 <= i, j <= 2, at
+    the first p.  Certified: the outer u-sum and every inner n-sum
+    (``qseries.certified_sum``) and the weights' Pochhammer ratios are
+    truncated under the run's ``TailBound``, and a report passes when
+    |residual| <= tol.  ``chk_pr_biorth`` computes the sum by
+    ``ratfun.pr_biorth_residual`` (``ratfun.biorth_overlap`` over
+    ``ratfun.pr_inner``, the weight ``orthopoly.asc_W``) and the target by
+    ``orthopoly.asc_W``."""
     for (k, s, t, v), relation, i, j in iproduct(
             ((1, 0, 0, -1), (2, 1, 1, 0)), ("x", "y"), range(3), range(3)):
         yield ("pr_biorth", f"biorth_{relation}[k={k},s={s},t={t},v={v},{i},{j}]",
@@ -485,6 +514,20 @@ def _lemma45(cfg, p):
 
 @suite("prop4.5", first_p=True, certified=True)
 def _prop45(cfg, p):
+    """Proposition 4.5, the generalized eigenvalue identity of the infinite
+    rational functions, as the one-site chain's.  With R(x, y) the
+    certified inner product ``pr_inner``: {s + 2x + k}_q sum_e C_e R(x, y +
+    e) equals {s}_q R(x, y) + sum_e D_e R(x, y + e), the braces at the
+    chain's heights h_1 and h_0 (``multivar.heights``) and e in {-1, 0, 1}
+    with y + e >= 0.  Residual
+    left - right for (k, s, t, v) in ((1, 0, 1, 0), (2, 1, 0, -1)) and 0
+    <= x, y <= 3, at the first p.  Certified: every n-sum
+    (``qseries.certified_sum``) is truncated under the run's ``TailBound``,
+    and a report passes when |residual| <= tol.  ``chk_pr_gevp`` runs
+    ``multivar.multi_gevp_residual_asc`` on the chain (k,): both sides read
+    ``multivar._pr_pack`` (products of ``ratfun.pr_inner``), the C/D maps
+    are ``multivar._shift_terms`` (``orthopoly.asc_shift_coeff``), and the
+    brace symbols ``QBase.brace``."""
     for (k, s, t, v), x, y in iproduct(((1, 0, 1, 0), (2, 1, 0, -1)), range(4), range(4)):
         yield ("pr_gevp", f"gevp[k={k},s={s},t={t},v={v},x={x},y={y}]",
                dict(k=k, s=s, t=t, v=v, x=x, y=y))
@@ -531,6 +574,21 @@ def _lemma48(cfg, p):
 
 @suite("cor4.9", first_p=True, certified=True)
 def _cor49(cfg, p):
+    """Corollary 4.9, the generalized eigenvalue identity of the
+    multivariate infinite rational functions on the two-site chain ks =
+    (1, 1).  With R(xs, ys) the product over sites of ``pr_inner`` at the
+    running heights: {h_2}_q sum_eps C_eps R(xs, ys + eps) equals
+    {h_(2-j)}_q R(xs, ys) + sum_eps D_eps R(xs, ys + eps), the braces at
+    the heights of xs from s (``multivar.heights``), over the
+    shift vectors eps of ``multivar.epsilon_set(2, j)`` with ys + eps >= 0.
+    Residual left - right for j in {1, 2}, (s, t, v) in ((1, 0, 0), (0, 1,
+    -1)) and xs, ys in {0, 1}**2, at the first p.  Certified: every n-sum
+    (``qseries.certified_sum``) is truncated under the run's ``TailBound``,
+    and a report passes when |residual| <= tol.
+    ``multivar.multi_gevp_residual_asc`` is the check: both sides read
+    ``multivar._pr_pack`` (products of ``ratfun.pr_inner``), the C/D maps
+    are ``multivar._shift_terms`` (``orthopoly.asc_shift_coeff``
+    products), and the brace symbols ``QBase.brace``."""
     ks = (1, 1)
     corners = list(iproduct(range(2), range(2)))
     for j, (s, t, v), xs, ys in iproduct((1, 2), ((1, 0, 0), (0, 1, -1)), corners, corners):

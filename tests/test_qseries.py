@@ -270,7 +270,9 @@ def test_rphis_tail_bound_sees_a_late_near_pole():
 
 def _reference_rphis(spec, tb):
     # the direct evaluation in Fraction arithmetic: a termination scan, an
-    # eager scan for denominator poles, then one Fraction operation per factor
+    # eager scan for denominator poles before the last term (the last given
+    # term when terminate_after is, even past an earlier numerator zero),
+    # then one Fraction operation per factor
     nums, dens = list(spec.numerators), list(spec.denominators)
     base, z = spec.base, spec.argument
     limit = tb.max_terms
@@ -287,7 +289,7 @@ def _reference_rphis(spec, tb):
         n_terms = detected
     if n_terms is not None:
         f = base * 0 + 1
-        for j in range(n_terms - 1):
+        for j in range((spec.terminate_after or n_terms) - 1):
             for b in dens:
                 if 1 - b * f == 0:
                     raise DenominatorPole(
@@ -386,6 +388,9 @@ _q = F(1, 4)
 # tiny argument meets the bound before a numerator factor vanishes
 @example(case=(PhiSpec([F(1, 3), F(2, 7)], [F(1, 5)], _q, F(1, 2)), TailBound(1e-12)))
 @example(case=(PhiSpec([F(8)], [], F(1, 2), F(1, 10**30)), TailBound(1e-12)))
+# a numerator zero before a denominator parameter's zero within terminate_after
+@example(case=(PhiSpec([F(1)], [F(1)], F(1, 4), F(0), terminate_after=2), TailBound()))
+@example(case=(PhiSpec([_q ** -1], [_q ** -3], _q, _q, terminate_after=6), TailBound()))
 def test_rphis_exact_matches_fraction_reference(case):
     spec, tb = case
     got, want = _outcome(rphis, spec, tb), _outcome(_reference_rphis, spec, tb)
@@ -927,6 +932,92 @@ def test_exact_column_errors_come_from_the_entry_read():
     assert _pair_value(column[1]) == orthopoly._series_entry(qb, False, 1, 0, 3, 1)
     with pytest.raises(DenominatorPole, match=r"equals base\*\*-1, hit at term 2"):
         column[2]
+
+
+@st.composite
+def _long_column_cases(draw):
+    # a summation-side column read past the power-basis crossover: Q = q
+    # below and above 1, z below and above the entries read, a B = 1/a
+    # pole (a = q**-m, m >= 0) or a C = q**-z/(a sq) zero, and a limit
+    # that can cut the sum before z
+    q = draw(_COLUMN_P) ** 2
+    a = q ** draw(st.integers(-10, 3))
+    sq = draw(st.sampled_from([1, -1])) * q ** draw(st.integers(-10, 10))
+    z = draw(st.integers(-2, 24))
+    limit = draw(st.sampled_from([qseries.DEFAULT_MAX_TERMS, 3, 8, 20]))
+    return (q, a, TailBound(max_terms=limit), z, sq), draw(st.integers(0, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_long_column_cases())
+# Q < 1 and Q > 1, stepped from the crossover on
+@example(case=((F(1, 4), F(4), TailBound(), 3, F(1, 4)), 40))
+@example(case=((F(9, 4), F(2, 3), TailBound(), 5, -1), 30))
+# the crossover entry itself, and z past it (n < z up to n = z)
+@example(case=((F(4, 9), F(1, 2), TailBound(), 2, 1), qseries._POWER_FROM))
+@example(case=((F(81, 100), F(1, 2), TailBound(), 20, -1), 24))
+# a C zero at i = 1 ends every longer sum, with the B pole at i = 2 past
+# it named from n = 3 on; a B pole alone; z at and past the limit
+@example(case=((F(1, 4), F(16), TailBound(), 5, F(256)), 30))
+@example(case=((F(1, 4), F(64), TailBound(), 5, -1), 30))
+@example(case=((F(1, 4), F(1, 2), TailBound(max_terms=8), 8, -1), 30))
+@example(case=((F(1, 4), F(1, 2), TailBound(max_terms=8), 12, -1), 30))
+def test_long_column_entries_are_the_rphis_entries(case):
+    # every entry, Horner before the crossover and the stepped power-basis
+    # form after it, is the per-entry rphis Fraction or raises its error
+    (q, a, tb, z, sq), last = case
+    _same_column(_summation_column(q, a, tb, z, sq), _Row(_summation_factor, q, a, tb, z, sq),
+                 range(last + 1))
+
+
+def test_long_columns_step_the_power_basis_from_the_crossover():
+    # at p = 9/10 the su11 series at x = 3 runs to hundreds of entries: the
+    # entries before the crossover are Horner's, the later ones the power
+    # basis's, rphis's values and Horner's very integer pairs
+    qb = QBase(F(9, 10))
+    column = orthopoly._series.__wrapped__(qb, True, -1, 1, 3)
+    start = qseries._POWER_FROM
+    column[start - 1]
+    assert column.entry.power is None
+    want = _Row(orthopoly._series_entry, qb, True, -1, 1, 3)
+    _same_column(column, want, range(start, start + 30))
+    assert column.entry.power is not None
+    for x, p in ((1, F(2, 3)), (3, F(1, 3)), (7, F(3, 2)), (20, F(1, 2))):
+        column = orthopoly._series.__wrapped__(QBase(p), True, -2, F(1, 2), x)
+        with mock.patch.object(qseries, "_POWER_FROM", 10**9):
+            horner = orthopoly._series.__wrapped__(QBase(p), True, -2, F(1, 2), x)
+            horner[x + 40]
+        column[x + 40]
+        assert column.row == horner.row, (x, p)
+        assert column.entry.power is not None and horner.entry.power is None
+    # a column with a C zero before x keeps Horner throughout
+    column = _summation_column(F(1, 4), F(1, 4), TailBound(), 5, F(4**7))
+    column[start + 5]
+    assert column.entry.power is None
+
+
+def test_a_numerator_zero_does_not_hide_a_later_denominator_pole():
+    # terminate_after = 2 asks for the term past the numerator zero at
+    # index 0, whose denominator factor 1 - 1*base**0 vanishes: the
+    # parameter is named, as for a pole the sum reaches
+    pole = "denominator parameter 1 equals base\\*\\*-0, hit at term 1"
+    with pytest.raises(DenominatorPole, match=pole):
+        rphis(PhiSpec([F(1)], [F(1)], F(1, 4), F(0), terminate_after=2))
+    with pytest.raises(DenominatorPole, match="denominator parameter 1.0 equals"):
+        rphis(PhiSpec([1.0], [1.0], 0.25, 0.0, terminate_after=2))
+    # a sum that ends before the pole's term, or asked for no more terms,
+    # keeps its value
+    assert rphis(PhiSpec([F(1)], [F(1, 4)], F(1, 4), F(1, 2), terminate_after=2)) == 1
+    assert rphis(PhiSpec([F(1)], [F(1)], F(1, 4), F(0), terminate_after=1)) == 1
+    # the column mirrors it: the su11 series at k = 0, s = -x has C = B = 1,
+    # so every entry past n = 0 names B
+    column = orthopoly._series.__wrapped__(QBase(F(1, 2)), True, 0, -2, 2)
+    assert _pair_value(column[0]) == 1
+    for n in (1, 3):
+        with pytest.raises(DenominatorPole, match=pole):
+            column[n]
+        with pytest.raises(DenominatorPole, match=pole):
+            orthopoly._series_entry(QBase(F(1, 2)), True, 0, -2, 2, n)
 
 
 def _tail_certified(magnitudes, tb: TailBound, run: int = 3) -> bool:

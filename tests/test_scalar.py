@@ -14,6 +14,7 @@ from qracah.errors import ExactnessError, OutOfRange
 from qracah.scalar import (
     MAX_POWER_BITS,
     Unreduced,
+    add_pair,
     as_exponent,
     ordered_sum,
     residual_sum,
@@ -319,6 +320,26 @@ _COMPLEX = st.one_of(
     st.complex_numbers(),
     st.builds(complex, st.sampled_from([0.0, -0.0, 1.5, math.inf, math.nan]),
               st.sampled_from([0.0, -0.0, -2.5, -math.inf, math.nan])))
+
+
+def _henrici(num, den, tn, td):
+    # Henrici's addition as one gcd against the running denominator
+    g = math.gcd(den, td)
+    return num * (td // g) + tn * (den // g), den * (td // g)
+
+
+@settings(max_examples=500)
+@given(num=st.integers(), den=st.integers(1, 10**30), tn=st.integers(),
+       m=st.integers(1, 10**12), other=st.integers(1, 10**30), divisible=st.booleans())
+def test_add_pair_is_henricis_pair_on_a_divisor_chain(num, den, tn, m, other, divisible):
+    # where den divides td the pair is the gcd route's, integer for
+    # integer; the value always is num/den + tn/td
+    td = den * m if divisible else other
+    got = add_pair(num, den, tn, td)
+    if td % den == 0:
+        assert got == _henrici(num, den, tn, td)
+    assert got[1] > 0
+    assert F(*got) == F(num, den) + F(tn, td)
 
 
 @settings(max_examples=300)

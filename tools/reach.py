@@ -55,7 +55,6 @@ REFERENCES = {
     "qseries._summation_rhs": _LEMMA21,
     "qseries._summation_rhs.factor": _LEMMA21,
     "qseries._summation_rhs.terms": _LEMMA21,
-    "qseries._first_zero": _POLE,
     "qseries._den_param_pole": _POLE,
     "qseries._pole": _POLE,
     "uqsl2.coproduct_twist_coideal": _TEST + " (coproduct_op, by the coideal recursion)",
