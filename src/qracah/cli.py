@@ -207,15 +207,23 @@ def _rr_params(args, qb):
 
 
 def _pr_params(args, qb):
-    return ratfun.PrParams(
-        _num(args, "s", qb.mode), _num(args, "t", qb.mode), _num(args, "v", qb.mode),
-        _num(args, "k", qb.mode), qb, _tb(args))
+    # integral parameters as ints, as _rr_params passes them
+    s, t, v, k = (as_exponent(_num(args, name, qb.mode)) for name in "stvk")
+    return ratfun.PrParams(s, t, v, k, qb, _tb(args))
 
 
 def _fn_xy(evaluate, params):
-    """The evaluator of a univariate rational function ``evaluate(params, x, y)``."""
+    """The evaluator of a univariate rational function ``evaluate(params, x,
+    y)``.  Its ``bind(args, qb)`` reads the parameter options once and
+    returns the evaluator of one point, which a table calls per cell."""
+    def bind(args, qb):
+        pack = params(args, qb)
+        return lambda point: evaluate(pack, _coord(point, args, "x"), _coord(point, args, "y"))
+
     def fn(args, qb, point):
-        return evaluate(params(args, qb), _coord(point, args, "x"), _coord(point, args, "y"))
+        return bind(args, qb)(point)
+
+    fn.bind = bind
     return fn
 
 
@@ -397,6 +405,10 @@ def _slots(names, vec):
 def _table_text(args, qb, axes) -> str:
     names = [name for name, _ in axes]
     xslots, yslots = _slots(names, "x"), _slots(names, "y")
+    # a function with ``bind`` reads its options once for the whole table
+    fn = FUNCTIONS[args.fn]
+    bind = getattr(fn, "bind", None)
+    cell = bind(args, qb) if bind else functools.partial(fn, args, qb)
     header = None
     rows = []
     for combo in iproduct(*[values for _, values in axes]):
@@ -406,7 +418,7 @@ def _table_text(args, qb, axes) -> str:
         if yslots:
             coords["ys"] = tuple(coords[k] for k in yslots)
         point = _Point(coords)
-        value = FUNCTIONS[args.fn](args, qb, point)
+        value = cell(point)
         cells = value if isinstance(value, dict) else {"value": value}
         if header is None:
             # every cell calls the same function, so the first shows what it reads

@@ -489,10 +489,12 @@ def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
     pack = _pr_pack(qb, s, t, v, sizes, tb) if su11 else _rr_pack(qb, s, t, v, sizes)
     vals = {ysf: pack[xs, ysf] for ysf in set(termsA) | set(termsB) | {ys}}
     sym = qb.brace if su11 else qb.bracket
-    lhs = sym(hx[M]) * ordered_sum(((c, vals[ysf]) for ysf, c in termsA.items()), qb.zero())
-    rhs = sym(hx[M - j]) * vals[ys]
-    rhs += ordered_sum(((c, vals[ysf]) for ysf, c in termsB.items()), qb.zero())
-    return lhs - rhs
+    lead, diag = sym(hx[M]), sym(hx[M - j])
+    # one sum, the symbols and signs as factors of each term
+    terms = [(lead, c, vals[ysf]) for ysf, c in termsA.items()]
+    terms.append((-1, diag, vals[ys]))
+    terms += [(-1, c, vals[ysf]) for ysf, c in termsB.items()]
+    return ordered_sum(terms, qb.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,22 @@ int true division rounds correctly, so they are the floats ``float()`` of
 the reduced term gives.  Float and complex series run the floating loop,
 whose operation order fixes their results.
 
-:func:`certified_sum` takes each term as a tuple of factors and sums the
-same way: while every factor is int, Fraction or
-:class:`~qracah.scalar.Unreduced`, a term is the unreduced pair of its
-factors' numerator and denominator products, it is added to
-one running pair by :func:`~qracah.scalar.add_pair`, the step
+:func:`pair_sum` sums exact terms given as integer pairs: each is added
+to one running pair by :func:`~qracah.scalar.add_pair`, the step
 :func:`~qracah.scalar.ordered_sum` uses (Henrici's addition: a single gcd
-against the running denominator), its magnitude is the same correctly
-rounded quotient, and one Fraction is built at the end.  So it stops at
-the term Fraction arithmetic would stop at and returns the same rational.
-Floating factors are multiplied left to right and summed in order.  Its
-stop rule reads two counters, the trailing terms below the floor and the
+against the running denominator, none on a divisor chain), its magnitude
+is the same correctly rounded quotient, and one Fraction is built at the
+end.  Given a TailBound it stops by the one stop rule of the module,
+which reads two counters, the trailing terms below the floor and the
 trailing ratios at most the cap, so each term costs O(1) however long the
-sum runs.
+sum runs.  The exact inner products (``ratfun.rr_inner``/``pr_inner``)
+pass it their terms' pairs directly.  :func:`certified_sum` takes each
+term as a tuple of factors: while every factor is int, Fraction or
+:class:`~qracah.scalar.Unreduced`, a term is the unreduced pair of its
+factors' numerator and denominator products and goes through the same
+loop, so it stops at the term Fraction arithmetic would stop at and
+returns the same rational.  Floating factors are multiplied left to right
+and summed in order, and the loop reads their magnitudes.
 
 :func:`qpoch` multiplies int or Fraction inputs the same way: each factor
 1 - a*base**i is an integer pair, the pairs multiply unreduced, and one
@@ -73,10 +76,11 @@ that pair (``scalar.Unreduced``), whose value is the rational ``rphis``
 gives, with its errors raised from the same entry read.  The pair is not
 reduced: its gcd removes a small share of its bits, and every reader
 multiplies the entry into a term that its sum reduces once anyway
-(``certified_sum``, ``ordered_sum``; a polynomial column builds one
-Fraction from its prefactor and the pair).  The float and complex backends
-evaluate each entry by its own ``rphis`` (``orthopoly._series_entry``), so
-their bits are those of the series loop.
+(``pair_sum``, ``certified_sum``, ``ordered_sum``; a polynomial column
+builds one Fraction from its prefactor and the pair).  The float and
+complex backends evaluate each entry by its own ``rphis``
+(``orthopoly._series_entry``), so their bits are those of the series
+loop.
 
 The summation identity (Lemma 2.1) is written here in its general form,
 ``summation_lhs`` and ``summation_rhs`` for any (a, b, c, d), each side a
@@ -89,7 +93,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from operator import mul
 from typing import Optional, Sequence
 
@@ -665,16 +669,111 @@ def require_q_below_one(qb: QBase) -> None:
         raise NonConvergent(f"certified infinite sum needs 0 < q < 1, got q = {qb.q}")
 
 
+def pair_sum(pairs, tb: Optional[TailBound] = None):
+    """The sum of exact terms given as integer pairs (numerator, positive
+    denominator), as one Fraction, or the int 0 for no terms.
+
+    Each pair is added to one unreduced running pair on the divisor chain
+    (``scalar.add_pair``).  Without ``tb`` every pair is added; with it the
+    sum stops by :func:`certified_sum`'s stop rule, which reads each term's
+    magnitude off its pair, and raises that function's NonConvergent past
+    ``tb.max_terms``.  A pair is read only once the term before it has
+    been added and tested, so no term past the stopping term is read.
+    """
+    if tb is None:
+        num, den, n = 0, 1, -1
+        for n, (tn, td) in enumerate(pairs):
+            num, den = add_pair(num, den, tn, td)
+    else:
+        state = [0, 1, -1, 0, 0, None, None]
+        _sum_pairs(pairs, tb, state)
+        num, den, n = state[:3]
+    return Fraction(num, den) if n >= 0 else 0
+
+
+def _sum_pairs(pairs, tb: TailBound, state) -> bool:
+    """Add the pairs (numerator, positive denominator) to the running pair
+    of ``state`` under the stop rule, and say whether the rule stopped the
+    sum.
+
+    ``state`` is [num, den, n, below, capped, last, huge]: the running
+    pair, the index of the last term read, the trailing terms below the
+    floor, the trailing ratios at most the cap, the last term's magnitude
+    and the last pair whose magnitude was inf.  It is read on entry and
+    written back on return, so a sum can go on in a later call.
+    """
+    num, den, n, below, capped, last, huge = state
+    floor = tb.tolerance * (1 - RATIO_CAP)
+    cap = RATIO_CAP
+    stopped = False
+    for tn, td in pairs:
+        n += 1
+        try:
+            # int true division is correctly rounded: the float of tn/td
+            mag = abs(tn) / td
+        except OverflowError:
+            mag = _INF
+        num, den = add_pair(num, den, tn, td)
+        below = below + 1 if mag < floor else 0
+        if n:
+            if last < _INF:
+                over = last > 0 and mag / last > cap
+            else:
+                # the previous term is beyond the float range:
+                # |t_n| / |t_(n-1)| > cap on integer pairs
+                cn, cd = cap.as_integer_ratio()
+                over = abs(tn) * huge[1] * cd > cn * abs(huge[0]) * td
+            capped = 0 if over else capped + 1
+        if mag == _INF:
+            huge = tn, td
+        last = mag
+        if n + 1 >= 6 and below >= 3 and capped >= 3:
+            stopped = True
+            break
+        if n + 1 >= tb.max_terms:
+            raise NonConvergent(
+                f"series tail not certified below {tb.tolerance} within {tb.max_terms} terms"
+            )
+    state[:] = num, den, n, below, capped, last, huge
+    return stopped
+
+
+def _exact_pairs(terms, pending: list):
+    # the terms as integer pairs while every factor is int, Fraction or
+    # Unreduced; the factors of the first other term go to ``pending``, and
+    # the pairs end there.  Exact types are tested first: isinstance(f,
+    # Fraction) on any other type runs the slow ABC check
+    for term in terms:
+        factors = term if isinstance(term, tuple) else (term,)
+        tn = td = 1
+        for f in factors:
+            if type(f) is Fraction or type(f) is Unreduced:
+                tn *= f.numerator
+                td *= f.denominator
+            elif isinstance(f, int):
+                tn *= f
+            elif isinstance(f, Fraction):
+                tn *= f.numerator
+                td *= f.denominator
+            else:
+                pending.append(factors)
+                return
+        yield tn, td
+
+
 def certified_sum(terms, tb: TailBound):
     """Sum an infinite series under the TailBound certificate.
 
     ``terms`` is an iterable of terms with eventually geometric decay, each
     a tuple of factors (a bare scalar is a one-factor term).  While every
-    factor is int, Fraction or ``scalar.Unreduced``, the terms are summed
-    on one unreduced integer pair and the result is a Fraction, the
-    rational and the stopping term of Fraction arithmetic on the reduced
-    factors (see the module docstring); any other term multiplies its
-    factors left to right and is added as a scalar.
+    factor is int, Fraction or ``scalar.Unreduced``, each term is the
+    integer pair of its factors' numerator and denominator products, and
+    the pairs are summed by :func:`pair_sum`'s loop: the result is a
+    Fraction, the rational and the stopping term of Fraction arithmetic on
+    the reduced factors (see the module docstring).  From the first other
+    term on, each term multiplies its factors left to right and is added
+    as a scalar to the exact sum so far, and the same loop reads the
+    term's magnitude as the integer pair of its float.
 
     Summation stops after term n once n + 1 >= 6, the last three term
     magnitudes are below tolerance*(1-RATIO_CAP) and each of the last three
@@ -693,38 +792,27 @@ def certified_sum(terms, tb: TailBound):
     certified result is then impossible; failing loudly beats returning
     NaN).
     """
-    floor = tb.tolerance * (1 - RATIO_CAP)
-    cap = RATIO_CAP
-    num, den = 0, 1  # the exact terms, while every term so far is exact
-    total = None  # the scalar sum, from the first term that is not
-    below = capped = 0  # trailing terms below floor, trailing ratios at most cap
-    n = -1
-    for n, term in enumerate(terms):
-        factors = term if isinstance(term, tuple) else (term,)
-        mag = None
-        if total is None:
-            tn = td = 1
-            # exact types are tested first: isinstance(f, Fraction) on any
-            # other type runs the slow ABC check
-            for f in factors:
-                if type(f) is Fraction or type(f) is Unreduced:
-                    tn *= f.numerator
-                    td *= f.denominator
-                elif isinstance(f, int):
-                    tn *= f
-                elif isinstance(f, Fraction):
-                    tn *= f.numerator
-                    td *= f.denominator
-                else:
-                    break
-            else:
-                mag = _quotient(tn, td)
-                num, den = add_pair(num, den, tn, td)
-        if mag is None:
-            t = product(factors)
+    terms = iter(terms)
+    state = [0, 1, -1, 0, 0, None, None]
+    pending = []
+    if _sum_pairs(_exact_pairs(terms, pending), tb, state) or not pending:
+        num, den, n = state[:3]
+        return Fraction(num, den) if n >= 0 else 0
+    # from here the running pair sums magnitudes, which nothing reads
+    prefix, state[:2] = state[:2], (0, 1)
+    total = None
+
+    def magnitudes():
+        # each scalar term joins the sum, and the stop rule reads its
+        # magnitude as the exact pair of its float
+        nonlocal total
+        n = state[2]
+        for term in chain(pending, terms):
+            n += 1
+            t = product(term if isinstance(term, tuple) else (term,))
             if total is None:
                 try:
-                    total = t if n == 0 else Fraction(num, den) + t
+                    total = t if n == 0 else Fraction(*prefix) + t
                 except OverflowError:
                     raise NonConvergent(f"the exact terms before term {n} exceed "
                                         "the floating-point range") from None
@@ -733,29 +821,10 @@ def certified_sum(terms, tb: TailBound):
             mag = _magnitude(t)
             if not math.isfinite(mag):
                 raise NonConvergent(f"term {n} exceeds the floating-point range")
-        below = below + 1 if mag < floor else 0
-        if n:
-            if last < _INF:
-                over = last > 0 and mag / last > cap
-            else:
-                # the previous term, an exact one, is beyond the float range:
-                # |t_n| / |t_(n-1)| > cap on integer pairs (a float is one)
-                an, ad = (tn, td) if total is None else mag.as_integer_ratio()
-                cn, cd = cap.as_integer_ratio()
-                over = abs(an) * huge[1] * cd > cn * abs(huge[0]) * ad
-            capped = 0 if over else capped + 1
-        if mag == _INF:
-            huge = tn, td
-        last = mag
-        if n + 1 >= 6 and below >= 3 and capped >= 3:
-            break
-        if n + 1 >= tb.max_terms:
-            raise NonConvergent(
-                f"series tail not certified below {tb.tolerance} within {tb.max_terms} terms"
-            )
-    if total is not None:
-        return total
-    return Fraction(num, den) if n >= 0 else 0
+            yield mag.as_integer_ratio()
+
+    _sum_pairs(magnitudes(), tb, state)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,11 @@ verbatim for complex v with partner -conj(v) - 2 and an outer conjugation.
 
 Both inner products sum the terms of ``_inner_terms``: one power of q, the
 entries of the two twist-free 3phi2 series columns and the n-side weight,
-read off rows fetched once per sum, in every backend.
+read off rows fetched once per sum.  In an exact base the power and the
+weight are one stored row per (base, family, size, power),
+``_coefficient_row``, and each term is the integer pair of that entry times
+the two series entries (``_inner_pairs``), summed by ``qseries.pair_sum``:
+one Fraction per sum, the value and the stopping term of the fold.
 
 ``rr_inner``, ``rr_closed`` and ``pr_inner`` are ``tables.tabled``: each
 (parameters, x, y) is evaluated once per process and the biorthogonality
@@ -47,6 +51,7 @@ from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .orthopoly import (
     _series,
     _signed_qpow,
+    _w_column,
     asc_w_column,
     asc_W,
     kraw_w_column,
@@ -56,6 +61,7 @@ from .qseries import (
     PhiSpec,
     TailBound,
     certified_sum,
+    pair_sum,
     qpoch,
     qpoch_inf_ratio,
     require_q_below_one,
@@ -107,14 +113,52 @@ def _inner_terms(qb: QBase, su11: bool, size, s, t, v, x: int, y: int, w: _Row):
 
 
 @tabled
+def _coefficient_row(qb: QBase, su11: bool, size, e) -> _Row:
+    """Entry n is q**(n e) times the n-side weight of either family, as
+    the integer pair of its Fraction: the power and weight of every
+    exact inner product with e = s + t - v - size, formed once."""
+    w = _w_column(qb, su11, size)
+
+    def entry(n):
+        c = qb.qpow(n * e) * w[n]
+        return c.numerator, c.denominator
+
+    return _Row(entry)
+
+
+def _inner_pairs(qb: QBase, su11: bool, size, s, t, v, x: int, y: int):
+    """The terms of ``_inner_terms`` in an exact base, each the integer
+    pair of the product: the ``_coefficient_row`` entry times the two
+    series entries.  A term reads the three stored lists, and a row grows
+    through ``row[n]`` only past its end.  A term raises the error
+    ``_inner_terms`` raises: the power is read first there too, and the
+    weight, read here before the series entries, raises only from entry 1
+    on at a k that is not a half-integer, where no series entry of the
+    same n raises (a series at such a k raises at entry 0 or not before
+    its term limit)."""
+    left, right = _series(qb, su11, size, s, x), _series(qb, su11, size, t, y)
+    e = s + t - v - size
+    coef = _coefficient_row(qb, su11, size, e)
+    cs, ls, rs = coef.row, left.row, right.row
+    for n in count():
+        try:
+            (cn, cd), ln, rn = cs[n], ls[n], rs[n]
+        except IndexError:
+            (cn, cd), ln, rn = coef[n], left[n], right[n]
+        yield cn * ln.numerator * rn.numerator, cd * ln.denominator * rn.denominator
+
+
+@tabled
 def rr_inner(rp: RrParams, x: int, y: int):
     """Reference evaluation: sum_n k_{1,s}(n,x) k_{v,t}(n,y) w(n), the
     first N + 1 terms of ``_inner_terms``, the route ``pr_inner`` takes (an
-    exact base sums them on one unreduced integer pair)."""
+    exact base sums their integer pairs, ``_inner_pairs``)."""
     if not (0 <= x <= rp.N and 0 <= y <= rp.N):
         raise OutOfRange(f"(x, y) = ({x}, {y}) outside 0..{rp.N}")
     qb, N = rp.qb, rp.N
     s, t, v = as_exponent(rp.s), as_exponent(rp.t), as_exponent(rp.v)
+    if qb.is_exact:
+        return pair_sum(islice(_inner_pairs(qb, False, N, s, t, v, x, y), N + 1))
     terms = _inner_terms(qb, False, N, s, t, v, x, y, kraw_w_column(qb, N))
     return ordered_sum(islice(terms, N + 1))
 
@@ -257,9 +301,10 @@ def pr_inner(pp: PrParams, x: int, y: int):
     """Certified evaluation of sum_n phi_{1,s}(n,x) phi_{v,t}(n,y) w_k(n);
     the terms decay like q**(n(s+t+1-v)), so Re(v) < 1+s+t is required.
 
-    The terms are ``_inner_terms`` at size -k, in every backend: the power
-    q**(n(s+t-v+k)), the two series entries and the weight.  The exact
-    ``certified_sum`` takes them unreduced, the same rational as the
+    The terms are ``_inner_terms`` at size -k: the power q**(n(s+t-v+k)),
+    the two series entries and the weight, folded by ``certified_sum``; an
+    exact base sums their integer pairs (``_inner_pairs``) by
+    ``qseries.pair_sum`` under the same stop rule, the same rational as the
     product of the column values.  At k = 1/2, s = 0, t = v = 1/2 the
     power is q**(n/2), where each prefactor alone would need a root of p.
     """
@@ -273,6 +318,8 @@ def pr_inner(pp: PrParams, x: int, y: int):
         )
     qb = pp.qb
     s, t, v, k = (as_exponent(pp.s), as_exponent(pp.t), as_exponent(pp.v), as_exponent(pp.k))
+    if qb.is_exact:
+        return pair_sum(_inner_pairs(qb, True, -k, s, t, v, x, y), pp.tb)
     terms = _inner_terms(qb, True, -k, s, t, v, x, y, asc_w_column(qb, pp.k))
     return certified_sum(terms, pp.tb)
 

@@ -35,6 +35,8 @@ from functools import wraps
 from operator import attrgetter
 from threading import RLock
 
+from .errors import OutOfRange
+
 _TABLES: dict = {}
 # class -> getter of the values that stand for an argument, or None for the
 # argument itself: a dataclass's fields, a tuple and its entries' types
@@ -49,7 +51,8 @@ class _Row:
     reading the same last entry would append it twice; one reentrant lock
     serves every row, as a row's entries may grow other rows.  An entry
     that raises is not stored and raises again on the next request, and so
-    does every request past it."""
+    does every request past it.  A negative index raises OutOfRange: a
+    row has no end to count back from."""
 
     __slots__ = ("entry", "args", "row")
     lock = RLock()
@@ -59,7 +62,9 @@ class _Row:
 
     def __getitem__(self, m: int):
         row = self.row
-        if m >= len(row):
+        if m >= len(row) or m < 0:
+            if m < 0:
+                raise OutOfRange(f"row index {m} is negative")
             with self.lock:
                 while len(row) <= m:
                     row.append(self.entry(*self.args, len(row)))

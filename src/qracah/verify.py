@@ -333,6 +333,18 @@ def _ev3(cfg, p):
 
 @suite("prop3.3")
 def _prop33(cfg, p):
+    """Proposition 3.3, the closed form of the finite rational function.
+    The inner product R(x, y) = sum_n k_{1,s}(n, x) k_{v,t}(n, y) w(n),
+    n = 0..N, of two members of the finite family equals a prefactor of
+    q**2-Pochhammer quotients, one x-free and y-free, one in x and one in
+    y, times a terminating 4phi3 in base q**2.  Exact residual closed -
+    inner, 0, over N <= 4, the five (s, t, v) of ``_STV`` and 0 <= x, y <=
+    N, off the closed form's poles (``ratfun.rr_valid``).  ``chk_prop33``
+    computes the left side by ``ratfun.rr_inner`` (the twist-free series
+    columns ``orthopoly._series`` and the power-times-weight row
+    ``ratfun._coefficient_row``, summed by ``qseries.pair_sum``) and the
+    right side by ``ratfun.rr_closed`` (``ratfun._rr_prefactors`` times
+    ``ratfun._phi43``)."""
     for N, s, t, v, x, y in _stv_points(4, off_poles=True):
         yield ("prop33", f"closed_vs_inner[N={N},s={s},t={t},v={v},x={x},y={y}]",
                dict(N=N, s=s, t=t, v=v, x=x, y=y))
@@ -340,6 +352,20 @@ def _prop33(cfg, p):
 
 @suite("prop3.4", first_p=True)
 def _prop34(cfg, p):
+    """Proposition 3.4, the biorthogonality of the finite rational
+    functions, as the one-site chain's.  With R_v(x, y) the finite inner
+    product ``rr_inner`` at twist v and R' the one at the partner twist -v
+    - 2: relation "x" sums R_v(u, i) R'(u, j) against the x-side weight
+    W_s(u) over u = 0..N and equals delta_ij / W_t(i); relation "y" sums
+    over the second argument with s and t swapped.  Exact residual, the
+    sum minus the diagonal target, 0, over N <= 3, (s, t) in ((0, 0), (1,
+    2), (2, 1)), v in -2..1, both relations and 0 <= i, j <= N, at the
+    first p.  ``chk_rr_biorth`` runs ``multivar.multi_biorth_residual`` on
+    the chain (N,): the sum reads ``multivar._rr_pack`` at v and at the
+    partner (products of ``ratfun.rr_inner``, paired by
+    ``ratfun.biorth_overlap``) and ``multivar._kraw_W_pack``
+    (``orthopoly.kraw_W``), summed by ``scalar.ordered_sum``, and the
+    target is ``multivar.kraw_W_multi``."""
     for N, (s, t), v, relation in iproduct(
             range(4), ((0, 0), (1, 2), (2, 1)), (-2, -1, 0, 1), ("x", "y")):
         for i, j in iproduct(range(N + 1), repeat=2):
@@ -369,6 +395,18 @@ def _lemma35(cfg, p):
 
 @suite("cor3.6")
 def _cor36(cfg, p):
+    """Corollary 3.6, the generalized eigenvalue identity of the finite
+    rational functions, as the one-site chain's.  With R(x, y) the finite
+    inner product ``rr_inner``: [2x - N + s]_q sum_e A_e R(x, y + e)
+    equals [s]_q R(x, y) + sum_e B_e R(x, y + e), the brackets at the
+    chain's heights h_1 and h_0 (``multivar.heights``) and e in {-1, 0, 1}
+    with 0 <= y + e <= N.  Exact residual left - right, 0, over N <= 3,
+    the five (s, t, v) of ``_STV`` and 0 <= x, y <= N.  ``chk_rr_gevp``
+    runs ``multivar.multi_gevp_residual`` on the chain (N,): both sides
+    read ``multivar._rr_pack`` (products of ``ratfun.rr_inner``), the A/B
+    maps are ``multivar._shift_terms`` (``orthopoly.kraw_shift_coeff``),
+    the bracket symbols ``QBase.bracket``, and one
+    ``scalar.ordered_sum`` takes every term."""
     for N, s, t, v, x, y in _stv_points(3):
         yield ("rr_gevp", f"gevp[N={N},s={s},t={t},v={v},x={x},y={y}]",
                dict(N=N, s=s, t=t, v=v, x=x, y=y))
@@ -418,6 +456,20 @@ def _lemma39(cfg, p):
 
 @suite("cor3.10", first_p=True)
 def _cor310(cfg, p):
+    """Corollary 3.10, the generalized eigenvalue identity of the
+    multivariate finite rational functions.  With R(xs, ys) the product
+    over sites of ``rr_inner`` at the running heights: [h_M]_q sum_eps
+    A_eps R(xs, ys + eps) equals [h_(M-j)]_q R(xs, ys) + sum_eps B_eps
+    R(xs, ys + eps), the brackets at the heights of xs from s
+    (``multivar.heights``), over the shift vectors eps of
+    ``multivar.epsilon_set(M, j)`` with ys + eps in range.  Exact residual
+    left - right, 0, for Ns in [2, 2] and [1, 1, 1], j = 1..M, (s, t, v)
+    in ((1, 0, 1), (0, 1, 0)) and every xs and ys of the grid, at the
+    first p.  ``multivar.multi_gevp_residual`` is the check: both sides
+    read ``multivar._rr_pack`` (products of ``ratfun.rr_inner``), the A/B
+    maps are ``multivar._shift_terms`` (``orthopoly.kraw_shift_coeff``
+    products), the bracket symbols ``QBase.bracket``, and one
+    ``scalar.ordered_sum`` takes every term."""
     for sizes in ([2, 2], [1, 1, 1]):
         grid = list(iproduct(*[range(N + 1) for N in sizes]))
         for j, (s, t, v) in iproduct(range(1, len(sizes) + 1), ((1, 0, 1), (0, 1, 0))):
@@ -453,13 +505,14 @@ def _cor43(cfg, p):
     4phi3 in base q**2.  The residual is (closed - inner) / (1 + |inner|),
     for k in {1, 2}, (s, t, v) in ((0, 0, -1), (1, 1, 0), (1, 2, 1)) and
     0 <= x, y <= 3 off the closed form's poles (``ratfun.pr_valid``), at
-    the first p.  Certified: the n-sum (``qseries.certified_sum``) and the
-    Pochhammer ratio (``qseries.qpoch_inf_ratio``) are truncated under the
-    run's ``TailBound``, and a report passes when |residual| <= tol.
+    the first p.  Certified: the n-sum (``qseries.pair_sum`` under
+    ``certified_sum``'s stop rule) and the Pochhammer ratio
+    (``qseries.qpoch_inf_ratio``) are truncated under the run's
+    ``TailBound``, and a report passes when |residual| <= tol.
     ``chk_cor43`` computes the left side by ``ratfun.pr_inner`` (the
-    twist-free series columns ``orthopoly._series`` and the weight row
-    ``orthopoly.asc_w_column``) and the right side by
-    ``ratfun.pr_closed``."""
+    twist-free series columns ``orthopoly._series`` and the
+    power-times-weight row ``ratfun._coefficient_row``) and the right side
+    by ``ratfun.pr_closed``."""
     # pr_valid reads s, t and v only: no base is built for it
     for k, (s, t, v), x, y in iproduct((1, 2), ((0, 0, -1), (1, 1, 0), (1, 2, 1)),
                                         range(4), range(4)):
@@ -478,10 +531,11 @@ def _prop44(cfg, p):
     with s and t swapped.  The residual is the sum minus the diagonal
     target, divided by 1 + |1/W(i)| on the diagonal, for (k, s, t, v) in
     ((1, 0, 0, -1), (2, 1, 1, 0)), both relations and 0 <= i, j <= 2, at
-    the first p.  Certified: the outer u-sum and every inner n-sum
-    (``qseries.certified_sum``) and the weights' Pochhammer ratios are
-    truncated under the run's ``TailBound``, and a report passes when
-    |residual| <= tol.  ``chk_pr_biorth`` computes the sum by
+    the first p.  Certified: the outer u-sum (``qseries.certified_sum``),
+    every inner n-sum (``qseries.pair_sum``, the same stop rule) and the
+    weights' Pochhammer ratios are truncated under the run's
+    ``TailBound``, and a report passes when |residual| <= tol.
+    ``chk_pr_biorth`` computes the sum by
     ``ratfun.pr_biorth_residual`` (``ratfun.biorth_overlap`` over
     ``ratfun.pr_inner``, the weight ``orthopoly.asc_W``) and the target by
     ``orthopoly.asc_W``."""
@@ -522,8 +576,9 @@ def _prop45(cfg, p):
     with y + e >= 0.  Residual
     left - right for (k, s, t, v) in ((1, 0, 1, 0), (2, 1, 0, -1)) and 0
     <= x, y <= 3, at the first p.  Certified: every n-sum
-    (``qseries.certified_sum``) is truncated under the run's ``TailBound``,
-    and a report passes when |residual| <= tol.  ``chk_pr_gevp`` runs
+    (``qseries.pair_sum``, ``certified_sum``'s stop rule) is truncated
+    under the run's ``TailBound``, and a report passes when |residual| <=
+    tol.  ``chk_pr_gevp`` runs
     ``multivar.multi_gevp_residual_asc`` on the chain (k,): both sides read
     ``multivar._pr_pack`` (products of ``ratfun.pr_inner``), the C/D maps
     are ``multivar._shift_terms`` (``orthopoly.asc_shift_coeff``), and the
@@ -583,9 +638,9 @@ def _cor49(cfg, p):
     shift vectors eps of ``multivar.epsilon_set(2, j)`` with ys + eps >= 0.
     Residual left - right for j in {1, 2}, (s, t, v) in ((1, 0, 0), (0, 1,
     -1)) and xs, ys in {0, 1}**2, at the first p.  Certified: every n-sum
-    (``qseries.certified_sum``) is truncated under the run's ``TailBound``,
-    and a report passes when |residual| <= tol.
-    ``multivar.multi_gevp_residual_asc`` is the check: both sides read
+    (``qseries.pair_sum``, ``certified_sum``'s stop rule) is truncated
+    under the run's ``TailBound``, and a report passes when |residual| <=
+    tol.  ``multivar.multi_gevp_residual_asc`` is the check: both sides read
     ``multivar._pr_pack`` (products of ``ratfun.pr_inner``), the C/D maps
     are ``multivar._shift_terms`` (``orthopoly.asc_shift_coeff``
     products), and the brace symbols ``QBase.brace``."""

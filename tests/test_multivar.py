@@ -224,6 +224,75 @@ def test_multi_gevp_single_site_reduction():
             assert got == _univariate_rr_gevp(QB, 2, 1, 0, 1, x, y) == 0
 
 
+def _five_operation_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
+    # the generalized-eigenvalue residual as five operations: the symbol
+    # times the A (C) sum, less the symbol times R(xs, ys) plus the B (D)
+    # sum, the products read through rr_multi / pr_multi
+    M = len(sizes)
+    hx = heights(s, xs, sizes, su11)
+    termsA, termsB = multivar._shift_terms(qb, j, tuple(ys), t, v, tuple(sizes), su11)
+
+    def R(ysf):
+        if su11:
+            return pr_multi(qb, s, t, v, sizes, xs, ysf, tb)
+        return rr_multi(qb, s, t, v, sizes, xs, ysf)
+
+    sym = qb.brace if su11 else qb.bracket
+    lhs = sym(hx[M]) * ordered_sum(((c, R(ysf)) for ysf, c in termsA.items()), qb.zero())
+    rhs = sym(hx[M - j]) * R(ys)
+    rhs += ordered_sum(((c, R(ysf)) for ysf, c in termsB.items()), qb.zero())
+    return lhs - rhs
+
+
+def _gevp_points():
+    tb = TailBound(1e-12)
+    for sizes, su11, stvs in (((2, 2), False, ((1, 0, 1), (0, 1, -1))),
+                              ((1, 1, 1), False, ((0, 1, 0),)),
+                              ((1, 1), True, ((1, 0, 0), (0, 1, -1)))):
+        grid = list(iproduct(*[range(min(n, 1) + 1) for n in sizes]))
+        for (s, t, v), j, xs, ys in iproduct(stvs, range(1, len(sizes) + 1), grid, grid):
+            yield j, xs, ys, s, t, v, sizes, su11, tb
+
+
+def _one_sum_gevp_check(points):
+    for j, xs, ys, s, t, v, sizes, su11, tb in points:
+        qb = QBase(F(2, 3))
+        if su11:
+            got = multi_gevp_residual_asc(qb, j, xs, ys, s, t, v, sizes, tb)
+        else:
+            got = multi_gevp_residual(qb, j, xs, ys, s, t, v, sizes)
+        want = _five_operation_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb)
+        assert type(got) is type(want) is F and got == want, (j, xs, ys, s, t, v, sizes)
+        yield got
+
+
+def test_multi_gevp_is_the_five_operation_expression():
+    # the one ordered_sum with the symbols and signs as factors gives the
+    # rational and type of the five-operation expression
+    values = list(_one_sum_gevp_check(_gevp_points()))
+    assert len(values) > 60
+
+
+def test_multi_gevp_with_a_wrong_coefficient_is_the_five_operation_expression(monkeypatch):
+    # one coefficient of each shift map off by 1/3: both routes give the
+    # same nonzero residuals
+    shift_terms = multivar._shift_terms
+
+    def wrong_shift_terms(*args):
+        out = []
+        for terms in shift_terms(*args):
+            terms = dict(terms)
+            for first in terms:  # a map can be empty
+                terms[first] += F(1, 3)
+                break
+            out.append(terms)
+        return tuple(out)
+
+    monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
+    values = list(_one_sum_gevp_check(_gevp_points()))
+    assert sum(1 for r in values if r != 0) > len(values) // 2
+
+
 def test_nested_eigen_left_and_right():
     for (sizes, v, base) in (((2, 2), 0, 1), ((1, 1, 1), 1, 0)):
         M = len(sizes)

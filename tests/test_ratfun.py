@@ -1,8 +1,12 @@
 """Rational overlap functions: closed forms, biorthogonality, recurrences."""
 
 from fractions import Fraction as F
+from itertools import islice
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qracah import (
     ASCParams,
@@ -22,11 +26,18 @@ from qracah import (
     rr_inner,
     rr_valid,
 )
-from qracah import multivar
+from qracah import multivar, ratfun
 from qracah.errors import DenominatorPole, NonConvergent, OutOfRange
-from qracah.orthopoly import _series, asc_column, asc_w_column, kraw_column, kraw_w
+from qracah.orthopoly import (
+    _series,
+    asc_column,
+    asc_w_column,
+    kraw_column,
+    kraw_w,
+    kraw_w_column,
+)
 from qracah.qseries import certified_sum, qpoch, qpoch_inf_ratio
-from qracah.ratfun import _phi43, _pole_index
+from qracah.ratfun import _inner_terms, _phi43, _pole_index
 from qracah.scalar import as_exponent, ordered_sum
 from qracah.tables import table_sizes
 from qracah.verify import _STV
@@ -418,6 +429,99 @@ def test_exact_pr_inner_takes_half_integer_k():
             inner = pr_inner(pp, x, y)
             assert type(inner) is F, (p, x, y)
             assert abs(pr_closed(pp, x, y) - inner) / (1 + abs(inner)) <= 1e-9, (p, x, y)
+
+
+class _ChecksPassed(Exception):
+    """Raised in place of the exact sum once a function's checks pass."""
+
+
+def _counted(items, read):
+    for item in items:
+        read[0] += 1
+        yield item
+
+
+def _outcome(call, read):
+    # (type, value, terms read), or (exception type, message, terms read)
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc), str(exc), read[0]
+    return type(value), value, read[0]
+
+
+def _inner_outcomes(fn, params, x, y):
+    """The outcome of the exact ``fn.__wrapped__(params, x, y)``, and of its
+    reference: the same entry checks, then the terms of ``_inner_terms``
+    folded through ``ordered_sum`` (rr_inner, its first N + 1 terms) or
+    ``certified_sum`` (pr_inner), each with the terms it read."""
+    pairs, read = ratfun._inner_pairs, [0]
+    with mock.patch.object(ratfun, "_inner_pairs",
+                           lambda *args: _counted(pairs(*args), read)):
+        got = _outcome(lambda: fn.__wrapped__(params, x, y), read)
+
+    def reference():
+        def checked(*args):
+            raise _ChecksPassed
+
+        with mock.patch.object(ratfun, "_inner_pairs", checked):
+            try:
+                return fn.__wrapped__(params, x, y)
+            except _ChecksPassed:
+                pass
+        qb = params.qb
+        s, t, v = as_exponent(params.s), as_exponent(params.t), as_exponent(params.v)
+        if fn is rr_inner:
+            terms = _inner_terms(qb, False, params.N, s, t, v, x, y, kraw_w_column(qb, params.N))
+            return ordered_sum(islice(_counted(terms, want_read), params.N + 1))
+        k = as_exponent(params.k)
+        terms = _inner_terms(qb, True, -k, s, t, v, x, y, asc_w_column(qb, params.k))
+        return certified_sum(_counted(terms, want_read), params.tb)
+
+    want_read = [0]
+    return got, _outcome(reference, want_read)
+
+
+# half-integers mostly, and quarters, whose powers are not exact
+_QUARTERS = st.builds(F, st.integers(-6, 6), st.sampled_from([2, 2, 2, 4]))
+# p = 1e-200 is in the examples only: its terms run past the float range,
+# and its series entries grow so fast that a sum at x = y = 4 takes seconds
+_P_INNER = st.sampled_from([F(1, 2), F(2, 3), F(3, 4)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=_P_INNER, N=st.integers(0, 8), stv=st.tuples(_QUARTERS, _QUARTERS, _QUARTERS),
+       x=st.integers(-1, 9), y=st.integers(0, 8))
+@example(p=F(1, 10**200), N=6, stv=(1, 2, 1), x=3, y=5)
+@example(p=F(1, 10**200), N=8, stv=(2, -2, F(1, 2)), x=8, y=2)
+@example(p=F(1, 2), N=3, stv=(F(1, 4), 0, 0), x=1, y=1)  # q**(n/4) at n = 1
+def test_exact_rr_inner_is_the_inner_terms_fold(p, N, stv, x, y):
+    # the pair route gives the ordered_sum fold's value and type, reads as
+    # many terms, and raises its error, message included
+    got, want = _inner_outcomes(rr_inner, RrParams(*stv, N, QBase(p)), x, y)
+    assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=_P_INNER, k=st.sampled_from([F(1, 2), 1, F(3, 2), 2, F(1, 3)]),
+       stv=st.tuples(_QUARTERS, _QUARTERS, _QUARTERS),
+       tb=st.sampled_from([TailBound(), TailBound(1e-15), TailBound(max_terms=4),
+                           TailBound(1e-30, max_terms=9)]),
+       x=st.integers(-1, 6), y=st.integers(0, 6))
+@example(p=F(1, 10**200), k=1, stv=(1, 1, 0), tb=TailBound(), x=2, y=2)
+@example(p=F(1, 10**200), k=F(1, 2), stv=(0, 0, -1), tb=TailBound(), x=2, y=1)
+@example(p=F(3, 4), k=F(1, 2), stv=(0, F(1, 2), F(1, 2)), tb=TailBound(), x=2, y=1)
+@example(p=F(2, 3), k=1, stv=(0, 1, 2), tb=TailBound(), x=1, y=1)  # v = 1 + s + t
+@example(p=F(1, 2), k=1, stv=(1, 1, 0), tb=TailBound(max_terms=4), x=2, y=2)
+@example(p=F(2, 3), k=F(1, 3), stv=(F(2, 3), 0, 0), tb=TailBound(), x=1, y=0)
+@example(p=F(2, 3), k=F(1, 4), stv=(F(1, 4), 0, 0), tb=TailBound(), x=1, y=2)
+def test_exact_pr_inner_is_the_inner_terms_fold(p, k, stv, tb, x, y):
+    # as for rr_inner, against the certified_sum fold: terms past the float
+    # range (p = 1e-200), a small max_terms (NonConvergent), half-integer k,
+    # a divergent v and k whose powers are not exact: at k = 1/3 the series
+    # raise at entry 0, at k = 1/4 only the weight does, at entry 1
+    got, want = _inner_outcomes(pr_inner, PrParams(*stv, k, QBase(p), tb), x, y)
+    assert got == want
 
 
 @pytest.mark.parametrize("k", [0, -1])

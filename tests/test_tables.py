@@ -129,6 +129,10 @@ def _calls(qb):
             calls.append((ratfun.rr_closed, (rp, x, y), {}))
     for x, y in ((0, 0), (1, 1), (2, 0)):
         calls.append((pr_inner, (pp, x, y), {}))
+    # the power-times-weight rows of the exact inner products
+    if qb.is_exact:
+        for su11, size, e in ((False, 2, h - 1), (True, -one, 2 + one)):
+            calls.append((ratfun._coefficient_row, (qb, su11, size, e), {}))
     # the chain tables of multivar on a finite and a truncated infinite chain
     for sizes, su11, trunc, elements in (((2, 1), False, None, ("k2", "x", "xtilde")),
                                          ((one, one), True, 2, ("k2", "y", "ytilde"))):
@@ -400,6 +404,22 @@ def test_a_row_entry_that_raises_is_not_stored():
     assert row.row == [0, 1]
     failing.clear()
     assert row[4] == 16 and row.row == [0, 1, 4, 9, 16]
+
+
+def test_a_row_refuses_a_negative_index():
+    # a row has no end to count back from: entry -1 is refused by name, also
+    # once the last entry is stored, and the row is left as it was
+    row = orthopoly.kraw_w_column(QBase(F(1, 2)), 4)
+    assert row[4] == 1
+    stored = list(row.row)
+    for m in (-1, -5, -6):
+        with pytest.raises(OutOfRange, match=f"^row index {m} is negative$"):
+            row[m]
+    assert row.row == stored
+    fresh = _Row(lambda m: m * m)
+    with pytest.raises(OutOfRange, match="-1"):
+        fresh[-1]
+    assert fresh.row == [] and fresh[2] == 4
 
 
 def test_multivariate_sequences_key_one_entry_as_list_or_tuple():

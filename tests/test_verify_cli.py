@@ -842,6 +842,27 @@ def test_cli_table_csv_deterministic(tmp_path):
     assert lines[1].startswith("0,0,")
 
 
+@pytest.mark.parametrize("fn, size", [("rr_inner", "N"), ("rr_closed", "N"),
+                                      ("pr_inner", "k"), ("pr_closed", "k")])
+def test_cli_table_reads_its_parameters_once(monkeypatch, capsys, fn, size):
+    # a table parses --s, --t, --v and --N or --k once, not once per cell,
+    # and each cell prints the value eval prints at that point
+    read = []
+    num = cli._num
+    monkeypatch.setattr(cli, "_num", lambda args, name, *rest: read.append(name) or num(
+        args, name, *rest))
+    params = ["--p", "2/3", f"--{size}", "2", "--s", "1", "--t", "1", "--v", "0"]
+    assert cli.main(["table", "--fn", fn, *params, "--grid", "x=0:2,y=0:2",
+                     "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sorted(read) == sorted("stv" + ("k" if size == "k" else ""))
+    assert len(rows) == 9
+    for row in rows:
+        x, y, value = row.split(",")
+        assert cli.main(["eval", "--fn", fn, *params, "--x", x, "--y", y]) == 0
+        assert capsys.readouterr().out.strip() == value, row
+
+
 def test_cli_table_json(tmp_path):
     out = _cli("table", "--fn", "weights", "--p", "1/2", "--N", "2", "--s", "0",
                "--grid", "n=0:2,x=0:2", "--format", "json")
