@@ -297,7 +297,7 @@ def _transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc):
              for ysf, c in (termsA if sigma is None else termsB).items()]
     if lam is not None:
         terms.append((lam, vec))
-    return scaled_residual(op, vec, terms, rows, qb.zero())
+    return scaled_residual(op, vec, terms, rows)
 
 
 def _interior_rows(qb, sizes, su11, trunc) -> list:
@@ -531,4 +531,4 @@ def nested_eigen_residual(qb: QBase, side: str, j: int, v, base,
         lam = symbol(h[M])
     else:
         raise OutOfRange(f"side must be 'L' or 'R', got {side!r}")
-    return scaled_residual(op, vec, [(lam, vec)], rows, qb.zero())
+    return scaled_residual(op, vec, [(lam, vec)], rows)

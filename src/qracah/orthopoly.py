@@ -49,9 +49,10 @@ over n fetches each row once and reads it by index.
   ``qseries._Phi32Column`` (n-free term ratios computed once per column,
   one Horner pass per entry), in the floating backends one ``rphis`` per
   entry, ``_series_entry``.  An exact series entry is the unreduced
-  Horner pair (``scalar.Unreduced``): ``_column_entry`` builds one
-  Fraction from the prefactor's pair times it, and the inner products
-  multiply it unreduced into their terms.  For int s, u and size the
+  Horner pair, a tuple (numerator, positive denominator):
+  ``_column_entry`` builds one Fraction from the prefactor's pair times
+  it, and the exact inner products multiply it unreduced into the integer
+  pairs of their terms.  For int s, u and size the
   prefactor exponent is n(2s-2u-size+1)/2 on ints, the same power as the
   general expression.
 * The n-side weights of both families are one row body, ``_w_column(qb,
@@ -291,8 +292,9 @@ def _column_entry(qb: QBase, su11: bool, size, u, s, series: _Row, n: int):
         pref = (-1) ** n * pref
     entry = series[n]
     if qb.is_exact:
-        # the series entry is an Unreduced pair: one Fraction for the product
-        return Fraction(pref.numerator * entry.numerator, pref.denominator * entry.denominator)
+        # the series entry is an integer pair: one Fraction for the product
+        num, den = entry
+        return Fraction(pref.numerator * num, pref.denominator * den)
     return pref * entry
 
 

@@ -46,12 +46,13 @@ which reads two counters, the trailing terms below the floor and the
 trailing ratios at most the cap, so each term costs O(1) however long the
 sum runs.  The exact inner products (``ratfun.rr_inner``/``pr_inner``)
 pass it their terms' pairs directly.  :func:`certified_sum` takes each
-term as a tuple of factors: while every factor is int, Fraction or
-:class:`~qracah.scalar.Unreduced`, a term is the unreduced pair of its
-factors' numerator and denominator products and goes through the same
-loop, so it stops at the term Fraction arithmetic would stop at and
-returns the same rational.  Floating factors are multiplied left to right
-and summed in order, and the loop reads their magnitudes.
+term as a tuple of factors and sums exact terms or floating ones, never
+both: an exact first term makes each term the integer pair of its
+factors' numerator and denominator products, summed by the same loop, so
+it stops at the term Fraction arithmetic would stop at and returns the
+same rational; a floating first term makes every term the left-to-right
+product of its factors, summed in order, and the loop reads their
+magnitudes.
 
 :func:`qpoch` multiplies int or Fraction inputs the same way: each factor
 1 - a*base**i is an integer pair, the pairs multiply unreduced, and one
@@ -71,14 +72,14 @@ reduced integer pairs computed once per column, the pairs 1 - Q**m are
 read from one row per Q (``_one_minus_row``), and entry n is one Horner
 pass on one unreduced integer pair, or, past the first 16 entries, the
 same pair from the column's polynomial in Q**n stepped from the entry
-before.  It is kept as
-that pair (``scalar.Unreduced``), whose value is the rational ``rphis``
-gives, with its errors raised from the same entry read.  The pair is not
-reduced: its gcd removes a small share of its bits, and every reader
-multiplies the entry into a term that its sum reduces once anyway
-(``pair_sum``, ``certified_sum``, ``ordered_sum``; a polynomial column
-builds one Fraction from its prefactor and the pair).  The float and
-complex backends evaluate each entry by its own ``rphis``
+before.  It is kept as that tuple (numerator, positive denominator),
+whose value is the rational ``rphis`` gives, with its errors raised from
+the same entry read.  The pair is not reduced: its gcd removes a small
+share of its bits, and both readers multiply it into a value that is
+reduced once anyway (a polynomial column entry builds one Fraction from
+its prefactor and the pair, ``orthopoly._column_entry``, and an exact
+inner product's term goes to ``pair_sum``, ``ratfun._inner_pairs``).
+The float and complex backends evaluate each entry by its own ``rphis``
 (``orthopoly._series_entry``), so their bits are those of the series
 loop.
 
@@ -97,8 +98,8 @@ from itertools import chain, count, islice
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import DenominatorPole, NonConvergent, OutOfRange
-from .scalar import QBase, Unreduced, add_pair, ordered_sum, product
+from .errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
+from .scalar import QBase, _add_terms, add_pair, ordered_sum, product
 from .tables import _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
@@ -528,8 +529,8 @@ class _Phi32Column:
     at the first such entry, they give Horner's very integer pair, so a
     reader cannot tell the two routes apart.
 
-    Entry n is an ``Unreduced`` pair with a positive denominator, whose
-    value is the Fraction ``rphis`` gives for the series at n with
+    Entry n is a tuple (numerator, positive denominator) whose value is
+    the Fraction ``rphis`` gives for the series at n with
     ``terminate_after=min(n, x) + 1`` and at most ``limit`` terms, and it
     raises what that call raises.  No entry is reduced: the sums that read
     the column multiply the pair unreduced and reduce once, and a column of
@@ -564,14 +565,14 @@ class _Phi32Column:
             # denominator times qd**x; a row reads its entries in order
             terms, mults = self.power
             terms[:] = map(mul, terms, mults)
-            return Unreduced(sum(terms[:-1]), terms[-1])
+            return sum(terms[:-1]), terms[-1]
         if n == 0:
             # the parameters are made here, so an invalid one raises from
             # the entry read, as the per-entry PhiSpec does
             self.x, self.c, self.b, self.q = self.params()
             self.params = None
             self.ones = _one_minus_row(self.q)
-            return Unreduced(1, 1)
+            return 1, 1
         x, limit = self.x, self.limit
         # rphis stops at term min(n, x) + 1, or at the zero of 1 - Q**(n-i)
         # when x < 0, or at a zero of 1 - C/Q**i; within ``limit`` terms.
@@ -603,7 +604,7 @@ class _Phi32Column:
             d = rd * ad * den
             num, den = d + rn * an * num, d
         # r_i's denominator carries Q - 1/Q**i, negative for Q < 1
-        return Unreduced(num, den) if den > 0 else Unreduced(-num, -den)
+        return (num, den) if den > 0 else (-num, -den)
 
     def _start_power(self, n: int):
         # P(Z) = 1 + r_0 (1 - Z) (1 + r_1 (1 - Z/Q) (1 + ...)) as integer
@@ -630,7 +631,7 @@ class _Phi32Column:
         mults = [qn**a * qd**(x - a) for a in range(x + 1)] + [qd**x]
         terms = [c * m**n // f for c, m in zip([*coeffs, den], mults)]
         self.power = terms, mults
-        return Unreduced(sum(terms[:-1]), terms[-1])
+        return sum(terms[:-1]), terms[-1]
 
     def _grow(self, reach: int):
         ratios = self.ratios
@@ -680,34 +681,18 @@ def pair_sum(pairs, tb: Optional[TailBound] = None):
     ``tb.max_terms``.  A pair is read only once the term before it has
     been added and tested, so no term past the stopping term is read.
     """
+    num, den, n = 0, 1, -1
     if tb is None:
-        num, den, n = 0, 1, -1
         for n, (tn, td) in enumerate(pairs):
             num, den = add_pair(num, den, tn, td)
-    else:
-        state = [0, 1, -1, 0, 0, None, None]
-        _sum_pairs(pairs, tb, state)
-        num, den, n = state[:3]
-    return Fraction(num, den) if n >= 0 else 0
-
-
-def _sum_pairs(pairs, tb: TailBound, state) -> bool:
-    """Add the pairs (numerator, positive denominator) to the running pair
-    of ``state`` under the stop rule, and say whether the rule stopped the
-    sum.
-
-    ``state`` is [num, den, n, below, capped, last, huge]: the running
-    pair, the index of the last term read, the trailing terms below the
-    floor, the trailing ratios at most the cap, the last term's magnitude
-    and the last pair whose magnitude was inf.  It is read on entry and
-    written back on return, so a sum can go on in a later call.
-    """
-    num, den, n, below, capped, last, huge = state
+        return Fraction(num, den) if n >= 0 else 0
     floor = tb.tolerance * (1 - RATIO_CAP)
     cap = RATIO_CAP
-    stopped = False
-    for tn, td in pairs:
-        n += 1
+    # the trailing terms below the floor, the trailing ratios at most the
+    # cap, the last term's magnitude and the last pair beyond the float range
+    below = capped = 0
+    last = huge = None
+    for n, (tn, td) in enumerate(pairs):
         try:
             # int true division is correctly rounded: the float of tn/td
             mag = abs(tn) / td
@@ -719,61 +704,58 @@ def _sum_pairs(pairs, tb: TailBound, state) -> bool:
             if last < _INF:
                 over = last > 0 and mag / last > cap
             else:
-                # the previous term is beyond the float range:
-                # |t_n| / |t_(n-1)| > cap on integer pairs
-                cn, cd = cap.as_integer_ratio()
-                over = abs(tn) * huge[1] * cd > cn * abs(huge[0]) * td
+                over = _above_cap(tn, td, *huge, cap)
             capped = 0 if over else capped + 1
         if mag == _INF:
             huge = tn, td
         last = mag
         if n + 1 >= 6 and below >= 3 and capped >= 3:
-            stopped = True
             break
         if n + 1 >= tb.max_terms:
             raise NonConvergent(
                 f"series tail not certified below {tb.tolerance} within {tb.max_terms} terms"
             )
-    state[:] = num, den, n, below, capped, last, huge
-    return stopped
+    return Fraction(num, den) if n >= 0 else 0
 
 
-def _exact_pairs(terms, pending: list):
-    # the terms as integer pairs while every factor is int, Fraction or
-    # Unreduced; the factors of the first other term go to ``pending``, and
-    # the pairs end there.  Exact types are tested first: isinstance(f,
-    # Fraction) on any other type runs the slow ABC check
-    for term in terms:
-        factors = term if isinstance(term, tuple) else (term,)
-        tn = td = 1
-        for f in factors:
-            if type(f) is Fraction or type(f) is Unreduced:
-                tn *= f.numerator
-                td *= f.denominator
-            elif isinstance(f, int):
-                tn *= f
-            elif isinstance(f, Fraction):
-                tn *= f.numerator
-                td *= f.denominator
-            else:
-                pending.append(factors)
-                return
-        yield tn, td
+def _above_cap(tn: int, td: int, hn: int, hd: int, cap: float) -> bool:
+    """|tn/td| / |hn/hd| > cap (positive td and hd, nonzero hn), that is
+    |tn| hd cd > cn |hn| td with cap = cn/cd.  A product of positive ints
+    of a and b bits has a + b - 1 or a + b bits, so the bit lengths decide
+    unless their sums on the two sides are at most 2 apart; only then are
+    the products, near q = 0 of hundreds of thousands of bits, formed."""
+    if not tn:
+        return False
+    cn, cd = cap.as_integer_ratio()
+    left = abs(tn).bit_length() + hd.bit_length() + cd.bit_length()
+    right = cn.bit_length() + abs(hn).bit_length() + td.bit_length()
+    if abs(left - right) > 2:
+        return left > right
+    return abs(tn) * hd * cd > cn * abs(hn) * td
+
+
+def _term_pair(term):
+    # an exact term as the integer pair of its factors' products, read
+    # through the sum loop of scalar
+    tn, td, _, pending = _add_terms((term,), 0, 1)
+    if pending is not None:
+        raise ExactnessError(f"a certified sum of exact terms got the term {pending!r}")
+    return tn, td
 
 
 def certified_sum(terms, tb: TailBound):
     """Sum an infinite series under the TailBound certificate.
 
     ``terms`` is an iterable of terms with eventually geometric decay, each
-    a tuple of factors (a bare scalar is a one-factor term).  While every
-    factor is int, Fraction or ``scalar.Unreduced``, each term is the
-    integer pair of its factors' numerator and denominator products, and
-    the pairs are summed by :func:`pair_sum`'s loop: the result is a
-    Fraction, the rational and the stopping term of Fraction arithmetic on
-    the reduced factors (see the module docstring).  From the first other
-    term on, each term multiplies its factors left to right and is added
-    as a scalar to the exact sum so far, and the same loop reads the
-    term's magnitude as the integer pair of its float.
+    a tuple of factors (a bare scalar is a one-factor term).  The first
+    term decides the arithmetic.  If its factors are int or Fraction, each
+    term is the integer pair of its factors' numerator and denominator
+    products, and the pairs are summed by :func:`pair_sum`'s loop: the
+    result is a Fraction, the rational and the stopping term of Fraction
+    arithmetic (see the module docstring), and a later term with another
+    factor raises ExactnessError.  Otherwise each term multiplies its
+    factors left to right and is added to the sum in order, and the same
+    loop reads the term's magnitude as the integer pair of its float.
 
     Summation stops after term n once n + 1 >= 6, the last three term
     magnitudes are below tolerance*(1-RATIO_CAP) and each of the last three
@@ -793,37 +775,27 @@ def certified_sum(terms, tb: TailBound):
     NaN).
     """
     terms = iter(terms)
-    state = [0, 1, -1, 0, 0, None, None]
-    pending = []
-    if _sum_pairs(_exact_pairs(terms, pending), tb, state) or not pending:
-        num, den, n = state[:3]
-        return Fraction(num, den) if n >= 0 else 0
-    # from here the running pair sums magnitudes, which nothing reads
-    prefix, state[:2] = state[:2], (0, 1)
+    first = next(terms, None)
+    if first is None:
+        return 0
+    terms = chain((first,), terms)
+    if _add_terms((first,), 0, 1)[3] is None:
+        return pair_sum(map(_term_pair, terms), tb)
     total = None
 
     def magnitudes():
-        # each scalar term joins the sum, and the stop rule reads its
-        # magnitude as the exact pair of its float
+        # each term joins the sum, and the stop rule reads its magnitude as
+        # the exact pair of its float
         nonlocal total
-        n = state[2]
-        for term in chain(pending, terms):
-            n += 1
+        for n, term in enumerate(terms):
             t = product(term if isinstance(term, tuple) else (term,))
-            if total is None:
-                try:
-                    total = t if n == 0 else Fraction(*prefix) + t
-                except OverflowError:
-                    raise NonConvergent(f"the exact terms before term {n} exceed "
-                                        "the floating-point range") from None
-            else:
-                total = total + t
+            total = t if total is None else total + t
             mag = _magnitude(t)
             if not math.isfinite(mag):
                 raise NonConvergent(f"term {n} exceeds the floating-point range")
             yield mag.as_integer_ratio()
 
-    _sum_pairs(magnitudes(), tb, state)
+    pair_sum(magnitudes(), tb)
     return total
 
 

@@ -142,10 +142,10 @@ def _inner_pairs(qb: QBase, su11: bool, size, s, t, v, x: int, y: int):
     cs, ls, rs = coef.row, left.row, right.row
     for n in count():
         try:
-            (cn, cd), ln, rn = cs[n], ls[n], rs[n]
+            (cn, cd), (ln, ld), (rn, rd) = cs[n], ls[n], rs[n]
         except IndexError:
-            (cn, cd), ln, rn = coef[n], left[n], right[n]
-        yield cn * ln.numerator * rn.numerator, cd * ln.denominator * rn.denominator
+            (cn, cd), (ln, ld), (rn, rd) = coef[n], left[n], right[n]
+        yield cn * ln * rn, cd * ld * rd
 
 
 @tabled

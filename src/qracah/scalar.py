@@ -36,13 +36,6 @@ that is not int or Fraction on, terms are multiplied and added left to
 right: the float residuals do not depend on whether the interpreter's
 ``sum`` compensates rounding (it does from Python 3.12 on).
 
-A factor may also be an :class:`Unreduced` pair, an exact rational whose
-numerator and denominator were never divided by their gcd (a 3phi2 column
-entry, say).  The exact kernels read its two integers as they read a
-Fraction's, and the term counts as rational, so a sum over such factors is
-the Fraction the reduced factors give: reducing each factor first would be
-a gcd the sum's own reduction makes again.
-
 :func:`residual_sum` is the total absolute residual of a check, the sum
 over rows of |sum(plus) - sum(minus)|, each side a list of factor tuples
 (an operator row applied to a vector, say, against the other side of the
@@ -65,7 +58,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
@@ -81,19 +73,6 @@ MODES = ("exact", "float", "complex")
 # p = 3/4, 9/10 and 1e-200 and the CI's long pr_inner evals take at most
 # about 73,000 bits, a fourteenth of the bound.
 MAX_POWER_BITS = 1 << 20
-
-
-@dataclass(frozen=True, slots=True)
-class Unreduced:
-    """The rational numerator/denominator as an integer pair that is not
-    reduced; the denominator is positive, as a Fraction's is.  It has no
-    arithmetic: :func:`ordered_sum`, :func:`residual_sum` and
-    ``qseries.certified_sum`` take it as a factor, and :func:`product`
-    multiplies it as its Fraction.  Not a tuple: a tuple term is a factor
-    tuple to those sums."""
-
-    numerator: int
-    denominator: int
 
 
 def as_exponent(x):
@@ -122,11 +101,10 @@ def ordered_sum(values, start=0):
     """start + v0 + v1 + ..., where a tuple value is the product of its
     factors, multiplied and added left to right.
 
-    While ``start`` and every factor are int, Fraction or Unreduced, the
-    terms are summed on one unreduced integer pair (see the module
-    docstring) and the result is one Fraction, or an int if no Fraction or
-    Unreduced entered: the value and the type of the ``*``/``+`` fold of
-    the reduced factors.  At the first other factor the exact
+    While ``start`` and every factor are int or Fraction, the terms are
+    summed on one unreduced integer pair (see the module docstring) and the
+    result is one Fraction, or an int if no Fraction entered: the value and
+    the type of the ``*``/``+`` fold.  At the first other factor the exact
     prefix becomes that fold's value, and the rest is the fold itself, so
     float and complex results keep their operation order and bits.  Plain
     ``+`` is what ``sum`` computes up to Python 3.11; from 3.12 on ``sum``
@@ -144,37 +122,32 @@ def ordered_sum(values, start=0):
             return out
         out = out + product(pending)
     for value in values:
-        out = out + (product(value) if isinstance(value, tuple) else _reduced(value))
+        out = out + (product(value) if isinstance(value, tuple) else value)
     return out
 
 
-def residual_sum(rows, zero):
-    """The sum over rows of |sum(plus) - sum(minus)|, from ``zero``: each row
-    is a pair (plus, minus) of term sequences in :func:`ordered_sum`'s form.
+def residual_sum(rows):
+    """The sum over rows of |sum(plus) - sum(minus)| as one Fraction: each
+    row is a pair (plus, minus) of term sequences in :func:`ordered_sum`'s
+    form.
 
-    Every caller is a check, so ``zero`` and every factor must be int,
-    Fraction or Unreduced (ExactnessError otherwise).  The value and type
-    are those of ``ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus,
-    zero)) for plus, minus in rows), zero)``: each row is one unreduced
-    integer pair (the minus terms negated), and its magnitude is added to
-    one outer pair by :func:`add_pair`, so a call builds one Fraction.
+    Every caller is a check, so every factor must be int or Fraction
+    (ExactnessError otherwise).  The value is that of
+    ``ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus)) for plus,
+    minus in rows), Fraction(0))``: each row is one unreduced integer pair
+    (the minus terms negated), and its magnitude is added to one outer
+    pair by :func:`add_pair`, so a call builds one Fraction.
     """
-    if not _is_exact(zero):
-        raise ExactnessError(f"a residual sums exact scalars, got zero = {zero!r}")
-    zn, zd = zero.numerator, zero.denominator
-    num, den = zn, zd
-    ratio = not isinstance(zero, int)
+    num, den = 0, 1
     for plus, minus in rows:
-        # sum(plus) - (zero + sum(minus)): the minus side starts at zero
-        rn, rd, plus_ratio, pending = _add_terms(plus, -zn, zd)
+        rn, rd, _, pending = _add_terms(plus, 0, 1)
         if pending is None:
-            rn, rd, minus_ratio, pending = _add_terms(minus, rn, rd, True)
+            rn, rd, _, pending = _add_terms(minus, rn, rd, True)
         if pending is not None:
             raise ExactnessError(f"a residual sums exact scalars, got the term {pending!r}")
-        ratio = ratio or plus_ratio or minus_ratio
         if rn:
             num, den = add_pair(num, den, abs(rn), rd)
-    return Fraction(num, den) if ratio else num
+    return Fraction(num, den)
 
 
 def scaled(values):
@@ -198,7 +171,7 @@ def scaled_rows(rows):
     return E, tuple((tuple(row), tuple(islice(entries, len(row)))) for row in rows)
 
 
-def scaled_residual(op, vec, terms, rows, zero):
+def scaled_residual(op, vec, terms, rows):
     """The sum over the row indices ``rows`` of |(A vec)[i] - sum_e c_e
     vec_e[i]|, on one common denominator.
 
@@ -212,23 +185,15 @@ def scaled_residual(op, vec, terms, rows, zero):
     integer lhs·(G / (E·D)) - sum_e M_e·nums_e[i]·(G / L), lhs the dot
     product of row i of A with vec's numerators.
 
-    ``zero`` is the backend's exact zero (0 or Fraction(0)).  The value is
-    :func:`residual_sum`'s over the same rows read as rationals.  The
-    result is the int sum when ``zero`` and every c_e are ints and E and
-    every D are 1, as all-int inputs give, and the Fraction of the sum over
-    G otherwise: residual_sum's type whenever ``zero`` is a Fraction, as a
-    check's is, or the inputs are all ints.
+    The result is :func:`residual_sum`'s over the same rows read as
+    rationals, the one Fraction of the sum over G.
     """
-    if not _is_exact(zero) or zero:
-        raise ExactnessError(f"a residual sums from an exact zero, got zero = {zero!r}")
     E, op_rows = op
     D, nums = vec
-    ratio = type(zero) is not int or E != 1 or D != 1
     kappas = []
     for c, (De, we) in terms:
         if not _is_exact(c):
             raise ExactnessError(f"a residual sums exact scalars, got the coefficient {c!r}")
-        ratio = ratio or De != 1 or type(c) is not int
         kappas.append((Fraction(c.numerator, c.denominator * De), we))
     L = math.lcm(*(k.denominator for k, _ in kappas))
     G = math.lcm(E * D, L)
@@ -242,7 +207,7 @@ def scaled_residual(op, vec, terms, rows, zero):
         for m, we in mults:
             r -= m * we[i]
         total += abs(r)
-    return Fraction(total, G) if ratio else total
+    return Fraction(total, G)
 
 
 def _is_exact(x) -> bool:
@@ -255,10 +220,9 @@ def _add_terms(terms, num, den, negate=False):
     """Add the terms (negated with ``negate``) to the pair num/den.
 
     Returns (num, den, ratio, pending): the pair after the last term whose
-    factors are all int, Fraction or Unreduced, whether a Fraction or
-    Unreduced factor entered those terms, and the factor tuple of the first
-    term with another factor (``None`` if there is none).  An iterator is
-    left just past that term.
+    factors are all int or Fraction, whether a Fraction entered those
+    terms, and the factor tuple of the first term with another factor
+    (``None`` if there is none).  An iterator is left just past that term.
     """
     ratio = False
     for value in terms:
@@ -266,7 +230,7 @@ def _add_terms(terms, num, den, negate=False):
         tn = td = 1
         term_ratio = False
         for f in factors:
-            if type(f) is Fraction or type(f) is Unreduced:
+            if type(f) is Fraction:
                 tn *= f.numerator
                 td *= f.denominator
                 term_ratio = True
@@ -304,16 +268,11 @@ def add_pair(num, den, tn, td):
 
 
 def product(factors):
-    """f0 * f1 * ..., multiplied left to right; an Unreduced factor is
-    multiplied as its Fraction."""
-    out = _reduced(factors[0])
+    """f0 * f1 * ..., multiplied left to right."""
+    out = factors[0]
     for f in factors[1:]:
-        out = out * _reduced(f)
+        out = out * f
     return out
-
-
-def _reduced(f):
-    return Fraction(f.numerator, f.denominator) if type(f) is Unreduced else f
 
 
 _MISSING = object()

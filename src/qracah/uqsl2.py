@@ -275,7 +275,7 @@ def _residual(rs: RepSpec, terms, rows: Optional[int]):
     """The sum over entries (i, j) of |sum_t c_t (A_t B_t)[i, j]|, i below
     ``rows`` (all rows if None), from the factor tuples of each entry."""
     acc_rows = weighted_products(terms, rs.dim if rows is None else rows)
-    return residual_sum(((ts, ()) for acc in acc_rows for ts in acc.values()), rs.qb.zero())
+    return residual_sum((ts, ()) for acc in acc_rows for ts in acc.values())
 
 
 def relation_residuals(rs: RepSpec, rows: Optional[int] = None) -> dict:
@@ -312,7 +312,7 @@ def star_residual(rs: RepSpec):
             for n, b in row.items():
                 out[n].setdefault(m, []).append((-c, w[m], b))
         entries.extend(ts for acc in out for ts in acc.values())
-    return residual_sum(((ts, ()) for ts in entries), rs.qb.zero())
+    return residual_sum((ts, ()) for ts in entries)
 
 
 def twist_rewrite_residual(rs: RepSpec, u, v, s, t, rows: Optional[int] = None):

@@ -182,7 +182,7 @@ def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
                 elif c != 0:
                     raise QRacahError("nonzero coefficient at out-of-range shift")
             rows.append(([(qb.qpow(2 * n + diag), col_t[n])], rhs))
-    return residual_sum(rows, qb.zero())
+    return residual_sum(rows)
 
 
 def chk_asc_transfer(qb, k, s, t, v, y, trunc):
@@ -308,16 +308,52 @@ def _lemma21(cfg, p):
 
 @suite("relations")
 def _relations(cfg, p):
+    """The defining relations of U_q(sl2) in the matrix representations:
+    K K**-1 = 1, K E = q E K, K F = q**-1 F K and E F - F E = (K**2 -
+    K**-2) / (q - 1/q), each as a left side (the first product) against a
+    right side (the other terms).  Exact residual 0, the sum over the four
+    relations of |left - right| over every entry of the leading rows: all
+    rows of su2 for N = 0..4, and rows 0..trunc - 1 of the su11 window
+    0..trunc (default 10) for k in {1, 2}, whose row trunc F feeds from
+    outside the window.  ``chk_relations`` adds the four totals of
+    ``uqsl2.relation_residuals`` with ``scalar.ordered_sum``: both sides
+    are products of the generators ``uqsl2.gens``, whose entries
+    ``uqsl2.weighted_products`` yields as factor tuples, and
+    ``scalar.residual_sum`` sums each relation's entries."""
     return _rep_points("relations", cfg)
 
 
 @suite("star")
 def _star(cfg, p):
+    """The *-structure of each representation under its weighted inner
+    product: K* = K, E* = F and F* = E on su2, E* = -F and F* = -E on
+    su11.  With w the weights pairing the basis, A* = c B reads w(n) A[n,
+    m] = c w(m) B[m, n] for (A, B, c) in ((K, K, 1), (E, F, +-1), (F, E,
+    +-1)).  Exact residual 0, the sum of |left - right| over every entry
+    of every row, on su2 for N = 0..4 and on the su11 window 0..trunc
+    (default 10) for k in {1, 2}.  ``uqsl2.star_residual`` forms both sides
+    from ``uqsl2.gens`` and ``RepSpec.weights`` (``orthopoly.kraw_w_column``
+    on su2, ``orthopoly.asc_w_column`` on su11), and
+    ``scalar.residual_sum`` sums the entries."""
     return _rep_points("star", cfg)
 
 
 @suite("lemma3.1")
 def _lemma31(cfg, p):
+    """Lemma 3.1, the rewrites of the compact twisted elements on su2.
+    With X_{u,s} = q**(u+1/2) E K + q**(-u-1/2) F K + [s]_q, its tilde
+    element Xtilde_{v,t} = q**(-v-1/2) E K**-1 + q**(v+1/2) F K**-1 +
+    [t]_q K**-2 (``uqsl2.twist_x``), e = u + v and [A, B]_q = q A B -
+    q**-1 B A: X_{u,s} equals (q**e [K**2, Xtilde_{v,t}]_q + q**-e
+    [Xtilde_{v,t}, K**2]_q) / (q**2 - q**-2) + [s]_q - [t]_q {e}_q.
+    Exact residual 0, the sum of |left - right| over every entry of every
+    row, for N = 0..5 and (u, v, s, t) in ``_UVST``; and the rewrite that
+    turns the generalized eigenvalue problem into a plain one, K**-2
+    X_{0,s} = Xtilde_{1,s}, at N = 4, s = 2.  ``uqsl2.twist_rewrite_residual``
+    and ``uqsl2.gevp_rewrite_residual`` build both sides from
+    ``uqsl2.gens`` and the tabled elements ``uqsl2._twisted``, their
+    products entry by entry (``uqsl2.weighted_products``), and
+    ``scalar.residual_sum`` sums the entries."""
     for N, (u, v, s, t) in iproduct(range(6), _UVST):
         yield ("twist_rewrite", f"su2[N={N},u={u},v={v},s={s},t={t}]",
                dict(N=N, u=u, v=v, s=s, t=t))
@@ -424,6 +460,17 @@ def _prop37(cfg, p):
 
 @suite("lemma3.8")
 def _lemma38(cfg, p):
+    """Lemma 3.8, the parameter-shifting five-point transfer of the finite
+    family.  With f_t the column n -> k_{v,t}(n, y), n = 0..N: q**(2n-N)
+    f_t(n) = sum_e a_e f_{t+2}(y + e) over e in {-2, -1, 0}, and q**(2n-N)
+    f_t(n) = sum_e a_e f_{t-2}(y + e) over e in {0, 1, 2}, each with 0 <= y
+    + e <= N (a coefficient at a shift out of range must be 0).  Exact
+    residual 0, the sum of |left - right| over both directions and every
+    row n, for N = 1..3, t in {0, 1, 2}, v in {0, 1} and y = 0..N.
+    ``chk_kraw_dyn`` runs ``_chk_dyn``: both sides read
+    ``orthopoly.kraw_column``, the coefficients are
+    ``orthopoly.kraw_dyn_coeffs``, and ``scalar.residual_sum`` sums the
+    rows."""
     for N, t, v in iproduct(range(1, 4), (0, 1, 2), (0, 1)):
         for y in range(N + 1):
             yield "kraw_dyn", f"dyn[N={N},t={t},v={v},y={y}]", dict(N=N, t=t, v=v, y=y)
@@ -481,6 +528,19 @@ def _cor310(cfg, p):
 
 @suite("cor4.1")
 def _cor41(cfg, p):
+    """Corollary 4.1, the rewrites of the non-compact twisted elements on
+    su11, ``lemma3.1``'s identities with braces.  With c = (q - 1/q) / (q +
+    1/q), Y_{u,s} = c (q**(u+1/2) E K - q**(-u-1/2) F K) + {s}_q, its
+    tilde element Ytilde_{v,t} = c (q**(-v-1/2) E K**-1 - q**(v+1/2) F
+    K**-1) + {t}_q K**-2 (``uqsl2.twist_y``) and e = u + v: Y_{u,s} equals
+    (q**e [K**2, Ytilde_{v,t}]_q + q**-e [Ytilde_{v,t}, K**2]_q) / (q**2 -
+    q**-2) + {s}_q - {t}_q {e}_q; and K**-2 Y_{0,1} = Ytilde_{1,1}.  Exact
+    residual 0, the sum of |left - right| over every entry of rows 0..trunc
+    - 2 of the window 0..trunc (default 10), where a product of degree 2 in
+    E and F reads nothing from outside the window, for k in {1, 2} and (u,
+    v, s, t) in ``_UVST``.  ``uqsl2.twist_rewrite_residual`` and
+    ``uqsl2.gevp_rewrite_residual`` compute both sides, as in
+    ``lemma3.1``, and ``scalar.residual_sum`` sums the entries."""
     trunc = cfg.trunc or 10
     for k in (1, 2):
         for u, v, s, t in _UVST:

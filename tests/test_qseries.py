@@ -29,7 +29,7 @@ from qracah import (
     summation_pair_qracah,
     summation_rhs,
 )
-from qracah import orthopoly, qseries, verify
+from qracah import orthopoly, qseries, ratfun, verify
 from qracah.errors import (
     DenominatorPole,
     ExactnessError,
@@ -37,7 +37,7 @@ from qracah.errors import (
     OutOfRange,
     QRacahError,
 )
-from qracah.scalar import Unreduced, ordered_sum
+from qracah.scalar import ordered_sum
 from qracah.tables import _Row
 
 
@@ -810,12 +810,13 @@ def test_summation_rows_shared_across_signed_zeros_keep_the_loop_sums():
 
 
 def _pair_value(x):
-    # the Fraction of an Unreduced pair, whose denominator is positive;
-    # any other value as it is
-    if type(x) is not Unreduced:
+    # the Fraction of an integer pair, whose denominator is positive; any
+    # other value as it is
+    if type(x) is not tuple:
         return x
-    assert x.denominator > 0, x
-    return F(x.numerator, x.denominator)
+    num, den = x
+    assert type(num) is type(den) is int and den > 0, x
+    return F(num, den)
 
 
 def _entry_outcome(row, n):
@@ -868,12 +869,12 @@ def _summation_column(q, a, tb, z, sq):
 
 
 def _same_column(got: _Row, want: _Row, order):
-    # read in the given order: each entry an Unreduced pair whose value is
+    # read in the given order: each entry an integer pair whose value is
     # the reference row's Fraction, or the error the reference row raises
     for n in order:
         value, kind = _entry_outcome(got, n)
         if not isinstance(kind, str):  # a value, not an error's text
-            assert kind is Unreduced, n
+            assert kind is tuple, n
             value, kind = _pair_value(value), F
         assert (value, kind) == _entry_outcome(want, n), n
 
@@ -928,7 +929,7 @@ def test_exact_column_errors_come_from_the_entry_read():
         column[1]
     # the pole: entries before it are values, the first entry past it raises
     column = orthopoly._series.__wrapped__(qb, False, 1, 0, 3)
-    assert type(column[1]) is Unreduced
+    assert type(column[1]) is tuple
     assert _pair_value(column[1]) == orthopoly._series_entry(qb, False, 1, 0, 3, 1)
     with pytest.raises(DenominatorPole, match=r"equals base\*\*-1, hit at term 2"):
         column[2]
@@ -1163,64 +1164,110 @@ def test_certified_sum_reads_exact_terms_beyond_the_float_range():
         got = certified_sum(counted(), tb)
         assert consumed == used, head
         assert type(got) is F and got == sum(terms[:used]), head
-    # floating terms after two huge exact ones that cancel: the ratio to
-    # the first float is read on integer pairs, and the sum is the floats'
-    terms = [huge, -huge, *(0.5 * 10.0 ** (-3 * n) for n in range(12))]
-    mags = [abs(F(t)) for t in terms]
-    used = next(n + 1 for n in range(len(terms))
-                if n + 1 >= 6 and _tail_certified(mags[: n + 1], tb))
-    want = 0
-    for t in terms[2:used]:
-        want = want + t
-    assert _same_bits(certified_sum(iter(terms), tb), want)
-    # a floating term beyond the range still raises, and so does a floating
-    # sum that would have to take in an exact prefix beyond it
+    # a floating term beyond the range still raises
     with pytest.raises(NonConvergent, match="term 1 exceeds the floating-point range"):
-        certified_sum(iter([F(1, 2), 1e300 * 1e10]), tb)
-    with pytest.raises(NonConvergent, match="exact terms before term 1 exceed"):
-        certified_sum(iter([huge, 0.5]), tb)
+        certified_sum(iter([0.5, 1e300 * 1e10]), tb)
 
 
-
-def test_certified_sum_reads_pair_factors_as_their_fractions():
-    # factors that are Unreduced pairs (scaled out of lowest terms, negative
-    # numerators among them) give the sum, its type and its stop index that
-    # the equal Fractions give; the huge heads run the branch for exact
-    # terms beyond the float range
-    tb = TailBound(1e-12)
-    huge = F(10**400, 7)
-    heads = ([], [huge], [huge, -huge * 10**5, huge / 3], [F(1, 3), huge, huge * 2])
-    shapes = (lambda f: (f, F(2, 3), 5), lambda f: f, lambda f: (-3, f))
-    for head in heads:
-        values = [*head, *((-1) ** n * F(7, 10 ** (3 * n)) for n in range(1, 12))]
-        for g, shape in ((1, shapes[0]), (6, shapes[1]), (10**30 + 1, shapes[2])):
-            sums = []
-            for paired in (True, False):
-                terms = [shape(Unreduced(v.numerator * g, v.denominator * g) if paired else v)
-                         for v in values]
-                consumed = 0
-
-                def counted(terms=terms):
-                    nonlocal consumed
-                    for term in terms:
-                        consumed += 1
-                        yield term
-
-                got = certified_sum(counted(), tb)
-                sums.append((type(got), got, consumed))
-            assert sums[0] == sums[1], (head, g)
-            assert sums[0][0] is F and sums[0][2] < len(values), (head, g)
 
 def test_certified_sum_floating_factors_keep_their_order():
     # floating factors are multiplied left to right and summed in order, so
-    # the sum is bit-identical to summing the products; an exact prefix
-    # joins the floating sum as one Fraction
+    # the sum is bit-identical to summing the products
     tb = TailBound(1e-12)
     for scale in (1.1, 1.1 + 0.3j):
         terms = [(0.7**n * scale, 1 / 3, (-1) ** n * 0.9) for n in range(200)]
         want, _ = _fraction_certified_sum(terms, tb)
-        assert certified_sum(iter(terms), tb) == want
-        mixed = [(F(1, 3), F(2, 7))] + terms
-        want, _ = _fraction_certified_sum(mixed, tb)
-        assert certified_sum(iter(mixed), tb) == want
+        assert _same_bits(certified_sum(iter(terms), tb), want)
     assert certified_sum(iter([]), tb) == 0
+
+
+def test_certified_sum_of_exact_terms_refuses_a_floating_one():
+    # an exact first term makes the sum exact: a later term with a float
+    # or complex factor, bare or in a tuple, raises and is not summed in
+    tb = TailBound(1e-12)
+    for x in (0.5, -0.0, 0.5 - 1j):
+        for late in (x, (F(1, 3), x), (2, x, F(1, 5))):
+            for head in ([F(1, 2)], [(F(10**400, 7), 3)], [1, (F(1, 3), 2)]):
+                with pytest.raises(ExactnessError,
+                                   match=r"^a certified sum of exact terms got the term"):
+                    certified_sum(iter([*head, late, F(1, 10**9)]), tb)
+
+
+@st.composite
+def _ratio_cases(draw):
+    # (tn, td, hn, hd): positive denominators, a nonzero hn and a tn that
+    # may be 0, all of bit lengths within 4 of each other, so the two
+    # sides' bit-length sums are often equal or 1 or 2 apart
+    bits = draw(st.integers(1, 300))
+
+    def draw_int():
+        b = draw(st.integers(max(1, bits - 4), bits + 4))
+        return draw(st.integers(2 ** (b - 1), 2**b - 1))
+
+    tn = draw(st.sampled_from([1, -1, 0])) * draw_int()
+    hn = draw(st.sampled_from([1, -1])) * draw_int()
+    return tn, draw_int(), hn, draw_int()
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_ratio_cases(), cap=st.sampled_from([qseries.RATIO_CAP, 0.5, 0.75, 1.0, 3.0]))
+# the ratio exactly at the cap, and just above it
+@example(case=(9, 10, 1, 1), cap=qseries.RATIO_CAP)
+@example(case=(2**101, 1, 2**100, 1), cap=2.0)
+@example(case=(2**101 + 1, 1, 2**100, 1), cap=2.0)
+@example(case=(-(2**600), 3, 2**300, 7), cap=qseries.RATIO_CAP)  # far apart
+@example(case=(2**300, 7, -(2**600), 3), cap=qseries.RATIO_CAP)
+def test_ratio_test_by_bit_lengths_is_the_cross_multiplication(case, cap):
+    # |tn/td| / |hn/hd| > cap, decided from bit lengths where they decide
+    # and by cross-multiplying otherwise, is the cross-multiplication's
+    # verdict
+    tn, td, hn, hd = case
+    cn, cd = cap.as_integer_ratio()
+    want = abs(tn) * hd * cd > cn * abs(hn) * td
+    assert qseries._above_cap(tn, td, hn, hd, cap) is want
+
+
+# float.hex of (real part, imaginary part) at p = 1/2, tolerance 1e-13,
+# the bits of certified_sum's floating loop; keys (mode, name, s, k, a, b)
+_FLOATING_CERTIFIED = {
+    ("float", "asc_orth_n", 0, 1, 0, 1): ("0x1.19e1599e226abp-53", "0x0.0p+0"),
+    ("float", "asc_orth_n", 1, 2, 1, 1): ("0x1.0000000000000p-36", "0x0.0p+0"),
+    ("float", "asc_orth_x", 0, 1, 0, 1): ("0x1.c7fbb7fffb984p-56", "0x0.0p+0"),
+    ("float", "asc_orth_x", 1, 2, 2, 2): ("0x1.0980000000000p-48", "0x0.0p+0"),
+    ("complex", "asc_orth_n", 0.5 + 0.25j, 1, 0, 1): ("-0x1.ff111ea220410p-52",
+                                                    "0x1.0480c286649a4p-55"),
+    ("complex", "asc_orth_n", 0.5 + 0.25j, 1, 1, 1): ("0x1.0800000000000p-40",
+                                                    "0x1.0000000000000p-45"),
+    ("complex", "asc_orth_x", 0.5 + 0.25j, 1, 0, 1): ("0x1.33374d6a0e63dp-55",
+                                                    "0x1.bc5207331cf22p-59"),
+    ("complex", "asc_orth_x", 0.5 + 0.25j, 1, 2, 2): ("0x1.6800000000000p-47",
+                                                    "-0x1.4d60f654de829p-47"),
+}
+# (mode, s, t, v, k, relation, idx, idx2)
+_FLOATING_BIORTH = {
+    ("float", 0, 0, -1, 1, "x", 0, 1): ("0x1.f7c26f7c4738cp-53", "0x0.0p+0"),
+    ("float", 1, 1, 0, 2, "y", 1, 1): ("0x1.0240000000000p-35", "0x0.0p+0"),
+    ("complex", 0, 0, -1, 1, "x", 0, 1): ("0x1.f7c26f7c4738cp-53", "0x0.0p+0"),
+    ("complex", 1, 1, 0.5j, 2, "y", 1, 1): ("0x1.0180000000000p-35", "0x1.a2351724cb57bp-46"),
+}
+
+
+def test_floating_certified_sums_keep_their_bits():
+    # the floating residuals summed by certified_sum: the x- and n-summed
+    # orthogonality and the biorthogonality, every bit of both parts
+    tb = TailBound(1e-13)
+
+    def bits(value):
+        value = complex(value)
+        return value.real.hex(), value.imag.hex()
+
+    for (mode, name, s, k, a, b), want in _FLOATING_CERTIFIED.items():
+        ap = orthopoly.ASCParams(0, s, k, QBase(0.5, mode), tb)
+        value = getattr(orthopoly, name)(ap, a, b)
+        assert type(value) is (float if mode == "float" else complex)
+        assert bits(value) == want, (mode, name, s, k, a, b)
+    for (mode, s, t, v, k, relation, i, j), want in _FLOATING_BIORTH.items():
+        pp = PrParams(s, t, v, k, QBase(0.5, mode), tb)
+        value = ratfun.pr_biorth_residual(pp, relation, i, j)
+        assert type(value) is (float if mode == "float" else complex)
+        assert bits(value) == want, (mode, s, t, v, k, relation, i, j)

@@ -450,6 +450,12 @@ def _outcome(call, read):
     return type(value), value, read[0]
 
 
+def _fractions(terms):
+    # exact series entries are integer pairs: each term with their Fractions
+    for c, left, right, w in terms:
+        yield c, F(*left), F(*right), w
+
+
 def _inner_outcomes(fn, params, x, y):
     """The outcome of the exact ``fn.__wrapped__(params, x, y)``, and of its
     reference: the same entry checks, then the terms of ``_inner_terms``
@@ -473,10 +479,10 @@ def _inner_outcomes(fn, params, x, y):
         s, t, v = as_exponent(params.s), as_exponent(params.t), as_exponent(params.v)
         if fn is rr_inner:
             terms = _inner_terms(qb, False, params.N, s, t, v, x, y, kraw_w_column(qb, params.N))
-            return ordered_sum(islice(_counted(terms, want_read), params.N + 1))
+            return ordered_sum(islice(_counted(_fractions(terms), want_read), params.N + 1))
         k = as_exponent(params.k)
         terms = _inner_terms(qb, True, -k, s, t, v, x, y, asc_w_column(qb, params.k))
-        return certified_sum(_counted(terms, want_read), params.tb)
+        return certified_sum(_counted(_fractions(terms), want_read), params.tb)
 
     want_read = [0]
     return got, _outcome(reference, want_read)

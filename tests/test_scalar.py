@@ -13,7 +13,6 @@ from qracah import QBase
 from qracah.errors import ExactnessError, OutOfRange
 from qracah.scalar import (
     MAX_POWER_BITS,
-    Unreduced,
     add_pair,
     as_exponent,
     ordered_sum,
@@ -387,10 +386,11 @@ def test_ordered_sum_of_factor_tuples():
     assert repr(ordered_sum([(2, -0.0)])) == "0.0" == repr(0 + 2 * -0.0)
 
 
-def _residual_expr(rows, zero):
-    # the definition: each row's |sum(plus) - sum(minus)|, summed from zero
-    return ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus, zero))
-                        for plus, minus in rows), zero)
+def _residual_expr(rows):
+    # the definition: each row's |sum(plus) - sum(minus)|, summed from the
+    # Fraction 0
+    return ordered_sum((abs(ordered_sum(plus) - ordered_sum(minus))
+                        for plus, minus in rows), F(0))
 
 
 def _rows(factor):
@@ -402,89 +402,30 @@ def _rows(factor):
     return st.lists(row, max_size=4)
 
 
-_ZEROS = st.sampled_from([0, F(0)])
-
-
 @settings(max_examples=150)
-@given(rows=st.one_of(_rows(_EXACT), _rows(st.integers(-5, 5)), _rows(st.integers(-5, -1))),
-       zero=st.one_of(_ZEROS, _EXACT))
-def test_residual_sum_exact_is_the_expression(rows, zero):
+@given(rows=st.one_of(_rows(_EXACT), _rows(st.integers(-5, 5)), _rows(st.integers(-5, -1))))
+def test_residual_sum_exact_is_the_expression(rows):
     # one integer pair per row and one outer pair give the expression's
-    # rational and type: an int while no Fraction entered (int-only rows
-    # from the int 0), a Fraction otherwise
-    got, want = residual_sum(rows, zero), _residual_expr(rows, zero)
-    assert type(got) is type(want) and got == want
+    # rational, one Fraction also for int-only rows
+    got, want = residual_sum(rows), _residual_expr(rows)
+    assert type(got) is type(want) is F and got == want
 
-
-# (Unreduced pair, its Fraction): the value scaled by g/g out of lowest
-# terms, its numerator of either sign; beside it exact factors as they are
-_PAIR = st.builds(lambda f, g: (Unreduced(f.numerator * g, f.denominator * g), f),
-                  st.one_of(st.fractions(), st.integers().map(F)), st.integers(1, 10**6))
-_PAIRED_TERMS = st.lists(
-    st.tuples(st.booleans(), st.lists(st.one_of(_EXACT.map(lambda x: (x, x)), _PAIR),
-                                      min_size=1, max_size=3)),
-    max_size=8)
-
-
-def _sides(terms):
-    # (the terms with their pair factors, the same terms with each pair's
-    # Fraction); a flagged one-factor term is a bare scalar
-    out = ([], [])
-    for bare, factors in terms:
-        for side in (0, 1):
-            term = tuple(f[side] for f in factors)
-            out[side].append(term[0] if bare and len(term) == 1 else term)
-    return out
-
-
-@settings(max_examples=300)
-@given(terms=_PAIRED_TERMS, start=_EXACT)
-def test_ordered_sum_reads_pairs_as_their_fractions(terms, start):
-    # a pair factor is read as its Fraction: the same rational and type (a
-    # Fraction as soon as a pair enters, as a Fraction factor makes it)
-    paired, fractions = _sides(terms)
-    got, want = ordered_sum(paired, start), ordered_sum(fractions, start)
-    assert type(got) is type(want) and got == want
-
-
-@settings(max_examples=150)
-@given(rows=st.lists(st.tuples(_PAIRED_TERMS, _PAIRED_TERMS), max_size=4),
-       zero=st.one_of(_ZEROS, _EXACT))
-def test_residual_sum_reads_pairs_as_their_fractions(rows, zero):
-    paired = [(_sides(plus)[0], _sides(minus)[0]) for plus, minus in rows]
-    fractions = [(_sides(plus)[1], _sides(minus)[1]) for plus, minus in rows]
-    got, want = residual_sum(paired, zero), residual_sum(fractions, zero)
-    assert type(got) is type(want) and got == want
-
-
-def test_pair_factors_before_and_after_a_float():
-    # a float factor ends the exact pair sum: the pairs after it, in a
-    # tuple or bare, are multiplied and added as their Fractions
-    for x in (1.5, -0.0, 1.5 - 2j):
-        paired = [(Unreduced(2, 6), 3), (Unreduced(-4, 8), x), Unreduced(3, 9),
-                  (5, Unreduced(-10, 4))]
-        fractions = [(F(1, 3), 3), (F(-1, 2), x), F(1, 3), (5, F(-5, 2))]
-        assert _outcome(ordered_sum, paired) == _outcome(ordered_sum, fractions)
 
 def test_residual_sum_examples():
     # |1/2 - 1/3| + |0| + |2 - 5| over three rows
     rows = [([F(1, 2)], [(F(1, 3), 1)]), ([], []), ([(2, 1)], [5])]
-    assert residual_sum(rows, F(0)) == F(19, 6)
-    assert type(residual_sum([([2], [5])], 0)) is int
-    assert type(residual_sum([([2], [5])], F(0))) is F
-    assert type(residual_sum([], F(0))) is F
-    # a check's residual runs in exact scalars: a floating zero or factor,
-    # on either side of a row and after exact rows, is refused
-    rows = [([Unreduced(6, 4)], [(Unreduced(-2, 2), F(1, 2))]), ([Unreduced(9, 3)], [])]
-    # |3/2 + 1/2| + |3| over the two exact rows, as pairs
-    assert type(residual_sum(rows, 0)) is F and residual_sum(rows, 0) == 5
-    for zero in (0.0, -0.0, 0j):
-        with pytest.raises(ExactnessError, match=r"^a residual sums exact scalars, got zero"):
-            residual_sum([], zero)
+    assert residual_sum(rows) == F(19, 6)
+    assert type(residual_sum([([2], [5])])) is F
+    assert type(residual_sum([])) is F
+    # a check's residual runs in exact scalars: a floating factor, on
+    # either side of a row and after exact rows, is refused
+    rows = [([F(6, 4)], [(F(-2, 2), F(1, 2))]), ([F(9, 3)], [])]
+    # |3/2 + 1/2| + |3| over the two exact rows
+    assert residual_sum(rows) == 5
     for x in (1.5, -0.0, 1.5 - 2j):
         for row in (([(F(1, 3), x)], []), ([2], [(1, x)])):
             with pytest.raises(ExactnessError, match=r"^a residual sums exact scalars, got the term"):
-                residual_sum([*rows, row], 0)
+                residual_sum([*rows, row])
 
 
 # ---------------------------------------------------------------------------
@@ -510,37 +451,34 @@ def _operator_check(draw, value):
     return op, vec, terms, rows
 
 
-def _kernel(op, vec, terms, rows, zero):
+def _kernel(op, vec, terms, rows):
     return scaled_residual(scaled_rows(op), scaled(vec), [(c, scaled(w)) for c, w in terms],
-                           rows, zero)
+                           rows)
 
 
-def _reference(op, vec, terms, rows, zero):
+def _reference(op, vec, terms, rows):
     # residual_sum over the same rows: the operator row applied to vec
     # against the right side's terms
     return residual_sum((([(a, vec[j]) for j, a in op[i].items()],
-                          [(c, w[i]) for c, w in terms]) for i in rows), zero)
+                          [(c, w[i]) for c, w in terms]) for i in rows))
 
 
 _SIGNED_INTS = st.integers(-10**6, 10**6)
 
 
 @settings(max_examples=200)
-@given(check=st.one_of(_operator_check(st.integers(-5, 5)), _operator_check(_SIGNED_INTS)),
-       zero=_ZEROS)
-def test_scaled_residual_on_ints_is_residual_sum(check, zero):
-    # int entries and coefficients: an int from the int 0, a Fraction from
-    # Fraction(0), as residual_sum gives
-    got, want = _kernel(*check, zero), _reference(*check, zero)
-    assert type(got) is type(want) is (int if type(zero) is int else F) and got == want
+@given(check=st.one_of(_operator_check(st.integers(-5, 5)), _operator_check(_SIGNED_INTS)))
+def test_scaled_residual_on_ints_is_residual_sum(check):
+    # int entries and coefficients: one Fraction, as residual_sum gives
+    got, want = _kernel(*check), _reference(*check)
+    assert type(got) is type(want) is F and got == want
 
 
 @settings(max_examples=200)
 @given(check=st.one_of(_operator_check(_EXACT), _operator_check(_SMALL_EXACT),
                        _operator_check(st.fractions(-3, 3, max_denominator=5))))
 def test_scaled_residual_on_fractions_is_residual_sum(check):
-    # a check sums from the backend's Fraction zero: the same Fraction
-    got, want = _kernel(*check, F(0)), _reference(*check, F(0))
+    got, want = _kernel(*check), _reference(*check)
     assert type(got) is type(want) is F and got == want
 
 
@@ -551,15 +489,15 @@ def test_scaled_residual_of_a_mutated_entry_is_residual_sum():
     vec = [F(2, 3), F(-1, 6), F(7, 5)]
     w = [2 * sum(a * vec[j] for j, a in row.items()) for row in op]
     for rows in ([0, 1, 2], [0, 2], []):
-        got = _kernel(op, vec, [(F(1, 2), w)], rows, F(0))
+        got = _kernel(op, vec, [(F(1, 2), w)], rows)
         assert type(got) is F and got == 0
     op[2][1] += F(2, 5)
-    got = _kernel(op, vec, [(F(1, 2), w)], [0, 1, 2], F(0))
-    want = _reference(op, vec, [(F(1, 2), w)], [0, 1, 2], F(0))
+    got = _kernel(op, vec, [(F(1, 2), w)], [0, 1, 2])
+    want = _reference(op, vec, [(F(1, 2), w)], [0, 1, 2])
     assert type(got) is F and got == want == abs(F(2, 5) * vec[1]) > 0
     # an eigenvalue is the vector's own term: |A vec - lambda vec| by rows
-    got = _kernel(op, vec, [(F(-3, 2), vec)], [0, 2], F(0))
-    assert got == _reference(op, vec, [(F(-3, 2), vec)], [0, 2], F(0))
+    got = _kernel(op, vec, [(F(-3, 2), vec)], [0, 2])
+    assert got == _reference(op, vec, [(F(-3, 2), vec)], [0, 2])
 
 
 def test_scaled_forms_and_refusals():
@@ -570,9 +508,6 @@ def test_scaled_forms_and_refusals():
     with pytest.raises(ExactnessError, match=r"^a scaled vector holds exact scalars"):
         scaled([F(1, 2), 0.5])
     op, vec = scaled_rows([{0: 1}]), scaled([F(1, 2)])
-    for zero in (0.0, 0j, F(1)):
-        with pytest.raises(ExactnessError, match=r"^a residual sums from an exact zero"):
-            scaled_residual(op, vec, [], [0], zero)
     for c in (0.5, 1j):
         with pytest.raises(ExactnessError, match=r"^a residual sums exact scalars, got the coef"):
-            scaled_residual(op, vec, [(c, vec)], [0], F(0))
+            scaled_residual(op, vec, [(c, vec)], [0])

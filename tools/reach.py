@@ -5,8 +5,8 @@
 Under ``sys.setprofile`` the script runs ``cli.main`` in its own process on
 ``verify --suite all --jobs 1`` (verdicts run exact scalars only), on one
 ``eval`` request per ``--fn`` (both families where a function takes either)
-in each of the three modes and on ``table`` requests in csv and json, then
-the six demos.  For every
+in each of the three modes, on one exact ``pr_inner`` at p = 1e-20 and on
+``table`` requests in csv and json, then the six demos.  For every
 ``def`` in ``src/qracah`` it prints one line, the function's dotted name
 after one of
 
@@ -95,6 +95,10 @@ REQUESTS = [
     (["verify", "--suite", "all", "--jobs", "1"], (0,)),
     *((["eval", "--mode", mode, *argv], (0,))
       for mode in ("exact", "float", "complex") for argv in _EVAL),
+    # an exact sum whose terms pass the float range, so the stop rule
+    # compares their ratios on integer pairs
+    (["eval", "--p", "1e-20", "--fn", "pr_inner", "--k", "1", "--s", "1", "--t", "1",
+      "--v", "0", "--x", "2", "--y", "2"], (0,)),
     *((["table", *argv], (0,)) for argv in _TABLE),
 ]
 
