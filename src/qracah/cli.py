@@ -168,10 +168,9 @@ def _ints(args, name):
 
 
 def _tb(args) -> qseries.TailBound:
-    return qseries.TailBound(
-        tolerance=min(args.tol, 1e-10) if args.tol is not None else 1e-12,
-        max_terms=args.max_terms if args.max_terms is not None else qseries.DEFAULT_MAX_TERMS,
-    )
+    tol = min(args.tol, 1e-10) if args.tol is not None else 1e-12
+    max_terms = args.max_terms if args.max_terms is not None else qseries.DEFAULT_MAX_TERMS
+    return qseries.TailBound(tol, max_terms)
 
 
 def _coord(point, args, name):
@@ -359,13 +358,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(
-        p=_parse_number(args.p, "exact") if args.p else None,
-        tolerance=args.tol,
-        trunc=args.trunc,
-        jobs=args.jobs,
-        max_terms=args.max_terms,
-    )
+    p = _parse_number(args.p, "exact") if args.p else None
+    cfg = RunConfig(p, args.tol, args.trunc, args.jobs, args.max_terms)
     counts = {"pass": 0, "fail": 0}
     # closed on the way out, so a pool stops with the command
     with _output(args.out) as out, contextlib.closing(run_suite(args.suite, cfg)) as reports:

@@ -81,9 +81,9 @@ their first term (``qseries.require_q_below_one``).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from typing import NamedTuple
 
 from .errors import DenominatorPole, OutOfRange
 from .qseries import (
@@ -104,8 +104,7 @@ from .tables import _Row, tabled
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class KrawParams:
+class KrawParams(NamedTuple):
     """Parameter pack for the finite family: twist u, base point s, size N."""
 
     u: object
@@ -114,8 +113,7 @@ class KrawParams:
     qb: QBase
 
 
-@dataclass(frozen=True)
-class ASCParams:
+class ASCParams(NamedTuple):
     """Parameter pack for the infinite family: twist u, base point s, weight k."""
 
     u: object

@@ -36,23 +36,23 @@ int true division rounds correctly, so they are the floats ``float()`` of
 the reduced term gives.  Float and complex series run the floating loop,
 whose operation order fixes their results.
 
-:func:`pair_sum` sums exact terms given as integer pairs: each is added
-to one running pair by :func:`~qracah.scalar.add_pair`, the step
+:func:`pair_sum` sums exact terms given as integer pairs: each is added to
+one running pair by :func:`~qracah.scalar.add_pair`, the step
 :func:`~qracah.scalar.ordered_sum` uses (Henrici's addition: a single gcd
 against the running denominator, none on a divisor chain), its magnitude
 is the same correctly rounded quotient, and one Fraction is built at the
 end.  Given a TailBound it stops by the one stop rule of the module,
-which reads two counters, the trailing terms below the floor and the
-trailing ratios at most the cap, so each term costs O(1) however long the
-sum runs.  The exact inner products (``ratfun.rr_inner``/``pr_inner``)
-pass it their terms' pairs directly.  :func:`certified_sum` takes each
-term as a tuple of factors and sums exact terms or floating ones, never
-both: an exact first term makes each term the integer pair of its
-factors' numerator and denominator products, summed by the same loop, so
-it stops at the term Fraction arithmetic would stop at and returns the
-same rational; a floating first term makes every term the left-to-right
-product of its factors, summed in order, and the loop reads their
-magnitudes.
+``_stop_rule``, a filter on the pairs that reads two counters, the
+trailing terms below the floor and the trailing ratios at most the cap, so
+each term costs O(1) however long the sum runs.  The exact inner products
+(``ratfun.rr_inner``/``pr_inner``) pass it their terms' pairs.
+:func:`certified_sum` takes each term as a tuple of factors and sums exact
+terms or floating ones, never both: an exact first term makes each term
+the integer pair of its factors' numerator and denominator products,
+summed by the same loop, so it stops at the term Fraction arithmetic would
+stop at and returns the same rational; a floating first term makes every
+term the left-to-right product of its factors, summed in order, and the
+stop rule alone reads their magnitudes.
 
 :func:`qpoch` multiplies int or Fraction inputs the same way: each factor
 1 - a*base**i is an integer pair, the pairs multiply unreduced, and one
@@ -92,11 +92,10 @@ direct expression.  Its q-Racah point is the finite rational function:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
 from .scalar import QBase, _add_terms, add_pair, ordered_sum, product
@@ -112,8 +111,12 @@ RATIO_CAP = 0.9
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class TailBound:
+class _TailBound(NamedTuple):
+    tolerance: float = 1e-12
+    max_terms: int = DEFAULT_MAX_TERMS
+
+
+class TailBound(_TailBound):
     """Truncation policy for infinite sums and products.
 
     The bound ``tolerance`` gives depends on the consumer:
@@ -132,13 +135,14 @@ class TailBound:
     ``max_terms`` is the one limit on the terms or factors any of them reads.
     """
 
-    tolerance: float = 1e-12
-    max_terms: int = DEFAULT_MAX_TERMS
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_tolerance(self.tolerance)
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        return self
 
 
 def check_tolerance(tolerance) -> None:
@@ -252,8 +256,7 @@ def qbinom(n: int, j: int, base):
     return qpoch(base, base, n) / (qpoch(base, base, j) * qpoch(base, base, n - j))
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(NamedTuple):
     """Parameters of a basic hypergeometric series sum_n (...)*z^n/(base;base)_n.
 
     ``terminate_after`` gives the exact number of terms when the caller knows
@@ -674,31 +677,40 @@ def pair_sum(pairs, tb: Optional[TailBound] = None):
     """The sum of exact terms given as integer pairs (numerator, positive
     denominator), as one Fraction, or the int 0 for no terms.
 
-    Each pair is added to one unreduced running pair on the divisor chain
-    (``scalar.add_pair``).  Without ``tb`` every pair is added; with it the
-    sum stops by :func:`certified_sum`'s stop rule, which reads each term's
-    magnitude off its pair, and raises that function's NonConvergent past
-    ``tb.max_terms``.  A pair is read only once the term before it has
-    been added and tested, so no term past the stopping term is read.
+    The first pair is the running pair, and each later one is added to it
+    on the divisor chain (``scalar.add_pair``).  Without ``tb`` every pair
+    is added; with it the pairs pass through the stop rule of
+    :func:`certified_sum`, :func:`_stop_rule`.
     """
-    num, den, n = 0, 1, -1
-    if tb is None:
-        for n, (tn, td) in enumerate(pairs):
-            num, den = add_pair(num, den, tn, td)
-        return Fraction(num, den) if n >= 0 else 0
+    pairs = iter(pairs if tb is None else _stop_rule(pairs, tb))
+    first = next(pairs, None)
+    if first is None:
+        return 0
+    num, den = first
+    for tn, td in pairs:
+        num, den = add_pair(num, den, tn, td)
+    return Fraction(num, den)
+
+
+def _stop_rule(pairs, tb: TailBound):
+    """The pairs (tn, td), td > 0, of a certified sum up to its stopping
+    term, each yielded before the rule reads its magnitude |tn|/td, so no
+    pair past that term is read; NonConvergent past ``tb.max_terms``.  A
+    finite floating term t comes as the pair (t, 1)."""
     floor = tb.tolerance * (1 - RATIO_CAP)
-    cap = RATIO_CAP
+    cap, max_terms = RATIO_CAP, tb.max_terms
     # the trailing terms below the floor, the trailing ratios at most the
     # cap, the last term's magnitude and the last pair beyond the float range
     below = capped = 0
     last = huge = None
-    for n, (tn, td) in enumerate(pairs):
+    for n, pair in enumerate(pairs):
+        yield pair
+        tn, td = pair
         try:
             # int true division is correctly rounded: the float of tn/td
             mag = abs(tn) / td
         except OverflowError:
             mag = _INF
-        num, den = add_pair(num, den, tn, td)
         below = below + 1 if mag < floor else 0
         if n:
             if last < _INF:
@@ -707,15 +719,14 @@ def pair_sum(pairs, tb: Optional[TailBound] = None):
                 over = _above_cap(tn, td, *huge, cap)
             capped = 0 if over else capped + 1
         if mag == _INF:
-            huge = tn, td
+            huge = pair
         last = mag
         if n + 1 >= 6 and below >= 3 and capped >= 3:
-            break
-        if n + 1 >= tb.max_terms:
+            return
+        if n + 1 >= max_terms:
             raise NonConvergent(
-                f"series tail not certified below {tb.tolerance} within {tb.max_terms} terms"
+                f"series tail not certified below {tb.tolerance} within {max_terms} terms"
             )
-    return Fraction(num, den) if n >= 0 else 0
 
 
 def _above_cap(tn: int, td: int, hn: int, hd: int, cap: float) -> bool:
@@ -755,7 +766,7 @@ def certified_sum(terms, tb: TailBound):
     arithmetic (see the module docstring), and a later term with another
     factor raises ExactnessError.  Otherwise each term multiplies its
     factors left to right and is added to the sum in order, and the same
-    loop reads the term's magnitude as the integer pair of its float.
+    stop rule (:func:`_stop_rule`) reads the term's float magnitude.
 
     Summation stops after term n once n + 1 >= 6, the last three term
     magnitudes are below tolerance*(1-RATIO_CAP) and each of the last three
@@ -782,20 +793,12 @@ def certified_sum(terms, tb: TailBound):
     if _add_terms((first,), 0, 1)[3] is None:
         return pair_sum(map(_term_pair, terms), tb)
     total = None
-
-    def magnitudes():
-        # each term joins the sum, and the stop rule reads its magnitude as
-        # the exact pair of its float
-        nonlocal total
-        for n, term in enumerate(terms):
-            t = product(term if isinstance(term, tuple) else (term,))
-            total = t if total is None else total + t
-            mag = _magnitude(t)
-            if not math.isfinite(mag):
-                raise NonConvergent(f"term {n} exceeds the floating-point range")
-            yield mag.as_integer_ratio()
-
-    pair_sum(magnitudes(), tb)
+    terms = ((product(term if isinstance(term, tuple) else (term,)), 1) for term in terms)
+    for n, (t, _) in enumerate(_stop_rule(terms, tb)):
+        # each term joins the sum before the stop rule reads its magnitude
+        if not math.isfinite(_magnitude(t)):
+            raise NonConvergent(f"term {n} exceeds the floating-point range")
+        total = t if total is None else total + t
     return total
 
 

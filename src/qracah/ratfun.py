@@ -43,9 +43,9 @@ table, as they key one ``rr_inner`` entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from typing import NamedTuple
 
 from .errors import DenominatorPole, NonConvergent, OutOfRange
 from .orthopoly import (
@@ -71,8 +71,7 @@ from .scalar import QBase, as_exponent, ordered_sum, real_part
 from .tables import _Points, _Row, tabled
 
 
-@dataclass(frozen=True)
-class RrParams:
+class RrParams(NamedTuple):
     """Parameters of the finite rational family."""
 
     s: object
@@ -82,8 +81,7 @@ class RrParams:
     qb: QBase
 
 
-@dataclass(frozen=True)
-class PrParams:
+class PrParams(NamedTuple):
     """Parameters of the infinite rational family; needs 0 < q < 1 and, for
     the inner product, Re(v) < 1 + s + t."""
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 SCHEMA_VERSION = 1
 # one encoder for every report: json.dumps builds one per call
@@ -50,8 +50,7 @@ def residual_string(res) -> str:
     return repr(res)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """One verified parameter point of one identity."""
 
     suite: str

@@ -6,14 +6,16 @@ entries each table holds.  A hit returns the very object the first call
 computed, so a tabled value is bit-identical to, and of the same type as,
 the undecorated function's (``fn.__wrapped__``).
 
-A key is one flat tuple: the arguments, with each dataclass argument
-replaced by its fields, then the type of every one of those values, then
-the names of any keyword arguments.  A tuple argument stays whole and
-brings the types of its entries along, so ``(1,)`` and ``(1.0,)`` key
-apart as ``1`` and ``1.0`` do.  The types keep apart arguments that
-compare equal across backends -- ``1.0 == Fraction(1) == True`` -- so an
-exact base still rejects a float exponent whose ``Fraction`` twin is
-tabled.  A call that raises stores nothing and raises again next time.
+A key is one flat tuple: the arguments, with each record argument (a
+``NamedTuple``, or any other subclass of tuple) replaced by its fields,
+then the type of every one of those values, then the names of any keyword
+arguments.  A tuple argument
+stays whole and brings the types of its entries along, so ``(1,)`` and
+``(1.0,)`` key apart as ``1`` and ``1.0`` do.  The types keep apart
+arguments that compare equal across backends -- ``1.0 == Fraction(1) ==
+True`` -- so an exact base still rejects a float exponent whose
+``Fraction`` twin is tabled.  A call that raises stores nothing and
+raises again next time.
 
 Values that run over an index are rows, ``_Row``: entries 0, 1, ...
 computed in order on first request and kept.  A tabled function that
@@ -32,15 +34,11 @@ keys its pack once and reads its points by index.
 from __future__ import annotations
 
 from functools import wraps
-from operator import attrgetter
 from threading import RLock
 
 from .errors import OutOfRange
 
 _TABLES: dict = {}
-# class -> getter of the values that stand for an argument, or None for the
-# argument itself: a dataclass's fields, a tuple and its entries' types
-_FIELDS: dict = {tuple: lambda value: (value, tuple(map(type, value)))}
 _MISSING = object()
 
 
@@ -100,25 +98,16 @@ def _point_types(point):
     return tuple([tuple(map(type, p)) if type(p) is tuple else type(p) for p in point])
 
 
-def _fields_getter(cls):
-    names = tuple(getattr(cls, "__dataclass_fields__", ()))
-    if not names:
-        return None
-    get = attrgetter(*names)
-    return get if len(names) > 1 else lambda obj: (get(obj),)
-
-
 def _key(args, kwargs):
     flat = []
     for value in ((*args, *kwargs.values()) if kwargs else args):
-        cls = type(value)
-        get = _FIELDS.get(cls, _MISSING)
-        if get is _MISSING:
-            get = _FIELDS[cls] = _fields_getter(cls)
-        if get is None:
-            flat.append(value)
+        if type(value) is tuple:
+            flat += value, tuple(map(type, value))
+        elif isinstance(value, tuple):
+            # a record is its own tuple of fields
+            flat += value
         else:
-            flat.extend(get(value))
+            flat.append(value)
     return (*flat, *map(type, flat), *kwargs)
 
 

@@ -44,10 +44,9 @@ sign of a zero key one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, OutOfRange
 from . import orthopoly
@@ -170,8 +169,7 @@ def kron_all(mats: Sequence[OpMatrix]) -> OpMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(NamedTuple):
     """A representation window: compact on {0..N} or truncated non-compact.
 
     For su11 the matrices live on {0..trunc}; identities are exact on rows

@@ -24,10 +24,9 @@ process pool; results stream in deterministic task order either way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from . import multivar, orthopoly, qseries, ratfun, uqsl2
 from .errors import OutOfRange, QRacahError
@@ -39,8 +38,7 @@ DEFAULT_PS = (Fraction(1, 2), Fraction(2, 3))  # q = 1/4 and 4/9
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     suite: str
     check: str
     fn: str
@@ -48,17 +46,21 @@ class Task:
     contract: str = "exact"  # "exact" | "certified"
 
 
-@dataclass
-class RunConfig:
-    """Options shared by the front-end commands."""
-
+class _RunConfig(NamedTuple):
     p: Optional[Fraction] = None
     tolerance: Optional[float] = None
     trunc: Optional[int] = None
     jobs: int = 1
     max_terms: Optional[int] = None
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfig):
+    """Options shared by the front-end commands."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a window of fewer than 2 levels has no interior row to check
         if self.trunc is not None and self.trunc < 2:
             raise ValueError("trunc must be at least 2")
@@ -68,6 +70,7 @@ class RunConfig:
             raise ValueError("max_terms must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        return self
 
     def ps(self):
         return (self.p,) if self.p is not None else DEFAULT_PS
@@ -76,9 +79,8 @@ class RunConfig:
         return self.tolerance if self.tolerance is not None else DEFAULT_TOL
 
     def tail(self) -> qseries.TailBound:
-        tol = min(self.tol() * 1e-3, 1e-12)
         max_terms = self.max_terms if self.max_terms is not None else qseries.DEFAULT_MAX_TERMS
-        return qseries.TailBound(tolerance=tol, max_terms=max_terms)
+        return qseries.TailBound(min(self.tol() * 1e-3, 1e-12), max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +364,14 @@ def _lemma31(cfg, p):
 
 @suite("ev3.x")
 def _ev3(cfg, p):
+    """Eigenvalues of the finite family on su2: Xtilde_{u,s} f = [2x - N +
+    s]_q f for f the column n -> k_{u,s}(n, x), n = 0..N, and Xtilde_{u,s}
+    the tilde element of ``lemma3.1``.  Exact residual 0, summed over every
+    row n, for N <= 4, u in {0, 1}, s in {0, 1, 2} and x = 0..N.
+    ``chk_eigen`` runs the one-site ``multivar.nested_eigen_residual``:
+    ``multivar._chain_op`` (``uqsl2.coproduct_op``) on
+    ``multivar._nested_vec`` (``orthopoly.kraw_column``) against
+    ``QBase.bracket`` times it, summed by ``scalar.scaled_residual``."""
     for N, u, s in iproduct(range(5), (0, 1), (0, 1, 2)):
         for x in range(N + 1):
             yield "eigen", f"su2[N={N},u={u},s={s},x={x}]", dict(N=N, u=u, s=s, x=x)
@@ -450,6 +460,15 @@ def _cor36(cfg, p):
 
 @suite("prop3.7", first_p=True)
 def _prop37(cfg, p):
+    """Proposition 3.7, eigenvalues of the finite nested vectors: with F(ns)
+    the product over sites of k_{v,h_(i-1)}(n_i, y_i), h_0 = t, h_i =
+    h_(i-1) + 2 y_i - N_i, the coproduct image of Xtilde_{v,t} on the first
+    j sites gives [h_j]_q F (side "L"), that of Xtilde_{v,h_(M-j)} on the
+    last j sites [h_M]_q F ("R").  Exact residual 0, summed over every row,
+    for Ns in [1], [2], [1, 1], [2, 2] and [1, 1, 1], j = 1..M, (v, t) in
+    ((0, 1), (1, 0)), every ys and both sides, at the first p.
+    ``multivar.nested_eigen_residual`` is the check, with ``ev3.x``'s
+    functions."""
     for sizes in ([1], [2], [1, 1], [2, 2], [1, 1, 1]):
         for j, (v, base) in iproduct(range(1, len(sizes) + 1), ((0, 1), (1, 0))):
             for ys, side in iproduct(iproduct(*[range(N + 1) for N in sizes]), ("L", "R")):
@@ -551,6 +570,12 @@ def _cor41(cfg, p):
 
 @suite("ev4.x")
 def _ev4(cfg, p):
+    """``ev3.x`` on su11: with g the column n -> phi_{u,s}(n, x) at weight k
+    and Ytilde_{u,s} the tilde element of ``cor4.1``, Ytilde_{u,s} g = {2x +
+    k + s}_q g.  Exact residual 0, summed over the rows n < trunc of the
+    window 0..trunc (default 12), for k in {1, 2}, u and s in {0, 1} and x
+    in {0, 1, 2}.  The functions are ``ev3.x``'s, with
+    ``orthopoly.asc_column`` and ``QBase.brace``."""
     for k, u, s, x in iproduct((1, 2), (0, 1), (0, 1), (0, 1, 2)):
         yield ("eigen", f"su11[k={k},u={u},s={s},x={x}]",
                dict(k=k, trunc=cfg.trunc or 12, u=u, s=s, x=x))
@@ -650,6 +675,12 @@ def _prop45(cfg, p):
 
 @suite("prop4.6", first_p=True)
 def _prop46(cfg, p):
+    """Proposition 4.6, ``prop3.7`` on su11: phi_{v,h_(i-1)}(n_i, y_i) at
+    weight k_i, h_i = h_(i-1) + 2 y_i + k_i, Ytilde and braces.  Exact
+    residual 0, summed over the rows with every n_i < trunc of the window
+    0..trunc (default 8), for ks in ((1, 1), (1, 2)), j in {1, 2}, (v, t) in
+    ((0, 1), (1, 0)), ys in {0, 1}**2 and both sides, at the first p, with
+    ``ev4.x``'s functions."""
     for ks in ((1, 1), (1, 2)):
         for j, (v, base) in iproduct(range(1, len(ks) + 1), ((0, 1), (1, 0))):
             for ys, side in iproduct(iproduct(range(2), range(2)), ("L", "R")):
@@ -752,8 +783,7 @@ def run_task(task: Task, mode: str, tol: float) -> CheckReport:
         point = dict(task.params)
         qb = _base(point.pop("p"))
         if label == "certified":
-            point["tb"] = qseries.TailBound(tolerance=point.pop("tb_tol"),
-                                            max_terms=point.pop("tb_max_terms"))
+            point["tb"] = qseries.TailBound(point.pop("tb_tol"), point.pop("tb_max_terms"))
         residual = CHECKS[task.fn](qb, **point)
         if label != "exact":
             residual = _floating(residual)
@@ -767,16 +797,7 @@ def run_task(task: Task, mode: str, tol: float) -> CheckReport:
     else:
         passed = residual == 0 if label == "exact" else abs(residual) <= tol
         res_str = residual_string(residual)
-    return CheckReport(
-        suite=task.suite,
-        check=task.check,
-        params=task.params,
-        residual=res_str,
-        passed=passed,
-        backend=label,
-        elapsed_ms=elapsed,
-        error=err,
-    )
+    return CheckReport(task.suite, task.check, task.params, res_str, passed, label, elapsed, err)
 
 
 def _floating(residual):

@@ -1,10 +1,10 @@
 """Process-lifetime tables of the pure value layer."""
 
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import sys
 import threading
+from typing import NamedTuple
 
 import pytest
 
@@ -546,8 +546,7 @@ def test_chain_residuals_key_each_pack_once_per_call(monkeypatch):
         assert _keys_built(monkeypatch, gevp) == 2, Ns
 
 
-@dataclass(frozen=True)
-class _Pack:
+class _Pack(NamedTuple):
     a: object
     b: object
 
@@ -557,7 +556,7 @@ def _echo(*args, **kwargs):
     return args, kwargs
 
 
-def test_keys_are_typed_and_flatten_dataclass_fields():
+def test_keys_are_typed_and_flatten_record_fields():
     before = _size(_echo)
     # equal values of different types never share an entry
     for value in (1, 1.0, F(1), True, 1 + 0j):

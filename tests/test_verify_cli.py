@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -13,7 +14,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from qracah import PrParams, QBase, asc_w, cli, kraw_W, kraw_w, pr_inner
+from qracah import (
+    ASCParams,
+    KrawParams,
+    PhiSpec,
+    PrParams,
+    QBase,
+    RepSpec,
+    RrParams,
+    TailBound,
+    asc_w,
+    cli,
+    kraw_W,
+    kraw_w,
+    pr_inner,
+)
 from qracah.report import CheckReport, residual_string, serialize_value
 from qracah import verify
 from qracah.verify import SUITE_IDS, SUITES, RunConfig, build_tasks, run_suite, run_task
@@ -380,6 +395,55 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def test_import_loads_no_dataclasses():
+    # the records are NamedTuples: a cold start loads neither dataclasses
+    # nor the inspect module that dataclasses imports
+    code = ("import sys, qracah, qracah.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_records_round_trip_through_pickle():
+    # a --jobs pool sends Task and CheckReport between processes; every
+    # record is a tuple of its fields, equal to and hashed as that tuple
+    qb = QBase(F(1, 2))
+    tb = TailBound(tolerance=1e-10, max_terms=99)
+    records = [
+        KrawParams(0, 1, 3, qb), ASCParams(0, 1, 2, qb, tb), tb,
+        PhiSpec((F(1, 4),), (F(1, 3),), F(1, 2), 1, 2), RrParams(1, 2, 1, 3, qb),
+        PrParams(1, 1, 0, 1, qb, tb), RepSpec.su11(1, 8, qb),
+        build_tasks("relations", RunConfig())[0],
+        CheckReport("relations", "su2[N=0]", {"N": 0, "p": F(1, 2)}, "0", True, "exact", 0.5),
+        RunConfig(p=F(3, 4), jobs=2),
+    ]
+    assert len({type(record) for record in records}) == 10
+    for record in records:
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record == tuple(record)
+        assert repr(back) == repr(record)
+    assert hash(tb) == hash((1e-10, 99))
+    assert repr(tb) == "TailBound(tolerance=1e-10, max_terms=99)"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TailBound(tolerance=0), "tolerance must be positive and finite, got 0"),
+    (lambda: TailBound(max_terms=0), "max_terms must be at least 1"),
+    (lambda: RunConfig(jobs=0), "jobs must be at least 1"),
+    (lambda: RunConfig(trunc=1), "trunc must be at least 2"),
+])
+def test_record_checks_keep_their_texts(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_every_suite_generator_is_documented():
+    for suite_id in SUITE_IDS:
+        if suite_id != "all":
+            assert (SUITES[suite_id][0].__doc__ or "").strip(), suite_id
 
 
 def test_cli_eval_trivial():
