@@ -795,7 +795,7 @@ def certified_sum(terms, tb: TailBound):
     total = None
     terms = ((product(term if isinstance(term, tuple) else (term,)), 1) for term in terms)
     for n, (t, _) in enumerate(_stop_rule(terms, tb)):
-        # each term joins the sum before the stop rule reads its magnitude
+        # checked and summed before the stop rule reads it: the rule sees finite floats
         if not math.isfinite(_magnitude(t)):
             raise NonConvergent(f"term {n} exceeds the floating-point range")
         total = t if total is None else total + t
