@@ -29,6 +29,7 @@ from . import multivar, orthopoly, qseries, ratfun
 from .errors import OutOfRange, QRacahError
 from .report import serialize_value
 from .scalar import QBase, as_exponent
+from .tables import tabled
 from .verify import SUITE_IDS, RunConfig, run_suite
 
 
@@ -103,7 +104,7 @@ def _require_axes_read(names, point, fn):
             raise ValueError(f"grid axis {name!r} is not read by --fn {fn}")
 
 
-@functools.lru_cache(maxsize=None)
+@tabled
 def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the options it reads, spelled out in full:
     # an abbreviation would read verify's --s as --suite.  Built once per
@@ -327,9 +328,12 @@ def _format_scalar(value) -> str:
     return str(serialize_value(value))
 
 
-def _check_series_options(args) -> None:
-    # the shared --tol and --max-terms, refused before any evaluation
+def _qbase(args) -> QBase:
+    # the shared --tol and --max-terms, refused before any evaluation, then
+    # the base of --p (1/2 by default) in the backend of --mode
     RunConfig(tolerance=args.tol, max_terms=args.max_terms)
+    return QBase(_parse_number(args.p or "1/2", "exact" if args.mode == "exact" else "float"),
+                 args.mode)
 
 
 def _output(path, **kwargs):
@@ -344,9 +348,7 @@ def _output(path, **kwargs):
 
 
 def cmd_eval(args) -> int:
-    _check_series_options(args)
-    raw_p = args.p or "1/2"
-    qb = QBase(_parse_number(raw_p, "exact" if args.mode == "exact" else "float"), args.mode)
+    qb = _qbase(args)
     value = FUNCTIONS[args.fn](args, qb, {})
     # every value is formatted before any is printed
     if isinstance(value, dict):
@@ -376,9 +378,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_series_options(args)
-    raw_p = args.p or "1/2"
-    qb = QBase(_parse_number(raw_p, "exact" if args.mode == "exact" else "float"), args.mode)
+    qb = _qbase(args)
     axes = _parse_grid(args.grid)
     with _output(args.out, newline="") as out:
         out.write(_table_text(args, qb, axes))

@@ -72,10 +72,10 @@ tables are ``tables.tabled``: the first call at a key stores the value for
 the life of the process, later calls return that same object, so every
 value is bit-identical to the undecorated function's.  Keys carry the
 type of each scalar argument, so a float exponent never reads the entry of
-an equal ``Fraction``, and ``QBase`` equality includes the backend, so
-exact and floating bases never share a row; calls and row entries that
-raise store nothing.  The certified infinite sums refuse q > 1 before
-their first term (``qseries.require_q_below_one``).
+an equal ``Fraction``; there is one ``QBase`` per (p, mode), held by
+identity, so exact and floating bases never share a row; calls and row
+entries that raise store nothing.  The certified infinite sums refuse
+q > 1 before their first term (``qseries.require_q_below_one``).
 """
 
 from __future__ import annotations

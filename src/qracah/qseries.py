@@ -144,6 +144,11 @@ class TailBound(_TailBound):
             raise ValueError("max_terms must be at least 1")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace and copy.replace build through _make: check them too
+        return cls(*iterable)
+
 
 def check_tolerance(tolerance) -> None:
     """Refuse a tolerance that is not a positive finite number: NaN passes

@@ -14,12 +14,12 @@ must be half-integers in the exact backend; arbitrary reals (or a complex
 integral exponents as Python ints (only a half-integer stays a Fraction),
 so exponent arithmetic and the exact ``p**(2e)`` stay on ints.
 
-A :class:`QBase` computes ``q - 1/q`` and ``q + 1/q`` once and keeps the
-values of ``qpow``, ``bracket`` and ``brace`` in per-instance tables, so a
-power or q-number is reduced once per base, not once per use.  A key is the
-exponent with its type: ``1.0 == 1`` yet an exact base must still reject the
-float, and complex exponents are never stored (equal complex numbers can
-differ in the sign of a zero part, and so can their powers).  In the
+There is one :class:`QBase` per value of (p, mode), which pickle and copy
+give back, so a table key holds its base by identity.  A base computes
+``q - 1/q`` and ``q + 1/q`` once and reads ``qpow``, ``bracket`` and
+``brace`` from three ``tables._Points`` (the package's one table mechanism)
+keyed by the exponent and its type: ``1.0 == 1`` yet an exact base must
+still reject the float, and a complex exponent is never stored.  In the
 floating backends a power beyond the float range raises
 :class:`~qracah.errors.OutOfRange`, and a base whose q or 1/q is not a
 finite nonzero float is refused with ``ValueError``.
@@ -45,13 +45,10 @@ call builds one Fraction, not one per row for each sum, difference and
 ``abs``.
 
 :func:`scaled_residual` is the same sum for the checks whose rows are an
-operator applied to a vector against coefficients times vectors: the
-operator is held as integer rows over one denominator E and every vector
-as integer numerators over their lcm (:func:`scaled`).  A check folds each
-coefficient into its vector's denominator and brings them to one
-denominator L; every row is then an integer dot product on one common
-denominator G = lcm(E·D, L), with no gcd in the loop, and the call builds
-the one Fraction of the sum of the rows' magnitudes over G.
+operator applied to a vector against coefficients times vectors, held as
+integer numerators over one denominator each (:func:`scaled`,
+:func:`scaled_rows`): every row is an integer dot product on one common
+denominator, with no gcd in the loop, and a call builds one Fraction.
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ from itertools import islice
 from operator import mul
 
 from .errors import ExactnessError, OutOfRange
+from .tables import _Points
 
 MODES = ("exact", "float", "complex")
 
@@ -275,20 +273,9 @@ def product(factors):
     return out
 
 
-_MISSING = object()
-
-
-def _tabled(table, compute, e):
-    """table[e, type(e)], computed on a miss.  A call that raises stores
-    nothing, and a complex exponent is never stored: complex(x, 0.0) ==
-    complex(x, -0.0), yet their powers can differ in the sign of a zero."""
-    key = (e, type(e))
-    value = table.get(key, _MISSING)
-    if value is _MISSING:
-        value = compute(e)
-        if type(e) is not complex:
-            table[key] = value
-    return value
+# each spelling (p, type(p), mode) asked for, and each value (p, mode), to
+# the one base of that value
+_BASES: dict = {}
 
 
 class QBase:
@@ -297,14 +284,21 @@ class QBase:
     ``p`` must be a positive rational different from 1 (so q > 0, q != 1).
     In the exact backend every half-integer power of q is the exact rational
     p**m; the floating backends evaluate powers with math/cmath.
+    A new spelling of p is checked before it meets its value's base, so
+    an exact base refuses the float 0.5 even once ``QBase(F(1, 2))`` exists.
     """
 
-    __slots__ = ("p", "mode", "_q", "_logq", "_qdiff", "_qsum", "_hash",
+    __slots__ = ("p", "mode", "_q", "_logq", "_qdiff", "_qsum",
                  "_powers", "_brackets", "_braces", "_zero", "_one")
 
-    def __init__(self, p, mode: str = "exact"):
+    def __new__(cls, p, mode: str = "exact"):
+        spelling = (p, type(p), mode)
+        self = _BASES.get(spelling)
+        if self is not None:
+            return self
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        self = object.__new__(cls)
         self.mode = mode
         if isinstance(p, float) and mode == "exact":
             raise ExactnessError("exact mode requires a rational p")
@@ -329,15 +323,20 @@ class QBase:
         inv = 1 / self._q
         self._qdiff = self._q - inv
         self._qsum = self._q + inv
-        # every table key holds a base: hash it once, not on each lookup
-        self._hash = hash((self.p, mode))
-        # (exponent, its type) -> q**e, [e]_q, {e}_q: see _tabled
-        self._powers = {}
-        self._brackets = {}
-        self._braces = {}
+        # q**e, [e]_q and {e}_q by exponent, keyed with its type
+        self._powers = _Points(self._qpow)
+        self._brackets = _Points(self._bracket)
+        self._braces = _Points(self._brace)
         # scalars are immutable: every zero() and one() can be the same one
         self._zero = self.scalar(0)
         self._one = self.scalar(1)
+        # equal values meet in the first base stored
+        self = _BASES[spelling] = _BASES.setdefault((self.p, mode), self)
+        return self
+
+    def __reduce__(self):
+        # pickle and copy give back the one base of this value
+        return QBase, (self.p, self.mode)
 
     # -- scalar constructors -------------------------------------------------
 
@@ -369,7 +368,7 @@ class QBase:
 
     def qpow(self, e):
         """q**e.  Exact iff 2e is an integer (then q**e = p**(2e))."""
-        return _tabled(self._powers, self._qpow, e)
+        return self._powers[e]
 
     def _qpow(self, e):
         e = as_exponent(e)
@@ -411,14 +410,14 @@ class QBase:
 
     def bracket(self, t):
         """[t]_q = (q**t - q**-t) / (q - 1/q)."""
-        return _tabled(self._brackets, self._bracket, t)
+        return self._brackets[t]
 
     def _bracket(self, t):
         return (self.qpow(t) - self.qpow(-1 * as_exponent(t))) / self._qdiff
 
     def brace(self, t):
         """{t}_q = (q**t + q**-t) / (q + 1/q)."""
-        return _tabled(self._braces, self._brace, t)
+        return self._braces[t]
 
     def _brace(self, t):
         return (self.qpow(t) + self.qpow(-1 * as_exponent(t))) / self._qsum
@@ -427,12 +426,6 @@ class QBase:
     def bracket_brace_ratio(self):
         """(q - 1/q) / (q + 1/q), the scale relating the two brackets."""
         return self._qdiff / self._qsum
-
-    def __eq__(self, other):
-        return isinstance(other, QBase) and self.p == other.p and self.mode == other.mode
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"QBase(p={self.p}, mode={self.mode!r})"

@@ -1,4 +1,4 @@
-"""Process-lifetime tables of pure values, and rows over an index.
+"""Process-lifetime tables of pure values and rows: the one table mechanism.
 
 ``tabled`` keeps a pure function's results in a module-level dict, one per
 function, for the life of the process; ``table_sizes`` reports how many
@@ -24,11 +24,12 @@ per sum and read it by index, with no key built per entry.
 
 Values that a parameter pack fixes at many index points, read in any
 order, are a pack table, ``_Points``: the entry at a point is computed on
-its first request and kept, and a point that raises stores nothing.  A
-point is keyed with the types of its entries, and of a tuple entry's
-entries, as ``tabled`` keys a tuple argument.  ``packed`` tables a
+its first request and kept; a point that raises, or a complex one, stores
+nothing.  A point is keyed with the types of its entries, and of a tuple
+entry's entries, as ``tabled`` keys a tuple argument.  ``packed`` tables a
 function of a pack and a point as one ``_Points`` per pack, so a check
-keys its pack once and reads its points by index.
+keys its pack once and reads its points by index.  Each ``QBase``, one per
+(p, mode), reads its powers and q-numbers from three ``_Points``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,9 @@ class _Points:
     stored and raises again on the next request.  A request for one point
     computes that point only, so an error names the point asked for.  Two
     threads that miss one point at once both compute it, and both get the
-    object stored first."""
+    object stored first.  A complex point is never stored: complex(x, 0.0)
+    == complex(x, -0.0), yet their entries can differ in the sign of a
+    zero."""
 
     __slots__ = ("entry", "args", "values")
 
@@ -86,7 +89,9 @@ class _Points:
         key = (point, _point_types(point))
         value = self.values.get(key, _MISSING)
         if value is _MISSING:
-            value = self.values.setdefault(key, self.entry(*self.args, point))
+            value = self.entry(*self.args, point)
+            if type(point) is not complex:
+                value = self.values.setdefault(key, value)
         return value
 
 

@@ -8,10 +8,11 @@ one expander: it runs the generator for every p of the run (only the
 first for suites registered ``first_p``), appends the tail-bound fields
 ``tb_tol``/``tb_max_terms`` to the params of certified suites, then the
 point's ``p``.  ``run_task`` calls ``CHECKS[fn](qb, **point)``: ``p`` becomes
-the shared base ``qb``, the tail-bound fields one ``TailBound`` ``tb``, and
-the rest are keywords that each check names in its signature, so a library
-residual with those parameter names is its own check.  Every check runs in
-exact scalars, and a task's contract labels its report:
+``QBase(p)``, the one base per (p, mode) that ``tables`` keys by identity,
+the tail-bound fields one ``TailBound`` ``tb``, and the rest are keywords
+that each check names in its signature, so a library residual with those
+parameter names is its own check.  Every check runs in exact scalars, and
+a task's contract labels its report:
 
 * ``exact``     -- the residual must be identically zero;
 * ``certified`` -- the check involves certified truncation of infinite
@@ -32,7 +33,6 @@ from . import multivar, orthopoly, qseries, ratfun, uqsl2
 from .errors import OutOfRange, QRacahError
 from .report import CheckReport, residual_string
 from .scalar import QBase, as_exponent, ordered_sum, residual_sum
-from .tables import tabled
 
 DEFAULT_PS = (Fraction(1, 2), Fraction(2, 3))  # q = 1/4 and 4/9
 DEFAULT_TOL = 1e-9
@@ -72,6 +72,9 @@ class RunConfig(_RunConfig):
             raise ValueError("jobs must be at least 1")
         return self
 
+    # _replace and copy.replace build through _make: check them too
+    _make = classmethod(qseries.TailBound._make.__func__)
+
     def ps(self):
         return (self.p,) if self.p is not None else DEFAULT_PS
 
@@ -86,13 +89,6 @@ class RunConfig(_RunConfig):
 # ---------------------------------------------------------------------------
 # check functions (all top-level so tasks can cross process boundaries)
 # ---------------------------------------------------------------------------
-
-
-@tabled
-def _base(p):
-    # one shared base per p: a table lookup whose key holds the base then
-    # matches it by identity, without QBase.__eq__
-    return QBase(p)
 
 
 def chk_summation(qb, N, s, t, v, x, y):
@@ -781,7 +777,7 @@ def run_task(task: Task, mode: str, tol: float) -> CheckReport:
     start = time.perf_counter()
     try:
         point = dict(task.params)
-        qb = _base(point.pop("p"))
+        qb = QBase(point.pop("p"))
         if label == "certified":
             point["tb"] = qseries.TailBound(point.pop("tb_tol"), point.pop("tb_max_terms"))
         residual = CHECKS[task.fn](qb, **point)

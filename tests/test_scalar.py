@@ -1,7 +1,11 @@
 """Scalar backends: half-integer q-powers and the two q-number brackets."""
 
 import cmath
+import copy
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction as F
 from itertools import product
 
@@ -9,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qracah import QBase
+from qracah import QBase, RrParams
 from qracah.errors import ExactnessError, OutOfRange
 from qracah.scalar import (
     MAX_POWER_BITS,
+    MODES,
     add_pair,
     as_exponent,
     ordered_sum,
@@ -43,6 +48,76 @@ def test_qbase_hash_and_equality():
     assert len({QBase(F(1, 2)), QBase(F(1, 2), "float"), QBase(0.5, "float")}) == 2
 
 
+def test_one_base_per_value_of_p_and_mode():
+    assert QBase(F(1, 2)) is QBase(F(2, 4))
+    assert QBase(2) is QBase(F(2))
+    assert QBase(0.5, "float") is QBase(F(1, 2), "float")
+    # the exact and floating bases of one p are distinct objects
+    bases = [QBase(F(1, 2), mode) for mode in MODES]
+    assert len({id(qb) for qb in bases}) == len(MODES)
+    for qb in (*bases, QBase(0.5, "float"), QBase(F(3, 7), "complex")):
+        assert qb.inverse().inverse() is qb
+
+
+def test_pickle_and_copy_give_back_the_one_base():
+    for qb in (QBase(F(1, 2)), QBase(0.5, "float"), QBase(F(2, 3), "complex")):
+        for back in (pickle.loads(pickle.dumps(qb)), copy.copy(qb), copy.deepcopy(qb)):
+            assert back is qb
+        rp = RrParams(1, 0, 0, 2, qb)
+        for back in (pickle.loads(pickle.dumps(rp)), copy.deepcopy(rp)):
+            assert back == rp and back.qb is qb
+
+
+def test_threads_asking_for_one_value_share_its_base():
+    # threads spell each new p their own way at once: every spelling is
+    # checked, and all of them meet in the one base of that value
+    spellings = range(1, 9)
+    values = [F(m, 1000 + m) for m in range(1, 200)]
+    results = {}
+
+    def build(k):
+        results[k] = [QBase(F(v.numerator * k, v.denominator * k)) for v in values]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in spellings]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for i, v in enumerate(values):
+        assert all(results[k][i] is QBase(v) for k in spellings), v
+
+
+def test_invalid_bases_raise_on_every_call():
+    # a spelling is stored only once checked: an invalid p or mode raises
+    # again, and the float 0.5 is refused by the exact backend although
+    # the exact base of the equal Fraction exists
+    QBase(F(1, 2))
+    for _ in range(2):
+        with pytest.raises(ExactnessError, match="^exact mode requires a rational p$"):
+            QBase(0.5)
+        with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
+            QBase(F(1, 2), "fast")
+        for p, mode in ((F(1), "exact"), (1, "exact"), (F(-1, 2), "exact"), (1.0, "float"),
+                        (-0.5, "complex")):
+            with pytest.raises(ValueError, match="^p must be positive and different from 1$"):
+                QBase(p, mode)
+        with pytest.raises(ValueError, match="unusable floating-point base"):
+            QBase(1e-200, "float")
+
+
+def _cold(qb):
+    # empty the base's power and q-number tables, as a fresh base had them
+    for table in (qb._powers, qb._brackets, qb._braces):
+        table.values.clear()
+    return qb
+
+
 def test_qpow_examples():
     qb = QBase(F(1, 2))
     assert qb.qpow(0) == 1
@@ -54,7 +129,7 @@ def test_qpow_examples():
 def test_qpow_exact_requires_half_integer():
     # 1.0 == 1 == F(1) hash alike: a float exponent must raise whether the
     # tables are cold or already hold its int and Fraction twins
-    for qb, _ in product((QBase(F(1, 2)), QBase(F(5, 2))), range(2)):
+    for qb, _ in product((_cold(QBase(F(1, 2))), _cold(QBase(F(5, 2)))), range(2)):
         for op in (qb.qpow, qb.bracket, qb.brace):
             with pytest.raises(ExactnessError, match=r"^exponent 1/3 is not a half-integer$"):
                 op(F(1, 3))
@@ -204,13 +279,13 @@ def _direct(p, mode):
     twice_e=st.lists(st.integers(-30, 30), min_size=1, max_size=6),
 )
 def test_tabled_scalars_equal_the_direct_formulas(mode, pnum, pden, twice_e):
-    # a fresh base (cold tables), then every exponent again (warm): equal
+    # cold tables, then every exponent again (warm): equal
     # values of the direct formula's type, for int, half-integer and
     # integral-Fraction spellings, at p < 1 and p > 1 alike
     if pnum == pden:
         pden += 1
     p = F(pnum, pden)
-    qb = QBase(p if mode == "exact" else float(p), mode)
+    qb = _cold(QBase(p if mode == "exact" else float(p), mode))
     direct = _direct(p, mode)
     exponents = []
     for m in twice_e:

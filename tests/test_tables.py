@@ -464,6 +464,16 @@ def test_a_pack_point_that_raises_is_not_stored():
     assert table[4] == 12 and len(table.values) == 2
 
 
+def test_a_complex_pack_point_is_never_stored():
+    # complex(-1, 0.0) == complex(-1, -0.0), yet an entry can tell them
+    # apart: neither may read the other's, so neither is kept
+    table = _Points(repr)
+    for point in (complex(-1, -0.0), complex(-1, 0.0), complex(-1, -0.0)):
+        assert table[point] == repr(point)
+    assert table.values == {}
+    assert table[-1] == "-1" and len(table.values) == 1
+
+
 def test_pack_points_hand_every_thread_the_first_object():
     # threads reading the points of one fresh pack table at once, each in
     # its own order: a point two threads miss together is computed twice,

@@ -1,6 +1,7 @@
 """Verification harness and command-line interface."""
 
 import argparse
+import copy
 import hashlib
 import inspect
 import json
@@ -438,6 +439,27 @@ def test_records_round_trip_through_pickle():
 def test_record_checks_keep_their_texts(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+_COPIES = [
+    (lambda: TailBound()._replace(tolerance=0), "tolerance must be positive and finite, got 0"),
+    (lambda: TailBound._make((1e-12, 0)), "max_terms must be at least 1"),
+    (lambda: RunConfig()._replace(jobs=0), "jobs must be at least 1"),
+    (lambda: RunConfig._make((None, None, 1, 1, None)), "trunc must be at least 2"),
+]
+if hasattr(copy, "replace"):  # Python 3.13 on
+    _COPIES += [(lambda: copy.replace(TailBound(), max_terms=0), "max_terms must be at least 1"),
+                (lambda: copy.replace(RunConfig(), trunc=1), "trunc must be at least 2")]
+
+
+@pytest.mark.parametrize("make, message", _COPIES)
+def test_record_copies_are_checked_as_built(make, message):
+    # _replace builds through _make, and so does copy.replace: each raises
+    # the constructor's text, and a valid copy is the record built anew
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+    assert TailBound()._replace(max_terms=5) == TailBound(max_terms=5)
+    assert RunConfig()._replace(jobs=2) == RunConfig(jobs=2)
 
 
 def test_every_suite_generator_is_documented():

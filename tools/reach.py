@@ -63,6 +63,10 @@ REFERENCES = {
     "uqsl2.OpMatrix.apply": "the benchmark's operator probe and tests apply a matrix to a vector",
     "verify._run_task_star": "runs only in the pool workers of verify --jobs N > 1",
     "scalar.QBase.__repr__": "names a base in test failures and tracebacks",
+    "scalar.QBase.__reduce__": ("only pickle and copy reach it: --jobs pools ship tasks, "
+                                "not bases"),
+    "qseries.TailBound._make": ("_replace and copy.replace build through it (RunConfig's "
+                                "too), so a copy is checked as built"),
     "tables.table_sizes": "tests read table sizes to show what a call tabled",
     "uqsl2.OpMatrix.__init__": "tests build dense matrices as references",
     "uqsl2.OpMatrix.__eq__": "tests compare matrices",
