@@ -53,7 +53,6 @@ from .uqsl2 import OpMatrix, RepSpec, coproduct_op, gens, twist_x, twist_y
 from .ratfun import (
     PrParams,
     RrParams,
-    pr_biorth_residual,
     pr_closed,
     pr_inner,
     pr_valid,
@@ -66,6 +65,7 @@ from .multivar import (
     epsilon_set,
     heights,
     multi_biorth_residual,
+    multi_biorth_residual_asc,
     multi_gevp_residual,
     nested_asc,
     nested_kraw,

@@ -37,28 +37,40 @@ its coefficients into one denominator, every row is an integer dot
 product, and the check builds one Fraction.  The chain tables hold exact
 scalars only: a floating base raises ExactnessError.
 
-The multivariate rational functions and the finite x-side weight are pack
+The multivariate rational functions and the x-side weights are pack
 tables (``tables.packed``): ``_rr_pack(qb, s, t, v, Ns)`` and
 ``_pr_pack(qb, s, t, v, ks, tb)`` hold the products of univariate factors
-by (xs, ys), and ``_kraw_W_pack(qb, s, Ns)`` the weights by xs.  The
-biorthogonality and generalized-eigenvalue residuals fetch each pack once
-per check and read it by point, with no key built per (xs, ys); a residual
-that meets the same (xs, ys + eps) again, at another j or another shift,
-reuses the product.  :func:`rr_multi`, :func:`pr_multi` and
-:func:`kraw_W_multi` turn their sequences into tuples and read the same
+by (xs, ys), and ``_W_pack(qb, s, sizes, su11, tb)`` the weights of either
+chain by xs (``tb`` None on the finite one).  The biorthogonality and
+generalized-eigenvalue residuals fetch each pack once per check and read it
+by point, with no key built per (xs, ys); a residual that meets the same
+(xs, ys + eps) again, at another j or another shift, reuses the product.
+:func:`rr_multi`, :func:`pr_multi`, :func:`kraw_W_multi` and
+:func:`asc_W_multi` turn their sequences into tuples and read the same
 entries.
+
+Each pair of finite and infinite residuals is one body taking ``su11``:
+``_transfer_residual``, ``_multi_gevp`` and ``_multi_biorth``.  The
+biorthogonality sums the overlap of ``biorth_overlap`` against the weight
+pack: the finite chain over its index grid by ``scalar.ordered_sum``, the
+infinite one over shells of constant max coordinate by
+``qseries.certified_sum``.  A chain of one site is the univariate case, so
+``prop3.4`` and ``prop4.4`` run it on one site, where every shell is one
+point and passes that point's factor tuple.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InternalError, OutOfRange
+from .errors import InternalError, NonConvergent, OutOfRange
 from . import orthopoly, uqsl2
-from .orthopoly import ASCParams, KrawParams, TailBound
-from .ratfun import PrParams, RrParams, biorth_overlap, pr_inner, rr_inner
-from .scalar import QBase, as_exponent, ordered_sum, scaled, scaled_residual, scaled_rows
+from .orthopoly import ASCParams, KrawParams
+from .qseries import TailBound, certified_sum, require_q_below_one
+from .ratfun import PrParams, RrParams, pr_inner, rr_inner
+from .scalar import (QBase, as_exponent, ordered_sum, product, real_part, scaled,
+                     scaled_residual, scaled_rows)
 from .tables import packed, tabled
 
 
@@ -324,10 +336,8 @@ def _rr_pack(qb, s, t, v, Ns, point):
     xs, ys = point
     hx = heights(s, xs, Ns)
     hy = heights(t, ys, Ns)
-    out = qb.one()
-    for j, N in enumerate(Ns):
-        out *= rr_inner(RrParams(hx[j], hy[j], v, N, qb), xs[j], ys[j])
-    return out
+    return _site_product(qb, [rr_inner(RrParams(a, b, v, N, qb), x, y)
+                              for a, b, N, x, y in zip(hx, hy, Ns, xs, ys)])
 
 
 def rr_multi_inner(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
@@ -355,10 +365,8 @@ def _pr_pack(qb, s, t, v, ks, tb, point):
     xs, ys = point
     hx = heights(s, xs, ks, su11=True)
     hy = heights(t, ys, ks, su11=True)
-    out = qb.one()
-    for j, k in enumerate(ks):
-        out *= pr_inner(PrParams(hx[j], hy[j], v, k, qb, tb), xs[j], ys[j])
-    return out
+    return _site_product(qb, [pr_inner(PrParams(a, b, v, k, qb, tb), x, y)
+                              for a, b, k, x, y in zip(hx, hy, ks, xs, ys)])
 
 
 def pr_multi_inner(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
@@ -376,91 +384,102 @@ def pr_multi_inner(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
 
 def kraw_W_multi(qb: QBase, s, Ns: Sequence[int], xs: Sequence[int]):
     """Nested x-side weight: product of univariate weights at running heights."""
-    return _kraw_W_pack(qb, s, tuple(Ns))[tuple(xs)]
-
-
-@packed
-def _kraw_W_pack(qb, s, Ns, xs):
-    h = heights(s, xs, Ns)
-    out = qb.one()
-    for j, N in enumerate(Ns):
-        out *= orthopoly.kraw_W(qb, h[j], N, xs[j])
-    return out
+    return _W_pack(qb, s, tuple(Ns), False, None)[tuple(xs)]
 
 
 def asc_W_multi(qb: QBase, s, ks: Sequence, xs: Sequence[int],
                 tb: TailBound = TailBound()):
     """Nested x-side weight for the infinite family."""
-    h = heights(s, xs, ks, su11=True)
-    out = qb.one()
-    for j, k in enumerate(ks):
-        out *= orthopoly.asc_W(qb, h[j], k, xs[j], tb)
-    return out
+    return _W_pack(qb, s, tuple(ks), True, tb)[tuple(xs)]
+
+
+@packed
+def _W_pack(qb, s, sizes, su11, tb, xs):
+    h = heights(s, xs, sizes, su11)
+    if su11:
+        return _site_product(qb, [orthopoly.asc_W(qb, a, k, x, tb) for a, k, x in zip(h, sizes, xs)])
+    return _site_product(qb, [orthopoly.kraw_W(qb, a, N, x) for a, N, x in zip(h, sizes, xs)])
+
+
+def _site_product(qb: QBase, factors: list):
+    """The product of a chain's site factors in site order, from the first
+    factor (one for an empty chain): a one-site entry is the univariate
+    value itself, not a copy multiplied by one."""
+    return product(factors) if factors else qb.one()
+
+
+def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
+    """The summand of one biorthogonality relation between the pack tables
+    ``left`` and ``right`` of a chain's rational functions, read by (xs, ys).
+
+    Returns ``(outer, diag, overlap)``: relation="x" sums the product of
+    the two factors ``overlap(u) = (left[u, idx], conj(right[u, idx2]))``
+    against the weight at ``outer = s`` and subtracts the inverse weight at
+    ``diag = t`` on the diagonal; relation="y" sums over the second
+    argument with s and t swapped.  The factors come unmultiplied so that a
+    sum can take them as one term's factor tuple.
+    """
+    if relation == "x":
+        return s, t, lambda u: (left[u, idx], qb.conj(right[u, idx2]))
+    if relation == "y":
+        return t, s, lambda u: (left[idx, u], qb.conj(right[idx2, u]))
+    raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
 
 
 def multi_biorth_residual(qb: QBase, s, t, v, Ns: Sequence[int],
                           relation: str, idx: Sequence[int], idx2: Sequence[int]):
     """Residual of the multivariate biorthogonality over the full grid;
     partner family at -conj(v) - 2.  Exact zero for the finite chain."""
-    vpart = -qb.conj(as_exponent(v)) - 2
-    Ns, idx, idx2 = tuple(Ns), tuple(idx), tuple(idx2)
-    left, right = _rr_pack(qb, s, t, v, Ns), _rr_pack(qb, s, t, vpart, Ns)
-    outer, diag, overlap = biorth_overlap(
-        qb, relation, s, t, idx, idx2,
-        lambda xs, ys: left[xs, ys], lambda xs, ys: right[xs, ys])
-    w = _kraw_W_pack(qb, outer, Ns)
-    acc = ordered_sum(((*overlap(us), w[us]) for us in iproduct(*[range(N + 1) for N in Ns])),
-                      qb.zero())
-    if idx == idx2:
-        acc -= 1 / kraw_W_multi(qb, diag, Ns, idx)
-    return acc
+    return _multi_biorth(qb, s, t, v, Ns, relation, idx, idx2, False)
 
 
-def multi_biorth_residual_asc(qb: QBase, s, t, v, ks: Sequence,
+def multi_biorth_residual_asc(qb: QBase, s, t, v, ks: Sequence, relation: str,
                               idx: Sequence[int], idx2: Sequence[int],
                               tb: TailBound = TailBound()):
-    """Residual of the infinite multivariate biorthogonality (sum over the
-    x-grid).  The grid is summed in shells of constant max-coordinate; the
-    shell totals decay super-geometrically (the weight's q**(2x**2) beats
-    the polynomial growth of the rational factors), so the shell sequence is
-    truncated under the tail certificate."""
-    from .qseries import certified_sum, require_q_below_one
+    """Residual of the infinite multivariate biorthogonality; requires
+    0 < q < 1 and |Re(v) + 1| < 2 + s + t, so that both families converge.
+    The outer sum runs in shells of constant max coordinate; the shell
+    totals decay super-geometrically (the weight's q**(2x**2) beats the
+    polynomial growth of the rational factors), so the shell sequence is
+    truncated by :func:`qseries.certified_sum` under ``tb``."""
+    return _multi_biorth(qb, s, t, v, ks, relation, idx, idx2, True, tb)
 
-    require_q_below_one(qb)
-    M = len(ks)
+
+def _multi_biorth(qb, s, t, v, sizes, relation, idx, idx2, su11, tb=None):
+    """The sum over the chain's x-grid of the relation's overlap against the
+    weight pack, minus the inverse weight on the diagonal: the finite chain
+    adds its index grid in order, the infinite one its shells."""
     vpart = -qb.conj(as_exponent(v)) - 2
-    idx, idx2 = tuple(idx), tuple(idx2)
-
-    hy = heights(t, idx, ks, su11=True)
-    hy2 = heights(t, idx2, ks, su11=True)
-
-    def integrand(xs):
-        # group the three factors site by site: the per-site products stay
-        # of the order of the final term, while the full rational-function
-        # products alone can overflow the float range
-        hx = heights(s, xs, ks, su11=True)
-        out = qb.one()
-        for j, k in enumerate(ks):
-            left = pr_inner(PrParams(hx[j], hy[j], v, k, qb, tb), xs[j], idx[j])
-            right = pr_inner(PrParams(hx[j], hy2[j], vpart, k, qb, tb), xs[j], idx2[j])
-            w = orthopoly.asc_W(qb, hx[j], k, xs[j], tb)
-            out *= left * w * qb.conj(right)
-        return out
-
-    def shells():
-        m = 0
-        while True:
-            total = qb.zero()
-            for xs in iproduct(*[range(m + 1)] * M):
-                if max(xs) == m:
-                    total += integrand(xs)
-            yield total
-            m += 1
-
-    acc = certified_sum(shells(), tb)
+    sizes, idx, idx2 = tuple(sizes), tuple(idx), tuple(idx2)
+    if su11:
+        require_q_below_one(qb)
+        if not abs(real_part(v) + 1) < 2 + real_part(s) + real_part(t):
+            raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
+        left, right = _pr_pack(qb, s, t, v, sizes, tb), _pr_pack(qb, s, t, vpart, sizes, tb)
+    else:
+        left, right = _rr_pack(qb, s, t, v, sizes), _rr_pack(qb, s, t, vpart, sizes)
+    outer, diag, overlap = biorth_overlap(qb, relation, s, t, idx, idx2, left, right)
+    w = _W_pack(qb, outer, sizes, su11, tb)
+    if su11:
+        acc = certified_sum(_shells(qb, overlap, w, len(sizes)), tb)
+    else:
+        grid = iproduct(*[range(N + 1) for N in sizes])
+        acc = ordered_sum(((*overlap(us), w[us]) for us in grid), qb.zero())
     if idx == idx2:
-        acc -= 1 / asc_W_multi(qb, t, ks, idx, tb)
+        acc -= 1 / _W_pack(qb, diag, sizes, su11, tb)[idx]
     return acc
+
+
+def _shells(qb, overlap, w, M):
+    """The terms of the infinite chain's x-sum by shells: shell m = 0, 1,
+    ... holds the points of {0..m}**M whose max coordinate is m, listed by
+    the first site i that takes m.  A shell of one point (m = 0, or any
+    shell of one site) is that point's factor tuple, a larger one the
+    ordered sum of its points' tuples."""
+    for m in count():
+        shell = [(*overlap(xs), w[xs]) for i in range(M)
+                 for xs in iproduct(*[range(m)] * i, (m,), *[range(m + 1)] * (M - 1 - i))]
+        yield shell[0] if len(shell) == 1 else ordered_sum(shell, qb.zero())
 
 
 def multi_gevp_residual(qb: QBase, j: int, xs: Sequence[int], ys: Sequence[int],

@@ -8,12 +8,14 @@ infinite objects carry an error certificate controlled by a
   when R, a bound on every later term ratio derived from the parameters
   (see ``_ratio_bound``), satisfies R < 1 and ``|t_J| R / (1 - R) <=
   tolerance``, so the neglected tail is at most ``tolerance``;
-* :func:`certified_sum` (``pr_inner``, ``pr_biorth_residual``,
-  ``asc_orth_*``, the infinite ``summation_rhs``, the multivariate shell
-  sums) only sees its terms, so it stops once the current term is
-  below ``tolerance * (1 - RATIO_CAP)`` and the *observed* term ratios have
-  stayed below ``RATIO_CAP``; that bounds the tail only if later ratios
-  stay below the cap too.  The sums of the infinite family call
+* :func:`certified_sum` (the shells of ``multivar.multi_biorth_residual_asc``,
+  so ``prop4.4``'s u-sum, a floating ``pr_inner``, ``asc_orth_*`` and the
+  infinite ``summation_rhs``; an exact ``pr_inner`` passes its terms'
+  integer pairs to :func:`pair_sum`, which holds the same stop rule) only
+  sees its terms, so it stops once the current term is below ``tolerance *
+  (1 - RATIO_CAP)`` and the *observed* term ratios have stayed below
+  ``RATIO_CAP``; that bounds the tail only if later ratios stay below the
+  cap too.  The sums of the infinite family call
   :func:`require_q_below_one` first: their weights decay only for q < 1;
 * ``qpoch_inf`` / ``qpoch_inf_ratio`` bound the relative error of the
   product to first order.

@@ -53,7 +53,6 @@ from .orthopoly import (
     _signed_qpow,
     _w_column,
     asc_w_column,
-    asc_W,
     kraw_w_column,
     require_positive_k,
 )
@@ -267,24 +266,6 @@ def summation_pair_qracah(qb: QBase, N: int, s, t, v, x: int, y: int):
     return rr_closed(rp, x, y), rr_inner(rp, x, y)
 
 
-def biorth_overlap(qb: QBase, relation: str, s, t, idx, idx2, left, right):
-    """The summand of one biorthogonality relation between the families
-    ``left(x, y)`` and ``right(x, y)``.
-
-    Returns ``(outer, diag, overlap)``: relation="x" sums the product of
-    the two factors ``overlap(u) = (left(u, idx), conj(right(u, idx2)))``
-    against the weight at ``outer = s`` and subtracts the inverse weight at
-    ``diag = t`` on the diagonal; relation="y" sums over the second
-    argument with s and t swapped.  The factors come unmultiplied so that a
-    certified sum can take them as one term's factor tuple.
-    """
-    if relation == "x":
-        return s, t, lambda u: (left(u, idx), qb.conj(right(u, idx2)))
-    if relation == "y":
-        return t, s, lambda u: (left(idx, u), qb.conj(right(idx2, u)))
-    raise OutOfRange(f"relation must be 'x' or 'y', got {relation!r}")
-
-
 # ---------------------------------------------------------------------------
 # the infinite family
 # ---------------------------------------------------------------------------
@@ -360,33 +341,3 @@ def _pr_prefactors(qb: QBase, s, t, v, k, tb):
 
     ratio = qpoch_inf_ratio(qb.qpow(s + t + 2 * k - v + 1), qb.qpow(s + t - v + 1), q2, tb)
     return ratio, _Points(x_quotient), _Points(y_quotient)
-
-
-def pr_biorth_residual(pp: PrParams, relation: str, idx: int, idx2: int):
-    """Residual of the infinite biorthogonality relation; requires
-    |Re(v) + 1| < 2 + s + t so both family members converge.  The outer sum
-    is truncated by :func:`certified_sum` under ``pp.tb``: it stops once
-    three consecutive terms fall below tolerance*(1-RATIO_CAP) with term
-    ratios at most ``RATIO_CAP`` (``qseries``)."""
-    qb = pp.qb
-    v = pp.v
-    require_q_below_one(qb)
-    if not abs(real_part(v) + 1) < 2 + real_part(pp.s) + real_part(pp.t):
-        raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
-    vpart = -qb.conj(v) - 2
-    partner = PrParams(pp.s, pp.t, vpart, pp.k, qb, pp.tb)
-    outer, diag, overlap = biorth_overlap(
-        qb, relation, pp.s, pp.t, idx, idx2,
-        lambda x, y: pr_inner(pp, x, y), lambda x, y: pr_inner(partner, x, y))
-
-    def terms():
-        u = 0
-        while True:
-            yield (*overlap(u), asc_W(qb, outer, pp.k, u, pp.tb))
-            u += 1
-
-    acc = certified_sum(terms(), pp.tb)
-    if idx == idx2:
-        acc -= 1 / asc_W(qb, diag, pp.k, idx, pp.tb)
-    return acc
-

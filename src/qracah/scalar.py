@@ -286,6 +286,11 @@ class QBase:
     p**m; the floating backends evaluate powers with math/cmath.
     A new spelling of p is checked before it meets its value's base, so
     an exact base refuses the float 0.5 even once ``QBase(F(1, 2))`` exists.
+    ``qb.p`` is the value's ``Fraction``, whichever spelling built the base:
+    a usable float converts exactly, so ``float(qb.p)`` gives the float back
+    and no floating bit moves.  ``repr`` prints p as a float in the float
+    backend and as the rational in the other two, so it too depends on the
+    value and the mode only.
     """
 
     __slots__ = ("p", "mode", "_q", "_logq", "_qdiff", "_qsum",
@@ -302,17 +307,17 @@ class QBase:
         self.mode = mode
         if isinstance(p, float) and mode == "exact":
             raise ExactnessError("exact mode requires a rational p")
-        self.p = Fraction(p) if not isinstance(p, float) else p
+        value = Fraction(p) if not isinstance(p, float) else p
         if mode == "exact":
-            if self.p.numerator <= 0 or self.p.numerator == self.p.denominator:
+            if value.numerator <= 0 or value.numerator == value.denominator:
                 raise ValueError("p must be positive and different from 1")
-            self._q = self.p * self.p
+            self._q = value * value
             self._logq = None
         else:
-            if not self.p > 0 or self.p == 1:
+            if not value > 0 or value == 1:
                 raise ValueError("p must be positive and different from 1")
             try:
-                pf = float(self.p)
+                pf = float(value)
             except OverflowError:
                 pf = math.inf
             self._q = pf * pf
@@ -320,6 +325,7 @@ class QBase:
             if not (0 < self._q < math.inf and 1 / self._q < math.inf) or self._q == 1:
                 raise ValueError(f"p = {p} gives the unusable floating-point base q = {self._q!r}")
             self._logq = 2.0 * math.log(pf)
+        self.p = Fraction(value)
         inv = 1 / self._q
         self._qdiff = self._q - inv
         self._qsum = self._q + inv
@@ -428,4 +434,4 @@ class QBase:
         return self._qdiff / self._qsum
 
     def __repr__(self):
-        return f"QBase(p={self.p}, mode={self.mode!r})"
+        return f"QBase(p={float(self.p) if self.mode == 'float' else self.p}, mode={self.mode!r})"

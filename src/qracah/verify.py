@@ -30,7 +30,7 @@ from itertools import product as iproduct
 from typing import Iterator, List, NamedTuple, Optional
 
 from . import multivar, orthopoly, qseries, ratfun, uqsl2
-from .errors import OutOfRange, QRacahError
+from .errors import InternalError, OutOfRange, QRacahError
 from .report import CheckReport, residual_string
 from .scalar import QBase, as_exponent, ordered_sum, residual_sum
 
@@ -178,7 +178,8 @@ def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
                 if e in cols:
                     rhs.append((c, cols[e][n]))
                 elif c != 0:
-                    raise QRacahError("nonzero coefficient at out-of-range shift")
+                    raise InternalError(f"nonzero coefficient {c} at out-of-range shift {e} "
+                                        f"from y = {y}, t shifted by {direction}")
             rows.append(([(qb.qpow(2 * n + diag), col_t[n])], rhs))
     return residual_sum(rows)
 
@@ -210,11 +211,12 @@ def chk_cor43(qb, tb, k, s, t, v, x, y):
 
 
 def chk_pr_biorth(qb, tb, k, s, t, v, relation, i, j):
-    # normalized by the diagonal target 1/W on diagonal entries
-    raw = ratfun.pr_biorth_residual(ratfun.PrParams(s, t, v, k, qb, tb), relation, i, j)
+    # the one-site chain's, normalized by the diagonal target 1/W on
+    # diagonal entries
+    raw = multivar.multi_biorth_residual_asc(qb, s, t, v, (k,), relation, (i,), (j,), tb)
     if i == j:
         diag_s = t if relation == "x" else s
-        return raw / (1 + abs(1 / orthopoly.asc_W(qb, diag_s, k, i, tb)))
+        return raw / (1 + abs(1 / multivar.asc_W_multi(qb, diag_s, (k,), (i,), tb)))
     return raw
 
 
@@ -405,9 +407,9 @@ def _prop34(cfg, p):
     first p.  ``chk_rr_biorth`` runs ``multivar.multi_biorth_residual`` on
     the chain (N,): the sum reads ``multivar._rr_pack`` at v and at the
     partner (products of ``ratfun.rr_inner``, paired by
-    ``ratfun.biorth_overlap``) and ``multivar._kraw_W_pack``
+    ``multivar.biorth_overlap``) and the weight pack ``multivar._W_pack``
     (``orthopoly.kraw_W``), summed by ``scalar.ordered_sum``, and the
-    target is ``multivar.kraw_W_multi``."""
+    target is the same pack's entry."""
     for N, (s, t), v, relation in iproduct(
             range(4), ((0, 0), (1, 2), (2, 1)), (-2, -1, 0, 1), ("x", "y")):
         for i, j in iproduct(range(N + 1), repeat=2):
@@ -616,10 +618,12 @@ def _prop44(cfg, p):
     every inner n-sum (``qseries.pair_sum``, the same stop rule) and the
     weights' Pochhammer ratios are truncated under the run's
     ``TailBound``, and a report passes when |residual| <= tol.
-    ``chk_pr_biorth`` computes the sum by
-    ``ratfun.pr_biorth_residual`` (``ratfun.biorth_overlap`` over
-    ``ratfun.pr_inner``, the weight ``orthopoly.asc_W``) and the target by
-    ``orthopoly.asc_W``."""
+    ``chk_pr_biorth`` runs ``multivar.multi_biorth_residual_asc`` on the
+    chain (k,): the sum reads ``multivar._pr_pack`` at v and at the partner
+    (products of ``ratfun.pr_inner``, paired by ``multivar.biorth_overlap``)
+    and the weight pack ``multivar._W_pack`` (``orthopoly.asc_W``), one
+    shell of one point per u, and the target and the diagonal scale are the
+    same pack's entry (``multivar.asc_W_multi``)."""
     for (k, s, t, v), relation, i, j in iproduct(
             ((1, 0, 0, -1), (2, 1, 1, 0)), ("x", "y"), range(3), range(3)):
         yield ("pr_biorth", f"biorth_{relation}[k={k},s={s},t={t},v={v},{i},{j}]",

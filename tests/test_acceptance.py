@@ -333,7 +333,7 @@ def test_criterion_10_multivariate_biorthogonality():
     pairs = list(iproduct(range(2), range(2)))
     for ys in pairs:
         for ys2 in pairs:
-            r = multivar.multi_biorth_residual_asc(qb, 0, 0, -1, (1, 1), ys, ys2, TB)
+            r = multivar.multi_biorth_residual_asc(qb, 0, 0, -1, (1, 1), "x", ys, ys2, TB)
             scale = 1.0
             if ys == ys2:
                 scale += abs(float(1 / multivar.asc_W_multi(qb, 0, (1, 1), ys, TB)))

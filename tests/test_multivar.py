@@ -1,7 +1,7 @@
 """Nested functions, shift-set combinatorics and multivariate identities."""
 
 from fractions import Fraction as F
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 
 import pytest
 
@@ -30,6 +30,7 @@ from qracah.multivar import (
     transfer_check_y,
 )
 from qracah.orthopoly import kraw_diff_coeffs
+from qracah.qseries import certified_sum
 from qracah.ratfun import PrParams, RrParams, pr_inner, rr_inner
 from qracah.report import residual_string
 from qracah.scalar import ordered_sum, scaled_rows
@@ -320,10 +321,22 @@ def test_pr_multi_product_vs_tensor_inner():
 
 def test_multi_biorth_asc_certified():
     tb = TailBound(tolerance=1e-12)
-    r = multi_biorth_residual_asc(QB, 0, 0, -1, (1, 1), (0, 1), (0, 1), tb)
+    r = multi_biorth_residual_asc(QB, 0, 0, -1, (1, 1), "x", (0, 1), (0, 1), tb)
     scale = 1 + abs(1 / asc_W_multi(QB, 0, (1, 1), (0, 1), tb))
     assert abs(float(r)) / float(scale) < 1e-8
-    r = multi_biorth_residual_asc(QB, 0, 0, -1, (1, 1), (1, 0), (0, 1), tb)
+    r = multi_biorth_residual_asc(QB, 0, 0, -1, (1, 1), "x", (1, 0), (0, 1), tb)
+    assert abs(float(r)) < 1e-8
+
+
+@pytest.mark.parametrize("s, t, v", [(0, 0, -1), (1, 0, 0)])
+def test_multi_biorth_asc_y_relation_certified(s, t, v):
+    # the y relation sums over the second argument against the weight at t
+    # and subtracts the inverse weight at s: the x relation's bound
+    tb = TailBound(tolerance=1e-12)
+    r = multi_biorth_residual_asc(QB, s, t, v, (1, 1), "y", (0, 1), (0, 1), tb)
+    scale = 1 + abs(1 / asc_W_multi(QB, s, (1, 1), (0, 1), tb))
+    assert abs(float(r)) / float(scale) < 1e-8
+    r = multi_biorth_residual_asc(QB, s, t, v, (1, 1), "y", (1, 0), (0, 1), tb)
     assert abs(float(r)) < 1e-8
 
 
@@ -513,6 +526,21 @@ def test_a_wrong_five_point_coefficient_gives_the_row_by_row_residual(monkeypatc
     assert type(got) is F and got == want and got > 0
 
 
+def test_a_coefficient_at_an_out_of_range_shift_fails_the_task_as_internal(monkeypatch):
+    # at y = 0 the first coefficient of the upward shift has shift -2,
+    # outside 0..N: made nonzero, it fails the task as a formula bug that
+    # names the coefficient, the shift and the point
+    dyn_coeffs = orthopoly.kraw_dyn_coeffs
+    monkeypatch.setattr(orthopoly, "kraw_dyn_coeffs",
+                        lambda *args: (dyn_coeffs(*args)[0] + F(1, 7), *dyn_coeffs(*args)[1:]))
+    cfg = RunConfig()
+    task = next(task for task in build_tasks("lemma3.8", cfg) if task.params["y"] == 0)
+    report = run_task(task, "exact", cfg.tol())
+    assert not report.passed and report.residual == "error"
+    assert report.error.startswith("InternalError: nonzero coefficient 1/7 at out-of-range "
+                                   "shift -2 from y = 0"), report.error
+
+
 # ---------------------------------------------------------------------------
 # the univariate eigen, biorthogonality and recurrence verdicts run the
 # one-site chain: each against the univariate expression it replaced
@@ -548,6 +576,26 @@ def _univariate_rr_biorth(qb, N, s, t, v, relation, i, j):
     acc = ordered_sum((*pair, orthopoly.kraw_W(qb, outer, N, u)) for u, pair in enumerate(pairs))
     if i == j:
         acc -= 1 / orthopoly.kraw_W(qb, diag, N, i)
+    return acc
+
+
+def _univariate_pr_biorth(qb, tb, k, s, t, v, relation, i, j):
+    # the certified u-sum of the two pr_inner factors times the weight,
+    # minus delta_ij over the weight at the other parameter
+    pp, partner = PrParams(s, t, v, k, qb, tb), PrParams(s, t, -qb.conj(v) - 2, k, qb, tb)
+    outer, diag = (s, t) if relation == "x" else (t, s)
+
+    def terms():
+        for u in count():
+            if relation == "x":
+                pair = pr_inner(pp, u, i), qb.conj(pr_inner(partner, u, j))
+            else:
+                pair = pr_inner(pp, i, u), qb.conj(pr_inner(partner, j, u))
+            yield (*pair, orthopoly.asc_W(qb, outer, k, u, tb))
+
+    acc = certified_sum(terms(), tb)
+    if i == j:
+        acc -= 1 / orthopoly.asc_W(qb, diag, k, i, tb)
     return acc
 
 
@@ -613,6 +661,28 @@ def test_one_site_infinite_recurrence_is_the_univariate_one():
     assert any(values)
 
 
+def test_one_site_infinite_biorth_is_the_univariate_one():
+    # each shell of one site is one point's factor tuple, so the chain's
+    # certified sum reads the univariate terms and stops where it stops;
+    # diagonal entries are divided by 1 + |1/W| as the check divides them
+    cfg = RunConfig()
+    tasks = build_tasks("prop4.4", cfg)
+    assert len(tasks) == 36
+    values = []
+    for task in tasks:
+        point = dict(task.params)
+        qb = QBase(point.pop("p"))
+        tb = TailBound(tolerance=point.pop("tb_tol"), max_terms=point.pop("tb_max_terms"))
+        want = _univariate_pr_biorth(qb, tb, **point)
+        if point["i"] == point["j"]:
+            diag = point["t"] if point["relation"] == "x" else point["s"]
+            want /= 1 + abs(1 / orthopoly.asc_W(qb, diag, point["k"], point["i"], tb))
+        got = CHECKS["pr_biorth"](qb, tb, **point)
+        assert type(got) is F and got == want, task.check
+        values.append(want)
+    assert any(values)
+
+
 @pytest.fixture
 def wrong_twisted_entry(monkeypatch):
     """Entry (0, 0) of every twisted element off by 2/5, in the one body
@@ -642,7 +712,7 @@ def test_a_wrong_weight_gives_the_univariate_biorth_residual(monkeypatch):
     kraw_W = orthopoly.kraw_W
     monkeypatch.setattr(orthopoly, "kraw_W",
                         lambda qb, s, N, x: kraw_W(qb, s, N, x) + (F(1, 3) if x == 1 else 0))
-    monkeypatch.setattr(multivar, "_kraw_W_pack", multivar._kraw_W_pack.__wrapped__)
+    monkeypatch.setattr(multivar, "_W_pack", multivar._W_pack.__wrapped__)
     for point in ((3, 1, 2, 0, "x", 1, 0), (2, 0, 0, 1, "y", 1, 1), (3, 2, 1, -1, "x", 2, 2)):
         got, want = CHECKS["rr_biorth"](QB, *point), _univariate_rr_biorth(QB, *point)
         assert type(got) is F and got == want and got != 0, point

@@ -29,7 +29,7 @@ from qracah import (
     summation_pair_qracah,
     summation_rhs,
 )
-from qracah import orthopoly, qseries, ratfun, verify
+from qracah import multivar, orthopoly, qseries, verify
 from qracah.errors import (
     DenominatorPole,
     ExactnessError,
@@ -1267,7 +1267,7 @@ def test_floating_certified_sums_keep_their_bits():
         assert type(value) is (float if mode == "float" else complex)
         assert bits(value) == want, (mode, name, s, k, a, b)
     for (mode, s, t, v, k, relation, i, j), want in _FLOATING_BIORTH.items():
-        pp = PrParams(s, t, v, k, QBase(0.5, mode), tb)
-        value = ratfun.pr_biorth_residual(pp, relation, i, j)
+        value = multivar.multi_biorth_residual_asc(QBase(0.5, mode), s, t, v, (k,), relation,
+                                                   (i,), (j,), tb)
         assert type(value) is (float if mode == "float" else complex)
         assert bits(value) == want, (mode, s, t, v, k, relation, i, j)

@@ -18,7 +18,7 @@ from qracah import (
     asc_orth_n,
     asc_orth_x,
     kraw_W,
-    pr_biorth_residual,
+    multi_biorth_residual_asc,
     pr_closed,
     pr_inner,
     pr_valid,
@@ -288,22 +288,20 @@ def test_pr_convergence_constraint():
 
 
 def test_pr_biorth():
-    pp = PrParams(0, 0, -1, 1, QBF, TB)
-    assert abs(pr_biorth_residual(pp, "x", 0, 1)) < 1e-8
-    diag = pr_biorth_residual(pp, "x", 0, 0)
+    # the univariate relation is the one-site chain's
+    assert abs(multi_biorth_residual_asc(QBF, 0, 0, -1, (1,), "x", (0,), (1,), TB)) < 1e-8
+    diag = multi_biorth_residual_asc(QBF, 0, 0, -1, (1,), "x", (0,), (0,), TB)
     assert abs(diag) < 1e-8
-    pp2 = PrParams(1, 1, 0, 2, QBF, TB)
-    assert abs(pr_biorth_residual(pp2, "x", 1, 0)) < 1e-8
+    assert abs(multi_biorth_residual_asc(QBF, 1, 1, 0, (2,), "x", (1,), (0,), TB)) < 1e-8
     with pytest.raises(NonConvergent):
-        pr_biorth_residual(PrParams(0, 0, 3.0, 1, QBF, TB), "x", 0, 0)
+        multi_biorth_residual_asc(QBF, 0, 0, 3.0, (1,), "x", (0,), (0,), TB)
 
 
 def test_pr_biorth_diagonal_value():
     # the y-relation diagonal equals 1/W_k(x, s)
     from qracah import asc_W
 
-    pp = PrParams(0, 0, -1, 1, QBF, TB)
-    got = pr_biorth_residual(pp, "y", 0, 0)
+    got = multi_biorth_residual_asc(QBF, 0, 0, -1, (1,), "y", (0,), (0,), TB)
     assert abs(got) < 1e-8  # residual already subtracts 1/W_k(0, s)
     assert asc_W(QBF, 0, 1, 0, TB) > 0
 
@@ -369,21 +367,23 @@ def test_pole_test_beyond_float_precision():
                          ids=repr)
 def test_certified_sums_refuse_q_above_one_before_the_first_term(qb):
     # the weights grow at q > 1: every certified infinite sum raises the
-    # named domain error at its entry, so no polynomial column or weight row
-    # is even created
+    # named domain error at its entry, so no polynomial column, weight row
+    # or chain pack is even created
     tb = TailBound(1e-9)
     pp = PrParams(0, 0, -1, 1, qb, tb)
     ap = ASCParams(0, 0, 1, qb, tb)
     before = table_sizes()
     for call in (lambda: pr_inner(pp, 1, 1),
-                 lambda: pr_biorth_residual(pp, "x", 0, 0),
+                 lambda: multivar.multi_biorth_residual_asc(qb, 0, 0, -1, (1,), "x", (0,), (0,), tb),
                  lambda: asc_orth_n(ap, 0, 1),
                  lambda: asc_orth_x(ap, 0, 1),
-                 lambda: multivar.multi_biorth_residual_asc(qb, 0, 0, -1, (1, 1), (0, 1), (0, 1), tb)):
+                 lambda: multivar.multi_biorth_residual_asc(qb, 0, 0, -1, (1, 1), "x", (0, 1), (0, 1),
+                                                            tb)):
         with pytest.raises(NonConvergent, match=r"needs 0 < q < 1, got q = "):
             call()
     after = table_sizes()
-    for name in ("qracah.orthopoly._column", "qracah.orthopoly._w_column"):
+    for name in ("qracah.orthopoly._column", "qracah.orthopoly._w_column",
+                 "qracah.multivar._pr_pack", "qracah.multivar._W_pack"):
         assert after[name] == before[name], name
 
 

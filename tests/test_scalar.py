@@ -4,6 +4,7 @@ import cmath
 import copy
 import math
 import pickle
+import subprocess
 import sys
 import threading
 from fractions import Fraction as F
@@ -109,6 +110,25 @@ def test_invalid_bases_raise_on_every_call():
                 QBase(p, mode)
         with pytest.raises(ValueError, match="unusable floating-point base"):
             QBase(1e-200, "float")
+
+
+def test_a_base_names_its_value_whichever_spelling_came_first():
+    # each order in a fresh process, so the first spelling builds the
+    # base: p is the value's Fraction in both, and repr reads it
+    code = ("from fractions import Fraction as F; from qracah import QBase; "
+            "spellings = [{}, {}]; "
+            "[print(repr(qb), repr(qb.p)) for qb in [QBase(p, 'float') for p in spellings]]")
+    want = "QBase(p=0.5, mode='float') Fraction(1, 2)\n" * 2
+    for order in (("F(1, 2)", "0.5"), ("0.5", "F(1, 2)")):
+        out = subprocess.run([sys.executable, "-c", code.format(*order)],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == want, order
+    # non-finite floats keep their refusals
+    with pytest.raises(ValueError, match="^p must be positive and different from 1$"):
+        QBase(math.nan, "float")
+    with pytest.raises(ValueError, match=r"^p = inf gives the unusable floating-point base q = inf$"):
+        QBase(math.inf, "complex")
 
 
 def _cold(qb):

@@ -70,7 +70,7 @@ ROW_ENTRIES = 6
 # weight pack, and x or y 0..ROW_ENTRIES-1 for the closed forms' quotients
 CHAIN_POINTS = (((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (0, 1)), ((1, 1), (3, 0)))
 PACK_POINTS = {"_rr_pack": CHAIN_POINTS, "_pr_pack": CHAIN_POINTS,
-               "_kraw_W_pack": ((0, 0), (1, 0), (2, 1), (3, 0))}
+               "_W_pack": ((0, 0), (1, 0), (2, 1), (3, 0))}
 
 
 def _same(a, b):
@@ -152,11 +152,12 @@ def _calls(qb):
         for tilde in (False, True):
             for compact in (False, True):
                 calls.append((uqsl2._twisted, (rs, h, one, tilde, compact), {}))
-    # the pack tables of the multivariate rational functions and the
-    # finite x-side weight
+    # the pack tables of the multivariate rational functions and the x-side
+    # weights of both chains
     calls.append((multivar._rr_pack, (qb, one, h, 0, (2, 1)), {}))
     calls.append((multivar._pr_pack, (qb, one, 0, 0, (one, one), TB), {}))
-    calls.append((multivar._kraw_W_pack, (qb, h, (2, 1)), {}))
+    calls.append((multivar._W_pack, (qb, h, (2, 1), False, None), {}))
+    calls.append((multivar._W_pack, (qb, h, (one, one), True, TB), {}))
     # the series columns of both families, and in an exact base the rows of
     # 1 - Q**m their exact columns read
     for x in range(3):

@@ -43,10 +43,8 @@ _POLE = "only tests reach a pole of an exact series"
 REFERENCES = {
     "multivar.nested_asc": "test reference: pr_multi_inner's nested products",
     "multivar.pr_multi_inner": _TEST + " (pr_multi)",
-    "multivar.asc_W_multi": _ITEM6 + ": the infinite chain's x-side weight",
-    "multivar.multi_biorth_residual_asc": _ITEM6 + ": infinite multivariate biorthogonality",
-    "multivar.multi_biorth_residual_asc.integrand": _ITEM6,
-    "multivar.multi_biorth_residual_asc.shells": _ITEM6,
+    "multivar.kraw_W_multi": ("test reference: the finite chain's nested weight, which the "
+                              "nested orthogonality and biorthogonality tests read"),
     "orthopoly.asc_orth_x": _ITEM6 + ": the infinite family's x-summed orthogonality",
     "orthopoly.asc_orth_x.terms": _ITEM6,
     "qseries.summation_lhs": _LEMMA21,
