@@ -26,8 +26,6 @@ from .qseries import (
     qpoch_inf,
     qpoch_inf_ratio,
     rphis,
-    summation_lhs,
-    summation_rhs,
 )
 from .orthopoly import (
     ASCParams,
@@ -67,7 +65,6 @@ from .multivar import (
     multi_biorth_residual,
     multi_biorth_residual_asc,
     multi_gevp_residual,
-    nested_asc,
     nested_kraw,
     pr_multi,
     rr_multi,

@@ -45,9 +45,8 @@ chain by xs (``tb`` None on the finite one).  The biorthogonality and
 generalized-eigenvalue residuals fetch each pack once per check and read it
 by point, with no key built per (xs, ys); a residual that meets the same
 (xs, ys + eps) again, at another j or another shift, reuses the product.
-:func:`rr_multi`, :func:`pr_multi`, :func:`kraw_W_multi` and
-:func:`asc_W_multi` turn their sequences into tuples and read the same
-entries.
+:func:`rr_multi`, :func:`pr_multi` and :func:`asc_W_multi` turn their
+sequences into tuples and read the same entries.
 
 Each pair of finite and infinite residuals is one body taking ``su11``:
 ``_transfer_residual``, ``_multi_gevp`` and ``_multi_biorth``.  The
@@ -111,25 +110,13 @@ def _column_product(qb: QBase, columns: list, ns: Sequence[int]):
     return out
 
 
-def _nested(qb: QBase, v, t, sizes: Sequence, ys: Sequence[int], ns: Sequence[int],
-            su11: bool):
-    """Product over sites of the finite family (the infinite one with su11)
-    at (n_j, y_j), with the height after the previous sites as base point."""
-    for n, size in zip(ns, sizes):
-        if n < 0 or not su11 and n > size:
-            raise OutOfRange(f"n = {n} must be nonnegative" if su11
-                             else f"n = {n} outside 0..{size}")
-    return _column_product(qb, _site_columns(qb, v, t, sizes, ys, su11), ns)
-
-
 def nested_kraw(qb: QBase, v, t, Ns: Sequence[int], ys: Sequence[int], ns: Sequence[int]):
-    """Product over sites of the finite family with running heights."""
-    return _nested(qb, v, t, Ns, ys, ns, False)
-
-
-def nested_asc(qb: QBase, v, t, ks: Sequence, ys: Sequence[int], ns: Sequence[int]):
-    """Product over sites of the infinite family with running heights."""
-    return _nested(qb, v, t, ks, ys, ns, True)
+    """Product over sites of the finite family at (n_j, y_j), with the
+    height after the previous sites as base point."""
+    for n, N in zip(ns, Ns):
+        if not 0 <= n <= N:
+            raise OutOfRange(f"n = {n} outside 0..{N}")
+    return _column_product(qb, _site_columns(qb, v, t, Ns, ys, False), ns)
 
 
 def _chain(qb: QBase, sizes: Sequence, su11: bool, trunc: Optional[int]):
@@ -367,24 +354,6 @@ def _pr_pack(qb, s, t, v, ks, tb, point):
     hy = heights(t, ys, ks, su11=True)
     return _site_product(qb, [pr_inner(PrParams(a, b, v, k, qb, tb), x, y)
                               for a, b, k, x, y in zip(hx, hy, ks, xs, ys)])
-
-
-def pr_multi_inner(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
-                   ys: Sequence[int], trunc: int):
-    """Tensor inner product route for the infinite family, truncating every
-    site index at ``trunc``."""
-    out = qb.zero()
-    for ns in iproduct(*[range(trunc + 1) for _ in ks]):
-        w = qb.one()
-        for j, k in enumerate(ks):
-            w *= orthopoly.asc_w(qb, k, ns[j])
-        out += nested_asc(qb, 1, s, ks, xs, ns) * nested_asc(qb, v, t, ks, ys, ns) * w
-    return out
-
-
-def kraw_W_multi(qb: QBase, s, Ns: Sequence[int], xs: Sequence[int]):
-    """Nested x-side weight: product of univariate weights at running heights."""
-    return _W_pack(qb, s, tuple(Ns), False, None)[tuple(xs)]
 
 
 def asc_W_multi(qb: QBase, s, ks: Sequence, xs: Sequence[int],

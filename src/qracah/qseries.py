@@ -9,13 +9,12 @@ infinite objects carry an error certificate controlled by a
   (see ``_ratio_bound``), satisfies R < 1 and ``|t_J| R / (1 - R) <=
   tolerance``, so the neglected tail is at most ``tolerance``;
 * :func:`certified_sum` (the shells of ``multivar.multi_biorth_residual_asc``,
-  so ``prop4.4``'s u-sum, a floating ``pr_inner``, ``asc_orth_*`` and the
-  infinite ``summation_rhs``; an exact ``pr_inner`` passes its terms'
-  integer pairs to :func:`pair_sum`, which holds the same stop rule) only
-  sees its terms, so it stops once the current term is below ``tolerance *
-  (1 - RATIO_CAP)`` and the *observed* term ratios have stayed below
-  ``RATIO_CAP``; that bounds the tail only if later ratios stay below the
-  cap too.  The sums of the infinite family call
+  so ``prop4.4``'s u-sum, a floating ``pr_inner`` and ``asc_orth_*``; an
+  exact ``pr_inner`` passes its terms' integer pairs to :func:`pair_sum`,
+  which holds the same stop rule) only sees its terms, so it stops once
+  the current term is below ``tolerance * (1 - RATIO_CAP)`` and the
+  *observed* term ratios have stayed below ``RATIO_CAP``; that bounds the
+  tail only if later ratios stay below the cap too.  The sums of the infinite family call
   :func:`require_q_below_one` first: their weights decay only for q < 1;
 * ``qpoch_inf`` / ``qpoch_inf_ratio`` bound the relative error of the
   product to first order.
@@ -85,22 +84,21 @@ The float and complex backends evaluate each entry by its own ``rphis``
 (``orthopoly._series_entry``), so their bits are those of the series
 loop.
 
-The summation identity (Lemma 2.1) is written here in its general form,
-``summation_lhs`` and ``summation_rhs`` for any (a, b, c, d), each side a
-direct expression.  Its q-Racah point is the finite rational function:
-``ratfun.summation_pair_qracah`` returns ``rr_closed`` and ``rr_inner``.
+The summation identity (Lemma 2.1) is checked at its q-Racah point, where
+its sides are the finite rational function's: ``ratfun.summation_pair_qracah``
+returns ``rr_closed`` and ``rr_inner``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DenominatorPole, ExactnessError, NonConvergent, OutOfRange
-from .scalar import QBase, _add_terms, add_pair, ordered_sum, product
+from .scalar import QBase, _add_terms, add_pair, product
 from .tables import _Row, tabled
 
 DEFAULT_MAX_TERMS = 20000
@@ -807,79 +805,3 @@ def certified_sum(terms, tb: TailBound):
             raise NonConvergent(f"term {n} exceeds the floating-point range")
         total = t if total is None else total + t
     return total
-
-
-# ---------------------------------------------------------------------------
-# The central summation identity (Lemma 2.1): a weighted sum of products of
-# two 3phi2's in base 1/q equals a terminating 4phi3 with explicit
-# Pochhammer prefactors.  The finite case has a = q**-N and lives on the
-# domain x, y <= N.
-# ---------------------------------------------------------------------------
-
-
-def summation_lhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None,
-                  tb: TailBound = TailBound()):
-    """Product side of the summation identity, in base q = qb.q.
-
-    With ``N`` given, the infinite Pochhammer ratio collapses to the exact
-    (a*b*c*d; q)_N (finite case a = q**-N, which requires x, y <= N);
-    otherwise it is evaluated under the tail certificate (needs |bcd| < 1).
-    The 4phi3's denominator parameter bd/c q**-y at q**-j, j < x, raises
-    DenominatorPole even where the numerator bd/c ends the sum before term
-    j + 1: the rule ``ratfun.rr_valid`` applies at the q-Racah point.
-    """
-    return _summation_lhs(qb.q, x, y, a, b * b, b * c * d, b * d / c, N, tb)
-
-
-def _summation_lhs(q, x, y, a, b2, bcd, bd_c, N, tb):
-    if N is not None and (x > N or y > N):
-        raise DenominatorPole(
-            f"finite case is restricted to x, y <= N; got x={x}, y={y}, N={N}"
-        )
-    abcd = a * bcd
-    pref = qpoch(abcd, q, N) if N is not None else qpoch_inf_ratio(abcd, bcd, q, tb)
-    denom = qpoch(abcd, q, y)
-    if denom == 0:
-        raise DenominatorPole(f"(abcd;q)_y vanishes at abcd={abcd}, y={y}")
-    pref *= qpoch(bd_c * q ** (-y), q, y) / denom
-    denom = qpoch(a, q, x)
-    if denom == 0:
-        raise DenominatorPole(f"(a;q)_x vanishes at a={a}, x={x}")
-    pref *= qpoch(q ** (-x) / b2, q, x) / denom
-    pole = bd_c * q ** (-y)
-    for j in range(x):
-        if pole * q ** j == 1:
-            raise _den_param_pole(pole, j)
-    ser = rphis(PhiSpec(numerators=(q ** (-x), a * b2 * q ** x, bcd, bd_c),
-                        denominators=(b2 * q, pole, abcd * q ** y), base=q, argument=q,
-                        terminate_after=x + 1), tb)
-    return pref * ser
-
-
-def summation_rhs(qb: QBase, x: int, y: int, a, b, c, d, N: Optional[int] = None,
-                  tb: TailBound = TailBound()):
-    """Series side of the summation identity: sum over n of
-    (bcd)**n (a;q)_n/(q;q)_n times two terminating 3phi2 factors in base 1/q.
-    """
-    return _summation_rhs(qb.q, x, y, a, b * b, c * c, b * c * d, N, tb)
-
-
-def _summation_rhs(q, x, y, a, b2, c2, bcd, N, tb):
-    inv_a = Fraction(1) / a  # exact for an int a too; 1 / a for the rest
-
-    def factor(n, z, sq):
-        return rphis(PhiSpec(numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
-                             denominators=(inv_a,), base=1 / q, argument=1 / q,
-                             terminate_after=min(n, z) + 1), tb)
-
-    def terms():
-        # the coefficient (bcd)**n (a; q)_n / (q; q)_n, carried term by term
-        coeff = poch_q = q * 0 + 1
-        for n in count():
-            yield coeff / poch_q, factor(n, x, b2), factor(n, y, c2)
-            coeff *= bcd * (1 - a * q ** n)
-            poch_q *= 1 - q ** (n + 1)
-
-    if N is not None:
-        return ordered_sum(islice(terms(), N + 1))
-    return certified_sum(terms(), tb)

@@ -38,7 +38,7 @@ Complex parameters that differ only in the sign of a zero part key one
 table, as they key one ``rr_inner`` entry.
 
 ``summation_pair_qracah`` is Lemma 2.1 at the q-Racah point: its sides are
-``rr_closed`` and ``rr_inner`` (``qseries`` has the general form).
+``rr_closed`` and ``rr_inner``, the sides ``prop3.3`` checks.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def _pole_index(s, t, v, y):
         if j.imag != 0:
             return None
         j = j.real
-    return int(j) if float(j) == int(j) else None
+    # an overflowed exponent makes j infinite or nan, neither an index
+    return int(j) if float(j).is_integer() else None
 
 
 def rr_valid(rp, x: int, y: int) -> bool:
@@ -257,11 +258,11 @@ def _rr_prefactors(qb: QBase, s, t, v, N):
 
 
 def summation_pair_qracah(qb: QBase, N: int, s, t, v, x: int, y: int):
-    """(product side, series side) of Lemma 2.1 at the q-Racah point (the
-    ``lemma2.1`` suite): ``rr_closed``, prefactor ``_rr_prefactors`` times
-    the 4phi3 ``_phi43``, and ``rr_inner``, whose power times ``kraw_w`` is
-    the coefficient (bcd)**n (a; q**2)_n / (q**2; q**2)_n and whose series
-    columns are the two 3phi2's."""
+    """(product side, series side) of Lemma 2.1 at the q-Racah point:
+    ``rr_closed``, prefactor ``_rr_prefactors`` times the 4phi3 ``_phi43``,
+    and ``rr_inner``, whose power times ``kraw_w`` is the coefficient
+    (bcd)**n (a; q**2)_n / (q**2; q**2)_n and whose series columns are the
+    two 3phi2's; ``lemma2.1`` checks their difference as ``prop3.3``."""
     rp = RrParams(s, t, v, N, qb)
     return rr_closed(rp, x, y), rr_inner(rp, x, y)
 

@@ -398,32 +398,3 @@ def coproduct_op(sites: Sequence[RepSpec], element: str, side: str, j: int,
         return op
     pad = OpMatrix.identity(prod(rs.dim for rs in rest), qb)
     return pad.kron(op) if side == "R" else op.kron(pad)
-
-
-def coproduct_twist_coideal(sites: Sequence[RepSpec], u, s, kind: str) -> OpMatrix:
-    """The tilde element's coproduct built by the coideal recursion
-    D_j = 1 x ... x (tilde minus its constant times Kinv**2) + D_{j-1} x Kinv**2,
-    over all sites.  Equals the homomorphism-route construction; kept as an
-    independent cross-check of the coproduct plumbing.
-
-    For the compact element the local piece equals the tilde element at
-    parameter 0 (the bracket constant vanishes there); for the non-compact
-    one the brace constant {0}_q is nonzero, so the subtraction form is the
-    correct general statement.
-    """
-    qb = sites[0].qb
-    zero = qb.zero()
-    builder = twist_x if kind == "x" else twist_y
-    const = qb.bracket(s) if kind == "x" else qb.brace(s)
-    out = builder(sites[0], u, s, tilde=True)
-    left_dim = sites[0].dim
-    for rs in sites[1:]:
-        Ki = gens(rs)[1]
-        Ki2 = Ki @ Ki
-        local = combine(((None, builder(rs, u, s, tilde=True), None), (-const, Ki2, None)),
-                        rs.dim, zero)
-        eye = OpMatrix.identity(left_dim, qb)
-        out = combine(((None, eye.kron(local), None), (None, out.kron(Ki2), None)),
-                      left_dim * rs.dim, zero)
-        left_dim *= rs.dim
-    return out

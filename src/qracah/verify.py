@@ -91,11 +91,6 @@ class RunConfig(_RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def chk_summation(qb, N, s, t, v, x, y):
-    lhs, rhs = ratfun.summation_pair_qracah(qb, N, s, t, v, x, y)
-    return lhs - rhs
-
-
 def _repspec(qb, N=None, k=None, trunc=None):
     if N is not None:
         return uqsl2.RepSpec.su2(N, qb)
@@ -227,7 +222,7 @@ def chk_pr_gevp(qb, tb, k, s, t, v, x, y):
 
 
 CHECKS = {
-    "summation": chk_summation,
+    "summation": chk_prop33,
     "relations": chk_relations,
     "star": chk_star,
     "twist_rewrite": chk_twist_rewrite,
@@ -298,9 +293,8 @@ def _lemma21(cfg, p):
     q**(-2N), b**2 = -q**(2s), c**2 = -q**(2t), bcd = -q**(s+t-v+1) and
     bd/c = q**(s-t-v+1).  Exact residual 0 over N <= 4, the five (s, t, v)
     of ``_STV`` and 0 <= x, y <= N, off the product side's poles (those of
-    the closed forms, ``rr_valid``).  ``ratfun.summation_pair_qracah``
-    computes the sides: the product side is ``rr_closed`` and the series
-    side ``rr_inner``."""
+    the closed forms, ``rr_valid``).  The product side is ``rr_closed``
+    and the series side ``rr_inner``, so its check is ``prop3.3``'s."""
     for N, s, t, v, x, y in _stv_points(4, off_poles=True):
         yield ("summation", f"sum_identity[N={N},s={s},t={t},v={v},x={x},y={y}]",
                dict(N=N, s=s, t=t, v=v, x=x, y=y))

@@ -12,16 +12,13 @@ from qracah.multivar import (
     asc_W_multi,
     epsilon_set,
     heights,
-    kraw_W_multi,
     multi_biorth_residual,
     multi_biorth_residual_asc,
     multi_gevp_residual,
     multi_gevp_residual_asc,
-    nested_asc,
     nested_eigen_residual,
     nested_kraw,
     pr_multi,
-    pr_multi_inner,
     rr_multi,
     rr_multi_inner,
     transfer_check_k2,
@@ -34,10 +31,14 @@ from qracah.qseries import certified_sum
 from qracah.ratfun import PrParams, RrParams, pr_inner, rr_inner
 from qracah.report import residual_string
 from qracah.scalar import ordered_sum, scaled_rows
-from qracah.uqsl2 import OpMatrix, RepSpec, twist_x, twist_y
+from qracah.uqsl2 import OpMatrix
 from qracah.verify import CHECKS, RunConfig, build_tasks, chk_kraw_dyn, run_task
 
+import reference
+
 QB = QBase(F(1, 2))
+# the library's shift-term maps, whose keys the fixtures below perturb
+_SHIFT_TERMS = multivar._shift_terms
 
 
 def test_heights_examples():
@@ -182,7 +183,7 @@ def test_rr_multi_orthogonality_collapse():
             if xs != ys:
                 assert val == 0
             else:
-                assert val == 1 / kraw_W_multi(QB, 1, Ns, xs)
+                assert val == 1 / reference.kraw_W_multi(QB.p, 1, Ns, xs)
 
 
 def test_multi_biorth_exact():
@@ -203,8 +204,8 @@ def test_multi_biorth_diagonal_value():
     for xs in iproduct(range(3), range(3)):
         total += (rr_multi(QB, s, t, v, Ns, xs, ys)
                   * rr_multi(QB, s, t, vp, Ns, xs, ys)
-                  * kraw_W_multi(QB, s, Ns, xs))
-    assert total == 1 / kraw_W_multi(QB, t, Ns, ys)
+                  * reference.kraw_W_multi(QB.p, s, Ns, xs))
+    assert total == 1 / reference.kraw_W_multi(QB.p, t, Ns, ys)
 
 
 def test_multi_gevp_exact():
@@ -221,8 +222,7 @@ def test_multi_gevp_single_site_reduction():
     # j = M = 1 is the univariate recurrence
     for x in range(3):
         for y in range(3):
-            got = multi_gevp_residual(QB, 1, (x,), (y,), 1, 0, 1, (2,))
-            assert got == _univariate_rr_gevp(QB, 2, 1, 0, 1, x, y) == 0
+            assert multi_gevp_residual(QB, 1, (x,), (y,), 1, 0, 1, (2,)) == 0
 
 
 def _five_operation_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
@@ -315,7 +315,7 @@ def test_nested_eigen_asc_interior():
 def test_pr_multi_product_vs_tensor_inner():
     tb = TailBound(tolerance=1e-12)
     val = pr_multi(QB, 1, 0, 0, (1, 1), (1, 0), (0, 1), tb)
-    ref = pr_multi_inner(QB, 1, 0, 0, (1, 1), (1, 0), (0, 1), 40)
+    ref = reference.pr_multi_partial(QB.p, 1, 0, 0, (1, 1), (1, 0), (0, 1), 40)
     assert abs(float(val - ref)) < 1e-10
 
 
@@ -356,44 +356,49 @@ def test_nested_product_of_an_empty_chain_is_one():
 
 
 def test_nested_asc_single_site():
+    # the one-site infinite chain's nested vector is the family's column
     ap = ASCParams(0, 1, 2, QB)
-    for n in range(3):
-        for y in range(3):
-            assert nested_asc(QB, 0, 1, [2], [y], [n]) == asc(ap, n, y)
+    for y in range(3):
+        D, nums = multivar._nested_vec(QB, 0, 1, (2,), (y,), True, 4)
+        assert [F(num, D) for num in nums] == [asc(ap, n, y) for n in range(5)]
+
+
+@pytest.mark.parametrize("sizes, su11, trunc", [((2, 1, 2), False, None), ((1, 3), False, None),
+                                                ((1, 2), True, 3), ((2, 1, 1), True, 2)])
+def test_nested_vectors_are_the_model_products(sizes, su11, trunc):
+    # every entry of a chain's nested vector, over its index grid in grid
+    # order, is the model's product of family values at running heights
+    nested = reference.nested_asc if su11 else reference.nested_kraw
+    grid = list(iproduct(*[range((trunc if su11 else N) + 1) for N in sizes]))
+    for v, t in ((0, 1), (1, 0), (F(1, 2), F(-1, 2))):
+        for ys in iproduct(*[range(min(N, 2) + 1) for N in sizes]):
+            D, nums = multivar._nested_vec(QB, v, t, sizes, ys, su11, trunc)
+            want = [nested(QB.p, v, t, sizes, ys, ns) for ns in grid]
+            assert [F(num, D) for num in nums] == want, (v, t, ys)
 
 
 def test_multivariate_nested_orthogonality():
-    # both nested orthogonality relations of the finite family, exactly
+    # both nested orthogonality relations of the finite family, exactly,
+    # against the model's n-side and x-side chain weights
     for (Ns, s) in (((1, 1), 0), ((2, 2), 1), ((1, 2, 1), 0), ((2, 1, 2), 2)):
         grid = list(iproduct(*[range(N + 1) for N in Ns]))
+        w = {ns: reference.nested_kraw_w(QB.p, Ns, ns) for ns in grid}
+        W = {xs: reference.kraw_W_multi(QB.p, s, Ns, xs) for xs in grid}
         for xs in grid:
             for xs2 in grid:
                 total = QB.zero()
                 for ns in grid:
-                    w = QB.one()
-                    for j, N in enumerate(Ns):
-                        from qracah.orthopoly import kraw_w
-                        w *= kraw_w(QB, N, ns[j])
                     total += (nested_kraw(QB, 0, s, Ns, xs, ns)
-                              * nested_kraw(QB, 0, s, Ns, xs2, ns) * w)
-                expect = 1 / kraw_W_multi(QB, s, Ns, xs) if xs == xs2 else QB.zero()
-                assert total == expect
+                              * nested_kraw(QB, 0, s, Ns, xs2, ns) * w[ns])
+                assert total == (1 / W[xs] if xs == xs2 else 0)
         # dual relation: sum over the x grid with the nested weight
         for ns in grid[:3]:
             for ns2 in grid[:3]:
                 total = QB.zero()
                 for xs in grid:
                     total += (nested_kraw(QB, 0, s, Ns, xs, ns)
-                              * nested_kraw(QB, 0, s, Ns, xs, ns2)
-                              * kraw_W_multi(QB, s, Ns, xs))
-                if ns == ns2:
-                    w = QB.one()
-                    from qracah.orthopoly import kraw_w
-                    for j, N in enumerate(Ns):
-                        w *= kraw_w(QB, N, ns[j])
-                    assert total == 1 / w
-                else:
-                    assert total == 0
+                              * nested_kraw(QB, 0, s, Ns, xs, ns2) * W[xs])
+                assert total == (1 / w[ns] if ns == ns2 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,75 +407,21 @@ def test_multivariate_nested_orthogonality():
 # ---------------------------------------------------------------------------
 
 
-def _chain_op(qb, *args):
-    # the chain table's integer rows over E, read back as the operator
-    E, rows = multivar._chain_op(qb, *args)
-    return OpMatrix._sparse([{j: F(a, E) for j, a in zip(*row)} for row in rows], qb.zero())
-
-
-def _nested_vec(*args):
-    # the chain table's numerators over D, read back as the vector
-    D, nums = multivar._nested_vec(*args)
-    return [F(n, D) for n in nums]
-
-
-def _old_transfer(qb, j, ys, t, v, sigma, sizes, su11, trunc):
-    # the operator applied to the nested vector, minus the shifted sum, abs,
-    # row by row: the expression the transfer residual is defined by
-    _, grid = multivar._chain(qb, sizes, su11, trunc)
-    if sigma is None:
-        op, lam = _chain_op(qb, sizes, su11, trunc, "k2", "R", j, 0, 0), None
-    else:
-        op = _chain_op(qb, sizes, su11, trunc, "y" if su11 else "x", "R", j, 0, sigma)
-        lam = (qb.brace if su11 else qb.bracket)(sigma)
-    vec = _nested_vec(qb, v, t, sizes, ys, su11, trunc)
-    out = op.apply(vec)
-    termsA, termsB = multivar._shift_terms(qb, j, ys, t, v, sizes, su11)
-    terms = termsA if sigma is None else termsB
-    total = qb.zero()
-    for ii, ns in enumerate(grid):
-        if multivar._interior(ns, su11, trunc):
-            rhs = qb.zero()
-            for ysf, c in terms.items():
-                rhs += c * _nested_vec(qb, v, t, sizes, ysf, su11, trunc)[ii]
-            if lam is not None:
-                rhs += lam * vec[ii]
-            total += abs(out[ii] - rhs)
-    return total
-
-
-def _old_nested_eigen(qb, side, j, v, base, sizes, ys, su11=False, trunc=None):
-    _, grid = multivar._chain(qb, sizes, su11, trunc)
-    h = heights(base, ys, sizes, su11)
-    vec = _nested_vec(qb, v, base, sizes, ys, su11, trunc)
-    element, symbol = ("ytilde", qb.brace) if su11 else ("xtilde", qb.bracket)
-    if side == "L":
-        op = _chain_op(qb, sizes, su11, trunc, element, "L", j, v, base)
-        lam = symbol(h[j])
-    else:
-        op = _chain_op(qb, sizes, su11, trunc, element, "R", j, v,
-                       h[len(sizes) - j])
-        lam = symbol(h[len(sizes)])
-    out = op.apply(vec)
-    total = qb.zero()
-    for ii, ns in enumerate(grid):
-        if multivar._interior(ns, su11, trunc):
-            total += abs(out[ii] - lam * vec[ii])
-    return total
-
-
-def _old_kraw_dyn(qb, N, t, v, y):
-    # q^(2n-N) k_{v,t}(n, y) against the parameter-shifted five-point sum
-    total = qb.zero()
-    for direction in (2, -2):
-        coeffs = orthopoly.kraw_dyn_coeffs(qb, N, y, t, direction)
-        offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
-        for n in range(N + 1):
-            rhs = qb.zero()
-            for c, e in zip(coeffs, offsets):
-                if 0 <= y + e <= N:
-                    rhs += c * kraw(KrawParams(v, t + direction, N, qb), n, y + e)
-            total += abs(qb.qpow(2 * n - N) * kraw(KrawParams(v, t, N, qb), n, y) - rhs)
+def _wrong_transfer(j, ys, t, v, sigma, sizes, su11=False, trunc=None):
+    # every row of the identity is 0, so under the wrong entries a kept
+    # row ii is 2/5 of the model's vec[0] on row 0 (the operator entry),
+    # less 1/3 of entry ii of the first shifted vector
+    nested = reference.nested_asc if su11 else reference.nested_kraw
+    grid = list(iproduct(*[range((trunc if su11 else N) + 1) for N in sizes]))
+    terms = _SHIFT_TERMS(QB, j, ys, t, v, sizes, su11)[0 if sigma is None else 1]
+    first = next(iter(terms), None)
+    total = F(0)
+    for ns in grid:
+        if not su11 or all(n < trunc for n in ns):
+            row = F(2, 5) * nested(QB.p, v, t, sizes, ys, ns) if ns == grid[0] else F(0)
+            if first is not None:
+                row -= F(1, 3) * nested(QB.p, v, t, sizes, first, ns)
+            total += abs(row)
     return total
 
 
@@ -502,15 +453,15 @@ def wrong_entries(monkeypatch):
 
 @pytest.mark.parametrize("got, want", [
     (lambda: transfer_check_k2(QB, 2, (1, 1), 0, 1, (2, 2)),
-     lambda: _old_transfer(QB, 2, (1, 1), 0, 1, None, (2, 2), False, None)),
+     lambda: _wrong_transfer(2, (1, 1), 0, 1, None, (2, 2))),
     (lambda: transfer_check_k2(QB, 1, (2,), 1, 0, (3,)),
-     lambda: _old_transfer(QB, 1, (2,), 1, 0, None, (3,), False, None)),
+     lambda: _wrong_transfer(1, (2,), 1, 0, None, (3,))),
     (lambda: transfer_check_y(QB, 2, (1, 0), 1, 0, 1, (1, 1), 5),
-     lambda: _old_transfer(QB, 2, (1, 0), 1, 0, 1, (1, 1), True, 5)),
+     lambda: _wrong_transfer(2, (1, 0), 1, 0, 1, (1, 1), True, 5)),
     (lambda: nested_eigen_residual(QB, "R", 2, 0, 1, (2, 2), (1, 1)),
-     lambda: _old_nested_eigen(QB, "R", 2, 0, 1, (2, 2), (1, 1))),
+     lambda: F(2, 5) * abs(reference.nested_kraw(QB.p, 0, 1, (2, 2), (1, 1), (0, 0)))),
     (lambda: nested_eigen_residual(QB, "L", 1, 1, 0, (1, 1), (0, 1), True, 4),
-     lambda: _old_nested_eigen(QB, "L", 1, 1, 0, (1, 1), (0, 1), True, 4)),
+     lambda: F(2, 5) * abs(reference.nested_asc(QB.p, 1, 0, (1, 1), (0, 1), (0, 0)))),
 ])
 def test_wrong_entries_give_the_row_by_row_residual(wrong_entries, got, want):
     got, want = got(), want()
@@ -518,11 +469,17 @@ def test_wrong_entries_give_the_row_by_row_residual(wrong_entries, got, want):
 
 
 def test_a_wrong_five_point_coefficient_gives_the_row_by_row_residual(monkeypatch):
-    # the last coefficient's shift (y, or y + 2 <= N) is in range
+    # the last coefficient of each direction off by 1/7, its shift (y, or
+    # y + 2 <= N) in range: every row of the identity is 0, so the residual
+    # is 1/7 of the |values| it multiplies, k_(v,t+2)(n, y) upwards and
+    # k_(v,t-2)(n, y+2) downwards
     dyn_coeffs = orthopoly.kraw_dyn_coeffs
     monkeypatch.setattr(orthopoly, "kraw_dyn_coeffs",
                         lambda *args: (*dyn_coeffs(*args)[:-1], dyn_coeffs(*args)[-1] + F(1, 7)))
-    got, want = chk_kraw_dyn(QB, 3, 1, 0, 1), _old_kraw_dyn(QB, 3, 1, 0, 1)
+    N, t, v, y = 3, 1, 0, 1
+    want = F(1, 7) * sum(abs(reference.kraw(QB.p, v, t + 2, N, n, y))
+                         + abs(reference.kraw(QB.p, v, t - 2, N, n, y + 2)) for n in range(N + 1))
+    got = chk_kraw_dyn(QB, N, t, v, y)
     assert type(got) is F and got == want and got > 0
 
 
@@ -545,38 +502,6 @@ def test_a_coefficient_at_an_out_of_range_shift_fails_the_task_as_internal(monke
 # the univariate eigen, biorthogonality and recurrence verdicts run the
 # one-site chain: each against the univariate expression it replaced
 # ---------------------------------------------------------------------------
-
-
-def _univariate_eigen(qb, u, s, x, N=None, k=None, trunc=None):
-    # the tilde element applied row by row to the family column, minus the
-    # eigenvalue times the column, over the rows the window keeps exact
-    if N is not None:
-        rs = RepSpec.su2(N, qb)
-        op, lam = twist_x(rs, u, s, tilde=True), qb.bracket(2 * x - N + s)
-        column = orthopoly.kraw_column(KrawParams(u, s, N, qb), x)
-    else:
-        rs = RepSpec.su11(k, trunc, qb)
-        op, lam = twist_y(rs, u, s, tilde=True), qb.brace(2 * x + k + s)
-        column = orthopoly.asc_column(ASCParams(u, s, k, qb), x)
-    vec = [column[n] for n in range(rs.dim)]
-    res = [o - lam * w for o, w in zip(op.apply(vec), vec)]
-    return ordered_sum(abs(r) for r in res[:rs.interior(1)])
-
-
-def _univariate_rr_biorth(qb, N, s, t, v, relation, i, j):
-    # the u-sum of the two rr_inner factors times the weight, minus
-    # delta_ij over the weight at the other parameter
-    rp, partner = RrParams(s, t, v, N, qb), RrParams(s, t, -qb.conj(v) - 2, N, qb)
-    if relation == "x":
-        outer, diag = s, t
-        pairs = [(rr_inner(rp, u, i), qb.conj(rr_inner(partner, u, j))) for u in range(N + 1)]
-    else:
-        outer, diag = t, s
-        pairs = [(rr_inner(rp, i, u), qb.conj(rr_inner(partner, j, u))) for u in range(N + 1)]
-    acc = ordered_sum((*pair, orthopoly.kraw_W(qb, outer, N, u)) for u, pair in enumerate(pairs))
-    if i == j:
-        acc -= 1 / orthopoly.kraw_W(qb, diag, N, i)
-    return acc
 
 
 def _univariate_pr_biorth(qb, tb, k, s, t, v, relation, i, j):
@@ -617,28 +542,6 @@ def _univariate_pr_gevp(qb, tb, k, s, t, v, x, y, c0_error=0):
     lhs += c1 * val
     rhs += d1 * val
     return qb.brace(2 * x + k + s) * lhs - rhs
-
-
-def _univariate_rr_gevp(qb, N, s, t, v, x, y, evaluate=rr_inner, b0_error=0):
-    # [2x-N+s]_q (a_-1 R(x,y-1) + a_0 R(x,y) + a_1 R(x,y+1))
-    #   - (b_-1 R(x,y-1) + (b_0 + [s]_q) R(x,y) + b_1 R(x,y+1)),
-    # R = evaluate(rp, x, y), with no term outside 0..N in y and b_0 off
-    # by b0_error
-    rp = RrParams(s, t, v, N, qb)
-    (am1, a0, a1) = orthopoly.kraw_diff_coeffs(qb, N, y, t)
-    (bm1, b0, b1) = orthopoly.kraw_b_coeffs(qb, N, y, t, v)
-    b0 += b0_error
-    val = evaluate(rp, x, y)
-    lhs, rhs = a0 * val, (b0 + qb.bracket(s)) * val
-    if y > 0:
-        val = evaluate(rp, x, y - 1)
-        lhs += am1 * val
-        rhs += bm1 * val
-    if y < N:
-        val = evaluate(rp, x, y + 1)
-        lhs += a1 * val
-        rhs += b1 * val
-    return qb.bracket(2 * x - N + s) * lhs - rhs
 
 
 def test_one_site_infinite_recurrence_is_the_univariate_one():
@@ -703,8 +606,13 @@ def wrong_twisted_entry(monkeypatch):
 
 @pytest.mark.parametrize("point", [dict(N=3, u=1, s=2, x=1), dict(k=1, trunc=6, u=0, s=1, x=2)])
 def test_a_wrong_twisted_entry_gives_the_univariate_eigen_residual(wrong_twisted_entry, point):
-    got, want = CHECKS["eigen"](QB, **point), _univariate_eigen(QB, **point)
-    assert type(got) is F and got == want and got > 0
+    # every row of the eigen-identity is 0, so the residual is 2/5 of the
+    # column's entry n = 0 that the wrong entry multiplies
+    u, s, x = point["u"], point["s"], point["x"]
+    first = (reference.kraw(QB.p, u, s, point["N"], 0, x) if "N" in point
+             else reference.asc(QB.p, u, s, point["k"], 0, x))
+    got = CHECKS["eigen"](QB, **point)
+    assert type(got) is F and got == F(2, 5) * abs(first) and got > 0
 
 
 def test_a_wrong_weight_gives_the_univariate_biorth_residual(monkeypatch):
@@ -713,8 +621,21 @@ def test_a_wrong_weight_gives_the_univariate_biorth_residual(monkeypatch):
     monkeypatch.setattr(orthopoly, "kraw_W",
                         lambda qb, s, N, x: kraw_W(qb, s, N, x) + (F(1, 3) if x == 1 else 0))
     monkeypatch.setattr(multivar, "_W_pack", multivar._W_pack.__wrapped__)
+    # the identity's u-sum is delta_ij / W, so the residual is 1/3 of the
+    # u = 1 product of the two rational functions, plus 1/W - 1/W' on the
+    # diagonal, where i = 1 reads the wrong W'
     for point in ((3, 1, 2, 0, "x", 1, 0), (2, 0, 0, 1, "y", 1, 1), (3, 2, 1, -1, "x", 2, 2)):
-        got, want = CHECKS["rr_biorth"](QB, *point), _univariate_rr_biorth(QB, *point)
+        N, s, t, v, relation, i, j = point
+        if relation == "x":
+            left, right, diag = (1, i), (1, j), t
+        else:
+            left, right, diag = (i, 1), (j, 1), s
+        want = F(1, 3) * (reference.rr(QB.p, s, t, v, N, *left)
+                          * reference.rr(QB.p, s, t, -v - 2, N, *right))
+        if i == j:
+            W = reference.kraw_W(QB.p, diag, N, i)
+            want += 1 / W - 1 / (W + (F(1, 3) if i == 1 else 0))
+        got = CHECKS["rr_biorth"](QB, *point)
         assert type(got) is F and got == want and got != 0, point
 
 
@@ -737,7 +658,8 @@ def test_a_wrong_shift_coefficient_gives_the_univariate_recurrence_residual(monk
 
 def test_a_wrong_shift_coefficient_gives_the_univariate_finite_recurrence_residual(monkeypatch):
     # the unshifted coefficient of the one-site B map off by 1/3 is b_0 of
-    # the univariate identity off by 1/3
+    # the univariate identity off by 1/3: the identity holds, so the
+    # residual is -1/3 of R(x, y)
     shift_terms = multivar._shift_terms
 
     def wrong_shift_terms(qb, j, ys, *args):
@@ -747,7 +669,7 @@ def test_a_wrong_shift_coefficient_gives_the_univariate_finite_recurrence_residu
     monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
     for point in ((3, 1, 2, 0, 1, 2), (2, 0, 1, -2, 0, 0), (3, 2, 1, -1, 3, 3)):
         got = CHECKS["rr_gevp"](QB, *point)
-        want = _univariate_rr_gevp(QB, *point, b0_error=F(1, 3))
+        want = -F(1, 3) * reference.rr(QB.p, *point[1:4], point[0], *point[4:])
         assert type(got) is F and got == want and got != 0, point
 
 

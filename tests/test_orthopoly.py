@@ -28,13 +28,13 @@ from qracah import (
     kraw_orth_n,
     kraw_orth_x,
     kraw_w,
-    qbinom,
-    qpoch,
 )
 from qracah import orthopoly, uqsl2
 from qracah.errors import DenominatorPole, ExactnessError, OutOfRange
 from qracah.scalar import as_exponent
 from qracah.tables import table_sizes
+
+import reference
 
 QB = QBase(F(1, 2))  # q = 1/4
 
@@ -50,6 +50,21 @@ def test_kraw_trivial_values():
         assert kraw(kp2, n, 0) == pref
     with pytest.raises(OutOfRange):
         kraw(kp, 4, 0)
+
+
+@pytest.mark.parametrize("p", [F(1, 2), F(9, 10)], ids=str)
+def test_family_columns_are_the_model_sums(p):
+    # both families' columns are the model's 3phi2 sums times prefactors,
+    # to N = 20 and n = 24: from entry 16 on, through the stepped route
+    qb, N = QBase(p), 20
+    for x in (0, 1, 5, 19, 20):
+        for u, s in ((0, 1), (F(1, 2), F(3, 2)), (1, -2)):
+            column = orthopoly.kraw_column(KrawParams(u, s, N, qb), x)
+            want = [reference.kraw(p, u, s, N, n, x) for n in range(N + 1)]
+            assert [column[n] for n in range(N + 1)] == want, (x, u, s)
+            column = orthopoly.asc_column(ASCParams(u, s, 2, qb), x)
+            want = [reference.asc(p, u, s, 2, n, x) for n in range(25)]
+            assert [column[n] for n in range(25)] == want, (x, u, s)
 
 
 def test_columns_refuse_an_out_of_range_x_before_any_entry():
@@ -224,31 +239,21 @@ def test_asc_w():
 
 
 # -- weight tables: whatever order entries are asked in, an exact entry is
-# the direct Pochhammer formula's Fraction, and a floating or complex entry
-# is within 1e-13 relative of that Fraction at the same rational p
-
-
-def _asc_w_direct(qb, k, n):
-    k = k if isinstance(k, (float, complex)) else F(k)
-    q2 = qb.qpow(2)
-    return qb.qpow(-n * (k - 1)) * qpoch(qb.qpow(2 * k), q2, n) / qpoch(q2, q2, n)
-
-
-def _kraw_w_direct(qb, N, n):
-    return qb.qpow(n * (n - N)) * qbinom(N, n, qb.qpow(2))
+# the model's Pochhammer product, and a floating or complex entry is within
+# 1e-13 relative of that Fraction at the same rational p
 
 
 def _same(a, b):
     return type(a) is type(b) and a == b
 
 
-def _is_weight(qb, got, direct, *args):
-    """``got`` is the weight ``direct(qb, *args)``: the same Fraction in an
-    exact base; in a floating one a scalar of the backend's type within
-    1e-13 relative of the direct formula's Fraction at the same rational p."""
+def _is_weight(qb, got, model, *args):
+    """``got`` is the model's weight ``model(p, *args)`` at the base's
+    rational p: the same Fraction in an exact base; in a floating one a
+    scalar of the backend's type within 1e-13 relative of it."""
+    want = model(qb.p, *args)
     if qb.is_exact:
-        return _same(got, direct(qb, *args))
-    want = direct(QBase(F(qb.p)), *args)
+        return _same(got, want)
     scalar = complex if qb.mode == "complex" else float
     return type(got) is scalar and abs(got - float(want)) <= 1e-13 * abs(want)
 
@@ -268,7 +273,7 @@ WEIGHT_TABLE_CASES = [
 def test_asc_w_table_matches_direct_formula(qb, order):
     for k in (F(1, 2), 1, 2, 3):
         for n in order:
-            assert _is_weight(qb, asc_w(qb, k, n), _asc_w_direct, k, n), (k, n)
+            assert _is_weight(qb, asc_w(qb, k, n), reference.asc_w, k, n), (k, n)
 
 
 @pytest.mark.parametrize("p", [F(1, 2), F(2, 3), F(9, 10)], ids=str)
@@ -279,7 +284,7 @@ def test_exact_asc_w_ratio_recurrence_is_the_direct_formula(p):
     for k in (F(1, 2), 1, F(3, 2), 2, F(5, 2)):
         row = orthopoly.asc_w_column(qb, k)
         for n in range(41):
-            assert _same(row[n], _asc_w_direct(qb, k, n)), (k, n)
+            assert _same(row[n], reference.asc_w(p, k, n)), (k, n)
 
 
 def test_exact_asc_w_near_q_one_stays_small():
@@ -310,7 +315,7 @@ def test_kraw_w_table_matches_direct_formula(qb, order):
     # its own leaves the float range from n = 18
     for N in (*range(14), 30):
         for n in (N, 0, N // 2, *range(N + 1)):
-            assert _is_weight(qb, kraw_w(qb, N, n), _kraw_w_direct, N, n), (N, n)
+            assert _is_weight(qb, kraw_w(qb, N, n), reference.kraw_w, N, n), (N, n)
 
 
 def test_exact_kraw_w_at_N_600_takes_no_large_power():
@@ -330,24 +335,22 @@ def test_weight_tables_keep_exact_and_float_bases_apart():
     exact, flt = QBase(F(1, 2)), QBase(0.5, "float")
     for n in (40, 2, 41, 0):
         for qb in (flt, exact):
-            assert _is_weight(qb, asc_w(qb, 2, n), _asc_w_direct, 2, n)
+            assert _is_weight(qb, asc_w(qb, 2, n), reference.asc_w, 2, n)
     for N in (13, 5):
         for n in range(N + 1):
             for qb in (exact, flt):
-                assert _is_weight(qb, kraw_w(qb, N, n), _kraw_w_direct, N, n)
+                assert _is_weight(qb, kraw_w(qb, N, n), reference.kraw_w, N, n)
 
 
 def test_weight_tables_survive_an_overflow():
     # the weight, about q**(-2n), leaves the float range from n = 39 at p =
-    # 1/100 (OutOfRange); the failed request must raise as the direct
-    # formula does and leave the table consistent
+    # 1/100 (OutOfRange); the failed request must raise and leave the
+    # table consistent
     qb = QBase(F(1, 100), "float")
-    with pytest.raises(OutOfRange):
-        _asc_w_direct(qb, 3, 50)
     with pytest.raises(OutOfRange):
         asc_w(qb, 3, 50)
     for n in (10, 38, 0):
-        assert _is_weight(qb, asc_w(qb, 3, n), _asc_w_direct, 3, n)
+        assert _is_weight(qb, asc_w(qb, 3, n), reference.asc_w, 3, n)
     with pytest.raises(OutOfRange):
         asc_w(qb, 3, 45)
 
@@ -398,7 +401,7 @@ def test_asc_w_table_extension_is_thread_safe():
     finally:
         sys.setswitchinterval(old)
     for i, order in enumerate(orders):
-        assert results[i] == [_asc_w_direct(qb, k, n) for n in order]
+        assert results[i] == [reference.asc_w(qb.p, k, n) for n in order]
 
 
 def test_mixed_weight_requests_share_one_row_thread_safely():
@@ -409,7 +412,7 @@ def test_mixed_weight_requests_share_one_row_thread_safely():
     requests = [("kraw", N, n) for N in range(40, 0, -7) for n in range(N + 1)]
     requests += [("asc", k, n) for k in (1, F(3, 2)) for n in range(0, 61, 3)]
     orders = [requests[i::3] + requests[:i:-5] for i in range(6)]
-    direct = {"kraw": _kraw_w_direct, "asc": _asc_w_direct}
+    model = {"kraw": reference.kraw_w, "asc": reference.asc_w}
     weight = {"kraw": kraw_w, "asc": asc_w}
     results = {}
 
@@ -428,7 +431,7 @@ def test_mixed_weight_requests_share_one_row_thread_safely():
     finally:
         sys.setswitchinterval(old)
     for i, order in enumerate(orders):
-        assert results[i] == [direct[fam](qb, a, n) for fam, a, n in order]
+        assert results[i] == [model[fam](qb.p, a, n) for fam, a, n in order]
 
 
 def test_both_weight_families_share_one_pochhammer_row_per_exponent():

@@ -18,6 +18,7 @@ from qracah import (
     certified_sum,
     pr_closed,
     pr_inner,
+    pr_valid,
     qbinom,
     qpoch,
     qpoch_inf,
@@ -25,9 +26,7 @@ from qracah import (
     rphis,
     rr_closed,
     rr_inner,
-    summation_lhs,
     summation_pair_qracah,
-    summation_rhs,
 )
 from qracah import multivar, orthopoly, qseries, verify
 from qracah.errors import (
@@ -35,10 +34,10 @@ from qracah.errors import (
     ExactnessError,
     NonConvergent,
     OutOfRange,
-    QRacahError,
 )
-from qracah.scalar import ordered_sum
 from qracah.tables import _Row
+
+import reference
 
 
 def test_qpoch_basics():
@@ -421,111 +420,39 @@ def test_base_inversion_pochhammer_identity(anum, aden, j):
 
 
 def test_summation_finite_generic_rationals():
-    qb = QBase(F(1, 2))  # series base q**2 handled inside via squaring
-    base_holder = QBase(F(1, 4))  # base q = 1/16 directly
-    q = base_holder.q
+    # the model's two sides of Lemma 2.1 agree in its finite case a =
+    # q**-N, at generic rationals (b, c, d) and every 0 <= x, y <= N
+    q = F(1, 16)
+    b, c, d = F(1, 3), F(1, 5), F(2, 7)
     for N in range(4):
         a = q ** -N
-        b, c, d = F(1, 3), F(1, 5), F(2, 7)
         for x in range(N + 1):
             for y in range(N + 1):
-                lhs = summation_lhs(base_holder, x, y, a, b, c, d, N=N)
-                rhs = summation_rhs(base_holder, x, y, a, b, c, d, N=N)
-                assert lhs == rhs
+                lhs = reference.summation_lhs(q, x, y, a, b * b, b * c * d, b * d / c, N)
+                rhs = reference.summation_rhs(q, x, y, a, b * b, c * c, b * c * d, N + 1)
+                assert lhs == rhs, (N, x, y)
 
 
 def test_summation_finite_domain_restriction():
-    # the product side has (a;q)_x in a denominator: x > N is a pole, and
-    # the identity's finite case lives on x, y <= N
+    # the finite case lives on x, y <= N: the q-Racah sides refuse the rest
     qb = QBase(F(1, 4))
-    q = qb.q
-    with pytest.raises(DenominatorPole):
-        summation_lhs(qb, 2, 0, q ** -1, F(1, 3), F(1, 5), F(2, 7), N=1)
+    for x, y in ((2, 0), (0, 2)):
+        with pytest.raises(OutOfRange, match=rf"^\(x, y\) = \({x}, {y}\) outside 0\.\.1$"):
+            summation_pair_qracah(qb, 1, 1, 0, 0, x, y)
 
 
 # one base per backend at p = 1/2, the point the lemma2.1 verdicts run at
 BACKENDS = (QBase(F(1, 2)), QBase(0.5, "float"), QBase(F(1, 2), "complex"))
 
 
-def _bits(value):
-    # the type and the repr: equal bits for a float or complex, the same
-    # rational for a Fraction
-    return type(value), repr(value)
-
-
-def _outcome(fn, *args):
-    try:
-        return _bits(fn(*args))
-    except Exception as exc:  # noqa: BLE001 - the type and text are compared
-        return type(exc), str(exc)
-
-
-def _summation_lhs_inline(q, x, y, a, b2, bcd, bd_c, N, tb):
-    """The product side with every prefactor formed inline, per call: the
-    reference the product side is read against."""
-    abcd = a * bcd
-    if N is not None:
-        if x > N or y > N:
-            raise DenominatorPole(
-                f"finite case is restricted to x, y <= N; got x={x}, y={y}, N={N}"
-            )
-        inf_ratio = qpoch(abcd, q, N)
-    else:
-        inf_ratio = qpoch_inf_ratio(abcd, bcd, q, tb)
-    pref = inf_ratio
-    pref *= qpoch(bd_c * q ** (-y), q, y) / qpoch(abcd, q, y)
-    denom = qpoch(a, q, x)
-    if denom == 0:
-        raise DenominatorPole(f"(a;q)_x vanishes at a={a}, x={x}")
-    pref *= qpoch(q ** (-x) / b2, q, x) / denom
-    ser = rphis(
-        PhiSpec(
-            numerators=(q ** (-x), a * b2 * q ** x, bcd, bd_c),
-            denominators=(b2 * q, bd_c * q ** (-y), abcd * q ** y),
-            base=q,
-            argument=q,
-            terminate_after=x + 1,
-        ),
-        tb,
-    )
-    return pref * ser
-
-
-@pytest.mark.parametrize("qb", BACKENDS, ids=repr)
-def test_summation_lhs_prefactor_tables_keep_every_bit(qb):
-    # every point of the lemma2.1 grid, twice over: the prefactors, formed
-    # per call, give the value and type of the inline expressions, bit for
-    # bit, and a repeated call gives them again
-    from qracah.verify import _stv_points
-
-    p2 = qb.p * qb.p if qb.mode == "exact" else float(qb.p) ** 2
-    q2, tb = p2 * p2, TailBound()
-    for N, s, t, v, x, y in _stv_points(4, off_poles=True):
-        args = (q2, x, y, qb.qpow(-2 * N), -qb.qpow(2 * s), -qb.qpow(s + t - v + 1),
-                qb.qpow(s - t - v + 1), N, tb)
-        want = _outcome(_summation_lhs_inline, *args)
-        for _ in range(2):
-            assert _outcome(qseries._summation_lhs, *args) == want, (N, s, t, v, x, y)
-
-
 @pytest.mark.parametrize("qb", BACKENDS, ids=repr)
 def test_summation_lhs_poles_name_the_requested_index(qb):
-    # (a;q)_x at a = 1/q vanishes from x = 2 on, and (abcd;q)_y at abcd =
-    # 1/q from y = 2 on: a request names its own x or y, not the first
-    # vanishing one, and the y pole is a DenominatorPole, not a bare
-    # division by zero
-    cast = {"exact": F, "float": float, "complex": complex}[qb.mode]
-    q = qb.q
-    b, c, d = cast(F(1, 3)), cast(F(1, 5)), cast(F(2, 7))
+    # at (s, t, v) = (1/2, 3/2, 0) the product side's denominator parameter
+    # q**(-2y+s-t-v+1) is q**(-2j) at j = y: in every backend a request at
+    # y = 1 is a DenominatorPole that names the series range of its own x
     for x in (3, 2):
-        args = (q, x, 0, 1 / cast(q), b * b, b * c * d, b * d / c, 3, TailBound())
-        with pytest.raises(DenominatorPole, match=f"x={x}$"):
-            summation_lhs(qb, x, 0, 1 / cast(q), b, c, d, N=3)
-        assert _outcome(qseries._summation_lhs, *args) == _outcome(_summation_lhs_inline, *args)
-    a, b, c, d = cast(F(1, 16)), cast(2), cast(2), cast(16)  # abcd = 4 = 1/q
-    for y in (3, 2):
-        with pytest.raises(DenominatorPole, match=rf"^\(abcd;q\)_y vanishes at .*, y={y}$"):
-            summation_lhs(qb, 0, y, a, b, c, d, N=3)
+        with pytest.raises(DenominatorPole, match=rf"j = 1 inside the series range 0\.\.{x - 1}$"):
+            summation_pair_qracah(qb, 3, F(1, 2), F(3, 2), 0, x, 1)
 
 
 def test_summation_qracah_point():
@@ -552,52 +479,39 @@ def test_summation_collapses_at_a_equal_one():
     assert lhs == rhs == 1
 
 
-def test_summation_xy_zero_is_qbinomial_theorem():
-    # x = y = 0: both series factors are 1 and the identity reduces to the
-    # q-binomial theorem ratio (a b c d; q)_inf / (b c d; q)_inf
-    qb = QBase(0.5, "float")
-    q = qb.q
-    a, b, c, d = 0.3, 0.4, 0.2, 0.5
-    tb = TailBound(tolerance=1e-15)
-    lhs = summation_lhs(qb, 0, 0, a, b, c, d, tb=tb)
-    rhs = summation_rhs(qb, 0, 0, a, b, c, d, tb=tb)
-    ratio = qpoch_inf(a * b * c * d, q, tb) / qpoch_inf(b * c * d, q, tb)
-    assert lhs == pytest.approx(ratio, rel=1e-11)
-    assert rhs == pytest.approx(ratio, rel=1e-11)
-
-
-def test_summation_infinite_case_float():
-    qb = QBase(0.5, "float")
-    a, b, c, d = 0.3, 0.4, 0.23, 0.5
-    tb = TailBound(tolerance=1e-15)
-    for x, y in ((0, 1), (1, 1), (2, 1), (1, 3)):
-        lhs = summation_lhs(qb, x, y, a, b, c, d, tb=tb)
-        rhs = summation_rhs(qb, x, y, a, b, c, d, tb=tb)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-def test_summation_rhs_takes_an_int_a_exactly():
-    # an int a takes the exact column: the series side is the Fraction that
-    # Fraction(a) gives and matches the product side, for finite N (a =
-    # q**-N = 4 at q = 1/4) and for the certified sum
-    qb = QBase(F(1, 2))
-    b, c, d = F(1, 3), F(1, 5), F(1, 7)
-    tb = TailBound(tolerance=1e-15)
-    for a, N in ((4, 1), (2, None)):
-        for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            rhs = summation_rhs(qb, x, y, a, b, c, d, N, tb)
-            assert type(rhs) is F, (a, N, x, y)
-            assert rhs == summation_rhs(qb, x, y, F(a), b, c, d, N, tb), (a, N, x, y)
-            lhs = summation_lhs(qb, x, y, a, b, c, d, N, tb)
-            assert (lhs == rhs) if N is not None else abs(lhs - rhs) < 1e-13, (a, N, x, y)
-
-
-def _value_or_error(fn, *args):
-    # the value, or the type of the library error it raises
+def _or_pole(fn, *args):
+    # the value, or DenominatorPole for a library pole or a model's 0 divisor
     try:
         return fn(*args)
-    except QRacahError as exc:
-        return type(exc)
+    except (DenominatorPole, ZeroDivisionError):
+        return DenominatorPole
+
+
+def _racah_point(qb, N, s, t, v):
+    # (a, b**2, c**2, bcd, bd/c) in base q**2 at the q-Racah point
+    return (qb.qpow(-2 * N), -qb.qpow(2 * s), -qb.qpow(2 * t), -qb.qpow(s + t - v + 1),
+            qb.qpow(s - t - v + 1))
+
+
+def _is_model_side(qb, fn, side, stvs):
+    # fn at the q-Racah points of N <= 3 is the model's side 0 (product)
+    # or 1 (series) at qb's p: exactly, as a pole of both, or as a float
+    # within 1e-12 of 1 + the largest |series side| of the (x, y) grid
+    ex = QBase(qb.p)
+    q2 = ex.qpow(2)
+    for N, (s, t, v) in ((N, stv) for N in range(4) for stv in stvs):
+        a, b2, c2, bcd, bd_c = _racah_point(ex, N, s, t, v)
+        grid = {(x, y): (_or_pole(reference.summation_lhs, q2, x, y, a, b2, bcd, bd_c, N),
+                         reference.summation_rhs(q2, x, y, a, b2, c2, bcd, N + 1))
+                for x in range(N + 1) for y in range(N + 1)}
+        scale = 1 + max(abs(float(rhs)) for _, rhs in grid.values())
+        for (x, y), sides in grid.items():
+            got, want = _or_pole(fn, RrParams(s, t, v, N, qb), x, y), sides[side]
+            if qb.is_exact or want is DenominatorPole:
+                assert got == want and type(got) is type(want), (N, s, t, v, x, y)
+            else:
+                assert type(got) is type(qb.zero()), (N, s, t, v, x, y)
+                assert abs(got - float(want)) <= 1e-12 * scale, (N, s, t, v, x, y)
 
 
 # the finite grid's (s, t, v): the verdict grid's five, one with bd/c = 1
@@ -608,21 +522,21 @@ _RACAH_STV = (*verify._STV, (F(1, 2), F(3, 2), 0), (F(1, 2), 0, F(-1, 2)))
 @pytest.mark.parametrize("p", [F(1, 2), F(2, 3), F(3, 2)], ids=str)
 def test_summation_sides_at_the_qracah_point_are_rr_closed_and_rr_inner(p):
     # in base q**2 at a = q**(-2N), b**2 = -q**(2s), c**2 = -q**(2t), bcd =
-    # -q**(s+t-v+1) and bd/c = q**(s-t-v+1), the general product side is
-    # rr_closed and the general series side rr_inner: the same rational or
-    # the same error type at every point of N <= 5 and 0 <= x, y <= N
-    qb, tb = QBase(p), TailBound()
+    # -q**(s+t-v+1) and bd/c = q**(s-t-v+1), the model's general product
+    # side (its closed form) is rr_closed and its series side rr_inner:
+    # the same rational, or a pole of both, at every point of N <= 5 and
+    # 0 <= x, y <= N
+    qb = QBase(p)
     q2 = qb.qpow(2)
     poles = 0
     for N, (s, t, v) in ((N, stv) for N in range(6) for stv in _RACAH_STV):
         rp = RrParams(s, t, v, N, qb)
-        a, b2, c2 = qb.qpow(-2 * N), -qb.qpow(2 * s), -qb.qpow(2 * t)
-        bcd, bd_c = -qb.qpow(s + t - v + 1), qb.qpow(s - t - v + 1)
+        a, b2, c2, bcd, _ = _racah_point(qb, N, s, t, v)
         for x in range(N + 1):
             for y in range(N + 1):
-                lhs = _value_or_error(qseries._summation_lhs, q2, x, y, a, b2, bcd, bd_c, N, tb)
-                assert lhs == _value_or_error(rr_closed, rp, x, y), (N, s, t, v, x, y)
-                rhs = _value_or_error(qseries._summation_rhs, q2, x, y, a, b2, c2, bcd, N, tb)
+                lhs = _or_pole(reference.rr_closed, p, s, t, v, N, x, y)
+                assert lhs == _or_pole(rr_closed, rp, x, y), (N, s, t, v, x, y)
+                rhs = reference.summation_rhs(q2, x, y, a, b2, c2, bcd, N + 1)
                 assert rhs == rr_inner(rp, x, y), (N, s, t, v, x, y)
                 poles += lhs is DenominatorPole
     # the four (s, t, v) with s - t - v + 1 in {0, 2}: 35 poles each
@@ -631,23 +545,28 @@ def test_summation_sides_at_the_qracah_point_are_rr_closed_and_rr_inner(p):
 
 @pytest.mark.parametrize("p", [F(1, 2), F(2, 3)], ids=str)
 def test_summation_sides_at_the_infinite_point_are_pr_closed_and_pr_inner(p):
-    # in base q**2 at a = q**(2k), b**2 = q**(2s), c**2 = q**(2t), bcd =
-    # q**(s+t-v+1) and bd/c = q**(s-t-v+1), without N, the general sides
-    # are pr_closed and pr_inner: the same rational or the same error type
+    # in base q**2 at a = q**(2k), b**2 = q**(2s), c**2 = q**(2t) and bcd =
+    # q**(s+t-v+1), without N: the model's series side summed to 40 terms
+    # (its tail is below 1e-20 of the value here) is pr_inner and, off
+    # the poles pr_valid names, pr_closed, each within the tolerance of
+    # the TailBound relative to 1 + |value|
     qb, tb = QBase(p), TailBound()
     q2 = qb.qpow(2)
     for k in (F(1, 2), 1, 2):
         for s, t, v in ((0, 0, -1), (1, 1, 0), (1, 2, 1)):
             pp = PrParams(s, t, v, k, qb, tb)
             a, b2, c2 = qb.qpow(2 * k), qb.qpow(2 * s), qb.qpow(2 * t)
-            bcd, bd_c = qb.qpow(s + t - v + 1), qb.qpow(s - t - v + 1)
+            bcd = qb.qpow(s + t - v + 1)
             for x in range(4):
                 for y in range(4):
-                    lhs = _value_or_error(qseries._summation_lhs, q2, x, y, a, b2, bcd, bd_c,
-                                          None, tb)
-                    assert lhs == _value_or_error(pr_closed, pp, x, y), (k, s, t, v, x, y)
-                    rhs = qseries._summation_rhs(q2, x, y, a, b2, c2, bcd, None, tb)
-                    assert rhs == pr_inner(pp, x, y), (k, s, t, v, x, y)
+                    want = reference.summation_rhs(q2, x, y, a, b2, c2, bcd, 40)
+                    bound = tb.tolerance * (1 + abs(want))
+                    assert abs(pr_inner(pp, x, y) - want) <= bound, (k, s, t, v, x, y)
+                    if pr_valid(pp, x, y):
+                        assert abs(pr_closed(pp, x, y) - want) <= bound, (k, s, t, v, x, y)
+                    else:
+                        with pytest.raises(DenominatorPole):
+                            pr_closed(pp, x, y)
 
 
 @pytest.mark.parametrize("p", [F(1, 2), F(2, 3)], ids=str)
@@ -672,141 +591,49 @@ def test_summation_pair_refuses_the_pole_bd_c_equal_one_hides(p):
 
 
 def test_summation_lhs_refuses_a_pole_that_a_numerator_hides():
-    # (b, c, d) = (1/3, 1/5, 3/5) gives bd/c = 1: the numerator (1; q)_j
-    # ends the 4phi3 before the pole of its denominator parameter q**-y at
-    # j = y.  Each point with y <= x - 1 raises, naming that parameter; the
-    # other 10 points hold
-    qb = QBase(F(1, 4))
-    q = qb.q
-    a, b, c, d, N = q ** -3, F(1, 3), F(1, 5), F(3, 5), 3
+    # (b, c, d) = (1/3, 1/5, 3/5) gives bd/c = 1: in the product side's
+    # 4phi3 the numerator (1; q)_j ends the sum before the pole of its
+    # denominator parameter q**-y at j = y.  rphis, asked for the x + 1
+    # terms, raises at each point with y <= x - 1, naming that parameter;
+    # at the other 10 points it is the model's series
+    q, N = F(1, 16), 3
+    a, b2, bcd = q**-N, F(1, 9), F(1, 25)
     held = 0
     for x in range(N + 1):
         for y in range(N + 1):
+            nums = (q**-x, a * b2 * q**x, bcd, F(1))
+            dens = (b2 * q, q**-y, a * bcd * q**y)
+            spec = PhiSpec(nums, dens, q, q, terminate_after=x + 1)
             if y <= x - 1:
                 message = rf"^denominator parameter {q ** -y} equals base\*\*-{y}, hit at term {y + 1}$"
                 with pytest.raises(DenominatorPole, match=message):
-                    summation_lhs(qb, x, y, a, b, c, d, N)
+                    rphis(spec)
             else:
-                assert summation_lhs(qb, x, y, a, b, c, d, N) == summation_rhs(
-                    qb, x, y, a, b, c, d, N), (x, y)
+                assert rphis(spec) == reference.phi(nums, dens, q, q, x + 1), (x, y)
                 held += 1
     assert held == 10
 
 
-def _summation_factor(q, a, tb, z, sq, n):
-    # entry n of the series side's 3phi2 factor in base 1/q, a fresh series
-    return rphis(PhiSpec(numerators=(q ** n, q ** z, q ** (-z) / (a * sq)),
-                         denominators=(1 / a,), base=1 / q, argument=1 / q,
-                         terminate_after=min(n, z) + 1), tb)
+@pytest.mark.parametrize("qb", [QBase(F(1, 2)), QBase(0.5, "float"), QBase(F(2, 3), "complex"),
+                                QBase(F(3, 2)), QBase(1.5, "float")], ids=repr)
+def test_summation_rows_are_the_loop_values(qb):
+    # the series side at the q-Racah parameters of finite N is rr_inner in
+    # every backend, below and above q = 1: the model's loop
+    _is_model_side(qb, rr_inner, 1, ((1, 0, 0), (F(1, 2), 1, -1)))
 
 
-def _summation_rhs_loop(q, x, y, a, b2, c2, bcd, N, tb):
-    """The series side as one loop, the coefficient carried term by term
-    and each 3phi2 factor a fresh series.  Returns the terms summed and
-    the sum."""
-    used = []
-
-    def terms():
-        coeff = q * 0 + 1
-        poch_q = coeff
-        n = 0
-        while True:
-            used.append((coeff / poch_q, _summation_factor(q, a, tb, x, b2, n),
-                         _summation_factor(q, a, tb, y, c2, n)))
-            yield used[-1]
-            coeff *= bcd * (1 - a * q ** n)
-            poch_q *= 1 - q ** (n + 1)
-            n += 1
-
-    if N is not None:
-        gen = terms()
-        total = ordered_sum(next(gen) for _ in range(N + 1))
-    else:
-        total = certified_sum(terms(), tb)
-    return used, total
+@pytest.mark.parametrize("qb", [*BACKENDS, QBase(F(2, 3), "complex"), QBase(F(3, 2)),
+                                QBase(1.5, "float")], ids=repr)
+def test_summation_sides_are_the_inline_expressions(qb):
+    # the product side at the q-Racah parameters is rr_closed in every
+    # backend, below and above q = 1: the model's inline expression
+    _is_model_side(qb, rr_closed, 0, _RACAH_STV)
 
 
 def _same_bits(a, b):
     # one type and one printed form: for floats and complex numbers that
     # is every bit, the sign of a zero included
     return type(a) is type(b) and repr(a) == repr(b)
-
-
-# exact, float and complex bases at q < 1 and at q > 1
-SIDE_BASES = (*BACKENDS, QBase(F(2, 3), "complex"), QBase(F(3, 2)), QBase(1.5, "float"))
-
-
-@pytest.mark.parametrize("qb", [QBase(F(1, 2)), QBase(0.5, "float"), QBase(F(2, 3), "complex"),
-                                QBase(F(3, 2)), QBase(1.5, "float")], ids=repr)
-def test_summation_rows_are_the_loop_values(qb):
-    # the series side at the q-Racah parameters of finite N and, for q < 1,
-    # in the certified case: the loop's sum, value and type and every
-    # float bit, with an exact 3phi2 factor a Fraction
-    tb = TailBound(1e-12)
-    q = qb.qpow(2)
-    points = []
-    for N in range(4):
-        for s, t, v in ((1, 0, 0), (F(1, 2), 1, -1)):
-            b2, c2, bcd = -qb.qpow(2 * s), -qb.qpow(2 * t), -qb.qpow(s + t - v + 1)
-            points += [(qb.qpow(-2 * N), b2, c2, bcd, N, x, y)
-                       for x in range(N + 1) for y in range(N + 1)]
-    if qb.q < 1:
-        points += [(qb.qpow(a), qb.qpow(2), -qb.qpow(1), qb.qpow(3), None, x, y)
-                   for a in (1, 3) for x in range(3) for y in range(3)]
-    longest = 0
-    for a, b2, c2, bcd, N, x, y in points:
-        used, want = _summation_rhs_loop(q, x, y, a, b2, c2, bcd, N, tb)
-        longest = max(longest, len(used))
-        got = qseries._summation_rhs(q, x, y, a, b2, c2, bcd, N, tb)
-        assert _same_bits(got, want), (a, N, x, y)
-        if qb.is_exact:
-            assert all(type(v) is F for term in used for v in term), (a, N, x, y)
-    # finite sums of up to N + 1 = 4 terms; the certified case (q < 1) ran
-    # past its minimum of six terms
-    assert longest > 6 if qb.q < 1 else longest == 4
-
-
-@pytest.mark.parametrize("qb", SIDE_BASES, ids=repr)
-def test_summation_sides_are_the_inline_expressions(qb):
-    # the public sides at two generic (b, c, d), for finite N at a = q**-N
-    # and, for q < 1, in the certified case: the product side is the inline
-    # expression and the series side the loop, value and type and every
-    # float bit
-    cast = {"exact": F, "float": float, "complex": complex}[qb.mode]
-    q, tb = qb.q, TailBound(1e-12)
-    points = [(q ** -N, N, x, y) for N in range(4) for x in range(N + 1) for y in range(N + 1)]
-    if q < 1:
-        points += [(q ** a, None, x, y) for a in (1, 3) for x in range(3) for y in range(3)]
-    longest = 0
-    for bcd in ((F(1, 3), F(1, 5), F(2, 7)), (F(-2, 3), F(3, 4), F(1, 2))):
-        b, c, d = map(cast, bcd)
-        for a, N, x, y in points:
-            got = _outcome(summation_lhs, qb, x, y, a, b, c, d, N, tb)
-            want = _outcome(_summation_lhs_inline, q, x, y, a, b * b, b * c * d, b * d / c, N, tb)
-            assert got == want, (bcd, a, N, x, y)
-            used, want = _summation_rhs_loop(q, x, y, a, b * b, c * c, b * c * d, N, tb)
-            longest = max(longest, len(used))
-            assert _same_bits(summation_rhs(qb, x, y, a, b, c, d, N, tb), want), (bcd, a, N, x, y)
-    # finite sums of up to N + 1 = 4 terms; the certified case (q < 1) ran
-    # past its minimum of six terms
-    assert longest > 6 if q < 1 else longest == 4
-
-
-def test_summation_rows_shared_across_signed_zeros_keep_the_loop_sums():
-    # complex parameters that differ only in the sign of a zero, read in
-    # either order: every sum is the loop's, bit for bit
-    qb, tb = QBase(F(5, 7), "complex"), TailBound(1e-12)  # a base no other test uses
-    q = qb.qpow(2)
-    for order in (1, -1):
-        for r, N in ((-0.9, 2), (0.9, 3), (-0.3, None)):
-            a = qb.qpow(-2 * N) if N is not None else qb.qpow(1)
-            for bcd, b2 in ((complex(r, 0.0), complex(0.7, -0.0)),
-                            (complex(r, -0.0), complex(0.7, 0.0)))[::order]:
-                for x in range(3):
-                    for y in range(3):
-                        want = _summation_rhs_loop(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)[1]
-                        got = qseries._summation_rhs(q, x, y, a, b2, -0.4 + 0j, bcd, N, tb)
-                        assert _same_bits(got, want), (order, r, N, x, y)
 
 
 def _pair_value(x):
@@ -868,6 +695,25 @@ def _summation_column(q, a, tb, z, sq):
                                      tb.max_terms))
 
 
+def _is_model_column(got: _Row, case, order):
+    # read in the given order: each entry an integer pair whose value is
+    # the model's factor, or a DenominatorPole where the model divides by
+    # zero; an entry of more terms than the column's limit may instead
+    # raise the limit's NonConvergent
+    q, a, tb, z, sq = case
+    for n in order:
+        value, kind = _entry_outcome(got, n)
+        if kind is tuple:
+            value = _pair_value(value)
+        elif value is NonConvergent and (min(n, z) if z >= 0 else n) >= tb.max_terms:
+            continue
+        try:
+            want = reference.summation_factor(q, a, z, sq, n)
+        except ZeroDivisionError:
+            want = DenominatorPole
+        assert value == want, n
+
+
 def _same_column(got: _Row, want: _Row, order):
     # read in the given order: each entry an integer pair whose value is
     # the reference row's Fraction, or the error the reference row raises
@@ -911,8 +757,7 @@ def test_exact_series_column_is_the_rphis_column(case):
 @example(case=((F(9, 4), F(4, 9), TailBound(), -2, -1), [4, 0]))
 def test_exact_summation_factor_is_the_rphis_column(case):
     (q, a, tb, z, sq), order = case
-    _same_column(_summation_column(q, a, tb, z, sq), _Row(_summation_factor, q, a, tb, z, sq),
-                 order)
+    _is_model_column(_summation_column(q, a, tb, z, sq), (q, a, tb, z, sq), order)
 
 
 def test_exact_column_errors_come_from_the_entry_read():
@@ -967,8 +812,7 @@ def test_long_column_entries_are_the_rphis_entries(case):
     # every entry, Horner before the crossover and the stepped power-basis
     # form after it, is the per-entry rphis Fraction or raises its error
     (q, a, tb, z, sq), last = case
-    _same_column(_summation_column(q, a, tb, z, sq), _Row(_summation_factor, q, a, tb, z, sq),
-                 range(last + 1))
+    _is_model_column(_summation_column(q, a, tb, z, sq), (q, a, tb, z, sq), range(last + 1))
 
 
 def test_long_columns_step_the_power_basis_from_the_crossover():

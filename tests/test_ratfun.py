@@ -141,16 +141,17 @@ def test_rr_gevp_exact():
                     assert multivar.multi_gevp_residual(QB, 1, (x,), (y,), s, t, v, (N,)) == 0
 
 
-def test_rr_gevp_closed_path():
-    # the closed form satisfies the univariate identity wherever it is defined
-    from test_multivar import _univariate_rr_gevp
-
+def test_rr_gevp_closed_path(monkeypatch):
+    # the closed form satisfies the univariate identity wherever it is
+    # defined: the one-site chain's residual, its pack reading rr_closed
+    monkeypatch.setattr(multivar, "rr_inner", rr_closed)
+    monkeypatch.setattr(multivar, "_rr_pack", multivar._rr_pack.__wrapped__)
     rp = RrParams(2, 1, 1, 3, QB)
     for x in range(4):
         for y in range(4):
             pts = [(x, yy) for yy in (y - 1, y, y + 1) if 0 <= yy <= 3]
             if all(rr_valid(rp, *pt) for pt in pts):
-                assert _univariate_rr_gevp(QB, 3, 2, 1, 1, x, y, rr_closed) == 0
+                assert multivar.multi_gevp_residual(QB, 1, (x,), (y,), 2, 1, 1, (3,)) == 0
 
 
 def test_rr_out_of_range():

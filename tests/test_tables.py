@@ -30,7 +30,8 @@ from qracah import multivar, orthopoly, qseries, ratfun, uqsl2
 from qracah.errors import DenominatorPole, OutOfRange
 from qracah.scalar import as_exponent
 from qracah.uqsl2 import OpMatrix
-from test_orthopoly import _asc_w_direct, _is_weight, _kraw_w_direct
+import reference
+from test_orthopoly import _is_weight
 from qracah import tables
 from qracah.tables import _Points, _Row, packed, table_sizes, tabled
 
@@ -315,11 +316,11 @@ def test_column_entries_are_fresh_series_values(qb):
     # the weight rows the sums over n read alongside
     for k in (F(1, 2), 1, F(3, 2)):
         for n in reversed(range(6)):
-            assert _is_weight(qb, orthopoly.asc_w_column(qb, k)[n], _asc_w_direct, k, n), (k, n)
+            assert _is_weight(qb, orthopoly.asc_w_column(qb, k)[n], reference.asc_w, k, n), (k, n)
     for N in range(5):
         row = orthopoly.kraw_w_column(qb, N)
         for n in reversed(range(N + 1)):
-            assert _is_weight(qb, row[n], _kraw_w_direct, N, n), (N, n)
+            assert _is_weight(qb, row[n], reference.kraw_w, N, n), (N, n)
         with pytest.raises(OutOfRange):
             row[N + 1]
 

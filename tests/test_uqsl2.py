@@ -16,7 +16,6 @@ from qracah.uqsl2 import (
     combine,
     coproduct_gens,
     coproduct_op,
-    coproduct_twist_coideal,
     gens,
     gevp_rewrite_residual,
     relation_residuals,
@@ -27,6 +26,8 @@ from qracah.uqsl2 import (
     weighted_products,
 )
 from qracah.verify import RunConfig, build_tasks
+
+import reference
 
 QB = QBase(F(1, 2))
 
@@ -69,22 +70,6 @@ def _terms(draw, entry):
     return n, terms, draw(st.integers(0, n))
 
 
-def _eye(n):
-    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def _mm(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), F(0)) for j in range(n)]
-            for i in range(n)]
-
-
-def _lin(*terms):
-    """sum of c * X over dense X."""
-    n = len(terms[0][1])
-    return [[sum((c * X[i][j] for c, X in terms), F(0)) for j in range(n)] for i in range(n)]
-
-
 def _dense(m):
     return [m[i] for i in range(m.dim)]
 
@@ -101,7 +86,9 @@ def _assert_dense(m, ref):
 def test_weighted_products_match_dense_sums(mode, data):
     qb = QBase(F(1, 2), mode)
     n, terms, rows = data.draw(_terms(_ENTRY if mode == "exact" else _INT_ENTRY))
-    ref = _lin(*[(1 if c is None else c, _mm(a or _eye(n), b or _eye(n))) for c, a, b in terms])
+    eye = reference.eye(n)
+    ref = reference.lin(*[(1 if c is None else c, reference.matmul(a or eye, b or eye))
+                          for c, a, b in terms])
 
     def backend(m):
         return None if m is None else OpMatrix._sparse(
@@ -220,12 +207,8 @@ def test_twist_shapes():
     assert xt[1][1] == QB.bracket(2) * QB.qpow(-1)
     # non-compact tilde: explicit 3x3 check of the off-diagonal scale
     rs11 = RepSpec.su11(1, 2, QB)
-    yt = twist_y(rs11, 0, 0, tilde=True)
-    rho = QB.bracket_brace_ratio
-    K, Ki, E, Fm = (_dense(m) for m in gens(rs11))
-    expect = _lin((rho * QB.qpow(-F(1, 2)), _mm(E, Ki)), (-rho * QB.qpow(F(1, 2)), _mm(Fm, Ki)),
-                  (QB.brace(0), _mm(Ki, Ki)))
-    assert _dense(yt) == expect
+    g = reference.gens(QB.p, k=1, trunc=2)
+    assert _dense(twist_y(rs11, 0, 0, tilde=True)) == reference.twisted(QB.p, g, 0, 0, True, False)
 
 
 def test_twist_rewrite_su2():
@@ -295,24 +278,45 @@ def test_coproduct_algebra_map():
 
 
 def test_coproduct_coideal_route_agrees():
-    # hom-route tilde coproduct == coideal nesting; for the non-compact
-    # element the local piece subtracts the (nonvanishing) brace constant
+    # hom-route tilde coproduct == the model's coideal nesting; for the
+    # non-compact element the local piece subtracts the (nonvanishing)
+    # brace constant
     for kind, builder in (("x", "xtilde"), ("y", "ytilde")):
         if kind == "x":
-            sites = [RepSpec.su2(2, QB), RepSpec.su2(1, QB)]
+            sites, model = [RepSpec.su2(2, QB), RepSpec.su2(1, QB)], [dict(N=2), dict(N=1)]
         else:
             sites = [RepSpec.su11(1, 4, QB), RepSpec.su11(2, 4, QB)]
+            model = [dict(k=1, trunc=4), dict(k=2, trunc=4)]
         hom = coproduct_op(sites, builder, "L", 2, u=1, s=2)
-        coideal = coproduct_twist_coideal(sites, 1, 2, kind)
-        assert hom == coideal
+        coideal = reference.coideal_tilde(QB.p, [reference.gens(QB.p, **m) for m in model], 1, 2,
+                                          kind == "x")
+        assert _dense(hom) == coideal
 
 
 def test_coproduct_coassociativity_three_sites():
     # building the 3-site image by nesting left or by the closed-form sum
     sites = [RepSpec.su2(1, QB)] * 3
     hom = coproduct_op(sites, "xtilde", "L", 3, u=0, s=1)
-    coideal = coproduct_twist_coideal(sites, 0, 1, "x")
-    assert hom == coideal
+    coideal = reference.coideal_tilde(QB.p, [reference.gens(QB.p, N=1)] * 3, 0, 1, True)
+    assert _dense(hom) == coideal
+
+
+@pytest.mark.parametrize("model", [
+    [dict(N=1), dict(N=2)], [dict(N=1)] * 3, [dict(k=1, trunc=2), dict(k=2, trunc=3)]],
+    ids=["su2-2", "su2-3", "su11-2"])
+def test_coproduct_images_are_the_model_images(model):
+    # every named element on the left or right j sites: the model's
+    # coproduct of its dense generators, padded by identities
+    sites = [RepSpec.su2(m["N"], QB) if "N" in m else RepSpec.su11(m["k"], m["trunc"], QB)
+             for m in model]
+    site_gens = [reference.gens(QB.p, **m) for m in model]
+    elements = ("k2", "x", "xtilde") if "N" in model[0] else ("k2", "y", "ytilde")
+    for element in elements:
+        for side in ("L", "R"):
+            for j in range(1, len(sites) + 1):
+                got = coproduct_op(sites, element, side, j, u=1, s=F(1, 2))
+                want = reference.chain_element(QB.p, site_gens, element, side, j, 1, F(1, 2))
+                assert _dense(got) == want, (element, side, j)
 
 
 def test_coproduct_padding_sides():
@@ -358,81 +362,34 @@ def test_twist_self_adjoint_imaginary_twist():
 # ---------------------------------------------------------------------------
 
 
-def _total(r, rows=None):
-    return sum((abs(x) for row in r[:rows] for x in row), F(0))
-
-
-def _dense_relations(rs, rows):
-    q = rs.qb.q
-    K, Ki, E, Fm = (_dense(m) for m in uqsl2.gens(rs))
-    d = 1 / (q - 1 / q)
-    return {
-        "K*Kinv - 1": _total(_lin((1, _mm(K, Ki)), (-1, _eye(rs.dim))), rows),
-        "KE - qEK": _total(_lin((1, _mm(K, E)), (-q, _mm(E, K))), rows),
-        "KF - (1/q)FK": _total(_lin((1, _mm(K, Fm)), (-1 / q, _mm(Fm, K))), rows),
-        "EF - FE - (K2-Kinv2)/(q-1/q)": _total(_lin(
-            (1, _mm(E, Fm)), (-1, _mm(Fm, E)), (-d, _mm(K, K)), (d, _mm(Ki, Ki))), rows),
-    }
-
-
-def _dense_star(rs):
-    K, Ki, E, Fm = (_dense(m) for m in uqsl2.gens(rs))
-    sgn = 1 if rs.kind == "su2" else -1
-    w = rs.weights()
-    return sum((abs(w[n] * A[n][m] - c * w[m] * As[m][n])
-                for A, As, c in ((K, K, 1), (E, Fm, sgn), (Fm, E, sgn))
-                for n in range(rs.dim) for m in range(rs.dim)), F(0))
-
-
-def _dense_twisted(rs, u, s, tilde):
-    qb, compact = rs.qb, rs.kind == "su2"
-    K, Ki, E, Fm = (_dense(m) for m in uqsl2.gens(rs))
-    scale = 1 if compact else qb.bracket_brace_ratio
-    sgn = 1 if compact else -1
-    const = qb.bracket(s) if compact else qb.brace(s)
-    h = F(1, 2)
-    if tilde:
-        return _lin((scale * qb.qpow(-u - h), _mm(E, Ki)),
-                    (sgn * scale * qb.qpow(u + h), _mm(Fm, Ki)), (const, _mm(Ki, Ki)))
-    return _lin((scale * qb.qpow(u + h), _mm(E, K)),
-                (sgn * scale * qb.qpow(-u - h), _mm(Fm, K)), (const, _eye(rs.dim)))
-
-
-def _dense_twist_rewrite(rs, u, v, s, t, rows):
-    qb = rs.qb
-    q, q2 = qb.q, qb.qpow(2)
-    sym = qb.bracket if rs.kind == "su2" else qb.brace
-    K = _dense(uqsl2.gens(rs)[0])
-    K2 = _mm(K, K)
-    lhs, tilt = _dense_twisted(rs, u, s, False), _dense_twisted(rs, v, t, True)
-
-    def qcomm(A, B):
-        return _lin((q, _mm(A, B)), (-1 / q, _mm(B, A)))
-
-    num = _lin((qb.qpow(u + v), qcomm(K2, tilt)), (qb.qpow(-u - v), qcomm(tilt, K2)))
-    const = -sym(t) * qb.brace(u + v) + sym(s)
-    return _total(_lin((1, lhs), (-1 / (q2 - 1 / q2), num), (-const, _eye(rs.dim))), rows)
-
-
-def _dense_gevp_rewrite(rs, s, rows):
-    Ki = _dense(uqsl2.gens(rs)[1])
-    return _total(_lin((1, _mm(_mm(Ki, Ki), _dense_twisted(rs, 0, s, False))),
-                       (-1, _dense_twisted(rs, 1, s, True))), rows)
-
-
-def _pair(check, rs, point):
-    """(function, dense reference) of one identity check at a suite point."""
+def _pair(check, point, doubled=None):
+    """(function, model residual) of one identity check at a suite point,
+    whose generators are the model's; the model then doubles the entry
+    ``doubled`` = (g, i, j) of its own."""
+    p, rs = point["p"], _rep(point)
+    g = reference.gens(p, **{name: point[name] for name in ("N", "k", "trunc") if name in point})
+    assert [_dense(m) for m in gens(rs)] == list(g)
+    if doubled is not None:
+        which, i, j = doubled
+        g[which][i][j] *= 2
+    compact = rs.kind == "su2"
     if check == "relations":
         rows = rs.interior(1)
-        return relation_residuals(rs, rows), _dense_relations(rs, rows)
+        return relation_residuals(rs, rows), reference.relation_residuals(p, g, rows)
     if check == "star":
-        return star_residual(rs), _dense_star(rs)
+        w = [reference.kraw_w(p, rs.N, n) if compact else reference.asc_w(p, rs.k, n)
+             for n in range(rs.dim)]
+        return star_residual(rs), reference.star_residual(g, w, compact)
     rows = rs.interior(2)
     if check == "twist_rewrite":
-        uvst = [point[name] for name in ("u", "v", "s", "t")]
+        uvst = u, v, s, t = [point[name] for name in ("u", "v", "s", "t")]
+        twist = twist_x if compact else twist_y
+        assert _dense(twist(rs, u, s)) == reference.twisted(p, g, u, s, False, compact)
+        assert _dense(twist(rs, v, t, True)) == reference.twisted(p, g, v, t, True, compact)
         return (twist_rewrite_residual(rs, *uvst, rows),
-                _dense_twist_rewrite(rs, *uvst, rows))
-    return gevp_rewrite_residual(rs, point["s"], rows), _dense_gevp_rewrite(rs, point["s"], rows)
+                reference.twist_rewrite_residual(p, g, *uvst, compact, rows))
+    return (gevp_rewrite_residual(rs, point["s"], rows),
+            reference.gevp_rewrite_residual(p, g, point["s"], compact, rows))
 
 
 def _rep(point):
@@ -447,7 +404,7 @@ def test_identity_residuals_match_dense_references_at_the_suite_points(suite):
     tasks = build_tasks(suite, RunConfig())
     assert tasks
     for task in tasks:
-        got, want = _pair(task.fn, _rep(task.params), task.params)
+        got, want = _pair(task.fn, task.params)
         assert got == want, task.check
         assert not any(got.values()) if isinstance(got, dict) else got == 0
 
@@ -455,9 +412,10 @@ def test_identity_residuals_match_dense_references_at_the_suite_points(suite):
 @pytest.fixture
 def doubled_entry(monkeypatch):
     """The generators with one entry doubled: E[2][1] (index 2) or K[2][2]
-    (index 0), for the residual functions and the dense references alike.
-    gens is wrapped, not written to, and the twisted elements are built
-    around their table, so no shared table holds the mutant."""
+    (index 0), for the residual functions; the model doubles the same
+    entry of its own generators.  gens is wrapped, not written to, and the
+    twisted elements are built around their table, so no shared table
+    holds the mutant."""
     real_gens = gens
     which = {}
 
@@ -485,6 +443,6 @@ def doubled_entry(monkeypatch):
 ])
 def test_identity_residuals_see_a_doubled_generator_entry(doubled_entry, check, point, entry):
     doubled_entry["entry"] = entry
-    got, want = _pair(check, _rep(point), point)
+    got, want = _pair(check, point, entry)
     assert got == want
     assert any(got.values()) if isinstance(got, dict) else got > 0

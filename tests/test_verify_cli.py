@@ -613,6 +613,22 @@ def test_cli_refuses_non_finite_values(monkeypatch, capsys, value):
         assert out == "" and err.startswith("OutOfRange: "), argv
 
 
+@pytest.mark.parametrize("point", [
+    ("--fn", "rr_closed", "--N", "2", "--s", "0", "--t", "1e308", "--v", "1e308", "--y", "1"),
+    ("--fn", "pr_closed", "--k", "1", "--s", "1e308", "--t", "0", "--v=-1e308", "--y", "1"),
+], ids=["rr_closed", "pr_closed"])
+def test_cli_closed_form_past_the_float_range_fails_by_name(capsys, point):
+    # s - t - v + 1 overflows to an infinite float, so the pole test's
+    # index is not finite: it names no pole, and the nan value is refused
+    # with exit 2 naming OutOfRange, in eval and in table, where an
+    # OverflowError used to end the command
+    for argv in (["eval", "--mode", "float", *point, "--x", "1"],
+                 ["table", "--mode", "float", *point, "--grid", "x=0:1"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "OutOfRange: the floating value nan is not finite\n", argv
+
+
 def test_cli_eval_complex_mode_infinite_family():
     # complex mode parses s and t as complex too; the convergence guard
     # compares real parts, and the value is the float-mode one

@@ -33,31 +33,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qracah"
 
-_TEST = "test reference: a test compares a verdict's route with it"
 _ITEM6 = "paper identity with no suite yet (ROADMAP item 6)"
-_LEMMA21 = ("the general form of Lemma 2.1, tested at generic rationals and against "
-            "rr_*/pr_*")
 _POLE = "only tests reach a pole of an exact series"
 
 # every function that no verdict, command or demo reaches, and why it stays
 REFERENCES = {
-    "multivar.nested_asc": "test reference: pr_multi_inner's nested products",
-    "multivar.pr_multi_inner": _TEST + " (pr_multi)",
-    "multivar.kraw_W_multi": ("test reference: the finite chain's nested weight, which the "
-                              "nested orthogonality and biorthogonality tests read"),
     "orthopoly.asc_orth_x": _ITEM6 + ": the infinite family's x-summed orthogonality",
     "orthopoly.asc_orth_x.terms": _ITEM6,
-    "qseries.summation_lhs": _LEMMA21,
-    "qseries.summation_rhs": _LEMMA21,
-    "qseries._summation_lhs": _LEMMA21,
-    "qseries._summation_rhs": _LEMMA21,
-    "qseries._summation_rhs.factor": _LEMMA21,
-    "qseries._summation_rhs.terms": _LEMMA21,
     "qseries._den_param_pole": _POLE,
     "qseries._pole": _POLE,
-    "uqsl2.coproduct_twist_coideal": _TEST + " (coproduct_op, by the coideal recursion)",
-    "uqsl2.twist_x": "tests and coproduct_twist_coideal build the compact element on one site",
-    "uqsl2.twist_y": "tests and coproduct_twist_coideal build the non-compact element on one site",
+    "uqsl2.twist_x": "tests read the compact element on one site against tests/reference.py",
+    "uqsl2.twist_y": "tests read the non-compact element on one site against tests/reference.py",
     "uqsl2.OpMatrix.apply": "the benchmark's operator probe and tests apply a matrix to a vector",
     "verify._run_task_star": "runs only in the pool workers of verify --jobs N > 1",
     "scalar.QBase.__repr__": "names a base in test failures and tracebacks",
