@@ -21,7 +21,8 @@ read against (``_value_direct``).
 """
 
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import accumulate, product
 from math import prod
 
 ONE = Fraction(1)
@@ -225,10 +226,7 @@ def coproduct(site_gens):
     slowest: K tensor powers, E = sum_i K x..x K x E_i x K**-1 x..x K**-1,
     F likewise."""
     def tensor(mats):
-        out = [[ONE]]
-        for m in mats:
-            out = kron(out, m)
-        return out
+        return reduce(kron, mats, [[ONE]])
 
     K, Ki = (tensor([g[i] for g in site_gens]) for i in (0, 1))
     E, F = (lin(*((1, tensor([g[0] for g in site_gens[:i]] + [site_gens[i][which]]
@@ -323,10 +321,8 @@ def gevp_rewrite_residual(p, g, s, compact, rows):
 def heights(base, ys, sizes, su11=False):
     """[h_0, ..., h_M]: h_0 = base, h_j = h_(j-1) + 2 y_j - N_j, or + 2 y_j
     + k_j on the infinite chain."""
-    h = [Fraction(base)]
-    for y, size in zip(ys, sizes):
-        h.append(h[-1] + 2 * y + (size if su11 else -size))
-    return h
+    steps = (2 * y + (size if su11 else -size) for y, size in zip(ys, sizes))
+    return list(accumulate(steps, initial=Fraction(base)))
 
 
 def nested_kraw(p, v, t, Ns, ys, ns):

@@ -38,6 +38,7 @@ from qracah.errors import (
 from qracah.tables import _Row
 
 import reference
+from test_ratfun import _rr_closed_inline
 
 
 def test_qpoch_basics():
@@ -493,10 +494,11 @@ def _racah_point(qb, N, s, t, v):
             qb.qpow(s - t - v + 1))
 
 
-def _is_model_side(qb, fn, side, stvs):
+def _is_model_side(qb, fn, side, stvs, inline=None):
     # fn at the q-Racah points of N <= 3 is the model's side 0 (product)
     # or 1 (series) at qb's p: exactly, as a pole of both, or as a float
-    # within 1e-12 of 1 + the largest |series side| of the (x, y) grid
+    # within 1e-12 of 1 + the largest |series side| of the (x, y) grid;
+    # and, given one, off the poles the inline expression's type and bits
     ex = QBase(qb.p)
     q2 = ex.qpow(2)
     for N, (s, t, v) in ((N, stv) for N in range(4) for stv in stvs):
@@ -506,7 +508,10 @@ def _is_model_side(qb, fn, side, stvs):
                 for x in range(N + 1) for y in range(N + 1)}
         scale = 1 + max(abs(float(rhs)) for _, rhs in grid.values())
         for (x, y), sides in grid.items():
-            got, want = _or_pole(fn, RrParams(s, t, v, N, qb), x, y), sides[side]
+            rp = RrParams(s, t, v, N, qb)
+            got, want = _or_pole(fn, rp, x, y), sides[side]
+            if inline is not None and got is not DenominatorPole:
+                assert _same_bits(got, inline(rp, x, y)), (N, s, t, v, x, y)
             if qb.is_exact or want is DenominatorPole:
                 assert got == want and type(got) is type(want), (N, s, t, v, x, y)
             else:
@@ -618,7 +623,8 @@ def test_summation_lhs_refuses_a_pole_that_a_numerator_hides():
                                 QBase(F(3, 2)), QBase(1.5, "float")], ids=repr)
 def test_summation_rows_are_the_loop_values(qb):
     # the series side at the q-Racah parameters of finite N is rr_inner in
-    # every backend, below and above q = 1: the model's loop
+    # every backend, below and above q = 1: the model's term loop, exactly
+    # or within 1e-12 (no floating bits: no other route sums this side)
     _is_model_side(qb, rr_inner, 1, ((1, 0, 0), (F(1, 2), 1, -1)))
 
 
@@ -626,8 +632,9 @@ def test_summation_rows_are_the_loop_values(qb):
                                 QBase(1.5, "float")], ids=repr)
 def test_summation_sides_are_the_inline_expressions(qb):
     # the product side at the q-Racah parameters is rr_closed in every
-    # backend, below and above q = 1: the model's inline expression
-    _is_model_side(qb, rr_closed, 0, _RACAH_STV)
+    # backend, below and above q = 1: the model's product expression, and
+    # off the poles the library's prefactors formed inline, every bit
+    _is_model_side(qb, rr_closed, 0, _RACAH_STV, _rr_closed_inline)
 
 
 def _same_bits(a, b):
@@ -696,22 +703,17 @@ def _summation_column(q, a, tb, z, sq):
 
 
 def _is_model_column(got: _Row, case, order):
-    # read in the given order: each entry an integer pair whose value is
-    # the model's factor, or a DenominatorPole where the model divides by
-    # zero; an entry of more terms than the column's limit may instead
-    # raise the limit's NonConvergent
+    # the row of fresh per-entry rphis sums, which own the stop rule, read
+    # as _same_column reads it; each held entry is the model's factor
     q, a, tb, z, sq = case
-    for n in order:
-        value, kind = _entry_outcome(got, n)
-        if kind is tuple:
-            value = _pair_value(value)
-        elif value is NonConvergent and (min(n, z) if z >= 0 else n) >= tb.max_terms:
-            continue
-        try:
-            want = reference.summation_factor(q, a, z, sq, n)
-        except ZeroDivisionError:
-            want = DenominatorPole
-        assert value == want, n
+
+    def entry(n):
+        return rphis(PhiSpec((q**n, q**z, q**-z / (a * sq)), (1 / a,), 1 / q, 1 / q,
+                             terminate_after=min(n, z) + 1), tb)
+
+    _same_column(got, _Row(entry), order)
+    for n, value in enumerate(got.row):
+        assert _pair_value(value) == reference.summation_factor(q, a, z, sq, n), n
 
 
 def _same_column(got: _Row, want: _Row, order):
@@ -751,6 +753,10 @@ def test_exact_series_column_is_the_rphis_column(case):
 @example(case=((F(4, 9), F(81, 16), TailBound(), 4, F(4, 9)), [5, 1]))
 @example(case=((F(1, 4), F(1, 2), TailBound(max_terms=3), 6, -1), [7, 2]))
 @example(case=((F(1, 4), F(256), TailBound(max_terms=3), 7, F(1, 4)), [6]))
+# the first entry past the limit, n = min(n, z) = max_terms, for z >= 0 and
+# for a negative z, whose sum of n + 1 terms meets no zero of the C-factor
+@example(case=((F(1, 4), F(1, 2), TailBound(max_terms=3), 6, -1), [3]))
+@example(case=((F(9, 4), F(1, 3), TailBound(max_terms=2), -2, -1), [2]))
 # a negative z: the sum runs to the zero of 1 - q**(n-i), without and with
 # the pole 1/a = q
 @example(case=((F(9, 4), F(1, 3), TailBound(), -2, -1), [4, 0]))
@@ -810,7 +816,8 @@ def _long_column_cases(draw):
 @example(case=((F(1, 4), F(1, 2), TailBound(max_terms=8), 12, -1), 30))
 def test_long_column_entries_are_the_rphis_entries(case):
     # every entry, Horner before the crossover and the stepped power-basis
-    # form after it, is the per-entry rphis Fraction or raises its error
+    # form after it, is the model's factor where the per-entry rphis has a
+    # value, and raises rphis's error, text and all, where it raises
     (q, a, tb, z, sq), last = case
     _is_model_column(_summation_column(q, a, tb, z, sq), (q, a, tb, z, sq), range(last + 1))
 

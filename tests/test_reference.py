@@ -1,12 +1,11 @@
 """The reference model itself: its rule and its reach."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-
-
 MODEL = ast.parse((TESTS / "reference.py").read_text(encoding="utf-8"))
 
 
@@ -23,11 +22,13 @@ def test_reference_model_imports_no_qracah():
 
 
 def test_every_reference_function_is_read_by_a_test():
-    # each function of the model is read as reference.<name> by a test
-    # module, or called by another function of the model
-    called = {node.func.id for node in ast.walk(MODEL)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    # each function of the model is read, by its whole name, as
+    # reference.<name> in a test module, or called by a model function
+    # that is read so, at any depth
     tests = "".join(path.read_text(encoding="utf-8") for path in TESTS.glob("test_*.py"))
-    unread = [node.name for node in MODEL.body if isinstance(node, ast.FunctionDef)
-              and node.name not in called and f"reference.{node.name}" not in tests]
-    assert unread == []
+    functions = {node.name: node for node in MODEL.body if isinstance(node, ast.FunctionDef)}
+    read = {name for name in functions if re.search(rf"\breference\.{re.escape(name)}\b", tests)}
+    for _ in functions:  # no call chain is longer than the model
+        read |= {node.func.id for name in read for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions}
+    assert sorted(functions.keys() - read) == []
