@@ -8,7 +8,7 @@ is identically zero; only the purely real parameter combinations enter.
 
 from fractions import Fraction as F
 
-from qracah import QBase, summation_pair_qracah
+from qracah import QBase, RrParams, rr_closed, rr_inner
 from qracah.errors import DenominatorPole
 
 for p in (F(1, 2), F(2, 3)):
@@ -19,7 +19,8 @@ for p in (F(1, 2), F(2, 3)):
             for x in range(N + 1):
                 for y in range(N + 1):
                     try:
-                        lhs, rhs = summation_pair_qracah(qb, N, s, t, v, x, y)
+                        rp = RrParams(s, t, v, N, qb)
+                        lhs, rhs = rr_closed(rp, x, y), rr_inner(rp, x, y)
                     except DenominatorPole:
                         skipped += 1  # isolated pole of the product side
                         continue
@@ -30,7 +31,8 @@ for p in (F(1, 2), F(2, 3)):
 
 # a sample value: both sides as one exact rational
 qb = QBase(F(1, 2))
-lhs, rhs = summation_pair_qracah(qb, 3, 1, 2, 1, 2, 1)
+rp = RrParams(1, 2, 1, 3, qb)
+lhs, rhs = rr_closed(rp, 2, 1), rr_inner(rp, 2, 1)
 print("\nsample value at N=3, (s,t,v)=(1,2,1), (x,y)=(2,1):")
 print("  lhs =", lhs)
 print("  rhs =", rhs)

@@ -57,7 +57,6 @@ from .ratfun import (
     rr_closed,
     rr_inner,
     rr_valid,
-    summation_pair_qracah,
 )
 from .multivar import (
     epsilon_set,

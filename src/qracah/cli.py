@@ -168,6 +168,17 @@ def _ints(args, name):
     return _parse_int_list(str(raw), f"--{name}")
 
 
+def _nums(args, name, mode):
+    # the parts of a list option in the --mode backend; an integral part is
+    # an int in every backend, as the suites pass sizes, so an integer weight
+    # keys the suites' table entries and prints without a fraction or a dot
+    raw = getattr(args, name)
+    if raw is None:
+        raise QRacahError(f"--{name} is required for this function")
+    parts = (_parse_number(part, mode) for part in str(raw).split(","))
+    return tuple(int(x.real) if x == int(x.real) else x for x in parts)
+
+
 def _tb(args) -> qseries.TailBound:
     tol = min(args.tol, 1e-10) if args.tol is not None else 1e-12
     max_terms = args.max_terms if args.max_terms is not None else qseries.DEFAULT_MAX_TERMS
@@ -236,7 +247,7 @@ def fn_rr_multi(args, qb, point):
 
 
 def fn_pr_multi(args, qb, point):
-    ks = _ints(args, "k")
+    ks = _nums(args, "k", qb.mode)
     xs = _vcoord(point, args, "xs", "x")
     ys = _vcoord(point, args, "ys", "y")
     return multivar.pr_multi(qb, _num(args, "s", qb.mode), _num(args, "t", qb.mode),
@@ -298,7 +309,7 @@ def fn_coefficients(args, qb, point):
 def fn_heights(args, qb, point):
     # running height parameters along a chain; table over y1..yM grids
     su11 = getattr(args, "k", None) is not None
-    sizes = _ints(args, "k") if su11 else _ints(args, "N")
+    sizes = _nums(args, "k", qb.mode) if su11 else _ints(args, "N")
     base = _num(args, "t", qb.mode, Fraction(0))
     ys = _vcoord(point, args, "ys", "y")
     hs = multivar.heights(base, ys, sizes, su11=su11)

@@ -38,18 +38,21 @@ product, and the check builds one Fraction.  The chain tables hold exact
 scalars only: a floating base raises ExactnessError.
 
 The multivariate rational functions and the x-side weights are pack
-tables (``tables.packed``): ``_rr_pack(qb, s, t, v, Ns)`` and
-``_pr_pack(qb, s, t, v, ks, tb)`` hold the products of univariate factors
-by (xs, ys), and ``_W_pack(qb, s, sizes, su11, tb)`` the weights of either
-chain by xs (``tb`` None on the finite one).  The biorthogonality and
-generalized-eigenvalue residuals fetch each pack once per check and read it
-by point, with no key built per (xs, ys); a residual that meets the same
-(xs, ys + eps) again, at another j or another shift, reuses the product.
+tables (``tables.packed``) of either chain (``tb`` None on the finite one):
+``_R_pack(qb, s, t, v, sizes, su11, tb)`` holds the products of univariate
+factors (``rr_inner``, or ``pr_inner`` with su11) by (xs, ys), and
+``_W_pack(qb, s, sizes, su11, tb)`` the weights by xs.  The
+biorthogonality and generalized-eigenvalue residuals fetch each pack once
+per check and read it by point, with no key built per (xs, ys); a residual
+that meets the same (xs, ys + eps) again, at another j or another shift,
+reuses the product.
 :func:`rr_multi`, :func:`pr_multi` and :func:`asc_W_multi` turn their
 sequences into tuples and read the same entries.
 
 Each pair of finite and infinite residuals is one body taking ``su11``:
-``_transfer_residual``, ``_multi_gevp`` and ``_multi_biorth``.  The
+``_transfer_residual``, ``_multi_gevp`` and ``_multi_biorth``.  The A/C
+coefficient products read ``orthopoly.shift_coeff`` and the B/D ones
+``orthopoly.twisted_coeff``, the formulas of the one-site tables.  The
 biorthogonality sums the overlap of ``biorth_overlap`` against the weight
 pack: the finite chain over its index grid by ``scalar.ordered_sum``, the
 infinite one over shells of constant max coordinate by
@@ -191,31 +194,15 @@ def epsilon_set(M: int, j: int) -> List[Tuple[int, ...]]:
 def _coeff_product(qb, j, eps, ys, h, sizes, su11):
     """The A (C with su11) coefficient product of eps over the last j sites,
     each site's shift table picked by twice eps's prefix sum before it."""
-    shift_coeff = orthopoly.asc_shift_coeff if su11 else orthopoly.kraw_shift_coeff
     M = len(sizes)
     out = qb.one()
     sigma = 0
     for i in range(M - j, M):
-        out *= shift_coeff(qb, sizes[i], ys[i], h[i], eps[i], 2 * sigma)
+        out *= orthopoly.shift_coeff(qb, su11, sizes[i], ys[i], h[i], eps[i], 2 * sigma)
         if out == 0:
             return qb.zero()
         sigma += eps[i]
     return out
-
-
-def _twist(qb, j, eps, A, h, v_, su11):
-    """The B (D with su11) coefficient product of eps from its A (C) product
-    A and the heights h, by cases on sum(eps)."""
-    M = len(h) - 1
-    sym = qb.brace if su11 else qb.bracket
-    S = sum(eps)
-    if S == -1:
-        return A * sym(h[M] + v_ - 1)
-    if S == 1:
-        return A * sym(h[M] - v_ + 1)
-    if all(e == 0 for e in eps):
-        return A * sym(h[M]) * qb.brace(v_) - sym(h[M - j]) * qb.brace(v_)
-    return A * sym(h[M]) * qb.brace(v_)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +217,16 @@ def _shift_terms(qb: QBase, j: int, ys: tuple, t, v, sizes: tuple, su11: bool):
     An out-of-range shift is skipped after asserting its coefficient is 0."""
     h = heights(t, ys, sizes, su11)
     v_ = as_exponent(v)
+    M = len(sizes)
     terms = ({}, {})
-    for eps in epsilon_set(len(sizes), j):
+    for eps in epsilon_set(M, j):
         A = _coeff_product(qb, j, eps, ys, h, sizes, su11)
         shifted = tuple(y + e for y, e in zip(ys, eps))
         in_range = all(
             0 <= yy and (su11 or yy <= sizes[i]) for i, yy in enumerate(shifted)
         )
-        for out, c in zip(terms, (A, _twist(qb, j, eps, A, h, v_, su11))):
+        B = orthopoly.twisted_coeff(qb, su11, eps, A, h[M], h[M - j], v_)
+        for out, c in zip(terms, (A, B)):
             if not in_range:
                 if c != 0:
                     raise InternalError(
@@ -315,16 +304,7 @@ def rr_multi(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
              ys: Sequence[int]):
     """Nested product of univariate rational functions: factor j pairs
     (x_j, y_j) with both height chains as its base-point parameters."""
-    return _rr_pack(qb, s, t, v, tuple(Ns))[tuple(xs), tuple(ys)]
-
-
-@packed
-def _rr_pack(qb, s, t, v, Ns, point):
-    xs, ys = point
-    hx = heights(s, xs, Ns)
-    hy = heights(t, ys, Ns)
-    return _site_product(qb, [rr_inner(RrParams(a, b, v, N, qb), x, y)
-                              for a, b, N, x, y in zip(hx, hy, Ns, xs, ys)])
+    return _R_pack(qb, s, t, v, tuple(Ns), False, None)[tuple(xs), tuple(ys)]
 
 
 def rr_multi_inner(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
@@ -344,16 +324,19 @@ def rr_multi_inner(qb: QBase, s, t, v, Ns: Sequence[int], xs: Sequence[int],
 def pr_multi(qb: QBase, s, t, v, ks: Sequence, xs: Sequence[int],
              ys: Sequence[int], tb: TailBound = TailBound()):
     """Nested product of infinite-family rational functions."""
-    return _pr_pack(qb, s, t, v, tuple(ks), tb)[tuple(xs), tuple(ys)]
+    return _R_pack(qb, s, t, v, tuple(ks), True, tb)[tuple(xs), tuple(ys)]
 
 
 @packed
-def _pr_pack(qb, s, t, v, ks, tb, point):
+def _R_pack(qb, s, t, v, sizes, su11, tb, point):
     xs, ys = point
-    hx = heights(s, xs, ks, su11=True)
-    hy = heights(t, ys, ks, su11=True)
-    return _site_product(qb, [pr_inner(PrParams(a, b, v, k, qb, tb), x, y)
-                              for a, b, k, x, y in zip(hx, hy, ks, xs, ys)])
+    hx = heights(s, xs, sizes, su11)
+    hy = heights(t, ys, sizes, su11)
+    if su11:
+        return _site_product(qb, [pr_inner(PrParams(a, b, v, k, qb, tb), x, y)
+                                  for a, b, k, x, y in zip(hx, hy, sizes, xs, ys)])
+    return _site_product(qb, [rr_inner(RrParams(a, b, v, N, qb), x, y)
+                              for a, b, N, x, y in zip(hx, hy, sizes, xs, ys)])
 
 
 def asc_W_multi(qb: QBase, s, ks: Sequence, xs: Sequence[int],
@@ -424,9 +407,7 @@ def _multi_biorth(qb, s, t, v, sizes, relation, idx, idx2, su11, tb=None):
         require_q_below_one(qb)
         if not abs(real_part(v) + 1) < 2 + real_part(s) + real_part(t):
             raise NonConvergent(f"biorthogonality needs |Re(v)+1| < 2+s+t, got v = {v}")
-        left, right = _pr_pack(qb, s, t, v, sizes, tb), _pr_pack(qb, s, t, vpart, sizes, tb)
-    else:
-        left, right = _rr_pack(qb, s, t, v, sizes), _rr_pack(qb, s, t, vpart, sizes)
+    left, right = _R_pack(qb, s, t, v, sizes, su11, tb), _R_pack(qb, s, t, vpart, sizes, su11, tb)
     outer, diag, overlap = biorth_overlap(qb, relation, s, t, idx, idx2, left, right)
     w = _W_pack(qb, outer, sizes, su11, tb)
     if su11:
@@ -469,12 +450,12 @@ def multi_gevp_residual_asc(qb: QBase, j: int, xs: Sequence[int], ys: Sequence[i
     return _multi_gevp(qb, j, xs, ys, s, t, v, ks, True, tb)
 
 
-def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=TailBound()):
+def _multi_gevp(qb, j, xs, ys, s, t, v, sizes, su11, tb=None):
     M = len(sizes)
     xs, ys, sizes = tuple(xs), tuple(ys), tuple(sizes)
     hx = heights(s, xs, sizes, su11)
     termsA, termsB = _shift_terms(qb, j, ys, t, v, sizes, su11)
-    pack = _pr_pack(qb, s, t, v, sizes, tb) if su11 else _rr_pack(qb, s, t, v, sizes)
+    pack = _R_pack(qb, s, t, v, sizes, su11, tb)
     vals = {ysf: pack[xs, ysf] for ysf in set(termsA) | set(termsB) | {ys}}
     sym = qb.brace if su11 else qb.bracket
     lead, diag = sym(hx[M]), sym(hx[M - j])

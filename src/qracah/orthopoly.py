@@ -9,22 +9,29 @@ Both families are renormalized terminating 3phi2's in base q**-2:
 
 The *_diff_coeffs / *_b_coeffs / *_d_coeffs / *_dyn_coeffs functions tabulate
 the three-term (and parameter-shifting five-point) transfer coefficients that
-move a diagonal action in n to a tridiagonal action in x.  Every table here
-is machine-verified against the defining identities by the test suite; the
-exact normalizations are pinned by the n = 0 row, where every polynomial
-equals 1, so each coefficient row must sum to the diagonal symbol at n = 0
-(q**-N for the finite family, q**k for the infinite one).
+move a diagonal action in n to a tridiagonal action in x.  Each coefficient
+decision is written here once, for both families and for chains of any
+length: ``shift_row(qb, su11, size, y, t, delta)`` is the static (delta 0)
+or parameter-shifting (+-2) triple at chain size N or k, in ``_SHIFT_EPS``
+order, ``shift_coeff`` one entry of it, and ``twisted_coeff`` the
+twisted-action coefficient of a shift from its diagonal-symbol one, by
+cases on the shift's sum.  ``multivar`` multiplies and twists them along a
+chain; the one-site twisted-action table is three ``twisted_coeff`` calls.
+Every table here is machine-verified against the defining identities by the
+test suite; the exact normalizations are pinned by the n = 0 row, where
+every polynomial equals 1, so each coefficient row must sum to the diagonal
+symbol at n = 0 (q**-N for the finite family, q**k for the infinite one).
 
 The infinite family is the finite one at N = -k: the 3phi2 (``_series``
 and ``_column``), the three-term table (``_diff_coeffs``), the
-twisted-action table (``_b_coeffs``, brackets or braces), the
-five-point table (``_dyn_coeffs``) and the n-side weight (``_w_column``)
-are each written once, taking ``su11``
-and a size that is N or -k.  The finite side negates each parameter whose
-exponent carries s or t (other than through s - t) and its prefactor
-carries (-1)**n; the upper-boundary zeros (y = N, y >= N, y >= N - 1) are
-finite-only.  Exponents keep the infinite formulas' addend order (- c*k
-becomes + c*size) and signs are applied by negation, so every value,
+twisted-action table (``_b_coeffs``: ``twisted_coeff`` at the height
+2y - size + t, brackets or braces), the five-point table (``_dyn_coeffs``)
+and the n-side weight (``_w_column``) are each written once, taking
+``su11`` and a size that is N or -k.  The finite side negates each
+parameter whose exponent carries s or t (other than through s - t) and its
+prefactor carries (-1)**n; the upper-boundary zeros (y = N, y >= N, y >=
+N - 1) are finite-only.  Exponents keep the infinite formulas' addend order
+(- c*k becomes + c*size) and signs are applied by negation, so every value,
 signed zeros included, is bit-identical to each family's formula written
 out on its own, except the infinite d_-1, whose height keeps the finite
 addend order 2y - size + t + v - 1 (a float or complex k, t, v may round
@@ -158,18 +165,28 @@ def _diff_coeffs(qb: QBase, su11: bool, size, y: int, t):
     return am1, a0, a1
 
 
+def twisted_coeff(qb: QBase, su11: bool, eps, A, top, base, v):
+    """The B (D with su11) coefficient of the shift eps from its A (C)
+    coefficient A, by cases on sum(eps): brackets on the finite side,
+    braces on the infinite one, at the chain's top height h_M (``top``) and
+    the height h_(M-j) before the shifted sites (``base``)."""
+    sym = qb.brace if su11 else qb.bracket
+    S = sum(eps)
+    if S == -1:
+        return A * sym(top + v - 1)
+    if S == 1:
+        return A * sym(top - v + 1)
+    if all(e == 0 for e in eps):
+        return A * sym(top) * qb.brace(v) - sym(base) * qb.brace(v)
+    return A * sym(top) * qb.brace(v)
+
+
 def _b_coeffs(qb: QBase, su11: bool, size, y: int, t, v):
-    """The twisted-action table of either family: its three-term table
-    times brackets on the finite side, braces on the infinite one, at the
-    height 2y - size + t."""
-    if su11:
-        sym, (am1, a0, a1) = qb.brace, asc_diff_coeffs(qb, -size, y, t)
-    else:
-        sym, (am1, a0, a1) = qb.bracket, kraw_diff_coeffs(qb, size, y, t)
+    """The twisted-action table of either family: the one-site chain's
+    ``twisted_coeff`` of each shift, at the height 2y - size + t."""
     h = 2 * y - size + t
-    return (am1 * sym(h + v - 1),
-            a0 * sym(h) * qb.brace(v) - sym(t) * qb.brace(v),
-            a1 * sym(h - v + 1))
+    row = shift_row(qb, su11, -size if su11 else size, y, t, 0)
+    return tuple(twisted_coeff(qb, su11, (eps,), A, h, t, v) for eps, A in zip(_SHIFT_EPS[0], row))
 
 
 def _dyn_coeffs(qb: QBase, su11: bool, size, y: int, t, direction: int):
@@ -431,26 +448,30 @@ def kraw_dyn_coeffs(qb: QBase, N: int, y: int, t, direction: int):
     return _dyn_coeffs(qb, False, N, y, as_exponent(t), direction)
 
 
-def kraw_shift_coeff(qb: QBase, N: int, y: int, t, eps: int, delta: int):
-    """Unified lookup a_(eps, delta): delta=0 for the static triple, +-2 for
-    the parameter-shifting tables.  Only the nine legal (eps, delta) pairs
-    exist; anything else raises OutOfRange."""
-    return _shift_coeff(kraw_diff_coeffs, kraw_dyn_coeffs, qb, N, y, t, eps, delta)
-
-
 # the legal eps of each delta, in the order of its coefficient triple
 _SHIFT_EPS = {0: (-1, 0, 1), 2: (-2, -1, 0), -2: (0, 1, 2)}
 
 
-def _shift_coeff(diff_coeffs, dyn_coeffs, qb, size, y, t, eps, delta):
-    legal = _SHIFT_EPS.get(delta)
-    if legal is None:
+def shift_row(qb: QBase, su11: bool, size, y: int, t, delta: int) -> tuple:
+    """The coefficient triple of either family at chain size N or k, in
+    ``_SHIFT_EPS[delta]`` order: delta=0 the three-term table, +-2 the
+    parameter-shifting one; any other delta raises OutOfRange."""
+    if delta not in _SHIFT_EPS:
         raise OutOfRange(f"delta = {delta} is not one of -2, 0, +2")
-    if eps not in legal:
+    if delta:
+        return (asc_dyn_coeffs if su11 else kraw_dyn_coeffs)(qb, size, y, t, delta)
+    return (asc_diff_coeffs if su11 else kraw_diff_coeffs)(qb, size, y, t)
+
+
+def shift_coeff(qb: QBase, su11: bool, size, y: int, t, eps: int, delta: int):
+    """The coefficient a_(eps, delta) (c_(eps, delta) with su11), entry eps
+    of ``shift_row``.  Only the nine legal (eps, delta) pairs exist;
+    anything else raises OutOfRange before a table is read."""
+    legal = _SHIFT_EPS.get(delta)
+    if legal is not None and eps not in legal:
         sign = "+" if delta > 0 else ""
         raise OutOfRange(f"eps = {eps} illegal for delta = {sign}{delta}")
-    row = dyn_coeffs(qb, size, y, t, delta) if delta else diff_coeffs(qb, size, y, t)
-    return row[legal.index(eps)]
+    return shift_row(qb, su11, size, y, t, delta)[legal.index(eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +619,3 @@ def asc_dyn_coeffs(qb: QBase, k, y: int, t, direction: int):
         raise OutOfRange(f"y = {y} must be nonnegative")
     return _dyn_coeffs(qb, True, -as_exponent(k), y, as_exponent(t), direction)
 
-
-def asc_shift_coeff(qb: QBase, k, y: int, t, eps: int, delta: int):
-    """Unified lookup c_(eps, delta), mirroring kraw_shift_coeff."""
-    return _shift_coeff(asc_diff_coeffs, asc_dyn_coeffs, qb, k, y, t, eps, delta)

@@ -85,8 +85,8 @@ The float and complex backends evaluate each entry by its own ``rphis``
 loop.
 
 The summation identity (Lemma 2.1) is checked at its q-Racah point, where
-its sides are the finite rational function's: ``ratfun.summation_pair_qracah``
-returns ``rr_closed`` and ``rr_inner``.
+its sides are the finite rational function's, ``ratfun.rr_closed`` and
+``ratfun.rr_inner``.
 """
 
 from __future__ import annotations

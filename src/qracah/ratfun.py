@@ -37,8 +37,11 @@ multiplied in the inline order, so every float and complex bit is kept.
 Complex parameters that differ only in the sign of a zero part key one
 table, as they key one ``rr_inner`` entry.
 
-``summation_pair_qracah`` is Lemma 2.1 at the q-Racah point: its sides are
-``rr_closed`` and ``rr_inner``, the sides ``prop3.3`` checks.
+Lemma 2.1 at the q-Racah point is this identity: its product side is
+``rr_closed``, the prefactor ``_rr_prefactors`` times the 4phi3 ``_phi43``,
+and its series side ``rr_inner``, whose power times ``kraw_w`` is the
+coefficient (bcd)**n (a; q**2)_n / (q**2; q**2)_n and whose series columns
+are the two 3phi2's: the sides ``prop3.3`` checks.
 """
 
 from __future__ import annotations
@@ -255,16 +258,6 @@ def _rr_prefactors(qb: QBase, s, t, v, N):
         )
 
     return qpoch(-qb.qpow(-2 * N + s + t - v + 1), q2, N), _Points(x_quotient), _Points(y_quotient)
-
-
-def summation_pair_qracah(qb: QBase, N: int, s, t, v, x: int, y: int):
-    """(product side, series side) of Lemma 2.1 at the q-Racah point:
-    ``rr_closed``, prefactor ``_rr_prefactors`` times the 4phi3 ``_phi43``,
-    and ``rr_inner``, whose power times ``kraw_w`` is the coefficient
-    (bcd)**n (a; q**2)_n / (q**2; q**2)_n and whose series columns are the
-    two 3phi2's; ``lemma2.1`` checks their difference as ``prop3.3``."""
-    rp = RrParams(s, t, v, N, qb)
-    return rr_closed(rp, x, y), rr_inner(rp, x, y)
 
 
 # ---------------------------------------------------------------------------

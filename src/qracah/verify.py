@@ -132,38 +132,34 @@ def chk_rr_biorth(qb, N, s, t, v, relation, i, j):
     return multivar.multi_biorth_residual(qb, s, t, v, (N,), relation, (i,), (j,))
 
 
-def chk_rr_gevp(qb, N, s, t, v, x, y):
-    # the univariate three-term identity is the one-site chain's
-    return multivar.multi_gevp_residual(qb, 1, (x,), (y,), s, t, v, (N,))
+def chk_gevp(qb, s, t, v, x, y, N=None, k=None, tb=None):
+    # the univariate three-term identity is the one-site chain's; certified
+    # tasks sum in exact scalars, so the chain's order of the three terms
+    # leaves the value as it is
+    size, su11 = (k, True) if N is None else (N, False)
+    return multivar._multi_gevp(qb, 1, (x,), (y,), s, t, v, (size,), su11, tb)
 
 
-def chk_kraw_transfer(qb, N, s, t, v, y):
+def chk_transfer(qb, s, t, v, y, N=None, k=None, trunc=None):
     # the single-site three-term transfer is the one-site chain's
-    return chk_multi_transfer(qb, 1, (y,), t, v, s, (N,))
+    Ns, ks = (None, (k,)) if N is None else ((N,), None)
+    return chk_multi_transfer(qb, 1, (y,), t, v, s, Ns, ks, trunc)
 
 
-def chk_kraw_dyn(qb, N, t, v, y):
-    return _chk_dyn(qb, False, N, N, -N, t, v, y)
-
-
-def chk_asc_dyn(qb, k, t, v, y, trunc):
-    return _chk_dyn(qb, True, k, trunc, as_exponent(k), t, v, y)
-
-
-def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
+def chk_dyn(qb, t, v, y, N=None, k=None, trunc=None):
     # the parameter-shifting five-point transfer, checked for every n of the
     # finite family or of the infinite family's truncated window
-    if su11:
+    if N is None:
+        su11, size, n_top, diag = True, k, trunc, as_exponent(k)
         column, pack = orthopoly.asc_column, orthopoly.ASCParams
-        dyn_coeffs = orthopoly.asc_dyn_coeffs
     else:
+        su11, size, n_top, diag = False, N, N, -N
         column, pack = orthopoly.kraw_column, orthopoly.KrawParams
-        dyn_coeffs = orthopoly.kraw_dyn_coeffs
     col_t = column(pack(v, t, size, qb), y)
     rows = []
     for direction in (2, -2):
-        coeffs = dyn_coeffs(qb, size, y, t, direction)
-        offsets = (-2, -1, 0) if direction == 2 else (0, 1, 2)
+        coeffs = orthopoly.shift_row(qb, su11, size, y, t, direction)
+        offsets = orthopoly._SHIFT_EPS[direction]
         shifted = pack(v, as_exponent(t) + direction, size, qb)
         cols = {e: column(shifted, y + e) for e in offsets
                 if 0 <= y + e and (su11 or y + e <= size)}
@@ -179,20 +175,12 @@ def _chk_dyn(qb, su11, size, n_top, diag, t, v, y):
     return residual_sum(rows)
 
 
-def chk_asc_transfer(qb, k, s, t, v, y, trunc):
-    # the single-site transfer on a truncated window is the one-site chain's
-    return chk_multi_transfer_asc(qb, 1, (y,), t, v, s, (k,), trunc)
-
-
-def chk_multi_transfer(qb, j, ys, t, v, sigma, Ns):
-    acc = multivar.transfer_check_k2(qb, j, ys, t, v, Ns)
-    acc += multivar.transfer_check_x(qb, j, ys, t, v, sigma, Ns)
-    return acc
-
-
-def chk_multi_transfer_asc(qb, j, ys, t, v, sigma, ks, trunc):
-    acc = multivar.transfer_check_k2_asc(qb, j, ys, t, v, ks, trunc)
-    acc += multivar.transfer_check_y(qb, j, ys, t, v, sigma, ks, trunc)
+def chk_multi_transfer(qb, j, ys, t, v, sigma, Ns=None, ks=None, trunc=None):
+    # the diagonal-symbol transfer plus the twisted-element one, on either chain
+    su11 = Ns is None
+    sizes = ks if su11 else Ns
+    acc = multivar._transfer_residual(qb, j, ys, t, v, None, sizes, su11, trunc)
+    acc += multivar._transfer_residual(qb, j, ys, t, v, sigma, sizes, su11, trunc)
     return acc
 
 
@@ -215,12 +203,6 @@ def chk_pr_biorth(qb, tb, k, s, t, v, relation, i, j):
     return raw
 
 
-def chk_pr_gevp(qb, tb, k, s, t, v, x, y):
-    # the one-site chain's; certified tasks sum in exact scalars, so the
-    # chain's order of the three terms leaves the value as it is
-    return multivar.multi_gevp_residual_asc(qb, 1, (x,), (y,), s, t, v, (k,), tb)
-
-
 CHECKS = {
     "summation": chk_prop33,
     "relations": chk_relations,
@@ -230,19 +212,19 @@ CHECKS = {
     "eigen": chk_eigen,
     "prop33": chk_prop33,
     "rr_biorth": chk_rr_biorth,
-    "rr_gevp": chk_rr_gevp,
-    "kraw_transfer": chk_kraw_transfer,
-    "kraw_dyn": chk_kraw_dyn,
-    "asc_transfer": chk_asc_transfer,
-    "asc_dyn": chk_asc_dyn,
+    "rr_gevp": chk_gevp,
+    "kraw_transfer": chk_transfer,
+    "kraw_dyn": chk_dyn,
+    "asc_transfer": chk_transfer,
+    "asc_dyn": chk_dyn,
     "nested_eigen": multivar.nested_eigen_residual,
     "multi_transfer": chk_multi_transfer,
-    "multi_transfer_asc": chk_multi_transfer_asc,
+    "multi_transfer_asc": chk_multi_transfer,
     "multi_gevp": multivar.multi_gevp_residual,
     "multi_gevp_asc": multivar.multi_gevp_residual_asc,
     "cor43": chk_cor43,
     "pr_biorth": chk_pr_biorth,
-    "pr_gevp": chk_pr_gevp,
+    "pr_gevp": chk_gevp,
 }
 
 
@@ -399,7 +381,7 @@ def _prop34(cfg, p):
     sum minus the diagonal target, 0, over N <= 3, (s, t) in ((0, 0), (1,
     2), (2, 1)), v in -2..1, both relations and 0 <= i, j <= N, at the
     first p.  ``chk_rr_biorth`` runs ``multivar.multi_biorth_residual`` on
-    the chain (N,): the sum reads ``multivar._rr_pack`` at v and at the
+    the chain (N,): the sum reads ``multivar._R_pack`` at v and at the
     partner (products of ``ratfun.rr_inner``, paired by
     ``multivar.biorth_overlap``) and the weight pack ``multivar._W_pack``
     (``orthopoly.kraw_W``), summed by ``scalar.ordered_sum``, and the
@@ -418,13 +400,15 @@ def _lemma35(cfg, p):
     f(y + e), and the compact twisted element X at parameter s gives X f =
     [s]_q f + sum_e B_e f(y + e), over e in {-1, 0, 1} with y + e in 0..N.
     Exact residual 0, the sum of |left - right| over every row n, for N <=
-    3, the five (s, t, v) of ``_STV`` and y = 0..N.  ``chk_kraw_transfer``
-    runs the one-site chain's ``multivar.transfer_check_k2`` and
-    ``transfer_check_x``: the left side is ``multivar._chain_op`` (the
-    ``uqsl2.coproduct_op`` image) applied to ``multivar._nested_vec`` (read
-    from ``orthopoly.kraw_column``), the right side the A/B maps of
-    ``multivar._shift_terms`` (from ``orthopoly.kraw_shift_coeff``) times
-    the shifted vectors, and ``scalar.scaled_residual`` sums the rows."""
+    3, the five (s, t, v) of ``_STV`` and y = 0..N.  ``chk_transfer``
+    runs ``chk_multi_transfer`` on the one-site chain (N,), the K**2 and the
+    X transfer of ``multivar._transfer_residual`` (the body of
+    ``transfer_check_k2`` and ``transfer_check_x``): the left side is
+    ``multivar._chain_op`` (the ``uqsl2.coproduct_op`` image) applied to
+    ``multivar._nested_vec`` (read from ``orthopoly.kraw_column``), the
+    right side the A/B maps of ``multivar._shift_terms`` (from
+    ``orthopoly.shift_coeff`` and ``orthopoly.twisted_coeff``) times the
+    shifted vectors, and ``scalar.scaled_residual`` sums the rows."""
     for N, (s, t, v) in iproduct(range(4), _STV):
         for y in range(N + 1):
             yield ("kraw_transfer", f"transfer[N={N},s={s},t={t},v={v},y={y}]",
@@ -439,12 +423,13 @@ def _cor36(cfg, p):
     equals [s]_q R(x, y) + sum_e B_e R(x, y + e), the brackets at the
     chain's heights h_1 and h_0 (``multivar.heights``) and e in {-1, 0, 1}
     with 0 <= y + e <= N.  Exact residual left - right, 0, over N <= 3,
-    the five (s, t, v) of ``_STV`` and 0 <= x, y <= N.  ``chk_rr_gevp``
-    runs ``multivar.multi_gevp_residual`` on the chain (N,): both sides
-    read ``multivar._rr_pack`` (products of ``ratfun.rr_inner``), the A/B
-    maps are ``multivar._shift_terms`` (``orthopoly.kraw_shift_coeff``),
-    the bracket symbols ``QBase.bracket``, and one
-    ``scalar.ordered_sum`` takes every term."""
+    the five (s, t, v) of ``_STV`` and 0 <= x, y <= N.  ``chk_gevp`` runs
+    ``multivar._multi_gevp``, the body of ``multi_gevp_residual``, on the
+    chain (N,): both sides read ``multivar._R_pack`` (products of
+    ``ratfun.rr_inner``), the A/B maps are ``multivar._shift_terms``
+    (``orthopoly.shift_coeff`` and ``orthopoly.twisted_coeff``), the
+    bracket symbols ``QBase.bracket``, and one ``scalar.ordered_sum``
+    takes every term."""
     for N, s, t, v, x, y in _stv_points(3):
         yield ("rr_gevp", f"gevp[N={N},s={s},t={t},v={v},x={x},y={y}]",
                dict(N=N, s=s, t=t, v=v, x=x, y=y))
@@ -478,10 +463,10 @@ def _lemma38(cfg, p):
     + e <= N (a coefficient at a shift out of range must be 0).  Exact
     residual 0, the sum of |left - right| over both directions and every
     row n, for N = 1..3, t in {0, 1, 2}, v in {0, 1} and y = 0..N.
-    ``chk_kraw_dyn`` runs ``_chk_dyn``: both sides read
-    ``orthopoly.kraw_column``, the coefficients are
-    ``orthopoly.kraw_dyn_coeffs``, and ``scalar.residual_sum`` sums the
-    rows."""
+    In ``chk_dyn`` both sides read ``orthopoly.kraw_column``, the
+    coefficients are one ``orthopoly.shift_row`` per direction
+    (``orthopoly.kraw_dyn_coeffs``) at the shifts of
+    ``orthopoly._SHIFT_EPS``, and ``scalar.residual_sum`` sums the rows."""
     for N, t, v in iproduct(range(1, 4), (0, 1, 2), (0, 1)):
         for y in range(N + 1):
             yield "kraw_dyn", f"dyn[N={N},t={t},v={v},y={y}]", dict(N=N, t=t, v=v, y=y)
@@ -498,13 +483,14 @@ def _lemma39(cfg, p):
     j)`` with ys + eps in range.  Exact residual 0, the sum of |left -
     right| over every row of the grid, for Ns in [2], [2, 2] and [1, 1, 1],
     j = 1..M, (t, v, sigma) in ((0, 1, 1), (1, 0, 2)) and every ys, at the
-    first p.  ``chk_multi_transfer`` runs ``multivar.transfer_check_k2``
-    and ``transfer_check_x``: the left side is ``multivar._chain_op``
+    first p.  ``chk_multi_transfer`` runs ``multivar._transfer_residual``
+    for K**2 and for X (the body of ``transfer_check_k2`` and
+    ``transfer_check_x``): the left side is ``multivar._chain_op``
     (``uqsl2.coproduct_op``) applied to ``multivar._nested_vec`` (from
     ``orthopoly.kraw_column``), the right side the A/B maps of
-    ``multivar._shift_terms`` (``orthopoly.kraw_shift_coeff`` products)
-    times the shifted vectors, and ``scalar.scaled_residual`` sums the
-    rows."""
+    ``multivar._shift_terms`` (``orthopoly.shift_coeff`` products, twisted
+    by ``orthopoly.twisted_coeff``) times the shifted vectors, and
+    ``scalar.scaled_residual`` sums the rows."""
     for sizes in ([2], [2, 2], [1, 1, 1]):
         for j, (t, v, sigma) in iproduct(range(1, len(sizes) + 1), ((0, 1, 1), (1, 0, 2))):
             for ys in iproduct(*[range(N + 1) for N in sizes]):
@@ -524,10 +510,10 @@ def _cor310(cfg, p):
     left - right, 0, for Ns in [2, 2] and [1, 1, 1], j = 1..M, (s, t, v)
     in ((1, 0, 1), (0, 1, 0)) and every xs and ys of the grid, at the
     first p.  ``multivar.multi_gevp_residual`` is the check: both sides
-    read ``multivar._rr_pack`` (products of ``ratfun.rr_inner``), the A/B
-    maps are ``multivar._shift_terms`` (``orthopoly.kraw_shift_coeff``
-    products), the bracket symbols ``QBase.bracket``, and one
-    ``scalar.ordered_sum`` takes every term."""
+    read ``multivar._R_pack`` (products of ``ratfun.rr_inner``), the A/B
+    maps are ``multivar._shift_terms`` (``orthopoly.shift_coeff``
+    products, twisted by ``orthopoly.twisted_coeff``), the bracket symbols
+    ``QBase.bracket``, and one ``scalar.ordered_sum`` takes every term."""
     for sizes in ([2, 2], [1, 1, 1]):
         grid = list(iproduct(*[range(N + 1) for N in sizes]))
         for j, (s, t, v) in iproduct(range(1, len(sizes) + 1), ((1, 0, 1), (0, 1, 0))):
@@ -613,7 +599,7 @@ def _prop44(cfg, p):
     weights' Pochhammer ratios are truncated under the run's
     ``TailBound``, and a report passes when |residual| <= tol.
     ``chk_pr_biorth`` runs ``multivar.multi_biorth_residual_asc`` on the
-    chain (k,): the sum reads ``multivar._pr_pack`` at v and at the partner
+    chain (k,): the sum reads ``multivar._R_pack`` at v and at the partner
     (products of ``ratfun.pr_inner``, paired by ``multivar.biorth_overlap``)
     and the weight pack ``multivar._W_pack`` (``orthopoly.asc_W``), one
     shell of one point per u, and the target and the diagonal scale are the
@@ -633,13 +619,14 @@ def _lemma45(cfg, p):
     1} with y + e >= 0.  On the window n = 0..trunc (default 8), exact
     residual 0, the sum of |left - right| over the interior rows n < trunc
     (row trunc is fed from outside the window), for k in {1, 2}, the five
-    (s, t, v) of ``_STV`` and y = 0..3.  ``chk_asc_transfer`` runs the
-    one-site chain's ``multivar.transfer_check_k2_asc`` and
-    ``transfer_check_y``: the left side is ``multivar._chain_op``
-    (``uqsl2.coproduct_op``) applied to ``multivar._nested_vec`` (from
-    ``orthopoly.asc_column``), the right side the C/D maps of
-    ``multivar._shift_terms`` (from ``orthopoly.asc_shift_coeff``) times
-    the shifted vectors, and ``scalar.scaled_residual`` sums the rows."""
+    (s, t, v) of ``_STV`` and y = 0..3.  ``chk_transfer``, as in
+    ``lemma3.5``, runs the one-site chain (k,)'s K**2 and Y transfers (the
+    body of ``transfer_check_k2_asc`` and ``transfer_check_y``): the left
+    side is ``multivar._chain_op`` (``uqsl2.coproduct_op``) applied to
+    ``multivar._nested_vec`` (from ``orthopoly.asc_column``), the right
+    side the C/D maps of ``multivar._shift_terms`` (from
+    ``orthopoly.shift_coeff`` and ``orthopoly.twisted_coeff``) times the
+    shifted vectors, and ``scalar.scaled_residual`` sums the rows."""
     for k, (s, t, v), y in iproduct((1, 2), _STV, range(4)):
         yield ("asc_transfer", f"transfer[k={k},s={s},t={t},v={v},y={y}]",
                dict(k=k, s=s, t=t, v=v, y=y, trunc=cfg.trunc or 8))
@@ -657,11 +644,11 @@ def _prop45(cfg, p):
     <= x, y <= 3, at the first p.  Certified: every n-sum
     (``qseries.pair_sum``, ``certified_sum``'s stop rule) is truncated
     under the run's ``TailBound``, and a report passes when |residual| <=
-    tol.  ``chk_pr_gevp`` runs
-    ``multivar.multi_gevp_residual_asc`` on the chain (k,): both sides read
-    ``multivar._pr_pack`` (products of ``ratfun.pr_inner``), the C/D maps
-    are ``multivar._shift_terms`` (``orthopoly.asc_shift_coeff``), and the
-    brace symbols ``QBase.brace``."""
+    tol.  ``chk_gevp``, as in ``cor3.6``, runs ``multivar._multi_gevp``,
+    the body of ``multi_gevp_residual_asc``, on the chain (k,): both sides
+    read ``multivar._R_pack`` (products of ``ratfun.pr_inner``), the C/D
+    maps are ``multivar._shift_terms`` (``orthopoly.shift_coeff`` and
+    ``orthopoly.twisted_coeff``), and the brace symbols ``QBase.brace``."""
     for (k, s, t, v), x, y in iproduct(((1, 0, 1, 0), (2, 1, 0, -1)), range(4), range(4)):
         yield ("pr_gevp", f"gevp[k={k},s={s},t={t},v={v},x={x},y={y}]",
                dict(k=k, s=s, t=t, v=v, x=x, y=y))
@@ -694,16 +681,17 @@ def _lemma48(cfg, p):
     e in {0, 1, 2}, each with y + e >= 0 (a coefficient at a negative shift
     must be 0).  Exact residual 0, the sum of |left - right| over both
     directions and every row n = 0..trunc (default 8), for k in {1, 2}, t
-    in {1, 2, 3}, v in {0, 1} and y = 0..3.  ``chk_asc_dyn`` runs
-    ``_chk_dyn``: both sides read ``orthopoly.asc_column``, the
-    coefficients are ``orthopoly.asc_dyn_coeffs``, and
-    ``scalar.residual_sum`` sums the rows.
+    in {1, 2, 3}, v in {0, 1} and y = 0..3.  ``chk_dyn``, as in
+    ``lemma3.8``: both sides read ``orthopoly.asc_column``, the
+    coefficients are one ``orthopoly.shift_row`` per direction
+    (``orthopoly.asc_dyn_coeffs``), and ``scalar.residual_sum`` sums the
+    rows.
 
     The transfer of ``lemma4.5`` on the two-site chain ks = (1, 1): for j
     in {1, 2}, ys in {0, 1, 2}**2, t = v = 0 and sigma = 1, on the window
     min(trunc, 6), the K**2 and Y identities over the interior rows, with
     the shift vectors of ``multivar.epsilon_set(2, j)``
-    (``chk_multi_transfer_asc``, as in ``lemma4.5``)."""
+    (``chk_multi_transfer``, as in ``lemma3.9``)."""
     trunc = cfg.trunc or 8
     for k, t, v, y in iproduct((1, 2), (1, 2, 3), (0, 1), range(4)):
         yield "asc_dyn", f"dyn[k={k},t={t},v={v},y={y}]", dict(k=k, t=t, v=v, y=y, trunc=trunc)
@@ -726,9 +714,10 @@ def _cor49(cfg, p):
     (``qseries.pair_sum``, ``certified_sum``'s stop rule) is truncated
     under the run's ``TailBound``, and a report passes when |residual| <=
     tol.  ``multivar.multi_gevp_residual_asc`` is the check: both sides read
-    ``multivar._pr_pack`` (products of ``ratfun.pr_inner``), the C/D maps
-    are ``multivar._shift_terms`` (``orthopoly.asc_shift_coeff``
-    products), and the brace symbols ``QBase.brace``."""
+    ``multivar._R_pack`` (products of ``ratfun.pr_inner``), the C/D maps
+    are ``multivar._shift_terms`` (``orthopoly.shift_coeff`` products,
+    twisted by ``orthopoly.twisted_coeff``), and the brace symbols
+    ``QBase.brace``."""
     ks = (1, 1)
     corners = list(iproduct(range(2), range(2)))
     for j, (s, t, v), xs, ys in iproduct((1, 2), ((1, 0, 0), (0, 1, -1)), corners, corners):

@@ -21,7 +21,6 @@ from qracah import (
     rr_closed,
     rr_inner,
     rr_valid,
-    summation_pair_qracah,
 )
 from qracah import multivar, orthopoly, uqsl2
 from qracah.errors import DenominatorPole, NonConvergent
@@ -50,8 +49,9 @@ def test_criterion_01_summation_identity():
                         if x > N or y > N:
                             skipped += 1  # outside the finite-case domain
                             continue
+                        rp = RrParams(s, t, v, N, qb)
                         try:
-                            lhs, rhs = summation_pair_qracah(qb, N, s, t, v, x, y)
+                            lhs, rhs = rr_closed(rp, x, y), rr_inner(rp, x, y)
                         except DenominatorPole:
                             skipped += 1  # shared pole locus of the product side
                             continue

@@ -32,7 +32,7 @@ from qracah.ratfun import PrParams, RrParams, pr_inner, rr_inner
 from qracah.report import residual_string
 from qracah.scalar import ordered_sum, scaled_rows
 from qracah.uqsl2 import OpMatrix
-from qracah.verify import CHECKS, RunConfig, build_tasks, chk_kraw_dyn, run_task
+from qracah.verify import CHECKS, RunConfig, build_tasks, chk_dyn, run_task
 
 import reference
 
@@ -479,7 +479,7 @@ def test_a_wrong_five_point_coefficient_gives_the_row_by_row_residual(monkeypatc
     N, t, v, y = 3, 1, 0, 1
     want = F(1, 7) * sum(abs(reference.kraw(QB.p, v, t + 2, N, n, y))
                          + abs(reference.kraw(QB.p, v, t - 2, N, n, y + 2)) for n in range(N + 1))
-    got = chk_kraw_dyn(QB, N, t, v, y)
+    got = chk_dyn(QB, t, v, y, N=N)
     assert type(got) is F and got == want and got > 0
 
 
@@ -556,7 +556,7 @@ def test_one_site_infinite_recurrence_is_the_univariate_one():
         qb = QBase(point.pop("p"))
         tb = TailBound(tolerance=point.pop("tb_tol"), max_terms=point.pop("tb_max_terms"))
         want = _univariate_pr_gevp(qb, tb, **point)
-        got = CHECKS["pr_gevp"](qb, tb, **point)
+        got = CHECKS["pr_gevp"](qb, tb=tb, **point)
         assert type(got) is F and got == want, task.check
         report = run_task(task, "exact", cfg.tol())
         assert report.residual == residual_string(float(want)), task.check
@@ -651,7 +651,7 @@ def test_a_wrong_shift_coefficient_gives_the_univariate_recurrence_residual(monk
     monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
     tb = TailBound(tolerance=1e-12)
     for point in ((1, 0, 1, 0, 1, 2), (2, 1, 0, -1, 0, 0)):
-        got = CHECKS["pr_gevp"](QB, tb, *point)
+        got = CHECKS["pr_gevp"](QB, tb=tb, **dict(zip("kstvxy", point)))
         want = _univariate_pr_gevp(QB, tb, *point, c0_error=F(1, 3))
         assert type(got) is F and got == want and got != 0, point
 
@@ -668,14 +668,46 @@ def test_a_wrong_shift_coefficient_gives_the_univariate_finite_recurrence_residu
 
     monkeypatch.setattr(multivar, "_shift_terms", wrong_shift_terms)
     for point in ((3, 1, 2, 0, 1, 2), (2, 0, 1, -2, 0, 0), (3, 2, 1, -1, 3, 3)):
-        got = CHECKS["rr_gevp"](QB, *point)
+        got = CHECKS["rr_gevp"](QB, **dict(zip("Nstvxy", point)))
         want = -F(1, 3) * reference.rr(QB.p, *point[1:4], point[0], *point[4:])
         assert type(got) is F and got == want and got != 0, point
 
 
+def test_a_wrong_twisted_coefficient_reaches_eval_and_the_verdicts(monkeypatch, capsys):
+    # eval's b_ rows and the verdicts' B maps are one formula,
+    # orthopoly.twisted_coeff: off by 1/7, it moves each printed b_ entry
+    # by 1/7, and lemma3.5's residual at an interior y becomes 1/7 of the
+    # |sum of the three shifted columns| over the rows
+    from qracah import cli
+
+    qb = QBase(F(5, 17))
+    N, s, t, v, y = 2, 1, 1, 0, 1
+    argv = ["eval", "--fn", "coefficients", "--p", "5/17", "--N", str(N), "--t", str(t),
+            "--v", str(v), "--y", str(y)]
+
+    def b_rows():
+        assert cli.main(argv) == 0
+        rows = dict(line.split("=") for line in capsys.readouterr().out.split())
+        return [F(rows[f"b_{e}"]) for e in ("m1", "0", "1")]
+
+    # the B maps untabled, so each run reads the formula afresh
+    monkeypatch.setattr(multivar, "_shift_terms", multivar._shift_terms.__wrapped__)
+    right = b_rows()
+    assert CHECKS["kraw_transfer"](qb, N=N, s=s, t=t, v=v, y=y) == 0
+    twisted_coeff = orthopoly.twisted_coeff
+    monkeypatch.setattr(orthopoly, "twisted_coeff",
+                        lambda *args: twisted_coeff(*args) + F(1, 7))
+    assert b_rows() == [b + F(1, 7) for b in right]
+    want = F(1, 7) * sum(abs(sum(reference.kraw(qb.p, v, t, N, n, yy) for yy in range(N + 1)))
+                         for n in range(N + 1))
+    got = CHECKS["kraw_transfer"](qb, N=N, s=s, t=t, v=v, y=y)
+    assert type(got) is F and got == want and got > 0
+
+
 def test_eval_twisted_coefficients_are_the_one_site_shift_terms(capsys):
-    # no verdict reads kraw_b_coeffs or asc_d_coeffs: eval's b_/d_ rows are
-    # the one-site chain's B/D maps at y-1, y, y+1, a missing entry 0
+    # eval's b_/d_ rows are the one-site chain's B/D maps at y-1, y, y+1, a
+    # missing entry 0: both read orthopoly.twisted_coeff, at heights whose
+    # addends come in different orders
     from qracah import cli
 
     compared = 0

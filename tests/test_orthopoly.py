@@ -573,6 +573,26 @@ def test_asc_coeffs_pole_is_named():
             asc_dyn_coeffs(qb, 1, 0, 0, -2)
 
 
+@pytest.mark.parametrize("su11, size", [(False, 3), (True, 1)], ids=["kraw", "asc"])
+def test_shift_lookups_refuse_an_illegal_shift(su11, size):
+    # only the nine legal (eps, delta) pairs exist, refused before any table
+    # is read or stored, and the five-point tables take direction +-2 only
+    before = table_sizes()
+    for delta in (1, -4):
+        with pytest.raises(OutOfRange, match=rf"^delta = {delta} is not one of -2, 0, \+2$"):
+            orthopoly.shift_row(QB, su11, size, 1, 0, delta)
+        with pytest.raises(OutOfRange, match=rf"^delta = {delta} is not one of -2, 0, \+2$"):
+            orthopoly.shift_coeff(QB, su11, size, 1, 0, 0, delta)
+    for eps, delta, text in ((2, 0, "0"), (1, 2, r"\+2"), (-1, -2, "-2")):
+        with pytest.raises(OutOfRange, match=rf"^eps = {eps} illegal for delta = {text}$"):
+            orthopoly.shift_coeff(QB, su11, size, 1, 0, eps, delta)
+    dyn_coeffs = asc_dyn_coeffs if su11 else kraw_dyn_coeffs
+    for direction in (0, 1):
+        with pytest.raises(OutOfRange, match=rf"^direction must be \+-2, got {direction}$"):
+            dyn_coeffs(QB, size, 1, 0, direction)
+    assert table_sizes() == before
+
+
 def test_cross_check_orthogonality_from_summation():
     # with equal base points, the rational pairing collapses to the n-summed
     # orthogonality of the finite family exactly at the self-partner point

@@ -26,7 +26,6 @@ from qracah import (
     rphis,
     rr_closed,
     rr_inner,
-    summation_pair_qracah,
 )
 from qracah import multivar, orthopoly, qseries, verify
 from qracah.errors import (
@@ -436,10 +435,11 @@ def test_summation_finite_generic_rationals():
 
 def test_summation_finite_domain_restriction():
     # the finite case lives on x, y <= N: the q-Racah sides refuse the rest
-    qb = QBase(F(1, 4))
-    for x, y in ((2, 0), (0, 2)):
-        with pytest.raises(OutOfRange, match=rf"^\(x, y\) = \({x}, {y}\) outside 0\.\.1$"):
-            summation_pair_qracah(qb, 1, 1, 0, 0, x, y)
+    rp = RrParams(1, 0, 0, 1, QBase(F(1, 4)))
+    for side in (rr_closed, rr_inner):
+        for x, y in ((2, 0), (0, 2)):
+            with pytest.raises(OutOfRange, match=rf"^\(x, y\) = \({x}, {y}\) outside 0\.\.1$"):
+                side(rp, x, y)
 
 
 # one base per backend at p = 1/2, the point the lemma2.1 verdicts run at
@@ -453,7 +453,7 @@ def test_summation_lhs_poles_name_the_requested_index(qb):
     # y = 1 is a DenominatorPole that names the series range of its own x
     for x in (3, 2):
         with pytest.raises(DenominatorPole, match=rf"j = 1 inside the series range 0\.\.{x - 1}$"):
-            summation_pair_qracah(qb, 3, F(1, 2), F(3, 2), 0, x, 1)
+            rr_closed(RrParams(F(1, 2), F(3, 2), 0, 3, qb), x, 1)
 
 
 def test_summation_qracah_point():
@@ -462,8 +462,9 @@ def test_summation_qracah_point():
     for N in range(4):
         for x in range(N + 1):
             for y in range(N + 1):
+                rp = RrParams(1, 0, 0, N, qb)
                 try:
-                    lhs, rhs = summation_pair_qracah(qb, N, 1, 0, 0, x, y)
+                    lhs, rhs = rr_closed(rp, x, y), rr_inner(rp, x, y)
                 except DenominatorPole:
                     skipped += 1  # bd/c hits a pole of the product side
                     continue
@@ -475,9 +476,8 @@ def test_summation_qracah_point():
 def test_summation_collapses_at_a_equal_one():
     # N = 0 means a = 1: the weighted sum collapses to its n = 0 term and
     # both sides agree (x = y = 0 is the whole domain)
-    qb = QBase(F(1, 3))
-    lhs, rhs = summation_pair_qracah(qb, 0, 1, 2, 0, 0, 0)
-    assert lhs == rhs == 1
+    rp = RrParams(1, 2, 0, 0, QBase(F(1, 3)))
+    assert rr_closed(rp, 0, 0) == rr_inner(rp, 0, 0) == 1
 
 
 def _or_pole(fn, *args):
@@ -583,15 +583,15 @@ def test_summation_pair_refuses_the_pole_bd_c_equal_one_hides(p):
     qb = QBase(p)
     poles = 0
     for N in range(5):
+        rp = RrParams(F(1, 2), F(3, 2), 0, N, qb)
         for x in range(N + 1):
             for y in range(N + 1):
                 if y <= x - 1:
                     with pytest.raises(DenominatorPole):
-                        summation_pair_qracah(qb, N, F(1, 2), F(3, 2), 0, x, y)
+                        rr_closed(rp, x, y)
                     poles += 1
                 else:
-                    lhs, rhs = summation_pair_qracah(qb, N, F(1, 2), F(3, 2), 0, x, y)
-                    assert lhs == rhs, (N, x, y)
+                    assert rr_closed(rp, x, y) == rr_inner(rp, x, y), (N, x, y)
     assert poles == 20
 
 

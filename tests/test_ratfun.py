@@ -145,7 +145,7 @@ def test_rr_gevp_closed_path(monkeypatch):
     # the closed form satisfies the univariate identity wherever it is
     # defined: the one-site chain's residual, its pack reading rr_closed
     monkeypatch.setattr(multivar, "rr_inner", rr_closed)
-    monkeypatch.setattr(multivar, "_rr_pack", multivar._rr_pack.__wrapped__)
+    monkeypatch.setattr(multivar, "_R_pack", multivar._R_pack.__wrapped__)
     rp = RrParams(2, 1, 1, 3, QB)
     for x in range(4):
         for y in range(4):
@@ -384,7 +384,7 @@ def test_certified_sums_refuse_q_above_one_before_the_first_term(qb):
             call()
     after = table_sizes()
     for name in ("qracah.orthopoly._column", "qracah.orthopoly._w_column",
-                 "qracah.multivar._pr_pack", "qracah.multivar._W_pack"):
+                 "qracah.multivar._R_pack", "qracah.multivar._W_pack"):
         assert after[name] == before[name], name
 
 

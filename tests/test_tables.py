@@ -70,7 +70,7 @@ ROW_ENTRIES = 6
 # of _calls (the last out of the finite chain's range), their xs for the
 # weight pack, and x or y 0..ROW_ENTRIES-1 for the closed forms' quotients
 CHAIN_POINTS = (((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (0, 1)), ((1, 1), (3, 0)))
-PACK_POINTS = {"_rr_pack": CHAIN_POINTS, "_pr_pack": CHAIN_POINTS,
+PACK_POINTS = {"_R_pack": CHAIN_POINTS,
                "_W_pack": ((0, 0), (1, 0), (2, 1), (3, 0))}
 
 
@@ -155,8 +155,8 @@ def _calls(qb):
                 calls.append((uqsl2._twisted, (rs, h, one, tilde, compact), {}))
     # the pack tables of the multivariate rational functions and the x-side
     # weights of both chains
-    calls.append((multivar._rr_pack, (qb, one, h, 0, (2, 1)), {}))
-    calls.append((multivar._pr_pack, (qb, one, 0, 0, (one, one), TB), {}))
+    calls.append((multivar._R_pack, (qb, one, h, 0, (2, 1), False, None), {}))
+    calls.append((multivar._R_pack, (qb, one, 0, 0, (one, one), True, TB), {}))
     calls.append((multivar._W_pack, (qb, h, (2, 1), False, None), {}))
     calls.append((multivar._W_pack, (qb, h, (one, one), True, TB), {}))
     # the series columns of both families, and in an exact base the rows of
@@ -429,13 +429,15 @@ def test_multivariate_sequences_key_one_entry_as_list_or_tuple():
     # entries key one pack and one entry of it, and return one object
     qb = QBase(F(3, 11))  # a base no other test uses
     tb = TailBound(1e-9)
-    for public, pack, sizes, extra in ((multivar.rr_multi, multivar._rr_pack, (2, 1), ()),
-                                       (multivar.pr_multi, multivar._pr_pack, (1, 1), (tb,))):
+    pack = multivar._R_pack
+    # each public function's arguments after ys, and the pack's after sizes
+    for public, sizes, extra, chain in ((multivar.rr_multi, (2, 1), (), (False, None)),
+                                        (multivar.pr_multi, (1, 1), (tb,), (True, tb))):
         before = _size(pack)
         first = public(qb, 1, 0, 0, list(sizes), [1, 0], [0, 1], *extra)
         again = public(qb, 1, 0, 0, tuple(sizes), (1, 0), (0, 1), *extra)
         assert first is again and _size(pack) == before + 1, public.__name__
-        assert len(pack(qb, 1, 0, 0, sizes, *extra).values) == 1, public.__name__
+        assert len(pack(qb, 1, 0, 0, sizes, *chain).values) == 1, public.__name__
         assert type(first) is F
 
 
@@ -511,12 +513,12 @@ def test_public_multivariate_values_are_the_residuals_entries():
     # objects it stored, and add no entry
     qb = QBase(F(4, 13))  # a base no other test uses
     tb = TailBound(1e-9)
-    for public, pack, sizes, residual, extra in (
-            (multivar.rr_multi, multivar._rr_pack, (1, 1), multivar.multi_gevp_residual, ()),
-            (multivar.pr_multi, multivar._pr_pack, (1, 1), multivar.multi_gevp_residual_asc,
-             (tb,))):
+    sizes = (1, 1)
+    for public, residual, extra, chain in (
+            (multivar.rr_multi, multivar.multi_gevp_residual, (), (False, None)),
+            (multivar.pr_multi, multivar.multi_gevp_residual_asc, (tb,), (True, tb))):
         residual(qb, 1, (1, 0), (0, 1), 1, 0, 0, sizes, *extra)
-        table = pack(qb, 1, 0, 0, sizes, *extra)
+        table = multivar._R_pack(qb, 1, 0, 0, sizes, *chain)
         stored = dict(table.values)
         assert stored, public.__name__
         for (point, _), value in stored.items():

@@ -832,6 +832,20 @@ def test_cli_non_integer_option_names_the_option(capsys, args, message):
     assert out == "" and err == f"ConfigError: {message}\n"
 
 
+def test_cli_weight_lists_take_half_integers(capsys):
+    # --k lists are weights, not indices: a half-integer k is read in the
+    # --mode backend, as pr_inner reads its --k.  The one-site pr_multi is
+    # pr_inner's value, and the heights step by 2y + k
+    point = ("--s", "1", "--t", "1/2", "--v=-1/2", "--x", "1", "--y", "1")
+    printed = []
+    for fn in ("pr_multi", "pr_inner"):
+        assert cli.main(["eval", "--fn", fn, "--k", "3/2", *point]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and "/" in printed[0]
+    assert cli.main(["eval", "--fn", "heights", "--k", "1/2", "--t", "0", "--y", "1"]) == 0
+    assert capsys.readouterr().out == "h_0=0\nh_1=5/2\n"
+
+
 @pytest.mark.parametrize("args", [
     ("verify", "--suite", "relations"),
     ("table", *_WEIGHTS, "--grid", "x=0:2", "--format", "csv"),

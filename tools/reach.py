@@ -45,6 +45,10 @@ REFERENCES = {
     "uqsl2.twist_x": "tests read the compact element on one site against tests/reference.py",
     "uqsl2.twist_y": "tests read the non-compact element on one site against tests/reference.py",
     "uqsl2.OpMatrix.apply": "the benchmark's operator probe and tests apply a matrix to a vector",
+    "multivar.transfer_check_y": ("the benchmark's transfer probe and tests read it alone; "
+                                  "verify runs its body, _transfer_residual"),
+    "multivar.transfer_check_k2_asc": ("tests read the infinite chain's K**2 transfer alone; "
+                                       "verify runs its body, _transfer_residual"),
     "verify._run_task_star": "runs only in the pool workers of verify --jobs N > 1",
     "scalar.QBase.__repr__": "names a base in test failures and tracebacks",
     "scalar.QBase.__reduce__": ("only pickle and copy reach it: --jobs pools ship tasks, "
